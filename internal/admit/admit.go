@@ -15,7 +15,10 @@
 //  2. an LP fast tier that solves the root relaxation through a raw
 //     lp.Instance (keeping the basis and LU factors) and decides
 //     immediately when the relaxation is integral,
-//  3. a full branch-and-bound solve otherwise.
+//  3. a full branch-and-bound solve otherwise, which starts from the
+//     tier-2 root: it clones the solved instance and adopts its root
+//     relaxation, basis and factors instead of compiling and solving the
+//     same LP a second time.
 //
 // After each decision the engine pins the outcome into the still-hot LP
 // instance with lp.Instance.AppendRow (x_R and t⁺ band rows) and re-solves
@@ -142,7 +145,8 @@ type DecisionStats struct {
 	// Latency is the wall-clock time of the whole admission.
 	Latency time.Duration
 	// LPIterations counts simplex iterations across all solves of the
-	// admission (fast tier, branch and bound, commitment restart).
+	// admission: fast tier, branch-and-bound search (whose root is the fast
+	// tier's, counted once) and commitment restart.
 	LPIterations int
 	// Nodes counts branch-and-bound nodes (0 for precheck/LP decisions).
 	Nodes int
@@ -394,7 +398,8 @@ func (e *Engine) decide(ctx context.Context, rec *record, d *Decision) (*accepta
 		AddConst(T))
 
 	// LP fast tier: solve the root relaxation through a raw instance so the
-	// basis and LU factors survive for the commitment hot-restart below.
+	// basis and LU factors survive for the MIP tier's root and the
+	// commitment hot-restart below.
 	inst := lp.NewInstance(b.Model.LP())
 	lpRes := inst.Solve(&lp.Options{CaptureFactors: true, Context: ctx})
 	d.Stats.LPIterations += lpRes.Iterations
@@ -416,8 +421,11 @@ func (e *Engine) decide(ctx context.Context, rec *record, d *Decision) (*accepta
 			}
 		}
 		if sol == nil {
+			// The search starts from the fast tier's root: it clones inst
+			// (leaving it intact for the commitment restart) and adopts
+			// lpRes instead of solving the same relaxation again.
 			d.Stats.Tier = TierMIP
-			ms := b.Model.Optimize(ctx, &e.cfg.Solve)
+			ms := b.Model.OptimizeFrom(ctx, &e.cfg.Solve, inst, lpRes)
 			d.Stats.LPIterations += ms.LPIterations
 			d.Stats.Nodes += ms.Nodes
 			if ms.Status == model.StatusCancelled {

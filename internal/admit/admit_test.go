@@ -76,9 +76,10 @@ func TestReplayDeterminism(t *testing.T) {
 }
 
 // TestWarmRestartRegression guards the commitment hot-restart: across a
-// streamed trace the warm-started share of restarts must stay positive —
-// the whole point of keeping the LP instance hot between the deciding solve
-// and the decision pin.
+// streamed trace every restart must run warm and extend the LU factors over
+// the appended pin rows — the whole point of keeping the LP instance hot
+// (and untouched by the branch-and-bound tier, which only clones it)
+// between the deciding solve and the decision pin.
 func TestWarmRestartRegression(t *testing.T) {
 	sc := trace(t, 25, 3)
 	eng := replay(t, sc, Config{})
@@ -86,13 +87,17 @@ func TestWarmRestartRegression(t *testing.T) {
 	if s.WarmAttempts == 0 {
 		t.Fatal("no commitment hot-restarts were attempted")
 	}
-	if s.WarmUsed == 0 {
-		t.Fatalf("warm-restart hit rate is zero across %d attempts", s.WarmAttempts)
+	t.Logf("warm rate %.2f (%d/%d), basis extensions %d, mip tier %d",
+		s.WarmRate(), s.WarmUsed, s.WarmAttempts, s.BasisExtended, s.MIPTier)
+	if s.WarmUsed != s.WarmAttempts {
+		t.Errorf("warm rate %.2f: %d of %d restarts fell back cold", s.WarmRate(), s.WarmAttempts-s.WarmUsed, s.WarmAttempts)
 	}
-	t.Logf("warm rate %.2f (%d/%d), basis extensions %d",
-		s.WarmRate(), s.WarmUsed, s.WarmAttempts, s.BasisExtended)
-	if s.BasisExtended == 0 {
-		t.Fatal("no warm restart extended the LU factors over the appended pin rows")
+	if s.BasisExtended != s.WarmAttempts {
+		t.Errorf("%d of %d restarts refactorized instead of extending the LU factors over the pin rows",
+			s.WarmAttempts-s.BasisExtended, s.WarmAttempts)
+	}
+	if s.MIPTier == 0 {
+		t.Error("no decision reached the branch-and-bound tier; the trace no longer covers a restart after it")
 	}
 }
 

@@ -26,8 +26,8 @@ import (
 // LP iterations are reported separately in Result.WastedLPIterations.
 
 // lpTask is one node-relaxation evaluation. It is created exactly once per
-// node, solved by exactly one worker (claimed), and read by the committer
-// only after done is closed.
+// node, solved by exactly one worker (claimed) or adopted from a root the
+// caller solved, and read by the committer only after done is closed.
 type lpTask struct {
 	nd *node
 
@@ -342,16 +342,36 @@ func (e *engine) evaluate(inst *lp.Instance, id int, t *lpTask, sync *workerSync
 		lpo.Deadline = s.deadline
 	}
 	res := inst.Solve(&lpo)
-	t.res = res
 	e.taskIters.Add(int64(res.Iterations))
+	e.finish(t, res)
+}
+
+// adopt installs a relaxation the caller already solved as nd's evaluated
+// task, in the state a worker would have left it; the task is never
+// enqueued. Its LP counters are zeroed: the caller paid for that solve, so
+// it is no part of the committed search's iteration count.
+func (e *engine) adopt(nd *node, res lp.Result) {
+	t := &lpTask{nd: nd, done: make(chan struct{})}
+	t.claimed.Store(true)
+	res.Iterations, res.BoundFlips, res.RatioPasses = 0, 0, 0
+	e.finish(t, res)
+	close(t.done)
+	nd.task = t
+}
+
+// finish records an evaluated relaxation on its task and, when it branches,
+// creates the node's children and speculates on them.
+func (e *engine) finish(t *lpTask, res lp.Result) {
+	t.res = res
 	if res.Status != lp.StatusOptimal {
 		return
 	}
-	col := s.fractional(res.X)
+	nd := t.nd
+	col := e.s.fractional(res.X)
 	if col < 0 {
 		return // integral: a leaf, no children
 	}
-	t.children = makeBranch(nd, col, s.toMin(res.Obj), res)
+	t.children = makeBranch(nd, col, e.s.toMin(res.Obj), res)
 	if e.speculate {
 		// Enqueue park first so the LIFO stack hands out the dive side
 		// before it, extending this speculative dive chain exactly the way

@@ -106,7 +106,8 @@ type Progress struct {
 	// was just found (otherwise the callback is periodic).
 	NewIncumbent bool
 	// Worker is the 1-based id of the worker whose LP solve produced the
-	// most recently committed node relaxation (0 before the first commit).
+	// most recently committed node relaxation (0 before the first commit and
+	// for a root relaxation handed in through SolveFrom).
 	// It is informational: which worker solves which node is scheduling
 	// noise and, unlike every other field, not reproducible across runs.
 	Worker int
@@ -115,7 +116,7 @@ type Progress struct {
 // Options tunes the branch-and-bound search. It is the lowering target of
 // model.SolveOptions: external callers configure solves through the
 // pkg/tvnep facade's functional options, which lower onto this struct in
-// exactly one place (model.Optimize).
+// exactly one place (model.OptimizeFrom, which Optimize calls).
 type Options struct {
 	TimeLimit time.Duration // 0 → none
 	NodeLimit int           // 0 → none
@@ -360,6 +361,17 @@ type searcher struct {
 	dlCountdown int // nodes until the next wall-clock deadline check
 }
 
+// Root is a root relaxation the caller has already solved. Inst must be
+// compiled from the problem's LP (lp.NewInstance) and still carry its
+// construction bounds, and Res must be the result of Inst.Solve with
+// CaptureFactors set and no warm start — exactly the relaxation the search
+// would otherwise solve itself, so handing it over changes no decision.
+// The search works on clones of Inst and never mutates it.
+type Root struct {
+	Inst *lp.Instance
+	Res  lp.Result
+}
+
 // Solve runs branch and bound. Cancelling ctx stops the search
 // cooperatively — within one branch-and-bound node, i.e. at worst one LP
 // iteration-checkpoint interval — with StatusCancelled. A nil ctx is
@@ -367,14 +379,31 @@ type searcher struct {
 //
 //det:entry
 func Solve(ctx context.Context, p *Problem, opts *Options) Result {
+	return SolveFrom(ctx, p, opts, nil)
+}
+
+// SolveFrom is Solve starting from an already-solved root relaxation: the
+// search clones root.Inst instead of compiling and equilibrating the LP
+// again, and commits root.Res as the root node's relaxation instead of
+// solving it again. The root's LP iterations were paid by the caller, so
+// they are not part of Result.LPIterations. A nil root is Solve.
+//
+//det:entry
+func SolveFrom(ctx context.Context, p *Problem, opts *Options, root *Root) Result {
 	start := time.Now() //lint:allow nondet -- wall-clock Runtime stat only
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	o := opts.withDefaults()
+	var inst *lp.Instance
+	if root != nil {
+		inst = root.Inst.Clone()
+	} else {
+		inst = lp.NewInstance(p.LP)
+	}
 	s := &searcher{
 		prob:         p,
-		inst:         lp.NewInstance(p.LP),
+		inst:         inst,
 		opts:         o,
 		minimize:     p.LP.Sense == lp.Minimize,
 		ctx:          ctx,
@@ -402,7 +431,7 @@ func Solve(ctx context.Context, p *Problem, opts *Options) Result {
 		s.dlCountdown = 1 // check wall clock on the very first node
 	}
 
-	status := s.run()
+	status := s.run(root)
 	res := Result{
 		Status:       status,
 		HasSolution:  s.hasInc,
@@ -727,12 +756,16 @@ func (s *searcher) heurSolve(lpo *lp.Options) lp.Result {
 // engine's workers. Because the committed decisions — pruning, incumbent
 // updates, branching, heap order — depend only on relaxation results that
 // are pure functions of their nodes, the committed search is bit-identical
-// for any worker count.
-func (s *searcher) run() Status {
+// for any worker count. A non-nil handed root is the root node's relaxation,
+// already solved by the caller.
+func (s *searcher) run(handed *Root) Status {
 	e := newEngine(s)
 	defer e.stop()
 
 	root := &node{col: -1, bound: math.Inf(-1), seq: s.seq()}
+	if handed != nil {
+		e.adopt(root, handed.Res)
+	}
 	heap.Push(&s.open, root)
 
 	for len(s.open) > 0 {

@@ -104,6 +104,8 @@ func assertBitIdentical(t *testing.T, name string, base, got Result, baseW, gotW
 // TestParallelDeterminism asserts the tentpole guarantee at the solver
 // level: the full committed result — objective, solution vector, bound,
 // node count, LP iteration count — is bit-identical for any worker count.
+// Every case also solves from a caller-solved root (SolveFrom) at every
+// worker count and requires the cold result minus the root's LP iterations.
 func TestParallelDeterminism(t *testing.T) {
 	cases := []struct {
 		name string
@@ -128,6 +130,7 @@ func TestParallelDeterminism(t *testing.T) {
 				if res.Status != StatusOptimal {
 					t.Fatalf("workers=%d: status %v", w, res.Status)
 				}
+				assertHandedRoot(t, tc.name, tc.prob, &o, res)
 				if w == 1 {
 					base = res
 					if res.WastedLPIterations != 0 {
@@ -138,6 +141,46 @@ func TestParallelDeterminism(t *testing.T) {
 				assertBitIdentical(t, tc.name, base, res, 1, w)
 			}
 		})
+	}
+}
+
+// assertHandedRoot solves p again from a root relaxation solved outside the
+// search and requires cold, the same solve without a handed root, with the
+// root's LP iterations taken out. The handed instance must come back
+// untouched: same rows, root bounds, and a warm re-solve from the root basis
+// and factors that reaches the root objective in as many iterations as the
+// same re-solve on a fresh instance that never met the search. (That count
+// need not be 0: on multiKnapsack it is 1 for a fresh instance too.)
+func assertHandedRoot(t *testing.T, name string, p *Problem, o *Options, cold Result) {
+	t.Helper()
+	warm := func(inst *lp.Instance, root lp.Result) lp.Result {
+		return inst.Solve(&lp.Options{WarmBasis: root.Basis, WarmFactors: root.Factors})
+	}
+	inst := lp.NewInstance(p.LP)
+	root := inst.Solve(&lp.Options{CaptureFactors: true})
+	if root.Status != lp.StatusOptimal || root.Iterations == 0 {
+		t.Fatalf("%s: root relaxation status %v after %d iterations", name, root.Status, root.Iterations)
+	}
+	got := SolveFrom(context.Background(), p, o, &Root{Inst: inst, Res: root})
+	want := cold
+	want.LPIterations -= root.Iterations
+	assertBitIdentical(t, name+"/handed-root", want, got, o.Workers, o.Workers)
+
+	if inst.NumRows() != p.LP.NumRows() {
+		t.Errorf("%s: handed instance has %d rows after the search, %d before", name, inst.NumRows(), p.LP.NumRows())
+	}
+	for j := 0; j < inst.NumCols(); j++ {
+		if lo, hi := inst.ColBounds(j); lo != p.LP.ColLB[j] || hi != p.LP.ColUB[j] {
+			t.Fatalf("%s: handed instance column %d has bounds [%v,%v] after the search, root [%v,%v]",
+				name, j, lo, hi, p.LP.ColLB[j], p.LP.ColUB[j])
+		}
+	}
+	fresh := lp.NewInstance(p.LP)
+	ref := warm(fresh, fresh.Solve(&lp.Options{CaptureFactors: true}))
+	again := warm(inst, root)
+	if again.Iterations != ref.Iterations || math.Float64bits(again.Obj) != math.Float64bits(root.Obj) {
+		t.Errorf("%s: warm re-solve of the handed instance took %d iterations to %v; untouched: %d iterations, root %v",
+			name, again.Iterations, again.Obj, ref.Iterations, root.Obj)
 	}
 }
 

@@ -324,6 +324,15 @@ func (s *Solution) ValueOf(e *LinExpr) float64 {
 // cooperatively (Status == StatusCancelled); a nil ctx is treated as
 // context.Background(). A nil opts solves with the solver defaults.
 func (m *Model) Optimize(ctx context.Context, opts *SolveOptions) *Solution {
+	return m.OptimizeFrom(ctx, opts, nil, lp.Result{})
+}
+
+// OptimizeFrom is Optimize for callers that already solved the root
+// relaxation through their own instance of LP(): the search clones inst
+// and starts from root instead of compiling and solving the root again
+// (see mip.SolveFrom for the contract inst and root must meet). The
+// returned LPIterations exclude root's. A nil inst is Optimize.
+func (m *Model) OptimizeFrom(ctx context.Context, opts *SolveOptions, inst *lp.Instance, root lp.Result) *Solution {
 	mp := mip.NewProblem(m.lp)
 	for j, isInt := range m.integer {
 		if isInt {
@@ -343,7 +352,11 @@ func (m *Model) Optimize(ctx context.Context, opts *SolveOptions) *Solution {
 		}
 		mo.Pricers = m.prs
 	}
-	res := mip.Solve(ctx, mp, mo)
+	var mr *mip.Root
+	if inst != nil {
+		mr = &mip.Root{Inst: inst, Res: root}
+	}
+	res := mip.SolveFrom(ctx, mp, mo, mr)
 	return &Solution{
 		Status:         statusFromMIP(res.Status, res.HasSolution),
 		HasSolution:    res.HasSolution,
