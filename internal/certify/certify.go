@@ -16,7 +16,6 @@ package certify
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"tvnep/internal/core"
@@ -25,49 +24,28 @@ import (
 	"tvnep/internal/vnet"
 )
 
-// Kind names one class of certificate violation.
-type Kind string
+// Kind names one class of certificate violation. The Definition 2.1
+// classes live in package solution, whose walker Solution runs.
+type Kind = solution.Kind
 
 // Solution-certificate violation classes.
 const (
-	// Shape: solution slices do not match the instance dimensions.
-	Shape Kind = "shape"
-	// Window: a request is scheduled outside [t^s, t^e].
-	Window Kind = "window"
-	// Duration: end − start differs from the request duration.
-	Duration Kind = "duration"
-	// HostRange: a virtual node is hosted on a nonexistent substrate node.
-	HostRange Kind = "host-range"
-	// MappingPinned: a host differs from the a-priori fixed node mapping.
-	MappingPinned Kind = "mapping-pinned"
-	// FlowRange: a splittable-flow fraction lies outside [0,1].
-	FlowRange Kind = "flow-range"
-	// FlowConservation: a virtual link's flow does not ship one unit from
-	// its source host to its destination host.
-	FlowConservation Kind = "flow-conservation"
-	// NodeCapacity: a substrate node is overbooked in some event interval.
-	NodeCapacity Kind = "node-capacity"
-	// LinkCapacity: a substrate link is overbooked in some event interval.
-	LinkCapacity Kind = "link-capacity"
+	Shape            = solution.Shape
+	Window           = solution.Window
+	Duration         = solution.Duration
+	HostRange        = solution.HostRange
+	MappingPinned    = solution.MappingPinned
+	FlowRange        = solution.FlowRange
+	FlowConservation = solution.FlowConservation
+	NodeCapacity     = solution.NodeCapacity
+	LinkCapacity     = solution.LinkCapacity
 	// Objective: the reported objective disagrees with the value recomputed
 	// from the solution.
 	Objective Kind = "objective-mismatch"
 )
 
 // Violation is one named certificate failure.
-type Violation struct {
-	Kind    Kind
-	Request int // request index, or -1 when instance-scoped
-	Detail  string
-}
-
-// String implements fmt.Stringer.
-func (v Violation) String() string {
-	if v.Request >= 0 {
-		return fmt.Sprintf("%s[req %d]: %s", v.Kind, v.Request, v.Detail)
-	}
-	return fmt.Sprintf("%s: %s", v.Kind, v.Detail)
-}
+type Violation = solution.Violation
 
 // Report collects every violation found by a certificate check.
 type Report struct {
@@ -131,152 +109,18 @@ func (o Options) loadFraction() float64 {
 
 // Solution re-verifies sol against the instance and returns a report of
 // every violation found (never stopping at the first, so a single run
-// pins down all defects).
+// pins down all defects): the Definition 2.1 walk of solution.Violations,
+// then the objective recomputation.
 func Solution(inst *core.Instance, sol *solution.Solution, opts Options) *Report {
-	rep := &Report{}
+	rep := &Report{Violations: solution.Violations(inst.Sub, inst.Reqs, sol, opts.Mapping)}
 	k := len(inst.Reqs)
-	if sol == nil {
-		rep.addf(Shape, -1, "nil solution")
-		return rep
+	if sol == nil || len(sol.Accepted) != k || len(sol.Start) != k || len(sol.End) != k {
+		return rep // the walk reported the shape violation alone
 	}
-	if len(sol.Accepted) != k || len(sol.Start) != k || len(sol.End) != k {
-		rep.addf(Shape, -1, "slice lengths (%d,%d,%d) do not match %d requests",
-			len(sol.Accepted), len(sol.Start), len(sol.End), k)
-		return rep
-	}
-	for r, req := range inst.Reqs {
-		checkTemporal(rep, req, sol, r)
-		if sol.Accepted[r] {
-			checkEmbedding(rep, inst, sol, r, opts.Mapping)
-		}
-	}
-	checkCapacities(rep, inst, sol)
 	if !opts.SkipObjective {
 		checkObjective(rep, inst, sol, opts)
 	}
 	return rep
-}
-
-func checkTemporal(rep *Report, req *vnet.Request, sol *solution.Solution, r int) {
-	st, en := sol.Start[r], sol.End[r]
-	if math.Abs((en-st)-req.Duration) > numtol.TimeTol {
-		rep.addf(Duration, r, "scheduled duration %v != d=%v", en-st, req.Duration)
-	}
-	if st < req.Earliest-numtol.TimeTol {
-		rep.addf(Window, r, "starts at %v before earliest %v", st, req.Earliest)
-	}
-	if en > req.Latest+numtol.TimeTol {
-		rep.addf(Window, r, "ends at %v after latest %v", en, req.Latest)
-	}
-}
-
-func checkEmbedding(rep *Report, inst *core.Instance, sol *solution.Solution, r int, mapping vnet.NodeMapping) {
-	sub, req := inst.Sub, inst.Reqs[r]
-	if len(sol.Hosts) <= r || len(sol.Hosts[r]) != req.G.N {
-		rep.addf(Shape, r, "missing host assignment")
-		return
-	}
-	for v, host := range sol.Hosts[r] {
-		if host < 0 || host >= sub.NumNodes() {
-			rep.addf(HostRange, r, "virtual node %d hosted on invalid substrate node %d", v, host)
-			return
-		}
-		if mapping != nil && r < len(mapping) && mapping[r] != nil && mapping[r][v] != host {
-			rep.addf(MappingPinned, r, "virtual node %d hosted on %d, pinned to %d", v, host, mapping[r][v])
-		}
-	}
-	if len(sol.Flows) <= r || len(sol.Flows[r]) != req.G.NumEdges() {
-		rep.addf(Shape, r, "missing flow assignment")
-		return
-	}
-	for lv := 0; lv < req.G.NumEdges(); lv++ {
-		u, v := req.G.Edge(lv)
-		flow := sol.Flows[r][lv]
-		if len(flow) != sub.NumLinks() {
-			rep.addf(Shape, r, "virtual link %d: flow over %d substrate links, want %d", lv, len(flow), sub.NumLinks())
-			return
-		}
-		for ls, f := range flow {
-			if f < -numtol.FlowTol || f > 1+numtol.FlowTol {
-				rep.addf(FlowRange, r, "virtual link %d: flow %v on substrate link %d outside [0,1]", lv, f, ls)
-			}
-		}
-		src, dst := sol.Hosts[r][u], sol.Hosts[r][v]
-		for ns := 0; ns < sub.NumNodes(); ns++ {
-			bal := 0.0
-			for _, e := range sub.G.Out(ns) {
-				bal += flow[e]
-			}
-			for _, e := range sub.G.In(ns) {
-				bal -= flow[e]
-			}
-			want := 0.0
-			if ns == src {
-				want++
-			}
-			if ns == dst {
-				want--
-			}
-			if math.Abs(bal-want) > numtol.FlowTol {
-				rep.addf(FlowConservation, r, "virtual link %d: balance %v at substrate node %d, want %v", lv, bal, ns, want)
-			}
-		}
-	}
-}
-
-// checkCapacities sweeps the open intervals between consecutive event
-// times and verifies Definition 2.1's allocation condition at an interior
-// point of each.
-func checkCapacities(rep *Report, inst *core.Instance, sol *solution.Solution) {
-	var events []float64
-	for r := range inst.Reqs {
-		if sol.Accepted[r] {
-			events = append(events, sol.Start[r], sol.End[r])
-		}
-	}
-	sort.Float64s(events)
-	for i := 0; i+1 < len(events); i++ {
-		if events[i+1]-events[i] < numtol.EventCoincide {
-			continue
-		}
-		checkInstant(rep, inst, sol, (events[i]+events[i+1])/2)
-	}
-}
-
-func checkInstant(rep *Report, inst *core.Instance, sol *solution.Solution, t float64) {
-	sub := inst.Sub
-	nodeLoad := make([]float64, sub.NumNodes())
-	linkLoad := make([]float64, sub.NumLinks())
-	for r, req := range inst.Reqs {
-		if !sol.Accepted[r] || t <= sol.Start[r] || t >= sol.End[r] {
-			continue
-		}
-		if len(sol.Hosts) <= r || len(sol.Hosts[r]) != req.G.N || len(sol.Flows) <= r {
-			continue // shape violations are reported by checkEmbedding
-		}
-		for v, host := range sol.Hosts[r] {
-			if host >= 0 && host < sub.NumNodes() {
-				nodeLoad[host] += req.NodeDemand[v]
-			}
-		}
-		for lv := 0; lv < req.G.NumEdges() && lv < len(sol.Flows[r]); lv++ {
-			for ls, f := range sol.Flows[r][lv] {
-				if f > numtol.FlowTol && ls < sub.NumLinks() {
-					linkLoad[ls] += req.LinkDemand[lv] * f
-				}
-			}
-		}
-	}
-	for ns, load := range nodeLoad {
-		if load > sub.NodeCap[ns]+numtol.CapTol {
-			rep.addf(NodeCapacity, -1, "t=%v: substrate node %d loaded %v > capacity %v", t, ns, load, sub.NodeCap[ns])
-		}
-	}
-	for ls, load := range linkLoad {
-		if load > sub.LinkCap[ls]+numtol.CapTol {
-			rep.addf(LinkCapacity, -1, "t=%v: substrate link %d loaded %v > capacity %v", t, ls, load, sub.LinkCap[ls])
-		}
-	}
 }
 
 // checkObjective recomputes the selected Section IV-E objective from the
@@ -343,35 +187,14 @@ func countBalancedNodes(inst *core.Instance, sol *solution.Solution, f float64) 
 	for i := range ok {
 		ok[i] = true
 	}
-	var events []float64
-	for r := range inst.Reqs {
-		if sol.Accepted[r] {
-			events = append(events, sol.Start[r], sol.End[r])
-		}
-	}
-	sort.Float64s(events)
-	for i := 0; i+1 < len(events); i++ {
-		if events[i+1]-events[i] < numtol.EventCoincide {
-			continue
-		}
-		t := (events[i] + events[i+1]) / 2
-		load := make([]float64, sub.NumNodes())
-		for r, req := range inst.Reqs {
-			if !sol.Accepted[r] || t <= sol.Start[r] || t >= sol.End[r] {
-				continue
-			}
-			for v, host := range sol.Hosts[r] {
-				if host >= 0 && host < sub.NumNodes() {
-					load[host] += req.NodeDemand[v]
-				}
-			}
-		}
-		for ns := range ok {
-			if load[ns] > f*sub.NodeCap[ns]+numtol.CapTol {
+	solution.Sweep(sub, inst.Reqs, sol, func(iv *solution.Interval) bool {
+		for ns, load := range iv.NodeLoad {
+			if load > f*sub.NodeCap[ns]+numtol.CapTol {
 				ok[ns] = false
 			}
 		}
-	}
+		return true
+	})
 	n := 0
 	for _, b := range ok {
 		if b {

@@ -1,8 +1,6 @@
-// Package linalg provides the small dense linear-algebra kernel used by the
-// LP solver: row-major dense matrices, LU factorization with partial
-// pivoting, triangular solves and explicit inversion. It is deliberately
-// minimal — the simplex code maintains an explicit basis inverse and only
-// needs refactorization and solve primitives.
+// Package linalg provides a small dense linear-algebra kernel: row-major
+// dense matrices and LU factorization with partial pivoting. The sparse
+// basis factorization's tests use it as their reference.
 package linalg
 
 import (
@@ -11,7 +9,7 @@ import (
 	"math"
 )
 
-// ErrSingular is returned when a factorization or inversion encounters a
+// ErrSingular is returned when a factorization encounters a
 // (numerically) singular matrix.
 var ErrSingular = errors.New("linalg: singular matrix")
 
@@ -188,90 +186,4 @@ func (f *LU) Det() float64 {
 		d *= f.lu.At(i, i)
 	}
 	return d
-}
-
-// Inverse computes A⁻¹ using batched triangular solves over whole rows
-// (much faster than n column-wise Solve calls: contiguous memory, no
-// per-column allocation).
-func (f *LU) Inverse() *Dense {
-	n := f.n
-	// Z = P·I: row i of Z is unit vector e_{piv[i]}.
-	z := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		z.Set(i, f.piv[i], 1)
-	}
-	// Forward substitution L·W = Z (unit diagonal), row-wise.
-	for i := 1; i < n; i++ {
-		li := f.lu.Row(i)
-		zi := z.Row(i)
-		for j := 0; j < i; j++ {
-			if m := li[j]; m != 0 {
-				Axpy(-m, z.Row(j), zi)
-			}
-		}
-	}
-	// Back substitution U·X = W, row-wise.
-	for i := n - 1; i >= 0; i-- {
-		ui := f.lu.Row(i)
-		zi := z.Row(i)
-		for j := n - 1; j > i; j-- {
-			if m := ui[j]; m != 0 {
-				Axpy(-m, z.Row(j), zi)
-			}
-		}
-		Scale(1/ui[i], zi)
-	}
-	return z
-}
-
-// Invert returns a⁻¹ or ErrSingular.
-func Invert(a *Dense) (*Dense, error) {
-	f, err := Factorize(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Inverse(), nil
-}
-
-// Dot returns the inner product of two equal-length vectors.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("linalg: Dot length mismatch")
-	}
-	s := 0.0
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
-
-// Axpy computes y ← y + alpha·x.
-func Axpy(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("linalg: Axpy length mismatch")
-	}
-	if alpha == 0 {
-		return
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
-
-// Scale computes x ← alpha·x.
-func Scale(alpha float64, x []float64) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
-
-// NormInf returns max_i |x_i|.
-func NormInf(x []float64) float64 {
-	max := 0.0
-	for _, v := range x {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
 }

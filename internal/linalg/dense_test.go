@@ -108,52 +108,6 @@ func TestLUSolveRandom(t *testing.T) {
 	}
 }
 
-func TestInverseRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(15)
-		a := randomMatrix(rng, n)
-		inv, err := Invert(a)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		// a·inv should be identity.
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				s := 0.0
-				for k := 0; k < n; k++ {
-					s += a.At(i, k) * inv.At(k, j)
-				}
-				want := 0.0
-				if i == j {
-					want = 1
-				}
-				if !almostEqual(s, want, 1e-8) {
-					t.Fatalf("trial %d: (A·A⁻¹)[%d,%d] = %v, want %v", trial, i, j, s, want)
-				}
-			}
-		}
-	}
-}
-
-func TestDotAxpyScale(t *testing.T) {
-	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
-		t.Fatalf("Dot = %v, want 32", got)
-	}
-	y := []float64{1, 1}
-	Axpy(2, []float64{3, 4}, y)
-	if y[0] != 7 || y[1] != 9 {
-		t.Fatalf("Axpy = %v, want [7 9]", y)
-	}
-	Scale(0.5, y)
-	if y[0] != 3.5 || y[1] != 4.5 {
-		t.Fatalf("Scale = %v, want [3.5 4.5]", y)
-	}
-	if NormInf([]float64{-3, 2}) != 3 {
-		t.Fatalf("NormInf wrong")
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	a := Identity(3)
 	b := a.Clone()

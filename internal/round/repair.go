@@ -3,7 +3,6 @@ package round
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"tvnep/internal/certify"
 	"tvnep/internal/core"
@@ -116,97 +115,46 @@ func samplePath(lc *linkCand, numLinks int, rng *rand.Rand) []float64 {
 	return flow
 }
 
-// firstViolation sweeps the event intervals of the candidate in time order
-// (mirroring certify's capacity check exactly, tolerances included) and
-// returns the end of the first interval whose node or link capacity is
-// exceeded, together with the accepted requests contributing load to the
-// violated resource.
-func firstViolation(inst *core.Instance, sol *solution.Solution) (intervalEnd float64, contributors []int, found bool) {
-	var events []float64
-	for r := range inst.Reqs {
-		if sol.Accepted[r] {
-			events = append(events, sol.Start[r], sol.End[r])
-		}
-	}
-	sort.Float64s(events)
-	for i := 0; i+1 < len(events); i++ {
-		if events[i+1]-events[i] < numtol.EventCoincide {
-			continue
-		}
-		t := (events[i] + events[i+1]) / 2
-		if contribs, ok := violatedAt(inst, sol, t); ok {
-			return events[i+1], contribs, true
-		}
-	}
-	return 0, nil, false
-}
-
-// violatedAt checks Definition 2.1's allocation condition at instant t and
-// returns the contributors to the first overbooked resource (nodes first,
-// then links, both in index order — a fixed scan order keeps repair
+// firstViolation takes the first event interval, in time order, whose node
+// or link capacity is exceeded (the sweep certify judges, tolerances
+// included) and returns its end, together with the active requests
+// contributing load to the first overbooked resource (nodes first, then
+// links, both in index order — a fixed scan order keeps repair
 // deterministic).
-func violatedAt(inst *core.Instance, sol *solution.Solution, t float64) ([]int, bool) {
+func firstViolation(inst *core.Instance, sol *solution.Solution) (intervalEnd float64, contributors []int, found bool) {
 	sub := inst.Sub
-	nodeLoad := make([]float64, sub.NumNodes())
-	linkLoad := make([]float64, sub.NumLinks())
-	for r, req := range inst.Reqs {
-		if !sol.Accepted[r] || t <= sol.Start[r] || t >= sol.End[r] {
-			continue
-		}
-		for v, host := range sol.Hosts[r] {
-			nodeLoad[host] += req.NodeDemand[v]
-		}
-		for lv := 0; lv < req.G.NumEdges(); lv++ {
-			for ls, f := range sol.Flows[r][lv] {
-				if f > numtol.FlowTol {
-					linkLoad[ls] += req.LinkDemand[lv] * f
+	solution.Sweep(sub, inst.Reqs, sol, func(iv *solution.Interval) bool {
+		for ns, load := range iv.NodeLoad {
+			if load > sub.NodeCap[ns]+numtol.CapTol {
+				for _, r := range iv.Active {
+					for v, host := range sol.Hosts[r] {
+						if host == ns && inst.Reqs[r].NodeDemand[v] > 0 {
+							contributors = append(contributors, r)
+							break
+						}
+					}
 				}
+				intervalEnd, found = iv.End, true
+				return false
 			}
 		}
-	}
-	for ns, load := range nodeLoad {
-		if load > sub.NodeCap[ns]+numtol.CapTol {
-			return nodeContributors(inst, sol, t, ns), true
-		}
-	}
-	for ls, load := range linkLoad {
-		if load > sub.LinkCap[ls]+numtol.CapTol {
-			return linkContributors(inst, sol, t, ls), true
-		}
-	}
-	return nil, false
-}
-
-func nodeContributors(inst *core.Instance, sol *solution.Solution, t float64, ns int) []int {
-	var out []int
-	for r, req := range inst.Reqs {
-		if !sol.Accepted[r] || t <= sol.Start[r] || t >= sol.End[r] {
-			continue
-		}
-		for v, host := range sol.Hosts[r] {
-			if host == ns && req.NodeDemand[v] > 0 {
-				out = append(out, r)
-				break
+		for ls, load := range iv.LinkLoad {
+			if load > sub.LinkCap[ls]+numtol.CapTol {
+				for _, r := range iv.Active {
+					for lv, flow := range sol.Flows[r] {
+						if flow[ls] > numtol.FlowTol && inst.Reqs[r].LinkDemand[lv] > 0 {
+							contributors = append(contributors, r)
+							break
+						}
+					}
+				}
+				intervalEnd, found = iv.End, true
+				return false
 			}
 		}
-	}
-	return out
-}
-
-func linkContributors(inst *core.Instance, sol *solution.Solution, t float64, ls int) []int {
-	var out []int
-	for r, req := range inst.Reqs {
-		if !sol.Accepted[r] || t <= sol.Start[r] || t >= sol.End[r] {
-			continue
-		}
-		for lv := 0; lv < req.G.NumEdges(); lv++ {
-			if sol.Flows[r][lv][ls] > numtol.FlowTol && req.LinkDemand[lv] > 0 {
-				out = append(out, r)
-				break
-			}
-		}
-	}
-	return out
+		return true
+	})
+	return intervalEnd, contributors, found
 }
 
 // repairSample resolves capacity violations by deferring contributors

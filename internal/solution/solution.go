@@ -8,7 +8,6 @@ package solution
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"tvnep/internal/numtol"
@@ -55,74 +54,148 @@ func (s *Solution) NumAccepted() int {
 	return n
 }
 
-// Checker tolerances; see internal/numtol for what each one bounds.
+// Kind names one class of Definition 2.1 violation.
+type Kind string
+
+// Violation classes reported by Violations.
 const (
-	timeTol = numtol.TimeTol
-	capTol  = numtol.CapTol
-	flowTol = numtol.FlowTol
+	// Shape: solution slices do not match the instance dimensions.
+	Shape Kind = "shape"
+	// Window: a request is scheduled outside [t^s, t^e].
+	Window Kind = "window"
+	// Duration: end − start differs from the request duration.
+	Duration Kind = "duration"
+	// HostRange: a virtual node is hosted on a nonexistent substrate node.
+	HostRange Kind = "host-range"
+	// MappingPinned: a host differs from the a-priori fixed node mapping.
+	MappingPinned Kind = "mapping-pinned"
+	// FlowRange: a splittable-flow fraction lies outside [0,1].
+	FlowRange Kind = "flow-range"
+	// FlowConservation: a virtual link's flow does not ship one unit from
+	// its source host to its destination host.
+	FlowConservation Kind = "flow-conservation"
+	// NodeCapacity: a substrate node is overbooked in some event interval.
+	NodeCapacity Kind = "node-capacity"
+	// LinkCapacity: a substrate link is overbooked in some event interval.
+	LinkCapacity Kind = "link-capacity"
 )
+
+// Violation is one named feasibility failure. It is also the error Check
+// returns.
+type Violation struct {
+	Kind    Kind
+	Request int // request index, or -1 when instance-scoped
+	Detail  string
+}
+
+// String implements fmt.Stringer.
+func (v Violation) String() string {
+	if v.Request >= 0 {
+		return fmt.Sprintf("%s[req %d]: %s", v.Kind, v.Request, v.Detail)
+	}
+	return fmt.Sprintf("%s: %s", v.Kind, v.Detail)
+}
+
+// Error implements error.
+func (v Violation) Error() string { return v.String() }
 
 // Check verifies the solution against Definition 2.1: temporal windows,
 // durations, per-virtual-link unit flows, and node/link capacities at every
-// point in time. It returns nil iff the solution is feasible.
+// point in time. It returns nil iff the solution is feasible, and otherwise
+// the first Violation found.
 func Check(sub *substrate.Network, reqs []*vnet.Request, sol *Solution) error {
-	k := len(reqs)
-	if len(sol.Accepted) != k || len(sol.Start) != k || len(sol.End) != k {
-		return fmt.Errorf("solution: slice lengths do not match %d requests", k)
-	}
-	for r, req := range reqs {
-		if err := checkTemporal(req, sol, r); err != nil {
-			return err
-		}
-		if !sol.Accepted[r] {
-			continue
-		}
-		if err := checkEmbedding(sub, req, sol, r); err != nil {
-			return err
-		}
-	}
-	return checkCapacities(sub, reqs, sol)
-}
-
-func checkTemporal(req *vnet.Request, sol *Solution, r int) error {
-	st, en := sol.Start[r], sol.End[r]
-	if math.Abs((en-st)-req.Duration) > timeTol {
-		return fmt.Errorf("request %s: scheduled duration %v != d=%v", req.Name, en-st, req.Duration)
-	}
-	if st < req.Earliest-timeTol {
-		return fmt.Errorf("request %s: starts at %v before earliest %v", req.Name, st, req.Earliest)
-	}
-	if en > req.Latest+timeTol {
-		return fmt.Errorf("request %s: ends at %v after latest %v", req.Name, en, req.Latest)
+	if vs := Violations(sub, reqs, sol, nil); len(vs) > 0 {
+		return vs[0]
 	}
 	return nil
 }
 
-func checkEmbedding(sub *substrate.Network, req *vnet.Request, sol *Solution, r int) error {
+// Violations walks sol against Definition 2.1 and returns every violation
+// found, never stopping at the first: per request in index order its
+// temporal and embedding defects, then the capacity overloads of each
+// event interval in time order (nodes before links). mapping, when
+// non-nil, additionally pins every accepted request's virtual-node
+// placement. A malformed solution is reported, never panicked on.
+func Violations(sub *substrate.Network, reqs []*vnet.Request, sol *Solution, mapping vnet.NodeMapping) []Violation {
+	var vs []Violation
+	add := func(k Kind, r int, format string, args ...interface{}) {
+		vs = append(vs, Violation{Kind: k, Request: r, Detail: fmt.Sprintf(format, args...)})
+	}
+	k := len(reqs)
+	if sol == nil {
+		add(Shape, -1, "nil solution")
+		return vs
+	}
+	if len(sol.Accepted) != k || len(sol.Start) != k || len(sol.End) != k {
+		add(Shape, -1, "slice lengths (%d,%d,%d) do not match %d requests",
+			len(sol.Accepted), len(sol.Start), len(sol.End), k)
+		return vs
+	}
+	for r, req := range reqs {
+		st, en := sol.Start[r], sol.End[r]
+		if math.Abs((en-st)-req.Duration) > numtol.TimeTol {
+			add(Duration, r, "scheduled duration %v != d=%v", en-st, req.Duration)
+		}
+		if st < req.Earliest-numtol.TimeTol {
+			add(Window, r, "starts at %v before earliest %v", st, req.Earliest)
+		}
+		if en > req.Latest+numtol.TimeTol {
+			add(Window, r, "ends at %v after latest %v", en, req.Latest)
+		}
+		if sol.Accepted[r] {
+			checkEmbedding(add, sub, req, sol, r, mapping)
+		}
+	}
+	Sweep(sub, reqs, sol, func(iv *Interval) bool {
+		for ns, load := range iv.NodeLoad {
+			if load > sub.NodeCap[ns]+numtol.CapTol {
+				add(NodeCapacity, -1, "t=%v: substrate node %d loaded %v > capacity %v", iv.Mid, ns, load, sub.NodeCap[ns])
+			}
+		}
+		for ls, load := range iv.LinkLoad {
+			if load > sub.LinkCap[ls]+numtol.CapTol {
+				add(LinkCapacity, -1, "t=%v: substrate link %d loaded %v > capacity %v", iv.Mid, ls, load, sub.LinkCap[ls])
+			}
+		}
+		return true
+	})
+	return vs
+}
+
+// checkEmbedding reports the host, pinned-mapping and flow defects of the
+// accepted request r. A shape defect ends the request's walk, since the
+// checks after it would index out of range.
+func checkEmbedding(add func(Kind, int, string, ...interface{}), sub *substrate.Network, req *vnet.Request, sol *Solution, r int, mapping vnet.NodeMapping) {
 	if len(sol.Hosts) <= r || len(sol.Hosts[r]) != req.G.N {
-		return fmt.Errorf("request %s: missing host assignment", req.Name)
+		add(Shape, r, "missing host assignment")
+		return
 	}
 	for v, host := range sol.Hosts[r] {
 		if host < 0 || host >= sub.NumNodes() {
-			return fmt.Errorf("request %s: virtual node %d hosted on invalid node %d", req.Name, v, host)
+			add(HostRange, r, "virtual node %d hosted on invalid substrate node %d", v, host)
+			return
+		}
+		if mapping != nil && r < len(mapping) && mapping[r] != nil && mapping[r][v] != host {
+			add(MappingPinned, r, "virtual node %d hosted on %d, pinned to %d", v, host, mapping[r][v])
 		}
 	}
 	if len(sol.Flows) <= r || len(sol.Flows[r]) != req.G.NumEdges() {
-		return fmt.Errorf("request %s: missing flow assignment", req.Name)
+		add(Shape, r, "missing flow assignment")
+		return
 	}
 	for lv := 0; lv < req.G.NumEdges(); lv++ {
 		u, v := req.G.Edge(lv)
 		flow := sol.Flows[r][lv]
 		if len(flow) != sub.NumLinks() {
-			return fmt.Errorf("request %s link %d: flow over %d links, substrate has %d", req.Name, lv, len(flow), sub.NumLinks())
+			add(Shape, r, "virtual link %d: flow over %d substrate links, want %d", lv, len(flow), sub.NumLinks())
+			return
 		}
-		src, dst := sol.Hosts[r][u], sol.Hosts[r][v]
 		for ls, f := range flow {
-			if f < -flowTol || f > 1+flowTol {
-				return fmt.Errorf("request %s link %d: flow %v on substrate link %d outside [0,1]", req.Name, lv, f, ls)
+			if f < -numtol.FlowTol || f > 1+numtol.FlowTol {
+				add(FlowRange, r, "virtual link %d: flow %v on substrate link %d outside [0,1]", lv, f, ls)
 			}
 		}
-		// Flow conservation: one unit from src to dst.
+		src, dst := sol.Hosts[r][u], sol.Hosts[r][v]
 		for ns := 0; ns < sub.NumNodes(); ns++ {
 			bal := 0.0
 			for _, e := range sub.G.Out(ns) {
@@ -133,73 +206,14 @@ func checkEmbedding(sub *substrate.Network, req *vnet.Request, sol *Solution, r 
 			}
 			want := 0.0
 			if ns == src {
-				want += 1
+				want++
 			}
 			if ns == dst {
-				want -= 1
+				want--
 			}
-			if math.Abs(bal-want) > flowTol {
-				return fmt.Errorf("request %s link %d: flow balance %v at substrate node %d, want %v",
-					req.Name, lv, bal, ns, want)
-			}
-		}
-	}
-	return nil
-}
-
-// checkCapacities sweeps the intervals between consecutive event times and
-// verifies the open-interval allocation condition of Definition 2.1.
-func checkCapacities(sub *substrate.Network, reqs []*vnet.Request, sol *Solution) error {
-	var events []float64
-	for r := range reqs {
-		if sol.Accepted[r] {
-			events = append(events, sol.Start[r], sol.End[r])
-		}
-	}
-	if len(events) == 0 {
-		return nil
-	}
-	sort.Float64s(events)
-	for i := 0; i+1 < len(events); i++ {
-		if events[i+1]-events[i] < numtol.EventCoincide {
-			continue
-		}
-		mid := (events[i] + events[i+1]) / 2
-		if err := checkInstant(sub, reqs, sol, mid); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func checkInstant(sub *substrate.Network, reqs []*vnet.Request, sol *Solution, t float64) error {
-	nodeLoad := make([]float64, sub.NumNodes())
-	linkLoad := make([]float64, sub.NumLinks())
-	for r, req := range reqs {
-		if !sol.Accepted[r] || t <= sol.Start[r] || t >= sol.End[r] {
-			continue
-		}
-		for v, host := range sol.Hosts[r] {
-			nodeLoad[host] += req.NodeDemand[v]
-		}
-		for lv := 0; lv < req.G.NumEdges(); lv++ {
-			demand := req.LinkDemand[lv]
-			for ls, f := range sol.Flows[r][lv] {
-				if f > flowTol {
-					linkLoad[ls] += demand * f
-				}
+			if math.Abs(bal-want) > numtol.FlowTol {
+				add(FlowConservation, r, "virtual link %d: balance %v at substrate node %d, want %v", lv, bal, ns, want)
 			}
 		}
 	}
-	for ns, load := range nodeLoad {
-		if load > sub.NodeCap[ns]+capTol {
-			return fmt.Errorf("t=%v: substrate node %d loaded %v > capacity %v", t, ns, load, sub.NodeCap[ns])
-		}
-	}
-	for ls, load := range linkLoad {
-		if load > sub.LinkCap[ls]+capTol {
-			return fmt.Errorf("t=%v: substrate link %d loaded %v > capacity %v", t, ls, load, sub.LinkCap[ls])
-		}
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package solution
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -168,6 +169,34 @@ func TestCheckLengthMismatch(t *testing.T) {
 	sol.Accepted = nil
 	if err := Check(sub, reqs, sol); err == nil {
 		t.Fatal("length mismatch accepted")
+	}
+}
+
+// TestCheckRejectsMalformed feeds malformed solutions through Check: each
+// must come back as the named Violation, never as a panic.
+func TestCheckRejectsMalformed(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Solution) *Solution
+		want   Kind
+	}{
+		{"nil-solution", func(*Solution) *Solution { return nil }, Shape},
+		{"short-start", func(s *Solution) *Solution { s.Start = nil; return s }, Shape},
+		{"missing-hosts", func(s *Solution) *Solution { s.Hosts = nil; return s }, Shape},
+		{"short-hosts", func(s *Solution) *Solution { s.Hosts[0] = s.Hosts[0][:1]; return s }, Shape},
+		{"host-out-of-range", func(s *Solution) *Solution { s.Hosts[0][1] = 7; return s }, HostRange},
+		{"negative-host", func(s *Solution) *Solution { s.Hosts[0][0] = -1; return s }, HostRange},
+		{"missing-flows", func(s *Solution) *Solution { s.Flows = nil; return s }, Shape},
+		{"short-flow-vector", func(s *Solution) *Solution { s.Flows[0][0] = s.Flows[0][0][:1]; return s }, Shape},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sub, reqs, sol := fixture()
+			err := Check(sub, reqs, tc.mutate(sol))
+			var v Violation
+			if !errors.As(err, &v) || v.Kind != tc.want {
+				t.Fatalf("err = %v, want a %s violation", err, tc.want)
+			}
+		})
 	}
 }
 

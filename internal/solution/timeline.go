@@ -3,27 +3,14 @@ package solution
 import (
 	"fmt"
 	"io"
-	"sort"
 
-	"tvnep/internal/numtol"
 	"tvnep/internal/substrate"
 	"tvnep/internal/vnet"
 )
 
-// TimelineSegment describes substrate utilization during one interval in
-// which allocations are constant.
-type TimelineSegment struct {
-	Start, End float64
-	// NodeLoad[s] / LinkLoad[l] are absolute allocations.
-	NodeLoad []float64
-	LinkLoad []float64
-	// Active lists the indices of requests running in the segment.
-	Active []int
-}
-
 // PeakNodeUtil returns the maximum node utilization (load/capacity) of the
-// segment, or 0 for an empty substrate.
-func (seg *TimelineSegment) PeakNodeUtil(sub *substrate.Network) float64 {
+// interval, or 0 for an empty substrate.
+func (seg *Interval) PeakNodeUtil(sub *substrate.Network) float64 {
 	peak := 0.0
 	for s, load := range seg.NodeLoad {
 		if c := sub.NodeCap[s]; c > 0 {
@@ -35,8 +22,8 @@ func (seg *TimelineSegment) PeakNodeUtil(sub *substrate.Network) float64 {
 	return peak
 }
 
-// PeakLinkUtil returns the maximum link utilization of the segment.
-func (seg *TimelineSegment) PeakLinkUtil(sub *substrate.Network) float64 {
+// PeakLinkUtil returns the maximum link utilization of the interval.
+func (seg *Interval) PeakLinkUtil(sub *substrate.Network) float64 {
 	peak := 0.0
 	for l, load := range seg.LinkLoad {
 		if c := sub.LinkCap[l]; c > 0 {
@@ -49,55 +36,22 @@ func (seg *TimelineSegment) PeakLinkUtil(sub *substrate.Network) float64 {
 }
 
 // Timeline computes the piecewise-constant substrate utilization of a
-// solution: one segment per interval between consecutive request start/end
-// events (the same decomposition Definition 2.1's feasibility condition
-// rests on). Only accepted requests contribute.
-func Timeline(sub *substrate.Network, reqs []*vnet.Request, sol *Solution) []TimelineSegment {
-	var events []float64
-	for r := range reqs {
-		if sol.Accepted[r] {
-			events = append(events, sol.Start[r], sol.End[r])
-		}
-	}
-	if len(events) == 0 {
-		return nil
-	}
-	sort.Float64s(events)
-	// Deduplicate.
-	uniq := events[:1]
-	for _, t := range events[1:] {
-		if t-uniq[len(uniq)-1] > numtol.EventCoincide {
-			uniq = append(uniq, t)
-		}
-	}
-	var out []TimelineSegment
-	for i := 0; i+1 < len(uniq); i++ {
-		seg := TimelineSegment{
-			Start:    uniq[i],
-			End:      uniq[i+1],
-			NodeLoad: make([]float64, sub.NumNodes()),
-			LinkLoad: make([]float64, sub.NumLinks()),
-		}
-		mid := (seg.Start + seg.End) / 2
-		for r, req := range reqs {
-			if !sol.Accepted[r] || mid <= sol.Start[r] || mid >= sol.End[r] {
-				continue
-			}
-			seg.Active = append(seg.Active, r)
-			for v, host := range sol.Hosts[r] {
-				seg.NodeLoad[host] += req.NodeDemand[v]
-			}
-			for lv := 0; lv < req.G.NumEdges(); lv++ {
-				d := req.LinkDemand[lv]
-				for ls, f := range sol.Flows[r][lv] {
-					if f > numtol.FlowCutoff {
-						seg.LinkLoad[ls] += d * f
-					}
-				}
-			}
-		}
-		out = append(out, seg)
-	}
+// solution: the intervals of the Definition 2.1 event sweep, copied out of
+// Sweep, so it shows exactly the loads Check judges. Only accepted requests
+// contribute.
+func Timeline(sub *substrate.Network, reqs []*vnet.Request, sol *Solution) []Interval {
+	var out []Interval
+	Sweep(sub, reqs, sol, func(iv *Interval) bool {
+		out = append(out, Interval{
+			Start:    iv.Start,
+			End:      iv.End,
+			Mid:      iv.Mid,
+			Active:   append([]int(nil), iv.Active...),
+			NodeLoad: append([]float64(nil), iv.NodeLoad...),
+			LinkLoad: append([]float64(nil), iv.LinkLoad...),
+		})
+		return true
+	})
 	return out
 }
 
