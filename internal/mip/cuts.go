@@ -3,23 +3,21 @@ package mip
 // Lazy cut separation. Instead of emitting every known valid inequality into
 // the root LP up front, callers register Separator callbacks that examine
 // fractional relaxation points and return the inequalities those points
-// violate. The searcher keeps the returned rows in a deterministic cut pool
-// (deduplicated by an exact canonical-row key), appends the most violated
-// batch to the LP, and hot-restarts the same node from its own final basis —
-// the appended rows ride the bordered LU extension in internal/lp, so a
-// separation round costs a handful of dual pivots, not a refactorization.
+// violate. The searcher keeps the returned rows in a deterministic pool
+// (pool.go, deduplicated by an exact canonical-row key), appends the most
+// violated batch to the LP, and hot-restarts the same node from its own
+// final basis — the appended rows ride the bordered LU extension in
+// internal/lp, so a separation round costs a handful of dual pivots, not a
+// refactorization.
 //
 // Separation runs only on the serial committer. Workers learn about committed
-// cut rows through an atomically published append-only snapshot (see
+// cut rows through the atomically published append-only op log (see
 // engine.go) and replay them onto their own instances before solving, so the
 // committed search — and therefore the reported objective, bound, node and
 // iteration counts — stays bit-identical for any worker count.
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math"
-	"sort"
 
 	"tvnep/internal/lp"
 	"tvnep/internal/numtol"
@@ -78,63 +76,6 @@ type CutStats struct {
 	Evicted int
 }
 
-// cutKey returns the exact canonical key of an already-canonicalized cut:
-// the little-endian concatenation of (index, coefficient-bits) pairs plus
-// the bound bits. Two cuts share a key iff they are the same row, so the
-// pool's dedup can never be fooled by a hash collision.
-func cutKey(c Cut) string {
-	buf := make([]byte, 0, 12*len(c.Idx)+16)
-	var b [8]byte
-	for k, j := range c.Idx {
-		binary.LittleEndian.PutUint32(b[:4], uint32(j))
-		buf = append(buf, b[:4]...)
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(c.Val[k]))
-		buf = append(buf, b[:8]...)
-	}
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(c.LB))
-	buf = append(buf, b[:8]...)
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(c.UB))
-	buf = append(buf, b[:8]...)
-	return string(buf)
-}
-
-// canonicalCut sorts the row by column index, merges duplicate entries and
-// drops exact-zero coefficients, mirroring lp.AppendRow's canonical form so
-// that the pool key and the appended row agree. ok is false for rows that
-// canonicalize to nothing.
-func canonicalCut(c Cut) (Cut, bool) {
-	idx := append([]int32(nil), c.Idx...)
-	val := append([]float64(nil), c.Val...)
-	sort.Sort(&rowByCol{idx: idx, val: val})
-	out := Cut{LB: c.LB, UB: c.UB, Name: c.Name}
-	for k := 0; k < len(idx); {
-		j, v := idx[k], val[k]
-		k++
-		for k < len(idx) && idx[k] == j {
-			v += val[k]
-			k++
-		}
-		if v == 0 {
-			continue
-		}
-		out.Idx = append(out.Idx, j)
-		out.Val = append(out.Val, v)
-	}
-	return out, len(out.Idx) > 0
-}
-
-type rowByCol struct {
-	idx []int32
-	val []float64
-}
-
-func (r *rowByCol) Len() int           { return len(r.idx) }
-func (r *rowByCol) Less(i, j int) bool { return r.idx[i] < r.idx[j] }
-func (r *rowByCol) Swap(i, j int) {
-	r.idx[i], r.idx[j] = r.idx[j], r.idx[i]
-	r.val[i], r.val[j] = r.val[j], r.val[i]
-}
-
 // rootCutSeedSlack is the activity margin of the root seeding round: the
 // first separation round at the root also appends pooled cuts that are
 // within this slack of binding at the root optimum, not just violated ones.
@@ -166,125 +107,9 @@ func rowViolation(c Cut, x []float64) float64 {
 	return v
 }
 
-// poolEntry is one pooled cut plus its selection and eviction bookkeeping.
-type poolEntry struct {
-	cut Cut
-	// seq is the deterministic insertion order, the final tie-break of the
-	// violation sort.
-	seq int
-	// added marks cuts already appended to the LP; they stay pooled (so a
-	// separator re-offering them is a cheap pool hit) but are never
-	// selected or evicted again.
-	added bool
-	// lastViolated is the separation round that last saw this cut violated
-	// (its insertion round initially); age-based eviction keys off it.
-	lastViolated int
-	// viol is scratch state: the violation at the round's fractional point.
-	viol float64
-}
-
-// cutPool is the committer-private store of offered cuts. All operations are
-// deterministic: iteration follows insertion order, selection sorts by
-// (violation desc, insertion seq asc), and the dedup key is exact.
-type cutPool struct {
-	n       int // structural column count, for early index validation
-	byKey   map[string]*poolEntry
-	entries []*poolEntry
-	round   int // current separation round, advanced by endRound
-	offered int
-	hits    int
-	evicted int
-}
-
-func newCutPool(n int) *cutPool {
-	return &cutPool{n: n, byKey: make(map[string]*poolEntry)}
-}
-
-// offer canonicalizes the cut and pools it unless an identical row is
-// already present. Rows over out-of-range columns panic here, with the
-// separator's cut name, rather than deep inside lp.AppendRow.
-func (cp *cutPool) offer(c Cut) {
-	cp.offered++
-	canon, ok := canonicalCut(c)
-	if !ok {
-		return // empty row: nothing to separate
-	}
-	for _, j := range canon.Idx {
-		if int(j) >= cp.n || j < 0 {
-			panic(fmt.Sprintf("mip: separator cut %q references column %d of %d", c.Name, j, cp.n))
-		}
-	}
-	key := cutKey(canon)
-	if _, dup := cp.byKey[key]; dup {
-		cp.hits++
-		return
-	}
-	pe := &poolEntry{cut: canon, seq: len(cp.entries), lastViolated: cp.round}
-	cp.byKey[key] = pe
-	cp.entries = append(cp.entries, pe)
-}
-
-// selectViolated returns the (at most) batch unapplied cuts with the
-// largest violation above minViol at x, refreshing lastViolated on every
-// genuinely violated entry — including those beyond the batch, which stay
-// pooled for the next round instead of aging out. Ordinary rounds pass
-// numtol.CutViolTol; the root seeding round passes -rootCutSeedSlack, which
-// admits near-active rows (their lastViolated is not refreshed, so
-// unappended ones still age out normally).
-func (cp *cutPool) selectViolated(x []float64, batch int, minViol float64) []*poolEntry {
-	var cand []*poolEntry
-	for _, pe := range cp.entries {
-		if pe.added {
-			continue
-		}
-		pe.viol = rowViolation(pe.cut, x)
-		if pe.viol > numtol.CutViolTol {
-			pe.lastViolated = cp.round
-		}
-		if pe.viol > minViol {
-			cand = append(cand, pe)
-		}
-	}
-	sort.Slice(cand, func(i, j int) bool {
-		//lint:allow floateq -- selection needs a strict deterministic total order, not a tolerance
-		if cand[i].viol != cand[j].viol {
-			return cand[i].viol > cand[j].viol
-		}
-		return cand[i].seq < cand[j].seq
-	})
-	if len(cand) > batch {
-		cand = cand[:batch]
-	}
-	return cand
-}
-
-// endRound advances the round counter and evicts unapplied cuts that have
-// not been violated for more than maxAge rounds (maxAge ≤ 0 disables
-// eviction). Applied cuts are permanent: they are LP rows now, and keeping
-// them pooled keeps the dedup exact.
-func (cp *cutPool) endRound(maxAge int) {
-	cp.round++
-	if maxAge <= 0 {
-		return
-	}
-	kept := cp.entries[:0]
-	for _, pe := range cp.entries {
-		if !pe.added && cp.round-pe.lastViolated > maxAge {
-			delete(cp.byKey, cutKey(pe.cut))
-			cp.evicted++
-			continue
-		}
-		kept = append(kept, pe)
-	}
-	for i := len(kept); i < len(cp.entries); i++ {
-		cp.entries[i] = nil
-	}
-	cp.entries = kept
-}
-
 // separate runs one separation round at x: offer every separator's cuts,
 // append the most violated batch to the committer's instance, publish the
-// grown cut list to the workers, and age the pool. Returns the number of
+// grown op log to the workers, and age the pool. Returns the number of
 // rows appended (0 → the point is cut-free and the caller stops rounding).
 // A seed round (the first root round) drops the batch cap and the violation
 // floor to -rootCutSeedSlack so the near-active family members land in the
@@ -292,26 +117,15 @@ func (cp *cutPool) endRound(maxAge int) {
 func (s *searcher) separate(x []float64, seed bool) int {
 	for _, sep := range s.opts.Separators {
 		for _, c := range sep.Separate(x) {
-			s.pool.offer(c)
+			s.cuts.offer(cutOp(c), s.inst.NumCols())
 		}
 	}
-	limit, minViol := s.opts.CutBatch, numtol.CutViolTol
+	limit, minViol := cutBatch, numtol.CutViolTol
 	if seed {
-		limit, minViol = len(s.pool.entries), -rootCutSeedSlack
+		limit, minViol = len(s.cuts.entries), -rootCutSeedSlack
 	}
-	batch := s.pool.selectViolated(x, limit, minViol)
-	for _, pe := range batch {
-		pe.added = true
-		s.inst.AppendRow(pe.cut.Idx, pe.cut.Val, pe.cut.LB, pe.cut.UB)
-		s.applied = append(s.applied, pe.cut)
-		s.opOrder = append(s.opOrder, opCut)
-	}
-	if len(batch) > 0 {
-		s.eng.publishOps(s.applied, s.appliedCols, s.opOrder)
-		s.sepRounds++
-	}
-	s.pool.endRound(s.opts.CutMaxAge)
-	return len(batch)
+	viol := func(o *op) float64 { return rowViolation(o.cut(), x) }
+	return s.commit(s.cuts, s.cuts.best(viol, minViol, limit))
 }
 
 // solveSeparated resolves the node's relaxation, interleaving pricing and
@@ -321,13 +135,13 @@ func (s *searcher) separate(x []float64, seed bool) int {
 // columns the basis remap + primal restart). Pricing runs first and to
 // convergence — the relaxation value is only a valid node bound once no
 // column prices in, so it runs at every node, on integral points too, and
-// its per-node cap (Options.PriceRounds) is a safety net rather than a
+// its per-node cap (maxPriceRounds) is a safety net rather than a
 // budget. Cut rounds follow: root nodes get RootCutRounds, tree nodes
 // TreeCutRounds. Committed iteration accounting for every round happens
 // here, so the totals stay deterministic.
 func (s *searcher) solveSeparated(nd *node) (*lpTask, bool) {
 	maxCutRounds := 0
-	if s.pool != nil {
+	if s.cuts != nil {
 		maxCutRounds = s.opts.TreeCutRounds
 		if nd.col == -1 {
 			maxCutRounds = s.opts.RootCutRounds
@@ -349,7 +163,7 @@ func (s *searcher) solveSeparated(nd *node) (*lpTask, bool) {
 			return t, true
 		}
 		root := nd.col == -1
-		if s.colPool != nil && priceRounds < s.opts.PriceRounds && s.price(res) > 0 {
+		if s.cols != nil && priceRounds < maxPriceRounds && s.price(res) > 0 {
 			// Hot-restart the same node at the new epoch from its own final
 			// basis (the appended columns enter nonbasic, so the basis stays
 			// valid after the remap); the stale task — and its speculated

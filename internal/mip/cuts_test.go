@@ -7,8 +7,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-
-	"tvnep/internal/numtol"
 )
 
 // coverSeparator is the test Separator: for every finite ≤-capacity row with
@@ -80,74 +78,6 @@ func (cs *coverSeparator) Separate(x []float64) []Cut {
 		})
 	}
 	return cuts
-}
-
-func TestCutPoolDedupSelectEvict(t *testing.T) {
-	cp := newCutPool(4)
-	x := []float64{1, 1, 0, 0}
-	inf := math.Inf(-1)
-
-	// Same row offered three ways (permuted, duplicated entries) must pool
-	// exactly once.
-	cp.offer(Cut{Idx: []int32{0, 1}, Val: []float64{1, 1}, LB: inf, UB: 1, Name: "a"})
-	cp.offer(Cut{Idx: []int32{1, 0}, Val: []float64{1, 1}, LB: inf, UB: 1, Name: "a-permuted"})
-	cp.offer(Cut{Idx: []int32{0, 1, 1}, Val: []float64{1, 2, -1}, LB: inf, UB: 1, Name: "a-split"})
-	if len(cp.entries) != 1 || cp.hits != 2 || cp.offered != 3 {
-		t.Fatalf("dedup: %d entries, %d hits, %d offered", len(cp.entries), cp.hits, cp.offered)
-	}
-	// A zero-sum row canonicalizes to nothing and is dropped.
-	cp.offer(Cut{Idx: []int32{2, 2}, Val: []float64{1, -1}, LB: inf, UB: 0, Name: "empty"})
-	if len(cp.entries) != 1 {
-		t.Fatalf("empty row was pooled")
-	}
-	// A satisfied row is pooled but never selected.
-	cp.offer(Cut{Idx: []int32{2}, Val: []float64{1}, LB: inf, UB: 5, Name: "slack"})
-	// A more violated row must sort first.
-	cp.offer(Cut{Idx: []int32{0}, Val: []float64{3}, LB: inf, UB: 1, Name: "big"})
-
-	sel := cp.selectViolated(x, 10, numtol.CutViolTol)
-	if len(sel) != 2 {
-		t.Fatalf("selected %d cuts, want 2", len(sel))
-	}
-	if sel[0].cut.Name != "big" || sel[1].cut.Name != "a" {
-		t.Fatalf("violation order wrong: %q, %q", sel[0].cut.Name, sel[1].cut.Name)
-	}
-	if got := cp.selectViolated(x, 1, numtol.CutViolTol); len(got) != 1 || got[0].cut.Name != "big" {
-		t.Fatalf("batch limit not honored")
-	}
-	sel[0].added = true
-	if got := cp.selectViolated(x, 10, numtol.CutViolTol); len(got) != 1 || got[0].cut.Name != "a" {
-		t.Fatalf("added cut re-selected")
-	}
-
-	// Aging: the slack row was never violated; after maxAge rounds it must
-	// be evicted, while the added one stays (it is an LP row now).
-	sel[1].added = true
-	for r := 0; r < 4; r++ {
-		cp.endRound(3)
-	}
-	names := map[string]bool{}
-	for _, pe := range cp.entries {
-		names[pe.cut.Name] = true
-	}
-	if names["slack"] || !names["big"] || !names["a"] || cp.evicted != 1 {
-		t.Fatalf("eviction wrong: entries %v, evicted %d", names, cp.evicted)
-	}
-	// An evicted row may be offered (and therefore appended) again.
-	cp.offer(Cut{Idx: []int32{2}, Val: []float64{1}, LB: inf, UB: 5, Name: "slack"})
-	if len(cp.entries) != 3 {
-		t.Fatalf("re-offer after eviction did not pool")
-	}
-}
-
-func TestCutPoolRejectsOutOfRange(t *testing.T) {
-	cp := newCutPool(2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range cut column did not panic")
-		}
-	}()
-	cp.offer(Cut{Idx: []int32{5}, Val: []float64{1}, LB: math.Inf(-1), UB: 1, Name: "bad"})
 }
 
 // TestLazyCutsMatchPlainSolve: separation must never change the certified

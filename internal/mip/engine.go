@@ -165,36 +165,15 @@ type engine struct {
 	// Result.WastedLPIterations.
 	taskIters atomic.Int64
 
-	// ops is the committer-published snapshot of the committed incremental
-	// ops: cut rows and priced columns, interleaved in commit order. The
-	// committer appends to its master slices and re-publishes the header
-	// after each batch, so every snapshot is a prefix of an append-only
-	// log: a worker holding an older header can never observe the elements
-	// a newer batch appends behind it. Replaying the interleaved order —
-	// not cuts-then-columns — is what lets a committed cut reference any
-	// column that existed when it was committed and vice versa.
-	ops atomic.Pointer[opSnap]
-}
-
-// The two op kinds of the incremental log; opSnap.order holds one entry per
-// committed op, and its value selects which master slice the op came from.
-const (
-	opCut byte = iota
-	opCol
-)
-
-// opSnap is an immutable view of the first len(order) committed ops; the
-// cuts and cols slices hold the ops of each kind in commit order.
-type opSnap struct {
-	cuts  []Cut
-	cols  []Column
-	order []byte
-}
-
-// workerSync tracks how much of the committed op log one worker's instance
-// has replayed, split per kind (cursor into each master slice).
-type workerSync struct {
-	ops, cuts, cols int
+	// ops is the committer-published snapshot of the committed op log (cut
+	// rows and priced columns in commit order). The committer appends to
+	// its master log and re-publishes the slice header after each batch, so
+	// every snapshot is a prefix of an append-only log: a worker holding an
+	// older header can never observe the elements a newer batch appends
+	// behind it. Replaying the commit order — not cuts-then-columns — is
+	// what lets a committed cut reference any column that existed when it
+	// was committed and vice versa.
+	ops atomic.Pointer[[]op]
 }
 
 func newEngine(s *searcher) *engine {
@@ -206,7 +185,7 @@ func newEngine(s *searcher) *engine {
 	}
 	e.ctx, e.stopf = context.WithCancel(s.ctx)
 	e.incBits.Store(math.Float64bits(math.Inf(1)))
-	e.ops.Store(&opSnap{})
+	e.ops.Store(new([]op))
 	s.eng = e
 	e.wg.Add(s.opts.Workers)
 	for id := 1; id <= s.opts.Workers; id++ {
@@ -235,11 +214,10 @@ func (e *engine) publishIncumbent(objMin float64) {
 	e.incBits.Store(math.Float64bits(objMin))
 }
 
-// publishOps is called by the committer (only) after appending a cut or
-// column batch to its own instance; the arguments are the committer's master
-// slices (searcher.applied/appliedCols/opOrder).
-func (e *engine) publishOps(cuts []Cut, cols []Column, order []byte) {
-	e.ops.Store(&opSnap{cuts: cuts, cols: cols, order: order})
+// publishOps is called by the committer (only) after appending a batch to
+// its own instance; log is the committer's master log (searcher.log).
+func (e *engine) publishOps(log []op) {
+	e.ops.Store(&log)
 }
 
 // resolve hands the committer the evaluated task for nd, creating and
@@ -261,7 +239,7 @@ func (e *engine) resolve(nd *node) (t *lpTask, ok bool) {
 		case <-e.s.ctx.Done():
 			return nil, false
 		}
-		if !t.skipped && t.epoch == len(e.s.opOrder) {
+		if !t.skipped && t.epoch == len(e.s.log) {
 			return t, true
 		}
 		// Stale: a worker raced the demand flag and skipped the task as
@@ -279,7 +257,7 @@ func (e *engine) resolve(nd *node) (t *lpTask, ok bool) {
 // clone, so no simplex state is ever shared.
 func (e *engine) worker(id int, inst *lp.Instance) {
 	defer e.wg.Done()
-	var sync workerSync // committed ops already applied to this instance
+	synced := 0 // committed ops already applied to this instance
 	for {
 		t := e.q.pop()
 		if t == nil {
@@ -288,14 +266,14 @@ func (e *engine) worker(id int, inst *lp.Instance) {
 		if !t.claimed.CompareAndSwap(false, true) {
 			continue
 		}
-		e.evaluate(inst, id, t, &sync)
+		e.evaluate(inst, id, t, &synced)
 	}
 }
 
 // evaluate solves one node relaxation on the worker's instance and, when it
-// branches, creates the node's children and speculates on them. sync tracks
-// how much of the committed op log this worker's instance carries.
-func (e *engine) evaluate(inst *lp.Instance, id int, t *lpTask, sync *workerSync) {
+// branches, creates the node's children and speculates on them. synced
+// counts the committed ops this worker's instance carries.
+func (e *engine) evaluate(inst *lp.Instance, id int, t *lpTask, synced *int) {
 	defer close(t.done)
 	s := e.s
 	t.worker = id
@@ -312,21 +290,11 @@ func (e *engine) evaluate(inst *lp.Instance, id int, t *lpTask, sync *workerSync
 	// variables of the full formulation, so applying them to every
 	// subsequent node relaxation is sound; the recorded epoch lets the
 	// committer reject results that predate the ops it has committed.
-	snap := e.ops.Load()
-	for sync.ops < len(snap.order) {
-		switch snap.order[sync.ops] {
-		case opCut:
-			c := snap.cuts[sync.cuts]
-			inst.AppendRow(c.Idx, c.Val, c.LB, c.UB)
-			sync.cuts++
-		default:
-			c := snap.cols[sync.cols]
-			inst.AppendColumn(c.Idx, c.Val, c.LB, c.UB, c.Obj)
-			sync.cols++
-		}
-		sync.ops++
+	log := *e.ops.Load()
+	for ; *synced < len(log); *synced++ {
+		log[*synced].apply(inst)
 	}
-	t.epoch = sync.ops
+	t.epoch = *synced
 	if !applyBoundsOn(inst, s.rootLB, s.rootUB, nd) {
 		// Empty bound interval: the relaxation is infeasible by
 		// construction (the committer never demands such nodes).

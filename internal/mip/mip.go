@@ -153,30 +153,15 @@ type Options struct {
 	// TreeCutRounds bounds the separation rounds at each non-root node
 	// (0 → the default of 2; negative → none).
 	TreeCutRounds int
-	// CutBatch is the maximum number of cuts appended per separation round,
-	// taken in decreasing violation order (0 → the default of 32).
-	CutBatch int
-	// CutMaxAge evicts a pooled-but-never-appended cut after this many
-	// rounds without a violation (0 → the default of 8; negative → never
-	// evict).
-	CutMaxAge int
 	// Pricers generate structural columns lazily instead of having the model
 	// emit them all up front; see the Pricer contract in price.go. Pricing
 	// runs only on the committing goroutine and — unlike separation — to
 	// convergence at every node, since a restricted relaxation's value is
 	// only a valid node bound once no column prices in.
 	Pricers []Pricer
-	// PriceRounds caps the pricing rounds per node (0 → the default of 200).
-	// It is a safety net against a non-converging Pricer, not a budget:
-	// hitting it leaves the node with a possibly-invalid bound.
-	PriceRounds int
 	// PriceBatch is the maximum number of columns appended per pricing
 	// round, taken in decreasing reduced-cost order (0 → the default of 32).
 	PriceBatch int
-	// ColMaxAge evicts a pooled-but-never-appended column after this many
-	// pricing rounds without an improving reduced cost (0 → the default of
-	// 8; negative → never evict).
-	ColMaxAge int
 }
 
 func (o *Options) withDefaults() Options {
@@ -209,20 +194,8 @@ func (o *Options) withDefaults() Options {
 	} else if out.TreeCutRounds < 0 {
 		out.TreeCutRounds = 0
 	}
-	if out.CutBatch <= 0 {
-		out.CutBatch = 32
-	}
-	if out.CutMaxAge == 0 {
-		out.CutMaxAge = 8
-	}
-	if out.PriceRounds <= 0 {
-		out.PriceRounds = 200
-	}
 	if out.PriceBatch <= 0 {
 		out.PriceBatch = 32
-	}
-	if out.ColMaxAge == 0 {
-		out.ColMaxAge = 8
 	}
 	return out
 }
@@ -342,19 +315,14 @@ type searcher struct {
 	nextSeq    int64
 	lastWorker int
 
-	// Lazy-cut and pricing state, touched only by the committer. pool is
-	// nil when no separators are registered, colPool when no pricers are;
-	// applied/appliedCols are the append-only lists of cut rows and priced
-	// columns added to the LP, and opOrder is their interleaved commit
-	// order (one opCut/opCol byte per append), whose length is the current
-	// op epoch the workers replay to.
-	pool        *cutPool
-	applied     []Cut
-	sepRounds   int
-	colPool     *columnPool
-	appliedCols []Column
-	opOrder     []byte
-	priceRounds int
+	// Lazy-cut and pricing state, touched only by the committer (see
+	// pool.go). cuts is nil when no separators are registered, cols when no
+	// pricers are; log is the append-only list of cut rows and priced
+	// columns added to the LP in commit order, and its length is the
+	// current op epoch the workers replay to.
+	cuts *pool
+	cols *pool
+	log  []op
 
 	deadline    time.Time
 	hasDL       bool
@@ -415,10 +383,10 @@ func SolveFrom(ctx context.Context, p *Problem, opts *Options, root *Root) Resul
 		p.Integer = append(p.Integer, false)
 	}
 	if len(o.Separators) > 0 {
-		s.pool = newCutPool(n)
+		s.cuts = newPool()
 	}
 	if len(o.Pricers) > 0 {
-		s.colPool = newColumnPool()
+		s.cols = newPool()
 	}
 	s.rootLB = make([]float64, n)
 	s.rootUB = make([]float64, n)
@@ -446,23 +414,26 @@ func SolveFrom(ctx context.Context, p *Problem, opts *Options, root *Root) Resul
 		// search used; the engine has stopped, so the atomic is final.
 		res.WastedLPIterations = int(s.eng.taskIters.Load()) - s.taskIters
 	}
-	res.Cuts = CutStats{RowsAtRoot: p.LP.NumRows()}
-	if s.pool != nil {
-		res.Cuts.SeparatedRows = len(s.applied)
-		res.Cuts.Rounds = s.sepRounds
-		res.Cuts.Offered = s.pool.offered
-		res.Cuts.PoolHits = s.pool.hits
-		res.Cuts.Evicted = s.pool.evicted
-		res.AppliedCuts = s.applied
+	for k := range s.log {
+		if o := &s.log[k]; o.col {
+			res.AppliedColumns = append(res.AppliedColumns, o.column())
+		} else {
+			res.AppliedCuts = append(res.AppliedCuts, o.cut())
+		}
 	}
-	res.Columns = ColumnStats{ColsAtRoot: n}
-	if s.colPool != nil {
-		res.Columns.PricedCols = len(s.appliedCols)
-		res.Columns.Rounds = s.priceRounds
-		res.Columns.Offered = s.colPool.offered
-		res.Columns.PoolHits = s.colPool.hits
-		res.Columns.Evicted = s.colPool.evicted
-		res.AppliedColumns = s.appliedCols
+	res.Cuts = CutStats{RowsAtRoot: p.LP.NumRows(), SeparatedRows: len(res.AppliedCuts)}
+	if s.cuts != nil {
+		res.Cuts.Rounds = s.cuts.rounds
+		res.Cuts.Offered = s.cuts.offered
+		res.Cuts.PoolHits = s.cuts.hits
+		res.Cuts.Evicted = s.cuts.evicted
+	}
+	res.Columns = ColumnStats{ColsAtRoot: n, PricedCols: len(res.AppliedColumns)}
+	if s.cols != nil {
+		res.Columns.Rounds = s.cols.rounds
+		res.Columns.Offered = s.cols.offered
+		res.Columns.PoolHits = s.cols.hits
+		res.Columns.Evicted = s.cols.evicted
 	}
 	bound := s.globalBoundMin()
 	if s.hasInc {

@@ -1,10 +1,10 @@
 package mip
 
-// Column generation, the column-side mirror of the lazy-cut pipeline in
+// Column generation, the column-side counterpart of the lazy-cut pipeline in
 // cuts.go. Instead of emitting every variable into the root LP up front,
 // callers register Pricer callbacks that examine the relaxation's dual values
 // and return columns with improving reduced cost. The searcher keeps the
-// returned columns in a deterministic column pool (deduplicated by an exact
+// returned columns in a deterministic pool (pool.go, deduplicated by an exact
 // canonical-column key), appends the best-priced batch to the LP, and
 // hot-restarts the same node from its own final basis — the appended columns
 // ride the basis remap + primal restart in internal/lp, so a pricing round
@@ -21,11 +21,6 @@ package mip
 // worker count.
 
 import (
-	"encoding/binary"
-	"fmt"
-	"math"
-	"sort"
-
 	"tvnep/internal/lp"
 	"tvnep/internal/numtol"
 )
@@ -94,181 +89,6 @@ type ColumnStats struct {
 	Evicted int
 }
 
-// colKey returns the exact canonical key of an already-canonicalized column:
-// the little-endian concatenation of (row, coefficient-bits) pairs plus the
-// bound and objective bits. Two columns share a key iff they are the same
-// variable, so the pool's dedup can never be fooled by a hash collision.
-func colKey(c Column) string {
-	buf := make([]byte, 0, 12*len(c.Idx)+24)
-	var b [8]byte
-	for k, i := range c.Idx {
-		binary.LittleEndian.PutUint32(b[:4], uint32(i))
-		buf = append(buf, b[:4]...)
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(c.Val[k]))
-		buf = append(buf, b[:8]...)
-	}
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(c.LB))
-	buf = append(buf, b[:8]...)
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(c.UB))
-	buf = append(buf, b[:8]...)
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(c.Obj))
-	buf = append(buf, b[:8]...)
-	return string(buf)
-}
-
-// canonicalColumn sorts the column by row index, merges duplicate entries and
-// drops exact-zero coefficients, mirroring lp.AppendColumn's canonical form
-// so that the pool key and the appended column agree. ok is false for
-// columns that canonicalize to nothing: a coefficient-free column can never
-// price in (its reduced cost is its objective, which a correct pricer only
-// offers when coupling rows exist).
-func canonicalColumn(c Column) (Column, bool) {
-	idx := append([]int32(nil), c.Idx...)
-	val := append([]float64(nil), c.Val...)
-	sort.Sort(&rowByCol{idx: idx, val: val})
-	out := Column{LB: c.LB, UB: c.UB, Obj: c.Obj, Name: c.Name, Tag: c.Tag}
-	for k := 0; k < len(idx); {
-		i, v := idx[k], val[k]
-		k++
-		for k < len(idx) && idx[k] == i {
-			v += val[k]
-			k++
-		}
-		if v == 0 {
-			continue
-		}
-		out.Idx = append(out.Idx, i)
-		out.Val = append(out.Val, v)
-	}
-	return out, len(out.Idx) > 0
-}
-
-// colEntry is one pooled column plus its selection and eviction bookkeeping,
-// the column-side twin of poolEntry.
-type colEntry struct {
-	col Column
-	// seq is the deterministic insertion order, the final tie-break of the
-	// reduced-cost sort.
-	seq int
-	// added marks columns already appended to the LP; they stay pooled (so a
-	// pricer re-offering them is a cheap pool hit) but are never selected or
-	// evicted again.
-	added bool
-	// lastImproving is the pricing round that last saw this column price in
-	// (its insertion round initially); age-based eviction keys off it.
-	lastImproving int
-	// score is scratch state: the sense-adjusted improving reduced cost at
-	// the round's dual point (positive = improving).
-	score float64
-}
-
-// columnPool is the committer-private store of offered columns. All
-// operations are deterministic: iteration follows insertion order, selection
-// sorts by (improving reduced cost desc, insertion seq asc), and the dedup
-// key is exact.
-type columnPool struct {
-	byKey   map[string]*colEntry
-	entries []*colEntry
-	round   int // current pricing round, advanced by endRound
-	offered int
-	hits    int
-	evicted int
-}
-
-func newColumnPool() *columnPool {
-	return &columnPool{byKey: make(map[string]*colEntry)}
-}
-
-// offer canonicalizes the column and pools it unless an identical one is
-// already present. m is the current LP row count; columns over out-of-range
-// rows panic here, with the pricer's column name, rather than deep inside
-// lp.AppendColumn.
-func (cp *columnPool) offer(c Column, m int) {
-	cp.offered++
-	if len(c.Idx) != len(c.Val) {
-		panic(fmt.Sprintf("mip: pricer column %q index/value length mismatch", c.Name))
-	}
-	if c.LB > c.UB {
-		panic(fmt.Sprintf("mip: pricer column %q bounds %v > %v", c.Name, c.LB, c.UB))
-	}
-	canon, ok := canonicalColumn(c)
-	if !ok {
-		return // coefficient-free column: nothing to price
-	}
-	for _, i := range canon.Idx {
-		if int(i) >= m || i < 0 {
-			panic(fmt.Sprintf("mip: pricer column %q references row %d of %d", c.Name, i, m))
-		}
-	}
-	key := colKey(canon)
-	if _, dup := cp.byKey[key]; dup {
-		cp.hits++
-		return
-	}
-	ce := &colEntry{col: canon, seq: len(cp.entries), lastImproving: cp.round}
-	cp.byKey[key] = ce
-	cp.entries = append(cp.entries, ce)
-}
-
-// selectImproving returns the (at most) batch unapplied columns with the
-// best improving reduced cost at the dual point, refreshing lastImproving on
-// every genuinely improving entry — including those beyond the batch, which
-// stay pooled for the next round instead of aging out. The score is the
-// sense-adjusted reduced cost: for a minimization problem a column improves
-// when its reduced cost is below −PriceRedTol, for maximization above it.
-func (cp *columnPool) selectImproving(duals []float64, minimize bool, batch int) []*colEntry {
-	var cand []*colEntry
-	for _, ce := range cp.entries {
-		if ce.added {
-			continue
-		}
-		d := lp.CandidateReducedCost(ce.col.Obj, ce.col.Idx, ce.col.Val, duals)
-		if minimize {
-			d = -d
-		}
-		ce.score = d
-		if d > numtol.PriceRedTol {
-			ce.lastImproving = cp.round
-			cand = append(cand, ce)
-		}
-	}
-	sort.Slice(cand, func(i, j int) bool {
-		//lint:allow floateq -- selection needs a strict deterministic total order, not a tolerance
-		if cand[i].score != cand[j].score {
-			return cand[i].score > cand[j].score
-		}
-		return cand[i].seq < cand[j].seq
-	})
-	if len(cand) > batch {
-		cand = cand[:batch]
-	}
-	return cand
-}
-
-// endRound advances the round counter and evicts unapplied columns that have
-// not priced in for more than maxAge rounds (maxAge ≤ 0 disables eviction).
-// Applied columns are permanent: they are LP columns now, and keeping them
-// pooled keeps the dedup exact.
-func (cp *columnPool) endRound(maxAge int) {
-	cp.round++
-	if maxAge <= 0 {
-		return
-	}
-	kept := cp.entries[:0]
-	for _, ce := range cp.entries {
-		if !ce.added && cp.round-ce.lastImproving > maxAge {
-			delete(cp.byKey, colKey(ce.col))
-			cp.evicted++
-			continue
-		}
-		kept = append(kept, ce)
-	}
-	for i := len(kept); i < len(cp.entries); i++ {
-		cp.entries[i] = nil
-	}
-	cp.entries = kept
-}
-
 // price runs one pricing round at the node optimum res: offer every pricer's
 // columns, append the best-priced batch to the committer's instance, publish
 // the grown op log to the workers, and age the pool. Returns the number of
@@ -277,20 +97,18 @@ func (cp *columnPool) endRound(maxAge int) {
 func (s *searcher) price(res lp.Result) int {
 	for _, pr := range s.opts.Pricers {
 		for _, c := range pr.Price(res.Duals, res.X) {
-			s.colPool.offer(c, s.inst.NumRows())
+			s.cols.offer(colOp(c), s.inst.NumRows())
 		}
 	}
-	batch := s.colPool.selectImproving(res.Duals, s.minimize, s.opts.PriceBatch)
-	for _, ce := range batch {
-		ce.added = true
-		s.inst.AppendColumn(ce.col.Idx, ce.col.Val, ce.col.LB, ce.col.UB, ce.col.Obj)
-		s.appliedCols = append(s.appliedCols, ce.col)
-		s.opOrder = append(s.opOrder, opCol)
+	// The score is the sense-adjusted reduced cost: for a minimization
+	// problem a column improves when its reduced cost is below
+	// −PriceRedTol, for maximization above it.
+	redCost := func(o *op) float64 {
+		d := lp.CandidateReducedCost(o.obj, o.idx, o.val, res.Duals)
+		if s.minimize {
+			d = -d
+		}
+		return d
 	}
-	if len(batch) > 0 {
-		s.eng.publishOps(s.applied, s.appliedCols, s.opOrder)
-		s.priceRounds++
-	}
-	s.colPool.endRound(s.opts.ColMaxAge)
-	return len(batch)
+	return s.commit(s.cols, s.cols.best(redCost, numtol.PriceRedTol, s.opts.PriceBatch))
 }

@@ -104,82 +104,6 @@ func (pp *patternPricer) Price(duals, x []float64) []Column {
 	return out
 }
 
-func TestColumnPoolDedupSelectEvict(t *testing.T) {
-	cp := newColumnPool()
-	// Same column offered three ways (permuted, duplicated entries) must
-	// pool exactly once.
-	cp.offer(Column{Idx: []int32{0, 1}, Val: []float64{1, 2}, UB: 1, Obj: 5, Name: "a"}, 4)
-	cp.offer(Column{Idx: []int32{1, 0}, Val: []float64{2, 1}, UB: 1, Obj: 5, Name: "a-permuted"}, 4)
-	cp.offer(Column{Idx: []int32{0, 1, 1}, Val: []float64{1, 3, -1}, UB: 1, Obj: 5, Name: "a-split"}, 4)
-	if len(cp.entries) != 1 || cp.hits != 2 || cp.offered != 3 {
-		t.Fatalf("dedup: %d entries, %d hits, %d offered", len(cp.entries), cp.hits, cp.offered)
-	}
-	// A zero-sum column canonicalizes to nothing and is dropped.
-	cp.offer(Column{Idx: []int32{2, 2}, Val: []float64{1, -1}, UB: 1, Obj: 1, Name: "empty"}, 4)
-	if len(cp.entries) != 1 {
-		t.Fatalf("coefficient-free column was pooled")
-	}
-	// Same coefficients but different objective = a different variable.
-	cp.offer(Column{Idx: []int32{0, 1}, Val: []float64{1, 2}, UB: 1, Obj: 7, Name: "b"}, 4)
-	// A column that does not price in at the test duals is pooled but never
-	// selected.
-	cp.offer(Column{Idx: []int32{3}, Val: []float64{10}, UB: 1, Obj: 1, Name: "dull"}, 4)
-	if len(cp.entries) != 3 {
-		t.Fatalf("pool size %d, want 3", len(cp.entries))
-	}
-
-	// Maximization sense: reduced cost obj − yᵀa; duals zero on rows 0,1 and
-	// large on row 3 → "b" (7) beats "a" (5), "dull" prices out.
-	duals := []float64{0, 0, 0, 5}
-	sel := cp.selectImproving(duals, false, 10)
-	if len(sel) != 2 || sel[0].col.Name != "b" || sel[1].col.Name != "a" {
-		t.Fatalf("selection order wrong: %d selected", len(sel))
-	}
-	if got := cp.selectImproving(duals, false, 1); len(got) != 1 || got[0].col.Name != "b" {
-		t.Fatalf("batch limit not honored")
-	}
-	sel[0].added = true
-	if got := cp.selectImproving(duals, false, 10); len(got) != 1 || got[0].col.Name != "a" {
-		t.Fatalf("added column re-selected")
-	}
-	// Minimization sense flips the test: obj 5 now needs yᵀa > 5 to improve.
-	if got := cp.selectImproving(duals, true, 10); len(got) != 1 || got[0].col.Name != "dull" {
-		t.Fatalf("minimize-sense selection wrong")
-	}
-
-	// Aging: mark "a" added too, then run rounds where only "dull" keeps
-	// pricing in (minimize sense); under maximize duals it never improves,
-	// so age it out with maximize selections.
-	sel = cp.selectImproving(duals, false, 10)
-	sel[0].added = true // "a"
-	for r := 0; r < 4; r++ {
-		cp.selectImproving(duals, false, 10)
-		cp.endRound(3)
-	}
-	names := map[string]bool{}
-	for _, ce := range cp.entries {
-		names[ce.col.Name] = true
-	}
-	if names["dull"] || !names["a"] || !names["b"] || cp.evicted != 1 {
-		t.Fatalf("eviction wrong: entries %v, evicted %d", names, cp.evicted)
-	}
-	// An evicted column may be offered (and therefore appended) again.
-	cp.offer(Column{Idx: []int32{3}, Val: []float64{10}, UB: 1, Obj: 1, Name: "dull"}, 4)
-	if len(cp.entries) != 3 {
-		t.Fatalf("re-offer after eviction did not pool")
-	}
-}
-
-func TestColumnPoolRejectsOutOfRange(t *testing.T) {
-	cp := newColumnPool()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range column row did not panic")
-		}
-	}()
-	cp.offer(Column{Idx: []int32{5}, Val: []float64{1}, UB: 1, Obj: 1, Name: "bad"}, 2)
-}
-
 // TestPricingMatchesStaticSolve is the correctness anchor: solving the
 // restricted master with a Pricer must reach exactly the optimum of the full
 // statically built formulation, because pricing to convergence closes the
@@ -226,12 +150,13 @@ func TestPricingMatchesStaticSolve(t *testing.T) {
 		// column must be one of the full formulation's pattern columns.
 		known := map[string]bool{}
 		for _, c := range lazy {
-			if canon, ok := canonicalColumn(c); ok {
-				known[colKey(canon)] = true
+			o := colOp(c)
+			if o.idx, o.val = canonical(o.idx, o.val); len(o.idx) > 0 {
+				known[o.key()] = true
 			}
 		}
 		for _, c := range got.AppliedColumns {
-			if !known[colKey(c)] {
+			if !known[columnKey(c)] {
 				t.Errorf("seed %d: applied column %q is not a formulation column", sh.seed, c.Name)
 			}
 		}
@@ -322,9 +247,15 @@ func colsEqual(a, b []Column) bool {
 		return false
 	}
 	for k := range a {
-		if colKey(a[k]) != colKey(b[k]) {
+		if columnKey(a[k]) != columnKey(b[k]) {
 			return false
 		}
 	}
 	return true
+}
+
+// columnKey is the pool key of an already-canonical column.
+func columnKey(c Column) string {
+	o := colOp(c)
+	return o.key()
 }
