@@ -12,6 +12,7 @@ import (
 
 	"tvnep/internal/admit"
 	"tvnep/internal/core"
+	"tvnep/internal/linalg/sparselu"
 	"tvnep/internal/lp"
 	"tvnep/internal/model"
 	"tvnep/internal/round"
@@ -207,14 +208,20 @@ func measureLP(name string, short bool, f func() (lpIters int, extra map[string]
 // difference per pivot is the hot-path allocation rate.
 func steadyStateAllocs(p *lp.Problem) float64 {
 	inst := lp.NewInstance(p)
-	first := inst.Solve(&lp.Options{CaptureFactors: true})
+	first := inst.Solve(nil)
+	inst.CaptureFactors(&first, nil)
 	if first.Status != lp.StatusOptimal {
 		return -1
 	}
 	wb, wf := first.Basis, first.Factors
 
+	// Each probe solve captures its factors into one reused buffer, the way
+	// a branch-and-bound node hands them to its children.
+	capBuf := &sparselu.Factors{}
 	warm := func() lp.Result {
-		return inst.Solve(&lp.Options{WarmBasis: wb, WarmFactors: wf, CaptureFactors: true})
+		r := inst.Solve(&lp.Options{WarmBasis: wb, WarmFactors: wf})
+		inst.CaptureFactors(&r, capBuf)
+		return r
 	}
 	warm() // warm the solver's persistent scratch
 	base := testing.AllocsPerRun(20, func() { warm() })

@@ -44,6 +44,7 @@ import (
 
 	"tvnep/internal/certify"
 	"tvnep/internal/core"
+	"tvnep/internal/linalg/sparselu"
 	"tvnep/internal/lp"
 	"tvnep/internal/model"
 	"tvnep/internal/numtol"
@@ -77,6 +78,14 @@ const (
 // roundingSamples is the number of random flow samples the rounding tier
 // tries per admission after the deterministic path mix.
 const roundingSamples = 8
+
+// workspaceSlots is how many idle simplex workspaces an engine keeps between
+// decisions. A MIP-tier decision solves on two instances at a time with one
+// worker — the branch-and-bound worker's clone and the committer's clone,
+// which borrows the decision instance's workspace — so two slots make
+// steady-state decisions allocate no workspace; a third slot only pays off
+// for multi-worker searches and costs more retained heap than it saves.
+const workspaceSlots = 2
 
 // Config configures an Engine.
 type Config struct {
@@ -218,6 +227,13 @@ type Engine struct {
 	stats      Stats
 	latencies  []float64 // seconds, one per decision
 	sinceReopt int
+
+	// Memory the decisions recycle instead of allocating: the idle simplex
+	// workspaces every decision's LP instances draw from and return to, and
+	// the buffer holding the fast tier's root factorization, which the MIP
+	// tier's root and the commitment restart read.
+	spares  *lp.Workspaces
+	rootFac *sparselu.Factors
 }
 
 // New validates the configuration and returns a fresh engine.
@@ -234,7 +250,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Solve.TimeLimit == 0 && cfg.Solve.NodeLimit == 0 {
 		cfg.Solve.NodeLimit = DefaultNodeLimit
 	}
-	return &Engine{cfg: cfg}, nil
+	return &Engine{cfg: cfg, spares: lp.NewWorkspaces(workspaceSlots), rootFac: &sparselu.Factors{}}, nil
 }
 
 // Horizon returns the engine's planning horizon T.
@@ -399,9 +415,13 @@ func (e *Engine) decide(ctx context.Context, rec *record, d *Decision) (*accepta
 
 	// LP fast tier: solve the root relaxation through a raw instance so the
 	// basis and LU factors survive for the MIP tier's root and the
-	// commitment hot-restart below.
+	// commitment hot-restart below. The instance's workspaces come from the
+	// engine's spares and go back once the decision is made.
 	inst := lp.NewInstance(b.Model.LP())
-	lpRes := inst.Solve(&lp.Options{CaptureFactors: true, Context: ctx})
+	inst.UseWorkspaces(e.spares)
+	defer inst.Release()
+	lpRes := inst.Solve(&lp.Options{Context: ctx})
+	inst.CaptureFactors(&lpRes, e.rootFac)
 	d.Stats.LPIterations += lpRes.Iterations
 
 	var sol *solution.Solution

@@ -140,12 +140,7 @@ func (f *Factors) ExtendColumnInto(dst *Factors, ws *Workspace, k int, borderIdx
 	}
 
 	// The eta file carries over verbatim (it acts on the old positions).
-	if cap(g.etas) < len(f.etas) {
-		g.etas = make([]eta, len(f.etas))
-	} else {
-		g.etas = g.etas[:len(f.etas)]
-	}
-	copy(g.etas, f.etas)
+	g.etas = copyEtas(g.etas, f.etas)
 	g.etaIdx = append(growI32(g.etaIdx, len(f.etaIdx))[:0], f.etaIdx...)
 	g.etaVal = append(growF64(g.etaVal, len(f.etaVal))[:0], f.etaVal...)
 	g.etaNNZ = f.etaNNZ

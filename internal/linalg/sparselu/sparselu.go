@@ -22,8 +22,12 @@
 // live in per-Factors append-only arenas (amortized zero-allocation growth),
 // refactorizations reuse the symbolic scratch of a caller-owned Workspace and
 // the storage of the destination Factors (FactorizeInto), and bordered
-// extensions can likewise reuse a destination (ExtendInto). The convenience
-// wrappers Factorize, Extend and Clone allocate fresh storage.
+// extensions can likewise reuse a destination (ExtendInto), and CopyInto
+// copies a factorization into a destination's storage — the only way the LP
+// solver hands factors from one solve to another. Grown storage keeps
+// headroom, so a destination reused for slightly larger bases settles
+// instead of reallocating each time. The convenience wrappers Factorize and
+// Extend allocate fresh storage.
 package sparselu
 
 import (
@@ -119,12 +123,13 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 
 func (ws *Workspace) grow(m int) {
 	if cap(ws.w) < m {
-		ws.w = make([]float64, m)
-		ws.rowPos = make([]int32, m)
-		ws.visited = make([]bool, m)
-		ws.estate = make([]int32, m)
-		ws.rcount = make([]int32, m)
-		ws.cnt = make([]int32, m+1)
+		c := headroom(cap(ws.w), m)
+		ws.w = make([]float64, m, c)
+		ws.rowPos = make([]int32, m, c)
+		ws.visited = make([]bool, m, c)
+		ws.estate = make([]int32, m, c)
+		ws.rcount = make([]int32, m, c)
+		ws.cnt = make([]int32, m+1, c+1)
 		ws.post = growI32(ws.post, m)[:0]
 		ws.stack = growI32(ws.stack, m)[:0]
 		return
@@ -137,18 +142,45 @@ func (ws *Workspace) grow(m int) {
 	ws.cnt = ws.cnt[:m+1]
 }
 
+// growI32 and growF64 return s resized to n entries, reusing its storage
+// when the capacity allows. The contents are unspecified: every caller
+// overwrites what it reads. Storage that has to grow gets a quarter of
+// headroom (see headroom), so a buffer reused for slightly larger
+// factorizations — a basis grown by appended rows, fill that grows by a
+// few entries — does not reallocate every time.
 func growI32(s []int32, n int) []int32 {
 	if cap(s) < n {
-		return make([]int32, n)
+		return make([]int32, n, headroom(cap(s), n))
 	}
 	return s[:n]
 }
 
 func growF64(s []float64, n int) []float64 {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]float64, n, headroom(cap(s), n))
 	}
 	return s[:n]
+}
+
+// headroom is the capacity for storage of capacity old that must hold n:
+// exactly n on a first allocation, so one-shot buffers pay nothing, and a
+// quarter more when existing storage grows.
+func headroom(old, n int) int {
+	if old == 0 {
+		return n
+	}
+	return n + n/4
+}
+
+// copyEtas copies src into dst's storage (grown like growI32) and returns
+// the copy.
+func copyEtas(dst, src []eta) []eta {
+	if n := len(src); cap(dst) < n {
+		dst = make([]eta, n, headroom(cap(dst), n))
+	}
+	dst = dst[:len(src)]
+	copy(dst, src)
+	return dst
 }
 
 // Factorize computes the sparse LU factorization of the m×m basis whose
@@ -561,8 +593,9 @@ func (f *Factors) Btran(v []float64) {
 
 // CopyInto deep-copies f into dst, reusing dst's storage when capacity
 // allows. dst afterwards shares nothing with f: either side may be updated,
-// refactorized into, or discarded without affecting the other. This is the
-// allocation-free warm-start adoption path.
+// refactorized into, or discarded without affecting the other. Warm starts
+// adopt handed-off factors through it, and the LP solver captures its final
+// factors with it, both without allocating once dst has warmed up.
 func (f *Factors) CopyInto(dst *Factors) {
 	dst.m = f.m
 	dst.order = append(growI32(dst.order, len(f.order))[:0], f.order...)
@@ -580,22 +613,9 @@ func (f *Factors) CopyInto(dst *Factors) {
 	dst.lrptr = append(growI32(dst.lrptr, len(f.lrptr))[:0], f.lrptr...)
 	dst.lrcol = append(growI32(dst.lrcol, len(f.lrcol))[:0], f.lrcol...)
 	dst.lrval = append(growF64(dst.lrval, len(f.lrval))[:0], f.lrval...)
-	if cap(dst.etas) < len(f.etas) {
-		dst.etas = make([]eta, len(f.etas))
-	} else {
-		dst.etas = dst.etas[:len(f.etas)]
-	}
-	copy(dst.etas, f.etas)
+	dst.etas = copyEtas(dst.etas, f.etas)
 	dst.etaIdx = append(growI32(dst.etaIdx, len(f.etaIdx))[:0], f.etaIdx...)
 	dst.etaVal = append(growF64(dst.etaVal, len(f.etaVal))[:0], f.etaVal...)
 	dst.etaNNZ = f.etaNNZ
 	dst.scratch = growF64(dst.scratch, f.m)
-}
-
-// Clone returns an independent deep copy of f. Hot callers should hold a
-// destination and use CopyInto instead.
-func (f *Factors) Clone() *Factors {
-	out := &Factors{}
-	f.CopyInto(out)
-	return out
 }

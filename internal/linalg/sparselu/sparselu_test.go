@@ -203,7 +203,8 @@ func TestCloneIsolation(t *testing.T) {
 	alpha[4] = 2
 	f.Update(alpha, 4)
 
-	clone := f.Clone()
+	clone := &Factors{}
+	f.CopyInto(clone)
 	if clone.NumEtas() != 1 || clone.EtaNNZ() != f.EtaNNZ() {
 		t.Fatalf("clone eta state: %d etas, nnz %d", clone.NumEtas(), clone.EtaNNZ())
 	}

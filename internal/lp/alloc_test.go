@@ -15,7 +15,8 @@ func TestSteadyStatePivotsAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p, _ := buildRandomLP(rng, 30, 18)
 	inst := NewInstance(p)
-	first := inst.Solve(&Options{CaptureFactors: true})
+	first := inst.Solve(nil)
+	inst.CaptureFactors(&first, nil)
 	if first.Status != StatusOptimal {
 		t.Fatalf("cold solve status %v, want optimal", first.Status)
 	}
@@ -58,5 +59,49 @@ func TestSteadyStatePivotsAllocFree(t *testing.T) {
 	// run() packages two results, the baseline one.
 	if per > 2*base {
 		t.Fatalf("pivoting warm re-solve allocates %v per run vs %v packaging-only baseline (%d pivots): steady-state iterations must be allocation-free", per, 2*base, pivots)
+	}
+}
+
+// TestAppendRowWarmSolveAllocatesNoWorkspace pins the workspace half of the
+// hot-restart allocation contract: growing an instance by a row and
+// restarting warm resizes the instance's workspace in place instead of
+// rebuilding it. The step must allocate at least a whole workspace less
+// than the same step on a fresh workspace, and keep the same one.
+func TestAppendRowWarmSolveAllocatesNoWorkspace(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	p, xstar := buildRandomLP(rng, 120, 80)
+	inst := NewInstance(p)
+	res := inst.Solve(nil)
+	inst.CaptureFactors(&res, nil)
+	if res.Status != StatusOptimal {
+		t.Fatalf("cold solve status %v, want optimal", res.Status)
+	}
+	idxs, vals, lbs, ubs := appendRandomRows(rng, inst.NumCols(), 64, xstar)
+	k := 0
+	fresh := false
+	step := func() {
+		inst.AppendRow(idxs[k], vals[k], lbs[k], ubs[k])
+		k++
+		if fresh {
+			inst.sv = nil // the control: a fresh workspace for every step
+		}
+		r := inst.Solve(&Options{WarmBasis: res.Basis, WarmFactors: res.Factors})
+		if !r.WarmUsed {
+			t.Fatalf("row %d: the restart fell back cold", k)
+		}
+	}
+	step() // size the workspace for appended rows
+	sv := inst.sv
+	reused := testing.AllocsPerRun(20, step)
+	if inst.sv != sv {
+		t.Fatal("AppendRow + warm Solve replaced the instance's workspace")
+	}
+	fresh = true
+	rebuilt := testing.AllocsPerRun(20, step)
+	workspace := testing.AllocsPerRun(1, func() { (&solver{}).fit(inst) })
+	t.Logf("allocations per step: %v reused, %v with a fresh workspace, %v for the workspace itself", reused, rebuilt, workspace)
+	if reused > rebuilt-workspace {
+		t.Fatalf("AppendRow + warm Solve allocates %v objects, %v with a fresh workspace: the %v of a workspace are not saved",
+			reused, rebuilt, workspace)
 	}
 }

@@ -67,7 +67,8 @@ func TestAppendColumnHotRestart(t *testing.T) {
 		p, _ := buildRandomLP(rng, n, m)
 		m = p.NumRows()
 		inst := NewInstance(p)
-		res := inst.Solve(&Options{CaptureFactors: true})
+		res := inst.Solve(nil)
+		inst.CaptureFactors(&res, nil)
 		if res.Status != StatusOptimal {
 			t.Fatalf("trial %d: base status %v", trial, res.Status)
 		}
@@ -85,7 +86,8 @@ func TestAppendColumnHotRestart(t *testing.T) {
 		full := fullWithColumns(p, idxs, vals, lbs, ubs, objs)
 
 		ext0 := DebugColumnExtensions.Load()
-		warm := inst.Solve(&Options{WarmBasis: res.Basis, WarmFactors: res.Factors, CaptureFactors: true})
+		warm := inst.Solve(&Options{WarmBasis: res.Basis, WarmFactors: res.Factors})
+		inst.CaptureFactors(&warm, nil)
 		cold := Solve(full, nil)
 		if warm.Status != cold.Status {
 			t.Fatalf("trial %d: warm status %v, cold %v", trial, warm.Status, cold.Status)
@@ -139,7 +141,8 @@ func TestAppendColumnThenRow(t *testing.T) {
 		p, xstar := buildRandomLP(rng, n, m)
 		m = p.NumRows()
 		inst := NewInstance(p)
-		res := inst.Solve(&Options{CaptureFactors: true})
+		res := inst.Solve(nil)
+		inst.CaptureFactors(&res, nil)
 		if res.Status != StatusOptimal {
 			t.Fatalf("trial %d: base status %v", trial, res.Status)
 		}
@@ -175,7 +178,8 @@ func TestAppendColumnImprovesObjective(t *testing.T) {
 	x := p.AddCol(2, 0, 10, "x")
 	p.AddLE([]int32{int32(x)}, []float64{1}, 4, "")
 	inst := NewInstance(p)
-	res := inst.Solve(&Options{CaptureFactors: true})
+	res := inst.Solve(nil)
+	inst.CaptureFactors(&res, nil)
 	if res.Status != StatusOptimal || math.Abs(res.Obj-8) > 1e-9 {
 		t.Fatalf("base solve: %v obj %v", res.Status, res.Obj)
 	}
@@ -204,7 +208,8 @@ func TestAppendColumnRedundantIsFree(t *testing.T) {
 	x := p.AddCol(2, 0, 10, "x")
 	p.AddLE([]int32{int32(x)}, []float64{1}, 4, "")
 	inst := NewInstance(p)
-	res := inst.Solve(&Options{CaptureFactors: true})
+	res := inst.Solve(nil)
+	inst.CaptureFactors(&res, nil)
 	if res.Status != StatusOptimal {
 		t.Fatalf("base solve: %v", res.Status)
 	}
@@ -291,7 +296,8 @@ func TestAppendColumnScaled(t *testing.T) {
 	if scaled, _, _ := inst.ScalingStats(); !scaled {
 		t.Fatal("instance unexpectedly unscaled; the test needs the scaled path")
 	}
-	res := inst.Solve(&Options{CaptureFactors: true})
+	res := inst.Solve(nil)
+	inst.CaptureFactors(&res, nil)
 	if res.Status != StatusOptimal {
 		t.Fatalf("base solve: %v", res.Status)
 	}

@@ -49,7 +49,8 @@ func TestAppendRowHotRestart(t *testing.T) {
 		p, xstar := buildRandomLP(rng, n, m)
 		m = p.NumRows() // empty candidate rows are skipped by the builder
 		inst := NewInstance(p)
-		res := inst.Solve(&Options{CaptureFactors: true})
+		res := inst.Solve(nil)
+		inst.CaptureFactors(&res, nil)
 		if res.Status != StatusOptimal {
 			t.Fatalf("trial %d: base status %v", trial, res.Status)
 		}
@@ -76,7 +77,8 @@ func TestAppendRowHotRestart(t *testing.T) {
 		}
 
 		ext0 := DebugBasisExtensions.Load()
-		warm := inst.Solve(&Options{WarmBasis: res.Basis, WarmFactors: res.Factors, CaptureFactors: true})
+		warm := inst.Solve(&Options{WarmBasis: res.Basis, WarmFactors: res.Factors})
+		inst.CaptureFactors(&warm, nil)
 		cold := Solve(full, nil)
 		if warm.Status != cold.Status {
 			t.Fatalf("trial %d: warm status %v, cold %v", trial, warm.Status, cold.Status)
@@ -117,7 +119,8 @@ func TestAppendRowRedundantCutIsFree(t *testing.T) {
 	y := p.AddCol(-1, 0, 10, "y")
 	p.AddLE([]int32{int32(x), int32(y)}, []float64{1, 1}, 12, "")
 	inst := NewInstance(p)
-	res := inst.Solve(&Options{CaptureFactors: true})
+	res := inst.Solve(nil)
+	inst.CaptureFactors(&res, nil)
 	if res.Status != StatusOptimal || math.Abs(res.Obj+12) > 1e-9 {
 		t.Fatalf("base solve: %v obj %v", res.Status, res.Obj)
 	}
@@ -141,7 +144,8 @@ func TestAppendRowCutsOptimum(t *testing.T) {
 	y := p.AddCol(1, 0, 10, "y")
 	p.AddLE([]int32{int32(x), int32(y)}, []float64{1, 1}, 12, "")
 	inst := NewInstance(p)
-	res := inst.Solve(&Options{CaptureFactors: true})
+	res := inst.Solve(nil)
+	inst.CaptureFactors(&res, nil)
 	if res.Status != StatusOptimal || math.Abs(res.Obj-22) > 1e-9 { // x=10, y=2
 		t.Fatalf("base solve: %v obj %v", res.Status, res.Obj)
 	}
@@ -159,7 +163,8 @@ func TestAppendRowInfeasibleCut(t *testing.T) {
 	p := NewProblem()
 	x := p.AddCol(1, 0, 5, "x")
 	inst := NewInstance(p)
-	res := inst.Solve(&Options{CaptureFactors: true})
+	res := inst.Solve(nil)
+	inst.CaptureFactors(&res, nil)
 	if res.Status != StatusOptimal {
 		t.Fatalf("base: %v", res.Status)
 	}

@@ -296,7 +296,7 @@ func presolve(p *Problem) *presolved {
 	red.ColLB = make([]float64, 0, keptCols)
 	red.ColUB = make([]float64, 0, keptCols)
 	red.ColName = make([]string, 0, keptCols)
-	red.rows = make([]sparseRow, 0, keptRows)
+	red.rowEnd = make([]int32, 0, keptRows)
 	red.RowLB = make([]float64, 0, keptRows)
 	red.RowUB = make([]float64, 0, keptRows)
 	red.RowName = make([]string, 0, keptRows)
@@ -313,9 +313,8 @@ func presolve(p *Problem) *presolved {
 		ps.colMap = append(ps.colMap, int32(j))
 	}
 	ps.rowMap = make([]int32, 0, m)
-	// Counted two-pass build into shared backing arrays, mirroring the
-	// adjacency build above: two fresh slices per kept row would put ~2m
-	// allocations on every cold Solve.
+	// Counted two-pass build, mirroring the adjacency build above: the
+	// row storage is sized once instead of growing on every cold Solve.
 	keptNNZ := 0
 	for i := 0; i < m; i++ {
 		if removedRow[i] {
@@ -328,8 +327,8 @@ func presolve(p *Problem) *presolved {
 			}
 		}
 	}
-	ridxBack := make([]int32, 0, keptNNZ)
-	rvalBack := make([]float64, 0, keptNNZ)
+	red.rowIdx = make([]int32, 0, keptNNZ)
+	red.rowVal = make([]float64, 0, keptNNZ)
 	for i := 0; i < m; i++ {
 		if removedRow[i] {
 			ps.rowPos[i] = -1
@@ -337,17 +336,16 @@ func presolve(p *Problem) *presolved {
 		}
 		idx, val := p.Row(i)
 		// Append the filtered row directly: the source row is already
-		// deduplicated and in range, so AddRow's merging map is dead weight
-		// on this hot path (one assembly per cold Solve).
-		start := len(ridxBack)
+		// deduplicated and in range, so AddRow's merging is dead weight on
+		// this hot path (one assembly per cold Solve).
 		for k, j := range idx {
 			if !removedCol[j] {
-				ridxBack = append(ridxBack, ps.colPos[j])
-				rvalBack = append(rvalBack, val[k])
+				red.rowIdx = append(red.rowIdx, ps.colPos[j])
+				red.rowVal = append(red.rowVal, val[k])
 			}
 		}
-		ps.rowPos[i] = int32(len(red.rows))
-		red.rows = append(red.rows, sparseRow{idx: ridxBack[start:len(ridxBack):len(ridxBack)], val: rvalBack[start:len(rvalBack):len(rvalBack)]})
+		ps.rowPos[i] = int32(red.NumRows())
+		red.endRow(len(red.rowIdx))
 		red.RowLB = append(red.RowLB, rlb[i])
 		red.RowUB = append(red.RowUB, rub[i])
 		red.RowName = append(red.RowName, p.RowName[i])

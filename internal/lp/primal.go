@@ -31,8 +31,10 @@ func (s *solver) crashBasis() (bool, error) {
 		s.vstat[j] = s.defaultStatus(j)
 		s.inBasis[j] = -1
 	}
-	// Row activities under that assignment.
-	act := make([]float64, m)
+	// Row activities under that assignment, accumulated in the solver's
+	// row scratch.
+	act := s.work
+	clear(act)
 	for j := 0; j < n; j++ {
 		v := 0.0
 		switch s.vstat[j] {
@@ -288,7 +290,8 @@ func (s *solver) crashSlackBasis() error {
 		s.vstat[j] = s.defaultStatus(j)
 		s.inBasis[j] = -1
 	}
-	act := make([]float64, m)
+	act := s.work
+	clear(act)
 	for j := 0; j < n; j++ {
 		v := 0.0
 		switch s.vstat[j] {

@@ -48,12 +48,15 @@ type Problem struct {
 	RowLB   []float64
 	RowUB   []float64
 	RowName []string
-	rows    []sparseRow
-}
 
-type sparseRow struct {
-	idx []int32
-	val []float64
+	// Rows in compressed sparse form: row i holds the entries
+	// rowIdx/rowVal[rowEnd[i-1]:rowEnd[i]] (from 0 for the first row).
+	rowEnd []int32
+	rowIdx []int32
+	rowVal []float64
+	// slot is AddRow's merge scratch: slot[j] is the position of column j
+	// in the row being added, and -1 between calls.
+	slot []int32
 }
 
 // NewProblem returns an empty minimization problem.
@@ -63,7 +66,7 @@ func NewProblem() *Problem { return &Problem{Sense: Minimize} }
 func (p *Problem) NumCols() int { return len(p.Obj) }
 
 // NumRows reports the number of rows.
-func (p *Problem) NumRows() int { return len(p.rows) }
+func (p *Problem) NumRows() int { return len(p.rowEnd) }
 
 // AddCol appends a column with the given objective coefficient and bounds,
 // returning its index. lb may be -Inf and ub may be +Inf.
@@ -87,29 +90,47 @@ func (p *Problem) AddRow(idx []int32, val []float64, rlb, rub float64, name stri
 	if rlb > rub {
 		panic(fmt.Sprintf("lp: row %q has rlb %v > rub %v", name, rlb, rub))
 	}
-	merged := map[int32]float64{}
-	order := make([]int32, 0, len(idx))
+	// Merge duplicates in place: entries keep their first-occurrence order
+	// and sum left to right.
+	n := p.NumCols()
+	for len(p.slot) < n {
+		p.slot = append(p.slot, -1)
+	}
+	start := len(p.rowIdx)
 	for k, j := range idx {
-		if int(j) < 0 || int(j) >= p.NumCols() {
-			panic(fmt.Sprintf("lp: row %q references column %d out of range [0,%d)", name, j, p.NumCols()))
+		if int(j) < 0 || int(j) >= n {
+			panic(fmt.Sprintf("lp: row %q references column %d out of range [0,%d)", name, j, n))
 		}
-		if _, seen := merged[j]; !seen {
-			order = append(order, j)
+		if at := p.slot[j]; at >= 0 {
+			p.rowVal[at] += val[k]
+			continue
 		}
-		merged[j] += val[k]
+		p.slot[j] = int32(len(p.rowIdx))
+		p.rowIdx = append(p.rowIdx, j)
+		p.rowVal = append(p.rowVal, val[k])
 	}
-	r := sparseRow{}
-	for _, j := range order {
-		if v := merged[j]; v != 0 {
-			r.idx = append(r.idx, j)
-			r.val = append(r.val, v)
+	// Reset the scratch and drop the entries that merged to zero.
+	w := start
+	for at := start; at < len(p.rowIdx); at++ {
+		j := p.rowIdx[at]
+		p.slot[j] = -1
+		if v := p.rowVal[at]; v != 0 {
+			p.rowIdx[w], p.rowVal[w] = j, v
+			w++
 		}
 	}
-	p.rows = append(p.rows, r)
+	p.endRow(w)
 	p.RowLB = append(p.RowLB, rlb)
 	p.RowUB = append(p.RowUB, rub)
 	p.RowName = append(p.RowName, name)
-	return len(p.rows) - 1
+	return p.NumRows() - 1
+}
+
+// endRow closes the row whose entries run from the previous row's end to
+// end in rowIdx/rowVal.
+func (p *Problem) endRow(end int) {
+	p.rowIdx, p.rowVal = p.rowIdx[:end], p.rowVal[:end]
+	p.rowEnd = append(p.rowEnd, int32(end))
 }
 
 // AddLE appends the row a·x ≤ rhs.
@@ -129,7 +150,13 @@ func (p *Problem) AddEQ(idx []int32, val []float64, rhs float64, name string) in
 
 // Row returns the coefficient slices of row i (shared storage; do not
 // mutate).
-func (p *Problem) Row(i int) ([]int32, []float64) { return p.rows[i].idx, p.rows[i].val }
+func (p *Problem) Row(i int) ([]int32, []float64) {
+	lo, hi := int32(0), p.rowEnd[i]
+	if i > 0 {
+		lo = p.rowEnd[i-1]
+	}
+	return p.rowIdx[lo:hi:hi], p.rowVal[lo:hi:hi]
+}
 
 // Status reports the outcome of a solve.
 type Status int
@@ -198,8 +225,9 @@ type Result struct {
 	// long-step test walked through (flips plus entering choices).
 	BoundFlips  int
 	RatioPasses int
-	// Factors is the LU factorization matching Basis, filled only when
-	// Options.CaptureFactors is set (and Basis is). Handing it back as
+	// Factors is the LU factorization matching Basis. Solve leaves it nil;
+	// Instance.CaptureFactors fills it, into a buffer the caller owns, for
+	// the callers that will read it. Handing it back as
 	// Options.WarmFactors of a later solve warm-starts that solve without a
 	// refactorization, and works across Instance clones, which is what
 	// makes parallel branch-and-bound bit-reproducible.
@@ -229,15 +257,11 @@ type Options struct {
 	// WarmFactors, when non-nil, is the LU factorization of WarmBasis
 	// (typically a prior Result.Factors). The warm start copies it into
 	// solver-owned storage instead of refactorizing, making the solve a
-	// pure function of its inputs. The caller must guarantee the factors
-	// actually belong to WarmBasis.
+	// pure function of its inputs; the solve only reads it. The caller must
+	// guarantee the factors actually belong to WarmBasis.
 	WarmFactors *sparselu.Factors
-	// CaptureFactors asks the solve to return a deep copy of its final
-	// basis factorization in Result.Factors (whenever Result.Basis is
-	// filled).
-	CaptureFactors bool
-	FeasTol        float64
-	OptTol         float64
+	FeasTol     float64
+	OptTol      float64
 	// Deadline aborts the solve (StatusIterLimit) once passed. Zero means
 	// no deadline. Checked every few dozen iterations.
 	Deadline time.Time

@@ -3,6 +3,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"tvnep/internal/linalg/sparselu"
@@ -119,10 +120,15 @@ type Instance struct {
 	colScale    []float64
 	colScaleInv []float64
 
-	// sv is the per-instance solver state, reused across solves so the hot
-	// restart path (branch-and-bound, admission, cutting planes) allocates
-	// nothing in steady state. Lazily (re)built when dimensions change.
+	// sv is the instance's simplex workspace, reused across its solves. It
+	// is taken from src (or allocated) on the first solve, resized in place
+	// when AppendRow or AppendColumn change the dimensions, and handed back
+	// to src by Release. nil until the first solve and after Release.
 	sv *solver
+	// src is the caller-owned stash the workspace is drawn from and
+	// returned to (see Workspaces); nil when the instance keeps its own.
+	// Clones inherit it.
+	src *Workspaces
 }
 
 // NewInstance compiles p into column-major form and equilibrates it.
@@ -187,7 +193,8 @@ func NewInstance(p *Problem) *Instance {
 // Clone returns an independent Instance over the same compiled problem.
 // The immutable per-column and per-row storage (and the Problem it was
 // compiled from) is shared; the mutable column bounds are copied and the
-// solver state starts empty. Clones are what give every worker of a
+// clone has no workspace of its own yet: its first solve draws one from the
+// same Workspaces source, if any. Clones are what give every worker of a
 // parallel branch-and-bound search its own simplex state without recompiling
 // the problem: the shared inner slices are never written after compilation,
 // and AppendRow replaces — never grows in place — the outer slices it
@@ -213,8 +220,100 @@ func (inst *Instance) Clone() *Instance {
 		rowScale:    inst.rowScale,
 		colScale:    inst.colScale,
 		colScaleInv: inst.colScaleInv,
+		src:         inst.src,
 	}
 	return out
+}
+
+// Workspaces is a bounded, caller-owned stash of idle simplex workspaces.
+// An instance attached with UseWorkspaces — and every clone of it — takes
+// its workspace from the stash on its first solve instead of allocating
+// one, and Release hands it back, so a caller that solves a stream of
+// short-lived instances (one admission decision after another) allocates a
+// workspace only when the stash runs dry. A returned workspace is refitted
+// from scratch for its next instance, so which one an instance receives
+// never changes a result. The package keeps no stash of its own. Safe for
+// concurrent use.
+type Workspaces struct {
+	mu   sync.Mutex
+	idle []*solver
+	max  int
+}
+
+// NewWorkspaces returns an empty stash that keeps at most max idle
+// workspaces; Release drops any beyond that.
+func NewWorkspaces(max int) *Workspaces { return &Workspaces{max: max} }
+
+// take pops an idle workspace, or returns nil when there is none (or w is
+// nil).
+func (w *Workspaces) take() *solver {
+	if w == nil {
+		return nil
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	n := len(w.idle)
+	if n == 0 {
+		return nil
+	}
+	s := w.idle[n-1]
+	w.idle[n-1] = nil
+	w.idle = w.idle[:n-1]
+	return s
+}
+
+// UseWorkspaces makes w the source the instance (and its later clones)
+// draw their workspaces from and Release returns them to.
+func (inst *Instance) UseWorkspaces(w *Workspaces) { inst.src = w }
+
+// Release hands the instance's workspace back to its Workspaces source, for
+// a caller that is done solving on the instance. The instance stays usable
+// (its next solve draws a workspace again), and Release changes none of its
+// bounds, rows or columns. Without a source the workspace stays with the
+// instance. It is dropped instead of stashed when the source is full, or
+// when it has more than twice the capacity the instance needed: a
+// workspace grown for an unusually large instance would otherwise pin that
+// peak footprint for the rest of the stream.
+func (inst *Instance) Release() {
+	s := inst.sv
+	if inst.src == nil || s == nil {
+		return
+	}
+	inst.sv = nil
+	if cap(s.lb) > 2*s.N {
+		return
+	}
+	// Drop every reference into the instance's storage and the caller's
+	// warm start so an idle workspace keeps no dead model alive.
+	s.inst, s.fac, s.preFac, s.opts = nil, nil, nil, Options{}
+	clear(s.refIdx)
+	clear(s.refVal)
+	w := inst.src
+	w.mu.Lock()
+	if len(w.idle) < w.max {
+		w.idle = append(w.idle, s)
+	}
+	w.mu.Unlock()
+}
+
+// CaptureFactors sets res.Factors to a copy of the LU factorization matching
+// res.Basis, where res is the result of the instance's latest Solve (no
+// other Solve or Release may come in between). The copy goes into dst,
+// reusing its storage, or into fresh storage when dst is nil; either way the
+// caller owns it and may hand it to any instance's solve as
+// Options.WarmFactors. res.Factors is set to nil, and dst left untouched,
+// when res carries no basis.
+func (inst *Instance) CaptureFactors(res *Result, dst *sparselu.Factors) {
+	res.Factors = nil
+	s := inst.sv
+	if res.Basis == nil || s == nil || s.fac == nil || s.fac.M() != len(res.Basis.Basic) {
+		return
+	}
+	if dst == nil {
+		dst = &sparselu.Factors{}
+	}
+	s.fac.CopyInto(dst)
+	res.Factors = dst
 }
 
 // NumCols reports the number of structural columns.
@@ -234,10 +333,11 @@ func (inst *Instance) SetColBounds(j int, lb, ub float64) {
 // ColBounds returns the current bounds of structural column j.
 func (inst *Instance) ColBounds(j int) (lb, ub float64) { return inst.lb[j], inst.ub[j] }
 
-// solver holds the simplex state for solves on one instance. It is owned by
-// the instance and reused across solves: all slices below are allocated once
-// per (n, m) shape, so warm restarts and steady-state iterations allocate
-// nothing.
+// solver holds the simplex state for solves on one instance: the workspace.
+// It is reused across the instance's solves, resized in place (with
+// headroom) when the instance grows, and can move to another instance
+// through a Workspaces stash, so warm restarts, steady-state iterations and
+// the solves of a stream of short-lived instances allocate no workspace.
 type solver struct {
 	inst *Instance
 	m    int // rows
@@ -255,10 +355,11 @@ type solver struct {
 	xB  []float64         // basic variable values
 
 	// Factorization buffers: the active factorization always lives in one
-	// of these two solver-owned buffers (never handed out — Result.Factors
-	// is a deep copy), so refactorizations and warm-factor adoptions reuse
-	// their storage. Two buffers because a mid-solve refactorization must
-	// not destroy the current factors before it succeeds.
+	// of these two solver-owned buffers (never handed out —
+	// Instance.CaptureFactors copies into a caller-owned buffer), so
+	// refactorizations and warm-factor adoptions reuse their storage. Two
+	// buffers because a mid-solve refactorization must not destroy the
+	// current factors before it succeeds.
 	facBuf [2]*sparselu.Factors
 	facCur int
 	facWS  *sparselu.Workspace
@@ -329,37 +430,65 @@ func (s *solver) fixedCol(j int) bool {
 }
 
 // newSolver returns the instance's solver, reset for a fresh solve. The
-// state is allocated on first use (or when AppendRow changed the dimensions)
-// and reused otherwise.
+// workspace is drawn from the instance's Workspaces source (or allocated) on
+// first use and refitted whenever it is new to the instance or AppendRow or
+// AppendColumn changed the dimensions; otherwise it is reused as is.
 func newSolver(inst *Instance, opts Options) *solver {
-	n, m := inst.n, inst.m
 	s := inst.sv
-	if s == nil || s.m != m || s.N != n+2*m {
-		s = &solver{
-			inst: inst, m: m, nm: n + m, N: n + 2*m,
-			lb: make([]float64, n+2*m), ub: make([]float64, n+2*m),
-			cost: make([]float64, n+2*m), real: make([]float64, n+2*m),
-			vstat: make([]int8, n+2*m), basis: make([]int32, m),
-			inBasis: make([]int32, n+2*m),
-			xB:      make([]float64, m),
-			alpha:   make([]float64, m), y: make([]float64, m),
-			rho: make([]float64, m), work: make([]float64, m),
-			tau: make([]float64, m),
-			d:   make([]float64, n+2*m), arow: make([]float64, n+2*m),
-			arowNZ: make([]int32, 0, n+2*m), arowTag: make([]bool, n+2*m),
-			basisSeen: make([]bool, n+2*m),
-			devexW:    make([]float64, n+2*m), dualW: make([]float64, m),
-			facWS:  sparselu.NewWorkspace(),
-			refIdx: make([][]int32, m), refVal: make([][]float64, m),
-			posOf: make([]int32, n+2*m),
-		}
-		for j := range s.posOf {
-			s.posOf[j] = -1
+	if s == nil {
+		if s = inst.src.take(); s == nil {
+			s = &solver{facWS: sparselu.NewWorkspace()}
 		}
 		inst.sv = s
 	}
+	if s.inst != inst || s.m != inst.m || s.N != inst.n+2*inst.m {
+		s.fit(inst)
+	}
 	s.reset(opts)
 	return s
+}
+
+// fit sizes the workspace for inst and puts every slice in the state a
+// fresh allocation would have: zeroed (so vstat reads vsLower, arowTag and
+// basisSeen false) with posOf at -1. Storage is reused when its capacity
+// allows and grown with headroom otherwise, so an instance growing row by
+// row or column by column does not reallocate at every append. Zeroing
+// everything, not just what the next solve overwrites, keeps a recycled
+// workspace's trajectory bit-identical to a fresh one's.
+func (s *solver) fit(inst *Instance) {
+	n, m := inst.n, inst.m
+	N := n + 2*m
+	s.inst, s.m, s.nm, s.N = inst, m, n+m, N
+	s.lb, s.ub = fit(s.lb, N), fit(s.ub, N)
+	s.cost, s.real = fit(s.cost, N), fit(s.real, N)
+	s.vstat, s.inBasis = fit(s.vstat, N), fit(s.inBasis, N)
+	s.d, s.arow, s.arowTag = fit(s.d, N), fit(s.arow, N), fit(s.arowTag, N)
+	s.arowNZ = fit(s.arowNZ, N)[:0]
+	s.basisSeen, s.devexW = fit(s.basisSeen, N), fit(s.devexW, N)
+	s.posOf = fit(s.posOf, N)
+	for j := range s.posOf {
+		s.posOf[j] = -1
+	}
+	s.basis, s.xB = fit(s.basis, m), fit(s.xB, m)
+	s.alpha, s.y, s.rho = fit(s.alpha, m), fit(s.y, m), fit(s.rho, m)
+	s.work, s.tau, s.dualW = fit(s.work, m), fit(s.tau, m), fit(s.dualW, m)
+	s.refIdx, s.refVal = fit(s.refIdx, m), fit(s.refVal, m)
+	s.facCur = 0
+}
+
+// fit returns b resized to n zero values, reusing its storage when the
+// capacity allows. Storage that has to grow gets a quarter of headroom;
+// a first allocation is exact, so instances that never grow pay nothing.
+func fit[T any](b []T, n int) []T {
+	if cap(b) < n {
+		if cap(b) == 0 {
+			return make([]T, n)
+		}
+		return make([]T, n, n+n/4)
+	}
+	b = b[:n]
+	clear(b)
+	return b
 }
 
 // reset prepares the solver for a new solve under the instance's current

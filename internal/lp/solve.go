@@ -302,13 +302,6 @@ func (s *solver) result(status Status) Result {
 	}
 	if status == StatusOptimal || status == StatusInfeasible {
 		res.Basis = s.snapshot()
-		if s.opts.CaptureFactors {
-			// Deep copy: the solver's factorization buffers are reused by
-			// later solves on this instance, so the handed-off factors must
-			// own their storage (siblings of a branch-and-bound node share
-			// them read-only).
-			res.Factors = s.fac.Clone()
-		}
 	}
 	return res
 }

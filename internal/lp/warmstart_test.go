@@ -48,7 +48,8 @@ func TestWarmStartFactorHandoff(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	p, _ := buildRandomLP(rng, 8, 10)
 	other := NewInstance(p)
-	res := other.Solve(&Options{CaptureFactors: true})
+	res := other.Solve(nil)
+	other.CaptureFactors(&res, nil)
 	if res.Status != StatusOptimal {
 		t.Fatalf("cold status %v", res.Status)
 	}
@@ -82,7 +83,8 @@ func TestCapturedFactorsOutliveSolver(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	p, _ := buildRandomLP(rng, 8, 10)
 	inst := NewInstance(p)
-	res := inst.Solve(&Options{CaptureFactors: true})
+	res := inst.Solve(nil)
+	inst.CaptureFactors(&res, nil)
 	if res.Status != StatusOptimal || res.Factors == nil {
 		t.Fatalf("cold status %v (factors %v)", res.Status, res.Factors != nil)
 	}
@@ -158,7 +160,8 @@ func TestWarmStartChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	p, _ := buildRandomLP(rng, 10, 8)
 	inst := NewInstance(p)
-	res := inst.Solve(&Options{CaptureFactors: true})
+	res := inst.Solve(nil)
+	inst.CaptureFactors(&res, nil)
 	if res.Status != StatusOptimal {
 		t.Fatalf("cold status %v", res.Status)
 	}
@@ -175,7 +178,9 @@ func TestWarmStartChain(t *testing.T) {
 		inst.SetColBounds(j, lo, hi)
 		cold.SetColBounds(j, lo, hi)
 
-		warm := inst.Solve(&Options{WarmBasis: res.Basis, WarmFactors: res.Factors, CaptureFactors: true})
+		warm := inst.Solve(&Options{WarmBasis: res.Basis, WarmFactors: res.Factors})
+
+		inst.CaptureFactors(&warm, nil)
 		ref := cold.Solve(nil)
 		if warm.Status != ref.Status {
 			t.Fatalf("step %d: warm status %v vs cold %v", steps, warm.Status, ref.Status)

@@ -170,8 +170,7 @@ func (s *searcher) solveSeparated(nd *node) (*lpTask, bool) {
 			// children, built from the restricted point — is discarded by
 			// the epoch check in engine.resolve.
 			priceRounds++
-			nd.basis, nd.fac = res.Basis, res.Factors
-			nd.task = nil
+			s.restartFrom(nd, res.Basis, res.Factors)
 			continue
 		}
 		// Integral points (children == nil) satisfy every valid cut by the
@@ -189,10 +188,11 @@ func (s *searcher) solveSeparated(nd *node) (*lpTask, bool) {
 		// strengthened row set reaches the same vertex a static build would
 		// start from, which is what makes the two pipelines' trees
 		// comparable.
-		nd.basis, nd.fac = res.Basis, res.Factors
 		if root {
-			nd.basis, nd.fac = nil, nil
+			s.restartFrom(nd, nil, nil)
+			s.recycle(res.Factors)
+		} else {
+			s.restartFrom(nd, res.Basis, res.Factors)
 		}
-		nd.task = nil
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"tvnep/internal/linalg/sparselu"
 	"tvnep/internal/lp"
 )
 
@@ -55,9 +56,13 @@ type lpTask struct {
 }
 
 // branch is the deterministic pair of children created from one fractional
-// relaxation. dive is the side the fractional value leans to.
+// relaxation. dive is the side the fractional value leans to. fac is the
+// relaxation's captured factorization, which both children warm-start
+// from; open counts the children not yet retired (see factors.go).
 type branch struct {
 	dive, park *node
+	fac        *sparselu.Factors
+	open       int
 }
 
 // workQueue is the two-priority task queue: demanded tasks (the committer
@@ -257,6 +262,7 @@ func (e *engine) resolve(nd *node) (t *lpTask, ok bool) {
 // clone, so no simplex state is ever shared.
 func (e *engine) worker(id int, inst *lp.Instance) {
 	defer e.wg.Done()
+	defer inst.Release()
 	synced := 0 // committed ops already applied to this instance
 	for {
 		t := e.q.pop()
@@ -301,7 +307,7 @@ func (e *engine) evaluate(inst *lp.Instance, id int, t *lpTask, synced *int) {
 		t.res = lp.Result{Status: lp.StatusInfeasible}
 		return
 	}
-	lpo := lp.Options{Context: e.ctx, CaptureFactors: true}
+	lpo := lp.Options{Context: e.ctx}
 	if nd.basis != nil {
 		lpo.WarmBasis = nd.basis
 		lpo.WarmFactors = nd.fac
@@ -311,6 +317,11 @@ func (e *engine) evaluate(inst *lp.Instance, id int, t *lpTask, synced *int) {
 	}
 	res := inst.Solve(&lpo)
 	e.taskIters.Add(int64(res.Iterations))
+	// Capture the factors only for their readers: the children of a
+	// fractional optimum, and the pricing restart of any optimum.
+	if res.Status == lp.StatusOptimal && (s.cols != nil || s.fractional(res.X) >= 0) {
+		inst.CaptureFactors(&res, s.facs.get())
+	}
 	e.finish(t, res)
 }
 
@@ -359,27 +370,30 @@ func (s *searcher) hasIncBound(bound, incMin float64) bool {
 }
 
 // makeBranch builds the deterministic child pair of a fractional node. Both
-// children warm-start from the parent's final basis and captured factors
-// (the factors are shared read-only; every warm start clones them).
+// children warm-start from the parent's final basis and captured factors,
+// which the branch owns; the factors are shared read-only (every warm start
+// copies them into its own solver).
 func makeBranch(nd *node, col int, objMin float64, res lp.Result) *branch {
 	v := res.X[col]
+	br := &branch{fac: res.Factors, open: 2}
 	down := &node{
-		parent: nd, col: col,
+		parent: nd, br: br, col: col,
 		lo: math.Inf(-1), hi: math.Floor(v),
 		depth: nd.depth + 1, bound: objMin,
 		basis: res.Basis, fac: res.Factors,
 	}
 	up := &node{
-		parent: nd, col: col,
+		parent: nd, br: br, col: col,
 		lo: math.Ceil(v), hi: math.Inf(1),
 		depth: nd.depth + 1, bound: objMin,
 		basis: res.Basis, fac: res.Factors,
 	}
 	// Dive towards the side the fractional value leans to.
+	br.dive, br.park = down, up
 	if v-math.Floor(v) > 0.5 {
-		return &branch{dive: up, park: down}
+		br.dive, br.park = up, down
 	}
-	return &branch{dive: down, park: up}
+	return br
 }
 
 // applyBoundsOn installs the node's bound-override chain onto an instance,

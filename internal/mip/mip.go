@@ -253,12 +253,16 @@ type node struct {
 	depth  int
 	bound  float64 // parent LP bound (minimization sense)
 	basis  *lp.Basis
-	// fac is the parent relaxation's captured LU factorization matching
-	// basis; shared read-only between siblings, cloned inside every warm
-	// start. Carrying it explicitly (instead of relying on an instance's
+	// fac is the captured LU factorization matching basis: the parent's
+	// (shared read-only with the sibling through br) or, after a pricing or
+	// cut round, the node's own. Every warm start copies it into its
+	// solver. Carrying it explicitly (instead of relying on an instance's
 	// factorization cache) keeps each node's solve a pure function of the
 	// node, which is what the deterministic parallel search relies on.
 	fac *sparselu.Factors
+	// br is the branch the node was created in (nil at the root); it owns
+	// the parent's factors (see factors.go).
+	br *branch
 	// seq is the committer-assigned creation sequence number, the final
 	// heap tie-break; committer-ordered, so identical for any worker count.
 	seq int64
@@ -324,6 +328,13 @@ type searcher struct {
 	cols *pool
 	log  []op
 
+	// LU factor buffers (see factors.go): the free list, the caller's
+	// handed-root factors (never recycled), and the dive heuristic's
+	// buffer.
+	facs      facPool
+	handedFac *sparselu.Factors
+	diveFac   *sparselu.Factors
+
 	deadline    time.Time
 	hasDL       bool
 	dlCountdown int // nodes until the next wall-clock deadline check
@@ -331,10 +342,11 @@ type searcher struct {
 
 // Root is a root relaxation the caller has already solved. Inst must be
 // compiled from the problem's LP (lp.NewInstance) and still carry its
-// construction bounds, and Res must be the result of Inst.Solve with
-// CaptureFactors set and no warm start — exactly the relaxation the search
-// would otherwise solve itself, so handing it over changes no decision.
-// The search works on clones of Inst and never mutates it.
+// construction bounds, and Res must be the result of Inst.Solve with no
+// warm start and its factors captured (Inst.CaptureFactors) — exactly the
+// relaxation the search would otherwise solve itself, so handing it over
+// changes no decision. The search works on clones of Inst and never
+// mutates its bounds, rows or columns, nor Res and its factors.
 type Root struct {
 	Inst *lp.Instance
 	Res  lp.Result
@@ -354,7 +366,11 @@ func Solve(ctx context.Context, p *Problem, opts *Options) Result {
 // search clones root.Inst instead of compiling and equilibrating the LP
 // again, and commits root.Res as the root node's relaxation instead of
 // solving it again. The root's LP iterations were paid by the caller, so
-// they are not part of Result.LPIterations. A nil root is Solve.
+// they are not part of Result.LPIterations. When root.Inst draws its
+// workspace from an lp.Workspaces source, the search borrows it: root.Inst
+// releases its idle workspace, the clones draw from the same source, and
+// every clone releases its workspace back when the search ends. A nil root
+// is Solve.
 //
 //det:entry
 func SolveFrom(ctx context.Context, p *Problem, opts *Options, root *Root) Result {
@@ -364,11 +380,15 @@ func SolveFrom(ctx context.Context, p *Problem, opts *Options, root *Root) Resul
 	}
 	o := opts.withDefaults()
 	var inst *lp.Instance
+	var handedFac *sparselu.Factors
 	if root != nil {
 		inst = root.Inst.Clone()
+		root.Inst.Release()
+		handedFac = root.Res.Factors
 	} else {
 		inst = lp.NewInstance(p.LP)
 	}
+	defer inst.Release()
 	s := &searcher{
 		prob:         p,
 		inst:         inst,
@@ -377,6 +397,7 @@ func SolveFrom(ctx context.Context, p *Problem, opts *Options, root *Root) Resul
 		ctx:          ctx,
 		start:        start,
 		incumbentMin: math.Inf(1),
+		handedFac:    handedFac,
 	}
 	n := p.LP.NumCols()
 	for len(p.Integer) < n {
@@ -681,7 +702,7 @@ func (s *searcher) diveHeuristic(nd *node, res lp.Result) {
 			return
 		}
 		s.inst.SetColBounds(fix, v, v)
-		hres := s.heurSolve(&lp.Options{WarmBasis: basis, WarmFactors: factors, CaptureFactors: true})
+		hres := s.heurSolve(&lp.Options{WarmBasis: basis, WarmFactors: factors})
 		if hres.Status != lp.StatusOptimal {
 			// One-level backtrack: rounding to the nearest integer painted
 			// the dive into an infeasible corner; the other integer
@@ -695,7 +716,7 @@ func (s *searcher) diveHeuristic(nd *node, res lp.Result) {
 				return
 			}
 			s.inst.SetColBounds(fix, alt, alt)
-			hres = s.heurSolve(&lp.Options{WarmBasis: basis, WarmFactors: factors, CaptureFactors: true})
+			hres = s.heurSolve(&lp.Options{WarmBasis: basis, WarmFactors: factors})
 			if hres.Status != lp.StatusOptimal {
 				return
 			}
@@ -704,6 +725,13 @@ func (s *searcher) diveHeuristic(nd *node, res lp.Result) {
 			s.tryIncumbent(hres.X, s.toMin(hres.Obj))
 			return
 		}
+		// The next pass warm-starts from this one. One buffer serves every
+		// pass: a solve has copied its warm factors into its own solver
+		// before it returns, so the capture may overwrite them.
+		if s.diveFac == nil {
+			s.diveFac = &sparselu.Factors{}
+		}
+		s.inst.CaptureFactors(&hres, s.diveFac)
 		basis, factors, x = hres.Basis, hres.Factors, hres.X
 	}
 }
@@ -759,6 +787,7 @@ func (s *searcher) run(handed *Root) Status {
 			}
 			// Bound-based pruning against the current incumbent.
 			if s.hasInc && nd.bound >= s.incumbentMin-boundCutoffTol {
+				s.retire(nd, nil)
 				break
 			}
 			if s.hasInc && relGap(s.incumbentMin, math.Min(nd.bound, s.globalBoundMin())) <= s.opts.GapTol {
@@ -772,6 +801,7 @@ func (s *searcher) run(handed *Root) Status {
 			// detects trivially infeasible chains and leaves the bounds in
 			// place for a potential heuristic run below.
 			if !s.applyBounds(nd) {
+				s.retire(nd, nil)
 				break // empty bound interval: infeasible by construction
 			}
 			// Resolve the relaxation, interleaving lazy-cut separation
@@ -785,12 +815,14 @@ func (s *searcher) run(handed *Root) Status {
 			res := t.res
 			switch res.Status {
 			case lp.StatusInfeasible:
+				s.retire(nd, res.Factors)
 				nd = nil
 				continue
 			case lp.StatusUnbounded:
 				if nd.col == -1 {
 					return StatusUnbounded
 				}
+				s.retire(nd, res.Factors)
 				nd = nil // should not happen below the root; treat as cut off
 				continue
 			case lp.StatusIterLimit, lp.StatusNumeric:
@@ -805,16 +837,19 @@ func (s *searcher) run(handed *Root) Status {
 			}
 			objMin := s.toMin(res.Obj)
 			if s.hasInc && objMin >= s.incumbentMin-boundCutoffTol {
-				break // dominated
+				s.retire(nd, res.Factors) // its children are dropped
+				break                     // dominated
 			}
 			br := t.children // created by the solving worker; nil iff integral
 			if br == nil {
 				s.tryIncumbent(res.X, objMin)
+				s.retire(nd, res.Factors)
 				break
 			}
 			if s.opts.HeuristicEvery > 0 && (s.nodes == 1 || s.nodes%s.opts.HeuristicEvery == 0) {
 				s.roundingHeuristic(nd, res)
 			}
+			s.retire(nd, nil) // the branch owns res.Factors
 			// Sequence numbers are assigned here, in commit order, so the
 			// heap tie-break is identical for any worker count; park the
 			// non-dive child on the heap.

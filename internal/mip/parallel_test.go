@@ -157,7 +157,8 @@ func assertHandedRoot(t *testing.T, name string, p *Problem, o *Options, cold Re
 		return inst.Solve(&lp.Options{WarmBasis: root.Basis, WarmFactors: root.Factors})
 	}
 	inst := lp.NewInstance(p.LP)
-	root := inst.Solve(&lp.Options{CaptureFactors: true})
+	root := inst.Solve(nil)
+	inst.CaptureFactors(&root, nil)
 	if root.Status != lp.StatusOptimal || root.Iterations == 0 {
 		t.Fatalf("%s: root relaxation status %v after %d iterations", name, root.Status, root.Iterations)
 	}
@@ -176,7 +177,9 @@ func assertHandedRoot(t *testing.T, name string, p *Problem, o *Options, cold Re
 		}
 	}
 	fresh := lp.NewInstance(p.LP)
-	ref := warm(fresh, fresh.Solve(&lp.Options{CaptureFactors: true}))
+	fr := fresh.Solve(nil)
+	fresh.CaptureFactors(&fr, nil)
+	ref := warm(fresh, fr)
 	again := warm(inst, root)
 	if again.Iterations != ref.Iterations || math.Float64bits(again.Obj) != math.Float64bits(root.Obj) {
 		t.Errorf("%s: warm re-solve of the handed instance took %d iterations to %v; untouched: %d iterations, root %v",
@@ -288,6 +291,44 @@ func TestTightTimeLimitStops(t *testing.T) {
 		}
 		if elapsed > 5*time.Second {
 			t.Fatalf("workers=%d: 30ms time limit stopped only after %v", w, elapsed)
+		}
+	}
+}
+
+// TestSolveFromRecycledWorkspaces runs handed-root searches whose instances
+// draw their simplex workspaces from one lp.Workspaces source, the way the
+// admission engine chains its decisions: a larger search fills the source,
+// then a smaller and a larger one draw the dirty workspaces. Each must be
+// bit-identical to the same search on instances with workspaces of their
+// own, for every worker count.
+func TestSolveFromRecycledWorkspaces(t *testing.T) {
+	ctx := context.Background()
+	solveFrom := func(p *Problem, o *Options, ws *lp.Workspaces) Result {
+		inst := lp.NewInstance(p.LP)
+		inst.UseWorkspaces(ws)
+		root := inst.Solve(nil)
+		inst.CaptureFactors(&root, nil)
+		res := SolveFrom(ctx, p, o, &Root{Inst: inst, Res: root})
+		inst.Release()
+		return res
+	}
+	seq := []struct {
+		name string
+		prob *Problem
+	}{
+		{"multiknapsack-30x10", multiKnapsack(3, 30, 10)},
+		{"knapsack-eq-18", randKnapsack(9, 18, 24, true)},
+		{"multiknapsack-40x12", multiKnapsack(4, 40, 12)},
+	}
+	for _, w := range []int{1, 2, 4, 8} {
+		o := Options{Workers: w}
+		ws := lp.NewWorkspaces(2)
+		for _, tc := range seq {
+			want := solveFrom(tc.prob, &o, nil)
+			if want.Status != StatusOptimal {
+				t.Fatalf("%s workers=%d: status %v", tc.name, w, want.Status)
+			}
+			assertBitIdentical(t, tc.name+"/recycled", want, solveFrom(tc.prob, &o, ws), w, w)
 		}
 	}
 }
