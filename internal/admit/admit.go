@@ -163,7 +163,8 @@ type DecisionStats struct {
 	// simplex from the captured basis, no cold fallback).
 	WarmUsed bool
 	// BasisExtended reports that the hot-restart extended the LU factors
-	// over the appended pin rows (sparselu.Extend) instead of refactorizing.
+	// over the appended pin rows (sparselu.ExtendInto) instead of
+	// refactorizing.
 	BasisExtended bool
 	// PinnedBound is the LP optimum of the decision-pinned model produced
 	// by the commitment hot-restart (NaN when the restart was skipped).

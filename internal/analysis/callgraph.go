@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -174,14 +173,4 @@ func FuncKey(fn *types.Func) string {
 		return named.Obj().Name() + "." + fn.Name()
 	}
 	return fn.Name()
-}
-
-// SortedKeys sorts a set of fact keys for deterministic serialization.
-func SortedKeys(set map[string]string) []string {
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

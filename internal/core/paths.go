@@ -28,9 +28,7 @@ package core
 
 import (
 	"fmt"
-	"math"
 
-	"tvnep/internal/graph"
 	"tvnep/internal/lp"
 	"tvnep/internal/model"
 	"tvnep/internal/numtol"
@@ -151,7 +149,7 @@ func buildPathEmbedding(b *Built) {
 				continue
 			}
 			conv := model.Expr()
-			if p, ok := shortestHopPath(sub.G, hu, hv); ok {
+			if p, ok := sub.G.ShortestHopPath(hu, hv); ok {
 				lam := m.Continuous(fmt.Sprintf("lambda[%d][%d][0]", r, lv), 0, 1)
 				b.Lambda[r][lv] = []model.Var{lam}
 				b.SeedPaths[r][lv] = [][]int{p}
@@ -301,7 +299,7 @@ func (pp *pathPricer) Price(duals, x []float64) []model.Column {
 			}
 			u, v := req.G.Edge(lv)
 			hu, hv := b.Opts.FixedMapping[r][u], b.Opts.FixedMapping[r][v]
-			path, ok := shortestWeightedPath(sub.G, hu, hv, w)
+			path, ok := sub.G.ShortestWeightedPath(hu, hv, w)
 			if !ok {
 				continue
 			}
@@ -312,92 +310,4 @@ func (pp *pathPricer) Price(duals, x []float64) []model.Column {
 		}
 	}
 	return out
-}
-
-// shortestHopPath returns the fewest-hops directed path from src to dst as
-// an edge sequence (BFS, deterministic: neighbors expand in edge-index
-// order). ok is false when dst is unreachable.
-func shortestHopPath(g *graph.Digraph, src, dst int) ([]int, bool) {
-	if src == dst {
-		return nil, true
-	}
-	parentEdge := make([]int, g.N)
-	for i := range parentEdge {
-		parentEdge[i] = -1
-	}
-	queue := []int{src}
-	seen := make([]bool, g.N)
-	seen[src] = true
-	for len(queue) > 0 && !seen[dst] {
-		u := queue[0]
-		queue = queue[1:]
-		for _, e := range g.Out(u) {
-			_, v := g.Edge(int(e))
-			if seen[v] {
-				continue
-			}
-			seen[v] = true
-			parentEdge[v] = int(e)
-			queue = append(queue, v)
-		}
-	}
-	if !seen[dst] {
-		return nil, false
-	}
-	return tracePath(g, parentEdge, src, dst), true
-}
-
-// shortestWeightedPath returns the minimum-weight directed path from src to
-// dst under nonnegative edge weights w, as an edge sequence. Deterministic
-// Dijkstra: the unsettled node with the smallest distance wins, smallest
-// index on ties, and edges relax in index order with strict improvement —
-// the same duals always yield the same path. ok is false when dst is
-// unreachable.
-func shortestWeightedPath(g *graph.Digraph, src, dst int, w []float64) ([]int, bool) {
-	dist := make([]float64, g.N)
-	parentEdge := make([]int, g.N)
-	done := make([]bool, g.N)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		parentEdge[i] = -1
-	}
-	dist[src] = 0
-	for {
-		u, best := -1, math.Inf(1)
-		for i, d := range dist {
-			if !done[i] && d < best {
-				u, best = i, d
-			}
-		}
-		if u == -1 {
-			return nil, false
-		}
-		if u == dst {
-			return tracePath(g, parentEdge, src, dst), true
-		}
-		done[u] = true
-		for _, e := range g.Out(u) {
-			_, v := g.Edge(int(e))
-			if nd := dist[u] + w[e]; nd < dist[v] {
-				dist[v] = nd
-				parentEdge[v] = int(e)
-			}
-		}
-	}
-}
-
-// tracePath walks parent edges back from dst and returns the forward edge
-// sequence.
-func tracePath(g *graph.Digraph, parentEdge []int, src, dst int) []int {
-	var rev []int
-	for v := dst; v != src; {
-		e := parentEdge[v]
-		rev = append(rev, e)
-		u, _ := g.Edge(e)
-		v = u
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
 }

@@ -2,29 +2,21 @@ package sparselu
 
 import "math"
 
-// Extend returns the factorization of the bordered (m+k)×(m+k) basis
+// ExtendInto factorizes the bordered (m+k)×(m+k) basis
 //
 //	M = | B 0 |
 //	    | C D |
 //
-// where B is the basis represented by f (base LU plus its eta file), C holds
-// k border rows stated over B's basis positions, and D = diag(diag). This is
-// the cutting-plane hot-restart kernel: when rows are appended to a solved
-// LP, each new row's slack enters the basis, so the new basis is exactly M
-// and can be factorized by extension instead of from scratch. Hot callers
-// should hold a destination and Workspace and use ExtendInto instead.
-func (f *Factors) Extend(k int, borderIdx [][]int32, borderVal [][]float64, diag []float64) (*Factors, error) {
-	g := &Factors{}
-	if err := f.ExtendInto(g, NewWorkspace(), k, borderIdx, borderVal, diag); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// ExtendInto factorizes the bordered basis into dst (see Extend), reusing
-// dst's storage when capacity allows. dst must be distinct from f and must
-// not be shared with any other live Factors. The receiver is not modified
-// and shares nothing with the result.
+// into dst, where B is the basis represented by f (base LU plus its eta
+// file), C holds k border rows stated over B's basis positions, and
+// D = diag(diag). This is the cutting-plane hot-restart kernel: when rows are
+// appended to a solved LP, each new row's slack enters the basis, so the new
+// basis is exactly M and can be factorized by extension instead of from
+// scratch.
+//
+// dst's storage is reused when capacity allows. dst must be distinct from f
+// and must not be shared with any other live Factors. The receiver is not
+// modified and shares nothing with the result.
 //
 // Each appended column (position m+i) is a unit column pivotal in its own
 // appended row, so it contributes an empty elimination step with diagonal

@@ -75,6 +75,7 @@ func checkAgainst(t *testing.T, trial int, f *Factors, m int, colIdx [][]int32, 
 
 func TestExtendMatchesFreshFactorization(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	ws := NewWorkspace()
 	for trial := 0; trial < 40; trial++ {
 		m := 1 + rng.Intn(30)
 		k := 1 + rng.Intn(5)
@@ -89,8 +90,8 @@ func TestExtendMatchesFreshFactorization(t *testing.T) {
 			applyRandomUpdates(t, rng, f, m, colIdx, colVal, 4)
 		}
 		bIdx, bVal, diag := randBorder(rng, m, k)
-		g, err := f.Extend(k, bIdx, bVal, diag)
-		if err != nil {
+		g := &Factors{}
+		if err := f.ExtendInto(g, ws, k, bIdx, bVal, diag); err != nil {
 			t.Fatalf("trial %d: extend: %v", trial, err)
 		}
 		if g.M() != m+k {
@@ -105,8 +106,8 @@ func TestExtendMatchesFreshFactorization(t *testing.T) {
 
 		// And a second extension must stack on top of the first.
 		bIdx2, bVal2, diag2 := randBorder(rng, m+k, 2)
-		g2, err := g.Extend(2, bIdx2, bVal2, diag2)
-		if err != nil {
+		g2 := &Factors{}
+		if err := g.ExtendInto(g2, ws, 2, bIdx2, bVal2, diag2); err != nil {
 			t.Fatalf("trial %d: second extend: %v", trial, err)
 		}
 		fullIdx2, fullVal2 := borderedColumns(m+k, 2, fullIdx, fullVal, bIdx2, bVal2, diag2)
@@ -161,13 +162,13 @@ func TestExtendReceiverUnmodified(t *testing.T) {
 	f.Ftran(before)
 
 	bIdx, bVal, diag := randBorder(rng, m, 3)
-	if _, err := f.Extend(3, bIdx, bVal, diag); err != nil {
+	if err := f.ExtendInto(&Factors{}, NewWorkspace(), 3, bIdx, bVal, diag); err != nil {
 		t.Fatal(err)
 	}
 	after := append([]float64(nil), b...)
 	f.Ftran(after)
 	if d := maxDiff(before, after); d != 0 {
-		t.Fatalf("receiver solve changed by %v after Extend", d)
+		t.Fatalf("receiver solve changed by %v after ExtendInto", d)
 	}
 	if f.M() != m {
 		t.Fatalf("receiver dimension changed to %d", f.M())
@@ -181,7 +182,7 @@ func TestExtendZeroDiagSingular(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Extend(1, [][]int32{{0}}, [][]float64{{1}}, []float64{0}); err != ErrSingular {
+	if err := f.ExtendInto(&Factors{}, NewWorkspace(), 1, [][]int32{{0}}, [][]float64{{1}}, []float64{0}); err != ErrSingular {
 		t.Fatalf("err = %v, want ErrSingular", err)
 	}
 }
@@ -191,8 +192,8 @@ func TestExtendEmptyBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := f.Extend(2, [][]int32{nil, nil}, [][]float64{nil, nil}, []float64{-1, -1})
-	if err != nil {
+	g := &Factors{}
+	if err := f.ExtendInto(g, NewWorkspace(), 2, [][]int32{nil, nil}, [][]float64{nil, nil}, []float64{-1, -1}); err != nil {
 		t.Fatal(err)
 	}
 	v := []float64{3, -4}

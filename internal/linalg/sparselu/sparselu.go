@@ -26,8 +26,8 @@
 // copies a factorization into a destination's storage — the only way the LP
 // solver hands factors from one solve to another. Grown storage keeps
 // headroom, so a destination reused for slightly larger bases settles
-// instead of reallocating each time. The convenience wrappers Factorize and
-// Extend allocate fresh storage.
+// instead of reallocating each time. The convenience wrapper Factorize
+// allocates fresh storage.
 package sparselu
 
 import (

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"tvnep/internal/linalg"
 )
 
 // randBasis builds a random sparse nonsingular m×m basis in column form
@@ -28,12 +26,108 @@ func randBasis(rng *rand.Rand, m int, den float64) ([][]int32, [][]float64) {
 	return colIdx, colVal
 }
 
+// dense is a row-major dense matrix, the reference TestFtranBtranAgainstDense
+// checks the sparse factorization against.
+type dense struct {
+	n    int
+	data []float64 // data[i*n+j] = element (i,j)
+}
+
+func newDense(n int) *dense { return &dense{n: n, data: make([]float64, n*n)} }
+
+func (d *dense) set(i, j int, v float64) { d.data[i*d.n+j] = v }
+
+// denseLU is an LU factorization with partial pivoting, P·A = L·U, stored
+// packed (unit lower triangle implicit).
+type denseLU struct {
+	n   int
+	lu  []float64
+	piv []int // row i of PA is row piv[i] of A
+}
+
+// factorizeDense computes the LU decomposition of a; a is not modified.
+func factorizeDense(a *dense) (*denseLU, error) {
+	n := a.n
+	f := &denseLU{n: n, lu: append([]float64(nil), a.data...), piv: make([]int, n)}
+	for i := range f.piv {
+		f.piv[i] = i
+	}
+	lu := f.lu
+	for k := 0; k < n; k++ {
+		p, best := k, math.Abs(lu[k*n+k])
+		for i := k + 1; i < n; i++ {
+			if v := math.Abs(lu[i*n+k]); v > best {
+				p, best = i, v
+			}
+		}
+		if best < 1e-13 {
+			return nil, ErrSingular
+		}
+		if p != k {
+			for j := 0; j < n; j++ {
+				lu[k*n+j], lu[p*n+j] = lu[p*n+j], lu[k*n+j]
+			}
+			f.piv[k], f.piv[p] = f.piv[p], f.piv[k]
+		}
+		for i := k + 1; i < n; i++ {
+			m := lu[i*n+k] / lu[k*n+k]
+			lu[i*n+k] = m
+			for j := k + 1; j < n; j++ {
+				lu[i*n+j] -= m * lu[k*n+j]
+			}
+		}
+	}
+	return f, nil
+}
+
+// solve solves A·x = b.
+func (f *denseLU) solve(b, x []float64) {
+	n, lu := f.n, f.lu
+	for i := 0; i < n; i++ {
+		x[i] = b[f.piv[i]]
+	}
+	for i := 1; i < n; i++ {
+		for j := 0; j < i; j++ {
+			x[i] -= lu[i*n+j] * x[j]
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		for j := i + 1; j < n; j++ {
+			x[i] -= lu[i*n+j] * x[j]
+		}
+		x[i] /= lu[i*n+i]
+	}
+}
+
+func TestLUSolveKnown(t *testing.T) {
+	// 2x + y = 5 ; x + 3y = 10 → x = 1, y = 3
+	a := newDense(2)
+	copy(a.data, []float64{2, 1, 1, 3})
+	f, err := factorizeDense(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, 2)
+	f.solve([]float64{5, 10}, x)
+	if math.Abs(x[0]-1) > 1e-12 || math.Abs(x[1]-3) > 1e-12 {
+		t.Fatalf("solve = %v, want [1 3]", x)
+	}
+}
+
+func TestLUSingular(t *testing.T) {
+	a := newDense(2)
+	copy(a.data, []float64{1, 2, 2, 4})
+	if _, err := factorizeDense(a); err != ErrSingular {
+		t.Fatalf("factorizeDense singular = %v, want ErrSingular", err)
+	}
+}
+
 // toDense expands a column-form basis into a dense matrix.
-func toDense(m int, colIdx [][]int32, colVal [][]float64) *linalg.Dense {
-	d := linalg.NewDense(m, m)
+func toDense(m int, colIdx [][]int32, colVal [][]float64) *dense {
+	d := newDense(m)
 	for p := 0; p < m; p++ {
 		for k, r := range colIdx[p] {
-			d.Set(int(r), p, colVal[p][k])
+			d.set(int(r), p, colVal[p][k])
 		}
 	}
 	return d
@@ -59,7 +153,7 @@ func TestFtranBtranAgainstDense(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		dense := toDense(m, colIdx, colVal)
-		lu, err := linalg.Factorize(dense)
+		lu, err := factorizeDense(dense)
 		if err != nil {
 			t.Fatalf("trial %d dense: %v", trial, err)
 		}
@@ -73,7 +167,7 @@ func TestFtranBtranAgainstDense(t *testing.T) {
 		x := append([]float64(nil), b...)
 		f.Ftran(x)
 		want := make([]float64, m)
-		lu.Solve(b, want)
+		lu.solve(b, want)
 		if d := maxDiff(x, want); d > 1e-9 {
 			t.Fatalf("trial %d: ftran differs from dense by %v", trial, d)
 		}

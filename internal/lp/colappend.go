@@ -3,7 +3,6 @@ package lp
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Incremental columns: the column-generation interface, the column-side
@@ -36,38 +35,13 @@ func (inst *Instance) AppendColumn(idx []int32, val []float64, lb, ub, obj float
 		panic(fmt.Sprintf("lp: AppendColumn bounds lb %v > ub %v", lb, ub))
 	}
 	j := inst.n
-	// Canonicalize into a private, retained column copy: sorted by row,
-	// duplicates merged, zeros dropped.
-	type ent struct {
-		i int32
-		v float64
-	}
-	ents := make([]ent, 0, len(idx))
-	for k, i := range idx {
+	for _, i := range idx {
 		if int(i) < 0 || int(i) >= inst.m {
 			panic(fmt.Sprintf("lp: AppendColumn row %d out of range [0, %d)", i, inst.m))
 		}
-		ents = append(ents, ent{i, val[k]})
 	}
-	sort.Slice(ents, func(a, b int) bool { return ents[a].i < ents[b].i })
-	colIdx := make([]int32, 0, len(ents))
-	colVal := make([]float64, 0, len(ents))
-	for _, e := range ents {
-		if n := len(colIdx); n > 0 && colIdx[n-1] == e.i {
-			colVal[n-1] += e.v
-			continue
-		}
-		colIdx = append(colIdx, e.i)
-		colVal = append(colVal, e.v)
-	}
-	w := 0
-	for k := range colIdx {
-		if colVal[k] != 0 {
-			colIdx[w], colVal[w] = colIdx[k], colVal[k]
-			w++
-		}
-	}
-	colIdx, colVal = colIdx[:w], colVal[:w]
+	// A private, retained column copy in canonical form.
+	colIdx, colVal := Canonical(idx, val)
 
 	// Equilibrate the stored column like the compiled ones. Scaling was fixed
 	// at compile time; an unscaled instance stays unscaled (column scale 1).
@@ -173,9 +147,7 @@ func (inst *Instance) appendedColScale(idx []int32, val []float64) float64 {
 // columns enter nonbasic at their natural bound and the slack/artificial
 // status block shifts up around them. The basic set — and therefore the
 // basis matrix and any handed-off LU factors — is unchanged, so adoptBasis
-// reuses Options.WarmFactors verbatim; no bordered extension is needed
-// (sparselu.ExtendColumn serves the matched row/column-pair shape, which
-// plain column appends never produce).
+// reuses Options.WarmFactors verbatim; no bordered extension is needed.
 func (inst *Instance) extendWarmStartCols(b *Basis, nOld int) *Basis {
 	n := inst.n
 	mOld := len(b.Basic)

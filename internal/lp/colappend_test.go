@@ -85,7 +85,6 @@ func TestAppendColumnHotRestart(t *testing.T) {
 		}
 		full := fullWithColumns(p, idxs, vals, lbs, ubs, objs)
 
-		ext0 := DebugColumnExtensions.Load()
 		warm := inst.Solve(&Options{WarmBasis: res.Basis, WarmFactors: res.Factors})
 		inst.CaptureFactors(&warm, nil)
 		cold := Solve(full, nil)
@@ -102,9 +101,6 @@ func TestAppendColumnHotRestart(t *testing.T) {
 		if !warm.WarmUsed || !warm.ColumnsRemapped {
 			t.Fatalf("trial %d: warm provenance not stamped: used=%v remapped=%v",
 				trial, warm.WarmUsed, warm.ColumnsRemapped)
-		}
-		if DebugColumnExtensions.Load() == ext0 {
-			t.Fatalf("trial %d: hot restart did not take the column-remap path", trial)
 		}
 
 		// A second round on top of the first must chain (basis and factors

@@ -2,7 +2,6 @@ package lp
 
 import (
 	"fmt"
-	"sort"
 
 	"tvnep/internal/linalg/sparselu"
 )
@@ -34,39 +33,13 @@ func (inst *Instance) AppendRow(idx []int32, val []float64, rlb, rub float64) in
 		panic(fmt.Sprintf("lp: AppendRow bounds lb %v > ub %v", rlb, rub))
 	}
 	r := inst.m
-	// Canonicalize into a private, retained row copy: sorted by column,
-	// duplicates merged, zeros dropped.
-	type ent struct {
-		j int32
-		v float64
-	}
-	ents := make([]ent, 0, len(idx))
-	for k, j := range idx {
+	for _, j := range idx {
 		if int(j) < 0 || int(j) >= inst.n {
 			panic(fmt.Sprintf("lp: AppendRow column %d out of range [0, %d)", j, inst.n))
 		}
-		ents = append(ents, ent{j, val[k]})
 	}
-	sort.Slice(ents, func(a, b int) bool { return ents[a].j < ents[b].j })
-	rowIdx := make([]int32, 0, len(ents))
-	rowVal := make([]float64, 0, len(ents))
-	for _, e := range ents {
-		if n := len(rowIdx); n > 0 && rowIdx[n-1] == e.j {
-			rowVal[n-1] += e.v
-			continue
-		}
-		rowIdx = append(rowIdx, e.j)
-		rowVal = append(rowVal, e.v)
-	}
-	// Drop entries that merged to zero.
-	w := 0
-	for k := range rowIdx {
-		if rowVal[k] != 0 {
-			rowIdx[w], rowVal[w] = rowIdx[k], rowVal[k]
-			w++
-		}
-	}
-	rowIdx, rowVal = rowIdx[:w], rowVal[:w]
+	// A private, retained row copy in canonical form.
+	rowIdx, rowVal := Canonical(idx, val)
 
 	// Equilibrate the stored row like the compiled ones. Scaling was fixed
 	// at compile time; an unscaled instance stays unscaled (row scale 1).

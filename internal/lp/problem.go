@@ -240,7 +240,7 @@ type Result struct {
 	WarmUsed bool
 	// BasisExtended reports that the warm start adopted a basis predating
 	// rows appended with AppendRow AND extended its LU factors with a
-	// bordered block (sparselu.Extend) instead of refactorizing — the
+	// bordered block (sparselu.ExtendInto) instead of refactorizing — the
 	// cutting-plane/admission hot-restart fast path.
 	BasisExtended bool
 	// ColumnsRemapped reports that the warm start adopted a basis predating

@@ -820,16 +820,6 @@ func (s *solver) adoptBasis(b *Basis) bool {
 	return true
 }
 
-// objValue returns the current phase-2 objective (minimization form, no
-// offset). Scaled costs times scaled values give original-unit terms.
-func (s *solver) objValue() float64 {
-	obj := 0.0
-	for j := 0; j < s.inst.n; j++ {
-		obj += s.real[j] * s.colValue(j)
-	}
-	return obj
-}
-
 // interrupted reports whether the solve should stop: its deadline has
 // passed or its context has been cancelled.
 func (s *solver) interrupted() bool {

@@ -58,11 +58,6 @@ var (
 	// rows and whose LU factors were extended with a bordered block instead
 	// of refactorized (the lazy-cut hot-restart path).
 	DebugBasisExtensions atomic.Int64
-	// DebugColumnExtensions counts warm starts whose basis predated columns
-	// appended with AppendColumn and was remapped onto the widened column
-	// space with the old factorization reused (the column-generation
-	// hot-restart path).
-	DebugColumnExtensions atomic.Int64
 )
 
 // solveWarm attempts a dual-simplex warm start. The boolean result reports
@@ -105,9 +100,6 @@ func (inst *Instance) solveWarm(o Options) (res Result, iters int, ok bool) {
 		return Result{}, 0, false
 	}
 	DebugWarmOK.Add(1)
-	if remapped {
-		DebugColumnExtensions.Add(1)
-	}
 	// warmResult stamps the per-solve warm-start provenance onto a
 	// successful result; see Result.WarmUsed/BasisExtended/ColumnsRemapped.
 	warmResult := func(st Status) Result {

@@ -86,43 +86,6 @@ func (o *op) key() string {
 	return string(buf)
 }
 
-// canonical returns a copy of the sparse vector sorted by index, with
-// duplicate entries merged and exact-zero coefficients dropped — the
-// canonical form lp.AppendRow and lp.AppendColumn store, so that the pool
-// key and the appended vector agree.
-func canonical(idx []int32, val []float64) ([]int32, []float64) {
-	v := &sparseByIdx{idx: append([]int32(nil), idx...), val: append([]float64(nil), val...)}
-	sort.Sort(v)
-	var outIdx []int32
-	var outVal []float64
-	for k := 0; k < len(v.idx); {
-		j, s := v.idx[k], v.val[k]
-		k++
-		for k < len(v.idx) && v.idx[k] == j {
-			s += v.val[k]
-			k++
-		}
-		if s == 0 {
-			continue
-		}
-		outIdx = append(outIdx, j)
-		outVal = append(outVal, s)
-	}
-	return outIdx, outVal
-}
-
-type sparseByIdx struct {
-	idx []int32
-	val []float64
-}
-
-func (r *sparseByIdx) Len() int           { return len(r.idx) }
-func (r *sparseByIdx) Less(i, j int) bool { return r.idx[i] < r.idx[j] }
-func (r *sparseByIdx) Swap(i, j int) {
-	r.idx[i], r.idx[j] = r.idx[j], r.idx[i]
-	r.val[i], r.val[j] = r.val[j], r.val[i]
-}
-
 // pooled is one pooled op plus its selection and eviction bookkeeping.
 type pooled struct {
 	op  op
@@ -174,7 +137,7 @@ func (p *pool) offer(o op, limit int) {
 	if o.lb > o.ub {
 		panic(fmt.Sprintf("mip: %s %q bounds %v > %v", what, o.name, o.lb, o.ub))
 	}
-	o.idx, o.val = canonical(o.idx, o.val)
+	o.idx, o.val = lp.Canonical(o.idx, o.val)
 	if len(o.idx) == 0 {
 		return // canonicalizes to nothing: no row to separate, no column to price
 	}

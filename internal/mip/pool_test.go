@@ -350,7 +350,7 @@ type onePatternPricer struct {
 func newOnePatternPricer(lazy []Column) *onePatternPricer {
 	pp := &onePatternPricer{done: make([]bool, len(lazy))}
 	for _, c := range lazy {
-		c.Idx, c.Val = canonical(c.Idx, c.Val)
+		c.Idx, c.Val = lp.Canonical(c.Idx, c.Val)
 		pp.cols = append(pp.cols, c)
 	}
 	return pp

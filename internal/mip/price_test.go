@@ -151,7 +151,7 @@ func TestPricingMatchesStaticSolve(t *testing.T) {
 		known := map[string]bool{}
 		for _, c := range lazy {
 			o := colOp(c)
-			if o.idx, o.val = canonical(o.idx, o.val); len(o.idx) > 0 {
+			if o.idx, o.val = lp.Canonical(o.idx, o.val); len(o.idx) > 0 {
 				known[o.key()] = true
 			}
 		}

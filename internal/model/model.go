@@ -376,9 +376,6 @@ func (m *Model) OptimizeFrom(ctx context.Context, opts *SolveOptions, inst *lp.I
 	}
 }
 
-// IsInteger reports whether v is an integer (incl. binary) variable.
-func (m *Model) IsInteger(v Var) bool { return m.integer[v.idx] }
-
 // IntegerMask returns the per-column integrality markers (shared slice;
 // treat as read-only). Index it with Var.Index. It exists for callers that
 // drive the raw LP of the model themselves — the admission engine's LP fast

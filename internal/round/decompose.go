@@ -109,11 +109,17 @@ func decomposeRequest(b *core.Built, rel *model.Solution, r int) reqCand {
 		}
 		paths := stripPaths(sub.G, raw, src, dst)
 		if len(paths) == 0 {
-			if edges := bfsPath(sub.G, src, dst); edges != nil {
-				paths = []pathCand{{edges: edges, w: 1}}
-			} else {
+			// The LP flow is too noisy to walk: fall back to a hop-shortest
+			// path.
+			hop, ok := sub.G.ShortestHopPath(src, dst)
+			if !ok {
 				return c // substrate cannot connect the pinned hosts
 			}
+			edges := make([]int32, len(hop))
+			for i, e := range hop {
+				edges[i] = int32(e)
+			}
+			paths = []pathCand{{edges: edges, w: 1}}
 		}
 		// Renormalize so the path weights sum to exactly one; the re-mixed
 		// flow then satisfies unit conservation to machine precision
@@ -225,49 +231,6 @@ func stripPaths(g *graph.Digraph, flow []float64, src, dst int) []pathCand {
 			}
 		}
 	}
-}
-
-// bfsPath returns a hop-shortest src→dst edge path (deterministic: BFS in
-// edge-index order), or nil when dst is unreachable. It backstops the
-// greedy stripping when the LP flow is too noisy to walk.
-func bfsPath(g *graph.Digraph, src, dst int) []int32 {
-	parentEdge := make([]int32, g.N)
-	for i := range parentEdge {
-		parentEdge[i] = -1
-	}
-	visited := make([]bool, g.N)
-	visited[src] = true
-	queue := []int{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		if u == dst {
-			break
-		}
-		for _, e := range g.Out(u) {
-			_, v := g.Edge(int(e))
-			if !visited[v] {
-				visited[v] = true
-				parentEdge[v] = e
-				queue = append(queue, v)
-			}
-		}
-	}
-	if !visited[dst] {
-		return nil
-	}
-	var rev []int32
-	for u := dst; u != src; {
-		e := parentEdge[u]
-		rev = append(rev, e)
-		from, _ := g.Edge(int(e))
-		u = from
-	}
-	edges := make([]int32, len(rev))
-	for i := range rev {
-		edges[i] = rev[len(rev)-1-i]
-	}
-	return edges
 }
 
 func clamp(x, lo, hi float64) float64 {
