@@ -285,9 +285,9 @@ func TestMutationsRejected(t *testing.T) {
 func smallLP() *lp.Problem {
 	p := lp.NewProblem()
 	p.Sense = lp.Maximize
-	x := p.AddCol(3, 0, 2, "x")
-	y := p.AddCol(2, 0, 3, "y")
-	p.AddLE([]int32{int32(x), int32(y)}, []float64{1, 1}, 4, "cap")
+	x := p.AddCol(3, 0, 2)
+	y := p.AddCol(2, 0, 3)
+	p.AddLE([]int32{int32(x), int32(y)}, []float64{1, 1}, 4)
 	return p
 }
 

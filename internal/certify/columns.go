@@ -7,7 +7,7 @@ package certify
 // contiguous simple directed substrate path between the pinned endpoint
 // hosts, and (c) carry exactly the LP coefficients that path implies. The
 // expected coefficients are re-derived here from the dependency graph and
-// the compiled row names — independently of the link-use registry the
+// the compiled row keys — independently of the link-use registry the
 // builder and pricer share — so a registry corrupted at build time cannot
 // vouch for the columns it produced.
 
@@ -16,7 +16,6 @@ import (
 
 	"tvnep/internal/core"
 	"tvnep/internal/depgraph"
-	"tvnep/internal/lp"
 	"tvnep/internal/model"
 )
 
@@ -51,97 +50,112 @@ func Columns(b *core.Built, ms *model.Solution) *Report {
 			b.Kind, b.Opts.FlowMode)
 		return rep
 	}
-	rows := rowIndexByName(b.Model.LP())
+	rows := rowIndexByKey(b.Model)
 	oracle := newActivityOracle(b)
-	for _, c := range ms.AppliedColumns {
-		checkColumn(rep, b, rows, oracle, c)
+	for k, c := range ms.AppliedColumns {
+		checkColumn(rep, b, rows, oracle, k, c)
 	}
 	return rep
 }
 
-func checkColumn(rep *Report, b *core.Built, rows map[string]int, oracle *activityOracle, c model.Column) {
+// colLabel names an applied column in messages: by its path tag (r, lv,
+// links), or by its position in AppliedColumns when it carries none.
+type colLabel struct {
+	k int
+	c model.Column
+}
+
+func (l colLabel) String() string {
+	if r, lv, links, ok := core.PathTagInfo(l.c); ok {
+		return fmt.Sprintf("column (%d, %d, %v)", r, lv, links)
+	}
+	return fmt.Sprintf("column %d", l.k)
+}
+
+func checkColumn(rep *Report, b *core.Built, rows map[model.Key]int, oracle *activityOracle, k int, c model.Column) {
+	name := colLabel{k: k, c: c}
 	if len(c.Idx) != len(c.Val) || len(c.Idx) == 0 {
-		rep.addf(ColShape, -1, "column %q: %d indices, %d values", c.Name, len(c.Idx), len(c.Val))
+		rep.addf(ColShape, -1, "%v: %d indices, %d values", name, len(c.Idx), len(c.Val))
 		return
 	}
 	nRows := b.Model.NumConstrs()
 	for _, i := range c.Idx {
 		if int(i) < 0 || int(i) >= nRows {
-			rep.addf(ColShape, -1, "column %q: row %d outside model with %d rows", c.Name, i, nRows)
+			rep.addf(ColShape, -1, "%v: row %d outside model with %d rows", name, i, nRows)
 			return
 		}
 	}
 	//lint:allow floateq -- path-weight bounds are the exact literals 0 and 1 the builder emits; any drift is the violation
 	if c.LB != 0 || c.UB != 1 || c.Obj != 0 {
-		rep.addf(ColShape, -1, "column %q: bounds [%v, %v] obj %v, want [0, 1] obj 0",
-			c.Name, c.LB, c.UB, c.Obj)
+		rep.addf(ColShape, -1, "%v: bounds [%v, %v] obj %v, want [0, 1] obj 0",
+			name, c.LB, c.UB, c.Obj)
 	}
 
 	r, lv, links, ok := core.PathTagInfo(c)
 	if !ok {
-		rep.addf(ColTag, -1, "column %q carries no path tag", c.Name)
+		rep.addf(ColTag, -1, "%v carries no path tag", name)
 		return
 	}
 	if r < 0 || r >= len(b.Inst.Reqs) {
-		rep.addf(ColTag, -1, "column %q: request %d outside instance with %d requests", c.Name, r, len(b.Inst.Reqs))
+		rep.addf(ColTag, -1, "%v: request %d outside instance with %d requests", name, r, len(b.Inst.Reqs))
 		return
 	}
 	req := b.Inst.Reqs[r]
 	if lv < 0 || lv >= req.G.NumEdges() {
-		rep.addf(ColTag, r, "column %q: virtual link %d outside request with %d links", c.Name, lv, req.G.NumEdges())
+		rep.addf(ColTag, r, "%v: virtual link %d outside request with %d links", name, lv, req.G.NumEdges())
 		return
 	}
 	u, v := req.G.Edge(lv)
 	hu, hv := b.Opts.FixedMapping[r][u], b.Opts.FixedMapping[r][v]
 	if hu == hv {
-		rep.addf(ColPath, r, "column %q serves virtual link %d whose endpoints share host %d — no path column should exist",
-			c.Name, lv, hu)
+		rep.addf(ColPath, r, "%v serves virtual link %d whose endpoints share host %d — no path column should exist",
+			name, lv, hu)
 		return
 	}
-	if !checkSimplePath(rep, b, c.Name, r, links, hu, hv) {
+	if !checkSimplePath(rep, b, name, r, links, hu, hv) {
 		return
 	}
 
-	wantIdx, wantVal, ok := expectedPathColumn(rep, b, rows, oracle, c.Name, r, lv, links)
+	wantIdx, wantVal, ok := expectedPathColumn(rep, b, rows, oracle, name, r, lv, links)
 	if !ok {
 		return
 	}
 	if cutRowKey(wantIdx, wantVal, 0, 0) != cutRowKey(c.Idx, c.Val, 0, 0) {
 		rep.addf(ColCoef, r,
-			"column %q: coefficients disagree with path %v (got %d terms %v@%v, expected %d terms %v@%v)",
-			c.Name, links, len(c.Idx), c.Idx, c.Val, len(wantIdx), wantIdx, wantVal)
+			"%v: coefficients disagree with path %v (got %d terms %v@%v, expected %d terms %v@%v)",
+			name, links, len(c.Idx), c.Idx, c.Val, len(wantIdx), wantIdx, wantVal)
 	}
 }
 
 // checkSimplePath verifies links is a contiguous directed walk from hu to hv
 // over the substrate graph visiting no substrate node twice.
-func checkSimplePath(rep *Report, b *core.Built, name string, r int, links []int, hu, hv int) bool {
+func checkSimplePath(rep *Report, b *core.Built, name colLabel, r int, links []int, hu, hv int) bool {
 	g := b.Inst.Sub.G
 	if len(links) == 0 {
-		rep.addf(ColPath, r, "column %q: empty path between distinct hosts %d and %d", name, hu, hv)
+		rep.addf(ColPath, r, "%v: empty path between distinct hosts %d and %d", name, hu, hv)
 		return false
 	}
 	seen := map[int]bool{hu: true}
 	at := hu
 	for _, e := range links {
 		if e < 0 || e >= g.NumEdges() {
-			rep.addf(ColPath, r, "column %q: link %d outside substrate with %d links", name, e, g.NumEdges())
+			rep.addf(ColPath, r, "%v: link %d outside substrate with %d links", name, e, g.NumEdges())
 			return false
 		}
 		eu, ev := g.Edge(e)
 		if eu != at {
-			rep.addf(ColPath, r, "column %q: path %v breaks at link %d (tail %d, walker at %d)", name, links, e, eu, at)
+			rep.addf(ColPath, r, "%v: path %v breaks at link %d (tail %d, walker at %d)", name, links, e, eu, at)
 			return false
 		}
 		if seen[ev] {
-			rep.addf(ColPath, r, "column %q: path %v revisits substrate node %d", name, links, ev)
+			rep.addf(ColPath, r, "%v: path %v revisits substrate node %d", name, links, ev)
 			return false
 		}
 		seen[ev] = true
 		at = ev
 	}
 	if at != hv {
-		rep.addf(ColPath, r, "column %q: path %v ends at %d, want host %d", name, links, at, hv)
+		rep.addf(ColPath, r, "%v: path %v ends at %d, want host %d", name, links, at, hv)
 		return false
 	}
 	return true
@@ -153,54 +167,38 @@ func checkSimplePath(rep *Report, b *core.Built, name string, r int, links []int
 // Always-state capacity rows, per the Section IV-C presolve), and the unit
 // flow-count coefficients on the DisableLinks activity rows. Activity comes
 // from a fresh dependency-graph analysis, not from the builder's registry.
-func expectedPathColumn(rep *Report, b *core.Built, rows map[string]int, oracle *activityOracle, name string, r, lv int, links []int) ([]int32, []float64, bool) {
-	conv, ok := rows[fmt.Sprintf("conv[%d][%d]", r, lv)]
-	if !ok {
-		rep.addf(ColCoef, r, "column %q: model has no convexity row conv[%d][%d]", name, r, lv)
-		return nil, nil, false
+func expectedPathColumn(rep *Report, b *core.Built, rows map[model.Key]int, oracle *activityOracle, name colLabel, r, lv int, links []int) ([]int32, []float64, bool) {
+	var idx []int32
+	var val []float64
+	ok := true
+	// add puts coef on the row under key; a missing row is a violation.
+	add := func(key model.Key, coef float64) {
+		row, found := rows[key]
+		if !found {
+			rep.addf(ColCoef, r, "%v: model has no row %v for its path", name, key)
+			ok = false
+			return
+		}
+		idx, val = append(idx, int32(row)), append(val, coef)
 	}
-	idx := []int32{int32(conv)}
-	val := []float64{1}
+	add(model.Key2(core.FamConv, r, lv), 1)
 	k := len(b.Inst.Reqs)
 	numNodes := b.Inst.Sub.NumNodes()
 	d := b.Inst.Reqs[r].LinkDemand[lv]
 	for _, ls := range links {
-		if d > 0 {
-			rsc := numNodes + ls
-			for n := 1; n <= k; n++ {
-				switch oracle.at(r, n) {
-				case depgraph.Maybe:
-					row, ok := rows[fmt.Sprintf("state[%d][%d][%d]", r, n, rsc)]
-					if !ok {
-						rep.addf(ColCoef, r, "column %q: no state row state[%d][%d][%d] for traversed link %d",
-							name, r, n, rsc, ls)
-						return nil, nil, false
-					}
-					idx = append(idx, int32(row))
-					val = append(val, -d)
-				case depgraph.Always:
-					row, ok := rows[fmt.Sprintf("cap[%d][%d]", n, rsc)]
-					if !ok {
-						rep.addf(ColCoef, r, "column %q: no capacity row cap[%d][%d] for traversed link %d",
-							name, n, rsc, ls)
-						return nil, nil, false
-					}
-					idx = append(idx, int32(row))
-					val = append(val, d)
-				}
+		for n := 1; d > 0 && n <= k; n++ {
+			switch oracle.at(r, n) {
+			case depgraph.Maybe:
+				add(model.Key3(core.FamState, r, n, numNodes+ls), -d)
+			case depgraph.Always:
+				add(model.Key2(core.FamCap, n, numNodes+ls), d)
 			}
 		}
 		if b.Opts.Objective == core.DisableLinks {
-			row, ok := rows[fmt.Sprintf("dis[%d]", ls)]
-			if !ok {
-				rep.addf(ColCoef, r, "column %q: no activity row dis[%d] for traversed link %d", name, ls, ls)
-				return nil, nil, false
-			}
-			idx = append(idx, int32(row))
-			val = append(val, 1)
+			add(model.Key1(core.FamDis, ls), 1)
 		}
 	}
-	return idx, val, true
+	return idx, val, ok
 }
 
 // activityOracle replays the cΣ builder's request-activity analysis from the
@@ -233,11 +231,11 @@ func (o *activityOracle) at(r, n int) depgraph.Activity {
 	return o.dg.ActivityAt(r, n)
 }
 
-// rowIndexByName inverts the compiled problem's row names.
-func rowIndexByName(p *lp.Problem) map[string]int {
-	rows := make(map[string]int, len(p.RowName))
-	for i, name := range p.RowName {
-		rows[name] = i
+// rowIndexByKey inverts the compiled model's row keys.
+func rowIndexByKey(m *model.Model) map[model.Key]int {
+	rows := make(map[model.Key]int, m.NumConstrs())
+	for i := 0; i < m.NumConstrs(); i++ {
+		rows[m.RowKey(i)] = i
 	}
 	return rows
 }

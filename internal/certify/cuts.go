@@ -12,12 +12,11 @@ package certify
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
-	"sort"
 
 	"tvnep/internal/core"
 	"tvnep/internal/depgraph"
+	"tvnep/internal/lp"
 	"tvnep/internal/model"
 )
 
@@ -55,25 +54,23 @@ func Cuts(b *core.Built, ms *model.Solution) *Report {
 	known := precFamily(b)
 	x := ms.X()
 	n := b.Model.NumVars()
-	for _, c := range ms.AppliedCuts {
+	for k, c := range ms.AppliedCuts {
 		if len(c.Idx) != len(c.Val) || len(c.Idx) == 0 {
-			rep.addf(CutShape, -1, "cut %q: %d indices, %d values", c.Name, len(c.Idx), len(c.Val))
+			rep.addf(CutShape, -1, "cut %d: %d indices, %d values", k, len(c.Idx), len(c.Val))
 			continue
 		}
 		bad := false
 		for _, j := range c.Idx {
 			if int(j) < 0 || int(j) >= n {
-				rep.addf(CutShape, -1, "cut %q: column %d outside model with %d variables", c.Name, j, n)
+				rep.addf(CutShape, -1, "cut %d: column %d outside model with %d variables", k, j, n)
 				bad = true
 			}
 		}
 		if bad {
 			continue
 		}
-		if name, ok := known[cutRowKey(c.Idx, c.Val, c.LB, c.UB)]; !ok {
-			rep.addf(CutUnknown, -1, "cut %q is not in the dependency-graph precedence family", c.Name)
-		} else if name != c.Name {
-			rep.addf(CutUnknown, -1, "cut %q matches family row %q under a different name", c.Name, name)
+		if !known[cutRowKey(c.Idx, c.Val, c.LB, c.UB)] {
+			rep.addf(CutUnknown, -1, "cut %d is not in the dependency-graph precedence family", k)
 		}
 		if x == nil {
 			continue
@@ -84,7 +81,7 @@ func Cuts(b *core.Built, ms *model.Solution) *Report {
 		}
 		if act > c.UB+cutRowTol || act < c.LB-cutRowTol {
 			rep.addf(CutExcludesFeasible, -1,
-				"cut %q: incumbent activity %v outside [%v, %v]", c.Name, act, c.LB, c.UB)
+				"cut %d: incumbent activity %v outside [%v, %v]", k, act, c.LB, c.UB)
 		}
 	}
 	return rep
@@ -92,11 +89,11 @@ func Cuts(b *core.Built, ms *model.Solution) *Report {
 
 // precFamily independently re-enumerates the Constraint-(20) rows from the
 // dependency graph: for every positive-distance precedence (V, W, gap) and
-// event index i in W's window, Σ_{j≤i} χ_W − Σ_{j≤i−gap} χ_V ≤ 0. Keys are
-// canonical row encodings, values the row names core assigns.
-func precFamily(b *core.Built) map[string]string {
+// event index i in W's window, Σ_{j≤i} χ_W − Σ_{j≤i−gap} χ_V ≤ 0, as a set
+// of canonical row encodings.
+func precFamily(b *core.Built) map[string]bool {
 	dg := depgraph.Build(b.Inst.Reqs)
-	fam := make(map[string]string)
+	fam := make(map[string]bool)
 	for _, pr := range dg.Precedences() {
 		chiV, winV := chiSide(b, dg, pr.V)
 		chiW, winW := chiSide(b, dg, pr.W)
@@ -122,15 +119,11 @@ func precFamily(b *core.Built) map[string]string {
 					val = append(val, -1)
 				}
 			}
-			name := precName(pr.V, pr.W, i)
-			fam[cutRowKey(idx, val, math.Inf(-1), 0)] = name
+			fam[cutRowKey(idx, val, math.Inf(-1), 0)] = true
 		}
 	}
 	return fam
 }
-
-// precName mirrors the row naming of internal/core's shared enumeration.
-func precName(v, w, i int) string { return fmt.Sprintf("prec[%d][%d][%d]", v, w, i) }
 
 // chiSide selects the χ variable row and event window for one dependency
 // node (start or end side of its request).
@@ -142,41 +135,17 @@ func chiSide(b *core.Built, dg *depgraph.Graph, node int) ([]model.Var, depgraph
 	return b.ChiMinus[r], dg.EndWindow[r]
 }
 
-// cutRowKey canonicalizes a row (sort by column, merge duplicates, drop
-// exact zeros) and encodes it into a collision-free string key, so rows
-// compare structurally regardless of term order.
+// cutRowKey canonicalizes a row (lp.Canonical: sorted by column, duplicates
+// merged, exact zeros dropped) and encodes it into a collision-free string
+// key, so rows compare structurally regardless of term order.
 func cutRowKey(idx []int32, val []float64, lb, ub float64) string {
-	type term struct {
-		col  int32
-		coef float64
+	idx, val = lp.Canonical(idx, val)
+	buf := make([]byte, 0, 12*len(idx)+16)
+	for k, j := range idx {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(j))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(val[k]))
 	}
-	terms := make([]term, len(idx))
-	for k := range idx {
-		terms[k] = term{idx[k], val[k]}
-	}
-	sort.Slice(terms, func(a, b int) bool { return terms[a].col < terms[b].col })
-	merged := terms[:0]
-	for _, t := range terms {
-		if len(merged) > 0 && merged[len(merged)-1].col == t.col {
-			merged[len(merged)-1].coef += t.coef
-			continue
-		}
-		merged = append(merged, t)
-	}
-	buf := make([]byte, 0, 12*len(merged)+16)
-	var w [8]byte
-	for _, t := range merged {
-		if t.coef == 0 {
-			continue
-		}
-		binary.LittleEndian.PutUint32(w[:4], uint32(t.col))
-		buf = append(buf, w[:4]...)
-		binary.LittleEndian.PutUint64(w[:], math.Float64bits(t.coef))
-		buf = append(buf, w[:]...)
-	}
-	binary.LittleEndian.PutUint64(w[:], math.Float64bits(lb))
-	buf = append(buf, w[:]...)
-	binary.LittleEndian.PutUint64(w[:], math.Float64bits(ub))
-	buf = append(buf, w[:]...)
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(lb))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(ub))
 	return string(buf)
 }

@@ -78,18 +78,9 @@ func TestCutsCertificateMutations(t *testing.T) {
 	t.Run("foreign row", func(t *testing.T) {
 		c := clone(base[0])
 		c.Val[0] *= 2 // no family member scales a χ prefix coefficient
-		c.Name = "forged"
 		rep := Cuts(b, mutate(append(append([]model.Cut(nil), base...), c)))
 		if !rep.Has(CutUnknown) {
 			t.Fatalf("forged row not flagged: %v", rep.Violations)
-		}
-	})
-	t.Run("renamed row", func(t *testing.T) {
-		c := clone(base[0])
-		c.Name = "prec[0][0][0]"
-		rep := Cuts(b, mutate([]model.Cut{c}))
-		if !rep.Has(CutUnknown) {
-			t.Fatalf("renamed row not flagged: %v", rep.Violations)
 		}
 	})
 	t.Run("excludes feasible", func(t *testing.T) {

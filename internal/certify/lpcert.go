@@ -104,7 +104,7 @@ func LP(p *lp.Problem, res lp.Result, tol float64) *LPCertificate {
 			cert.PrimalResidual = r
 		}
 		if math.Max(p.RowLB[i]-a, a-p.RowUB[i]) > tol*(1+math.Abs(a)) {
-			cert.addf(LPRowResidual, -1, "row %q: activity %v outside [%v, %v]", p.RowName[i], a, p.RowLB[i], p.RowUB[i])
+			cert.addf(LPRowResidual, -1, "row %d: activity %v outside [%v, %v]", i, a, p.RowLB[i], p.RowUB[i])
 		}
 	}
 
@@ -115,7 +115,7 @@ func LP(p *lp.Problem, res lp.Result, tol float64) *LPCertificate {
 			cert.BoundResidual = r
 		}
 		if math.Max(p.ColLB[j]-x, x-p.ColUB[j]) > tol*(1+math.Abs(x)) {
-			cert.addf(LPBound, -1, "column %q: value %v outside [%v, %v]", p.ColName[j], x, p.ColLB[j], p.ColUB[j])
+			cert.addf(LPBound, -1, "column %d: value %v outside [%v, %v]", j, x, p.ColLB[j], p.ColUB[j])
 		}
 	}
 
@@ -137,8 +137,8 @@ func LP(p *lp.Problem, res lp.Result, tol float64) *LPCertificate {
 			cert.DualResidual = viol
 		}
 		if viol > tol*(1+math.Abs(cmin[j])) {
-			cert.addf(LPDualSign, -1, "column %q: reduced cost %v inconsistent with at-bound status (atLB=%v atUB=%v)",
-				p.ColName[j], d[j], atLB, atUB)
+			cert.addf(LPDualSign, -1, "column %d: reduced cost %v inconsistent with at-bound status (atLB=%v atUB=%v)",
+				j, d[j], atLB, atUB)
 		}
 	}
 	// Row duals against the activity's at-bound status. The slack of row i
@@ -156,8 +156,8 @@ func LP(p *lp.Problem, res lp.Result, tol float64) *LPCertificate {
 			cert.DualResidual = viol
 		}
 		if viol > tol*(1+math.Abs(ymin[i])) {
-			cert.addf(LPDualSign, -1, "row %q: dual %v inconsistent with at-bound status (atLB=%v atUB=%v)",
-				p.RowName[i], ymin[i], atLB, atUB)
+			cert.addf(LPDualSign, -1, "row %d: dual %v inconsistent with at-bound status (atLB=%v atUB=%v)",
+				i, ymin[i], atLB, atUB)
 		}
 	}
 

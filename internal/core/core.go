@@ -246,6 +246,16 @@ func (o BuildOptions) loadFraction() float64 {
 	return o.LoadFraction
 }
 
+// Row families that internal/certify looks up by model.Key: the FlowPath
+// convexity rows conv[r][lv], the cΣ state rows state[r][n][rsc] and
+// capacity rows cap[n][rsc], and the DisableLinks activity rows dis[ls].
+const (
+	FamConv  = "conv"
+	FamState = "state"
+	FamCap   = "cap"
+	FamDis   = "dis"
+)
+
 // Built is a compiled formulation with its variable handles, ready to solve
 // (or to receive a custom objective, as the greedy algorithm does).
 type Built struct {

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math"
-	"strings"
 	"testing"
 
 	"tvnep/internal/model"
@@ -143,8 +142,8 @@ func TestVariableHandlesExposed(t *testing.T) {
 	if len(b.TEvent) != 4 { // |R|+1 events, 1-based with unused slot 0
 		t.Fatalf("TEvent len %d, want 4", len(b.TEvent))
 	}
-	if !strings.Contains(b.XR[0].Name(), "xR") {
-		t.Fatalf("unexpected variable name %q", b.XR[0].Name())
+	if !b.XR[0].Valid() || !b.XR[1].Valid() || b.XR[0].Index() == b.XR[1].Index() {
+		t.Fatalf("acceptance handles not distinct variables: %d, %d", b.XR[0].Index(), b.XR[1].Index())
 	}
 }
 

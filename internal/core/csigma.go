@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"tvnep/internal/depgraph"
 	"tvnep/internal/model"
 )
@@ -15,7 +13,7 @@ import (
 func BuildCSigma(inst *Instance, opts BuildOptions) *Built {
 	k := len(inst.Reqs)
 	b := &Built{
-		Model: model.New("cSigma", model.Maximize),
+		Model: model.New(model.Maximize),
 		Kind:  CSigma,
 		Inst:  inst,
 		Opts:  opts,
@@ -49,15 +47,15 @@ func BuildCSigma(inst *Instance, opts BuildOptions) *Built {
 		b.ChiPlus[r] = make([]model.Var, numEvents+1)
 		b.ChiMinus[r] = make([]model.Var, numEvents+2)
 		for i := startWin[r].Lo; i <= startWin[r].Hi; i++ {
-			b.ChiPlus[r][i] = m.Binary(fmt.Sprintf("chi+[%d][%d]", r, i))
+			b.ChiPlus[r][i] = m.Binary()
 		}
 		for i := endWin[r].Lo; i <= endWin[r].Hi; i++ {
-			b.ChiMinus[r][i] = m.Binary(fmt.Sprintf("chi-[%d][%d]", r, i))
+			b.ChiMinus[r][i] = m.Binary()
 		}
 		// (10)/(19): each start on exactly one event in its window.
-		m.AddEQ(chiSumUpTo(b.ChiPlus[r], numEvents), 1, fmt.Sprintf("start1[%d]", r))
+		m.AddEQ(chiSumUpTo(b.ChiPlus[r], numEvents), 1, model.Key1("start1", r))
 		// (11)/(19): each end on exactly one event in its window.
-		m.AddEQ(chiSumUpTo(b.ChiMinus[r], numEvents+1), 1, fmt.Sprintf("end1[%d]", r))
+		m.AddEQ(chiSumUpTo(b.ChiMinus[r], numEvents+1), 1, model.Key1("end1", r))
 		// End strictly after start: Σ_{j≤i} χ⁻ ≤ Σ_{j≤i−1} χ⁺.
 		for i := 2; i <= k; i++ {
 			lhs := chiSumUpTo(b.ChiMinus[r], i)
@@ -65,7 +63,7 @@ func BuildCSigma(inst *Instance, opts BuildOptions) *Built {
 				continue
 			}
 			lhs.AddExpr(-1, chiSumUpTo(b.ChiPlus[r], i-1))
-			m.AddLE(lhs, 0, fmt.Sprintf("order[%d][%d]", r, i))
+			m.AddLE(lhs, 0, model.Key2("order", r, i))
 		}
 	}
 	// (12): every event e_1…e_k hosts exactly one request start.
@@ -76,7 +74,7 @@ func BuildCSigma(inst *Instance, opts BuildOptions) *Built {
 				sum.Add(1, b.ChiPlus[r][i])
 			}
 		}
-		m.AddEQ(sum, 1, fmt.Sprintf("event1[%d]", i))
+		m.AddEQ(sum, 1, model.Key1("event1", i))
 	}
 
 	// Constraint (20): pairwise precedence cuts from the dependency graph.
@@ -85,8 +83,8 @@ func BuildCSigma(inst *Instance, opts BuildOptions) *Built {
 	// relaxation points actually violate; CutOff drops the family.
 	switch cutMode {
 	case CutStatic:
-		forEachPrecRow(b, dg, startWin, endWin, func(lhs *model.LinExpr, name string) {
-			m.AddLE(lhs, 0, name)
+		forEachPrecRow(b, dg, startWin, endWin, func(lhs *model.LinExpr, key model.Key) {
+			m.AddLE(lhs, 0, key)
 		})
 	case CutLazy:
 		b.registerPrecSeparator(dg, startWin, endWin)
@@ -144,7 +142,7 @@ func BuildCSigma(inst *Instance, opts BuildOptions) *Built {
 					if alloc.Len() == 0 && !force {
 						continue
 					}
-					a := m.Continuous(fmt.Sprintf("a[%d][%d][%d]", r, n, rsc), 0, model.Inf())
+					a := m.Continuous(0, model.Inf())
 					aVars[[3]int{r, n, rsc}] = a
 					// (7): a ≥ alloc − c·(1 − Σc(r, e_n)) with
 					// Σc = Σ_{j≤n} χ⁺ − Σ_{j≤n} χ⁻, i.e.
@@ -153,7 +151,7 @@ func BuildCSigma(inst *Instance, opts BuildOptions) *Built {
 					con.AddExpr(-1, alloc)
 					con.AddExpr(-capRsc, chiSumUpTo(b.ChiPlus[r], n))
 					con.AddExpr(capRsc, chiSumUpTo(b.ChiMinus[r], n))
-					row := m.AddGE(con, -capRsc, fmt.Sprintf("state[%d][%d][%d]", r, n, rsc))
+					row := m.AddGE(con, -capRsc, model.Key3(FamState, r, n, rsc))
 					if force {
 						b.recordLinkUse(r, rsc-numNodes, row, -1)
 					}
@@ -163,7 +161,7 @@ func BuildCSigma(inst *Instance, opts BuildOptions) *Built {
 			}
 			if any {
 				// (9): total state allocation within capacity.
-				row := m.AddLE(capacity, capRsc, fmt.Sprintf("cap[%d][%d]", n, rsc))
+				row := m.AddLE(capacity, capRsc, model.Key2(FamCap, n, rsc))
 				for _, r := range pendAlways {
 					b.recordLinkUse(r, rsc-numNodes, row, 1)
 				}
@@ -177,21 +175,21 @@ func BuildCSigma(inst *Instance, opts BuildOptions) *Built {
 			// (14): t⁺ ≤ t_{e_i} + (1 − Σ_{j≤i} χ⁺)·T
 			e14 := model.Expr().Add(1, b.TPlus[r]).Add(-1, b.TEvent[i])
 			e14.AddExpr(T, chiSumUpTo(b.ChiPlus[r], i))
-			m.AddLE(e14, T, fmt.Sprintf("t14[%d][%d]", r, i))
+			m.AddLE(e14, T, model.Key2("t14", r, i))
 			// (15): t⁺ ≥ t_{e_i} − (1 − Σ_{j≥i} χ⁺)·T
 			e15 := model.Expr().Add(1, b.TPlus[r]).Add(-1, b.TEvent[i])
 			e15.AddExpr(-T, chiSumFrom(b.ChiPlus[r], i))
-			m.AddGE(e15, -T, fmt.Sprintf("t15[%d][%d]", r, i))
+			m.AddGE(e15, -T, model.Key2("t15", r, i))
 		}
 		for i := endWin[r].Lo; i <= endWin[r].Hi; i++ {
 			// (16): t⁻ ≤ t_{e_i} + (1 − Σ_{2≤j≤i} χ⁻)·T
 			e16 := model.Expr().Add(1, b.TMinus[r]).Add(-1, b.TEvent[i])
 			e16.AddExpr(T, chiSumUpTo(b.ChiMinus[r], i))
-			m.AddLE(e16, T, fmt.Sprintf("t16[%d][%d]", r, i))
+			m.AddLE(e16, T, model.Key2("t16", r, i))
 			// (17): t⁻ ≥ t_{e_{i−1}} − (1 − Σ_{j≥i} χ⁻)·T
 			e17 := model.Expr().Add(1, b.TMinus[r]).Add(-1, b.TEvent[i-1])
 			e17.AddExpr(-T, chiSumFrom(b.ChiMinus[r], i))
-			m.AddGE(e17, -T, fmt.Sprintf("t17[%d][%d]", r, i))
+			m.AddGE(e17, -T, model.Key2("t17", r, i))
 		}
 	}
 

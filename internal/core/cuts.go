@@ -10,8 +10,6 @@ package core
 // them incrementally (internal/mip, internal/lp).
 
 import (
-	"fmt"
-
 	"tvnep/internal/depgraph"
 	"tvnep/internal/model"
 )
@@ -22,7 +20,7 @@ import (
 // non-vacuous), the row Σ_{j≤i} χ_W − Σ_{j≤i−gap} χ_V ≤ 0. Static emission
 // and lazy separation share this single enumeration, so the two modes
 // reason about the identical cut family.
-func forEachPrecRow(b *Built, dg *depgraph.Graph, startWin, endWin []depgraph.Window, fn func(lhs *model.LinExpr, name string)) {
+func forEachPrecRow(b *Built, dg *depgraph.Graph, startWin, endWin []depgraph.Window, fn func(lhs *model.LinExpr, key model.Key)) {
 	for _, pr := range dg.Precedences() {
 		chiV := b.ChiPlus[depgraph.RequestOf(pr.V)]
 		winV := startWin[depgraph.RequestOf(pr.V)]
@@ -46,7 +44,7 @@ func forEachPrecRow(b *Built, dg *depgraph.Graph, startWin, endWin []depgraph.Wi
 				continue
 			}
 			lhs.AddExpr(-1, chiSumUpTo(chiV, i-pr.Gap))
-			fn(lhs, fmt.Sprintf("prec[%d][%d][%d]", pr.V, pr.W, i))
+			fn(lhs, model.Key3("prec", pr.V, pr.W, i))
 		}
 	}
 }
@@ -90,8 +88,8 @@ func (ps *precSeparator) Separate(x []float64) []model.Cut {
 // registers the separator on the built model (CutLazy mode).
 func (b *Built) registerPrecSeparator(dg *depgraph.Graph, startWin, endWin []depgraph.Window) {
 	ps := &precSeparator{}
-	forEachPrecRow(b, dg, startWin, endWin, func(lhs *model.LinExpr, name string) {
-		ps.cands = append(ps.cands, model.CutLE(lhs, 0, name))
+	forEachPrecRow(b, dg, startWin, endWin, func(lhs *model.LinExpr, _ model.Key) {
+		ps.cands = append(ps.cands, model.CutLE(lhs, 0))
 	})
 	b.precCandidates = len(ps.cands)
 	if len(ps.cands) > 0 {

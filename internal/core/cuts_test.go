@@ -114,13 +114,13 @@ func TestCutModeOffMatchesStaticOptimum(t *testing.T) {
 func checkAppliedCuts(t *testing.T, ms *model.Solution) {
 	t.Helper()
 	x := ms.X()
-	for _, c := range ms.AppliedCuts {
+	for n, c := range ms.AppliedCuts {
 		act := 0.0
 		for k, j := range c.Idx {
 			act += c.Val[k] * x[j]
 		}
 		if act > c.UB+1e-6 || act < c.LB-1e-6 {
-			t.Fatalf("incumbent violates applied cut %q: activity %v outside [%v, %v]", c.Name, act, c.LB, c.UB)
+			t.Fatalf("incumbent violates applied cut %d: activity %v outside [%v, %v]", n, act, c.LB, c.UB)
 		}
 	}
 }

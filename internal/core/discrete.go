@@ -39,7 +39,7 @@ func BuildDiscrete(inst *Instance, opts BuildOptions, slotLen float64) *Discrete
 	}
 	k := len(inst.Reqs)
 	b := &Built{
-		Model: model.New("Discrete", model.Maximize),
+		Model: model.New(model.Maximize),
 		Kind:  Formulation(-1), // not one of the paper's three
 		Inst:  inst,
 		Opts:  opts,
@@ -76,24 +76,24 @@ func BuildDiscrete(inst *Instance, opts BuildOptions, slotLen float64) *Discrete
 			if start < req.Earliest-numtol.WindowTol || end > req.Latest+numtol.WindowTol {
 				continue
 			}
-			db.Y[r][s] = m.Binary(fmt.Sprintf("y[%d][%d]", r, s))
+			db.Y[r][s] = m.Binary()
 			choice.Add(1, db.Y[r][s])
 			startExpr.Add(start, db.Y[r][s])
 		}
 		// Exactly one start slot iff embedded.
 		choice.Add(-1, b.XR[r])
-		m.AddEQ(choice, 0, fmt.Sprintf("choose[%d]", r))
+		m.AddEQ(choice, 0, model.Key1("choose", r))
 
-		b.TPlus[r] = m.Continuous(fmt.Sprintf("t+[%d]", r), 0, inst.Horizon)
-		b.TMinus[r] = m.Continuous(fmt.Sprintf("t-[%d]", r), 0, inst.Horizon)
+		b.TPlus[r] = m.Continuous(0, inst.Horizon)
+		b.TMinus[r] = m.Continuous(0, inst.Horizon)
 		// t⁺ = Σ s·δ·y (+ earliest·(1−xR) so rejected requests keep a valid
 		// window position, mirroring Definition 2.1).
 		tPlusExpr := model.Expr().Add(1, b.TPlus[r])
 		tPlusExpr.AddExpr(-1, startExpr)
 		tPlusExpr.Add(req.Earliest, b.XR[r])
-		m.AddEQ(tPlusExpr, req.Earliest, fmt.Sprintf("tplus[%d]", r))
+		m.AddEQ(tPlusExpr, req.Earliest, model.Key1("tplus", r))
 		dur := model.Expr().Add(1, b.TMinus[r]).Add(-1, b.TPlus[r])
-		m.AddEQ(dur, req.Duration, fmt.Sprintf("tminus[%d]", r))
+		m.AddEQ(dur, req.Duration, model.Key1("tminus", r))
 	}
 
 	// Per-slot capacity via the same big-M device as the Σ-Models:
@@ -118,16 +118,16 @@ func BuildDiscrete(inst *Instance, opts BuildOptions, slotLen float64) *Discrete
 				if alloc.Len() == 0 {
 					continue
 				}
-				a := m.Continuous(fmt.Sprintf("a[%d][%d][%d]", r, q, rsc), 0, model.Inf())
+				a := m.Continuous(0, model.Inf())
 				con := model.Expr().Add(1, a)
 				con.AddExpr(-1, alloc)
 				con.AddExpr(-capRsc, active)
-				m.AddGE(con, -capRsc, fmt.Sprintf("slot[%d][%d][%d]", r, q, rsc))
+				m.AddGE(con, -capRsc, model.Key3("slot", r, q, rsc))
 				capacity.Add(1, a)
 				any = true
 			}
 			if any {
-				m.AddLE(capacity, capRsc, fmt.Sprintf("scap[%d][%d]", q, rsc))
+				m.AddLE(capacity, capRsc, model.Key2("scap", q, rsc))
 			}
 		}
 	}

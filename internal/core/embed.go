@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"tvnep/internal/model"
-)
+import "tvnep/internal/model"
 
 // buildEmbedding creates the time-invariant embedding machinery shared by
 // all three formulations: the acceptance variables x_R (Table III), node
@@ -37,11 +33,11 @@ func buildEmbedding(b *Built) {
 				b.XV[r][v] = make([]model.Var, sub.NumNodes())
 				sum := model.Expr()
 				for s := 0; s < sub.NumNodes(); s++ {
-					b.XV[r][v][s] = m.Binary(fmt.Sprintf("xV[%d][%d][%d]", r, v, s))
+					b.XV[r][v][s] = m.Binary()
 					sum.Add(1, b.XV[r][v][s])
 				}
 				sum.Add(-1, b.XR[r])
-				m.AddEQ(sum, 0, fmt.Sprintf("map[%d][%d]", r, v))
+				m.AddEQ(sum, 0, model.Key2("map", r, v))
 			}
 		}
 
@@ -52,7 +48,7 @@ func buildEmbedding(b *Built) {
 		for lv := 0; lv < req.G.NumEdges(); lv++ {
 			b.XE[r][lv] = make([]model.Var, sub.NumLinks())
 			for ls := 0; ls < sub.NumLinks(); ls++ {
-				b.XE[r][lv][ls] = m.Continuous(fmt.Sprintf("xE[%d][%d][%d]", r, lv, ls), 0, 1)
+				b.XE[r][lv][ls] = m.Continuous(0, 1)
 			}
 			u, v := req.G.Edge(lv)
 			for ns := 0; ns < sub.NumNodes(); ns++ {
@@ -66,7 +62,7 @@ func buildEmbedding(b *Built) {
 				if b.XV != nil {
 					bal.Add(-1, b.XV[r][u][ns])
 					bal.Add(1, b.XV[r][v][ns])
-					m.AddEQ(bal, 0, fmt.Sprintf("flow[%d][%d][%d]", r, lv, ns))
+					m.AddEQ(bal, 0, model.Key3("flow", r, lv, ns))
 				} else {
 					hostU, hostV := b.Opts.FixedMapping[r][u], b.Opts.FixedMapping[r][v]
 					coef := 0.0
@@ -77,7 +73,7 @@ func buildEmbedding(b *Built) {
 						coef -= 1
 					}
 					bal.Add(-coef, b.XR[r])
-					m.AddEQ(bal, 0, fmt.Sprintf("flow[%d][%d][%d]", r, lv, ns))
+					m.AddEQ(bal, 0, model.Key3("flow", r, lv, ns))
 				}
 			}
 		}
@@ -153,12 +149,11 @@ func buildTimeVars(b *Built, numEvents int) {
 	T := b.Inst.Horizon
 	b.TEvent = make([]model.Var, numEvents+1) // index 0 unused
 	for i := 1; i <= numEvents; i++ {
-		b.TEvent[i] = m.Continuous(fmt.Sprintf("t_e[%d]", i), 0, T)
+		b.TEvent[i] = m.Continuous(0, T)
 	}
 	for i := 1; i < numEvents; i++ {
 		// (13): t_{e_i} ≤ t_{e_{i+1}}
-		m.AddLE(model.Expr().Add(1, b.TEvent[i]).Add(-1, b.TEvent[i+1]), 0,
-			fmt.Sprintf("mono[%d]", i))
+		m.AddLE(model.Expr().Add(1, b.TEvent[i]).Add(-1, b.TEvent[i+1]), 0, model.Key1("mono", i))
 	}
 	k := b.numReq()
 	b.TPlus = make([]model.Var, k)
@@ -166,13 +161,10 @@ func buildTimeVars(b *Built, numEvents int) {
 	for r, req := range b.Inst.Reqs {
 		// max() guards against negative-epsilon flexibilities from float
 		// rounding in t^s + d + flex.
-		b.TPlus[r] = m.Continuous(fmt.Sprintf("t+[%d]", r),
-			req.Earliest, max(req.Earliest, req.LatestStart()))
-		b.TMinus[r] = m.Continuous(fmt.Sprintf("t-[%d]", r),
-			req.EarliestEnd(), max(req.EarliestEnd(), req.Latest))
+		b.TPlus[r] = m.Continuous(req.Earliest, max(req.Earliest, req.LatestStart()))
+		b.TMinus[r] = m.Continuous(req.EarliestEnd(), max(req.EarliestEnd(), req.Latest))
 		// (18): t⁻ − t⁺ = d
-		m.AddEQ(model.Expr().Add(1, b.TMinus[r]).Add(-1, b.TPlus[r]), req.Duration,
-			fmt.Sprintf("dur[%d]", r))
+		m.AddEQ(model.Expr().Add(1, b.TMinus[r]).Add(-1, b.TPlus[r]), req.Duration, model.Key1("dur", r))
 	}
 }
 

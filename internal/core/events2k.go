@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"tvnep/internal/model"
-)
+import "tvnep/internal/model"
 
 // buildBijectiveEvents creates the event machinery shared by the Δ- and
 // Σ-Models (Section III-A): 2·|R| abstract event points, a bijective
@@ -25,16 +21,16 @@ func buildBijectiveEvents(b *Built) {
 		b.ChiPlus[r] = make([]model.Var, numEvents+1)
 		b.ChiMinus[r] = make([]model.Var, numEvents+1)
 		for i := 1; i <= numEvents; i++ {
-			b.ChiPlus[r][i] = m.Binary(fmt.Sprintf("chi+[%d][%d]", r, i))
-			b.ChiMinus[r][i] = m.Binary(fmt.Sprintf("chi-[%d][%d]", r, i))
+			b.ChiPlus[r][i] = m.Binary()
+			b.ChiMinus[r][i] = m.Binary()
 		}
-		m.AddEQ(chiSumUpTo(b.ChiPlus[r], numEvents), 1, fmt.Sprintf("start1[%d]", r))
-		m.AddEQ(chiSumUpTo(b.ChiMinus[r], numEvents), 1, fmt.Sprintf("end1[%d]", r))
+		m.AddEQ(chiSumUpTo(b.ChiPlus[r], numEvents), 1, model.Key1("start1", r))
+		m.AddEQ(chiSumUpTo(b.ChiMinus[r], numEvents), 1, model.Key1("end1", r))
 		// End strictly after start: Σ_{j≤i} χ⁻ ≤ Σ_{j≤i−1} χ⁺.
 		for i := 1; i <= numEvents; i++ {
 			lhs := chiSumUpTo(b.ChiMinus[r], i)
 			lhs.AddExpr(-1, chiSumUpTo(b.ChiPlus[r], i-1))
-			m.AddLE(lhs, 0, fmt.Sprintf("order[%d][%d]", r, i))
+			m.AddLE(lhs, 0, model.Key2("order", r, i))
 		}
 	}
 	// Each event hosts exactly one start or end (Table VII).
@@ -43,7 +39,7 @@ func buildBijectiveEvents(b *Built) {
 		for r := 0; r < k; r++ {
 			sum.Add(1, b.ChiPlus[r][i]).Add(1, b.ChiMinus[r][i])
 		}
-		m.AddEQ(sum, 1, fmt.Sprintf("event1[%d]", i))
+		m.AddEQ(sum, 1, model.Key1("event1", i))
 	}
 
 	// Temporal attachment: starts and ends pinned to their event's time.
@@ -52,18 +48,18 @@ func buildBijectiveEvents(b *Built) {
 			// (14)/(15) for starts.
 			e14 := model.Expr().Add(1, b.TPlus[r]).Add(-1, b.TEvent[i])
 			e14.AddExpr(T, chiSumUpTo(b.ChiPlus[r], i))
-			m.AddLE(e14, T, fmt.Sprintf("t14[%d][%d]", r, i))
+			m.AddLE(e14, T, model.Key2("t14", r, i))
 			e15 := model.Expr().Add(1, b.TPlus[r]).Add(-1, b.TEvent[i])
 			e15.AddExpr(-T, chiSumFrom(b.ChiPlus[r], i))
-			m.AddGE(e15, -T, fmt.Sprintf("t15[%d][%d]", r, i))
+			m.AddGE(e15, -T, model.Key2("t15", r, i))
 			// Exact analogues for ends (the Δ/Σ event model releases
 			// resources exactly at the end's event point).
 			e16 := model.Expr().Add(1, b.TMinus[r]).Add(-1, b.TEvent[i])
 			e16.AddExpr(T, chiSumUpTo(b.ChiMinus[r], i))
-			m.AddLE(e16, T, fmt.Sprintf("t16[%d][%d]", r, i))
+			m.AddLE(e16, T, model.Key2("t16", r, i))
 			e17 := model.Expr().Add(1, b.TMinus[r]).Add(-1, b.TEvent[i])
 			e17.AddExpr(-T, chiSumFrom(b.ChiMinus[r], i))
-			m.AddGE(e17, -T, fmt.Sprintf("t17[%d][%d]", r, i))
+			m.AddGE(e17, -T, model.Key2("t17", r, i))
 		}
 	}
 }
@@ -74,7 +70,7 @@ func buildBijectiveEvents(b *Built) {
 func BuildSigma(inst *Instance, opts BuildOptions) *Built {
 	k := len(inst.Reqs)
 	b := &Built{
-		Model: model.New("Sigma", model.Maximize),
+		Model: model.New(model.Maximize),
 		Kind:  Sigma,
 		Inst:  inst,
 		Opts:  opts,
@@ -100,19 +96,19 @@ func BuildSigma(inst *Instance, opts BuildOptions) *Built {
 				if alloc.Len() == 0 {
 					continue
 				}
-				a := m.Continuous(fmt.Sprintf("a[%d][%d][%d]", r, n, rsc), 0, model.Inf())
+				a := m.Continuous(0, model.Inf())
 				aVars[[3]int{r, n, rsc}] = a
 				// (7): a ≥ alloc − c·(1 − Σ(R, e_n)).
 				con := model.Expr().Add(1, a)
 				con.AddExpr(-1, alloc)
 				con.AddExpr(-capRsc, chiSumUpTo(b.ChiPlus[r], n))
 				con.AddExpr(capRsc, chiSumUpTo(b.ChiMinus[r], n))
-				m.AddGE(con, -capRsc, fmt.Sprintf("state[%d][%d][%d]", r, n, rsc))
+				m.AddGE(con, -capRsc, model.Key3(FamState, r, n, rsc))
 				capacity.Add(1, a)
 				any = true
 			}
 			if any {
-				m.AddLE(capacity, capRsc, fmt.Sprintf("cap[%d][%d]", n, rsc))
+				m.AddLE(capacity, capRsc, model.Key2(FamCap, n, rsc))
 			}
 		}
 	}
@@ -140,7 +136,7 @@ func BuildSigma(inst *Instance, opts BuildOptions) *Built {
 func BuildDelta(inst *Instance, opts BuildOptions) *Built {
 	k := len(inst.Reqs)
 	b := &Built{
-		Model: model.New("Delta", model.Maximize),
+		Model: model.New(model.Maximize),
 		Kind:  Delta,
 		Inst:  inst,
 		Opts:  opts,
@@ -166,14 +162,14 @@ func BuildDelta(inst *Instance, opts BuildOptions) *Built {
 		accums[i] = make([]model.Var, nRes)
 		for rsc := 0; rsc < nRes; rsc++ {
 			capRsc := b.resourceCap(rsc)
-			deltas[i][rsc] = m.Continuous(fmt.Sprintf("delta[%d][%d]", i, rsc), negInf, model.Inf())
-			accums[i][rsc] = m.Continuous(fmt.Sprintf("A[%d][%d]", i, rsc), 0, capRsc)
+			deltas[i][rsc] = m.Continuous(negInf, model.Inf())
+			accums[i][rsc] = m.Continuous(0, capRsc)
 			// A_n = A_{n−1} + Δ_{e_n}
 			con := model.Expr().Add(1, accums[i][rsc]).Add(-1, deltas[i][rsc])
 			if i > 1 {
 				con.Add(-1, accums[i-1][rsc])
 			}
-			m.AddEQ(con, 0, fmt.Sprintf("accum[%d][%d]", i, rsc))
+			m.AddEQ(con, 0, model.Key2("accum", i, rsc))
 		}
 	}
 
@@ -191,16 +187,16 @@ func BuildDelta(inst *Instance, opts BuildOptions) *Built {
 				alloc := b.allocExpr(r, rsc)
 				// (3): Δ ≤ alloc + c·(1 − χ⁺)
 				c3 := model.Expr().Add(1, d).AddExpr(-1, alloc).Add(capRsc, b.ChiPlus[r][i])
-				m.AddLE(c3, capRsc, fmt.Sprintf("d3[%d][%d][%d]", i, rsc, r))
+				m.AddLE(c3, capRsc, model.Key3("d3", i, rsc, r))
 				// (4): Δ ≥ alloc − 2c·(1 − χ⁺)
 				c4 := model.Expr().Add(1, d).AddExpr(-1, alloc).Add(-2*capRsc, b.ChiPlus[r][i])
-				m.AddGE(c4, -2*capRsc, fmt.Sprintf("d4[%d][%d][%d]", i, rsc, r))
+				m.AddGE(c4, -2*capRsc, model.Key3("d4", i, rsc, r))
 				// (5): Δ ≤ −alloc + 2c·(1 − χ⁻)
 				c5 := model.Expr().Add(1, d).AddExpr(1, alloc).Add(2*capRsc, b.ChiMinus[r][i])
-				m.AddLE(c5, 2*capRsc, fmt.Sprintf("d5[%d][%d][%d]", i, rsc, r))
+				m.AddLE(c5, 2*capRsc, model.Key3("d5", i, rsc, r))
 				// (6): Δ ≥ −alloc − c·(1 − χ⁻)
 				c6 := model.Expr().Add(1, d).AddExpr(1, alloc).Add(-capRsc, b.ChiMinus[r][i])
-				m.AddGE(c6, -capRsc, fmt.Sprintf("d6[%d][%d][%d]", i, rsc, r))
+				m.AddGE(c6, -capRsc, model.Key3("d6", i, rsc, r))
 			}
 		}
 	}

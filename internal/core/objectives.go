@@ -66,7 +66,7 @@ func applyBalanceNodeLoad(b *Built) {
 	f := b.Opts.loadFraction()
 	obj := model.Expr()
 	for ns := 0; ns < b.Inst.Sub.NumNodes(); ns++ {
-		F := m.Binary(fmt.Sprintf("F[%d]", ns))
+		F := m.Binary()
 		obj.Add(1, F)
 		c := b.Inst.Sub.NodeCap[ns]
 		for n := 1; n <= b.numStates; n++ {
@@ -76,7 +76,7 @@ func applyBalanceNodeLoad(b *Built) {
 			}
 			// load + (1−f)·c·F ≤ c
 			con := model.Expr().AddExpr(1, load).Add((1-f)*c, F)
-			m.AddLE(con, c, fmt.Sprintf("bal[%d][%d]", ns, n))
+			m.AddLE(con, c, model.Key2("bal", ns, n))
 		}
 	}
 	m.SetObjective(obj)
@@ -87,10 +87,10 @@ func applyBalanceNodeLoad(b *Built) {
 // models maximize throughout).
 func applyMinMakespan(b *Built) {
 	m := b.Model
-	M := m.Continuous("makespan", 0, b.Inst.Horizon)
+	M := m.Continuous(0, b.Inst.Horizon)
 	for r := range b.Inst.Reqs {
 		m.AddGE(model.Expr().Add(1, M).Add(-1, b.TMinus[r]), 0,
-			fmt.Sprintf("mk[%d]", r))
+			model.Key1("mk", r))
 	}
 	m.SetObjective(model.Expr().Add(-1, M))
 }
@@ -110,7 +110,7 @@ func applyDisableLinks(b *Built) {
 		M = 1
 	}
 	for ls := 0; ls < b.Inst.Sub.NumLinks(); ls++ {
-		D := m.Binary(fmt.Sprintf("D[%d]", ls))
+		D := m.Binary()
 		obj.Add(1, D)
 		con := model.Expr().Add(M, D)
 		if b.XE != nil {
@@ -119,7 +119,7 @@ func applyDisableLinks(b *Built) {
 					con.Add(1, b.XE[r][lv][ls])
 				}
 			}
-			m.AddLE(con, M, fmt.Sprintf("dis[%d]", ls))
+			m.AddLE(con, M, model.Key1(FamDis, ls))
 			continue
 		}
 		// FlowPath: the activity on ls is the total path-variable value over
@@ -137,7 +137,7 @@ func applyDisableLinks(b *Built) {
 				}
 			}
 		}
-		row := m.AddLE(con, M, fmt.Sprintf("dis[%d]", ls))
+		row := m.AddLE(con, M, model.Key1(FamDis, ls))
 		b.recordLinkUseUnit(ls, row, 1)
 	}
 	m.SetObjective(obj)

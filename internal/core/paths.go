@@ -150,7 +150,7 @@ func buildPathEmbedding(b *Built) {
 			}
 			conv := model.Expr()
 			if p, ok := sub.G.ShortestHopPath(hu, hv); ok {
-				lam := m.Continuous(fmt.Sprintf("lambda[%d][%d][0]", r, lv), 0, 1)
+				lam := m.Continuous(0, 1)
 				b.Lambda[r][lv] = []model.Var{lam}
 				b.SeedPaths[r][lv] = [][]int{p}
 				conv.Add(1, lam)
@@ -164,10 +164,10 @@ func buildPathEmbedding(b *Built) {
 			// feasible and duals available for pricing), while integer
 			// solutions either route the full unit flow or park all of it,
 			// and a full unit always loses to big-M.
-			art := m.Binary(fmt.Sprintf("artE[%d][%d]", r, lv))
+			art := m.Binary()
 			b.Art[r][lv] = art
 			conv.Add(1, art).Add(-1, b.XR[r])
-			b.convRow[r][lv] = m.AddEQ(conv, 0, fmt.Sprintf("conv[%d][%d]", r, lv))
+			b.convRow[r][lv] = m.AddEQ(conv, 0, model.Key2(FamConv, r, lv))
 		}
 	}
 }
@@ -176,7 +176,7 @@ func buildPathEmbedding(b *Built) {
 // objective and build options demand; shared by the arc and path embeddings.
 func buildAcceptVar(b *Built, r int) {
 	m := b.Model
-	b.XR[r] = m.Binary(fmt.Sprintf("xR[%d]", r))
+	b.XR[r] = m.Binary()
 	forced := b.Opts.Objective.FixedSet()
 	if b.Opts.ForceAccept != nil && r < len(b.Opts.ForceAccept) && b.Opts.ForceAccept[r] {
 		forced = true
@@ -258,8 +258,7 @@ func (b *Built) pathColumn(r, lv int, path []int) model.Column {
 	}
 	return model.Column{
 		Idx: idx, Val: val, LB: 0, UB: 1, Obj: 0,
-		Name: fmt.Sprintf("lambda[%d][%d]@%v", r, lv, path),
-		Tag:  pathTag{r: r, lv: lv, links: append([]int(nil), path...)},
+		Tag: pathTag{r: r, lv: lv, links: append([]int(nil), path...)},
 	}
 }
 

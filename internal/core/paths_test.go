@@ -114,13 +114,13 @@ func TestPathPricingGeneratesAlternateRoute(t *testing.T) {
 		t.Fatalf("checker rejected path-mode solution: %v", err)
 	}
 	// Every priced column must be tagged with a contiguous substrate path.
-	for _, c := range ms.AppliedColumns {
+	for k, c := range ms.AppliedColumns {
 		r, lv, links, ok := PathTagInfo(c)
 		if !ok {
-			t.Fatalf("priced column %q carries no path tag", c.Name)
+			t.Fatalf("priced column %d carries no path tag", k)
 		}
 		if r < 0 || r >= len(inst.Reqs) || lv != 0 {
-			t.Fatalf("column %q tagged (%d, %d)", c.Name, r, lv)
+			t.Fatalf("priced column %d tagged (%d, %d)", k, r, lv)
 		}
 		assertContiguousPath(t, inst.Sub.G, links, 0, 3)
 	}

@@ -34,10 +34,10 @@ func fullWithColumns(p *Problem, idxs [][]int32, vals [][]float64, lbs, ubs, obj
 	full := NewProblem()
 	full.Sense = p.Sense
 	for j := 0; j < n; j++ {
-		full.AddCol(p.Obj[j], p.ColLB[j], p.ColUB[j], "")
+		full.AddCol(p.Obj[j], p.ColLB[j], p.ColUB[j])
 	}
 	for c := range idxs {
-		full.AddCol(objs[c], lbs[c], ubs[c], "")
+		full.AddCol(objs[c], lbs[c], ubs[c])
 	}
 	for i := 0; i < p.NumRows(); i++ {
 		ri, rv := p.Row(i)
@@ -51,7 +51,7 @@ func fullWithColumns(p *Problem, idxs [][]int32, vals [][]float64, lbs, ubs, obj
 				}
 			}
 		}
-		full.AddRow(ri, rv, p.RowLB[i], p.RowUB[i], "")
+		full.AddRow(ri, rv, p.RowLB[i], p.RowUB[i])
 	}
 	return full
 }
@@ -149,7 +149,7 @@ func TestAppendColumnThenRow(t *testing.T) {
 		inst.AppendRow(rIdx[0], rVal[0], rLB[0], rUB[0])
 
 		full := fullWithColumns(p, cIdx, cVal, cLB, cUB, cObj)
-		full.AddRow(rIdx[0], rVal[0], rLB[0], rUB[0], "")
+		full.AddRow(rIdx[0], rVal[0], rLB[0], rUB[0])
 
 		warm := inst.Solve(&Options{WarmBasis: res.Basis, WarmFactors: res.Factors})
 		cold := Solve(full, nil)
@@ -171,8 +171,8 @@ func TestAppendColumnImprovesObjective(t *testing.T) {
 	// in and the hot restart must pivot it into the basis.
 	p := NewProblem()
 	p.Sense = Maximize
-	x := p.AddCol(2, 0, 10, "x")
-	p.AddLE([]int32{int32(x)}, []float64{1}, 4, "")
+	x := p.AddCol(2, 0, 10)
+	p.AddLE([]int32{int32(x)}, []float64{1}, 4)
 	inst := NewInstance(p)
 	res := inst.Solve(nil)
 	inst.CaptureFactors(&res, nil)
@@ -201,8 +201,8 @@ func TestAppendColumnRedundantIsFree(t *testing.T) {
 	// unchanged dual path in zero-to-one iterations.
 	p := NewProblem()
 	p.Sense = Maximize
-	x := p.AddCol(2, 0, 10, "x")
-	p.AddLE([]int32{int32(x)}, []float64{1}, 4, "")
+	x := p.AddCol(2, 0, 10)
+	p.AddLE([]int32{int32(x)}, []float64{1}, 4)
 	inst := NewInstance(p)
 	res := inst.Solve(nil)
 	inst.CaptureFactors(&res, nil)
@@ -226,8 +226,8 @@ func TestAppendColumnRedundantIsFree(t *testing.T) {
 func TestAppendColumnCloneIsolation(t *testing.T) {
 	p := NewProblem()
 	p.Sense = Maximize
-	x := p.AddCol(1, 0, 5, "x")
-	p.AddLE([]int32{int32(x)}, []float64{1}, 5, "")
+	x := p.AddCol(1, 0, 5)
+	p.AddLE([]int32{int32(x)}, []float64{1}, 5)
 	parent := NewInstance(p)
 	before := parent.Clone() // cloned before the append: must not see the column
 	parent.AppendColumn([]int32{0}, []float64{1}, 0, 5, 2)
@@ -261,8 +261,8 @@ func TestAppendColumnCloneIsolation(t *testing.T) {
 
 func TestAppendColumnMergesDuplicates(t *testing.T) {
 	p := NewProblem()
-	x := p.AddCol(-1, 0, 10, "x")
-	p.AddLE([]int32{int32(x)}, []float64{1}, 8, "")
+	x := p.AddCol(-1, 0, 10)
+	p.AddLE([]int32{int32(x)}, []float64{1}, 8)
 	inst := NewInstance(p)
 	j := inst.AppendColumn([]int32{0, 0, 0}, []float64{2, -1, 1}, 0, 3, -3)
 	idx, val := inst.colIdx[j], inst.colVal[j]
@@ -285,9 +285,9 @@ func TestAppendColumnMergesDuplicates(t *testing.T) {
 func TestAppendColumnScaled(t *testing.T) {
 	p := NewProblem()
 	p.Sense = Maximize
-	x := p.AddCol(1, 0, 1e6, "x")
-	y := p.AddCol(1e4, 0, 100, "y")
-	p.AddLE([]int32{int32(x), int32(y)}, []float64{1e-4, 1e3}, 500, "")
+	x := p.AddCol(1, 0, 1e6)
+	y := p.AddCol(1e4, 0, 100)
+	p.AddLE([]int32{int32(x), int32(y)}, []float64{1e-4, 1e3}, 500)
 	inst := NewInstance(p)
 	if scaled, _, _ := inst.ScalingStats(); !scaled {
 		t.Fatal("instance unexpectedly unscaled; the test needs the scaled path")

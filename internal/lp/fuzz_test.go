@@ -33,7 +33,7 @@ func decodeBoxedLP(data []byte) *lp.Problem {
 		obj := float64(int8(next())%8) / 2
 		lb := float64(int8(next()) % 5)
 		width := float64(next() % 6)
-		p.AddCol(obj, lb, lb+width, "")
+		p.AddCol(obj, lb, lb+width)
 	}
 	for i := 0; i < m; i++ {
 		kind := next() % 3
@@ -53,11 +53,11 @@ func decodeBoxedLP(data []byte) *lp.Problem {
 		}
 		switch kind {
 		case 0:
-			p.AddLE(idx, val, rhs, "")
+			p.AddLE(idx, val, rhs)
 		case 1:
-			p.AddGE(idx, val, rhs, "")
+			p.AddGE(idx, val, rhs)
 		default:
-			p.AddEQ(idx, val, rhs, "")
+			p.AddEQ(idx, val, rhs)
 		}
 	}
 	return p

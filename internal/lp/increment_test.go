@@ -60,17 +60,17 @@ func TestAppendRowHotRestart(t *testing.T) {
 		full := NewProblem()
 		full.Sense = p.Sense
 		for j := 0; j < n; j++ {
-			full.AddCol(p.Obj[j], p.ColLB[j], p.ColUB[j], "")
+			full.AddCol(p.Obj[j], p.ColLB[j], p.ColUB[j])
 		}
 		for i := 0; i < p.NumRows(); i++ {
 			ri, rv := p.Row(i)
-			full.AddRow(ri, rv, p.RowLB[i], p.RowUB[i], "")
+			full.AddRow(ri, rv, p.RowLB[i], p.RowUB[i])
 		}
 		for i := range idxs {
 			if got := inst.AppendRow(idxs[i], vals[i], lbs[i], ubs[i]); got != m+i {
 				t.Fatalf("trial %d: AppendRow index %d, want %d", trial, got, m+i)
 			}
-			full.AddRow(idxs[i], vals[i], lbs[i], ubs[i], "")
+			full.AddRow(idxs[i], vals[i], lbs[i], ubs[i])
 		}
 		if inst.NumRows() != m+count || inst.NumAppendedRows() != count {
 			t.Fatalf("trial %d: row accounting off: %d/%d", trial, inst.NumRows(), inst.NumAppendedRows())
@@ -98,7 +98,7 @@ func TestAppendRowHotRestart(t *testing.T) {
 		// now include the first batch of appended rows).
 		idxs2, vals2, lbs2, ubs2 := appendRandomRows(rng, n, 1, xstar)
 		inst.AppendRow(idxs2[0], vals2[0], lbs2[0], ubs2[0])
-		full.AddRow(idxs2[0], vals2[0], lbs2[0], ubs2[0], "")
+		full.AddRow(idxs2[0], vals2[0], lbs2[0], ubs2[0])
 		warm2 := inst.Solve(&Options{WarmBasis: warm.Basis, WarmFactors: warm.Factors})
 		cold2 := Solve(full, nil)
 		if warm2.Status != cold2.Status {
@@ -115,9 +115,9 @@ func TestAppendRowHotRestart(t *testing.T) {
 func TestAppendRowRedundantCutIsFree(t *testing.T) {
 	// A row the optimum already satisfies must hot-restart in zero pivots.
 	p := NewProblem()
-	x := p.AddCol(-1, 0, 10, "x")
-	y := p.AddCol(-1, 0, 10, "y")
-	p.AddLE([]int32{int32(x), int32(y)}, []float64{1, 1}, 12, "")
+	x := p.AddCol(-1, 0, 10)
+	y := p.AddCol(-1, 0, 10)
+	p.AddLE([]int32{int32(x), int32(y)}, []float64{1, 1}, 12)
 	inst := NewInstance(p)
 	res := inst.Solve(nil)
 	inst.CaptureFactors(&res, nil)
@@ -140,9 +140,9 @@ func TestAppendRowCutsOptimum(t *testing.T) {
 	// max x+y st x+y ≤ 12 → obj 12 at a vertex; the cut x ≤ 3 moves it.
 	p := NewProblem()
 	p.Sense = Maximize
-	x := p.AddCol(2, 0, 10, "x")
-	y := p.AddCol(1, 0, 10, "y")
-	p.AddLE([]int32{int32(x), int32(y)}, []float64{1, 1}, 12, "")
+	x := p.AddCol(2, 0, 10)
+	y := p.AddCol(1, 0, 10)
+	p.AddLE([]int32{int32(x), int32(y)}, []float64{1, 1}, 12)
 	inst := NewInstance(p)
 	res := inst.Solve(nil)
 	inst.CaptureFactors(&res, nil)
@@ -161,7 +161,7 @@ func TestAppendRowCutsOptimum(t *testing.T) {
 
 func TestAppendRowInfeasibleCut(t *testing.T) {
 	p := NewProblem()
-	x := p.AddCol(1, 0, 5, "x")
+	x := p.AddCol(1, 0, 5)
 	inst := NewInstance(p)
 	res := inst.Solve(nil)
 	inst.CaptureFactors(&res, nil)
@@ -177,8 +177,8 @@ func TestAppendRowInfeasibleCut(t *testing.T) {
 
 func TestAppendRowCloneIsolation(t *testing.T) {
 	p := NewProblem()
-	x := p.AddCol(-1, 0, 10, "x")
-	p.AddLE([]int32{int32(x)}, []float64{1}, 8, "")
+	x := p.AddCol(-1, 0, 10)
+	p.AddLE([]int32{int32(x)}, []float64{1}, 8)
 	parent := NewInstance(p)
 	before := parent.Clone() // cloned before the append: must not see the row
 	parent.AppendRow([]int32{int32(x)}, []float64{1}, math.Inf(-1), 4)
@@ -212,8 +212,8 @@ func TestAppendRowCloneIsolation(t *testing.T) {
 
 func TestAppendRowMergesDuplicates(t *testing.T) {
 	p := NewProblem()
-	x := p.AddCol(-1, 0, 10, "x")
-	p.AddLE([]int32{int32(x)}, []float64{1}, 8, "")
+	x := p.AddCol(-1, 0, 10)
+	p.AddLE([]int32{int32(x)}, []float64{1}, 8)
 	inst := NewInstance(p)
 	r := inst.AppendRow([]int32{int32(x), int32(x), int32(x)}, []float64{2, -1, 1}, math.Inf(-1), 6)
 	idx, val := inst.rowData(r)

@@ -31,7 +31,7 @@ func TestAssignmentProblem(t *testing.T) {
 	var cols [3][3]int
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
-			cols[i][j] = p.AddCol(cost[i][j], 0, 1, "")
+			cols[i][j] = p.AddCol(cost[i][j], 0, 1)
 		}
 	}
 	for i := 0; i < 3; i++ {
@@ -40,8 +40,8 @@ func TestAssignmentProblem(t *testing.T) {
 			ridx = append(ridx, int32(cols[i][j]))
 			cidx = append(cidx, int32(cols[j][i]))
 		}
-		p.AddEQ(ridx, []float64{1, 1, 1}, 1, "")
-		p.AddEQ(cidx, []float64{1, 1, 1}, 1, "")
+		p.AddEQ(ridx, []float64{1, 1, 1}, 1)
+		p.AddEQ(cidx, []float64{1, 1, 1}, 1)
 	}
 	res := Solve(p, nil)
 	if res.Status != StatusOptimal || math.Abs(res.Obj-5) > 1e-7 {
@@ -78,13 +78,13 @@ func TestRepeatedSolvesSameInstance(t *testing.T) {
 
 func TestWarmBasisDimensionMismatch(t *testing.T) {
 	pa := NewProblem()
-	pa.AddCol(1, 0, 1, "x")
+	pa.AddCol(1, 0, 1)
 	resA := Solve(pa, nil)
 
 	pb := NewProblem()
-	pb.AddCol(1, 0, 1, "x")
-	pb.AddCol(1, 0, 1, "y")
-	pb.AddGE([]int32{0, 1}, []float64{1, 1}, 1, "r")
+	pb.AddCol(1, 0, 1)
+	pb.AddCol(1, 0, 1)
+	pb.AddGE([]int32{0, 1}, []float64{1, 1}, 1)
 	// A basis from a different problem must be rejected gracefully and the
 	// solve must still succeed via the cold path.
 	res := Solve(pb, &Options{WarmBasis: resA.Basis})
@@ -97,11 +97,11 @@ func TestHighlyDegenerateLP(t *testing.T) {
 	// Many redundant constraints through one vertex: classic degeneracy
 	// stressor for the anti-cycling safeguards.
 	p := NewProblem()
-	x := p.AddCol(-1, 0, Inf, "x")
-	y := p.AddCol(-1, 0, Inf, "y")
+	x := p.AddCol(-1, 0, Inf)
+	y := p.AddCol(-1, 0, Inf)
 	for k := 0; k < 30; k++ {
 		a := 1 + float64(k)*1e-9
-		p.AddLE([]int32{int32(x), int32(y)}, []float64{a, 1}, 1, "")
+		p.AddLE([]int32{int32(x), int32(y)}, []float64{a, 1}, 1)
 	}
 	res := Solve(p, nil)
 	if res.Status != StatusOptimal {
@@ -123,7 +123,7 @@ func TestEmptyProblem(t *testing.T) {
 func TestObjOffsetRoundTrip(t *testing.T) {
 	p := NewProblem()
 	p.ObjOffset = 7.5
-	x := p.AddCol(2, 1, 3, "x")
+	x := p.AddCol(2, 1, 3)
 	_ = x
 	res := Solve(p, nil)
 	if math.Abs(res.Obj-(7.5+2)) > 1e-9 {
@@ -149,10 +149,10 @@ func TestChainOfEqualities(t *testing.T) {
 		if i == 9 {
 			obj = 1
 		}
-		cols = append(cols, p.AddCol(obj, lb, ub, ""))
+		cols = append(cols, p.AddCol(obj, lb, ub))
 	}
 	for i := 0; i+1 < 10; i++ {
-		p.AddEQ([]int32{int32(cols[i]), int32(cols[i+1])}, []float64{1, -1}, 0, "")
+		p.AddEQ([]int32{int32(cols[i]), int32(cols[i+1])}, []float64{1, -1}, 0)
 	}
 	res := Solve(p, nil)
 	if res.Status != StatusOptimal || math.Abs(res.Obj-2.5) > 1e-7 {
@@ -167,7 +167,7 @@ func TestChainOfEqualities(t *testing.T) {
 
 func TestInstanceBoundAccessors(t *testing.T) {
 	p := NewProblem()
-	p.AddCol(1, -1, 4, "x")
+	p.AddCol(1, -1, 4)
 	inst := NewInstance(p)
 	if lb, ub := inst.ColBounds(0); lb != -1 || ub != 4 {
 		t.Fatalf("bounds %v %v", lb, ub)
@@ -189,12 +189,12 @@ func TestInstanceBoundAccessors(t *testing.T) {
 
 func TestAddRowValidation(t *testing.T) {
 	p := NewProblem()
-	p.AddCol(1, 0, 1, "x")
+	p.AddCol(1, 0, 1)
 	for name, fn := range map[string]func(){
-		"len mismatch":   func() { p.AddRow([]int32{0}, []float64{1, 2}, 0, 1, "") },
-		"col range":      func() { p.AddRow([]int32{5}, []float64{1}, 0, 1, "") },
-		"inverted range": func() { p.AddRow([]int32{0}, []float64{1}, 2, 1, "") },
-		"col lb>ub":      func() { p.AddCol(0, 3, 2, "") },
+		"len mismatch":   func() { p.AddRow([]int32{0}, []float64{1, 2}, 0, 1) },
+		"col range":      func() { p.AddRow([]int32{5}, []float64{1}, 0, 1) },
+		"inverted range": func() { p.AddRow([]int32{0}, []float64{1}, 2, 1) },
+		"col lb>ub":      func() { p.AddCol(0, 3, 2) },
 	} {
 		func() {
 			defer func() {
@@ -213,10 +213,10 @@ func TestBigBandLP(t *testing.T) {
 	n := 200
 	p := NewProblem()
 	for i := 0; i < n; i++ {
-		p.AddCol(1, 0, Inf, "")
+		p.AddCol(1, 0, Inf)
 	}
 	for i := 0; i+1 < n; i++ {
-		p.AddGE([]int32{int32(i), int32(i + 1)}, []float64{1, 1}, 1, "")
+		p.AddGE([]int32{int32(i), int32(i + 1)}, []float64{1, 1}, 1)
 	}
 	res := Solve(p, nil)
 	if res.Status != StatusOptimal {

@@ -295,11 +295,9 @@ func presolve(p *Problem) *presolved {
 	red.Obj = make([]float64, 0, keptCols)
 	red.ColLB = make([]float64, 0, keptCols)
 	red.ColUB = make([]float64, 0, keptCols)
-	red.ColName = make([]string, 0, keptCols)
 	red.rowEnd = make([]int32, 0, keptRows)
 	red.RowLB = make([]float64, 0, keptRows)
 	red.RowUB = make([]float64, 0, keptRows)
-	red.RowName = make([]string, 0, keptRows)
 	ps.colMap = make([]int32, 0, n)
 	for j := 0; j < n; j++ {
 		if removedCol[j] {
@@ -309,7 +307,7 @@ func presolve(p *Problem) *presolved {
 			red.ObjOffset += p.Obj[j] * ps.fixVal[j]
 			continue
 		}
-		ps.colPos[j] = int32(red.AddCol(p.Obj[j], lo[j], hi[j], p.ColName[j]))
+		ps.colPos[j] = int32(red.AddCol(p.Obj[j], lo[j], hi[j]))
 		ps.colMap = append(ps.colMap, int32(j))
 	}
 	ps.rowMap = make([]int32, 0, m)
@@ -348,7 +346,6 @@ func presolve(p *Problem) *presolved {
 		red.endRow(len(red.rowIdx))
 		red.RowLB = append(red.RowLB, rlb[i])
 		red.RowUB = append(red.RowUB, rub[i])
-		red.RowName = append(red.RowName, p.RowName[i])
 		ps.rowMap = append(ps.rowMap, int32(i))
 	}
 	ps.red = red

@@ -15,10 +15,10 @@ func solveNoPresolve(p *Problem, opts *Options) Result {
 func TestPresolveSingletonRow(t *testing.T) {
 	// min x + y s.t. 2x = 6 (singleton equality), x + y ≥ 5.
 	p := NewProblem()
-	x := p.AddCol(1, 0, 10, "x")
-	y := p.AddCol(1, 0, 10, "y")
-	p.AddEQ([]int32{int32(x)}, []float64{2}, 6, "fix-x")
-	p.AddGE([]int32{int32(x), int32(y)}, []float64{1, 1}, 5, "cover")
+	x := p.AddCol(1, 0, 10)
+	y := p.AddCol(1, 0, 10)
+	p.AddEQ([]int32{int32(x)}, []float64{2}, 6)
+	p.AddGE([]int32{int32(x), int32(y)}, []float64{1, 1}, 5)
 
 	ps := presolve(p)
 	if ps == nil {
@@ -38,10 +38,10 @@ func TestPresolveSingletonRow(t *testing.T) {
 func TestPresolveFullyReduced(t *testing.T) {
 	// Every column is pinned by a singleton row; nothing reaches the simplex.
 	p := NewProblem()
-	x := p.AddCol(2, 0, 10, "x")
-	y := p.AddCol(-3, 0, 10, "y")
-	p.AddEQ([]int32{int32(x)}, []float64{1}, 4, "pin-x")
-	p.AddEQ([]int32{int32(y)}, []float64{1}, 1, "pin-y")
+	x := p.AddCol(2, 0, 10)
+	y := p.AddCol(-3, 0, 10)
+	p.AddEQ([]int32{int32(x)}, []float64{1}, 4)
+	p.AddEQ([]int32{int32(y)}, []float64{1}, 1)
 
 	res := Solve(p, nil)
 	if res.Status != StatusOptimal || math.Abs(res.Obj-5) > 1e-9 {
@@ -57,9 +57,9 @@ func TestPresolveFullyReduced(t *testing.T) {
 func TestPresolveInfeasibleSingleton(t *testing.T) {
 	// Two singleton rows force x to incompatible values.
 	p := NewProblem()
-	x := p.AddCol(1, 0, 10, "x")
-	p.AddEQ([]int32{int32(x)}, []float64{1}, 2, "x-is-2")
-	p.AddEQ([]int32{int32(x)}, []float64{1}, 3, "x-is-3")
+	x := p.AddCol(1, 0, 10)
+	p.AddEQ([]int32{int32(x)}, []float64{1}, 2)
+	p.AddEQ([]int32{int32(x)}, []float64{1}, 3)
 	if res := Solve(p, nil); res.Status != StatusInfeasible {
 		t.Fatalf("status %v, want infeasible", res.Status)
 	}
@@ -68,11 +68,11 @@ func TestPresolveInfeasibleSingleton(t *testing.T) {
 func TestPresolveEmptyAndRedundantRows(t *testing.T) {
 	// A row over fixed columns becomes empty; a wide row is redundant.
 	p := NewProblem()
-	x := p.AddCol(1, 2, 2, "x") // fixed at 2
-	y := p.AddCol(1, 0, 3, "y")
-	p.AddRow([]int32{int32(x)}, []float64{1}, 0, 5, "becomes-empty")
-	p.AddRow([]int32{int32(x), int32(y)}, []float64{1, 1}, -100, 100, "redundant")
-	p.AddGE([]int32{int32(y)}, []float64{1}, 1, "y-floor")
+	x := p.AddCol(1, 2, 2) // fixed at 2
+	y := p.AddCol(1, 0, 3)
+	p.AddRow([]int32{int32(x)}, []float64{1}, 0, 5)
+	p.AddRow([]int32{int32(x), int32(y)}, []float64{1, 1}, -100, 100)
+	p.AddGE([]int32{int32(y)}, []float64{1}, 1)
 
 	res := Solve(p, nil)
 	if res.Status != StatusOptimal || math.Abs(res.Obj-3) > 1e-7 {
@@ -84,8 +84,8 @@ func TestPresolveEmptyAndRedundantRows(t *testing.T) {
 
 func TestPresolveEmptyRowInfeasible(t *testing.T) {
 	p := NewProblem()
-	x := p.AddCol(1, 1, 1, "x") // fixed at 1
-	p.AddGE([]int32{int32(x)}, []float64{1}, 3, "impossible-after-substitution")
+	x := p.AddCol(1, 1, 1) // fixed at 1
+	p.AddGE([]int32{int32(x)}, []float64{1}, 3)
 	if res := Solve(p, nil); res.Status != StatusInfeasible {
 		t.Fatalf("status %v, want infeasible", res.Status)
 	}
@@ -94,9 +94,9 @@ func TestPresolveEmptyRowInfeasible(t *testing.T) {
 func TestPresolveEmptyColumn(t *testing.T) {
 	// y appears in no row: it must land on its objective-favored bound.
 	p := NewProblem()
-	x := p.AddCol(1, 0, 10, "x")
-	y := p.AddCol(-2, 0, 7, "y") // minimize −2y → ub
-	p.AddGE([]int32{int32(x)}, []float64{1}, 4, "x-floor")
+	x := p.AddCol(1, 0, 10)
+	y := p.AddCol(-2, 0, 7) // minimize −2y → ub
+	p.AddGE([]int32{int32(x)}, []float64{1}, 4)
 
 	res := Solve(p, nil)
 	if res.Status != StatusOptimal || math.Abs(res.Obj-(4-14)) > 1e-7 {
@@ -113,9 +113,9 @@ func TestPresolveUnboundedEmptyColumnKept(t *testing.T) {
 	// The favored bound of the empty column is infinite: presolve must keep
 	// it and let the simplex certify unboundedness (after feasibility).
 	p := NewProblem()
-	x := p.AddCol(1, 0, 1, "x")
-	p.AddCol(-1, 0, Inf, "ray")
-	p.AddEQ([]int32{int32(x)}, []float64{1}, 1, "pin-x")
+	x := p.AddCol(1, 0, 1)
+	p.AddCol(-1, 0, Inf)
+	p.AddEQ([]int32{int32(x)}, []float64{1}, 1)
 	if res := Solve(p, nil); res.Status != StatusUnbounded {
 		t.Fatalf("status %v, want unbounded", res.Status)
 	}
@@ -125,9 +125,9 @@ func TestPresolveMaximizeSense(t *testing.T) {
 	// Favored bounds flip under Maximize.
 	p := NewProblem()
 	p.Sense = Maximize
-	x := p.AddCol(3, 0, 5, "x") // maximize 3x → ub
-	y := p.AddCol(1, 0, 10, "y")
-	p.AddEQ([]int32{int32(y)}, []float64{2}, 8, "pin-y")
+	x := p.AddCol(3, 0, 5) // maximize 3x → ub
+	y := p.AddCol(1, 0, 10)
+	p.AddEQ([]int32{int32(y)}, []float64{2}, 8)
 
 	res := Solve(p, nil)
 	if res.Status != StatusOptimal || math.Abs(res.Obj-19) > 1e-7 {
@@ -162,9 +162,9 @@ func TestPresolveRoundTripRandom(t *testing.T) {
 			lo, hi := p.ColLB[j], p.ColUB[j]
 			mid := lo + (hi-lo)*rng.Float64()
 			p.AddRow([]int32{int32(j)}, []float64{1 + rng.Float64()},
-				lo, mid+(hi-mid)*rng.Float64(), "singleton")
+				lo, mid+(hi-mid)*rng.Float64())
 		}
-		p.AddRow(nil, nil, -1, 1, "empty-feasible")
+		p.AddRow(nil, nil, -1, 1)
 
 		direct := solveNoPresolve(p, nil)
 		viaPre := Solve(p, nil)
@@ -196,7 +196,7 @@ func TestPresolveBasisWarmStart(t *testing.T) {
 			p.ColLB[j] = p.ColUB[j] // ensure a reduction fires
 		}
 		p.AddRow([]int32{int32(rng.Intn(n))}, []float64{1},
-			math.Inf(-1), 1e6, "singleton")
+			math.Inf(-1), 1e6)
 
 		res := Solve(p, nil)
 		if res.Status != StatusOptimal {

@@ -43,11 +43,9 @@ type Problem struct {
 	ObjOffset float64
 	ColLB     []float64
 	ColUB     []float64
-	ColName   []string
 
-	RowLB   []float64
-	RowUB   []float64
-	RowName []string
+	RowLB []float64
+	RowUB []float64
 
 	// Rows in compressed sparse form: row i holds the entries
 	// rowIdx/rowVal[rowEnd[i-1]:rowEnd[i]] (from 0 for the first row).
@@ -70,25 +68,24 @@ func (p *Problem) NumRows() int { return len(p.rowEnd) }
 
 // AddCol appends a column with the given objective coefficient and bounds,
 // returning its index. lb may be -Inf and ub may be +Inf.
-func (p *Problem) AddCol(obj, lb, ub float64, name string) int {
+func (p *Problem) AddCol(obj, lb, ub float64) int {
 	if lb > ub {
-		panic(fmt.Sprintf("lp: column %q has lb %v > ub %v", name, lb, ub))
+		panic(fmt.Sprintf("lp: column %d has lb %v > ub %v", len(p.Obj), lb, ub))
 	}
 	p.Obj = append(p.Obj, obj)
 	p.ColLB = append(p.ColLB, lb)
 	p.ColUB = append(p.ColUB, ub)
-	p.ColName = append(p.ColName, name)
 	return len(p.Obj) - 1
 }
 
 // AddRow appends a ranged row rlb ≤ Σ val_k·x_{idx_k} ≤ rub and returns its
 // index. Duplicate column indices within one row are merged.
-func (p *Problem) AddRow(idx []int32, val []float64, rlb, rub float64, name string) int {
+func (p *Problem) AddRow(idx []int32, val []float64, rlb, rub float64) int {
 	if len(idx) != len(val) {
-		panic("lp: AddRow index/value length mismatch")
+		panic(fmt.Sprintf("lp: row %d index/value length mismatch", p.NumRows()))
 	}
 	if rlb > rub {
-		panic(fmt.Sprintf("lp: row %q has rlb %v > rub %v", name, rlb, rub))
+		panic(fmt.Sprintf("lp: row %d has rlb %v > rub %v", p.NumRows(), rlb, rub))
 	}
 	// Merge duplicates in place: entries keep their first-occurrence order
 	// and sum left to right.
@@ -99,7 +96,7 @@ func (p *Problem) AddRow(idx []int32, val []float64, rlb, rub float64, name stri
 	start := len(p.rowIdx)
 	for k, j := range idx {
 		if int(j) < 0 || int(j) >= n {
-			panic(fmt.Sprintf("lp: row %q references column %d out of range [0,%d)", name, j, n))
+			panic(fmt.Sprintf("lp: row %d references column %d out of range [0,%d)", p.NumRows(), j, n))
 		}
 		if at := p.slot[j]; at >= 0 {
 			p.rowVal[at] += val[k]
@@ -122,7 +119,6 @@ func (p *Problem) AddRow(idx []int32, val []float64, rlb, rub float64, name stri
 	p.endRow(w)
 	p.RowLB = append(p.RowLB, rlb)
 	p.RowUB = append(p.RowUB, rub)
-	p.RowName = append(p.RowName, name)
 	return p.NumRows() - 1
 }
 
@@ -134,18 +130,18 @@ func (p *Problem) endRow(end int) {
 }
 
 // AddLE appends the row a·x ≤ rhs.
-func (p *Problem) AddLE(idx []int32, val []float64, rhs float64, name string) int {
-	return p.AddRow(idx, val, math.Inf(-1), rhs, name)
+func (p *Problem) AddLE(idx []int32, val []float64, rhs float64) int {
+	return p.AddRow(idx, val, math.Inf(-1), rhs)
 }
 
 // AddGE appends the row a·x ≥ rhs.
-func (p *Problem) AddGE(idx []int32, val []float64, rhs float64, name string) int {
-	return p.AddRow(idx, val, rhs, Inf, name)
+func (p *Problem) AddGE(idx []int32, val []float64, rhs float64) int {
+	return p.AddRow(idx, val, rhs, Inf)
 }
 
 // AddEQ appends the row a·x = rhs.
-func (p *Problem) AddEQ(idx []int32, val []float64, rhs float64, name string) int {
-	return p.AddRow(idx, val, rhs, rhs, name)
+func (p *Problem) AddEQ(idx []int32, val []float64, rhs float64) int {
+	return p.AddRow(idx, val, rhs, rhs)
 }
 
 // Row returns the coefficient slices of row i (shared storage; do not

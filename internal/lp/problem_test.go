@@ -40,7 +40,7 @@ func TestAddRowMatchesMapMerge(t *testing.T) {
 	for r := 0; r < 400; r++ {
 		if r%25 == 0 {
 			for k := 0; k < 5; k++ {
-				p.AddCol(0, 0, 1, "")
+				p.AddCol(0, 0, 1)
 			}
 		}
 		n := rng.Intn(12)
@@ -61,7 +61,7 @@ func TestAddRowMatchesMapMerge(t *testing.T) {
 		}
 		ri, rv := mapMergeRow(idx, val)
 		wantIdx, wantVal = append(wantIdx, ri), append(wantVal, rv)
-		if got := p.AddRow(idx, val, math.Inf(-1), 1, ""); got != r {
+		if got := p.AddRow(idx, val, math.Inf(-1), 1); got != r {
 			t.Fatalf("AddRow returned row %d, want %d", got, r)
 		}
 	}

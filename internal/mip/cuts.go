@@ -25,13 +25,12 @@ import (
 
 // Cut is one linear inequality LB ≤ Σₖ Val[k]·x[Idx[k]] ≤ UB over the
 // problem's structural columns. One-sided rows use ±Inf for the missing
-// bound. Name is a diagnostic label carried through to certification.
+// bound. A cut carries no label: the pool identifies it by its content.
 type Cut struct {
-	Idx  []int32
-	Val  []float64
-	LB   float64
-	UB   float64
-	Name string
+	Idx []int32
+	Val []float64
+	LB  float64
+	UB  float64
 }
 
 // Separator generates valid inequalities violated by a fractional relaxation

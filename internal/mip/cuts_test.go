@@ -2,7 +2,6 @@ package mip
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"reflect"
 	"sort"
@@ -74,7 +73,6 @@ func (cs *coverSeparator) Separate(x []float64) []Cut {
 		cuts = append(cuts, Cut{
 			Idx: cover, Val: ones,
 			LB: math.Inf(-1), UB: float64(len(cover) - 1),
-			Name: fmt.Sprintf("cover[%d]", i),
 		})
 	}
 	return cuts
@@ -118,9 +116,9 @@ func TestLazyCutsMatchPlainSolve(t *testing.T) {
 			sawCuts = true
 			// The incumbent must satisfy every applied cut: that is the
 			// validity half of the Separator contract, checked end to end.
-			for _, c := range lazy.AppliedCuts {
+			for k, c := range lazy.AppliedCuts {
 				if v := rowViolation(c, lazy.X); v > 1e-6 {
-					t.Errorf("%s: incumbent violates applied cut %q by %v", tc.name, c.Name, v)
+					t.Errorf("%s: incumbent violates applied cut %d by %v", tc.name, k, v)
 				}
 			}
 		}

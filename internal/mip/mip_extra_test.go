@@ -18,11 +18,11 @@ func TestGapToleranceStopsEarly(t *testing.T) {
 	var idx []int32
 	var val []float64
 	for j := 0; j < 24; j++ {
-		c := p.AddCol(rng.Float64()*10, 0, 1, "")
+		c := p.AddCol(rng.Float64()*10, 0, 1)
 		idx = append(idx, int32(c))
 		val = append(val, 1+rng.Float64()*9)
 	}
-	p.AddLE(idx, val, 30, "cap")
+	p.AddLE(idx, val, 30)
 	mp := NewProblem(p)
 	for j := 0; j < 24; j++ {
 		mp.SetInteger(j)
@@ -45,9 +45,9 @@ func TestMinimizeWithNegativeRange(t *testing.T) {
 	// Optimum: y = −2, x = −1 → −8? check: x+y = −3 ✓, obj = −2−6 = −8;
 	// or x = −4, y = 1 → −8 −... x+y = −3 ✓ obj = −8+3 = −5. So −8.
 	p := lp.NewProblem()
-	x := p.AddCol(2, -4, 4, "x")
-	y := p.AddCol(3, -2, 2, "y")
-	p.AddGE([]int32{int32(x), int32(y)}, []float64{1, 1}, -3, "r")
+	x := p.AddCol(2, -4, 4)
+	y := p.AddCol(3, -2, 2)
+	p.AddGE([]int32{int32(x), int32(y)}, []float64{1, 1}, -3)
 	mp := NewProblem(p)
 	mp.SetInteger(x)
 	mp.SetInteger(y)
@@ -62,9 +62,9 @@ func TestMixedIntegerContinuous(t *testing.T) {
 	// x + 2y ≤ 5 → y = 1.5.
 	p := lp.NewProblem()
 	p.Sense = lp.Maximize
-	x := p.AddCol(1, 0, 2.5, "x")
-	y := p.AddCol(1, 0, 1.5, "y")
-	p.AddLE([]int32{int32(x), int32(y)}, []float64{1, 2}, 5, "r")
+	x := p.AddCol(1, 0, 2.5)
+	y := p.AddCol(1, 0, 1.5)
+	p.AddLE([]int32{int32(x), int32(y)}, []float64{1, 2}, 5)
 	mp := NewProblem(p)
 	mp.SetInteger(x)
 	res := Solve(context.Background(), mp, nil)
@@ -83,11 +83,11 @@ func TestHeuristicDisabled(t *testing.T) {
 	var idx []int32
 	var val []float64
 	for j := 0; j < 15; j++ {
-		c := p.AddCol(rng.Float64()*10, 0, 1, "")
+		c := p.AddCol(rng.Float64()*10, 0, 1)
 		idx = append(idx, int32(c))
 		val = append(val, 1+rng.Float64()*4)
 	}
-	p.AddLE(idx, val, 20, "cap")
+	p.AddLE(idx, val, 20)
 	mp := NewProblem(p)
 	for j := 0; j < 15; j++ {
 		mp.SetInteger(j)
@@ -122,9 +122,9 @@ func TestRepeatedSolveIndependence(t *testing.T) {
 	// leaks through the shared *lp.Problem).
 	p := lp.NewProblem()
 	p.Sense = lp.Maximize
-	a := p.AddCol(5, 0, 1, "a")
-	b := p.AddCol(4, 0, 1, "b")
-	p.AddLE([]int32{int32(a), int32(b)}, []float64{2, 3}, 4, "cap")
+	a := p.AddCol(5, 0, 1)
+	b := p.AddCol(4, 0, 1)
+	p.AddLE([]int32{int32(a), int32(b)}, []float64{2, 3}, 4)
 	mp := NewProblem(p)
 	mp.SetInteger(a)
 	mp.SetInteger(b)
@@ -143,9 +143,9 @@ func TestDeepBranching(t *testing.T) {
 	cols := []int32{}
 	w := []float64{3, 5, 7, 9}
 	for j := 0; j < 4; j++ {
-		cols = append(cols, int32(p.AddCol(1, 0, 1, "")))
+		cols = append(cols, int32(p.AddCol(1, 0, 1)))
 	}
-	p.AddEQ(cols, w, 16, "sum")
+	p.AddEQ(cols, w, 16)
 	mp := NewProblem(p)
 	for j := 0; j < 4; j++ {
 		mp.SetInteger(j)
@@ -165,9 +165,9 @@ func TestGeneralIntegerBranching(t *testing.T) {
 	// Candidates: x=0,y=4 → 36; x=1,y=3 → 34; x=2,y=1 → 23; x=3,y=0 → 21.
 	p := lp.NewProblem()
 	p.Sense = lp.Maximize
-	x := p.AddCol(7, 0, lp.Inf, "x")
-	y := p.AddCol(9, 0, lp.Inf, "y")
-	p.AddLE([]int32{int32(x), int32(y)}, []float64{13, 11}, 47, "r")
+	x := p.AddCol(7, 0, lp.Inf)
+	y := p.AddCol(9, 0, lp.Inf)
+	p.AddLE([]int32{int32(x), int32(y)}, []float64{13, 11}, 47)
 	mp := NewProblem(p)
 	mp.SetInteger(x)
 	mp.SetInteger(y)
@@ -189,9 +189,9 @@ func TestLargerBruteForceSweep(t *testing.T) {
 		}
 		var intCols []int
 		for j := 0; j < nInt; j++ {
-			intCols = append(intCols, p.AddCol(rng.NormFloat64()*4, 0, 1, ""))
+			intCols = append(intCols, p.AddCol(rng.NormFloat64()*4, 0, 1))
 		}
-		cont := p.AddCol(rng.NormFloat64(), 0, 3, "")
+		cont := p.AddCol(rng.NormFloat64(), 0, 3)
 		_ = cont
 		for i := 0; i < 2+rng.Intn(4); i++ {
 			var idx []int32
@@ -207,11 +207,11 @@ func TestLargerBruteForceSweep(t *testing.T) {
 			}
 			switch rng.Intn(3) {
 			case 0:
-				p.AddLE(idx, val, float64(rng.Intn(6)), "")
+				p.AddLE(idx, val, float64(rng.Intn(6)))
 			case 1:
-				p.AddGE(idx, val, -float64(rng.Intn(6)), "")
+				p.AddGE(idx, val, -float64(rng.Intn(6)))
 			default:
-				p.AddEQ(idx, val, float64(rng.Intn(3)), "")
+				p.AddEQ(idx, val, float64(rng.Intn(3)))
 			}
 		}
 		mp := NewProblem(p)

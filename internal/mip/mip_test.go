@@ -15,10 +15,10 @@ func TestKnapsack(t *testing.T) {
 	// Best: a + c = 17 (weight 5); b + c = 20 (weight 6) ✓ → 20.
 	p := lp.NewProblem()
 	p.Sense = lp.Maximize
-	a := p.AddCol(10, 0, 1, "a")
-	b := p.AddCol(13, 0, 1, "b")
-	c := p.AddCol(7, 0, 1, "c")
-	p.AddLE([]int32{int32(a), int32(b), int32(c)}, []float64{3, 4, 2}, 6, "cap")
+	a := p.AddCol(10, 0, 1)
+	b := p.AddCol(13, 0, 1)
+	c := p.AddCol(7, 0, 1)
+	p.AddLE([]int32{int32(a), int32(b), int32(c)}, []float64{3, 4, 2}, 6)
 	mp := NewProblem(p)
 	mp.SetInteger(a)
 	mp.SetInteger(b)
@@ -37,8 +37,8 @@ func TestKnapsack(t *testing.T) {
 
 func TestPureLPPassThrough(t *testing.T) {
 	p := lp.NewProblem()
-	x := p.AddCol(1, 0, 5, "x")
-	p.AddGE([]int32{int32(x)}, []float64{1}, 2.5, "r")
+	x := p.AddCol(1, 0, 5)
+	p.AddGE([]int32{int32(x)}, []float64{1}, 2.5)
 	mp := NewProblem(p) // no integers
 	res := Solve(context.Background(), mp, nil)
 	if res.Status != StatusOptimal || math.Abs(res.Obj-2.5) > 1e-7 {
@@ -49,8 +49,8 @@ func TestPureLPPassThrough(t *testing.T) {
 func TestIntegerRounding(t *testing.T) {
 	// min x s.t. x ≥ 2.3, x integer → 3.
 	p := lp.NewProblem()
-	x := p.AddCol(1, 0, 10, "x")
-	p.AddGE([]int32{int32(x)}, []float64{1}, 2.3, "r")
+	x := p.AddCol(1, 0, 10)
+	p.AddGE([]int32{int32(x)}, []float64{1}, 2.3)
 	mp := NewProblem(p)
 	mp.SetInteger(x)
 	res := Solve(context.Background(), mp, nil)
@@ -62,7 +62,7 @@ func TestIntegerRounding(t *testing.T) {
 func TestInfeasibleMIP(t *testing.T) {
 	// 0.4 ≤ x ≤ 0.6, x integer → infeasible.
 	p := lp.NewProblem()
-	x := p.AddCol(1, 0.4, 0.6, "x")
+	x := p.AddCol(1, 0.4, 0.6)
 	_ = x
 	mp := NewProblem(p)
 	mp.SetInteger(x)
@@ -81,7 +81,7 @@ func TestInfeasibleMIP(t *testing.T) {
 func TestUnboundedMIP(t *testing.T) {
 	p := lp.NewProblem()
 	p.Sense = lp.Maximize
-	p.AddCol(1, 0, lp.Inf, "x")
+	p.AddCol(1, 0, lp.Inf)
 	mp := NewProblem(p)
 	mp.SetInteger(0)
 	res := Solve(context.Background(), mp, nil)
@@ -93,9 +93,9 @@ func TestUnboundedMIP(t *testing.T) {
 func TestEqualityParity(t *testing.T) {
 	// x + y = 5, x,y ≥ 0 integer, min 3x + y → x=0, y=5 → 5.
 	p := lp.NewProblem()
-	x := p.AddCol(3, 0, lp.Inf, "x")
-	y := p.AddCol(1, 0, lp.Inf, "y")
-	p.AddEQ([]int32{int32(x), int32(y)}, []float64{1, 1}, 5, "sum")
+	x := p.AddCol(3, 0, lp.Inf)
+	y := p.AddCol(1, 0, lp.Inf)
+	p.AddEQ([]int32{int32(x), int32(y)}, []float64{1, 1}, 5)
 	mp := NewProblem(p)
 	mp.SetInteger(x)
 	mp.SetInteger(y)
@@ -144,10 +144,10 @@ func TestRandomBinaryMIPsAgainstBruteForce(t *testing.T) {
 		}
 		var intCols []int
 		for j := 0; j < nInt; j++ {
-			intCols = append(intCols, p.AddCol(rng.NormFloat64()*5, 0, 1, ""))
+			intCols = append(intCols, p.AddCol(rng.NormFloat64()*5, 0, 1))
 		}
 		for j := 0; j < nCont; j++ {
-			p.AddCol(rng.NormFloat64(), 0, 2, "")
+			p.AddCol(rng.NormFloat64(), 0, 2)
 		}
 		m := 1 + rng.Intn(6)
 		for i := 0; i < m; i++ {
@@ -164,9 +164,9 @@ func TestRandomBinaryMIPsAgainstBruteForce(t *testing.T) {
 			}
 			rhs := float64(rng.Intn(5))
 			if rng.Intn(2) == 0 {
-				p.AddLE(idx, val, rhs, "")
+				p.AddLE(idx, val, rhs)
 			} else {
-				p.AddGE(idx, val, -rhs, "")
+				p.AddGE(idx, val, -rhs)
 			}
 		}
 		mp := NewProblem(p)
@@ -196,10 +196,10 @@ func TestGeneralIntegerMIP(t *testing.T) {
 	// check: x=4,y=0: 24 ≤ 24 ✓, 4 ≤ 6 ✓ → 20. x=3,y=1: 22 ≤ 24 ✓, 5 ≤ 6 ✓ → 19.
 	p := lp.NewProblem()
 	p.Sense = lp.Maximize
-	x := p.AddCol(5, 0, lp.Inf, "x")
-	y := p.AddCol(4, 0, lp.Inf, "y")
-	p.AddLE([]int32{int32(x), int32(y)}, []float64{6, 4}, 24, "r1")
-	p.AddLE([]int32{int32(x), int32(y)}, []float64{1, 2}, 6, "r2")
+	x := p.AddCol(5, 0, lp.Inf)
+	y := p.AddCol(4, 0, lp.Inf)
+	p.AddLE([]int32{int32(x), int32(y)}, []float64{6, 4}, 24)
+	p.AddLE([]int32{int32(x), int32(y)}, []float64{1, 2}, 6)
 	mp := NewProblem(p)
 	mp.SetInteger(x)
 	mp.SetInteger(y)
@@ -218,11 +218,11 @@ func TestTimeLimit(t *testing.T) {
 	var idx []int32
 	var val []float64
 	for j := 0; j < 30; j++ {
-		c := p.AddCol(rng.Float64()*10, 0, 1, "")
+		c := p.AddCol(rng.Float64()*10, 0, 1)
 		idx = append(idx, int32(c))
 		val = append(val, 1+rng.Float64()*9)
 	}
-	p.AddLE(idx, val, 40, "cap")
+	p.AddLE(idx, val, 40)
 	mp := NewProblem(p)
 	for j := 0; j < 30; j++ {
 		mp.SetInteger(j)
@@ -240,11 +240,11 @@ func TestNodeLimit(t *testing.T) {
 	var idx []int32
 	var val []float64
 	for j := 0; j < 25; j++ {
-		c := p.AddCol(rng.Float64()*10, 0, 1, "")
+		c := p.AddCol(rng.Float64()*10, 0, 1)
 		idx = append(idx, int32(c))
 		val = append(val, 1+rng.Float64()*9)
 	}
-	p.AddLE(idx, val, 30, "cap")
+	p.AddLE(idx, val, 30)
 	mp := NewProblem(p)
 	for j := 0; j < 25; j++ {
 		mp.SetInteger(j)
@@ -265,11 +265,11 @@ func TestBoundAndGapConsistency(t *testing.T) {
 	var idx []int32
 	var val []float64
 	for j := 0; j < 20; j++ {
-		c := p.AddCol(rng.Float64()*10, 0, 1, "")
+		c := p.AddCol(rng.Float64()*10, 0, 1)
 		idx = append(idx, int32(c))
 		val = append(val, 1+rng.Float64()*5)
 	}
-	p.AddLE(idx, val, 25, "cap")
+	p.AddLE(idx, val, 25)
 	mp := NewProblem(p)
 	for j := 0; j < 20; j++ {
 		mp.SetInteger(j)
@@ -309,8 +309,8 @@ func TestStatusStrings(t *testing.T) {
 func TestSetIntegerGrows(t *testing.T) {
 	p := lp.NewProblem()
 	mp := NewProblem(p)
-	p.AddCol(1, 0, 1, "x")
-	p.AddCol(1, 0, 1, "y")
+	p.AddCol(1, 0, 1)
+	p.AddCol(1, 0, 1)
 	mp.SetInteger(1)
 	if len(mp.Integer) != 2 || !mp.Integer[1] || mp.Integer[0] {
 		t.Fatalf("Integer = %v", mp.Integer)

@@ -20,14 +20,14 @@ func randKnapsack(seed int64, n int, capacity float64, eq bool) *Problem {
 	var idx []int32
 	var val, ones []float64
 	for j := 0; j < n; j++ {
-		c := p.AddCol(rng.Float64()*10, 0, 1, "")
+		c := p.AddCol(rng.Float64()*10, 0, 1)
 		idx = append(idx, int32(c))
 		val = append(val, 1+rng.Float64()*4)
 		ones = append(ones, 1)
 	}
-	p.AddLE(idx, val, capacity, "cap")
+	p.AddLE(idx, val, capacity)
 	if eq {
-		p.AddEQ(idx, ones, math.Floor(float64(n)/3), "card")
+		p.AddEQ(idx, ones, math.Floor(float64(n)/3))
 	}
 	mp := NewProblem(p)
 	for j := 0; j < n; j++ {
@@ -46,7 +46,7 @@ func multiKnapsack(seed int64, n, m int) *Problem {
 	p.Sense = lp.Maximize
 	var idx []int32
 	for j := 0; j < n; j++ {
-		c := p.AddCol(1+rng.Float64()*10, 0, 1, "")
+		c := p.AddCol(1+rng.Float64()*10, 0, 1)
 		idx = append(idx, int32(c))
 	}
 	for i := 0; i < m; i++ {
@@ -56,7 +56,7 @@ func multiKnapsack(seed int64, n, m int) *Problem {
 			val[j] = rng.Float64() * 10
 			tot += val[j]
 		}
-		p.AddLE(idx, val, tot*0.3, "")
+		p.AddLE(idx, val, tot*0.3)
 	}
 	mp := NewProblem(p)
 	for j := 0; j < n; j++ {

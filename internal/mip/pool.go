@@ -42,20 +42,19 @@ type op struct {
 	lb, ub float64
 	obj    float64 // columns only
 	col    bool
-	name   string
 	tag    interface{} // columns only
 }
 
-func cutOp(c Cut) op { return op{idx: c.Idx, val: c.Val, lb: c.LB, ub: c.UB, name: c.Name} }
+func cutOp(c Cut) op { return op{idx: c.Idx, val: c.Val, lb: c.LB, ub: c.UB} }
 
 func colOp(c Column) op {
-	return op{idx: c.Idx, val: c.Val, lb: c.LB, ub: c.UB, obj: c.Obj, col: true, name: c.Name, tag: c.Tag}
+	return op{idx: c.Idx, val: c.Val, lb: c.LB, ub: c.UB, obj: c.Obj, col: true, tag: c.Tag}
 }
 
-func (o *op) cut() Cut { return Cut{Idx: o.idx, Val: o.val, LB: o.lb, UB: o.ub, Name: o.name} }
+func (o *op) cut() Cut { return Cut{Idx: o.idx, Val: o.val, LB: o.lb, UB: o.ub} }
 
 func (o *op) column() Column {
-	return Column{Idx: o.idx, Val: o.val, LB: o.lb, UB: o.ub, Obj: o.obj, Name: o.name, Tag: o.tag}
+	return Column{Idx: o.idx, Val: o.val, LB: o.lb, UB: o.ub, Obj: o.obj, Tag: o.tag}
 }
 
 // apply appends the op to an instance.
@@ -123,8 +122,8 @@ func newPool() *pool {
 // offer canonicalizes o and pools it unless an identical op is already
 // present. limit is the size of the dimension o indexes on the committer's
 // instance — its current column count for a cut, row count for a column.
-// Malformed ops panic here, with the op's name, rather than deep inside
-// lp.AppendRow or lp.AppendColumn.
+// Malformed ops panic here, naming the op kind and the bad index or bounds,
+// rather than deep inside lp.AppendRow or lp.AppendColumn.
 func (p *pool) offer(o op, limit int) {
 	p.offered++
 	what, dim := "separator cut", "column"
@@ -132,10 +131,10 @@ func (p *pool) offer(o op, limit int) {
 		what, dim = "pricer column", "row"
 	}
 	if len(o.idx) != len(o.val) {
-		panic(fmt.Sprintf("mip: %s %q index/value length mismatch", what, o.name))
+		panic(fmt.Sprintf("mip: %s index/value length mismatch: %d indices, %d values", what, len(o.idx), len(o.val)))
 	}
 	if o.lb > o.ub {
-		panic(fmt.Sprintf("mip: %s %q bounds %v > %v", what, o.name, o.lb, o.ub))
+		panic(fmt.Sprintf("mip: %s bounds %v > %v", what, o.lb, o.ub))
 	}
 	o.idx, o.val = lp.Canonical(o.idx, o.val)
 	if len(o.idx) == 0 {
@@ -143,7 +142,7 @@ func (p *pool) offer(o op, limit int) {
 	}
 	for _, j := range o.idx {
 		if int(j) >= limit || j < 0 {
-			panic(fmt.Sprintf("mip: %s %q references %s %d of %d", what, o.name, dim, j, limit))
+			panic(fmt.Sprintf("mip: %s references %s %d of %d", what, dim, j, limit))
 		}
 	}
 	key := o.key()

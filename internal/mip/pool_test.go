@@ -18,11 +18,26 @@ import (
 // columns scored by their sense-adjusted reduced cost at a dual point.
 func TestPool(t *testing.T) {
 	inf := math.Inf(-1)
+	// Ops carry no names; the test names them by their canonical pool key
+	// (the first name given to a key wins) so selections read as names.
+	labels := map[string]string{}
+	nameOf := func(o op) string {
+		o.idx, o.val = lp.Canonical(o.idx, o.val)
+		return labels[o.key()]
+	}
+	named := func(name string, o op) op {
+		c := o
+		c.idx, c.val = lp.Canonical(c.idx, c.val)
+		if _, ok := labels[c.key()]; !ok {
+			labels[c.key()] = name
+		}
+		return o
+	}
 	cut := func(name string, idx []int32, val []float64, ub float64) op {
-		return cutOp(Cut{Idx: idx, Val: val, LB: inf, UB: ub, Name: name})
+		return named(name, cutOp(Cut{Idx: idx, Val: val, LB: inf, UB: ub}))
 	}
 	col := func(name string, idx []int32, val []float64, obj float64) op {
-		return colOp(Column{Idx: idx, Val: val, UB: 1, Obj: obj, Name: name})
+		return named(name, colOp(Column{Idx: idx, Val: val, UB: 1, Obj: obj}))
 	}
 	x := []float64{1, 1, 0, 0}
 	viol := func(o *op) float64 { return rowViolation(o.cut(), x) }
@@ -90,9 +105,9 @@ func TestPool(t *testing.T) {
 				op   op
 				msg  string
 			}{
-				{"out-of-range", cut("bad", []int32{5}, []float64{1}, 1), `"bad" references column 5 of 4`},
-				{"length-mismatch", cut("long", []int32{0}, []float64{1, 2}, 1), `"long" index/value length mismatch`},
-				{"inverted-bounds", cutOp(Cut{Idx: []int32{0}, Val: []float64{1}, LB: 2, UB: 1, Name: "inv"}), `"inv" bounds 2 > 1`},
+				{"out-of-range", cutOp(Cut{Idx: []int32{5}, Val: []float64{1}, LB: inf, UB: 1}), "separator cut references column 5 of 4"},
+				{"length-mismatch", cutOp(Cut{Idx: []int32{0}, Val: []float64{1, 2}, LB: inf, UB: 1}), "separator cut index/value length mismatch: 1 indices, 2 values"},
+				{"inverted-bounds", cutOp(Cut{Idx: []int32{0}, Val: []float64{1}, LB: 2, UB: 1}), "separator cut bounds 2 > 1"},
 			},
 		},
 		{
@@ -125,9 +140,9 @@ func TestPool(t *testing.T) {
 				op   op
 				msg  string
 			}{
-				{"out-of-range", col("bad", []int32{5}, []float64{1}, 1), `"bad" references row 5 of 4`},
-				{"length-mismatch", col("long", []int32{0}, []float64{1, 2}, 1), `"long" index/value length mismatch`},
-				{"inverted-bounds", colOp(Column{Idx: []int32{0}, Val: []float64{1}, LB: 2, UB: 1, Name: "inv"}), `"inv" bounds 2 > 1`},
+				{"out-of-range", colOp(Column{Idx: []int32{5}, Val: []float64{1}, UB: 1, Obj: 1}), "pricer column references row 5 of 4"},
+				{"length-mismatch", colOp(Column{Idx: []int32{0}, Val: []float64{1, 2}, UB: 1, Obj: 1}), "pricer column index/value length mismatch: 1 indices, 2 values"},
+				{"inverted-bounds", colOp(Column{Idx: []int32{0}, Val: []float64{1}, LB: 2, UB: 1}), "pricer column bounds 2 > 1"},
 			},
 		},
 	}
@@ -155,7 +170,7 @@ func TestPool(t *testing.T) {
 			names := func(sel []*pooled) []string {
 				var out []string
 				for _, pe := range sel {
-					out = append(out, pe.op.name)
+					out = append(out, nameOf(pe.op))
 				}
 				return out
 			}
@@ -186,9 +201,9 @@ func TestPool(t *testing.T) {
 			}
 			left := map[string]bool{}
 			for _, pe := range p.entries {
-				left[pe.op.name] = true
+				left[nameOf(pe.op)] = true
 			}
-			if left[tc.stale.name] || !left[tc.want[0]] || !left[tc.want[1]] || p.evicted != 1 {
+			if left[nameOf(tc.stale)] || !left[tc.want[0]] || !left[tc.want[1]] || p.evicted != 1 {
 				t.Fatalf("eviction wrong: entries %v, evicted %d", left, p.evicted)
 			}
 			// An evicted op may be offered (and therefore appended) again.
@@ -215,26 +230,28 @@ func TestPool(t *testing.T) {
 	}
 }
 
-// opFingerprint hashes the names and exact pool keys of applied ops in order.
+// opFingerprint hashes the exact pool keys of applied ops in order.
 func opFingerprint(ops []op) uint64 {
 	h := fnv.New64a()
 	for k := range ops {
-		h.Write([]byte(ops[k].name + "\x00" + ops[k].key()))
+		h.Write([]byte(ops[k].key()))
 	}
 	return h.Sum64()
 }
 
 // TestPoolTrajectoryGolden pins the full committed trajectory of solves that
 // drive the pools — the objective, node and LP-iteration counts, every
-// CutStats/ColumnStats field, and the applied ops in order (by name and by a
-// fingerprint of their exact pool keys) — to values recorded before the cut
-// and column pools were merged. Any change to canonicalization, keys,
-// selection order, eviction or op replay shows up here.
+// CutStats/ColumnStats field, and the applied ops in order (priced columns by
+// their pattern tag, and all ops by a fingerprint of their exact pool keys) —
+// to values recorded before the cut and column pools were merged (the
+// keys-only fingerprints on the same trajectory, before op names were
+// dropped). Any change to canonicalization, keys, selection order, eviction
+// or op replay shows up here.
 func TestPoolTrajectoryGolden(t *testing.T) {
-	named := func(seed int64, nFac, nPat, batch int, cuts bool) (*Problem, *Options) {
+	tagged := func(seed int64, nFac, nPat, batch int, cuts bool) (*Problem, *Options) {
 		prob, lazy := colGenProblem(seed, nFac, nPat, false)
 		for q := range lazy {
-			lazy[q].Name = fmt.Sprintf("pat%d", q)
+			lazy[q].Tag = q
 		}
 		o := &Options{Pricers: []Pricer{&patternPricer{cols: lazy}}, PriceBatch: batch}
 		if cuts {
@@ -258,7 +275,7 @@ func TestPoolTrajectoryGolden(t *testing.T) {
 		{
 			// The pricing+cuts shape of TestParallelDeterminismWithPricing.
 			name:  "pricing+cuts",
-			build: func() (*Problem, *Options) { return named(11, 6, 30, 0, true) },
+			build: func() (*Problem, *Options) { return tagged(11, 6, 30, 0, true) },
 			obj:   39.08312023721864, nodes: 7, iters: 47,
 			cuts: CutStats{RowsAtRoot: 6},
 			cols: ColumnStats{ColsAtRoot: 6, PricedCols: 30, Rounds: 1, Offered: 63, PoolHits: 33},
@@ -268,17 +285,17 @@ func TestPoolTrajectoryGolden(t *testing.T) {
 				"pat27", "pat1", "pat25", "pat15", "pat2", "pat22", "pat20", "pat24", "pat21", "pat3",
 			},
 			cutFP: 0xcbf29ce484222325, // empty
-			colFP: 0x56b5804551ae86f1,
+			colFP: 0x5811c7e5cec2998c,
 		},
 		{
 			// Many small pricing rounds, with column evictions.
 			name:  "pricing-batch3",
-			build: func() (*Problem, *Options) { return named(23, 8, 40, 3, false) },
+			build: func() (*Problem, *Options) { return tagged(23, 8, 40, 3, false) },
 			obj:   71.21962998151515, nodes: 5, iters: 66,
 			cuts:  CutStats{RowsAtRoot: 8},
 			cols:  ColumnStats{ColsAtRoot: 8, PricedCols: 24, Rounds: 10, Offered: 266, PoolHits: 226, Evicted: 16},
 			cutFP: 0xcbf29ce484222325,
-			colFP: 0x6a59f56ddd513839,
+			colFP: 0x633b07eeffa5c80,
 		},
 		{
 			// Deep cut separation through the tree.
@@ -289,7 +306,7 @@ func TestPoolTrajectoryGolden(t *testing.T) {
 			obj: 73.40487757813818, nodes: 89, iters: 985,
 			cuts:  CutStats{RowsAtRoot: 8, SeparatedRows: 118, Rounds: 112, Offered: 427, PoolHits: 309},
 			cols:  ColumnStats{ColsAtRoot: 28},
-			cutFP: 0x12ce8e9f8b39a3df,
+			cutFP: 0xe6d843dad70c8ff5,
 			colFP: 0xcbf29ce484222325,
 		},
 	}
@@ -319,7 +336,7 @@ func TestPoolTrajectoryGolden(t *testing.T) {
 				}
 				for _, c := range res.AppliedColumns {
 					cols = append(cols, colOp(c))
-					colNames = append(colNames, c.Name)
+					colNames = append(colNames, fmt.Sprintf("pat%d", c.Tag))
 				}
 				if tc.colNames != nil && !reflect.DeepEqual(colNames, tc.colNames) {
 					t.Errorf("workers=%d: applied columns %v, want %v", w, colNames, tc.colNames)
@@ -393,7 +410,6 @@ func (vs *vubSeparator) Separate(x []float64) []Cut {
 			cuts = append(cuts, Cut{
 				Idx: []int32{int32(vs.nFac + k), f}, Val: []float64{1, -c.UB},
 				LB: math.Inf(-1), UB: 0,
-				Name: fmt.Sprintf("vub[%d,%d]", q, f),
 			})
 		}
 	}
@@ -450,12 +466,12 @@ func TestCutsOverPricedColumns(t *testing.T) {
 		// it was found are zero in it.
 		x := make([]float64, res.Columns.ColsAtRoot+res.Columns.PricedCols)
 		copy(x, res.X)
-		for _, c := range res.AppliedCuts {
+		for k, c := range res.AppliedCuts {
 			if c.Idx[1] < int32(res.Columns.ColsAtRoot) {
-				t.Errorf("cut %q references no priced column: %v", c.Name, c.Idx)
+				t.Errorf("cut %d references no priced column: %v", k, c.Idx)
 			}
 			if v := rowViolation(c, x); v > 1e-6 {
-				t.Errorf("incumbent violates applied cut %q by %v", c.Name, v)
+				t.Errorf("incumbent violates applied cut %d by %v", k, v)
 			}
 		}
 	}

@@ -27,18 +27,16 @@ import (
 
 // Column is one priced structural column: coefficients Val over the rows Idx
 // of the LP relaxation, bounds [LB, UB] and objective coefficient Obj, all in
-// the problem's original sense. Name is a diagnostic label carried through to
-// certification; Tag carries pricer-private payload (e.g. the substrate path
-// a path-flow column encodes) through to the solution and its certificates.
+// the problem's original sense. Tag carries pricer-private payload (e.g. the
+// substrate path a path-flow column encodes) through to the solution and its
+// certificates, and is what identifies the column there.
 type Column struct {
 	Idx []int32
 	Val []float64
 	LB  float64
 	UB  float64
 	Obj float64
-
-	Name string
-	Tag  interface{}
+	Tag interface{}
 }
 
 // Pricer generates columns with improving reduced cost at a relaxation

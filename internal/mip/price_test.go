@@ -30,7 +30,7 @@ func colGenProblem(seed int64, nFac, nPat int, full bool) (*Problem, []Column) {
 	caps := make([]float64, nFac)
 	for j := 0; j < nFac; j++ {
 		caps[j] = 2 + rng.Float64()*6
-		p.AddCol(-(1 + rng.Float64()*3), 0, 1, "") // opening cost
+		p.AddCol(-(1 + rng.Float64()*3), 0, 1) // opening cost
 	}
 	var pats []Column
 	for q := 0; q < nPat; q++ {
@@ -54,7 +54,7 @@ func colGenProblem(seed int64, nFac, nPat int, full bool) (*Problem, []Column) {
 	patCol := make([]int32, len(pats))
 	for q, c := range pats {
 		if full {
-			patCol[q] = int32(p.AddCol(c.Obj, c.LB, c.UB, ""))
+			patCol[q] = int32(p.AddCol(c.Obj, c.LB, c.UB))
 		} else {
 			lazy = append(lazy, c)
 		}
@@ -72,7 +72,7 @@ func colGenProblem(seed int64, nFac, nPat int, full bool) (*Problem, []Column) {
 				}
 			}
 		}
-		p.AddLE(idx, val, 0, "link")
+		p.AddLE(idx, val, 0)
 	}
 	mp := NewProblem(p)
 	for j := 0; j < nFac; j++ {
@@ -155,9 +155,9 @@ func TestPricingMatchesStaticSolve(t *testing.T) {
 				known[o.key()] = true
 			}
 		}
-		for _, c := range got.AppliedColumns {
+		for k, c := range got.AppliedColumns {
 			if !known[columnKey(c)] {
-				t.Errorf("seed %d: applied column %q is not a formulation column", sh.seed, c.Name)
+				t.Errorf("seed %d: applied column %d is not a formulation column", sh.seed, k)
 			}
 		}
 	}

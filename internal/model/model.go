@@ -1,13 +1,14 @@
 // Package model provides a small algebraic modeling layer over the LP/MIP
 // solvers (a deliberately minimal analogue of the Gurobi API the paper's
-// formulations were originally written against): named variables, linear
-// expressions, ranged constraints, and objective senses.
+// formulations were originally written against): variable handles, linear
+// expressions, keyed ranged constraints, and objective senses.
 package model
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"tvnep/internal/lp"
@@ -36,11 +37,36 @@ type Var struct {
 // Index returns the variable's column index.
 func (v Var) Index() int { return v.idx }
 
-// Name returns the variable's name.
-func (v Var) Name() string { return v.m.lp.ColName[v.idx] }
-
 // Valid reports whether the handle refers to a variable.
 func (v Var) Valid() bool { return v.m != nil }
+
+// Key identifies one compiled model row: a constraint family plus up to
+// three indices, -1 marking the unused ones. It is comparable and builds
+// without allocating; String renders the row's text, e.g. prec[3][7][2],
+// only when a message needs it.
+type Key struct {
+	Fam     string
+	I, J, K int32
+}
+
+// Key1, Key2 and Key3 return the keys of rows fam[i], fam[i][j] and
+// fam[i][j][k].
+func Key1(fam string, i int) Key       { return Key{fam, int32(i), -1, -1} }
+func Key2(fam string, i, j int) Key    { return Key{fam, int32(i), int32(j), -1} }
+func Key3(fam string, i, j, k int) Key { return Key{fam, int32(i), int32(j), int32(k)} }
+
+// String renders the family followed by one bracketed index per used index.
+func (k Key) String() string {
+	b := []byte(k.Fam)
+	for _, x := range [...]int32{k.I, k.J, k.K} {
+		if x < 0 {
+			break
+		}
+		b = strconv.AppendInt(append(b, '['), int64(x), 10)
+		b = append(b, ']')
+	}
+	return string(b)
+}
 
 // LinExpr is a linear expression Σ coef_i·var_i + constant.
 type LinExpr struct {
@@ -83,8 +109,8 @@ func (e *LinExpr) Len() int { return len(e.vars) }
 
 // Model is an optimization model under construction.
 type Model struct {
-	Name    string
 	lp      *lp.Problem
+	keys    []Key // keys[i] identifies row i
 	integer []bool
 	sense   Sense
 	seps    []Separator
@@ -92,8 +118,8 @@ type Model struct {
 }
 
 // New creates an empty model with the given objective sense.
-func New(name string, sense Sense) *Model {
-	m := &Model{Name: name, lp: lp.NewProblem(), sense: sense}
+func New(sense Sense) *Model {
+	m := &Model{lp: lp.NewProblem(), sense: sense}
 	if sense == Maximize {
 		m.lp.Sense = lp.Maximize
 	}
@@ -111,6 +137,9 @@ func (m *Model) NumVars() int { return m.lp.NumCols() }
 // NumConstrs reports the number of constraints.
 func (m *Model) NumConstrs() int { return m.lp.NumRows() }
 
+// RowKey returns the key row i was added under.
+func (m *Model) RowKey(i int) Key { return m.keys[i] }
+
 // NumIntVars reports the number of integer (incl. binary) variables.
 func (m *Model) NumIntVars() int {
 	c := 0
@@ -124,22 +153,22 @@ func (m *Model) NumIntVars() int {
 
 // Continuous adds a continuous variable with the given bounds and zero
 // objective coefficient.
-func (m *Model) Continuous(name string, lb, ub float64) Var {
-	idx := m.lp.AddCol(0, lb, ub, name)
+func (m *Model) Continuous(lb, ub float64) Var {
+	idx := m.lp.AddCol(0, lb, ub)
 	m.integer = append(m.integer, false)
 	return Var{idx: idx, m: m}
 }
 
 // Binary adds a {0,1} variable.
-func (m *Model) Binary(name string) Var {
-	idx := m.lp.AddCol(0, 0, 1, name)
+func (m *Model) Binary() Var {
+	idx := m.lp.AddCol(0, 0, 1)
 	m.integer = append(m.integer, true)
 	return Var{idx: idx, m: m}
 }
 
 // IntegerVar adds a general integer variable.
-func (m *Model) IntegerVar(name string, lb, ub float64) Var {
-	idx := m.lp.AddCol(0, lb, ub, name)
+func (m *Model) IntegerVar(lb, ub float64) Var {
+	idx := m.lp.AddCol(0, lb, ub)
 	m.integer = append(m.integer, true)
 	return Var{idx: idx, m: m}
 }
@@ -147,7 +176,7 @@ func (m *Model) IntegerVar(name string, lb, ub float64) Var {
 // SetBounds overrides a variable's bounds.
 func (m *Model) SetBounds(v Var, lb, ub float64) {
 	if lb > ub {
-		panic(fmt.Sprintf("model: SetBounds(%s): lb %v > ub %v", v.Name(), lb, ub))
+		panic(fmt.Sprintf("model: SetBounds(column %d): lb %v > ub %v", v.idx, lb, ub))
 	}
 	m.lp.ColLB[v.idx] = lb
 	m.lp.ColUB[v.idx] = ub
@@ -178,41 +207,39 @@ func (m *Model) rowFromExpr(e *LinExpr) ([]int32, []float64) {
 	return idx, e.coefs
 }
 
-// AddLE adds the constraint e ≤ rhs.
-func (m *Model) AddLE(e *LinExpr, rhs float64, name string) int {
-	idx, val := m.rowFromExpr(e)
-	return m.lp.AddLE(idx, val, rhs-e.Const, name)
+// AddLE adds the constraint e ≤ rhs under key.
+func (m *Model) AddLE(e *LinExpr, rhs float64, key Key) int {
+	return m.AddRange(e, math.Inf(-1), rhs, key)
 }
 
-// AddGE adds the constraint e ≥ rhs.
-func (m *Model) AddGE(e *LinExpr, rhs float64, name string) int {
-	idx, val := m.rowFromExpr(e)
-	return m.lp.AddGE(idx, val, rhs-e.Const, name)
+// AddGE adds the constraint e ≥ rhs under key.
+func (m *Model) AddGE(e *LinExpr, rhs float64, key Key) int {
+	return m.AddRange(e, rhs, math.Inf(1), key)
 }
 
-// AddEQ adds the constraint e = rhs.
-func (m *Model) AddEQ(e *LinExpr, rhs float64, name string) int {
-	idx, val := m.rowFromExpr(e)
-	return m.lp.AddEQ(idx, val, rhs-e.Const, name)
+// AddEQ adds the constraint e = rhs under key.
+func (m *Model) AddEQ(e *LinExpr, rhs float64, key Key) int {
+	return m.AddRange(e, rhs, rhs, key)
 }
 
-// AddRange adds lo ≤ e ≤ hi.
-func (m *Model) AddRange(e *LinExpr, lo, hi float64, name string) int {
+// AddRange adds lo ≤ e ≤ hi under key.
+func (m *Model) AddRange(e *LinExpr, lo, hi float64, key Key) int {
 	idx, val := m.rowFromExpr(e)
-	return m.lp.AddRow(idx, val, lo-e.Const, hi-e.Const, name)
+	m.keys = append(m.keys, key)
+	return m.lp.AddRow(idx, val, lo-e.Const, hi-e.Const)
 }
 
 // CutLE converts an expression into the ≤-cut record e ≤ rhs, the lazy
 // counterpart of AddLE: instead of becoming a static row it can be returned
 // from a Separator and appended only when violated.
-func CutLE(e *LinExpr, rhs float64, name string) Cut {
+func CutLE(e *LinExpr, rhs float64) Cut {
 	idx := make([]int32, len(e.vars))
 	for k, vi := range e.vars {
 		idx[k] = int32(vi)
 	}
 	return Cut{
 		Idx: idx, Val: append([]float64(nil), e.coefs...),
-		LB: math.Inf(-1), UB: rhs - e.Const, Name: name,
+		LB: math.Inf(-1), UB: rhs - e.Const,
 	}
 }
 

@@ -7,12 +7,12 @@ import (
 )
 
 func TestBasicMaximize(t *testing.T) {
-	m := New("knap", Maximize)
-	a := m.Binary("a")
-	b := m.Binary("b")
-	c := m.Binary("c")
+	m := New(Maximize)
+	a := m.Binary()
+	b := m.Binary()
+	c := m.Binary()
 	m.SetObjective(Expr().Add(10, a).Add(13, b).Add(7, c))
-	m.AddLE(Expr().Add(3, a).Add(4, b).Add(2, c), 6, "cap")
+	m.AddLE(Expr().Add(3, a).Add(4, b).Add(2, c), 6, Key1("cap", 0))
 	sol := m.Optimize(context.Background(), nil)
 	if sol.Status != StatusOptimal || math.Abs(sol.Obj-20) > 1e-6 {
 		t.Fatalf("status %v obj %v, want optimal 20", sol.Status, sol.Obj)
@@ -24,10 +24,10 @@ func TestBasicMaximize(t *testing.T) {
 
 func TestExprConstantsShiftRHS(t *testing.T) {
 	// x + 5 ≤ 7 → x ≤ 2; min −x → x = 2.
-	m := New("const", Minimize)
-	x := m.Continuous("x", 0, 10)
+	m := New(Minimize)
+	x := m.Continuous(0, 10)
 	m.SetObjective(Term(-1, x))
-	m.AddLE(Expr().Add(1, x).AddConst(5), 7, "r")
+	m.AddLE(Expr().Add(1, x).AddConst(5), 7, Key1("r", 0))
 	sol := m.Optimize(context.Background(), nil)
 	if math.Abs(sol.Value(x)-2) > 1e-7 {
 		t.Fatalf("x = %v, want 2", sol.Value(x))
@@ -35,8 +35,8 @@ func TestExprConstantsShiftRHS(t *testing.T) {
 }
 
 func TestObjectiveConstant(t *testing.T) {
-	m := New("offset", Minimize)
-	x := m.Continuous("x", 1, 5)
+	m := New(Minimize)
+	x := m.Continuous(1, 5)
 	m.SetObjective(Expr().Add(2, x).AddConst(100))
 	sol := m.Optimize(context.Background(), nil)
 	if math.Abs(sol.Obj-102) > 1e-7 {
@@ -45,9 +45,9 @@ func TestObjectiveConstant(t *testing.T) {
 }
 
 func TestAddExprAndValueOf(t *testing.T) {
-	m := New("expr", Maximize)
-	x := m.Continuous("x", 0, 3)
-	y := m.Continuous("y", 0, 3)
+	m := New(Maximize)
+	x := m.Continuous(0, 3)
+	y := m.Continuous(0, 3)
 	e1 := Expr().Add(1, x).Add(1, y)
 	e2 := Expr().AddExpr(2, e1).AddConst(1) // 2x + 2y + 1
 	m.SetObjective(e2)
@@ -61,9 +61,9 @@ func TestAddExprAndValueOf(t *testing.T) {
 }
 
 func TestFixAndBounds(t *testing.T) {
-	m := New("fix", Maximize)
-	x := m.Binary("x")
-	y := m.Binary("y")
+	m := New(Maximize)
+	x := m.Binary()
+	y := m.Binary()
 	m.SetObjective(Expr().Add(1, x).Add(1, y))
 	m.Fix(x, 0)
 	sol := m.Optimize(context.Background(), nil)
@@ -77,10 +77,10 @@ func TestFixAndBounds(t *testing.T) {
 }
 
 func TestIntegerVar(t *testing.T) {
-	m := New("int", Maximize)
-	x := m.IntegerVar("x", 0, 9)
+	m := New(Maximize)
+	x := m.IntegerVar(0, 9)
 	m.SetObjective(Term(1, x))
-	m.AddLE(Term(2, x), 7, "r") // x ≤ 3.5 → 3
+	m.AddLE(Term(2, x), 7, Key1("r", 0)) // x ≤ 3.5 → 3
 	sol := m.Optimize(context.Background(), nil)
 	if math.Abs(sol.Value(x)-3) > 1e-7 {
 		t.Fatalf("x = %v, want 3", sol.Value(x))
@@ -88,10 +88,10 @@ func TestIntegerVar(t *testing.T) {
 }
 
 func TestRelaxDropsIntegrality(t *testing.T) {
-	m := New("relax", Maximize)
-	x := m.IntegerVar("x", 0, 9)
+	m := New(Maximize)
+	x := m.IntegerVar(0, 9)
 	m.SetObjective(Term(1, x))
-	m.AddLE(Term(2, x), 7, "r")
+	m.AddLE(Term(2, x), 7, Key1("r", 0))
 	sol := m.Relax()
 	if sol.Status != StatusOptimal || math.Abs(sol.Obj-3.5) > 1e-7 {
 		t.Fatalf("relax obj = %v (status %v), want 3.5", sol.Obj, sol.Status)
@@ -99,9 +99,9 @@ func TestRelaxDropsIntegrality(t *testing.T) {
 }
 
 func TestRelaxInfeasible(t *testing.T) {
-	m := New("inf", Minimize)
-	x := m.Continuous("x", 0, 1)
-	m.AddGE(Term(1, x), 5, "r")
+	m := New(Minimize)
+	x := m.Continuous(0, 1)
+	m.AddGE(Term(1, x), 5, Key1("r", 0))
 	sol := m.Relax()
 	if sol.Status != StatusInfeasible {
 		t.Fatalf("status = %v, want infeasible", sol.Status)
@@ -112,10 +112,10 @@ func TestRelaxInfeasible(t *testing.T) {
 }
 
 func TestAddRange(t *testing.T) {
-	m := New("range", Maximize)
-	x := m.Continuous("x", 0, 10)
+	m := New(Maximize)
+	x := m.Continuous(0, 10)
 	m.SetObjective(Term(1, x))
-	m.AddRange(Expr().Add(1, x).AddConst(1), 2, 6, "rng") // 1 ≤ x ≤ 5
+	m.AddRange(Expr().Add(1, x).AddConst(1), 2, 6, Key1("rng", 0)) // 1 ≤ x ≤ 5
 	sol := m.Optimize(context.Background(), nil)
 	if math.Abs(sol.Value(x)-5) > 1e-7 {
 		t.Fatalf("x = %v, want 5", sol.Value(x))
@@ -123,24 +123,57 @@ func TestAddRange(t *testing.T) {
 }
 
 func TestCounts(t *testing.T) {
-	m := New("counts", Minimize)
-	m.Binary("a")
-	m.Continuous("b", 0, 1)
-	m.IntegerVar("c", 0, 5)
-	m.AddLE(Expr(), 1, "empty")
+	m := New(Minimize)
+	m.Binary()
+	m.Continuous(0, 1)
+	m.IntegerVar(0, 5)
+	m.AddLE(Expr(), 1, Key2("empty", 4, 2))
 	if m.NumVars() != 3 || m.NumIntVars() != 2 || m.NumConstrs() != 1 {
 		t.Fatalf("counts: vars %d ints %d constrs %d", m.NumVars(), m.NumIntVars(), m.NumConstrs())
+	}
+	if k := m.RowKey(0); k != Key2("empty", 4, 2) {
+		t.Fatalf("row key %v, want empty[4][2]", k)
 	}
 }
 
 func TestVarIdentity(t *testing.T) {
-	m := New("id", Minimize)
-	v := m.Continuous("hello", 0, 1)
-	if v.Name() != "hello" || v.Index() != 0 || !v.Valid() {
-		t.Fatalf("Var identity broken: %q %d %v", v.Name(), v.Index(), v.Valid())
+	m := New(Minimize)
+	v := m.Continuous(0, 1)
+	if v.Index() != 0 || !v.Valid() {
+		t.Fatalf("Var identity broken: %d %v", v.Index(), v.Valid())
 	}
 	var zero Var
 	if zero.Valid() {
 		t.Fatal("zero Var should be invalid")
+	}
+}
+
+// TestKeyString pins the rendering of keys with one, two and three indices
+// and checks that building and comparing keys allocates nothing.
+func TestKeyString(t *testing.T) {
+	for _, tc := range []struct {
+		key  Key
+		want string
+	}{
+		{Key1("t+", 4), "t+[4]"},
+		{Key2("cap", 3, 12), "cap[3][12]"},
+		{Key3("prec", 3, 7, 2), "prec[3][7][2]"},
+		{Key3("lambda", 0, 1, 0), "lambda[0][1][0]"},
+		{Key3("state", 0, 0, 0), "state[0][0][0]"},
+	} {
+		if got := tc.key.String(); got != tc.want {
+			t.Errorf("%#v renders %q, want %q", tc.key, got, tc.want)
+		}
+	}
+	fam := "prec"
+	sink := map[Key]int{}
+	if n := testing.AllocsPerRun(100, func() {
+		k := Key3(fam, 3, 7, 2)
+		if k != Key3(fam, 3, 7, 2) {
+			t.Fatal("equal keys compare unequal")
+		}
+		sink[k]++
+	}); n != 0 {
+		t.Errorf("building a key allocates %v objects", n)
 	}
 }

@@ -5,6 +5,7 @@ package vnet
 
 import (
 	"fmt"
+	"math"
 
 	"tvnep/internal/graph"
 	"tvnep/internal/numtol"
@@ -44,7 +45,9 @@ func (r *Request) TotalNodeDemand() float64 {
 	return s
 }
 
-// Validate checks structural and temporal invariants.
+// Validate checks structural and temporal invariants: demands are
+// nonnegative and finite, the duration positive and finite, and the window
+// finite, starting at or after zero and no shorter than the duration.
 func (r *Request) Validate() error {
 	if len(r.NodeDemand) != r.G.N {
 		return fmt.Errorf("vnet %s: %d node demands for %d nodes", r.Name, len(r.NodeDemand), r.G.N)
@@ -52,11 +55,16 @@ func (r *Request) Validate() error {
 	if len(r.LinkDemand) != r.G.NumEdges() {
 		return fmt.Errorf("vnet %s: %d link demands for %d links", r.Name, len(r.LinkDemand), r.G.NumEdges())
 	}
-	if r.Duration <= 0 {
-		return fmt.Errorf("vnet %s: nonpositive duration %v", r.Name, r.Duration)
+	for k, ds := range [2][]float64{r.NodeDemand, r.LinkDemand} {
+		for i, d := range ds {
+			if !(d >= 0) || math.IsInf(d, 1) { // also rejects NaN
+				return fmt.Errorf("vnet %s: %s %d has invalid demand %v", r.Name, [2]string{"node", "link"}[k], i, d)
+			}
+		}
 	}
-	if r.Earliest < 0 {
-		return fmt.Errorf("vnet %s: negative earliest start %v", r.Name, r.Earliest)
+	if !(r.Duration > 0) || !(r.Earliest >= 0) || math.IsNaN(r.Latest) || math.IsInf(r.Duration+r.Earliest+r.Latest, 0) {
+		return fmt.Errorf("vnet %s: duration %v, earliest start %v, latest end %v: want finite times, duration > 0, earliest ≥ 0",
+			r.Name, r.Duration, r.Earliest, r.Latest)
 	}
 	if r.Flexibility() < -numtol.WindowTol { // tolerate float rounding in t^s + d + flex
 		return fmt.Errorf("vnet %s: window [%v,%v] shorter than duration %v",

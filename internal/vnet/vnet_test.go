@@ -71,6 +71,33 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateNumbers: negative or non-finite demands and non-finite
+// temporal parameters are rejected; zero demands stay valid.
+func TestValidateNumbers(t *testing.T) {
+	testdata := []struct {
+		name  string
+		edit  func(r *Request)
+		valid bool
+	}{
+		{"zero demands", func(r *Request) { r.NodeDemand[0], r.LinkDemand[0] = 0, 0 }, true},
+		{"negative node demand", func(r *Request) { r.NodeDemand[1] = -1 }, false},
+		{"negative link demand", func(r *Request) { r.LinkDemand[0] = -0.5 }, false},
+		{"infinite node demand", func(r *Request) { r.NodeDemand[0] = math.Inf(1) }, false},
+		{"NaN link demand", func(r *Request) { r.LinkDemand[1] = math.NaN() }, false},
+		{"NaN duration", func(r *Request) { r.Duration = math.NaN() }, false},
+		{"NaN earliest", func(r *Request) { r.Earliest = math.NaN() }, false},
+		{"+Inf latest", func(r *Request) { r.Latest = math.Inf(1) }, false},
+	}
+	for _, tc := range testdata {
+		r := Star("r", 2, true, 1, 1)
+		r.Earliest, r.Duration, r.Latest = 0, 2, 3
+		tc.edit(r)
+		if err := r.Validate(); (err == nil) != tc.valid {
+			t.Errorf("%s: Validate() = %v, want valid=%v", tc.name, err, tc.valid)
+		}
+	}
+}
+
 func TestFlexibilityTolerance(t *testing.T) {
 	r := Star("r", 1, true, 1, 1)
 	r.Earliest = 1.6324041020646987

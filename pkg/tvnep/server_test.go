@@ -131,6 +131,8 @@ func TestServerRejectsMalformed(t *testing.T) {
 		"not-json":      "{",
 		"unknown-field": `{"bogus": 1}`,
 		"bad-request":   `{"request": {"name": "x", "nodes": -3}, "mapping": []}`,
+		"negative-demand": `{"request": {"name": "neg", "nodes": 2, "edges": [[0, 1]], "node_demands": [-1, -1],
+			"link_demands": [0.5], "duration": 1, "earliest": 0, "latest": 2}, "mapping": [0, 1]}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/admit", "application/json", bytes.NewBufferString(body))
 		if err != nil {
