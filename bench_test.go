@@ -178,7 +178,7 @@ func benchCSigmaVariant(b *testing.B, noCuts, noPresolve bool) {
 			CutMode:         cutMode,
 			DisablePresolve: noPresolve,
 		})
-		sol, ms := built.Solve(context.Background(), model.NewSolveOptions(model.WithTimeLimit(30*time.Second)))
+		sol, ms := built.Solve(context.Background(), &model.SolveOptions{TimeLimit: 30 * time.Second})
 		if sol == nil || ms.Status != model.StatusOptimal {
 			b.Fatalf("variant solve failed: %v", ms.Status)
 		}

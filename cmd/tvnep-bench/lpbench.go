@@ -327,7 +327,7 @@ func runLPBench(outPath, comparePath string, short bool) error {
 					CutMode:         core.CutOff,
 					DisablePresolve: true,
 				})
-				sol, ms := built.Solve(context.Background(), model.NewSolveOptions(model.WithTimeLimit(30*time.Second)))
+				sol, ms := built.Solve(context.Background(), &model.SolveOptions{TimeLimit: 30 * time.Second})
 				if sol == nil || ms.Status != model.StatusOptimal {
 					fmt.Fprintf(os.Stderr, "lpbench: ablation solve failed: %v\n", ms.Status)
 					os.Exit(1)
@@ -359,7 +359,7 @@ func runLPBench(outPath, comparePath string, short bool) error {
 					FixedMapping: sc.Mapping,
 					CutMode:      core.CutLazy,
 				})
-				sol, ms := built.Solve(context.Background(), model.NewSolveOptions(model.WithTimeLimit(30*time.Second)))
+				sol, ms := built.Solve(context.Background(), &model.SolveOptions{TimeLimit: 30 * time.Second})
 				if sol == nil || ms.Status != model.StatusOptimal {
 					fmt.Fprintf(os.Stderr, "lpbench: lazy-cut solve failed: %v\n", ms.Status)
 					os.Exit(1)
@@ -409,7 +409,7 @@ func runLPBench(outPath, comparePath string, short bool) error {
 						FixedMapping: sc.Mapping,
 						FlowMode:     mode.fm,
 					})
-					sol, ms := built.Solve(context.Background(), model.NewSolveOptions(model.WithTimeLimit(30*time.Second)))
+					sol, ms := built.Solve(context.Background(), &model.SolveOptions{TimeLimit: 30 * time.Second})
 					if sol == nil || ms.Status != model.StatusOptimal {
 						fmt.Fprintf(os.Stderr, "lpbench: WAN %v solve failed: %v\n", mode.fm, ms.Status)
 						os.Exit(1)

@@ -33,7 +33,7 @@ func solveExact(sc *workload.Scenario) *solution.Solution {
 		Objective:    core.AccessControl,
 		FixedMapping: sc.Mapping,
 	})
-	sol, ms := b.Solve(context.Background(), model.NewSolveOptions(model.WithTimeLimit(90*time.Second)))
+	sol, ms := b.Solve(context.Background(), &model.SolveOptions{TimeLimit: 90 * time.Second})
 	if sol == nil {
 		log.Fatalf("exact solve failed: %v", ms.Status)
 	}

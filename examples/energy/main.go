@@ -56,7 +56,7 @@ func solve(reqs []*vnet.Request, horizon float64) {
 		Objective:    core.DisableLinks,
 		FixedMapping: mapping,
 	})
-	sol, ms := b.Solve(context.Background(), model.NewSolveOptions(model.WithTimeLimit(60*time.Second)))
+	sol, ms := b.Solve(context.Background(), &model.SolveOptions{TimeLimit: 60 * time.Second})
 	if sol == nil {
 		log.Fatalf("solve failed: %v", ms.Status)
 	}

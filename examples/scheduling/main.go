@@ -53,7 +53,7 @@ func main() {
 		Objective:    core.MaxEarliness,
 		FixedMapping: mapping,
 	})
-	sol, ms := b.Solve(context.Background(), model.NewSolveOptions(model.WithTimeLimit(30*time.Second)))
+	sol, ms := b.Solve(context.Background(), &model.SolveOptions{TimeLimit: 30 * time.Second})
 	if sol == nil {
 		log.Fatalf("earliness solve failed: %v", ms.Status)
 	}
@@ -70,7 +70,7 @@ func main() {
 		Objective:    core.BalanceNodeLoad,
 		LoadFraction: 0.5,
 	})
-	sol, ms = b.Solve(context.Background(), model.NewSolveOptions(model.WithTimeLimit(30*time.Second)))
+	sol, ms = b.Solve(context.Background(), &model.SolveOptions{TimeLimit: 30 * time.Second})
 	if sol == nil {
 		log.Fatalf("balance solve failed: %v", ms.Status)
 	}

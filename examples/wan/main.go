@@ -75,7 +75,7 @@ func main() {
 		Objective:    core.AccessControl,
 		FixedMapping: mapping,
 	})
-	sol, ms := b.Solve(context.Background(), model.NewSolveOptions(model.WithTimeLimit(2*time.Minute)))
+	sol, ms := b.Solve(context.Background(), &model.SolveOptions{TimeLimit: 2 * time.Minute})
 	if sol == nil {
 		log.Fatalf("no plan found: %v", ms.Status)
 	}

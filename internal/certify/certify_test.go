@@ -17,7 +17,7 @@ import (
 )
 
 func solveOpts() *model.SolveOptions {
-	return model.NewSolveOptions(model.WithTimeLimit(30 * time.Second))
+	return &model.SolveOptions{TimeLimit: 30 * time.Second}
 }
 
 func smallScenario(t *testing.T) *workload.Scenario {
@@ -291,8 +291,8 @@ func smallLP() *lp.Problem {
 	return p
 }
 
-// TestLPCertificateKnownGood certifies honest LP results, including one
-// routed through presolve/postsolve and a real model root relaxation.
+// TestLPCertificateKnownGood certifies honest LP results: a hand-sized LP
+// and a real model root relaxation.
 func TestLPCertificateKnownGood(t *testing.T) {
 	p := smallLP()
 	res := lp.Solve(p, nil)
@@ -307,8 +307,8 @@ func TestLPCertificateKnownGood(t *testing.T) {
 		t.Fatalf("residuals too large: primal %v gap %v", cert.PrimalResidual, cert.DualityGap)
 	}
 
-	// Root relaxation of a real model (exercises dual recovery through the
-	// model-level presolve path).
+	// Root relaxation of a real model (exercises dual recovery on a model's
+	// degenerate rows and fixed columns).
 	sc := smallScenario(t)
 	inst := &core.Instance{Sub: sc.Substrate, Reqs: sc.Requests, Horizon: sc.Horizon}
 	b := core.BuildCSigma(inst, core.BuildOptions{

@@ -27,10 +27,11 @@ const (
 )
 
 // DefaultLPTol is the acceptance tolerance of the LP certificate. It is
-// deliberately looser than the solver's own numtol.LPFeasTol: the
-// certificate checks postsolved quantities whose residuals accumulate
-// across presolve reconstruction, and its job is to catch wrong answers,
-// not to re-litigate the last two ulps of a correct one.
+// deliberately looser than the solver's own numtol.LPFeasTol: the solver
+// enforces its tolerances on the equilibrated problem, so unscaling can
+// grow a residual by the row and column scale factors, and the
+// certificate's job is to catch wrong answers, not to re-litigate the last
+// ulps of a correct one.
 const DefaultLPTol = 100 * numtol.LPFeasTol
 
 // LPCertificate is the outcome of re-verifying an lp.Result against its

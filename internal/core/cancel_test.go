@@ -51,7 +51,7 @@ func TestSolveCancellationStopsLongSolve(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, ms := b.Solve(ctx, model.NewSolveOptions(model.WithTimeLimit(time.Hour)))
+	_, ms := b.Solve(ctx, &model.SolveOptions{TimeLimit: time.Hour})
 	elapsed := time.Since(start)
 	if ms.Status != model.StatusCancelled {
 		t.Fatalf("status %v after %v, want %v", ms.Status, elapsed, model.StatusCancelled)

@@ -30,7 +30,7 @@ func zeroRuntimes(recs []Record) []Record {
 // pool: a sweep at ANY worker count must produce exactly the records — same
 // values, same order — as the serial sweep, and the progress stream must
 // match line for line (modulo wall-clock times). Bit-for-bit reproducibility
-// of the solver (simplex pivots, Devex weights, presolve reductions, warm
+// of the solver (simplex pivots, Devex weights, equilibration, warm
 // starts) is load-bearing here: any worker-count-dependent float would show
 // up as a record mismatch.
 func TestParallelSweepDeterminism(t *testing.T) {

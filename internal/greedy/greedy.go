@@ -16,6 +16,7 @@ package greedy
 import (
 	"context"
 	"errors"
+	"math"
 	"sort"
 	"time"
 
@@ -168,7 +169,14 @@ func Solve(ctx context.Context, inst *core.Instance, mapping vnet.NodeMapping, b
 	if last == nil {                       // zero requests
 		last = &solution.Solution{}
 	}
-	// Recompute the access-control objective of the final solution.
+	// The last subproblem's solver metadata describes objective (21), not
+	// access control, and greedy proves no bound: report the run totals
+	// and no optimality claim, and recompute the access-control objective.
+	last.Optimal = false
+	last.Gap = math.Inf(1)
+	last.Bound = math.Inf(1)
+	last.Nodes = stats.TotalBBNodes
+	last.Runtime = stats.TotalRuntime
 	last.Objective = 0
 	for r, req := range inst.Reqs {
 		if last.Accepted[r] {
@@ -178,23 +186,17 @@ func Solve(ctx context.Context, inst *core.Instance, mapping vnet.NodeMapping, b
 	return last, stats, nil
 }
 
-// remapSolution expands a subproblem solution (indexed by `considered`)
-// into full-instance indexing. Requests not yet considered are marked
-// rejected with zeroed times; callers only read the final, complete
-// iteration.
+// remapSolution expands a subproblem solution's schedule (indexed by
+// `considered`) into full-instance indexing; the solver metadata is left
+// for Solve to fill in. Requests not yet considered are marked rejected
+// with zeroed times; callers only read the final, complete iteration.
 func remapSolution(sub *solution.Solution, considered []int, k int) *solution.Solution {
 	out := &solution.Solution{
-		Accepted:  make([]bool, k),
-		Start:     make([]float64, k),
-		End:       make([]float64, k),
-		Hosts:     make([][]int, k),
-		Flows:     make([][][]float64, k),
-		Objective: sub.Objective,
-		Bound:     sub.Bound,
-		Gap:       sub.Gap,
-		Optimal:   sub.Optimal,
-		Nodes:     sub.Nodes,
-		Runtime:   sub.Runtime,
+		Accepted: make([]bool, k),
+		Start:    make([]float64, k),
+		End:      make([]float64, k),
+		Hosts:    make([][]int, k),
+		Flows:    make([][][]float64, k),
 	}
 	for i, orig := range considered {
 		out.Accepted[orig] = sub.Accepted[i]

@@ -2,6 +2,7 @@ package greedy
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -105,5 +106,37 @@ func TestGreedyAblationVariantsAgreeOnTiny(t *testing.T) {
 	}
 	if want != 3 {
 		t.Fatalf("accepted %d, want 3 (three 2h jobs fit in 6h)", want)
+	}
+}
+
+// TestGreedyClaimsNoOptimality pins the greedy solution's solver metadata:
+// the per-iteration subproblems optimize objective (21), not access
+// control, and greedy proves no bound, so the result must claim no
+// optimality and report the run's node and runtime totals.
+func TestGreedyClaimsNoOptimality(t *testing.T) {
+	wl := workload.Config{
+		GridRows: 2, GridCols: 2, NodeCap: 2, LinkCap: 2,
+		NumRequests: 5, StarLeaves: 1,
+		DemandLow: 0.5, DemandHigh: 1,
+		MeanInterArr: 1, WeibullShape: 2, WeibullScale: 2,
+		FlexibilityHr: 1,
+	}
+	for _, cm := range []core.CutMode{core.CutStatic, core.CutLazy} {
+		for seed := int64(1); seed <= 4; seed++ {
+			sc := workload.Generate(wl, seed)
+			inst := &core.Instance{Sub: sc.Substrate, Reqs: sc.Requests, Horizon: sc.Horizon}
+			sol, stats, err := Solve(context.Background(), inst, sc.Mapping, core.BuildOptions{CutMode: cm}, nil)
+			if err != nil {
+				t.Fatalf("cutmode %v seed %d: %v", cm, seed, err)
+			}
+			if sol.Optimal || !math.IsInf(sol.Gap, 1) || !math.IsInf(sol.Bound, 1) {
+				t.Errorf("cutmode %v seed %d: Optimal=%v Gap=%v Bound=%v, want false +Inf +Inf",
+					cm, seed, sol.Optimal, sol.Gap, sol.Bound)
+			}
+			if sol.Nodes != stats.TotalBBNodes || sol.Runtime != stats.TotalRuntime {
+				t.Errorf("cutmode %v seed %d: Nodes=%d Runtime=%v, want run totals %d %v",
+					cm, seed, sol.Nodes, sol.Runtime, stats.TotalBBNodes, stats.TotalRuntime)
+			}
+		}
 	}
 }

@@ -285,16 +285,8 @@ func (o *Options) withDefaults(rows, cols int) Options {
 	return out
 }
 
-// Solve solves the problem from scratch (or from opts.WarmBasis when given).
-// Cold solves first run the presolve reductions (see presolve.go) and map
-// the reduced solution back; warm-started solves skip presolve because the
-// supplied basis is stated over the unreduced problem.
+// Solve solves the problem from scratch (or from opts.WarmBasis when given)
+// on a fresh Instance.
 func Solve(p *Problem, opts *Options) Result {
-	if opts == nil || opts.WarmBasis == nil {
-		if ps := presolve(p); ps != nil {
-			return ps.solve(opts)
-		}
-	}
-	inst := NewInstance(p)
-	return inst.Solve(opts)
+	return NewInstance(p).Solve(opts)
 }

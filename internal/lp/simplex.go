@@ -423,7 +423,7 @@ type solver struct {
 
 // fixedCol reports whether column j is fixed (equal bounds) and can never
 // leave its bound. Bounds are only ever equal by assignment (construction,
-// branching, presolve), so the bit-exact comparison is deliberate.
+// branching), so the bit-exact comparison is deliberate.
 func (s *solver) fixedCol(j int) bool {
 	//lint:allow floateq -- equal bounds are assigned, never computed
 	return s.lb[j] == s.ub[j]

@@ -158,10 +158,18 @@ func (s *searcher) solveSeparated(nd *node) (*lpTask, bool) {
 		s.bflips += res.BoundFlips
 		s.rpasses += res.RatioPasses
 		s.lastWorker = t.worker
+		root := nd.col == -1
+		if root && cutRounds == 0 && priceRounds == 0 {
+			// The root's first relaxation, at epoch 0 (the root is solved
+			// once per search). The search recycles its factors, and a
+			// handed root's belong to the caller, so the record keeps
+			// neither factors nor basis.
+			s.root = res
+			s.root.Basis, s.root.Factors = nil, nil
+		}
 		if res.Status != lp.StatusOptimal {
 			return t, true
 		}
-		root := nd.col == -1
 		if s.cols != nil && priceRounds < maxPriceRounds && s.price(res) > 0 {
 			// Hot-restart the same node at the new epoch from its own final
 			// basis (the appended columns enter nonbasic, so the basis stays

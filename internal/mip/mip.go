@@ -242,6 +242,12 @@ type Result struct {
 	// than ColsAtRoot+len(AppliedColumns): an incumbent found before later
 	// pricing rounds simply does not use the columns appended after it.
 	AppliedColumns []Column
+	// Root is the root node's first relaxation, over the problem's own rows
+	// and columns before any cut or priced column was appended (with
+	// SolveFrom, the handed root). It is the bound the search started
+	// from, kept so callers can certify it; Basis and Factors are nil. It
+	// is zero-valued when the search stopped before solving the root.
+	Root lp.Result
 }
 
 // node is a branch-and-bound node: a chain of bound overrides on top of the
@@ -327,6 +333,9 @@ type searcher struct {
 	cuts *pool
 	cols *pool
 	log  []op
+
+	// root is the root node's first relaxation (Result.Root).
+	root lp.Result
 
 	// LU factor buffers (see factors.go): the free list, the caller's
 	// handed-root factors (never recycled), and the dive heuristic's
@@ -429,6 +438,7 @@ func SolveFrom(ctx context.Context, p *Problem, opts *Options, root *Root) Resul
 		BoundFlips:   s.bflips,
 		RatioPasses:  s.rpasses,
 		Runtime:      time.Since(start), //lint:allow nondet -- wall-clock Runtime stat only
+		Root:         s.root,
 	}
 	if s.eng != nil {
 		// Everything the workers evaluated minus everything the committed

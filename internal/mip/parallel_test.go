@@ -332,3 +332,66 @@ func TestSolveFromRecycledWorkspaces(t *testing.T) {
 		}
 	}
 }
+
+// TestResultRootIsFirstRelaxation pins Result.Root: the root node's first
+// relaxation over the problem's own rows and columns, even when separation
+// and pricing append rows and columns to the root LP later, with neither
+// basis nor factors attached. With SolveFrom it is the handed root.
+func TestResultRootIsFirstRelaxation(t *testing.T) {
+	const nFac = 6
+	cases := []struct {
+		name   string
+		priced bool // pricing must append columns too
+		build  func() (*Problem, *Options)
+	}{
+		{"priced-columns+cuts", true, func() (*Problem, *Options) {
+			prob, lazy := colGenProblem(11, nFac, 30, false)
+			pp := newOnePatternPricer(lazy)
+			return prob, &Options{
+				Pricers:    []Pricer{pp},
+				Separators: []Separator{&vubSeparator{nFac: nFac, pricer: pp}},
+			}
+		}},
+		{"cuts-deep", false, func() (*Problem, *Options) {
+			prob := multiKnapsack(7, 28, 8)
+			return prob, &Options{Separators: []Separator{&coverSeparator{prob: prob}}}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			prob, o := tc.build()
+			n, m := prob.LP.NumCols(), prob.LP.NumRows()
+			res := Solve(context.Background(), prob, o)
+			if res.Status != StatusOptimal {
+				t.Fatalf("status %v", res.Status)
+			}
+			if res.Cuts.SeparatedRows == 0 || (tc.priced && res.Columns.PricedCols == 0) {
+				t.Fatalf("cuts %+v, columns %+v: the case no longer appends to the root LP", res.Cuts, res.Columns)
+			}
+			root := res.Root
+			if root.Status != lp.StatusOptimal || len(root.X) != n || len(root.Duals) != m {
+				t.Fatalf("root: status %v, %d values and %d duals, want optimal over %d columns and %d rows",
+					root.Status, len(root.X), len(root.Duals), n, m)
+			}
+			if root.Factors != nil || root.Basis != nil {
+				t.Error("root result keeps its factors or basis")
+			}
+			want := lp.NewInstance(prob.LP).Solve(nil)
+			if d := math.Abs(root.Obj - want.Obj); d > 1e-9*math.Max(1, math.Abs(want.Obj)) {
+				t.Errorf("root objective %v, cold relaxation %v", root.Obj, want.Obj)
+			}
+
+			prob, o = tc.build()
+			inst := lp.NewInstance(prob.LP)
+			handed := inst.Solve(nil)
+			inst.CaptureFactors(&handed, nil)
+			from := SolveFrom(context.Background(), prob, o, &Root{Inst: inst, Res: handed})
+			if math.Float64bits(from.Root.Obj) != math.Float64bits(handed.Obj) {
+				t.Errorf("SolveFrom root objective %v, handed root %v", from.Root.Obj, handed.Obj)
+			}
+			if from.Root.Factors != nil || from.Root.Basis != nil {
+				t.Error("SolveFrom root result keeps the handed factors or basis")
+			}
+		})
+	}
+}

@@ -127,8 +127,9 @@ func New(sense Sense) *Model {
 }
 
 // LP exposes the underlying LP problem (shared storage; callers must treat
-// it as read-only). It exists so external checks — presolve round-trip
-// tests, feasibility audits — can inspect the exact rows the solver sees.
+// it as read-only). It exists so external checks — the root-LP
+// certificate, feasibility audits — can inspect the exact rows the solver
+// sees.
 func (m *Model) LP() *lp.Problem { return m.lp }
 
 // NumVars reports the number of variables.
@@ -316,7 +317,12 @@ type Solution struct {
 	// entry is raw LP column Columns.ColsAtRoot + k. Extractors use it to
 	// map incumbent values back to pricer payloads (Column.Tag).
 	AppliedColumns []Column
-	x              []float64
+	// RootLP is the root node's first relaxation over LP()'s own rows and
+	// columns, the bound the search branched from (see mip.Result.Root);
+	// internal/certify checks it with certify.LP. Zero-valued for
+	// SolutionFromLP and when the search stopped before the root.
+	RootLP lp.Result
+	x      []float64
 }
 
 // Value returns the solution value of v (NaN when no solution exists).
@@ -399,6 +405,7 @@ func (m *Model) OptimizeFrom(ctx context.Context, opts *SolveOptions, inst *lp.I
 		AppliedCuts:    res.AppliedCuts,
 		Columns:        res.Columns,
 		AppliedColumns: res.AppliedColumns,
+		RootLP:         res.Root,
 		x:              res.X,
 	}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // Progress is a snapshot of a running solve, delivered to the callback
-// installed with WithProgress. It aliases the branch-and-bound progress
-// record: incumbent updates carry NewIncumbent == true, all other
+// installed in SolveOptions.Progress. It aliases the branch-and-bound
+// progress record: incumbent updates carry NewIncumbent == true, all other
 // callbacks are periodic node-count ticks.
 type Progress = mip.Progress
 
@@ -84,46 +84,6 @@ type SolveOptions struct {
 	// tier (internal/round) and any future randomized component. The exact
 	// branch-and-bound is deterministic by construction and ignores it.
 	Seed int64
-}
-
-// SolveOption mutates a SolveOptions; see NewSolveOptions.
-type SolveOption func(*SolveOptions)
-
-// NewSolveOptions builds a SolveOptions from functional options:
-//
-//	opts := model.NewSolveOptions(
-//		model.WithTimeLimit(time.Minute),
-//		model.WithWorkers(8),
-//	)
-func NewSolveOptions(opts ...SolveOption) *SolveOptions {
-	o := &SolveOptions{}
-	for _, fn := range opts {
-		fn(o)
-	}
-	return o
-}
-
-// WithTimeLimit bounds each solve by d.
-func WithTimeLimit(d time.Duration) SolveOption {
-	return func(o *SolveOptions) { o.TimeLimit = d }
-}
-
-// WithWorkers sets the degree of parallelism: scenarios solved concurrently
-// in sweep drivers (0 → runtime.NumCPU()), branch-and-bound workers inside
-// a single solve (0 → 1). See SolveOptions.Workers.
-func WithWorkers(n int) SolveOption {
-	return func(o *SolveOptions) { o.Workers = n }
-}
-
-// WithProgress installs a per-solve progress callback.
-func WithProgress(fn ProgressFunc) SolveOption {
-	return func(o *SolveOptions) { o.Progress = fn }
-}
-
-// WithSeed sets the seed for randomized components (the rounding tier);
-// the deterministic exact solver ignores it.
-func WithSeed(seed int64) SolveOption {
-	return func(o *SolveOptions) { o.Seed = seed }
 }
 
 // mipOptions lowers the public options into the branch-and-bound solver's

@@ -83,16 +83,13 @@ const (
 	// condition number) but stay far below any meaningful activity level.
 	BoundSnapTol = 1e-9
 
-	// AtBoundTol classifies a value as "at a bound" when reconstructing
-	// basis statuses and dual signs in postsolve. It is looser than
-	// BoundSnapTol because postsolved values combine several eliminated
-	// rows' worth of arithmetic.
+	// AtBoundTol classifies a value as "at a bound" when the LP certificate
+	// (certify.LP) decides which sign a reduced cost or row dual may take.
+	// It is looser than BoundSnapTol because the certificate judges values
+	// unscaled from the equilibrated solve and row activities it recomputes
+	// itself, so a genuinely active bound can be missed by more than the
+	// snap distance.
 	AtBoundTol = 1e-6
-
-	// DualRoundTol is the threshold below which a recovered dual/reduced
-	// cost is treated as exactly zero during presolve postprocessing, so
-	// complementary slackness is restored exactly on fixed columns.
-	DualRoundTol = 1e-9
 
 	// MIPGapTol is the default relative optimality gap at which branch and
 	// bound declares an incumbent optimal.

@@ -8,7 +8,6 @@ import (
 	"tvnep/internal/certify"
 	"tvnep/internal/core"
 	"tvnep/internal/greedy"
-	"tvnep/internal/lp"
 	"tvnep/internal/model"
 	"tvnep/internal/round"
 	"tvnep/internal/solution"
@@ -68,7 +67,7 @@ type Certificate struct {
 	// graph (exact FlowPath solves; nil otherwise).
 	Columns *certify.Report
 	// RootLP is the primal/dual optimality certificate of the root
-	// relaxation (exact solves; nil otherwise).
+	// relaxation the search branched from (exact solves; nil otherwise).
 	RootLP *certify.LPCertificate
 }
 
@@ -233,9 +232,7 @@ func (s *Solver) verify(inst *core.Instance, sol *Solution, mapping NodeMapping,
 		if err := cert.Columns.Err(); err != nil {
 			return &CertificationError{Stage: "columns", Err: err}
 		}
-		lpp := b.Model.LP()
-		lpRes := lp.Solve(lpp, nil)
-		cert.RootLP = certify.LP(lpp, lpRes, 0)
+		cert.RootLP = certify.LP(b.Model.LP(), ms.RootLP, 0)
 		if err := cert.RootLP.Err(); err != nil {
 			return &CertificationError{Stage: "root-lp", Err: err}
 		}

@@ -133,6 +133,9 @@ func TestGreedyFacadeMatchesDirect(t *testing.T) {
 	if got.Greedy == nil || got.Greedy.AcceptedCount != wantStats.AcceptedCount {
 		t.Errorf("greedy stats %+v != direct %+v", got.Greedy, wantStats)
 	}
+	if got.Solution.Optimal {
+		t.Error("greedy solution claims optimality; greedy proves no bound")
+	}
 	for r := range sc.Requests {
 		if got.Solution.Accepted[r] != wantSol.Accepted[r] {
 			t.Errorf("request %d: accepted %v != direct %v", r, got.Solution.Accepted[r], wantSol.Accepted[r])
