@@ -1,6 +1,8 @@
 package sparselu
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -75,26 +77,122 @@ func TestExtendIntoAllocFree(t *testing.T) {
 }
 
 // TestTranAllocFree pins the kernel allocation contract: FTRAN/BTRAN work
-// entirely in caller and factor-owned scratch.
+// entirely in caller and factor-owned scratch, and once the eta arenas have
+// warmed up, neither do eta updates — on plain factors and on factors
+// produced by ExtendInto, and for a unit BTRAN through a non-empty eta file.
 func TestTranAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
-	const m = 32
-	colIdx, colVal := randBasis(rng, m, 0.25)
-	f, err := Factorize(m, colIdx, colVal)
+	const m = 96
+	colIdx, colVal := slackHeavyBasis(rng, m)
+	base, err := Factorize(m, colIdx, colVal)
 	if err != nil {
 		t.Fatalf("factorize: %v", err)
 	}
-	b := make([]float64, m)
-	for i := range b {
-		b[i] = rng.NormFloat64()
+	addEtas(t, rng, base, 5)
+	bIdx, bVal, diag := randBorder(rng, m, 2)
+	ext := &Factors{}
+	if err := base.ExtendInto(ext, NewWorkspace(), 2, bIdx, bVal, diag); err != nil {
+		t.Fatalf("extend: %v", err)
 	}
-	v := make([]float64, m)
-	allocs := testing.AllocsPerRun(100, func() {
-		copy(v, b)
-		f.Ftran(v)
-		f.Btran(v)
+	for _, src := range []*Factors{base, ext} {
+		n := src.M()
+		cols := make([][]int32, 8)
+		vals := make([][]float64, 8)
+		for i := range cols {
+			cols[i], vals[i] = sparseColumn(rng, n)
+		}
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		all := allIdx(n)
+		v := make([]float64, n)
+		nz := make([]int32, 0, n)
+		work := &Factors{}
+		// One simplex-like round on a fresh copy: sparse FTRANs with eta
+		// updates, a unit BTRAN through the eta file, then a dense pair.
+		round := func() {
+			src.CopyInto(work)
+			for i := range cols {
+				clear(v)
+				for k, r := range cols[i] {
+					v[r] += vals[i][k]
+				}
+				nz = work.Ftran(v, append(nz[:0], cols[i]...))
+				pos := 0
+				for p := range v {
+					if math.Abs(v[p]) > math.Abs(v[pos]) {
+						pos = p
+					}
+				}
+				work.Update(v, nz, pos)
+			}
+			clear(v)
+			v[n/2] = 1
+			work.Btran(v, append(nz[:0], int32(n/2)))
+			copy(v, b)
+			work.Ftran(v, append(nz[:0], all...))
+			work.Btran(v, append(nz[:0], all...))
+		}
+		round()
+		if work.NumEtas() <= src.NumEtas() {
+			t.Fatalf("m=%d: no eta update taken", n)
+		}
+		if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+			t.Fatalf("m=%d: Ftran+Update+Btran allocate %v per round, want 0", n, allocs)
+		}
+	}
+}
+
+// benchTran times one hyper-sparse solve kind at m ≈ 400 and m ≈ 3,200 on a
+// slack-heavy basis carrying 80 etas.
+func benchTran(b *testing.B, solve func(f *Factors, rng *rand.Rand, v []float64, nz []int32) []int32) {
+	for _, m := range []int{400, 3200} {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(43))
+			colIdx, colVal := slackHeavyBasis(rng, m)
+			f, err := Factorize(m, colIdx, colVal)
+			if err != nil {
+				b.Fatal(err)
+			}
+			addEtas(b, rng, f, 80)
+			v := make([]float64, m)
+			nz := make([]int32, 0, m)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				nz = solve(f, rng, v, nz)
+			}
+		})
+	}
+}
+
+// BenchmarkFtranSparse solves for a sparse entering column, clearing the
+// previous result over its pattern the way the simplex does.
+func BenchmarkFtranSparse(b *testing.B) {
+	benchTran(b, func(f *Factors, rng *rand.Rand, v []float64, nz []int32) []int32 {
+		for _, i := range nz {
+			v[i] = 0
+		}
+		nz = nz[:0]
+		for k := 0; k < 4; k++ {
+			r := int32(rng.Intn(f.M()))
+			v[r] += 1 + rng.Float64()
+			nz = append(nz, r)
+		}
+		return f.Ftran(v, nz)
 	})
-	if allocs != 0 {
-		t.Fatalf("Ftran+Btran allocate %v per call, want 0", allocs)
-	}
+}
+
+// BenchmarkBtranUnit solves for a unit right-hand side e_r — the simplex
+// pivot row — clearing the previous result over its pattern.
+func BenchmarkBtranUnit(b *testing.B) {
+	benchTran(b, func(f *Factors, rng *rand.Rand, v []float64, nz []int32) []int32 {
+		for _, i := range nz {
+			v[i] = 0
+		}
+		r := int32(rng.Intn(f.M()))
+		v[r] = 1
+		return f.Btran(v, append(nz[:0], r))
+	})
 }

@@ -132,12 +132,19 @@ func (f *Factors) ExtendInto(dst *Factors, ws *Workspace, k int, borderIdx [][]i
 		g.lptr[t+1] = g.lptr[t] // empty L columns for the new steps
 	}
 
-	// The eta file carries over verbatim (it acts on the old positions).
-	g.etas = copyEtas(g.etas, f.etas)
-	g.etaIdx = append(growI32(g.etaIdx, len(f.etaIdx))[:0], f.etaIdx...)
-	g.etaVal = append(growF64(g.etaVal, len(f.etaVal))[:0], f.etaVal...)
+	// The eta file and its occurrence chains carry over verbatim (they act
+	// on the old positions).
+	g.etas = copyOf(g.etas, f.etas)
+	g.etaIdx = copyOf(g.etaIdx, f.etaIdx)
+	g.etaVal = copyOf(g.etaVal, f.etaVal)
 	g.etaNNZ = f.etaNNZ
-	g.scratch = growF64(g.scratch, mk)
+	g.occ = copyOf(g.occ, f.occ)
+	g.etaHead = growI32(g.etaHead, mk)
+	copy(g.etaHead, f.etaHead)
+	for p := m; p < mk; p++ {
+		g.etaHead[p] = -1
+	}
+	g.resetSolveState()
 	g.buildMirrors(ws)
 	return nil
 }

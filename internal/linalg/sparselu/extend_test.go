@@ -59,15 +59,15 @@ func checkAgainst(t *testing.T, trial int, f *Factors, m int, colIdx [][]int32, 
 	}
 	x1 := append([]float64(nil), b...)
 	x2 := append([]float64(nil), b...)
-	f.Ftran(x1)
-	fresh.Ftran(x2)
+	ftranAll(f, x1)
+	ftranAll(fresh, x2)
 	if d := maxDiff(x1, x2); d > 1e-8 {
 		t.Fatalf("trial %d: extended ftran differs from fresh by %v", trial, d)
 	}
 	y1 := append([]float64(nil), b...)
 	y2 := append([]float64(nil), b...)
-	f.Btran(y1)
-	fresh.Btran(y2)
+	btranAll(f, y1)
+	btranAll(fresh, y2)
 	if d := maxDiff(y1, y2); d > 1e-8 {
 		t.Fatalf("trial %d: extended btran differs from fresh by %v", trial, d)
 	}
@@ -137,11 +137,11 @@ func applyRandomUpdates(t *testing.T, rng *rand.Rand, f *Factors, m int, colIdx 
 		for e, r := range newIdx {
 			alpha[r] = newVal[e]
 		}
-		f.Ftran(alpha)
+		nz := ftranAll(f, alpha)
 		if math.Abs(alpha[pos]) < 1e-6 {
 			continue // unlucky pivot; skip this replacement
 		}
-		f.Update(alpha, pos)
+		f.Update(alpha, nz, pos)
 		colIdx[pos], colVal[pos] = newIdx, newVal
 	}
 }
@@ -159,14 +159,14 @@ func TestExtendReceiverUnmodified(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 	before := append([]float64(nil), b...)
-	f.Ftran(before)
+	ftranAll(f, before)
 
 	bIdx, bVal, diag := randBorder(rng, m, 3)
 	if err := f.ExtendInto(&Factors{}, NewWorkspace(), 3, bIdx, bVal, diag); err != nil {
 		t.Fatal(err)
 	}
 	after := append([]float64(nil), b...)
-	f.Ftran(after)
+	ftranAll(f, after)
 	if d := maxDiff(before, after); d != 0 {
 		t.Fatalf("receiver solve changed by %v after ExtendInto", d)
 	}
@@ -197,7 +197,7 @@ func TestExtendEmptyBase(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := []float64{3, -4}
-	g.Ftran(v)
+	ftranAll(g, v)
 	if v[0] != -3 || v[1] != 4 {
 		t.Fatalf("ftran on diag(-1) = %v, want [-3 4]", v)
 	}

@@ -1,7 +1,7 @@
 // Package sparselu provides the sparse basis kernel of the LP solver: an LU
 // factorization of the (sparse, square) simplex basis with a Markowitz-style
-// fill-reducing pivot order and threshold partial pivoting, forward/backward
-// solves (FTRAN/BTRAN) that skip structurally-zero positions, and eta-file
+// fill-reducing pivot order and threshold partial pivoting, hyper-sparse
+// forward/backward solves (FTRAN/BTRAN), and eta-file
 // (product-form-of-the-inverse) updates so that a pivot costs O(nnz) instead
 // of a refactorization.
 //
@@ -13,10 +13,18 @@
 // repeated factorizations of the same basis are bit-for-bit identical.
 //
 // Both triangular factors are additionally mirrored in transposed (row-major)
-// form so that Btran runs as a pair of scatter-style solves that skip
-// structurally-zero positions — the unit right-hand sides of the simplex
-// pivot row (BTRAN of e_r) touch only the rows actually reachable in the
-// dependency graph instead of all m elimination steps.
+// form so that Btran, like Ftran, runs as a pair of scatter-style solves.
+// The solves are hyper-sparse (Hall & McKinnon 2005): Ftran and Btran take
+// the nonzero pattern of their right-hand side and return that of the
+// result, and each triangular solve visits only the elimination steps
+// reachable from the input. A bitset over the steps collects them and is
+// drained in the same ascending or descending step order a dense loop would
+// use, and Btran applies only the etas that read or write a nonzero
+// position, found through per-position occurrence chains. The work skipped
+// is exactly the work a dense loop spends on zeros, so every nonzero of the
+// result is bit-for-bit what the dense loops compute. A solve costs
+// O(m/64 + reached steps + touched nonzeros), plus one check per eta in
+// Ftran; dense right-hand sides take the same path.
 //
 // Allocation discipline: the hot simplex loop must not allocate. Eta vectors
 // live in per-Factors append-only arenas (amortized zero-allocation growth),
@@ -33,6 +41,7 @@ package sparselu
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -85,7 +94,7 @@ type Factors struct {
 	uval  []float64
 	udiag []float64
 
-	// Transposed mirrors for the hyper-sparse Btran. U by row step: for step
+	// Transposed mirrors for the scatter-form Btran. U by row step: for step
 	// j, the steps k > j with U[j,k] ≠ 0. L by pivotal step: for step k, the
 	// earlier steps k' whose L column holds an entry at row rowPiv[k].
 	urptr []int32
@@ -95,12 +104,39 @@ type Factors struct {
 	lrcol []int32
 	lrval []float64
 
-	etas    []eta
-	etaIdx  []int32   // arena backing eta off-pivot indices
-	etaVal  []float64 // arena backing eta off-pivot values
-	etaNNZ  int
-	scratch []float64 // length m, used by Ftran/Btran
+	// Inverse permutations, built with the mirrors: rowStep[r] is the step
+	// at which row r is pivotal (rowPiv⁻¹), posStep[p] the step that
+	// eliminated basis position p (order⁻¹).
+	rowStep []int32
+	posStep []int32
+
+	etas   []eta
+	etaIdx []int32   // arena backing eta off-pivot indices
+	etaVal []float64 // arena backing eta off-pivot values
+	etaNNZ int
+	// Eta occurrence chains: etaHead[p] is the newest node naming an eta
+	// that reads or writes position p (-1 if none), and each node links to
+	// the next-older one. Update appends; Btran walks them to find the etas
+	// a solve reaches.
+	etaHead []int32
+	occ     []etaOcc
+
+	// Solve scratch, all zero between solves: per-step values (length m),
+	// and the mark bits — one per elimination step, then one per row or
+	// position (nmark words each), then one per eta (grown by Update).
+	scratch []float64
+	marks   []uint64
+	nmark   int
 }
+
+// etaOcc is one node of an eta occurrence chain: eta number eta names the
+// chain's position, and next is the next-older node (-1 ends the chain).
+type etaOcc struct {
+	eta, next int32
+}
+
+// markWords is the number of 64-bit words holding one bit per index < m.
+func markWords(m int) int { return (m + 63) >> 6 }
 
 // Workspace holds the reusable symbolic and numeric scratch of the
 // factorization and extension kernels. A Workspace may be reused across any
@@ -172,15 +208,34 @@ func headroom(old, n int) int {
 	return n + n/4
 }
 
-// copyEtas copies src into dst's storage (grown like growI32) and returns
-// the copy.
-func copyEtas(dst, src []eta) []eta {
+// copyOf copies src into dst's storage (grown like growI32) and returns the
+// copy.
+func copyOf[T any](dst, src []T) []T {
 	if n := len(src); cap(dst) < n {
-		dst = make([]eta, n, headroom(cap(dst), n))
+		dst = make([]T, n, headroom(cap(dst), n))
 	}
 	dst = dst[:len(src)]
 	copy(dst, src)
 	return dst
+}
+
+// zeroed returns s resized to n zero entries, reusing its storage when the
+// capacity allows (grown like growI32).
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, headroom(cap(s), n))
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// resetSolveState sizes the solve scratch for the current m and the eta
+// marks for the current eta file, all zero.
+func (f *Factors) resetSolveState() {
+	f.nmark = markWords(f.m)
+	f.scratch = zeroed(f.scratch, f.m)
+	f.marks = zeroed(f.marks, 2*f.nmark+markWords(len(f.etas)))
 }
 
 // Factorize computes the sparse LU factorization of the m×m basis whose
@@ -216,7 +271,12 @@ func FactorizeInto(dst *Factors, ws *Workspace, m int, colIdx [][]int32, colVal 
 	f.etaIdx = f.etaIdx[:0]
 	f.etaVal = f.etaVal[:0]
 	f.etaNNZ = 0
-	f.scratch = growF64(f.scratch, m)
+	f.occ = f.occ[:0]
+	f.etaHead = growI32(f.etaHead, m)
+	for p := range f.etaHead {
+		f.etaHead[p] = -1
+	}
+	f.resetSolveState()
 	if m == 0 {
 		f.lptr[0], f.uptr[0] = 0, 0
 		f.buildMirrors(ws)
@@ -382,9 +442,10 @@ func FactorizeInto(dst *Factors, ws *Workspace, m int, colIdx [][]int32, colVal 
 }
 
 // buildMirrors derives the transposed (row-major) views of L and U consumed
-// by the hyper-sparse Btran. U is mirrored by row step (urow entries are step
-// numbers); L is mirrored by the step at which each entry's row becomes
-// pivotal, which is exactly the order the backward Lᵀ scatter finalizes them.
+// by the scatter-form Btran, and the inverse permutations rowStep and
+// posStep. U is mirrored by row step (urow entries are step numbers); L is
+// mirrored by the step at which each entry's row becomes pivotal, which is
+// exactly the order the backward Lᵀ scatter finalizes them.
 func (f *Factors) buildMirrors(ws *Workspace) {
 	m := f.m
 	f.urptr = growI32(f.urptr, m+1)
@@ -393,9 +454,15 @@ func (f *Factors) buildMirrors(ws *Workspace) {
 	f.urval = growF64(f.urval, len(f.uval))
 	f.lrcol = growI32(f.lrcol, len(f.lrow))
 	f.lrval = growF64(f.lrval, len(f.lval))
+	f.rowStep = growI32(f.rowStep, m)
+	f.posStep = growI32(f.posStep, m)
 	if m == 0 {
 		f.urptr[0], f.lrptr[0] = 0, 0
 		return
+	}
+	for k := 0; k < m; k++ {
+		f.rowStep[f.rowPiv[k]] = int32(k)
+		f.posStep[f.order[k]] = int32(k)
 	}
 	if ws == nil || cap(ws.cnt) < m+1 {
 		ws = &Workspace{cnt: make([]int32, m+1)}
@@ -424,22 +491,12 @@ func (f *Factors) buildMirrors(ws *Workspace) {
 	}
 
 	// L mirror: entries keyed by the step at which their row becomes
-	// pivotal (ws.estate doubles as the row→step map; the DFS is done
-	// with it by the time mirrors are built).
+	// pivotal.
 	for i := range cnt {
 		cnt[i] = 0
 	}
-	steps := ws.estate
-	if cap(steps) < m {
-		steps = make([]int32, m)
-		ws.estate = steps
-	}
-	steps = steps[:m]
-	for k := 0; k < m; k++ {
-		steps[f.rowPiv[k]] = int32(k)
-	}
 	for _, r := range f.lrow {
-		cnt[steps[r]+1]++
+		cnt[f.rowStep[r]+1]++
 	}
 	for i := 0; i < m; i++ {
 		cnt[i+1] += cnt[i]
@@ -447,7 +504,7 @@ func (f *Factors) buildMirrors(ws *Workspace) {
 	copy(f.lrptr, cnt[:m+1])
 	for k := 0; k < m; k++ {
 		for e := f.lptr[k]; e < f.lptr[k+1]; e++ {
-			s := steps[f.lrow[e]]
+			s := f.rowStep[f.lrow[e]]
 			f.lrcol[cnt[s]] = int32(k)
 			f.lrval[cnt[s]] = f.lval[e]
 			cnt[s]++
@@ -469,57 +526,140 @@ func (f *Factors) EtaNNZ() int { return f.etaNNZ }
 
 // Update appends the product-form eta for a pivot that replaced the basis
 // column at position r, where alpha = B⁻¹·(entering column) is the FTRAN'd
-// entering column. alpha[r] must be nonzero (the simplex ratio test
-// guarantees a pivot magnitude above its tolerance). Steady-state updates
-// are allocation-free once the arena capacity has warmed up.
+// entering column and nz lists, in ascending order and without repeats, the
+// positions where alpha may be nonzero (the pattern Ftran returned).
+// alpha[r] must be nonzero (the simplex ratio test guarantees a pivot
+// magnitude above its tolerance). Steady-state updates are allocation-free
+// once the arena capacity has warmed up.
 //
 //hot:path
-func (f *Factors) Update(alpha []float64, r int) {
+func (f *Factors) Update(alpha []float64, nz []int32, r int) {
+	i := int32(len(f.etas))
 	off := int32(len(f.etaIdx))
-	for i, v := range alpha {
-		if i != r && math.Abs(v) > dropTol {
-			f.etaIdx = append(f.etaIdx, int32(i)) //lint:allow hotalloc -- amortized eta-arena growth; compacted at refactorization
+	f.etaIdx = arenaRoom(f.etaIdx, len(nz), f.m)
+	f.etaVal = arenaRoom(f.etaVal, len(nz), f.m)
+	f.occ = arenaRoom(f.occ, len(nz)+1, f.m)
+	for _, p := range nz {
+		if v := alpha[p]; int(p) != r && math.Abs(v) > dropTol {
+			f.etaIdx = append(f.etaIdx, p) //lint:allow hotalloc -- within the capacity arenaRoom reserved
 			f.etaVal = append(f.etaVal, v)
+			f.chainEta(p, i)
 		}
 	}
+	f.chainEta(int32(r), i)
 	n := int32(len(f.etaIdx)) - off
 	f.etas = append(f.etas, eta{r: int32(r), n: n, off: off, piv: alpha[r]}) //lint:allow hotalloc -- amortized eta-file growth; compacted at refactorization
 	f.etaNNZ += int(n) + 1
+	if len(f.marks) < 2*f.nmark+markWords(len(f.etas)) {
+		f.marks = append(arenaRoom(f.marks, 1, f.nmark), 0) //lint:allow hotalloc -- within the capacity arenaRoom reserved
+	}
+}
+
+// arenaRoom returns s with room for n more entries. Storage that has to
+// grow doubles, starting at m entries, so the eta arenas of a fresh
+// factorization settle after a few growths instead of the dozen that
+// growing from empty entry by entry takes. Capacity is kept across
+// refactorizations.
+func arenaRoom[T any](s []T, n, m int) []T {
+	if need := len(s) + n; need > cap(s) {
+		t := make([]T, len(s), max(2*cap(s), m, need))
+		copy(t, s)
+		s = t
+	}
+	return s
+}
+
+// chainEta records that eta i reads or writes position p, in a node the
+// caller has reserved.
+func (f *Factors) chainEta(p, i int32) {
+	f.occ = append(f.occ, etaOcc{eta: i, next: f.etaHead[p]}) //lint:allow hotalloc -- within the capacity arenaRoom reserved
+	f.etaHead[p] = int32(len(f.occ) - 1)
 }
 
 // Ftran solves B·x = v in place: on input v is a right-hand side indexed by
-// row, on output it holds x indexed by basis position. Structurally-zero
-// pivot positions are skipped, so sparse right-hand sides (unit columns,
-// sparse entering columns) cost far less than a dense solve.
+// row, zero outside the rows nz lists (any order, repeats allowed); on output
+// it holds x indexed by basis position, and the returned slice, which reuses
+// nz's storage, lists the positions where x may be nonzero in ascending
+// order. cap(nz) must be at least M(). Only the elimination steps reachable
+// from the input are visited, in the ascending (L) and descending (U) step
+// order of the dense solve; the eta file is then applied in pivot order.
+//
+// Throughout, a step is marked whenever its row holds a nonzero, so a
+// scatter marks its target only when the target is still zero.
 //
 //hot:path
-func (f *Factors) Ftran(v []float64) {
-	m := f.m
-	// L solve (forward, scatter form: skip zero pivots).
-	for k := 0; k < m; k++ {
-		val := v[f.rowPiv[k]]
-		if val == 0 {
-			continue
-		}
-		for e := f.lptr[k]; e < f.lptr[k+1]; e++ {
-			v[f.lrow[e]] -= f.lval[e] * val
+func (f *Factors) Ftran(v []float64, nz []int32) []int32 {
+	steps, pos := f.marks[:f.nmark], f.marks[f.nmark:2*f.nmark]
+	for _, r := range nz {
+		if v[r] != 0 {
+			setMark(steps, f.rowStep[r])
 		}
 	}
-	// U solve (backward, scatter form), result per elimination step.
-	x := f.scratch
-	for k := m - 1; k >= 0; k-- {
-		t := v[f.rowPiv[k]]
-		if t != 0 {
-			t /= f.udiag[k]
-			for e := f.uptr[k]; e < f.uptr[k+1]; e++ {
-				v[f.rowPiv[f.urow[e]]] -= f.uval[e] * t
+	// L solve (forward, scatter form). Writes reach only later steps, so
+	// each mark word is rescanned for bits not yet done; the marks stay set
+	// for the U solve.
+	for w := range steps {
+		for done := uint64(0); ; {
+			word := steps[w] &^ done
+			if word == 0 {
+				break
+			}
+			b := bits.TrailingZeros64(word)
+			done |= 1 << b
+			k := w<<6 | b
+			val := v[f.rowPiv[k]]
+			if val == 0 {
+				continue
+			}
+			for e := f.lptr[k]; e < f.lptr[k+1]; e++ {
+				r := f.lrow[e]
+				if v[r] == 0 {
+					setMark(steps, f.rowStep[r])
+				}
+				v[r] -= f.lval[e] * val
 			}
 		}
-		x[k] = t
 	}
-	// Permute steps back to basis positions.
-	for k := 0; k < m; k++ {
-		v[f.order[k]] = x[k]
+	// U solve (backward, scatter form), result per elimination step. Writes
+	// reach only earlier steps, so the highest mark left is always the next
+	// step; the drain clears the marks, zeroes each step's row once read,
+	// and lists the reached steps in nz.
+	x := f.scratch
+	reached := nz[:f.m]
+	n := 0
+	for w := len(steps) - 1; w >= 0; w-- {
+		for steps[w] != 0 {
+			b := 63 - bits.LeadingZeros64(steps[w])
+			steps[w] &^= 1 << b
+			k := w<<6 | b
+			r := f.rowPiv[k]
+			t := v[r]
+			v[r] = 0
+			if t != 0 {
+				t /= f.udiag[k]
+				for e := f.uptr[k]; e < f.uptr[k+1]; e++ {
+					j := f.urow[e]
+					rj := f.rowPiv[j]
+					if v[rj] == 0 {
+						setMark(steps, j)
+					}
+					v[rj] -= f.uval[e] * t
+				}
+			}
+			x[k] = t
+			reached[n] = int32(k)
+			n++
+		}
+	}
+	// Permute the reached steps back to basis positions; every other entry
+	// of v is already zero.
+	for _, k := range reached[:n] {
+		p := f.order[k]
+		v[p] = x[k]
+		if x[k] != 0 {
+			setMark(pos, p)
+		}
+		x[k] = 0
 	}
 	// Apply the eta file in pivot order: B = B₀·E₁⋯E_k, so
 	// x = E_k⁻¹·…·E₁⁻¹·B₀⁻¹·v.
@@ -533,62 +673,163 @@ func (f *Factors) Ftran(v []float64) {
 		idx := f.etaIdx[e.off : e.off+e.n]
 		val := f.etaVal[e.off : e.off+e.n]
 		for t, ix := range idx {
+			if v[ix] == 0 {
+				setMark(pos, ix)
+			}
 			v[ix] -= val[t] * pv
 		}
 		v[e.r] = pv
 	}
+	nz = drainMarks(pos, nz[:f.m])
+	f.debugCheckSolve(v, nz)
+	return nz
 }
 
 // Btran solves Bᵀ·y = v in place: on input v is indexed by basis position
-// (e.g. basic costs), on output it holds y indexed by row. Both triangular
-// solves run in scatter form over the transposed mirrors and skip
-// structurally-zero steps, so the unit right-hand sides of the pivot-row
-// BTRAN touch only the reachable part of the dependency graph.
+// (e.g. basic costs), zero outside the positions nz lists (any order, repeats
+// allowed); on output it holds y indexed by row, and the returned slice,
+// which reuses nz's storage, lists the rows where y may be nonzero in
+// ascending order. cap(nz) must be at least M(). The eta transposes run in
+// reverse pivot order over only the etas that read or write a nonzero
+// position; the Uᵀ and Lᵀ solves visit only the reachable steps, in the
+// ascending and descending step order of the dense solve, marking steps as
+// Ftran does.
 //
 //hot:path
-func (f *Factors) Btran(v []float64) {
-	// Eta transposes in reverse pivot order.
-	for i := len(f.etas) - 1; i >= 0; i-- {
-		e := &f.etas[i]
-		s := v[e.r]
-		idx := f.etaIdx[e.off : e.off+e.n]
-		val := f.etaVal[e.off : e.off+e.n]
-		for t, ix := range idx {
-			s -= val[t] * v[ix]
+func (f *Factors) Btran(v []float64, nz []int32) []int32 {
+	steps, pos, etaMarks := f.marks[:f.nmark], f.marks[f.nmark:2*f.nmark], f.marks[2*f.nmark:]
+	ne := int32(len(f.etas))
+	for _, p := range nz {
+		if v[p] != 0 && !hasMark(pos, p) {
+			setMark(pos, p)
+			f.markEtas(etaMarks, p, ne)
 		}
-		v[e.r] = s / e.piv
 	}
-	m := f.m
-	// Column permutation, then Uᵀ solve (forward in elimination steps;
-	// scatter form over the row mirror, skipping zero steps).
+	// Eta transposes in reverse pivot order. An eta none of whose positions
+	// has held a nonzero would only compute a zero, so it stays unmarked;
+	// a position turning nonzero marks the older etas on its chain, so the
+	// highest mark left is always the next eta.
+	for w := len(etaMarks) - 1; w >= 0; w-- {
+		for etaMarks[w] != 0 {
+			b := 63 - bits.LeadingZeros64(etaMarks[w])
+			etaMarks[w] &^= 1 << b
+			i := int32(w<<6 | b)
+			e := &f.etas[i]
+			s := v[e.r]
+			idx := f.etaIdx[e.off : e.off+e.n]
+			val := f.etaVal[e.off : e.off+e.n]
+			for t, ix := range idx {
+				s -= val[t] * v[ix]
+			}
+			s /= e.piv
+			v[e.r] = s
+			if s != 0 && !hasMark(pos, e.r) {
+				setMark(pos, e.r)
+				f.markEtas(etaMarks, e.r, i)
+			}
+		}
+	}
+	// Column permutation: the marked positions move to their steps, leaving
+	// v all zero.
 	z := f.scratch
-	for k := 0; k < m; k++ {
-		z[k] = v[f.order[k]]
-	}
-	for k := 0; k < m; k++ {
-		t := z[k]
-		if t == 0 {
-			continue
+	for w, word := range pos {
+		for word != 0 {
+			p := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			k := f.posStep[p]
+			z[k] = v[p]
+			v[p] = 0
+			if z[k] != 0 {
+				setMark(steps, k)
+			}
 		}
-		t /= f.udiag[k]
-		z[k] = t
-		for e := f.urptr[k]; e < f.urptr[k+1]; e++ {
-			z[f.urcol[e]] -= f.urval[e] * t
+		pos[w] = 0
+	}
+	// Uᵀ solve (forward in elimination steps, scatter form over the row
+	// mirror). Writes reach only later steps; the marks stay set for Lᵀ.
+	for w := range steps {
+		for done := uint64(0); ; {
+			word := steps[w] &^ done
+			if word == 0 {
+				break
+			}
+			b := bits.TrailingZeros64(word)
+			done |= 1 << b
+			k := w<<6 | b
+			t := z[k]
+			if t == 0 {
+				continue
+			}
+			t /= f.udiag[k]
+			z[k] = t
+			for e := f.urptr[k]; e < f.urptr[k+1]; e++ {
+				j := f.urcol[e]
+				if z[j] == 0 {
+					setMark(steps, j)
+				}
+				z[j] -= f.urval[e] * t
+			}
 		}
 	}
 	// Lᵀ solve (backward; scatter form over the step-keyed mirror: once
 	// step k is final, its value feeds the earlier steps whose L columns
-	// reference row rowPiv[k]).
-	for k := m - 1; k >= 0; k-- {
-		t := z[k]
-		v[f.rowPiv[k]] = t
-		if t == 0 {
-			continue
-		}
-		for e := f.lrptr[k]; e < f.lrptr[k+1]; e++ {
-			z[f.lrcol[e]] -= f.lrval[e] * t
+	// reference row rowPiv[k]). The drain clears the marks.
+	for w := len(steps) - 1; w >= 0; w-- {
+		for steps[w] != 0 {
+			b := 63 - bits.LeadingZeros64(steps[w])
+			steps[w] &^= 1 << b
+			k := w<<6 | b
+			t := z[k]
+			z[k] = 0
+			r := f.rowPiv[k]
+			v[r] = t
+			if t == 0 {
+				continue
+			}
+			setMark(pos, r)
+			for e := f.lrptr[k]; e < f.lrptr[k+1]; e++ {
+				j := f.lrcol[e]
+				if z[j] == 0 {
+					setMark(steps, j)
+				}
+				z[j] -= f.lrval[e] * t
+			}
 		}
 	}
+	nz = drainMarks(pos, nz[:f.m])
+	f.debugCheckSolve(v, nz)
+	return nz
+}
+
+// markEtas marks, in etaMarks, the etas numbered below `below` that read or
+// write position p.
+func (f *Factors) markEtas(etaMarks []uint64, p, below int32) {
+	for u := f.etaHead[p]; u >= 0; u = f.occ[u].next {
+		if i := f.occ[u].eta; i < below {
+			setMark(etaMarks, i)
+		}
+	}
+}
+
+// setMark sets bit i of the bitset b.
+func setMark(b []uint64, i int32) { b[i>>6] |= 1 << (uint32(i) & 63) }
+
+// hasMark reports whether bit i of b is set.
+func hasMark(b []uint64, i int32) bool { return b[i>>6]&(1<<(uint32(i)&63)) != 0 }
+
+// drainMarks writes the set bits of b to out in ascending order, clears b
+// and returns the written prefix of out.
+func drainMarks(b []uint64, out []int32) []int32 {
+	n := 0
+	for w, word := range b {
+		for word != 0 {
+			out[n] = int32(w<<6 | bits.TrailingZeros64(word))
+			n++
+			word &= word - 1
+		}
+		b[w] = 0
+	}
+	return out[:n]
 }
 
 // CopyInto deep-copies f into dst, reusing dst's storage when capacity
@@ -598,24 +839,28 @@ func (f *Factors) Btran(v []float64) {
 // factors with it, both without allocating once dst has warmed up.
 func (f *Factors) CopyInto(dst *Factors) {
 	dst.m = f.m
-	dst.order = append(growI32(dst.order, len(f.order))[:0], f.order...)
-	dst.rowPiv = append(growI32(dst.rowPiv, len(f.rowPiv))[:0], f.rowPiv...)
-	dst.lptr = append(growI32(dst.lptr, len(f.lptr))[:0], f.lptr...)
-	dst.lrow = append(growI32(dst.lrow, len(f.lrow))[:0], f.lrow...)
-	dst.lval = append(growF64(dst.lval, len(f.lval))[:0], f.lval...)
-	dst.uptr = append(growI32(dst.uptr, len(f.uptr))[:0], f.uptr...)
-	dst.urow = append(growI32(dst.urow, len(f.urow))[:0], f.urow...)
-	dst.uval = append(growF64(dst.uval, len(f.uval))[:0], f.uval...)
-	dst.udiag = append(growF64(dst.udiag, len(f.udiag))[:0], f.udiag...)
-	dst.urptr = append(growI32(dst.urptr, len(f.urptr))[:0], f.urptr...)
-	dst.urcol = append(growI32(dst.urcol, len(f.urcol))[:0], f.urcol...)
-	dst.urval = append(growF64(dst.urval, len(f.urval))[:0], f.urval...)
-	dst.lrptr = append(growI32(dst.lrptr, len(f.lrptr))[:0], f.lrptr...)
-	dst.lrcol = append(growI32(dst.lrcol, len(f.lrcol))[:0], f.lrcol...)
-	dst.lrval = append(growF64(dst.lrval, len(f.lrval))[:0], f.lrval...)
-	dst.etas = copyEtas(dst.etas, f.etas)
-	dst.etaIdx = append(growI32(dst.etaIdx, len(f.etaIdx))[:0], f.etaIdx...)
-	dst.etaVal = append(growF64(dst.etaVal, len(f.etaVal))[:0], f.etaVal...)
+	dst.order = copyOf(dst.order, f.order)
+	dst.rowPiv = copyOf(dst.rowPiv, f.rowPiv)
+	dst.lptr = copyOf(dst.lptr, f.lptr)
+	dst.lrow = copyOf(dst.lrow, f.lrow)
+	dst.lval = copyOf(dst.lval, f.lval)
+	dst.uptr = copyOf(dst.uptr, f.uptr)
+	dst.urow = copyOf(dst.urow, f.urow)
+	dst.uval = copyOf(dst.uval, f.uval)
+	dst.udiag = copyOf(dst.udiag, f.udiag)
+	dst.urptr = copyOf(dst.urptr, f.urptr)
+	dst.urcol = copyOf(dst.urcol, f.urcol)
+	dst.urval = copyOf(dst.urval, f.urval)
+	dst.lrptr = copyOf(dst.lrptr, f.lrptr)
+	dst.lrcol = copyOf(dst.lrcol, f.lrcol)
+	dst.lrval = copyOf(dst.lrval, f.lrval)
+	dst.rowStep = copyOf(dst.rowStep, f.rowStep)
+	dst.posStep = copyOf(dst.posStep, f.posStep)
+	dst.etas = copyOf(dst.etas, f.etas)
+	dst.etaIdx = copyOf(dst.etaIdx, f.etaIdx)
+	dst.etaVal = copyOf(dst.etaVal, f.etaVal)
 	dst.etaNNZ = f.etaNNZ
-	dst.scratch = growF64(dst.scratch, f.m)
+	dst.etaHead = copyOf(dst.etaHead, f.etaHead)
+	dst.occ = copyOf(dst.occ, f.occ)
+	dst.resetSolveState()
 }

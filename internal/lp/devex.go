@@ -68,10 +68,11 @@ func (s *solver) devexPrimalUpdate(q, r, leaving int) {
 }
 
 // dseUpdate refreshes the dual steepest-edge weights β_i = ‖B⁻ᵀe_i‖² for
-// the pivot in which column q enters at row r. alpha is the FTRAN'd
-// entering column; s.rho must still hold the pivot row B⁻ᵀe_r (from
-// pivotRow) and s.tau receives B⁻¹ρ_r, the one extra FTRAN this rule costs
-// per iteration. Must run before the basis swap.
+// the pivot in which column q enters at row r. s.alpha must hold the
+// FTRAN'd entering column and s.rho still the pivot row B⁻ᵀe_r (from
+// pivotRow); s.tau receives B⁻¹ρ_r, the one extra FTRAN this rule costs per
+// iteration. All three are walked over their patterns. Must run before the
+// basis swap.
 //
 // With β_r taken exactly as ‖ρ_r‖² (free — ρ_r is already computed), the
 // Forrest–Goldfarb recurrence for the post-pivot weights is
@@ -90,18 +91,25 @@ func (s *solver) devexPrimalUpdate(q, r, leaving int) {
 // and pricing thrashes. The standard safeguard clamps the update from below
 // at (α_i/α_r)²·β_r, the part of the new row norm contributed by the pivot
 // row, which keeps stale weights from collapsing.
-func (s *solver) dseUpdate(alpha []float64, r int) {
+func (s *solver) dseUpdate(r int) {
+	alpha := s.alpha
 	ar := alpha[r]
 	if ar == 0 {
 		return
 	}
 	betaR := 0.0
-	for _, v := range s.rho {
-		betaR += v * v
+	for _, i := range s.rhoNZ { // ascending: the sum runs in row order
+		betaR += s.rho[i] * s.rho[i]
 	}
-	copy(s.tau, s.rho)
-	s.fac.Ftran(s.tau)
-	for i := 0; i < s.m; i++ {
+	for _, i := range s.tauNZ {
+		s.tau[i] = 0
+	}
+	for _, i := range s.rhoNZ {
+		s.tau[i] = s.rho[i]
+	}
+	s.tauNZ = s.fac.Ftran(s.tau, append(s.tauNZ[:0], s.rhoNZ...))
+	for _, i32 := range s.alphaNZ {
+		i := int(i32)
 		if i == r {
 			continue
 		}

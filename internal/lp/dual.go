@@ -89,7 +89,7 @@ func (s *solver) dual(maxIters int) iterStatus {
 		// Apply the accumulated bound flips before the pivot: one combined
 		// FTRAN updates the basic values for all flipped columns at once.
 		s.applyBoundFlips()
-		s.ftran(q, s.alpha)
+		s.ftran(q)
 		if math.Abs(s.alpha[r]) <= pivTol {
 			// Numerical disagreement between the row and column view;
 			// refactorize and retry once, otherwise give up. (Any bound
@@ -100,7 +100,7 @@ func (s *solver) dual(maxIters int) iterStatus {
 			}
 			s.computeXB()
 			s.dValid = false
-			s.ftran(q, s.alpha)
+			s.ftran(q)
 			if math.Abs(s.alpha[r]) <= pivTol {
 				return iterNumeric
 			}
@@ -115,14 +115,14 @@ func (s *solver) dual(maxIters int) iterStatus {
 			target = s.ub[leavingCol]
 			leaveStat = vsUpper
 		}
-		s.dseUpdate(s.alpha, r)
+		s.dseUpdate(r)
 		s.applyPivotToReducedCosts(q, leavingCol)
 		deltaQ := (s.xB[r] - target) / s.alpha[r]
 		enterVal := s.colValue(q) + deltaQ
-		for i := 0; i < s.m; i++ {
+		for _, i := range s.alphaNZ {
 			s.xB[i] -= deltaQ * s.alpha[i]
 		}
-		s.pivot(q, r, s.alpha, enterVal, leaveStat)
+		s.pivot(q, r, enterVal, leaveStat)
 		s.noteProgress(math.Abs(deltaQ))
 	}
 	return iterLimit
@@ -249,7 +249,7 @@ func (s *solver) applyBoundFlips() {
 	if len(s.flips) == 0 {
 		return
 	}
-	for i := range s.work {
+	for _, i := range s.workNZ {
 		s.work[i] = 0
 	}
 	for _, j32 := range s.flips {
@@ -268,8 +268,8 @@ func (s *solver) applyBoundFlips() {
 			s.work[ri] += val[k] * delta
 		}
 	}
-	s.fac.Ftran(s.work)
-	for i := 0; i < s.m; i++ {
+	s.workNZ = s.fac.Ftran(s.work, allRows(s.workNZ, s.m))
+	for _, i := range s.workNZ {
 		s.xB[i] -= s.work[i]
 	}
 	s.xbFresh = false

@@ -50,6 +50,8 @@ func (s *solver) crashBasis() (bool, error) {
 			act[r] += s.inst.colVal[j][k] * v
 		}
 	}
+	// The crash used s.work densely: its pattern is every row.
+	s.workNZ = allRows(s.workNZ, m)
 	needPhase1 := false
 	for i := 0; i < m; i++ {
 		slack := n + i
@@ -163,7 +165,7 @@ func (s *solver) primal(maxIters int) iterStatus {
 				dir = -1
 			}
 		}
-		s.ftran(q, s.alpha)
+		s.ftran(q)
 
 		// Ratio test. t is the allowed movement of x_q along dir.
 		t := math.Inf(1)
@@ -172,7 +174,8 @@ func (s *solver) primal(maxIters int) iterStatus {
 		}
 		leave, leaveStat := -1, vsLower
 		leaveAbs := 0.0
-		for i := 0; i < s.m; i++ {
+		for _, i32 := range s.alphaNZ {
+			i := int(i32)
 			a := s.alpha[i]
 			if math.Abs(a) <= pivTol {
 				continue
@@ -234,7 +237,7 @@ func (s *solver) primal(maxIters int) iterStatus {
 			if math.IsInf(t, 1) {
 				return iterUnbounded
 			}
-			for i := 0; i < s.m; i++ {
+			for _, i := range s.alphaNZ {
 				s.xB[i] -= dir * t * s.alpha[i]
 			}
 			s.xbFresh = false
@@ -252,10 +255,10 @@ func (s *solver) primal(maxIters int) iterStatus {
 		s.devexPrimalUpdate(q, leave, int(s.basis[leave]))
 		s.applyPivotToReducedCosts(q, int(s.basis[leave]))
 		enterVal := s.colValue(q) + dir*t
-		for i := 0; i < s.m; i++ {
+		for _, i := range s.alphaNZ {
 			s.xB[i] -= dir * t * s.alpha[i]
 		}
-		s.pivot(q, leave, s.alpha, enterVal, leaveStat)
+		s.pivot(q, leave, enterVal, leaveStat)
 		s.noteProgress(t)
 	}
 	return iterLimit
@@ -307,6 +310,8 @@ func (s *solver) crashSlackBasis() error {
 			act[r] += s.inst.colVal[j][k] * v
 		}
 	}
+	// The crash used s.work densely: its pattern is every row.
+	s.workNZ = allRows(s.workNZ, m)
 	for i := 0; i < m; i++ {
 		slack := n + i
 		art := s.nm + i

@@ -22,12 +22,13 @@ func (s *solver) recomputeReducedCosts() {
 
 // pivotRow fills s.arow[j] = (e_r·B⁻¹)·A_j for every column j (the r-th row
 // of the simplex tableau; consumers skip basic columns). It exploits the
-// sparsity of ρ = e_r·B⁻¹ twice: the scatter is row-wise — only matrix rows
-// with a nonzero multiplier are touched — and every touched column is pushed
-// onto the hyper-sparse index stack s.arowNZ, so the downstream ratio test,
-// reduced-cost update and Devex update iterate the row's support instead of
-// all N columns. Entries of the previous pivot row are cleared through the
-// old stack, never by a full sweep.
+// sparsity of ρ = e_r·B⁻¹ twice: the scatter is row-wise over ρ's pattern,
+// in ascending row order — only matrix rows with a nonzero multiplier are
+// touched — and every touched column is pushed onto the hyper-sparse index
+// stack s.arowNZ, so the downstream ratio test, reduced-cost update and
+// Devex update iterate the row's support instead of all N columns. Entries
+// of the previous pivot row are cleared through the old stack, never by a
+// full sweep.
 //
 // The stack is left in discovery order: every consumer is insensitive to it
 // — the long-step ratio test orders its breakpoints through a heap keyed by
@@ -38,14 +39,15 @@ func (s *solver) recomputeReducedCosts() {
 // guarantee is stated over ascending column order; its scan sorts here,
 // on the rare degeneracy-triggered iterations that use it.
 func (s *solver) pivotRow(r int) {
-	s.btranRow(r, s.rho)
+	s.btranRow(r)
 	for _, j := range s.arowNZ {
 		s.arow[j] = 0
 		s.arowTag[j] = false
 	}
 	s.arowNZ = s.arowNZ[:0]
 	n, nm := s.inst.n, s.nm
-	for i, rv := range s.rho {
+	for _, i32 := range s.rhoNZ { // ascending: arow sums in row order
+		i, rv := int(i32), s.rho[i32]
 		if rv == 0 {
 			continue
 		}

@@ -383,6 +383,18 @@ type solver struct {
 	work  []float64
 	tau   []float64 // B⁻¹ρ for the dual steepest-edge update
 
+	// Nonzero patterns of alpha, rho, tau and work, in ascending order as
+	// the kernel returns them: each vector is zero outside its pattern, so
+	// clearing and walking it costs its support instead of m. denseNZ is
+	// the pattern buffer of the dense solves (xB, y). All five have
+	// capacity m and share nzBuf's storage.
+	alphaNZ []int32
+	rhoNZ   []int32
+	tauNZ   []int32
+	workNZ  []int32
+	denseNZ []int32
+	nzBuf   []int32
+
 	// Incrementally maintained reduced costs (see reduced.go).
 	d       []float64
 	arow    []float64
@@ -472,6 +484,12 @@ func (s *solver) fit(inst *Instance) {
 	s.basis, s.xB = fit(s.basis, m), fit(s.xB, m)
 	s.alpha, s.y, s.rho = fit(s.alpha, m), fit(s.y, m), fit(s.rho, m)
 	s.work, s.tau, s.dualW = fit(s.work, m), fit(s.tau, m), fit(s.dualW, m)
+	s.nzBuf = fit(s.nzBuf, 5*m)
+	s.alphaNZ = s.nzBuf[0:0:m]
+	s.rhoNZ = s.nzBuf[m : m : 2*m]
+	s.tauNZ = s.nzBuf[2*m : 2*m : 3*m]
+	s.workNZ = s.nzBuf[3*m : 3*m : 4*m]
+	s.denseNZ = s.nzBuf[4*m : 4*m : 5*m]
 	s.refIdx, s.refVal = fit(s.refIdx, m), fit(s.refVal, m)
 	s.facCur = 0
 }
@@ -614,18 +632,28 @@ func (s *solver) defaultStatus(j int) int8 {
 	}
 }
 
-// ftran computes alpha ← B⁻¹·A_j via a hyper-sparse forward solve: the
-// entering column is scattered into alpha and solved in place, skipping
-// structurally-zero positions.
-func (s *solver) ftran(j int, alpha []float64) {
-	for i := range alpha {
-		alpha[i] = 0
+// ftran computes s.alpha ← B⁻¹·A_j and its pattern s.alphaNZ: the previous
+// alpha is cleared over its pattern, the entering column scattered in, and
+// the hyper-sparse forward solve runs from the column's rows.
+func (s *solver) ftran(j int) {
+	for _, i := range s.alphaNZ {
+		s.alpha[i] = 0
 	}
 	idx, val := s.col(j)
 	for k, r := range idx {
-		alpha[r] += val[k]
+		s.alpha[r] += val[k]
 	}
-	s.fac.Ftran(alpha)
+	s.alphaNZ = s.fac.Ftran(s.alpha, append(s.alphaNZ[:0], idx...))
+}
+
+// allRows fills nz's storage, which must have capacity m, with every index
+// below m: the pattern of a dense right-hand side.
+func allRows(nz []int32, m int) []int32 {
+	nz = nz[:m]
+	for i := range nz {
+		nz[i] = int32(i)
+	}
+	return nz
 }
 
 // computeDuals fills s.y with the solution of Bᵀ·y = c_B for the active
@@ -634,7 +662,7 @@ func (s *solver) computeDuals() {
 	for i := 0; i < s.m; i++ {
 		s.y[i] = s.cost[s.basis[i]]
 	}
-	s.fac.Btran(s.y)
+	s.fac.Btran(s.y, allRows(s.denseNZ, s.m))
 }
 
 // reducedCost returns d_j = c_j − yᵀ·A_j using the currently computed duals.
@@ -647,14 +675,15 @@ func (s *solver) reducedCost(j int) float64 {
 	return d
 }
 
-// btranRow fills rho with row r of B⁻¹, i.e. the solution of Bᵀ·ρ = e_r
-// (a maximally sparse right-hand side for the backward solve).
-func (s *solver) btranRow(r int, rho []float64) {
-	for k := range rho {
-		rho[k] = 0
+// btranRow fills s.rho with row r of B⁻¹, i.e. the solution of Bᵀ·ρ = e_r
+// (a maximally sparse right-hand side for the backward solve), and s.rhoNZ
+// with its pattern.
+func (s *solver) btranRow(r int) {
+	for _, i := range s.rhoNZ {
+		s.rho[i] = 0
 	}
-	rho[r] = 1
-	s.fac.Btran(rho)
+	s.rho[r] = 1
+	s.rhoNZ = s.fac.Btran(s.rho, append(s.rhoNZ[:0], int32(r)))
 }
 
 // computeXB recomputes the basic values from scratch:
@@ -676,7 +705,7 @@ func (s *solver) computeXB() {
 			s.xB[r] -= val[k] * v
 		}
 	}
-	s.fac.Ftran(s.xB)
+	s.fac.Ftran(s.xB, allRows(s.denseNZ, s.m))
 }
 
 // refactor rebuilds the sparse LU factorization of the basis from scratch,
@@ -702,25 +731,26 @@ func (s *solver) refactor() error {
 	return nil
 }
 
-// updateFactors applies the pivot (entering column with ftran vector alpha,
-// leaving row r) as an eta-file update.
-func (s *solver) updateFactors(alpha []float64, r int) {
-	s.fac.Update(alpha, r)
+// updateFactors applies the pivot (entering column with ftran vector
+// s.alpha, leaving row r) as an eta-file update.
+func (s *solver) updateFactors(r int) {
+	s.fac.Update(s.alpha, s.alphaNZ, r)
 	s.sincefac++
 }
 
-// pivot makes column q basic in row r. enterVal is the new value of x_q and
-// leaveStat the nonbasic status assigned to the leaving variable.
+// pivot makes column q basic in row r; s.alpha must hold its FTRAN'd
+// column. enterVal is the new value of x_q and leaveStat the nonbasic status
+// assigned to the leaving variable.
 //
 //hot:path
-func (s *solver) pivot(q int, r int, alpha []float64, enterVal float64, leaveStat int8) {
+func (s *solver) pivot(q int, r int, enterVal float64, leaveStat int8) {
 	leaving := int(s.basis[r])
 	s.vstat[leaving] = leaveStat
 	s.inBasis[leaving] = -1
 	s.basis[r] = int32(q)
 	s.inBasis[q] = int32(r)
 	s.vstat[q] = vsBasic
-	s.updateFactors(alpha, r)
+	s.updateFactors(r)
 	s.xB[r] = enterVal
 	s.lastPivotQ = q
 	s.xbFresh = false
