@@ -2,6 +2,9 @@
 
 package lp
 
-// debugVerifyResult is compiled to a no-op unless the debugchecks build tag
-// is set; see debugcheck_on.go for the assertion it enables.
+// debugVerifyResult and debugCheckCandidates are compiled to no-ops unless
+// the debugchecks build tag is set; see debugcheck_on.go for the assertions
+// they enable.
 func debugVerifyResult(*Instance, *Result) {}
+
+func debugCheckCandidates(*solver) {}

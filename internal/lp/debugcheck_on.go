@@ -66,3 +66,12 @@ func debugVerifyResult(inst *Instance, res *Result) {
 		}
 	}
 }
+
+// debugCheckCandidates asserts, before every pricing choice, that the
+// candidate sets equal a fresh evaluation of their definitions (each while
+// it is marked current) and panics on a difference.
+func debugCheckCandidates(s *solver) {
+	if err := s.staleCandidates(); err != nil {
+		panic(fmt.Sprintf("lp debugchecks: iteration %d: %v", s.iters, err))
+	}
+}

@@ -1,7 +1,5 @@
 package lp
 
-import "math"
-
 // Pricing. The primal uses Devex (Harris 1973): approximate steepest-edge
 // weights maintained against a reference framework, pricing entering columns
 // by d_j²/w_j instead of the raw Dantzig rule |d_j|. The dual uses dual
@@ -15,12 +13,13 @@ const (
 	// devexMax bounds the primal weights; exceeding it resets the reference
 	// framework (all weights back to 1).
 	devexMax = 1e8
-	// priceSectionMin is the smallest sectional-scan size of the primal's
-	// partial pricing; tiny problems degrade to a full scan. The floor is
-	// deliberately wide: on the TVNEP models narrow sections pick weak
-	// entering columns whose effect compounds through the branch-and-bound
-	// trajectory (measured as 2-5x the node count), while the scan itself is
-	// a cheap contiguous pass.
+	// priceSectionMin is the smallest section of the primal's partial
+	// pricing, in column-index space; tiny problems degrade to one section
+	// over every column. The floor is deliberately wide: on the TVNEP models
+	// narrow sections pick weak entering columns whose effect compounds
+	// through the branch-and-bound trajectory (measured as 2-5x the node
+	// count). A wide section costs little, because pricing walks only the
+	// section's members of the candidate set, not its columns.
 	priceSectionMin = 384
 )
 
@@ -135,83 +134,64 @@ func (s *solver) dseUpdate(r int) {
 }
 
 // priceEntering selects an entering column, returning (-1, 0) at
-// (partial-pricing-certified) optimality.
+// (partial-pricing-certified) optimality. It chooses among the columns of
+// the candidate set cand (see candidates.go), which are exactly the
+// nonbasic, non-fixed columns with a reduced cost of the wrong sign beyond
+// OptTol.
 //
-// Under Bland's rule the full column range is scanned and the first eligible
-// index wins (the anti-cycling guarantee). Otherwise the scan is sectional
-// partial pricing: starting from a rotating cursor, columns are examined one
-// section at a time and the first section containing an eligible candidate
-// yields the one with the best Devex score d²/w. Only when every section
-// comes up empty — a full rescan of all N columns — is optimality declared,
-// so partial pricing never terminates early.
+// Under Bland's rule the lowest candidate wins (the anti-cycling
+// guarantee). Otherwise pricing is sectional partial pricing in column-index
+// space: starting from a rotating cursor, the columns are taken one section
+// at a time, wrapping at N, and the first section holding a candidate yields
+// its best Devex score d²/w; ties go to the first in section order. Only when
+// every section comes up empty is optimality declared, so partial pricing
+// never terminates early.
 func (s *solver) priceEntering() (int, float64) {
-	tol := s.opts.OptTol
+	N := s.N
 	if s.bland {
-		for j := 0; j < s.N; j++ {
-			st := s.vstat[j]
-			if st == vsBasic || s.fixedCol(j) {
-				continue // fixed columns can never move
-			}
-			d := s.d[j]
-			var viol float64
-			switch st {
-			case vsLower:
-				viol = -d
-			case vsUpper:
-				viol = d
-			case vsFree:
-				viol = math.Abs(d)
-			}
-			if viol > tol {
-				return j, d // Bland: first eligible index
-			}
+		if j := s.cand.next(0, N); j < N {
+			return j, s.d[j] // Bland: first eligible index
 		}
 		return -1, 0
 	}
-	section := s.N / 8
-	if section < priceSectionMin {
-		section = priceSectionMin
-	}
+	section := max(N/8, priceSectionMin)
 	j := s.priceCursor
-	if j >= s.N {
+	if j >= N {
 		j = 0
 	}
 	best, bestScore := -1, 0.0
-	for scanned := 0; scanned < s.N; {
-		end := scanned + section
-		if end > s.N {
-			end = s.N
+	for scanned := 0; scanned < N; {
+		end := min(scanned+section, N)
+		// This section covers the columns j, j+1, … taken modulo N.
+		hi := j + end - scanned
+		if hi <= N {
+			best, bestScore = s.priceRange(j, hi, best, bestScore)
+		} else {
+			best, bestScore = s.priceRange(j, N, best, bestScore)
+			hi -= N
+			best, bestScore = s.priceRange(0, hi, best, bestScore)
 		}
-		for ; scanned < end; scanned++ {
-			jj := j
-			if j++; j == s.N {
-				j = 0
-			}
-			st := s.vstat[jj]
-			if st == vsBasic || s.fixedCol(jj) {
-				continue
-			}
-			d := s.d[jj]
-			var viol float64
-			switch st {
-			case vsLower:
-				viol = -d
-			case vsUpper:
-				viol = d
-			case vsFree:
-				viol = math.Abs(d)
-			}
-			if viol <= tol {
-				continue
-			}
-			if score := viol * viol / s.devexW[jj]; score > bestScore {
-				best, bestScore = jj, score
-			}
+		if j = hi; j == N {
+			j = 0
 		}
+		scanned = end
 		if best != -1 {
 			s.priceCursor = j
 			return best, s.d[best]
 		}
 	}
 	return -1, 0
+}
+
+// priceRange walks the candidates in [lo, hi) in ascending order and returns
+// the best by Devex score of them and the incumbent (best, bestScore); on a
+// tie the earlier one stays.
+func (s *solver) priceRange(lo, hi, best int, bestScore float64) (int, float64) {
+	for j := s.cand.next(lo, hi); j < hi; j = s.cand.next(j+1, hi) {
+		viol := s.enterViol(j)
+		if score := viol * viol / s.devexW[j]; score > bestScore {
+			best, bestScore = j, score
+		}
+	}
+	return best, bestScore
 }

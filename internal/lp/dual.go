@@ -20,7 +20,6 @@ import "math"
 //
 //hot:path
 func (s *solver) dual(maxIters int) iterStatus {
-	feas := s.opts.FeasTol
 	for ; s.iters < maxIters; s.iters++ {
 		if s.iters&63 == 0 && s.interrupted() {
 			return iterLimit
@@ -28,29 +27,11 @@ func (s *solver) dual(maxIters int) iterStatus {
 		if !s.dValid {
 			s.recomputeReducedCosts()
 		}
-		// Select the leaving row among primal-infeasible basic variables:
-		// dual steepest-edge (infeasibility²/β_i) normally; raw
-		// most-infeasible under Bland's rule to keep the anti-cycling
-		// behavior unchanged.
-		r, bestScore, viol := -1, 0.0, 0.0
-		below := false
-		for i := 0; i < s.m; i++ {
-			j := s.basis[i]
-			v, isBelow := s.lb[j]-s.xB[i], true
-			if v2 := s.xB[i] - s.ub[j]; v2 > v {
-				v, isBelow = v2, false
-			}
-			if v <= feas {
-				continue
-			}
-			score := v
-			if !s.bland {
-				score = v * v / s.dualW[i]
-			}
-			if score > bestScore {
-				r, bestScore, viol, below = i, score, v, isBelow
-			}
+		if !s.infeasOK {
+			s.rebuildInfeas()
 		}
+		debugCheckCandidates(s)
+		r, viol, below := s.leavingRow()
 		if r == -1 {
 			// Certify: basic values may have drifted through incremental
 			// updates; recompute them once before declaring feasibility.
@@ -121,6 +102,7 @@ func (s *solver) dual(maxIters int) iterStatus {
 		enterVal := s.colValue(q) + deltaQ
 		for _, i := range s.alphaNZ {
 			s.xB[i] -= deltaQ * s.alpha[i]
+			s.markInfeas(int(i))
 		}
 		s.pivot(q, r, enterVal, leaveStat)
 		s.noteProgress(math.Abs(deltaQ))
@@ -244,7 +226,8 @@ func (s *solver) ratioTestLongStep(below bool, viol float64) int {
 // applyBoundFlips toggles the columns recorded by the long-step ratio test
 // across to their opposite bounds and updates the basic values with one
 // combined FTRAN: Δx_B = −B⁻¹·Σ A_j·Δx_j. Reduced costs are untouched — a
-// bound flip moves no dual variable.
+// bound flip moves no dual variable — but the flipped columns' statuses are,
+// so they are re-marked in cand, and the rows the FTRAN reached in infeas.
 func (s *solver) applyBoundFlips() {
 	if len(s.flips) == 0 {
 		return
@@ -263,6 +246,7 @@ func (s *solver) applyBoundFlips() {
 			s.vstat[j] = vsLower
 			delta = -span
 		}
+		s.markCand(j)
 		idx, val := s.col(j)
 		for k, ri := range idx {
 			s.work[ri] += val[k] * delta
@@ -271,6 +255,7 @@ func (s *solver) applyBoundFlips() {
 	s.workNZ = s.fac.Ftran(s.work, allRows(s.workNZ, s.m))
 	for _, i := range s.workNZ {
 		s.xB[i] -= s.work[i]
+		s.markInfeas(int(i))
 	}
 	s.xbFresh = false
 	s.boundFlips += len(s.flips)

@@ -10,7 +10,8 @@ import (
 // after boxed nonbasic columns flip to their opposite bounds, the basic
 // values applyBoundFlips updates must match a from-scratch computeXB. Two
 // rounds per basis also check that the second round clears the bound-flip
-// vector over the pattern the first round's FTRAN returned.
+// vector over the pattern the first round's FTRAN returned. Both updates
+// must leave the pricing candidate sets equal to their definitions.
 func TestApplyBoundFlips(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rounds := 0
@@ -32,13 +33,29 @@ func TestApplyBoundFlips(t *testing.T) {
 			if len(s.flips) == 0 {
 				continue
 			}
+			s.rebuildInfeas() // the primal ran last and left it stale
+			flipped := append([]int32(nil), s.flips...)
 			s.applyBoundFlips()
+			if err := s.staleCandidates(); err != nil {
+				t.Fatalf("trial %d round %d: after the flips: %v", trial, round, err)
+			}
 			got := append([]float64(nil), s.xB...)
 			s.computeXB()
 			for i, want := range s.xB {
 				if math.Abs(got[i]-want) > 1e-9*(1+math.Abs(want)) {
 					t.Fatalf("trial %d round %d: xB[%d] = %v after flips, computeXB gives %v", trial, round, i, got[i], want)
 				}
+			}
+			// Undo the flips by hand from an exact infeas: computeXB must
+			// leave it exact or marked stale.
+			s.rebuildInfeas()
+			for _, j := range flipped {
+				s.vstat[j] = vsLower + vsUpper - s.vstat[j]
+				s.markCand(int(j))
+			}
+			s.computeXB()
+			if err := s.staleCandidates(); err != nil {
+				t.Fatalf("trial %d round %d: after computeXB: %v", trial, round, err)
 			}
 			rounds++
 		}

@@ -138,6 +138,7 @@ func (s *solver) sealArtificials() {
 //hot:path
 func (s *solver) primal(maxIters int) iterStatus {
 	feas := s.opts.FeasTol
+	s.infeasOK = false // the primal's steps move xB without re-marking
 	for ; s.iters < maxIters; s.iters++ {
 		if s.iters&63 == 0 && s.interrupted() {
 			return iterLimit
@@ -145,6 +146,7 @@ func (s *solver) primal(maxIters int) iterStatus {
 		if !s.dValid {
 			s.recomputeReducedCosts()
 		}
+		debugCheckCandidates(s)
 		q, dq := s.priceEntering()
 		if q == -1 {
 			// Certify: incremental reduced costs may have drifted, so a
@@ -246,6 +248,7 @@ func (s *solver) primal(maxIters int) iterStatus {
 			} else {
 				s.vstat[q] = vsLower
 			}
+			s.markCand(q)
 			s.noteProgress(t)
 			continue
 		}

@@ -6,15 +6,18 @@ import "slices"
 // O(m²) per iteration; the standard product-form update after a pivot is
 // O(m + nnz), which dominates overall solver speed on the TVNEP models.
 
-// recomputeReducedCosts refreshes s.d from the current basis: O(m² + nnz).
+// recomputeReducedCosts refreshes s.d from the current basis, O(m² + nnz),
+// and rebuilds the pricing candidate set cand from it.
 func (s *solver) recomputeReducedCosts() {
 	s.computeDuals()
+	clear(s.cand)
 	for j := 0; j < s.N; j++ {
 		if s.vstat[j] == vsBasic {
 			s.d[j] = 0
 			continue
 		}
 		s.d[j] = s.reducedCost(j)
+		s.markCand(j)
 	}
 	s.dValid = true
 	s.dFresh = true
@@ -92,15 +95,18 @@ func (s *solver) pivotRow(r int) {
 // nonbasic set). The dual update is y' = y + θ·e_r·B⁻¹ with θ = d_q/α_rq,
 // hence d_j' = d_j − θ·α_row_j, d_leaving' = −θ and d_q' = 0. Columns off
 // the pivot row's support have α_row_j = 0 and are untouched, so the loop
-// runs over the hyper-sparse stack.
+// runs over the hyper-sparse stack. The columns it updates are re-marked in
+// cand; pivot re-marks q and the leaving column once their statuses change.
 func (s *solver) applyPivotToReducedCosts(q, leaving int) {
 	theta := s.d[q] / s.arow[q]
-	for _, j := range s.arowNZ {
-		if s.vstat[j] == vsBasic || int(j) == q {
+	for _, j32 := range s.arowNZ {
+		j := int(j32)
+		if s.vstat[j] == vsBasic || j == q {
 			continue
 		}
 		if a := s.arow[j]; a != 0 {
 			s.d[j] -= theta * a
+			s.markCand(j)
 		}
 	}
 	s.d[leaving] = -theta

@@ -423,6 +423,13 @@ type solver struct {
 	dualW       []float64
 	priceCursor int
 
+	// Candidate sets of the two pricing loops (see candidates.go): cand
+	// over the N columns, current while dValid holds, and infeas over the m
+	// rows, current while infeasOK holds.
+	cand     bitset
+	infeas   bitset
+	infeasOK bool
+
 	opts       Options
 	iters      int
 	boundFlips int // nonbasic bound flips taken by the long-step ratio test
@@ -484,6 +491,7 @@ func (s *solver) fit(inst *Instance) {
 	s.basis, s.xB = fit(s.basis, m), fit(s.xB, m)
 	s.alpha, s.y, s.rho = fit(s.alpha, m), fit(s.y, m), fit(s.rho, m)
 	s.work, s.tau, s.dualW = fit(s.work, m), fit(s.tau, m), fit(s.dualW, m)
+	s.cand, s.infeas = fit(s.cand, words(N)), fit(s.infeas, words(m))
 	s.nzBuf = fit(s.nzBuf, 5*m)
 	s.alphaNZ = s.nzBuf[0:0:m]
 	s.rhoNZ = s.nzBuf[m : m : 2*m]
@@ -523,7 +531,7 @@ func (s *solver) reset(opts Options) {
 	s.priceCursor = 0
 	s.boundFlips = 0
 	s.ratioPass = 0
-	s.dValid, s.dFresh, s.xbFresh = false, false, false
+	s.dValid, s.dFresh, s.xbFresh, s.infeasOK = false, false, false, false
 	s.fac = nil
 	s.preFac = nil
 	for j := range s.devexW {
@@ -687,7 +695,7 @@ func (s *solver) btranRow(r int) {
 }
 
 // computeXB recomputes the basic values from scratch:
-// x_B = −B⁻¹·(Σ nonbasic A_j·value_j).
+// x_B = −B⁻¹·(Σ nonbasic A_j·value_j). infeas goes stale.
 func (s *solver) computeXB() {
 	for i := range s.xB {
 		s.xB[i] = 0
@@ -706,6 +714,7 @@ func (s *solver) computeXB() {
 		}
 	}
 	s.fac.Ftran(s.xB, allRows(s.denseNZ, s.m))
+	s.infeasOK = false
 }
 
 // refactor rebuilds the sparse LU factorization of the basis from scratch,
@@ -740,7 +749,8 @@ func (s *solver) updateFactors(r int) {
 
 // pivot makes column q basic in row r; s.alpha must hold its FTRAN'd
 // column. enterVal is the new value of x_q and leaveStat the nonbasic status
-// assigned to the leaving variable.
+// assigned to the leaving variable. The candidate sets are re-marked for
+// both columns and for row r.
 //
 //hot:path
 func (s *solver) pivot(q int, r int, enterVal float64, leaveStat int8) {
@@ -750,8 +760,11 @@ func (s *solver) pivot(q int, r int, enterVal float64, leaveStat int8) {
 	s.basis[r] = int32(q)
 	s.inBasis[q] = int32(r)
 	s.vstat[q] = vsBasic
+	s.markCand(leaving)
+	s.cand.put(q, false)
 	s.updateFactors(r)
 	s.xB[r] = enterVal
+	s.markInfeas(r)
 	s.lastPivotQ = q
 	s.xbFresh = false
 	if s.sincefac >= refactorEvery(s.m) || s.fac.EtaNNZ() >= etaNNZBudget(s.m) {
@@ -867,11 +880,7 @@ func (s *solver) interrupted() bool {
 func (s *solver) primalInfeasibility() float64 {
 	worst := 0.0
 	for i := 0; i < s.m; i++ {
-		j := s.basis[i]
-		if v := s.lb[j] - s.xB[i]; v > worst {
-			worst = v
-		}
-		if v := s.xB[i] - s.ub[j]; v > worst {
+		if v, _ := s.rowViol(i); v > worst {
 			worst = v
 		}
 	}

@@ -9,7 +9,8 @@ import (
 
 // Solve optimizes the instance under its current column bounds. If
 // opts.WarmBasis is set and compatible, a dual-simplex warm start is
-// attempted first; any failure falls back to a cold two-phase primal solve.
+// attempted first; any failure falls back to a cold solve (a dual phase 1
+// from the all-slack basis, then the primal simplex; see solveCold).
 // Under the debugchecks build tag every optimal result is additionally
 // re-checked against the instance's row and bound data before it is
 // returned (see debugcheck_on.go).
@@ -226,14 +227,24 @@ func (inst *Instance) solveCold(o Options) Result {
 // finishOptimal guards a claimed primal optimum against incremental drift:
 // basic values are recomputed from a fresh factorization, and a residual
 // infeasibility is repaired once with a dual-then-primal cleanup before the
-// result is packaged.
+// result is packaged. A cleanup that does not end optimal reports its real
+// outcome instead: StatusIterLimit when it was interrupted or ran out of
+// iterations, StatusNumeric otherwise.
 func (s *solver) finishOptimal(o Options) Result {
 	if err := s.refactor(); err == nil {
 		s.computeXB()
 	}
 	if s.primalInfeasibility() > 10*o.FeasTol {
-		if s.dual(o.MaxIters) == iterOptimal {
-			s.primal(o.MaxIters)
+		st := s.dual(o.MaxIters)
+		if st == iterOptimal {
+			st = s.primal(o.MaxIters)
+		}
+		switch st {
+		case iterOptimal:
+		case iterLimit:
+			return s.result(StatusIterLimit)
+		default:
+			return s.result(StatusNumeric)
 		}
 	}
 	return s.result(StatusOptimal)
