@@ -3,7 +3,6 @@ package certify_test
 import (
 	"context"
 	"testing"
-	"time"
 
 	"tvnep/internal/certify"
 	"tvnep/internal/core"
@@ -16,8 +15,11 @@ import (
 	"tvnep/internal/workload"
 )
 
+// solveOpts bounds every search by a node count, not a wall clock, so the
+// outcome does not depend on the host's speed or the race detector: Δ, the
+// largest search here, needs fewer than a hundred nodes.
 func solveOpts() *model.SolveOptions {
-	return &model.SolveOptions{TimeLimit: 30 * time.Second}
+	return &model.SolveOptions{NodeLimit: 5000}
 }
 
 func smallScenario(t *testing.T) *workload.Scenario {

@@ -144,18 +144,18 @@ func (inst *Instance) appendedColScale(idx []int32, val []float64) float64 {
 
 // extendWarmStartCols maps a basis snapshotted when the instance had
 // nOld < n structural columns onto the current dimensions: the appended
-// columns enter nonbasic at their natural bound and the slack/artificial
-// status block shifts up around them. The basic set — and therefore the
-// basis matrix and any handed-off LU factors — is unchanged, so adoptBasis
-// reuses Options.WarmFactors verbatim; no bordered extension is needed.
+// columns enter nonbasic at their natural bound and the slack status block
+// shifts up around them. The basic set — and therefore the basis matrix and
+// any handed-off LU factors — is unchanged, so adoptBasis reuses
+// Options.WarmFactors verbatim; no bordered extension is needed.
 func (inst *Instance) extendWarmStartCols(b *Basis, nOld int) *Basis {
 	n := inst.n
 	mOld := len(b.Basic)
 	shift := n - nOld
-	eb := &Basis{Basic: make([]int32, mOld), Status: make([]int8, n+2*mOld)}
+	eb := &Basis{Basic: make([]int32, mOld), Status: make([]int8, n+mOld)}
 	for p, j := range b.Basic {
 		if int(j) >= nOld {
-			j += int32(shift) // slack/artificial blocks moved up by the new columns
+			j += int32(shift) // slack block moved up by the new columns
 		}
 		eb.Basic[p] = j
 	}

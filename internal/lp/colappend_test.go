@@ -131,6 +131,7 @@ func TestAppendColumnHotRestart(t *testing.T) {
 // basis predating both must still match the cold solve of the full problem.
 func TestAppendColumnThenRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
+	warmUsed := 0
 	for trial := 0; trial < 40; trial++ {
 		n := 2 + rng.Intn(10)
 		m := 1 + rng.Intn(10)
@@ -156,13 +157,25 @@ func TestAppendColumnThenRow(t *testing.T) {
 		if warm.Status != cold.Status {
 			t.Fatalf("trial %d: warm status %v, cold %v", trial, warm.Status, cold.Status)
 		}
+		if warm.WarmUsed {
+			warmUsed++
+		}
 		if warm.Status != StatusOptimal {
 			continue
+		}
+		if got, want := len(warm.Basis.Status), inst.NumCols()+inst.NumRows(); got != want {
+			t.Fatalf("trial %d: basis holds %d statuses, want n+m = %d", trial, got, want)
 		}
 		if d := math.Abs(warm.Obj - cold.Obj); d > 1e-6*(1+math.Abs(cold.Obj)) {
 			t.Fatalf("trial %d: warm obj %v, cold obj %v (diff %v)", trial, warm.Obj, cold.Obj, d)
 		}
 		checkFeasible(t, full, warm.X, 1e-6)
+	}
+	// When the appended column prices in and the appended row cuts off the
+	// old point, neither restart applies and the solve goes cold; the rest
+	// must restart warm from the remapped and extended basis.
+	if warmUsed == 0 {
+		t.Fatal("no trial restarted warm: the basis layout went unchecked")
 	}
 }
 

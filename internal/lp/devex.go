@@ -140,38 +140,43 @@ func (s *solver) dseUpdate(r int) {
 // OptTol.
 //
 // Under Bland's rule the lowest candidate wins (the anti-cycling
-// guarantee). Otherwise pricing is sectional partial pricing in column-index
-// space: starting from a rotating cursor, the columns are taken one section
-// at a time, wrapping at N, and the first section holding a candidate yields
-// its best Devex score d²/w; ties go to the first in section order. Only when
-// every section comes up empty is optimality declared, so partial pricing
-// never terminates early.
+// guarantee). Otherwise pricing is sectional partial pricing over a ring of
+// positions: starting from a rotating cursor, the positions are taken one
+// section at a time, wrapping at the ring's end, and the first section
+// holding a candidate yields its best Devex score d²/w; ties go to the first
+// in section order. Only when every section comes up empty is optimality
+// declared, so partial pricing never terminates early.
 func (s *solver) priceEntering() (int, float64) {
-	N := s.N
 	if s.bland {
-		if j := s.cand.next(0, N); j < N {
+		if j := s.cand.next(0, s.N); j < s.N {
 			return j, s.d[j] // Bland: first eligible index
 		}
 		return -1, 0
 	}
-	section := max(N/8, priceSectionMin)
+	// The ring is the N columns followed by m empty positions. Wrapping at
+	// N instead changes the sections and with them the trajectories: on
+	// BenchmarkAblationCSigmaBare it took 1070 LP iterations and 63 nodes
+	// per op instead of 372 and 13, and three times the time. Retuning the
+	// ring is a change of its own.
+	ring := s.N + s.m
+	section := max(ring/8, priceSectionMin)
 	j := s.priceCursor
-	if j >= N {
+	if j >= ring {
 		j = 0
 	}
 	best, bestScore := -1, 0.0
-	for scanned := 0; scanned < N; {
-		end := min(scanned+section, N)
-		// This section covers the columns j, j+1, … taken modulo N.
+	for scanned := 0; scanned < ring; {
+		end := min(scanned+section, ring)
+		// This section covers the positions j, j+1, … taken modulo ring.
 		hi := j + end - scanned
-		if hi <= N {
+		if hi <= ring {
 			best, bestScore = s.priceRange(j, hi, best, bestScore)
 		} else {
-			best, bestScore = s.priceRange(j, N, best, bestScore)
-			hi -= N
+			best, bestScore = s.priceRange(j, ring, best, bestScore)
+			hi -= ring
 			best, bestScore = s.priceRange(0, hi, best, bestScore)
 		}
-		if j = hi; j == N {
+		if j = hi; j == ring {
 			j = 0
 		}
 		scanned = end
@@ -183,10 +188,11 @@ func (s *solver) priceEntering() (int, float64) {
 	return -1, 0
 }
 
-// priceRange walks the candidates in [lo, hi) in ascending order and returns
-// the best by Devex score of them and the incumbent (best, bestScore); on a
-// tie the earlier one stays.
+// priceRange walks the candidates in ring positions [lo, hi) in ascending
+// order and returns the best by Devex score of them and the incumbent (best,
+// bestScore); on a tie the earlier one stays. Positions from N on are empty.
 func (s *solver) priceRange(lo, hi, best int, bestScore float64) (int, float64) {
+	hi = min(hi, s.N)
 	for j := s.cand.next(lo, hi); j < hi; j = s.cand.next(j+1, hi) {
 		viol := s.enterViol(j)
 		if score := viol * viol / s.devexW[j]; score > bestScore {

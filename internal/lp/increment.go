@@ -109,8 +109,8 @@ func (inst *Instance) RowBounds(i int) (lb, ub float64) {
 // rows onto the current dimensions: each appended row's slack enters the
 // basis (the standard cutting-plane restart — the primal point is unchanged,
 // the new slacks carry the new rows' activities, and dual feasibility is
-// preserved because the new duals start at zero). Slack and artificial
-// column indices are remapped around the grown slack block. When wf holds
+// preserved because the new duals start at zero). The new slacks append
+// to the slack block, so every old index keeps its meaning. When wf holds
 // the LU factors matching b, they are extended with a bordered block
 // (sparselu.ExtendInto, into a solver-owned buffer installed as s.preFac)
 // so the hot restart skips refactorization entirely.
@@ -122,31 +122,24 @@ func (s *solver) extendWarmStart(b *Basis, wf *sparselu.Factors) *Basis {
 	inst := s.inst
 	n, m := inst.n, inst.m
 	mOld := len(b.Basic)
-	if mOld >= m || len(b.Status) != n+2*mOld {
+	if mOld >= m || len(b.Status) != n+mOld {
 		return nil
 	}
 	shift := m - mOld
-	eb := &Basis{Basic: make([]int32, m), Status: make([]int8, n+2*m)}
-	for p, j := range b.Basic {
-		if int(j) >= n+mOld {
-			j += int32(shift) // artificial block moved up by the new slacks
-		}
-		eb.Basic[p] = j
-	}
-	copy(eb.Status[:n+mOld], b.Status[:n+mOld])
+	eb := &Basis{Basic: make([]int32, m), Status: make([]int8, n+m)}
+	copy(eb.Basic, b.Basic)
+	copy(eb.Status, b.Status)
 	for i := mOld; i < m; i++ {
 		eb.Basic[i] = int32(n + i)
 		eb.Status[n+i] = vsBasic
 	}
-	copy(eb.Status[n+m:n+m+mOld], b.Status[n+mOld:])
-	// New artificials keep the zero value (vsLower), fixed at 0 by newSolver.
 
 	if wf == nil || wf.M() != mOld {
 		return eb
 	}
 	// Border block: the appended rows' coefficients on the old basic
 	// columns, stated in basis positions. Appended rows touch structural
-	// columns only, so basic slacks and artificials contribute nothing.
+	// columns only, so basic slacks contribute nothing.
 	// The row-wise column overlay (apRowIdx) never contributes either: a
 	// column appended after this basis was snapshotted is nonbasic in it,
 	// and every column the basis can hold predates these border rows, so

@@ -86,6 +86,9 @@ func TestAppendRowHotRestart(t *testing.T) {
 		if warm.Status != StatusOptimal {
 			continue // xstar keeps it feasible; only numeric statuses could differ
 		}
+		if got, want := len(warm.Basis.Status), inst.NumCols()+inst.NumRows(); got != want {
+			t.Fatalf("trial %d: basis holds %d statuses, want n+m = %d", trial, got, want)
+		}
 		if d := math.Abs(warm.Obj - cold.Obj); d > 1e-6*(1+math.Abs(cold.Obj)) {
 			t.Fatalf("trial %d: warm obj %v, cold obj %v (diff %v)", trial, warm.Obj, cold.Obj, d)
 		}

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -15,6 +16,34 @@ func TestDeadlineAborts(t *testing.T) {
 	res := Solve(p, &Options{Deadline: time.Now().Add(-time.Second)})
 	if res.Status != StatusIterLimit {
 		t.Fatalf("status = %v, want iteration-limit", res.Status)
+	}
+}
+
+// countdownCtx is a context whose Err turns non-nil after its first k calls.
+type countdownCtx struct {
+	context.Context
+	k int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.k > 0 {
+		c.k--
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestInterruptedColdSolveKeepsIterations interrupts a cold solve after
+// k interruption checks, which the simplex makes every 64 iterations: the
+// result must report the limit and the 64·k iterations already taken.
+func TestInterruptedColdSolveKeepsIterations(t *testing.T) {
+	p, _ := buildRandomLP(rand.New(rand.NewSource(3)), 300, 400)
+	for k := 1; k <= 3; k++ {
+		ctx := &countdownCtx{Context: context.Background(), k: k}
+		res := Solve(p, &Options{Context: ctx})
+		if res.Status != StatusIterLimit || res.Iterations != 64*k {
+			t.Fatalf("k=%d: status %v after %d iterations, want %v after %d", k, res.Status, res.Iterations, StatusIterLimit, 64*k)
+		}
 	}
 }
 

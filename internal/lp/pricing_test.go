@@ -7,9 +7,10 @@ import (
 	"testing"
 )
 
-// refPriceEntering is primal pricing as a full scan of all N columns: the
-// sectional partial pricing that priceEntering reproduces from the
-// candidate set. Kept as the reference its choices are held to.
+// refPriceEntering is primal pricing as a full scan of the ring of N
+// columns followed by m empty positions: the sectional partial pricing that
+// priceEntering reproduces from the candidate set. Kept as the reference its
+// choices are held to.
 func refPriceEntering(s *solver) (int, float64) {
 	tol := s.opts.OptTol
 	if s.bland {
@@ -34,24 +35,28 @@ func refPriceEntering(s *solver) (int, float64) {
 		}
 		return -1, 0
 	}
-	section := s.N / 8
+	ring := s.N + s.m
+	section := ring / 8
 	if section < priceSectionMin {
 		section = priceSectionMin
 	}
 	j := s.priceCursor
-	if j >= s.N {
+	if j >= ring {
 		j = 0
 	}
 	best, bestScore := -1, 0.0
-	for scanned := 0; scanned < s.N; {
+	for scanned := 0; scanned < ring; {
 		end := scanned + section
-		if end > s.N {
-			end = s.N
+		if end > ring {
+			end = ring
 		}
 		for ; scanned < end; scanned++ {
 			jj := j
-			if j++; j == s.N {
+			if j++; j == ring {
 				j = 0
+			}
+			if jj >= s.N {
+				continue // an empty position
 			}
 			st := s.vstat[jj]
 			if st == vsBasic || s.fixedCol(jj) {
@@ -188,8 +193,9 @@ func (pr *pricingRun) primal(s *solver, maxIters int) iterStatus {
 		pr.prepare(s)
 		c0 := s.priceCursor
 		q := checkEntering(pr.t, s, pr.where)
-		if section := max(s.N/8, priceSectionMin); q >= 0 && !s.bland && section < s.N && c0 < s.N && c0+section > s.N {
-			pr.wraps++ // the first section straddles the wrap at N
+		ring := s.N + s.m
+		if section := max(ring/8, priceSectionMin); q >= 0 && !s.bland && section < ring && c0 < ring && c0+section > ring {
+			pr.wraps++ // the first section straddles the wrap at the ring's end
 		}
 		var st0 int8
 		if q >= 0 {
@@ -263,7 +269,7 @@ func (pr *pricingRun) warm(inst *Instance, res *Result) (*solver, iterStatus) {
 	s := newSolver(inst, o)
 	copy(s.cost, s.real)
 	wb := o.WarmBasis
-	nOld := len(wb.Status) - 2*len(wb.Basic)
+	nOld := len(wb.Status) - len(wb.Basic)
 	if nOld != inst.n {
 		wb = inst.extendWarmStartCols(wb, nOld)
 	}

@@ -13,125 +13,6 @@ const (
 	iterNumeric    // irrecoverable numerical trouble
 )
 
-// crashBasis installs the initial slack/artificial basis for a cold start
-// and configures phase-1 bounds and costs for the artificials that are
-// needed. It returns true if any artificial carries a nonzero value (i.e. a
-// phase 1 is required). A non-nil error means the initial factorization
-// failed and the solve cannot proceed on this basis.
-func (s *solver) crashBasis() (bool, error) {
-	n, m := s.inst.n, s.m
-	// All structural columns nonbasic at their natural bound. Phase-1 costs
-	// are zero everywhere except the artificials set below — the solver is
-	// reused across solves, so the previous solve's phase-2 costs must be
-	// cleared explicitly.
-	for j := 0; j < s.nm; j++ {
-		s.cost[j] = 0
-	}
-	for j := 0; j < n; j++ {
-		s.vstat[j] = s.defaultStatus(j)
-		s.inBasis[j] = -1
-	}
-	// Row activities under that assignment, accumulated in the solver's
-	// row scratch.
-	act := s.work
-	clear(act)
-	for j := 0; j < n; j++ {
-		v := 0.0
-		switch s.vstat[j] {
-		case vsLower:
-			v = s.lb[j]
-		case vsUpper:
-			v = s.ub[j]
-		}
-		if v == 0 {
-			continue
-		}
-		for k, r := range s.inst.colIdx[j] {
-			act[r] += s.inst.colVal[j][k] * v
-		}
-	}
-	// The crash used s.work densely: its pattern is every row.
-	s.workNZ = allRows(s.workNZ, m)
-	needPhase1 := false
-	for i := 0; i < m; i++ {
-		slack := n + i
-		art := s.nm + i
-		s.cost[art] = 0
-		lo, hi := s.lb[slack], s.ub[slack]
-		switch {
-		case act[i] >= lo-crashBoundTol && act[i] <= hi+crashBoundTol:
-			// Slack absorbs the activity: basic.
-			s.basis[i] = int32(slack)
-			s.inBasis[slack] = int32(i)
-			s.vstat[slack] = vsBasic
-			s.vstat[art] = vsLower
-			s.lb[art], s.ub[art] = 0, 0
-			s.xB[i] = act[i]
-		default:
-			// Clamp the slack to its nearest bound; artificial covers the
-			// residual. Artificial column is +e_i, so z_i = act_i − s_i.
-			var sv float64
-			if act[i] < lo {
-				sv = lo
-			} else {
-				sv = hi
-			}
-			if math.IsInf(sv, 0) {
-				// One-sided row violated on its open side cannot happen:
-				// an infinite bound cannot be violated.
-				sv = 0
-			}
-			s.vstat[slack] = vsLower
-			//lint:allow floateq -- sv was assigned from lo/hi by the clamp above; bit-exact by construction
-			if sv == hi && sv != lo {
-				s.vstat[slack] = vsUpper
-			}
-			// Row equation: act_i − s_i + z_i = 0 → z_i = s_i − act_i.
-			res := sv - act[i]
-			s.basis[i] = int32(art)
-			s.inBasis[art] = int32(i)
-			s.vstat[art] = vsBasic
-			s.xB[i] = res
-			if res >= 0 {
-				s.lb[art], s.ub[art] = 0, Inf
-				s.cost[art] = 1
-			} else {
-				s.lb[art], s.ub[art] = math.Inf(-1), 0
-				s.cost[art] = -1
-			}
-			needPhase1 = true
-		}
-	}
-	// The crash basis is diagonal (slack columns −e_i, artificials +e_i),
-	// so this factorization should be trivially well-conditioned — but a
-	// failure here means every subsequent FTRAN/BTRAN would run against a
-	// stale or absent factorization, so it must stop the solve rather than
-	// be ignored.
-	if err := s.refactor(); err != nil {
-		return needPhase1, err
-	}
-	return needPhase1, nil
-}
-
-// phase1Objective sums the absolute values of the artificial variables.
-func (s *solver) phase1Objective() float64 {
-	sum := 0.0
-	for j := s.nm; j < s.N; j++ {
-		sum += math.Abs(s.colValue(j))
-	}
-	return sum
-}
-
-// sealArtificials fixes every artificial to zero after a successful phase 1.
-func (s *solver) sealArtificials() {
-	for j := s.nm; j < s.N; j++ {
-		s.lb[j], s.ub[j] = 0, 0
-		if s.vstat[j] != vsBasic {
-			s.vstat[j] = vsLower
-		}
-	}
-}
-
 // primal runs primal simplex iterations with the current cost vector until
 // optimality, unboundedness or the iteration budget is exhausted.
 //
@@ -280,18 +161,15 @@ func (s *solver) noteProgress(step float64) {
 	}
 }
 
-// crashSlackBasis installs the all-slack basis for the dual phase 1: every
-// slack basic at its row activity, structural columns at their natural
-// bounds, artificials nonbasic and fixed at zero. Under the all-zero cost
-// vector every reduced cost is zero, so this basis is dual feasible no
-// matter how many rows it violates — the dual simplex can then restore
-// primal feasibility directly, without the artificial-variable detour (and
-// its factorization is diagonal, so the initial refactor is trivial).
+// crashSlackBasis installs the all-slack basis every cold solve starts
+// from: every slack basic at its row activity, structural columns at their
+// natural bounds. Under the all-zero cost vector every reduced cost is zero,
+// so this basis is dual feasible no matter how many rows it violates — the
+// dual simplex can then restore primal feasibility directly (and the
+// factorization is diagonal, so the initial refactor is trivial).
 func (s *solver) crashSlackBasis() error {
 	n, m := s.inst.n, s.m
-	for j := 0; j < s.nm; j++ {
-		s.cost[j] = 0
-	}
+	clear(s.cost)
 	for j := 0; j < n; j++ {
 		s.vstat[j] = s.defaultStatus(j)
 		s.inBasis[j] = -1
@@ -317,13 +195,9 @@ func (s *solver) crashSlackBasis() error {
 	s.workNZ = allRows(s.workNZ, m)
 	for i := 0; i < m; i++ {
 		slack := n + i
-		art := s.nm + i
-		s.cost[art] = 0
 		s.basis[i] = int32(slack)
 		s.inBasis[slack] = int32(i)
 		s.vstat[slack] = vsBasic
-		s.vstat[art] = vsLower
-		s.lb[art], s.ub[art] = 0, 0
 		s.xB[i] = act[i]
 	}
 	return s.refactor()

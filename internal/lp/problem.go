@@ -1,8 +1,10 @@
 // Package lp implements a linear-programming solver: a bounded-variable
-// revised simplex method with a two-phase primal algorithm, a dual simplex
-// for warm-started re-solves (used heavily by the branch-and-bound MIP
-// solver in internal/mip), Bland's rule as an anti-cycling fallback and
-// periodic basis refactorization for numerical stability.
+// revised simplex method. A cold solve runs a dual phase 1 from the
+// all-slack basis, then the primal simplex; warm-started re-solves (used
+// heavily by the branch-and-bound MIP solver in internal/mip) restart the
+// dual simplex from a prior basis. Bland's rule is the anti-cycling
+// fallback, and the basis is refactorized periodically for numerical
+// stability.
 //
 // Problems are stated over structural columns x with bounds l ≤ x ≤ u and
 // ranged rows rlb ≤ a·x ≤ rub; internally every row receives a slack
@@ -193,7 +195,7 @@ func (s Status) String() string {
 // Basis is a snapshot of a simplex basis usable for warm starts.
 type Basis struct {
 	Basic  []int32 // column index basic in each row position
-	Status []int8  // per-column nonbasic status (see vstatus constants)
+	Status []int8  // per-column status: n structural columns, then m slacks
 }
 
 // Clone deep-copies the basis.
@@ -229,7 +231,7 @@ type Result struct {
 	// makes parallel branch-and-bound bit-reproducible.
 	Factors *sparselu.Factors
 	// WarmUsed reports that this result came from a successful warm-started
-	// dual-simplex run (rather than the cold two-phase fallback). Unlike the
+	// dual-simplex run (rather than the cold fallback). Unlike the
 	// process-global Debug* counters it is attributable to one solve, which
 	// is what lets concurrent callers (the admission engine, parallel
 	// sweeps) account their own warm-start hit rates race-free.

@@ -48,7 +48,7 @@ func (s *solver) pivotRow(r int) {
 		s.arowTag[j] = false
 	}
 	s.arowNZ = s.arowNZ[:0]
-	n, nm := s.inst.n, s.nm
+	n := s.inst.n
 	for _, i32 := range s.rhoNZ { // ascending: arow sums in row order
 		i, rv := int(i32), s.rho[i32]
 		if rv == 0 {
@@ -74,14 +74,9 @@ func (s *solver) pivotRow(r int) {
 			}
 		}
 		s.arow[n+i] = -rv // slack column −e_i
-		s.arow[nm+i] = rv // artificial column +e_i
 		if !s.arowTag[n+i] {
 			s.arowTag[n+i] = true
 			s.arowNZ = append(s.arowNZ, int32(n+i)) //lint:allow hotalloc -- amortized sparse-row scratch; steady state is pre-reserved
-		}
-		if !s.arowTag[nm+i] {
-			s.arowTag[nm+i] = true
-			s.arowNZ = append(s.arowNZ, int32(nm+i)) //lint:allow hotalloc -- amortized sparse-row scratch; steady state is pre-reserved
 		}
 	}
 	if s.bland {

@@ -15,8 +15,8 @@ import "math"
 // duals are bit-identical to an unscaled formulation of the same solution —
 // scaling changes the simplex trajectory, never the reported answer's
 // meaning — and the scaled solve remains bit-deterministic across runs and
-// worker counts. Slack and artificial columns stay exact unit columns
-// because the slack variables themselves are scaled by r_i.
+// worker counts. Slack columns stay exact unit columns because the slack
+// variables themselves are scaled by r_i.
 
 const (
 	// scalingSweeps is the number of row/column geometric-mean passes.

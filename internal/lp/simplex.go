@@ -23,11 +23,6 @@ const (
 	dropTol    = 1e-12 // entries below this are treated as zero in updates
 	stallLimit = 400   // degenerate iterations before switching to Bland's rule
 
-	// crashBoundTol is the slack allowed when testing whether a row
-	// activity already lies inside its slack's bounds during the crash
-	// basis construction; activities are single dot products, so only a
-	// few ulps of error are possible.
-	crashBoundTol = 1e-12
 	// ratioTieTol is the window within which two ratio-test limits are
 	// treated as tied (the larger-pivot rule then breaks the tie).
 	ratioTieTol = 1e-10
@@ -105,7 +100,7 @@ type Instance struct {
 	// Problem); nil when the instance is unscaled.
 	baseRowVal [][]float64
 
-	unitIdx []int32 // unitIdx[i] = i; slack/artificial column index storage
+	unitIdx []int32 // unitIdx[i] = i; slack column index storage
 
 	lb, ub []float64 // length n+m, original units: structural then row bounds
 	objMin []float64 // minimization costs for structural columns (original)
@@ -341,8 +336,7 @@ func (inst *Instance) ColBounds(j int) (lb, ub float64) { return inst.lb[j], ins
 type solver struct {
 	inst *Instance
 	m    int // rows
-	nm   int // structural + slack columns
-	N    int // total columns including m permanent artificials
+	N    int // structural + slack columns
 
 	lb, ub  []float64 // length N, scaled units
 	cost    []float64 // active phase costs, length N
@@ -460,7 +454,7 @@ func newSolver(inst *Instance, opts Options) *solver {
 		}
 		inst.sv = s
 	}
-	if s.inst != inst || s.m != inst.m || s.N != inst.n+2*inst.m {
+	if s.inst != inst || s.m != inst.m || s.N != inst.n+inst.m {
 		s.fit(inst)
 	}
 	s.reset(opts)
@@ -476,8 +470,8 @@ func newSolver(inst *Instance, opts Options) *solver {
 // workspace's trajectory bit-identical to a fresh one's.
 func (s *solver) fit(inst *Instance) {
 	n, m := inst.n, inst.m
-	N := n + 2*m
-	s.inst, s.m, s.nm, s.N = inst, m, n+m, N
+	N := n + m
+	s.inst, s.m, s.N = inst, m, N
 	s.lb, s.ub = fit(s.lb, N), fit(s.ub, N)
 	s.cost, s.real = fit(s.cost, N), fit(s.real, N)
 	s.vstat, s.inBasis = fit(s.vstat, N), fit(s.inBasis, N)
@@ -571,11 +565,6 @@ func (s *solver) reset(opts Options) {
 		s.real[j] = 0
 		s.cost[j] = 0
 	}
-	// Artificials default to fixed at zero; phase-1 setup relaxes the ones
-	// it needs.
-	for j := s.nm; j < s.N; j++ {
-		s.lb[j], s.ub[j] = 0, 0
-	}
 }
 
 // grabFacBuf returns the inactive solver-owned factorization buffer,
@@ -590,27 +579,19 @@ func (s *solver) grabFacBuf() *sparselu.Factors {
 	return s.facBuf[next]
 }
 
-// Shared single-entry value slices for the slack (−1) and artificial (+1)
-// unit columns. Read-only; never mutate.
-var (
-	negUnitVal = []float64{-1}
-	posUnitVal = []float64{1}
-)
+// negUnitVal is the shared single-entry value slice of the slack unit
+// columns (−1). Read-only; never mutate.
+var negUnitVal = []float64{-1}
 
-// col returns the sparse column j of the full matrix [A | −I | +I]. The
-// returned slices are shared storage; callers must not mutate or retain
-// them across basis changes.
+// col returns the sparse column j of the full matrix [A | −I]. The returned
+// slices are shared storage; callers must not mutate or retain them across
+// basis changes.
 func (s *solver) col(j int) ([]int32, []float64) {
-	switch {
-	case j < s.inst.n:
+	if j < s.inst.n {
 		return s.inst.colIdx[j], s.inst.colVal[j]
-	case j < s.nm:
-		r := j - s.inst.n
-		return s.inst.unitIdx[r : r+1], negUnitVal
-	default:
-		r := j - s.nm
-		return s.inst.unitIdx[r : r+1], posUnitVal
 	}
+	r := j - s.inst.n
+	return s.inst.unitIdx[r : r+1], negUnitVal
 }
 
 // colValue returns the current value of column j.
@@ -775,8 +756,8 @@ func (s *solver) pivot(q int, r int, enterVal float64, leaveStat int8) {
 	}
 }
 
-// snapshot extracts a warm-startable basis (all N columns, including
-// artificials, so a later solver of the same instance can adopt it).
+// snapshot extracts a warm-startable basis (all N structural and slack
+// columns, so a later solver of the same instance can adopt it).
 func (s *solver) snapshot() *Basis {
 	b := &Basis{Basic: make([]int32, s.m), Status: make([]int8, s.N)}
 	copy(b.Basic, s.basis)

@@ -72,7 +72,7 @@ func (inst *Instance) solveWarm(o Options) (res Result, iters int, ok bool) {
 	wb := o.WarmBasis
 	extended := false
 	remapped := false
-	nOld := len(wb.Status) - 2*len(wb.Basic)
+	nOld := len(wb.Status) - len(wb.Basic)
 	if nOld != inst.n {
 		// The basis predates columns appended by AppendColumn: remap it onto
 		// the widened column space. The basic set is untouched, so the factor
@@ -154,67 +154,32 @@ func (inst *Instance) solveWarm(o Options) (res Result, iters int, ok bool) {
 
 // solveCold solves from scratch: a dual phase 1 from the all-slack basis
 // restores primal feasibility, then the primal simplex optimizes the real
-// objective. The classic artificial-variable two-phase primal remains as
-// the fallback for runs the dual phase cannot finish.
+// objective. A run that is interrupted or exhausts its iteration budget
+// reports StatusIterLimit, and one that hits irrecoverable numerical trouble
+// StatusNumeric; either way the result keeps the iterations taken.
 func (inst *Instance) solveCold(o Options) Result {
 	s := newSolver(inst, o)
 	// Dual phase 1: the all-slack basis under zero costs is trivially dual
-	// feasible, so the dual simplex restores primal feasibility directly —
-	// no artificial variables, and with the long-step ratio test the
-	// all-zero reduced costs make every breakpoint a tie, so the entering
-	// column is simply the most stable pivot. An inconclusive run (numeric
-	// trouble or a stall at the iteration budget) falls back to the
-	// classic artificial-variable phase 1 on the remaining budget.
+	// feasible, so the dual simplex restores primal feasibility directly,
+	// and with the long-step ratio test the all-zero reduced costs make
+	// every breakpoint a tie, so the entering column is simply the most
+	// stable pivot.
 	if err := s.crashSlackBasis(); err != nil {
 		return s.result(StatusNumeric)
 	}
 	s.dValid = false
 	s.xbFresh = true
 	switch s.dual(o.MaxIters) {
-	case iterOptimal:
-		for j := range s.cost {
-			s.cost[j] = s.real[j]
-		}
-		s.dValid = false
-		switch s.primal(o.MaxIters) {
-		case iterOptimal:
-			return s.finishOptimal(o)
-		case iterUnbounded:
-			return s.result(StatusUnbounded)
-		default:
-			return s.result(StatusIterLimit)
-		}
 	case iterInfeasible:
 		return s.result(StatusInfeasible)
-	}
-	o.MaxIters -= s.iters
-	if o.MaxIters <= 0 {
+	case iterLimit:
 		return s.result(StatusIterLimit)
-	}
-	s = newSolver(inst, o)
-	needPhase1, err := s.crashBasis()
-	if err != nil {
-		// No usable factorization: report the numerical failure instead of
-		// iterating against a stale basis.
+	case iterNumeric:
 		return s.result(StatusNumeric)
 	}
-	if needPhase1 {
-		// Phase 1: costs were installed by crashBasis (±1 on artificials).
-		st := s.primal(o.MaxIters)
-		if st == iterLimit {
-			return s.result(StatusIterLimit)
-		}
-		if s.phase1Objective() > numtol.Phase1Tol {
-			return s.result(StatusInfeasible)
-		}
-	}
-	s.sealArtificials()
-	for j := range s.cost {
-		s.cost[j] = s.real[j]
-	}
-	s.dValid = false // phase costs changed
-	st := s.primal(o.MaxIters)
-	switch st {
+	copy(s.cost, s.real)
+	s.dValid = false
+	switch s.primal(o.MaxIters) {
 	case iterOptimal:
 		return s.finishOptimal(o)
 	case iterUnbounded:

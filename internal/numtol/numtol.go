@@ -71,12 +71,6 @@ const (
 	// the simplex solver.
 	LPOptTol = 1e-7
 
-	// Phase1Tol is the residual phase-1 objective above which an LP is
-	// declared primal infeasible. Artificials are driven to zero by simplex
-	// pivots whose error is bounded by LPFeasTol per row; 1e-6 leaves an
-	// order of magnitude of slack over the m-row accumulation.
-	Phase1Tol = 1e-6
-
 	// BoundSnapTol is the distance within which a column value is snapped
 	// exactly onto its finite bound when extracting an LP solution. It must
 	// exceed the basis-solve roundoff (≈ machine epsilon times the basis
