@@ -117,7 +117,13 @@ type Config struct {
 	Seed int64
 	// Certify re-verifies every accepting decision with the independent
 	// solution checker before committing it; a violation downgrades the
-	// decision to a rejection (and is reported in Decision.CertErr).
+	// decision to a rejection (and is reported in Decision.CertErr). The
+	// per-decision check is certify.Extension over the committed requests
+	// the acceptance overlaps: the arriving request's own Definition 2.1
+	// checks, and capacity in the event intervals it runs over. Its
+	// precondition, a certified committed system, holds by induction:
+	// re-optimized flows are committed only after the whole-system
+	// certify.Solution, and /v1/solution certifies Snapshot whole.
 	Certify bool
 	// ReoptEvery triggers a batched re-optimization of the committed link
 	// allocations after every n-th acceptance (0 → never). Re-optimization
@@ -235,6 +241,11 @@ type Engine struct {
 	// tier's root and the commitment restart read.
 	spares  *lp.Workspaces
 	rootFac *sparselu.Factors
+
+	// certified, when set, sees every per-decision certificate with the
+	// acceptance it judged, before the verdict is acted on. Tests hold the
+	// extension certificate to the whole-system reference through it.
+	certified func(rec *record, acc *acceptance, rep *certify.Report)
 }
 
 // New validates the configuration and returns a fresh engine.
@@ -344,7 +355,11 @@ func (e *Engine) Admit(ctx context.Context, req *vnet.Request, mapping []int) (D
 		return Decision{}, err
 	}
 	if dec != nil && e.cfg.Certify {
-		if cerr := e.certifyDecision(rec, dec); cerr != nil {
+		rep := e.certifyDecision(rec, dec)
+		if e.certified != nil {
+			e.certified(rec, dec, rep)
+		}
+		if cerr := rep.Err(); cerr != nil {
 			d.CertErr = cerr
 			e.stats.CertFailures++
 			dec = nil // downgrade to rejection; nothing is committed
@@ -552,16 +567,21 @@ func (e *Engine) commitRestart(inst *lp.Instance, b *core.Built, lpRes lp.Result
 	}
 }
 
-// certifyDecision re-verifies an accepting decision with the independent
-// checker before it is committed: the arriving embedding is laid over the
-// currently committed system and checked against Definition 2.1.
-func (e *Engine) certifyDecision(rec *record, acc *acceptance) error {
-	subReqs := []*vnet.Request{}
-	subMap := vnet.NodeMapping{}
+// certifyDecision certifies an accepting decision before it is committed,
+// as an extension of the committed system: the arriving embedding is laid
+// over the committed requests whose schedules overlap it, in arrival order,
+// and certify.Extension judges the arriving request's own Definition 2.1
+// checks and capacity in the intervals it runs over. The committed system
+// meets Extension's precondition: every acceptance before this one passed
+// this certificate, and reoptimize commits new flows only after the
+// whole-system certificate.
+func (e *Engine) certifyDecision(rec *record, acc *acceptance) *certify.Report {
+	var reqs []*vnet.Request
+	var mapping vnet.NodeMapping
 	sol := &solution.Solution{}
 	add := func(r *vnet.Request, m []int, start, end float64, hosts []int, flows [][]float64) {
-		subReqs = append(subReqs, r)
-		subMap = append(subMap, m)
+		reqs = append(reqs, r)
+		mapping = append(mapping, m)
 		sol.Accepted = append(sol.Accepted, true)
 		sol.Start = append(sol.Start, start)
 		sol.End = append(sol.End, end)
@@ -569,12 +589,13 @@ func (e *Engine) certifyDecision(rec *record, acc *acceptance) error {
 		sol.Flows = append(sol.Flows, flows)
 	}
 	for _, a := range e.active {
-		add(a.req, a.mapping, a.decided.Start, a.decided.End, a.decided.Hosts, a.decided.Flows)
+		if overlaps(a.decided.Start, a.decided.End, acc.start, acc.end) {
+			add(a.req, a.mapping, a.decided.Start, a.decided.End, a.decided.Hosts, a.decided.Flows)
+		}
 	}
 	add(rec.req, rec.mapping, acc.start, acc.end, acc.hosts, acc.flows)
-	inst := &core.Instance{Sub: e.cfg.Sub, Reqs: subReqs, Horizon: e.cfg.Horizon}
-	rep := certify.Solution(inst, sol, certify.Options{SkipObjective: true, Mapping: subMap})
-	return rep.Err()
+	inst := &core.Instance{Sub: e.cfg.Sub, Reqs: reqs, Horizon: e.cfg.Horizon}
+	return certify.Extension(inst, sol, len(reqs)-1, mapping)
 }
 
 // finishReject records a rejecting decision with the Definition-2.1 fixed

@@ -4,13 +4,19 @@
 // Section IV-E objectives) rather than against any MIP formulation, so a
 // bug shared by a model builder and its extractor cannot hide from it.
 //
-// Two certificates are provided: Solution re-checks a solution.Solution
-// (windows, durations, splittable-flow conservation, node/link capacity at
-// every event interval, pinned mappings, and a full objective
-// recomputation), and LP (lpcert.go) re-checks an lp.Result against its
-// lp.Problem (primal residuals, bound feasibility, dual feasibility and
-// complementary slackness). Every failure is reported as a named Violation
-// so tests and CI logs can assert on the exact defect class.
+// Solution re-checks a whole solution.Solution (windows, durations,
+// splittable-flow conservation, node/link capacity at every event interval,
+// pinned mappings, and a full objective recomputation). Extension checks
+// one request added to a system that already passed Solution: the
+// request's own Definition 2.1 checks, and capacity only in the event
+// intervals the request runs over, which is where an addition can break
+// it. It is what online admission runs per acceptance; Solution still
+// judges every system as a whole wherever it is rewritten or handed out.
+// LP (lpcert.go) re-checks an lp.Result against its lp.Problem (primal
+// residuals, bound feasibility, dual feasibility and complementary
+// slackness), and Cuts and Columns re-derive applied cuts and priced
+// columns. Every failure is reported as a named Violation so tests and CI
+// logs can assert on the exact defect class.
 package certify
 
 import (
@@ -121,6 +127,23 @@ func Solution(inst *core.Instance, sol *solution.Solution, opts Options) *Report
 		checkObjective(rep, inst, sol, opts)
 	}
 	return rep
+}
+
+// Extension certifies request x as an addition to a system that Solution
+// already certified: x's window, duration, pinned mapping, flow range and
+// flow conservation, then node and link capacity in the event intervals x
+// runs over. It recomputes no objective.
+//
+// Precondition: the solution without x (x not accepted) has no Definition
+// 2.1 violation, as Solution checks it. Outside x's intervals the other
+// requests were judged when they were certified, and x's events only
+// subdivide those intervals without changing who runs in them. Under the
+// precondition the report lists exactly the violations Solution with
+// SkipObjective would, computed from the requests whose schedules meet
+// x's; inst and sol may hold only those, kept in index order (see
+// solution.ExtensionViolations).
+func Extension(inst *core.Instance, sol *solution.Solution, x int, mapping vnet.NodeMapping) *Report {
+	return &Report{Violations: solution.ExtensionViolations(inst.Sub, inst.Reqs, sol, mapping, x)}
 }
 
 // checkObjective recomputes the selected Section IV-E objective from the

@@ -8,6 +8,7 @@ package solution
 import (
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"tvnep/internal/numtol"
@@ -117,6 +118,29 @@ func Check(sub *substrate.Network, reqs []*vnet.Request, sol *Solution) error {
 // non-nil, additionally pins every accepted request's virtual-node
 // placement. A malformed solution is reported, never panicked on.
 func Violations(sub *substrate.Network, reqs []*vnet.Request, sol *Solution, mapping vnet.NodeMapping) []Violation {
+	return walk(sub, reqs, sol, mapping, false, 0)
+}
+
+// ExtensionViolations returns the violations that adding request x to an
+// already feasible solution brings in: x's own temporal and embedding
+// defects, then the capacity overloads of the event intervals x runs over,
+// in the order and with the text Violations gives them.
+//
+// Precondition: sol without x (x not accepted) passes Violations, every
+// time is finite and every demand nonnegative. Then the result equals
+// Violations(sub, reqs, sol, mapping): x's events only subdivide the
+// intervals where x does not run, which leaves who runs in them, and so
+// their loads, as they were judged. Requests whose schedules do not meet
+// [Start[x], End[x]] may be left out of reqs and sol: every event inside
+// x's run stays, and keeping the rest in index order keeps every load and
+// message bit-identical.
+func ExtensionViolations(sub *substrate.Network, reqs []*vnet.Request, sol *Solution, mapping vnet.NodeMapping, x int) []Violation {
+	return walk(sub, reqs, sol, mapping, true, x)
+}
+
+// walk is Violations, restricted when ext is set to request x: its own
+// checks and the capacity of the intervals it runs over.
+func walk(sub *substrate.Network, reqs []*vnet.Request, sol *Solution, mapping vnet.NodeMapping, ext bool, x int) []Violation {
 	var vs []Violation
 	add := func(k Kind, r int, format string, args ...interface{}) {
 		vs = append(vs, Violation{Kind: k, Request: r, Detail: fmt.Sprintf(format, args...)})
@@ -131,22 +155,23 @@ func Violations(sub *substrate.Network, reqs []*vnet.Request, sol *Solution, map
 			len(sol.Accepted), len(sol.Start), len(sol.End), k)
 		return vs
 	}
-	for r, req := range reqs {
-		st, en := sol.Start[r], sol.End[r]
-		if math.Abs((en-st)-req.Duration) > numtol.TimeTol {
-			add(Duration, r, "scheduled duration %v != d=%v", en-st, req.Duration)
+	switch {
+	case !ext:
+		for r, req := range reqs {
+			checkRequest(add, sub, req, sol, r, mapping)
 		}
-		if st < req.Earliest-numtol.TimeTol {
-			add(Window, r, "starts at %v before earliest %v", st, req.Earliest)
-		}
-		if en > req.Latest+numtol.TimeTol {
-			add(Window, r, "ends at %v after latest %v", en, req.Latest)
-		}
-		if sol.Accepted[r] {
-			checkEmbedding(add, sub, req, sol, r, mapping)
-		}
+	case x < 0 || x >= k:
+		add(Shape, -1, "request %d out of range of %d requests", x, k)
+		return vs
+	default:
+		checkRequest(add, sub, reqs[x], sol, x, mapping)
 	}
 	Sweep(sub, reqs, sol, func(iv *Interval) bool {
+		if ext {
+			if at := sort.SearchInts(iv.Active, x); at == len(iv.Active) || iv.Active[at] != x {
+				return true
+			}
+		}
 		for ns, load := range iv.NodeLoad {
 			if load > sub.NodeCap[ns]+numtol.CapTol {
 				add(NodeCapacity, -1, "t=%v: substrate node %d loaded %v > capacity %v", iv.Mid, ns, load, sub.NodeCap[ns])
@@ -160,6 +185,24 @@ func Violations(sub *substrate.Network, reqs []*vnet.Request, sol *Solution, map
 		return true
 	})
 	return vs
+}
+
+// checkRequest reports the temporal defects of request r and, when it is
+// accepted, its embedding defects.
+func checkRequest(add func(Kind, int, string, ...interface{}), sub *substrate.Network, req *vnet.Request, sol *Solution, r int, mapping vnet.NodeMapping) {
+	st, en := sol.Start[r], sol.End[r]
+	if math.Abs((en-st)-req.Duration) > numtol.TimeTol {
+		add(Duration, r, "scheduled duration %v != d=%v", en-st, req.Duration)
+	}
+	if st < req.Earliest-numtol.TimeTol {
+		add(Window, r, "starts at %v before earliest %v", st, req.Earliest)
+	}
+	if en > req.Latest+numtol.TimeTol {
+		add(Window, r, "ends at %v after latest %v", en, req.Latest)
+	}
+	if sol.Accepted[r] {
+		checkEmbedding(add, sub, req, sol, r, mapping)
+	}
 }
 
 // checkEmbedding reports the host, pinned-mapping and flow defects of the

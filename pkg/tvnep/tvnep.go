@@ -368,7 +368,12 @@ func WithProgress(fn func(Progress)) Option {
 // before it is returned (solution certificate; for exact solves also the
 // applied-cut and root-LP certificates). Certification failures surface as
 // *CertificationError; the admission engine additionally downgrades
-// uncertified acceptances to rejections.
+// uncertified acceptances to rejections. An admission is certified as an
+// extension of the committed system, which is itself certified: the
+// arriving request's own checks, and capacity where it runs, against the
+// committed requests it overlaps. The whole committed system is certified
+// again before a re-optimization (WithReoptEvery) commits new flows, and
+// on every /v1/solution fetch.
 func WithCertify() Option {
 	return func(c *config) { c.certify = true }
 }
