@@ -236,11 +236,17 @@ type Engine struct {
 	sinceReopt int
 
 	// Memory the decisions recycle instead of allocating: the idle simplex
-	// workspaces every decision's LP instances draw from and return to, and
-	// the buffer holding the fast tier's root factorization, which the MIP
-	// tier's root and the commitment restart read.
+	// workspaces and compiled LP storage every decision's instances draw
+	// from and return to; the buffer holding the fast tier's root
+	// factorization, which the MIP tier's root and the commitment restart
+	// read; and the last decision's cΣ model and objective, which the next
+	// decision rebuilds in place. Nothing a decision returns or the engine
+	// commits points into this storage: Extract and the acceptance copy
+	// out.
 	spares  *lp.Workspaces
 	rootFac *sparselu.Factors
+	built   *core.Built
+	obj     model.LinExpr
 
 	// certified, when set, sees every per-decision certificate with the
 	// acceptance it judged, before the verdict is acted on. Tests hold the
@@ -404,7 +410,8 @@ func (e *Engine) decide(ctx context.Context, rec *record, d *Decision) (*accepta
 	subInst, _, opts, newIdx, pinned := e.subproblem(rec)
 	d.Stats.ActiveSet = newIdx
 
-	b := core.BuildCSigma(subInst, opts)
+	b := core.RebuildCSigma(e.built, subInst, opts)
+	e.built = b
 	// Pin the committed flows, not just the committed schedules: the solve
 	// has no authority to reroute traffic the engine already committed, so
 	// letting the χ variables of accepted requests float would admit new
@@ -424,18 +431,23 @@ func (e *Engine) decide(ctx context.Context, rec *record, d *Decision) (*accepta
 	}
 	// Objective (21): max T·x_R(new) + (T − t⁻_new).
 	T := e.cfg.Horizon
-	b.Model.SetObjective(model.Expr().
+	b.Model.SetObjective(e.obj.Reset().
 		Add(T, b.XR[newIdx]).
 		Add(-1, b.TMinus[newIdx]).
 		AddConst(T))
 
 	// LP fast tier: solve the root relaxation through a raw instance so the
 	// basis and LU factors survive for the MIP tier's root and the
-	// commitment hot-restart below. The instance's workspaces come from the
-	// engine's spares and go back once the decision is made.
-	inst := lp.NewInstance(b.Model.LP())
-	inst.UseWorkspaces(e.spares)
-	defer inst.Release()
+	// commitment hot-restart below. The instance is compiled into storage
+	// recycled through the engine's spares, and so are its workspaces. The
+	// model is kept for the next decision only while the spares keep the
+	// instance storage compiled from it: both are as large as the model.
+	inst := e.spares.Compile(b.Model.LP())
+	defer func() {
+		if !inst.Recycle() {
+			e.built = nil
+		}
+	}()
 	lpRes := inst.Solve(&lp.Options{Context: ctx})
 	inst.CaptureFactors(&lpRes, e.rootFac)
 	d.Stats.LPIterations += lpRes.Iterations

@@ -299,10 +299,16 @@ type Built struct {
 	// precCandidates is the size of the lazily separated Constraint-(20)
 	// family (CutLazy builds only); see PrecCutCandidates.
 	precCandidates int
-	// stateNodeLoad returns the total allocation expression on substrate
-	// node ns during state n (1-based); installed by each builder and used
-	// by the BalanceNodeLoad objective.
-	stateNodeLoad func(n, ns int) *model.LinExpr
+	// addStateNodeLoad appends the total allocation on substrate node ns
+	// during state n (1-based) to an expression; installed by each builder
+	// for the BalanceNodeLoad objective, which alone reads it.
+	addStateNodeLoad func(e *model.LinExpr, n, ns int)
+	// row, sum and part are the builder's scratch expressions, reset for
+	// every use, so emitting a row allocates nothing once they have grown:
+	// row is the row being emitted, sum a row or objective accumulated over
+	// an inner loop, part a sub-expression folded into row once it is known
+	// to be nonempty.
+	row, sum, part model.LinExpr
 	// linkUse[r][lv][ls] lists the compiled rows in which one unit of
 	// (r, lv)-flow over substrate link ls participates (FlowPath builds
 	// only); the pricer assembles priced path columns from it, and the seed

@@ -19,7 +19,8 @@ import (
 // and every event index i in W's window (capped so the χ_V prefix is
 // non-vacuous), the row Σ_{j≤i} χ_W − Σ_{j≤i−gap} χ_V ≤ 0. Static emission
 // and lazy separation share this single enumeration, so the two modes
-// reason about the identical cut family.
+// reason about the identical cut family. lhs is the builder's scratch row,
+// valid only during the call.
 func forEachPrecRow(b *Built, dg *depgraph.Graph, startWin, endWin []depgraph.Window, fn func(lhs *model.LinExpr, key model.Key)) {
 	for _, pr := range dg.Precedences() {
 		chiV := b.ChiPlus[depgraph.RequestOf(pr.V)]
@@ -39,11 +40,12 @@ func forEachPrecRow(b *Built, dg *depgraph.Graph, startWin, endWin []depgraph.Wi
 			hi = lim
 		}
 		for i := winW.Lo; i <= hi; i++ {
-			lhs := chiSumUpTo(chiW, i)
+			lhs := b.row.Reset()
+			addChiUpTo(lhs, 1, chiW, i)
 			if lhs.Len() == 0 {
 				continue
 			}
-			lhs.AddExpr(-1, chiSumUpTo(chiV, i-pr.Gap))
+			addChiUpTo(lhs, -1, chiV, i-pr.Gap)
 			fn(lhs, model.Key3("prec", pr.V, pr.W, i))
 		}
 	}

@@ -60,14 +60,16 @@ func BuildDiscrete(inst *Instance, opts BuildOptions, slotLen float64) *Discrete
 	b.TPlus = make([]model.Var, k)
 	b.TMinus = make([]model.Var, k)
 
+	// active is the per-slot scratch beside the builder's own three.
+	active := model.Expr()
 	for r, req := range inst.Reqs {
 		db.slots[r] = int(math.Ceil(req.Duration/slotLen - numtol.WindowTol))
 		if db.slots[r] < 1 {
 			db.slots[r] = 1
 		}
 		db.Y[r] = make([]model.Var, numSlots)
-		choice := model.Expr()
-		startExpr := model.Expr()
+		choice := b.sum.Reset()
+		startExpr := b.part.Reset()
 		for s := 0; s < numSlots; s++ {
 			start := float64(s) * slotLen
 			end := start + float64(db.slots[r])*slotLen
@@ -88,11 +90,11 @@ func BuildDiscrete(inst *Instance, opts BuildOptions, slotLen float64) *Discrete
 		b.TMinus[r] = m.Continuous(0, inst.Horizon)
 		// t⁺ = Σ s·δ·y (+ earliest·(1−xR) so rejected requests keep a valid
 		// window position, mirroring Definition 2.1).
-		tPlusExpr := model.Expr().Add(1, b.TPlus[r])
+		tPlusExpr := b.row.Reset().Add(1, b.TPlus[r])
 		tPlusExpr.AddExpr(-1, startExpr)
 		tPlusExpr.Add(req.Earliest, b.XR[r])
 		m.AddEQ(tPlusExpr, req.Earliest, model.Key1("tplus", r))
-		dur := model.Expr().Add(1, b.TMinus[r]).Add(-1, b.TPlus[r])
+		dur := b.row.Reset().Add(1, b.TMinus[r]).Add(-1, b.TPlus[r])
 		m.AddEQ(dur, req.Duration, model.Key1("tminus", r))
 	}
 
@@ -102,10 +104,10 @@ func BuildDiscrete(inst *Instance, opts BuildOptions, slotLen float64) *Discrete
 	for q := 0; q < numSlots; q++ {
 		for rsc := 0; rsc < nRes; rsc++ {
 			capRsc := b.resourceCap(rsc)
-			capacity := model.Expr()
+			capacity := b.sum.Reset()
 			any := false
 			for r := 0; r < k; r++ {
-				active := model.Expr()
+				active.Reset()
 				for s := q - db.slots[r] + 1; s <= q; s++ {
 					if s >= 0 && s < numSlots && db.Y[r][s].Valid() {
 						active.Add(1, db.Y[r][s])
@@ -114,12 +116,13 @@ func BuildDiscrete(inst *Instance, opts BuildOptions, slotLen float64) *Discrete
 				if active.Len() == 0 {
 					continue
 				}
-				alloc := b.allocExpr(r, rsc)
+				alloc := b.part.Reset()
+				b.addAlloc(alloc, 1, r, rsc)
 				if alloc.Len() == 0 {
 					continue
 				}
 				a := m.Continuous(0, model.Inf())
-				con := model.Expr().Add(1, a)
+				con := b.row.Reset().Add(1, a)
 				con.AddExpr(-1, alloc)
 				con.AddExpr(-capRsc, active)
 				m.AddGE(con, -capRsc, model.Key3("slot", r, q, rsc))

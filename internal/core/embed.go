@@ -31,7 +31,7 @@ func buildEmbedding(b *Built) {
 			b.XV[r] = make([][]model.Var, req.G.N)
 			for v := 0; v < req.G.N; v++ {
 				b.XV[r][v] = make([]model.Var, sub.NumNodes())
-				sum := model.Expr()
+				sum := b.row.Reset()
 				for s := 0; s < sub.NumNodes(); s++ {
 					b.XV[r][v][s] = m.Binary()
 					sum.Add(1, b.XV[r][v][s])
@@ -52,7 +52,7 @@ func buildEmbedding(b *Built) {
 			}
 			u, v := req.G.Edge(lv)
 			for ns := 0; ns < sub.NumNodes(); ns++ {
-				bal := model.Expr()
+				bal := b.row.Reset()
 				for _, e := range sub.G.Out(ns) {
 					bal.Add(1, b.XE[r][lv][e])
 				}
@@ -80,16 +80,14 @@ func buildEmbedding(b *Built) {
 	}
 }
 
-// allocNodeExpr returns the macro alloc_V(R, N_s) of Table V as a linear
-// expression.
-func (b *Built) allocNodeExpr(r, ns int) *model.LinExpr {
+// addNodeAlloc appends coef·alloc_V(R, N_s), the macro of Table V, to e.
+func (b *Built) addNodeAlloc(e *model.LinExpr, coef float64, r, ns int) {
 	req := b.Inst.Reqs[r]
-	e := model.Expr()
 	if b.XV != nil {
 		for v := 0; v < req.G.N; v++ {
-			e.Add(req.NodeDemand[v], b.XV[r][v][ns])
+			e.Add(coef*req.NodeDemand[v], b.XV[r][v][ns])
 		}
-		return e
+		return
 	}
 	total := 0.0
 	for v, host := range b.Opts.FixedMapping[r] {
@@ -98,26 +96,24 @@ func (b *Built) allocNodeExpr(r, ns int) *model.LinExpr {
 		}
 	}
 	if total != 0 {
-		e.Add(total, b.XR[r])
+		e.Add(coef*total, b.XR[r])
 	}
-	return e
 }
 
-// allocLinkExpr returns the macro alloc_E(R, L_s) of Table V. In FlowPath
-// mode only the seeded path columns appear in the compiled expression;
+// addLinkAlloc appends coef·alloc_E(R, L_s), the macro of Table V, to e. In
+// FlowPath mode only the seeded path columns appear in the compiled row;
 // priced columns join the same rows later through the linkUse registry.
-func (b *Built) allocLinkExpr(r, ls int) *model.LinExpr {
+func (b *Built) addLinkAlloc(e *model.LinExpr, coef float64, r, ls int) {
 	if b.XE == nil {
-		return b.seedAllocLinkExpr(r, ls)
+		b.addSeedLinkAlloc(e, coef, r, ls)
+		return
 	}
 	req := b.Inst.Reqs[r]
-	e := model.Expr()
 	for lv := 0; lv < req.G.NumEdges(); lv++ {
 		if d := req.LinkDemand[lv]; d != 0 {
-			e.Add(d, b.XE[r][lv][ls])
+			e.Add(coef*d, b.XE[r][lv][ls])
 		}
 	}
-	return e
 }
 
 // resourceCount returns |V_S| + |E_S|; resources are indexed nodes first,
@@ -133,13 +129,15 @@ func (b *Built) resourceCap(rsc int) float64 {
 	return sub.LinkCap[rsc-sub.NumNodes()]
 }
 
-// allocExpr returns alloc_V or alloc_E for a unified resource index.
-func (b *Built) allocExpr(r, rsc int) *model.LinExpr {
+// addAlloc appends coef·alloc_V or coef·alloc_E for a unified resource
+// index to e.
+func (b *Built) addAlloc(e *model.LinExpr, coef float64, r, rsc int) {
 	sub := b.Inst.Sub
 	if rsc < sub.NumNodes() {
-		return b.allocNodeExpr(r, rsc)
+		b.addNodeAlloc(e, coef, r, rsc)
+		return
 	}
-	return b.allocLinkExpr(r, rsc-sub.NumNodes())
+	b.addLinkAlloc(e, coef, r, rsc-sub.NumNodes())
 }
 
 // buildTimeVars creates t_{e_i} (1-based, numEvents of them), t⁺_R, t⁻_R
@@ -153,7 +151,7 @@ func buildTimeVars(b *Built, numEvents int) {
 	}
 	for i := 1; i < numEvents; i++ {
 		// (13): t_{e_i} ≤ t_{e_{i+1}}
-		m.AddLE(model.Expr().Add(1, b.TEvent[i]).Add(-1, b.TEvent[i+1]), 0, model.Key1("mono", i))
+		m.AddLE(b.row.Reset().Add(1, b.TEvent[i]).Add(-1, b.TEvent[i+1]), 0, model.Key1("mono", i))
 	}
 	k := b.numReq()
 	b.TPlus = make([]model.Var, k)
@@ -164,28 +162,24 @@ func buildTimeVars(b *Built, numEvents int) {
 		b.TPlus[r] = m.Continuous(req.Earliest, max(req.Earliest, req.LatestStart()))
 		b.TMinus[r] = m.Continuous(req.EarliestEnd(), max(req.EarliestEnd(), req.Latest))
 		// (18): t⁻ − t⁺ = d
-		m.AddEQ(model.Expr().Add(1, b.TMinus[r]).Add(-1, b.TPlus[r]), req.Duration, model.Key1("dur", r))
+		m.AddEQ(b.row.Reset().Add(1, b.TMinus[r]).Add(-1, b.TPlus[r]), req.Duration, model.Key1("dur", r))
 	}
 }
 
-// chiSumUpTo returns Σ_{j≤i} χ[r][j] over the variables that exist.
-func chiSumUpTo(chi []model.Var, i int) *model.LinExpr {
-	e := model.Expr()
+// addChiUpTo appends coef·Σ_{j≤i} χ[j] over the variables that exist to e.
+func addChiUpTo(e *model.LinExpr, coef float64, chi []model.Var, i int) {
 	for j := 1; j <= i && j < len(chi); j++ {
 		if chi[j].Valid() {
-			e.Add(1, chi[j])
+			e.Add(coef, chi[j])
 		}
 	}
-	return e
 }
 
-// chiSumFrom returns Σ_{j≥i} χ[r][j] over the variables that exist.
-func chiSumFrom(chi []model.Var, i int) *model.LinExpr {
-	e := model.Expr()
-	for j := i; j < len(chi); j++ {
-		if j >= 1 && chi[j].Valid() {
-			e.Add(1, chi[j])
+// addChiFrom appends coef·Σ_{j≥i} χ[j] over the variables that exist to e.
+func addChiFrom(e *model.LinExpr, coef float64, chi []model.Var, i int) {
+	for j := max(i, 1); j < len(chi); j++ {
+		if chi[j].Valid() {
+			e.Add(coef, chi[j])
 		}
 	}
-	return e
 }

@@ -29,7 +29,7 @@ func applyObjective(b *Built) {
 // applyAccessControl maximizes provider revenue:
 // Σ_R x_R · d_R · Σ_{N_v} c_R(N_v)   (Section IV-E-1).
 func applyAccessControl(b *Built) {
-	obj := model.Expr()
+	obj := b.sum.Reset()
 	for r, req := range b.Inst.Reqs {
 		obj.Add(req.Duration*req.TotalNodeDemand(), b.XR[r])
 	}
@@ -40,7 +40,7 @@ func applyAccessControl(b *Built) {
 // t^s_R)) over a fixed request set (Section IV-E-2). Requests without
 // flexibility contribute the constant fee d_R.
 func applyMaxEarliness(b *Built) {
-	obj := model.Expr()
+	obj := b.sum.Reset()
 	for r, req := range b.Inst.Reqs {
 		flex := req.Flexibility()
 		if flex <= numtol.EventCoincide {
@@ -59,23 +59,24 @@ func applyMaxEarliness(b *Built) {
 // F(N_s) with, for every state s_i,
 // Σ_R a_R(s_i, N_s) ≤ f·c + (1−f)·c·(1 − F(N_s)).
 func applyBalanceNodeLoad(b *Built) {
-	if b.stateNodeLoad == nil {
+	if b.addStateNodeLoad == nil {
 		panic("core: formulation did not install a state node-load accessor")
 	}
 	m := b.Model
 	f := b.Opts.loadFraction()
-	obj := model.Expr()
+	obj := b.sum.Reset()
 	for ns := 0; ns < b.Inst.Sub.NumNodes(); ns++ {
 		F := m.Binary()
 		obj.Add(1, F)
 		c := b.Inst.Sub.NodeCap[ns]
 		for n := 1; n <= b.numStates; n++ {
-			load := b.stateNodeLoad(n, ns)
-			if load.Len() == 0 {
+			con := b.row.Reset()
+			b.addStateNodeLoad(con, n, ns)
+			if con.Len() == 0 {
 				continue
 			}
 			// load + (1−f)·c·F ≤ c
-			con := model.Expr().AddExpr(1, load).Add((1-f)*c, F)
+			con.Add((1-f)*c, F)
 			m.AddLE(con, c, model.Key2("bal", ns, n))
 		}
 	}
@@ -89,10 +90,10 @@ func applyMinMakespan(b *Built) {
 	m := b.Model
 	M := m.Continuous(0, b.Inst.Horizon)
 	for r := range b.Inst.Reqs {
-		m.AddGE(model.Expr().Add(1, M).Add(-1, b.TMinus[r]), 0,
+		m.AddGE(b.row.Reset().Add(1, M).Add(-1, b.TMinus[r]), 0,
 			model.Key1("mk", r))
 	}
-	m.SetObjective(model.Expr().Add(-1, M))
+	m.SetObjective(b.sum.Reset().Add(-1, M))
 }
 
 // applyDisableLinks maximizes the number of substrate links carrying no
@@ -100,7 +101,7 @@ func applyMinMakespan(b *Built) {
 // Σ_{R, L_v} x_E(L_v, L_s) ≤ M·(1 − D(L_s)).
 func applyDisableLinks(b *Built) {
 	m := b.Model
-	obj := model.Expr()
+	obj := b.sum.Reset()
 	// M = total number of virtual links (each x_E ≤ 1).
 	M := 0.0
 	for _, req := range b.Inst.Reqs {
@@ -112,7 +113,7 @@ func applyDisableLinks(b *Built) {
 	for ls := 0; ls < b.Inst.Sub.NumLinks(); ls++ {
 		D := m.Binary()
 		obj.Add(1, D)
-		con := model.Expr().Add(M, D)
+		con := b.row.Reset().Add(M, D)
 		if b.XE != nil {
 			for r, req := range b.Inst.Reqs {
 				for lv := 0; lv < req.G.NumEdges(); lv++ {

@@ -80,8 +80,8 @@ func (b *Built) pathLinkDemand(r int) bool {
 // recordLinkUse registers "one unit of (r, lv)-flow over substrate link ls
 // participates in row with coefficient sign·d" for every nontrivial virtual
 // link of r with positive demand. Seed columns receive exactly the same
-// coefficients through the allocLinkExpr expressions, so priced and seeded
-// paths are interchangeable LP columns.
+// coefficients through addLinkAlloc, so priced and seeded paths are
+// interchangeable LP columns.
 func (b *Built) recordLinkUse(r, ls, row int, sign float64) {
 	req := b.Inst.Reqs[r]
 	for lv := 0; lv < req.G.NumEdges(); lv++ {
@@ -148,7 +148,7 @@ func buildPathEmbedding(b *Built) {
 				b.convRow[r][lv] = -1
 				continue
 			}
-			conv := model.Expr()
+			conv := b.row.Reset()
 			if p, ok := sub.G.ShortestHopPath(hu, hv); ok {
 				lam := m.Continuous(0, 1)
 				b.Lambda[r][lv] = []model.Var{lam}
@@ -189,12 +189,11 @@ func buildAcceptVar(b *Built, r int) {
 	}
 }
 
-// seedAllocLinkExpr is allocLinkExpr's FlowPath branch: the allocation on
-// substrate link ls from the statically seeded path columns (priced columns
-// contribute through linkUse instead).
-func (b *Built) seedAllocLinkExpr(r, ls int) *model.LinExpr {
+// addSeedLinkAlloc is addLinkAlloc's FlowPath branch: it appends coef
+// times the allocation on substrate link ls from the statically seeded path
+// columns (priced columns contribute through linkUse instead).
+func (b *Built) addSeedLinkAlloc(e *model.LinExpr, coef float64, r, ls int) {
 	req := b.Inst.Reqs[r]
-	e := model.Expr()
 	for lv := 0; lv < req.G.NumEdges(); lv++ {
 		d := req.LinkDemand[lv]
 		if d <= 0 {
@@ -203,12 +202,11 @@ func (b *Built) seedAllocLinkExpr(r, ls int) *model.LinExpr {
 		for kp, p := range b.SeedPaths[r][lv] {
 			for _, pls := range p {
 				if pls == ls {
-					e.Add(d, b.Lambda[r][lv][kp])
+					e.Add(coef*d, b.Lambda[r][lv][kp])
 				}
 			}
 		}
 	}
-	return e
 }
 
 // finishPathFlows installs the big-M artificial penalties (the objective is

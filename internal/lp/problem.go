@@ -62,6 +62,16 @@ type Problem struct {
 // NewProblem returns an empty minimization problem.
 func NewProblem() *Problem { return &Problem{Sense: Minimize} }
 
+// Reset empties the problem back to what NewProblem returns, keeping its
+// storage for the next problem built into it. Rows and slices obtained from
+// the problem before the Reset are invalid afterwards.
+func (p *Problem) Reset() {
+	p.Sense, p.ObjOffset = Minimize, 0
+	p.Obj, p.ColLB, p.ColUB = p.Obj[:0], p.ColLB[:0], p.ColUB[:0]
+	p.RowLB, p.RowUB = p.RowLB[:0], p.RowUB[:0]
+	p.rowEnd, p.rowIdx, p.rowVal = p.rowEnd[:0], p.rowIdx[:0], p.rowVal[:0]
+}
+
 // NumCols reports the number of structural columns.
 func (p *Problem) NumCols() int { return len(p.Obj) }
 
@@ -81,32 +91,35 @@ func (p *Problem) AddCol(obj, lb, ub float64) int {
 }
 
 // AddRow appends a ranged row rlb ≤ Σ val_k·x_{idx_k} ≤ rub and returns its
-// index. Duplicate column indices within one row are merged.
+// index. Duplicate column indices within one row are merged. The row is
+// copied; the caller may reuse idx and val.
+//
+//hot:path
 func (p *Problem) AddRow(idx []int32, val []float64, rlb, rub float64) int {
 	if len(idx) != len(val) {
-		panic(fmt.Sprintf("lp: row %d index/value length mismatch", p.NumRows()))
+		panic(fmt.Sprintf("lp: row %d index/value length mismatch", p.NumRows())) //lint:allow hotalloc -- invalid-input panic
 	}
 	if rlb > rub {
-		panic(fmt.Sprintf("lp: row %d has rlb %v > rub %v", p.NumRows(), rlb, rub))
+		panic(fmt.Sprintf("lp: row %d has rlb %v > rub %v", p.NumRows(), rlb, rub)) //lint:allow hotalloc -- invalid-input panic
 	}
 	// Merge duplicates in place: entries keep their first-occurrence order
 	// and sum left to right.
 	n := p.NumCols()
 	for len(p.slot) < n {
-		p.slot = append(p.slot, -1)
+		p.slot = append(p.slot, -1) //lint:allow hotalloc -- amortized: the scratch grows to the widest problem built into p
 	}
 	start := len(p.rowIdx)
 	for k, j := range idx {
 		if int(j) < 0 || int(j) >= n {
-			panic(fmt.Sprintf("lp: row %d references column %d out of range [0,%d)", p.NumRows(), j, n))
+			panic(fmt.Sprintf("lp: row %d references column %d out of range [0,%d)", p.NumRows(), j, n)) //lint:allow hotalloc -- invalid-input panic
 		}
 		if at := p.slot[j]; at >= 0 {
 			p.rowVal[at] += val[k]
 			continue
 		}
 		p.slot[j] = int32(len(p.rowIdx))
-		p.rowIdx = append(p.rowIdx, j)
-		p.rowVal = append(p.rowVal, val[k])
+		p.rowIdx = append(p.rowIdx, j)      //lint:allow hotalloc -- amortized: a reset problem reuses its row storage
+		p.rowVal = append(p.rowVal, val[k]) //lint:allow hotalloc -- amortized: a reset problem reuses its row storage
 	}
 	// Reset the scratch and drop the entries that merged to zero.
 	w := start
@@ -119,8 +132,8 @@ func (p *Problem) AddRow(idx []int32, val []float64, rlb, rub float64) int {
 		}
 	}
 	p.endRow(w)
-	p.RowLB = append(p.RowLB, rlb)
-	p.RowUB = append(p.RowUB, rub)
+	p.RowLB = append(p.RowLB, rlb) //lint:allow hotalloc -- amortized: a reset problem reuses its row storage
+	p.RowUB = append(p.RowUB, rub) //lint:allow hotalloc -- amortized: a reset problem reuses its row storage
 	return p.NumRows() - 1
 }
 
@@ -128,7 +141,7 @@ func (p *Problem) AddRow(idx []int32, val []float64, rlb, rub float64) int {
 // end in rowIdx/rowVal.
 func (p *Problem) endRow(end int) {
 	p.rowIdx, p.rowVal = p.rowIdx[:end], p.rowVal[:end]
-	p.rowEnd = append(p.rowEnd, int32(end))
+	p.rowEnd = append(p.rowEnd, int32(end)) //lint:allow hotalloc -- amortized: a reset problem reuses its row storage
 }
 
 // AddLE appends the row a·x ≤ rhs.

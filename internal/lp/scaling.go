@@ -47,9 +47,9 @@ func pow2Round(x float64) float64 {
 
 // equilibrate computes the power-of-two equilibration of the compiled
 // matrix and applies it in place to the column-major storage (which
-// NewInstance freshly allocated). If every rounded scale comes out as 1 —
-// the common case for already well-ranged 0/±1 models — the instance is
-// left unscaled and pays no overhead anywhere.
+// compile just filled). If every rounded scale comes out as 1 — the
+// common case for already well-ranged 0/±1 models — the instance is left
+// unscaled and pays no overhead anywhere.
 func (inst *Instance) equilibrate() {
 	n, m := inst.n, inst.m
 	if n == 0 || m == 0 {
@@ -74,8 +74,8 @@ func (inst *Instance) equilibrate() {
 	if hi == 0 || hi/lo < scalingSpreadMin {
 		return
 	}
-	rs := make([]float64, m)
-	cs := make([]float64, n)
+	rs, cs := fit(inst.rowScale, m), fit(inst.colScale, n)
+	inst.rowScale, inst.colScale = rs, cs
 	for i := range rs {
 		rs[i] = 1
 	}
@@ -144,14 +144,12 @@ func (inst *Instance) equilibrate() {
 		return
 	}
 	inst.scaled = true
-	inst.rowScale = rs
-	inst.colScale = cs
-	inst.colScaleInv = make([]float64, n)
+	inst.colScaleInv = fit(inst.colScaleInv, n)
 	for j := 0; j < n; j++ {
 		inst.colScaleInv[j] = 1 / cs[j] // exact: cs[j] is a power of two
 	}
-	// Scale the column-major storage in place (freshly allocated by
-	// NewInstance, shared with nothing yet).
+	// Scale the column-major storage in place (just filled by compile,
+	// shared with no clone yet).
 	for j := 0; j < n; j++ {
 		c := cs[j]
 		for k, i := range inst.colIdx[j] {
@@ -161,13 +159,9 @@ func (inst *Instance) equilibrate() {
 	// Scaled row view of the compiled rows for the row-wise consumers
 	// (pivotRow, warm-basis borders). Indices are shared with the Problem;
 	// only the values need scaled copies.
-	inst.baseRowVal = make([][]float64, m)
-	nnz := 0
-	for i := 0; i < m; i++ {
-		idx, _ := inst.p.Row(i)
-		nnz += len(idx)
-	}
-	back := make([]float64, nnz)
+	inst.baseRowVal = fit(inst.baseRowVal, m)
+	back := fit(inst.rowValBack, len(inst.valBack))
+	inst.rowValBack = back
 	off := 0
 	for i := 0; i < m; i++ {
 		idx, val := inst.p.Row(i)

@@ -68,9 +68,12 @@ func (k Key) String() string {
 	return string(b)
 }
 
-// LinExpr is a linear expression Σ coef_i·var_i + constant.
+// LinExpr is a linear expression Σ coef_i·var_i + constant. Its terms are
+// stored in the form lp.Problem.AddRow takes, so adding it as a row copies
+// nothing but the row itself. A builder that emits many rows keeps one
+// LinExpr per row under construction and Resets it for each row.
 type LinExpr struct {
-	vars  []int
+	vars  []int32
 	coefs []float64
 	Const float64
 }
@@ -81,10 +84,21 @@ func Expr() *LinExpr { return &LinExpr{} }
 // Term creates the expression coef·v.
 func Term(coef float64, v Var) *LinExpr { return Expr().Add(coef, v) }
 
+// Reset empties the expression, keeping its storage, and returns it for
+// chaining.
+//
+//hot:path
+func (e *LinExpr) Reset() *LinExpr {
+	e.vars, e.coefs, e.Const = e.vars[:0], e.coefs[:0], 0
+	return e
+}
+
 // Add appends coef·v to the expression and returns it for chaining.
+//
+//hot:path
 func (e *LinExpr) Add(coef float64, v Var) *LinExpr {
-	e.vars = append(e.vars, v.idx)
-	e.coefs = append(e.coefs, coef)
+	e.vars = append(e.vars, int32(v.idx)) //lint:allow hotalloc -- amortized: a reused expression stops growing at its longest row
+	e.coefs = append(e.coefs, coef)       //lint:allow hotalloc -- amortized: a reused expression stops growing at its longest row
 	return e
 }
 
@@ -95,10 +109,12 @@ func (e *LinExpr) AddConst(c float64) *LinExpr {
 }
 
 // AddExpr adds scale·other to the expression.
+//
+//hot:path
 func (e *LinExpr) AddExpr(scale float64, other *LinExpr) *LinExpr {
 	for k, vi := range other.vars {
-		e.vars = append(e.vars, vi)
-		e.coefs = append(e.coefs, scale*other.coefs[k])
+		e.vars = append(e.vars, vi)                     //lint:allow hotalloc -- amortized: a reused expression stops growing at its longest row
+		e.coefs = append(e.coefs, scale*other.coefs[k]) //lint:allow hotalloc -- amortized: a reused expression stops growing at its longest row
 	}
 	e.Const += scale * other.Const
 	return e
@@ -119,11 +135,26 @@ type Model struct {
 
 // New creates an empty model with the given objective sense.
 func New(sense Sense) *Model {
-	m := &Model{lp: lp.NewProblem(), sense: sense}
+	m := &Model{lp: lp.NewProblem()}
+	m.Reset(sense)
+	return m
+}
+
+// Reset empties the model for a rebuild with the given objective sense,
+// keeping the storage of its LP rows, bounds, objective, keys and
+// integrality markers, so a caller that builds one model after another
+// allocates only where a model outgrows every earlier one. Separators and
+// pricers are dropped. Every handle, row and shared slice obtained from the
+// model before the Reset is invalid afterwards.
+func (m *Model) Reset(sense Sense) {
+	m.lp.Reset()
 	if sense == Maximize {
 		m.lp.Sense = lp.Maximize
 	}
-	return m
+	m.sense = sense
+	m.keys = m.keys[:0]
+	m.integer = m.integer[:0]
+	m.seps, m.prs = nil, nil
 }
 
 // LP exposes the underlying LP problem (shared storage; callers must treat
@@ -200,46 +231,43 @@ func (m *Model) SetObjective(e *LinExpr) {
 	m.lp.ObjOffset = e.Const
 }
 
-func (m *Model) rowFromExpr(e *LinExpr) ([]int32, []float64) {
-	idx := make([]int32, len(e.vars))
-	for k, vi := range e.vars {
-		idx[k] = int32(vi)
-	}
-	return idx, e.coefs
-}
-
 // AddLE adds the constraint e ≤ rhs under key.
+//
+//hot:path
 func (m *Model) AddLE(e *LinExpr, rhs float64, key Key) int {
 	return m.AddRange(e, math.Inf(-1), rhs, key)
 }
 
 // AddGE adds the constraint e ≥ rhs under key.
+//
+//hot:path
 func (m *Model) AddGE(e *LinExpr, rhs float64, key Key) int {
 	return m.AddRange(e, rhs, math.Inf(1), key)
 }
 
 // AddEQ adds the constraint e = rhs under key.
+//
+//hot:path
 func (m *Model) AddEQ(e *LinExpr, rhs float64, key Key) int {
 	return m.AddRange(e, rhs, rhs, key)
 }
 
-// AddRange adds lo ≤ e ≤ hi under key.
+// AddRange adds lo ≤ e ≤ hi under key. The row is copied; e may be reset
+// and reused for the next row.
+//
+//hot:path
 func (m *Model) AddRange(e *LinExpr, lo, hi float64, key Key) int {
-	idx, val := m.rowFromExpr(e)
-	m.keys = append(m.keys, key)
-	return m.lp.AddRow(idx, val, lo-e.Const, hi-e.Const)
+	m.keys = append(m.keys, key) //lint:allow hotalloc -- amortized: a rebuilt model reuses its key storage
+	return m.lp.AddRow(e.vars, e.coefs, lo-e.Const, hi-e.Const)
 }
 
 // CutLE converts an expression into the ≤-cut record e ≤ rhs, the lazy
 // counterpart of AddLE: instead of becoming a static row it can be returned
-// from a Separator and appended only when violated.
+// from a Separator and appended only when violated. The cut owns copies of
+// e's terms.
 func CutLE(e *LinExpr, rhs float64) Cut {
-	idx := make([]int32, len(e.vars))
-	for k, vi := range e.vars {
-		idx[k] = int32(vi)
-	}
 	return Cut{
-		Idx: idx, Val: append([]float64(nil), e.coefs...),
+		Idx: append([]int32(nil), e.vars...), Val: append([]float64(nil), e.coefs...),
 		LB: math.Inf(-1), UB: rhs - e.Const,
 	}
 }
