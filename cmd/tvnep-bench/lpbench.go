@@ -28,14 +28,14 @@ import (
 // rate from the lp.Debug* counters, the equilibration-scaling diagnostics
 // and a steady-state allocation probe. Pass -compare with a previously
 // written report to embed it as the baseline, compute speedups, and fail
-// the run when ns/op or allocs/op regresses beyond regressionTol.
+// the run when ns/op, allocs/op or bytes/op regresses beyond regressionTol.
 
 // regressionTol is the fractional slack the -compare regression guard
 // grants over the baseline before failing the run.
 // shortNsSlack is the extra ns/op slack granted in short mode: the capped
 // op counts amortize less warm state per op, which reads a systematic
 // 13-19% slower than the full-run baseline on an otherwise identical
-// build. Allocation counts are deterministic and get no extra slack.
+// build. Allocation counts and bytes get no extra slack.
 const (
 	regressionTol = 0.10
 	shortNsSlack  = 0.20
@@ -268,7 +268,7 @@ func steadyStateAllocs(p *lp.Problem) float64 {
 // runLPBench executes the LP benchmark suite and writes the JSON report to
 // outPath. When comparePath names an earlier report, it is embedded as the
 // baseline, per-benchmark speedups are computed, and the run fails if any
-// shared benchmark regressed in ns/op or allocs/op by more than
+// shared benchmark regressed in ns/op, allocs/op or bytes/op by more than
 // regressionTol. Short mode caps the op counts and the admission trace for
 // CI.
 func runLPBench(outPath, comparePath string, short bool) error {
@@ -581,6 +581,11 @@ func runLPBench(outPath, comparePath string, short bool) error {
 					regressions = append(regressions, fmt.Sprintf(
 						"%s: allocs/op %.0f vs baseline %.0f (+%.0f%%)",
 						b.Name, cur.AllocsPerOp, b.AllocsPerOp, 100*(cur.AllocsPerOp/b.AllocsPerOp-1)))
+				}
+				if b.BytesPerOp > 0 && cur.BytesPerOp > b.BytesPerOp*(1+regressionTol) {
+					regressions = append(regressions, fmt.Sprintf(
+						"%s: bytes/op %.0f vs baseline %.0f (+%.0f%%)",
+						b.Name, cur.BytesPerOp, b.BytesPerOp, 100*(cur.BytesPerOp/b.BytesPerOp-1)))
 				}
 			}
 		}

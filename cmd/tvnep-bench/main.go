@@ -55,7 +55,7 @@ func main() {
 		progFlag  = flag.Bool("progress", false, "stream branch-and-bound progress (incumbents, node counts) to stderr")
 		jsonMode  = flag.Bool("json", false, "run the LP solver micro-benchmarks and write a machine-readable report instead of figures")
 		jsonOut   = flag.String("o", "BENCH_lp.json", "output path of the -json report ('-' for stdout)")
-		baseline  = flag.String("compare", "", "embed a previous -json report as baseline, compute speedups, and fail on >10% ns/op or allocs/op regressions")
+		baseline  = flag.String("compare", "", "embed a previous -json report as baseline, compute speedups, and fail on >10% ns/op, allocs/op or bytes/op regressions")
 		short     = flag.Bool("short", false, "with -json, cap benchmark op counts and shorten the admission trace (CI regression-guard mode)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")

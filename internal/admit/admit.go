@@ -79,12 +79,13 @@ const (
 // tries per admission after the deterministic path mix.
 const roundingSamples = 8
 
-// workspaceSlots is how many idle simplex workspaces an engine keeps between
-// decisions. A MIP-tier decision solves on two instances at a time with one
-// worker — the branch-and-bound worker's clone and the committer's clone,
-// which borrows the decision instance's workspace — so two slots make
-// steady-state decisions allocate no workspace; a third slot only pays off
-// for multi-worker searches and costs more retained heap than it saves.
+// workspaceSlots is how many idle simplex workspaces, and idle clone shells,
+// an engine keeps between decisions. A decision with one worker solves on
+// one workspace and one clone throughout: the search's clone borrows the
+// decision instance's workspace, and its committer evaluates every
+// relaxation itself. The second slot serves a worker clone when the search
+// has workers of its own; more slots only pay off for wider searches and
+// cost retained heap.
 const workspaceSlots = 2
 
 // Config configures an Engine.
@@ -235,14 +236,16 @@ type Engine struct {
 	latencies  []float64 // seconds, one per decision
 	sinceReopt int
 
-	// Memory the decisions recycle instead of allocating: the idle simplex
-	// workspaces and compiled LP storage every decision's instances draw
-	// from and return to; the buffer holding the fast tier's root
+	// Memory the decisions recycle instead of allocating: the stash every
+	// decision's instances draw from and return to (idle simplex
+	// workspaces, compiled LP storage, clone shells, and the factor
+	// buffers, bases and solution vectors of finished solves), kept for the
+	// engine's lifetime; the buffer holding the fast tier's root
 	// factorization, which the MIP tier's root and the commitment restart
-	// read; and the last decision's cΣ model and objective, which the next
-	// decision rebuilds in place. Nothing a decision returns or the engine
-	// commits points into this storage: Extract and the acceptance copy
-	// out.
+	// read and which never enters the stash; and the last decision's cΣ
+	// model and objective, which the next decision rebuilds in place.
+	// Nothing a decision returns or the engine commits points into this
+	// storage: Extract and the acceptance copy out.
 	spares  *lp.Workspaces
 	rootFac *sparselu.Factors
 	built   *core.Built
@@ -443,12 +446,17 @@ func (e *Engine) decide(ctx context.Context, rec *record, d *Decision) (*accepta
 	// model is kept for the next decision only while the spares keep the
 	// instance storage compiled from it: both are as large as the model.
 	inst := e.spares.Compile(b.Model.LP())
+	var lpRes lp.Result
 	defer func() {
+		// Nothing the decision returns or commits points into the root
+		// relaxation: Extract and the acceptance copy out. Its vectors and
+		// basis go back to the spares; its factors are rootFac.
+		e.spares.Reuse(lp.Result{X: lpRes.X, Duals: lpRes.Duals, Basis: lpRes.Basis})
 		if !inst.Recycle() {
 			e.built = nil
 		}
 	}()
-	lpRes := inst.Solve(&lp.Options{Context: ctx})
+	lpRes = inst.Solve(&lp.Options{Context: ctx})
 	inst.CaptureFactors(&lpRes, e.rootFac)
 	d.Stats.LPIterations += lpRes.Iterations
 
@@ -577,6 +585,7 @@ func (e *Engine) commitRestart(inst *lp.Instance, b *core.Built, lpRes lp.Result
 	if res.Status == lp.StatusOptimal {
 		d.Stats.PinnedBound = res.Obj
 	}
+	e.spares.Reuse(res)
 }
 
 // certifyDecision certifies an accepting decision before it is committed,

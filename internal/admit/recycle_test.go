@@ -10,19 +10,26 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"tvnep/internal/certify"
+	"tvnep/internal/lp"
+	"tvnep/internal/model"
 	"tvnep/internal/solution"
 	"tvnep/internal/vnet"
 )
 
 // TestSteadyStateDecisionAllocs pins what one admission decision allocates
 // once the engine's recycled storage has grown: the cΣ model is rebuilt
-// and the LP recompiled in place, with no per-row expressions, so the mean
-// over a window of decisions stays far below the roughly 3,250 objects a
-// decision cost when every decision built a fresh model and instance.
+// and the LP recompiled in place, and the branch and bound recycles its
+// clone, node results and factor buffers through the engine's stash, so the
+// mean over a window of decisions stays far below the roughly 3,250
+// objects and 615 kB a decision cost when every decision built a fresh
+// model and instance, and the 286 kB it cost with a garbage-collected
+// search. What is left is mostly storage regrown after the stash's size
+// rule dropped it (EXPERIMENTS.md, "Garbage-free branch and bound").
 func TestSteadyStateDecisionAllocs(t *testing.T) {
 	warm, window := 300, 100
 	if testing.Short() {
-		warm, window = 150, 50
+		window = 50
 	}
 	sc := trace(t, warm+window, 3)
 	eng, err := New(Config{Sub: sc.Substrate, Horizon: sc.Horizon})
@@ -46,10 +53,14 @@ func TestSteadyStateDecisionAllocs(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perDecision := float64(after.Mallocs-before.Mallocs) / float64(window)
+	bytesPerDecision := float64(after.TotalAlloc-before.TotalAlloc) / float64(window)
 	t.Logf("%.0f allocations, %.0f bytes per decision over decisions %d..%d",
-		perDecision, float64(after.TotalAlloc-before.TotalAlloc)/float64(window), warm, warm+window-1)
+		perDecision, bytesPerDecision, warm, warm+window-1)
 	if perDecision > 1000 {
 		t.Fatalf("a steady-state decision allocates %.0f objects on average, want at most 1000", perDecision)
+	}
+	if bytesPerDecision > 128<<10 {
+		t.Fatalf("a steady-state decision allocates %.0f bytes on average, want at most %d", bytesPerDecision, 128<<10)
 	}
 }
 
@@ -103,14 +114,37 @@ func sameDecision(a, b Decision) bool {
 // returned decision and, at the end, to a snapshot; 50 more decisions then
 // rebuild into the engine's recycled model and instance. Nothing held may
 // change: no decision, committed flow or snapshot may point into storage a
-// later decision reuses.
+// later decision reuses. The third configuration runs the rounding
+// heuristic at every node, so the searches dive, and checks the factors the
+// engine holds for its commitment restart at every certified acceptance:
+// after the search and the restart they must still equal a fresh capture
+// of the decision's root relaxation, so no search or restart recycled them.
 func TestRecycledStorageIsolation(t *testing.T) {
-	for _, cfg := range []Config{{}, {Rounding: true, Certify: true, Seed: 9}} {
+	for _, cfg := range []Config{
+		{},
+		{Rounding: true, Certify: true, Seed: 9},
+		{Certify: true, Solve: model.SolveOptions{HeuristicEvery: 1}},
+	} {
 		sc := trace(t, 450, 7)
 		cfg.Sub, cfg.Horizon = sc.Substrate, sc.Horizon
 		eng, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		checked := 0
+		if cfg.Solve.HeuristicEvery != 0 {
+			eng.certified = func(*record, *acceptance, *certify.Report) {
+				if eng.built == nil {
+					return // the decision's storage was dropped, and its model with it
+				}
+				fresh := lp.NewInstance(eng.built.Model.LP())
+				root := fresh.Solve(nil)
+				fresh.CaptureFactors(&root, nil)
+				if !reflect.DeepEqual(root.Factors, eng.rootFac) {
+					t.Fatalf("decision %d: the root factors the engine holds changed during the decision", len(eng.log))
+				}
+				checked++
+			}
 		}
 		var held, copies []Decision
 		admit := func(i int) {
@@ -141,6 +175,9 @@ func TestRecycledStorageIsolation(t *testing.T) {
 			if !sameDecision(d, copies[i]) {
 				t.Fatalf("rounding=%v: the engine's record of decision %d differs from the decision it returned", cfg.Rounding, i)
 			}
+		}
+		if cfg.Solve.HeuristicEvery != 0 && checked < 100 {
+			t.Fatalf("the root factors were checked at only %d acceptances", checked)
 		}
 	}
 }

@@ -42,7 +42,6 @@ import (
 	"errors"
 	"math"
 	"math/bits"
-	"sort"
 )
 
 // ErrSingular is returned when the basis matrix is numerically singular.
@@ -287,12 +286,7 @@ func FactorizeInto(dst *Factors, ws *Workspace, m int, colIdx [][]int32, colVal 
 	// Static Markowitz counts: column elimination order by ascending nnz
 	// (ties by position, for determinism) and per-row entry counts for the
 	// pivot-row tie-break.
-	for p := 0; p < m; p++ {
-		f.order[p] = int32(p)
-	}
-	sort.SliceStable(f.order, func(a, b int) bool {
-		return len(colIdx[f.order[a]]) < len(colIdx[f.order[b]])
-	})
+	ws.cnt = orderByCount(f.order, ws.cnt, colIdx)
 	rcount := ws.rcount
 	for r := range rcount {
 		rcount[r] = 0
@@ -441,6 +435,36 @@ func FactorizeInto(dst *Factors, ws *Workspace, m int, colIdx [][]int32, colVal 
 	return nil
 }
 
+// orderByCount fills order with the positions 0..len(order)-1 sorted by the
+// entry count of their columns, ascending, ties in position order: a stable
+// counting sort, the order sort.SliceStable gives without its reflection
+// and comparisons. cnt is scratch storage, grown to the largest count plus
+// one and returned.
+//
+//hot:path
+func orderByCount(order, cnt []int32, colIdx [][]int32) []int32 {
+	most := 0
+	for _, c := range colIdx[:len(order)] {
+		most = max(most, len(c))
+	}
+	cnt = growI32(cnt, most+1)
+	clear(cnt)
+	for _, c := range colIdx[:len(order)] {
+		cnt[len(c)]++
+	}
+	// Exclusive prefix sums: cnt[k] becomes the first slot of count k.
+	sum := int32(0)
+	for k, c := range cnt {
+		cnt[k] = sum
+		sum += c
+	}
+	for p, c := range colIdx[:len(order)] {
+		order[cnt[len(c)]] = int32(p)
+		cnt[len(c)]++
+	}
+	return cnt
+}
+
 // buildMirrors derives the transposed (row-major) views of L and U consumed
 // by the scatter-form Btran, and the inverse permutations rowStep and
 // posStep. U is mirrored by row step (urow entries are step numbers); L is
@@ -514,6 +538,12 @@ func (f *Factors) buildMirrors(ws *Workspace) {
 
 // M returns the dimension of the factorized basis.
 func (f *Factors) M() int { return f.m }
+
+// Cap reports the largest basis dimension the buffer's storage holds
+// without growing: the size a caller keeping idle buffers judges it by.
+//
+//hot:path
+func (f *Factors) Cap() int { return cap(f.order) }
 
 // NumEtas reports the number of eta updates applied since factorization.
 func (f *Factors) NumEtas() int { return len(f.etas) }

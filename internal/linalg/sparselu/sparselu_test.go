@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -623,5 +624,66 @@ func TestTranMatchesDenseReference(t *testing.T) {
 			addEtas(t, rng, cp, etas/3)
 			checkTranAgainstRef(t, "CopyInto+etas", rng, cp)
 		}
+	}
+}
+
+// TestOrderByCountMatchesSliceStable holds the counting sort of
+// FactorizeInto's elimination order to the stable sort it replaces:
+// positions ordered by column entry count, ties in position order, on
+// hand-made tables (m = 0 and 1, ties, empty columns, counts above m) and
+// on random column sets.
+func TestOrderByCountMatchesSliceStable(t *testing.T) {
+	cols := func(counts ...int) [][]int32 {
+		out := make([][]int32, len(counts))
+		for p, c := range counts {
+			out[p] = make([]int32, c)
+		}
+		return out
+	}
+	check := func(name string, colIdx [][]int32, cnt []int32) []int32 {
+		t.Helper()
+		m := len(colIdx)
+		want := make([]int32, m)
+		for p := range want {
+			want[p] = int32(p)
+		}
+		sort.SliceStable(want, func(a, b int) bool { return len(colIdx[want[a]]) < len(colIdx[want[b]]) })
+		got := make([]int32, m)
+		cnt = orderByCount(got, cnt, colIdx)
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("%s: order %v, stable sort %v", name, got, want)
+			}
+		}
+		return cnt
+	}
+	var cnt []int32
+	for _, tc := range []struct {
+		name   string
+		counts []int
+	}{
+		{"m=0", nil},
+		{"m=1", []int{1}},
+		{"m=1 empty", []int{0}},
+		{"ascending", []int{1, 2, 3, 4}},
+		{"descending", []int{4, 3, 2, 1}},
+		{"all tied", []int{2, 2, 2, 2, 2}},
+		{"ties and empties", []int{3, 0, 1, 3, 0, 1, 2, 0}},
+		{"counts above m", []int{5, 1, 7, 1}},
+	} {
+		cnt = check(tc.name, cols(tc.counts...), cnt)
+	}
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 500; trial++ {
+		m := rng.Intn(60)
+		counts := make([]int, m)
+		for p := range counts {
+			counts[p] = rng.Intn(1 + rng.Intn(m+1))
+		}
+		// Reused and fresh scratch alike.
+		if trial%3 == 0 {
+			cnt = nil
+		}
+		cnt = check("random", cols(counts...), cnt)
 	}
 }

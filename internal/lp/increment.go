@@ -48,12 +48,9 @@ func (inst *Instance) AppendRow(idx []int32, val []float64, rlb, rub float64) in
 		for k, j := range rowIdx {
 			rowVal[k] *= rs * inst.colScale[j]
 		}
-		// rowScale grows copy-on-write, like unitIdx below: clones sharing
-		// the old slice must not observe the new row.
-		nrs := make([]float64, r+1)
-		copy(nrs, inst.rowScale)
-		nrs[r] = rs
-		inst.rowScale = nrs
+		// Clones see rowScale only up to their own length and cannot
+		// append in place (Clone caps it), so it grows in place here.
+		inst.rowScale = append(inst.rowScale, rs)
 	}
 
 	// Copy-on-write column updates: the old column slices may be shared with
@@ -74,10 +71,6 @@ func (inst *Instance) AppendRow(idx []int32, val []float64, rlb, rub float64) in
 	// Row (slack) bounds live at the tail of lb/ub, in original units.
 	inst.lb = append(inst.lb, rlb)
 	inst.ub = append(inst.ub, rub)
-	ui := make([]int32, r+1)
-	copy(ui, inst.unitIdx)
-	ui[r] = int32(r)
-	inst.unitIdx = ui
 	inst.m = r + 1
 	return r
 }
@@ -126,7 +119,8 @@ func (s *solver) extendWarmStart(b *Basis, wf *sparselu.Factors) *Basis {
 		return nil
 	}
 	shift := m - mOld
-	eb := &Basis{Basic: make([]int32, m), Status: make([]int8, n+m)}
+	eb := &s.ext
+	eb.Basic, eb.Status = fit(eb.Basic, m), fit(eb.Status, n+m)
 	copy(eb.Basic, b.Basic)
 	copy(eb.Status, b.Status)
 	for i := mOld; i < m; i++ {

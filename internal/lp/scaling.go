@@ -34,8 +34,31 @@ const (
 )
 
 // pow2Round returns the power of two nearest to x in log space, clamped to
-// 2^±scalingMaxExp. x must be positive and finite.
+// 2^±scalingMaxExp. x must be positive and finite. With x = f·2^e and f in
+// [1/2, 1), log2 x rounds to e when f ≥ 1/√2 and to e−1 below, so the
+// exponent arithmetic decides it without a logarithm. Within pow2RoundGuard
+// of 1/√2 the decision is left to log2Round, the expression the exponent
+// arithmetic stands in for, so the result equals it wherever its rounding
+// could tip.
 func pow2Round(x float64) float64 {
+	f, e := math.Frexp(x)
+	if math.Abs(f-math.Sqrt2/2) <= pow2RoundGuard {
+		return log2Round(x)
+	}
+	if f < math.Sqrt2/2 {
+		e--
+	}
+	return math.Ldexp(1, max(-scalingMaxExp, min(scalingMaxExp, e)))
+}
+
+// pow2RoundGuard is the distance from 1/√2 within which pow2Round defers to
+// log2Round: far wider than log2Round's own error, whose worst case is the
+// rounding of log2 f + e at the largest exponents, about 2^-43 in f.
+const pow2RoundGuard = 0x1p-36
+
+// log2Round is pow2Round by its definition: round log2 x to the nearest
+// integer, halves away from zero, and clamp.
+func log2Round(x float64) float64 {
 	e := math.Round(math.Log2(x))
 	if e > scalingMaxExp {
 		e = scalingMaxExp
@@ -74,7 +97,8 @@ func (inst *Instance) equilibrate() {
 	if hi == 0 || hi/lo < scalingSpreadMin {
 		return
 	}
-	rs, cs := fit(inst.rowScale, m), fit(inst.colScale, n)
+	w := inst.src
+	rs, cs := fitRoom(inst.rowScale, m, w), fitRoom(inst.colScale, n, w)
 	inst.rowScale, inst.colScale = rs, cs
 	for i := range rs {
 		rs[i] = 1
@@ -144,7 +168,7 @@ func (inst *Instance) equilibrate() {
 		return
 	}
 	inst.scaled = true
-	inst.colScaleInv = fit(inst.colScaleInv, n)
+	inst.colScaleInv = fitRoom(inst.colScaleInv, n, w)
 	for j := 0; j < n; j++ {
 		inst.colScaleInv[j] = 1 / cs[j] // exact: cs[j] is a power of two
 	}
@@ -159,8 +183,8 @@ func (inst *Instance) equilibrate() {
 	// Scaled row view of the compiled rows for the row-wise consumers
 	// (pivotRow, warm-basis borders). Indices are shared with the Problem;
 	// only the values need scaled copies.
-	inst.baseRowVal = fit(inst.baseRowVal, m)
-	back := fit(inst.rowValBack, len(inst.valBack))
+	inst.baseRowVal = fitRoom(inst.baseRowVal, m, w)
+	back := fitRoom(inst.rowValBack, len(inst.valBack), w)
 	inst.rowValBack = back
 	off := 0
 	for i := 0; i < m; i++ {

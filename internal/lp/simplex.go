@@ -3,7 +3,6 @@ package lp
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"tvnep/internal/linalg/sparselu"
@@ -108,8 +107,6 @@ type Instance struct {
 	rowValBack []float64
 	colCount   []int32
 
-	unitIdx []int32 // unitIdx[i] = i; slack column index storage
-
 	lb, ub []float64 // length n+m, original units: structural then row bounds
 	objMin []float64 // minimization costs for structural columns (original)
 	negate bool      // true if original sense was Maximize
@@ -128,10 +125,13 @@ type Instance struct {
 	// when AppendRow or AppendColumn change the dimensions, and handed back
 	// to src by Release. nil until the first solve and after Release.
 	sv *solver
-	// src is the caller-owned stash the workspace is drawn from and
-	// returned to (see Workspaces); nil when the instance keeps its own.
-	// Clones inherit it.
+	// src is the caller-owned stash the workspace and result storage are
+	// drawn from and returned to (see Workspaces); nil when the instance
+	// keeps its own. Clones inherit it.
 	src *Workspaces
+	// shell marks a clone: it owns only its outer column and row slices and
+	// its bounds, which Recycle hands back for the next Clone.
+	shell bool
 }
 
 // NewInstance compiles p into column-major form and equilibrates it.
@@ -142,8 +142,9 @@ func NewInstance(p *Problem) *Instance {
 }
 
 // compile fills inst with p compiled into column-major form and
-// equilibrated, reusing inst's storage where its capacity allows; inst is
-// fresh or was handed back by Recycle.
+// equilibrated, reusing inst's storage where its capacity allows and
+// growing it with its stash's room otherwise (exactly without a stash);
+// inst is fresh or was handed back by Recycle.
 //
 //hot:path
 func (inst *Instance) compile(p *Problem) {
@@ -154,16 +155,13 @@ func (inst *Instance) compile(p *Problem) {
 	inst.extraIdx, inst.extraVal = inst.extraIdx[:0], inst.extraVal[:0]
 	inst.apRowIdx, inst.apRowVal = nil, nil
 	inst.scaled = false
-	inst.lb, inst.ub = fit(inst.lb, n+m), fit(inst.ub, n+m)
+	w := inst.src
+	inst.lb, inst.ub = fitRoom(inst.lb, n+m, w), fitRoom(inst.ub, n+m, w)
 	copy(inst.lb, p.ColLB)
 	copy(inst.ub, p.ColUB)
 	copy(inst.lb[n:], p.RowLB)
 	copy(inst.ub[n:], p.RowUB)
-	inst.unitIdx = fit(inst.unitIdx, m)
-	for i := range inst.unitIdx {
-		inst.unitIdx[i] = int32(i)
-	}
-	inst.objMin = fit(inst.objMin, n)
+	inst.objMin = fitRoom(inst.objMin, n, w)
 	for j, c := range p.Obj {
 		if inst.negate {
 			c = -c
@@ -171,7 +169,7 @@ func (inst *Instance) compile(p *Problem) {
 		inst.objMin[j] = c
 	}
 	// Transpose rows into columns, carved from one backing array per type.
-	counts := fit(inst.colCount, n)
+	counts := fitRoom(inst.colCount, n, w)
 	inst.colCount = counts
 	nnz := 0
 	for i := 0; i < m; i++ {
@@ -181,8 +179,8 @@ func (inst *Instance) compile(p *Problem) {
 		}
 		nnz += len(idx)
 	}
-	inst.idxBack, inst.valBack = fit(inst.idxBack, nnz), fit(inst.valBack, nnz)
-	inst.colIdx, inst.colVal = fit(inst.colIdx, n), fit(inst.colVal, n)
+	inst.idxBack, inst.valBack = fitRoom(inst.idxBack, nnz, w), fitRoom(inst.valBack, nnz, w)
+	inst.colIdx, inst.colVal = fitRoom(inst.colIdx, n, w), fitRoom(inst.colVal, n, w)
 	off := int32(0)
 	for j, c := range counts {
 		inst.colIdx[j] = inst.idxBack[off : off : off+c]
@@ -206,162 +204,38 @@ func (inst *Instance) compile(p *Problem) {
 // same Workspaces source, if any. Clones are what give every worker of a
 // parallel branch-and-bound search its own simplex state without recompiling
 // the problem: the shared inner slices are never written after compilation,
-// and AppendRow replaces — never grows in place — the outer slices it
-// touches, so rows appended to one clone stay invisible to the others.
+// AppendRow replaces — never grows in place — the column slices it touches,
+// and a clone's view of the shared row scales is capped at its length, so
+// rows appended to one clone or to the original stay invisible to the
+// others. With a source, the clone is built in a shell Recycle handed back,
+// reusing its outer slices and bounds.
+//
+//hot:path
 func (inst *Instance) Clone() *Instance {
-	out := &Instance{
+	out, w := inst.src.shell(), inst.src
+	*out = Instance{
 		p: inst.p, n: inst.n, m: inst.m,
 		baseRows:    inst.baseRows,
 		baseCols:    inst.baseCols,
-		colIdx:      append([][]int32(nil), inst.colIdx...),
-		colVal:      append([][]float64(nil), inst.colVal...),
-		extraIdx:    append([][]int32(nil), inst.extraIdx...),
-		extraVal:    append([][]float64(nil), inst.extraVal...),
-		apRowIdx:    append([][]int32(nil), inst.apRowIdx...),
-		apRowVal:    append([][]float64(nil), inst.apRowVal...),
+		colIdx:      append(fitRoom(out.colIdx, inst.n, w)[:0], inst.colIdx...),
+		colVal:      append(fitRoom(out.colVal, inst.n, w)[:0], inst.colVal...),
+		extraIdx:    append(out.extraIdx[:0], inst.extraIdx...),
+		extraVal:    append(out.extraVal[:0], inst.extraVal...),
+		apRowIdx:    append([][]int32(nil), inst.apRowIdx...),   //lint:allow hotalloc -- nil until pricing appends a column
+		apRowVal:    append([][]float64(nil), inst.apRowVal...), //lint:allow hotalloc -- nil until pricing appends a column
 		baseRowVal:  inst.baseRowVal,
-		unitIdx:     inst.unitIdx,
-		lb:          append([]float64(nil), inst.lb...),
-		ub:          append([]float64(nil), inst.ub...),
+		lb:          append(fitRoom(out.lb, len(inst.lb), w)[:0], inst.lb...),
+		ub:          append(fitRoom(out.ub, len(inst.ub), w)[:0], inst.ub...),
 		objMin:      inst.objMin,
 		negate:      inst.negate,
 		scaled:      inst.scaled,
-		rowScale:    inst.rowScale,
+		rowScale:    inst.rowScale[:len(inst.rowScale):len(inst.rowScale)],
 		colScale:    inst.colScale,
 		colScaleInv: inst.colScaleInv,
 		src:         inst.src,
+		shell:       true,
 	}
 	return out
-}
-
-// Workspaces is a bounded, caller-owned stash of idle simplex workspaces,
-// and of one instance's compiled storage (see Compile and Recycle). An
-// instance attached with UseWorkspaces — and every clone of it — takes its
-// workspace from the stash on its first solve instead of allocating one,
-// and Release hands it back, so a caller that solves a stream of
-// short-lived instances (one admission decision after another) allocates a
-// workspace only when the stash runs dry. A returned workspace is refitted
-// from scratch for its next instance, so which one an instance receives
-// never changes a result. The package keeps no stash of its own. Safe for
-// concurrent use.
-type Workspaces struct {
-	mu   sync.Mutex
-	idle []*solver
-	max  int
-	// peak is a decaying maximum of the sizes (structural plus slack
-	// columns) of the workspaces handed back: each Release raises it to the
-	// released size or lowers it by 1/peakDecay. Release and Recycle keep
-	// storage only while its capacity is within twice peak.
-	peak int
-	// compiled is an instance whose compiled storage Recycle handed back
-	// for the next Compile; nil when there is none.
-	compiled *Instance
-}
-
-// peakDecay sets how fast Workspaces.peak forgets a large instance: by
-// 1/peakDecay per Release, so storage grown for a size the stream stops
-// producing is dropped about a dozen releases later, while storage for
-// sizes that recur every few decisions stays.
-const peakDecay = 16
-
-// NewWorkspaces returns an empty stash that keeps at most max idle
-// workspaces; Release drops any beyond that.
-func NewWorkspaces(max int) *Workspaces { return &Workspaces{max: max} }
-
-// take pops an idle workspace, or returns nil when there is none (or w is
-// nil).
-func (w *Workspaces) take() *solver {
-	if w == nil {
-		return nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	n := len(w.idle)
-	if n == 0 {
-		return nil
-	}
-	s := w.idle[n-1]
-	w.idle[n-1] = nil
-	w.idle = w.idle[:n-1]
-	return s
-}
-
-// UseWorkspaces makes w the source the instance (and its later clones)
-// draw their workspaces from and Release returns them to.
-func (inst *Instance) UseWorkspaces(w *Workspaces) { inst.src = w }
-
-// Release hands the instance's workspace back to its Workspaces source, for
-// a caller that is done solving on the instance. The instance stays usable
-// (its next solve draws a workspace again), and Release changes none of its
-// bounds, rows or columns. Without a source the workspace stays with the
-// instance. It is dropped instead of stashed when the source is full, or
-// when it has more than twice the capacity of the sizes the source has
-// recently seen (see Workspaces.peak): a workspace grown for an unusually
-// large instance would otherwise pin that peak footprint for the rest of
-// the stream, while one grown for sizes that keep recurring is kept however
-// small the instance releasing it.
-func (inst *Instance) Release() {
-	s := inst.sv
-	if inst.src == nil || s == nil {
-		return
-	}
-	inst.sv = nil
-	// Drop every reference into the instance's storage and the caller's
-	// warm start so an idle workspace keeps no dead model alive.
-	s.inst, s.fac, s.preFac, s.opts = nil, nil, nil, Options{}
-	clear(s.refIdx)
-	clear(s.refVal)
-	w := inst.src
-	w.mu.Lock()
-	w.peak = max(s.N, w.peak-w.peak/peakDecay)
-	if len(w.idle) < w.max && cap(s.lb) <= 2*w.peak {
-		w.idle = append(w.idle, s)
-	}
-	w.mu.Unlock()
-}
-
-// Compile is NewInstance for a caller that compiles one short-lived problem
-// after another (one admission decision after another): p is compiled into
-// the storage of the instance the last Recycle handed back, when w holds
-// one, and the instance is attached to w as by UseWorkspaces. The result
-// equals NewInstance(p)'s, and a stream of problems allocates compiled
-// storage only where one outgrows the storage w kept.
-func (w *Workspaces) Compile(p *Problem) *Instance {
-	w.mu.Lock()
-	inst := w.compiled
-	w.compiled = nil
-	w.mu.Unlock()
-	if inst == nil {
-		inst = &Instance{}
-	}
-	inst.compile(p)
-	inst.src = w
-	return inst
-}
-
-// Recycle ends an instance obtained from Workspaces.Compile: it releases
-// the workspace and hands the compiled storage to the source for its next
-// Compile, which keeps it under Release's rule: only while its capacity is
-// within twice the sizes the source has recently seen. It reports whether
-// the storage was kept. Clones share the compiled storage, so Recycle, not
-// Release, returns it, and only once inst and every clone of it are out of
-// use; inst must not be used afterwards.
-func (inst *Instance) Recycle() bool {
-	inst.Release()
-	w := inst.src
-	if w == nil {
-		return false
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	// colCount (n) and unitIdx (m) are the compiled storage's dimensions,
-	// with the same growth headroom as its other arrays.
-	if cap(inst.colCount)+cap(inst.unitIdx) > 2*w.peak {
-		return false
-	}
-	inst.p = nil // the idle storage keeps no dead model alive
-	w.compiled = inst
-	return true
 }
 
 // CaptureFactors sets res.Factors to a copy of the LU factorization matching
@@ -432,12 +306,16 @@ type solver struct {
 	facWS  *sparselu.Workspace
 	refIdx [][]int32 // refactorization column headers, length m
 	refVal [][]float64
+	// unitIdx[i] = i, length m: the index storage of the slack columns.
+	unitIdx []int32
 	// preFac, when set by extendWarmStart, is a solver-owned buffer already
 	// holding the bordered extension of the caller's WarmFactors; adoptBasis
 	// installs it directly instead of copying WarmFactors.
 	preFac *sparselu.Factors
-	// extendWarmStart scratch: border rows in basis positions, their
-	// diagonal, and the basic-column → position lookup (-1-initialized).
+	// extendWarmStart scratch: the extended basis, border rows in basis
+	// positions, their diagonal, and the basic-column → position lookup
+	// (-1-initialized).
+	ext     Basis
 	extIdx  [][]int32
 	extVal  [][]float64
 	extDiag []float64
@@ -522,7 +400,7 @@ func (s *solver) fixedCol(j int) bool {
 func newSolver(inst *Instance, opts Options) *solver {
 	s := inst.sv
 	if s == nil {
-		if s = inst.src.take(); s == nil {
+		if s = inst.src.take(inst.n + inst.m); s == nil {
 			s = &solver{facWS: sparselu.NewWorkspace()}
 		}
 		inst.sv = s
@@ -537,47 +415,79 @@ func newSolver(inst *Instance, opts Options) *solver {
 // fit sizes the workspace for inst and puts every slice in the state a
 // fresh allocation would have: zeroed (so vstat reads vsLower, arowTag and
 // basisSeen false) with posOf at -1. Storage is reused when its capacity
-// allows and grown with headroom otherwise, so an instance growing row by
-// row or column by column does not reallocate at every append. Zeroing
-// everything, not just what the next solve overwrites, keeps a recycled
-// workspace's trajectory bit-identical to a fresh one's.
+// allows and grown with headroom otherwise (see room), so an instance
+// growing row by row or column by column does not reallocate at every
+// append. Zeroing everything, not just what the next solve overwrites,
+// keeps a recycled workspace's trajectory bit-identical to a fresh one's.
 func (s *solver) fit(inst *Instance) {
 	n, m := inst.n, inst.m
 	N := n + m
 	s.inst, s.m, s.N = inst, m, N
-	s.lb, s.ub = fit(s.lb, N), fit(s.ub, N)
-	s.cost, s.real = fit(s.cost, N), fit(s.real, N)
-	s.vstat, s.inBasis = fit(s.vstat, N), fit(s.inBasis, N)
-	s.d, s.arow, s.arowTag = fit(s.d, N), fit(s.arow, N), fit(s.arowTag, N)
-	s.arowNZ = fit(s.arowNZ, N)[:0]
-	s.basisSeen, s.devexW = fit(s.basisSeen, N), fit(s.devexW, N)
-	s.posOf = fit(s.posOf, N)
+	rN, rm := s.room(inst)
+	s.lb, s.ub = fitIn(s.lb, N, rN), fitIn(s.ub, N, rN)
+	s.cost, s.real = fitIn(s.cost, N, rN), fitIn(s.real, N, rN)
+	s.vstat, s.inBasis = fitIn(s.vstat, N, rN), fitIn(s.inBasis, N, rN)
+	s.d, s.arow, s.arowTag = fitIn(s.d, N, rN), fitIn(s.arow, N, rN), fitIn(s.arowTag, N, rN)
+	s.arowNZ = fitIn(s.arowNZ, N, rN)[:0]
+	s.basisSeen, s.devexW = fitIn(s.basisSeen, N, rN), fitIn(s.devexW, N, rN)
+	s.posOf = fitIn(s.posOf, N, rN)
 	for j := range s.posOf {
 		s.posOf[j] = -1
 	}
-	s.basis, s.xB = fit(s.basis, m), fit(s.xB, m)
-	s.alpha, s.y, s.rho = fit(s.alpha, m), fit(s.y, m), fit(s.rho, m)
-	s.work, s.tau, s.dualW = fit(s.work, m), fit(s.tau, m), fit(s.dualW, m)
-	s.cand, s.infeas = fit(s.cand, words(N)), fit(s.infeas, words(m))
-	s.nzBuf = fit(s.nzBuf, 5*m)
+	s.basis, s.xB = fitIn(s.basis, m, rm), fitIn(s.xB, m, rm)
+	s.alpha, s.y, s.rho = fitIn(s.alpha, m, rm), fitIn(s.y, m, rm), fitIn(s.rho, m, rm)
+	s.work, s.tau, s.dualW = fitIn(s.work, m, rm), fitIn(s.tau, m, rm), fitIn(s.dualW, m, rm)
+	s.cand, s.infeas = fitIn(s.cand, words(N), words(rN)), fitIn(s.infeas, words(m), words(rm))
+	s.nzBuf = fitIn(s.nzBuf, 5*m, 5*rm)
 	s.alphaNZ = s.nzBuf[0:0:m]
 	s.rhoNZ = s.nzBuf[m : m : 2*m]
 	s.tauNZ = s.nzBuf[2*m : 2*m : 3*m]
 	s.workNZ = s.nzBuf[3*m : 3*m : 4*m]
 	s.denseNZ = s.nzBuf[4*m : 4*m : 5*m]
-	s.refIdx, s.refVal = fit(s.refIdx, m), fit(s.refVal, m)
+	s.refIdx, s.refVal = fitIn(s.refIdx, m, rm), fitIn(s.refVal, m, rm)
+	s.unitIdx = fitIn(s.unitIdx, m, rm)
+	for i := range s.unitIdx {
+		s.unitIdx[i] = int32(i)
+	}
 	s.facCur = 0
+}
+
+// room returns the capacities the workspace's N- and m-sized slices grow
+// to when they have to grow for inst (see Workspaces.room). Without a stash
+// a first allocation gets no headroom, so instances that never grow pay
+// nothing.
+func (s *solver) room(inst *Instance) (rN, rm int) {
+	N, m := inst.n+inst.m, inst.m
+	if inst.src == nil {
+		if cap(s.lb) == 0 {
+			return N, m
+		}
+		return N + N/4, m + m/4
+	}
+	return inst.src.room(N), inst.src.room(m)
 }
 
 // fit returns b resized to n zero values, reusing its storage when the
 // capacity allows. Storage that has to grow gets a quarter of headroom;
 // a first allocation is exact, so instances that never grow pay nothing.
 func fit[T any](b []T, n int) []T {
+	if cap(b) == 0 {
+		return fitIn(b, n, n)
+	}
+	return fitIn(b, n, n+n/4)
+}
+
+// fitRoom is fitIn with the room w gives storage of n entries (see
+// Workspaces.room).
+func fitRoom[T any](b []T, n int, w *Workspaces) []T {
+	return fitIn(b, n, w.room(n))
+}
+
+// fitIn returns b resized to n zero values, reusing its storage when the
+// capacity allows and growing it to capacity max(n, c) otherwise.
+func fitIn[T any](b []T, n, c int) []T {
 	if cap(b) < n {
-		if cap(b) == 0 {
-			return make([]T, n)
-		}
-		return make([]T, n, n+n/4)
+		return make([]T, n, max(n, c))
 	}
 	b = b[:n]
 	clear(b)
@@ -640,15 +550,23 @@ func (s *solver) reset(opts Options) {
 	}
 }
 
-// grabFacBuf returns the inactive solver-owned factorization buffer,
-// allocating it on first use. The caller installs the result as s.fac after
-// filling it; the previously active buffer then becomes the spare.
+// grabFacBuf returns the inactive solver-owned factorization buffer (see
+// spareFacBuf) and makes it the active one. The caller installs the result
+// as s.fac after filling it; the previously active buffer then becomes the
+// spare.
 func (s *solver) grabFacBuf() *sparselu.Factors {
+	f := s.spareFacBuf()
+	s.facCur = 1 - s.facCur
+	return f
+}
+
+// spareFacBuf returns the inactive solver-owned factorization buffer,
+// drawing it from the instance's stash (or allocating it) on first use.
+func (s *solver) spareFacBuf() *sparselu.Factors {
 	next := 1 - s.facCur
 	if s.facBuf[next] == nil {
-		s.facBuf[next] = &sparselu.Factors{}
+		s.facBuf[next] = s.inst.src.Factors(s.m)
 	}
-	s.facCur = next
 	return s.facBuf[next]
 }
 
@@ -664,7 +582,7 @@ func (s *solver) col(j int) ([]int32, []float64) {
 		return s.inst.colIdx[j], s.inst.colVal[j]
 	}
 	r := j - s.inst.n
-	return s.inst.unitIdx[r : r+1], negUnitVal
+	return s.unitIdx[r : r+1], negUnitVal
 }
 
 // colValue returns the current value of column j.
@@ -781,15 +699,12 @@ func (s *solver) refactor() error {
 		s.refIdx[pos], s.refVal[pos] = s.col(int(s.basis[pos]))
 	}
 	// Factorize into the spare buffer so a failure leaves s.fac usable.
-	next := 1 - s.facCur
-	if s.facBuf[next] == nil {
-		s.facBuf[next] = &sparselu.Factors{}
-	}
-	if err := sparselu.FactorizeInto(s.facBuf[next], s.facWS, m, s.refIdx, s.refVal); err != nil {
+	spare := s.spareFacBuf()
+	if err := sparselu.FactorizeInto(spare, s.facWS, m, s.refIdx, s.refVal); err != nil {
 		return err
 	}
-	s.facCur = next
-	s.fac = s.facBuf[next]
+	s.facCur = 1 - s.facCur
+	s.fac = spare
 	s.sincefac = 0
 	return nil
 }
@@ -832,7 +747,7 @@ func (s *solver) pivot(q int, r int, enterVal float64, leaveStat int8) {
 // snapshot extracts a warm-startable basis (all N structural and slack
 // columns, so a later solver of the same instance can adopt it).
 func (s *solver) snapshot() *Basis {
-	b := &Basis{Basic: make([]int32, s.m), Status: make([]int8, s.N)}
+	b := s.inst.src.basis(s.m, s.N)
 	copy(b.Basic, s.basis)
 	copy(b.Status, s.vstat)
 	return b

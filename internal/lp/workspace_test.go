@@ -238,11 +238,6 @@ func assertSameCompiled(t *testing.T, got, want *Instance) {
 			}
 		}
 	}
-	for i, u := range want.unitIdx {
-		if got.unitIdx[i] != u {
-			t.Fatalf("unitIdx[%d] = %d", i, got.unitIdx[i])
-		}
-	}
 	if want.scaled {
 		same("rowScale", got.rowScale, want.rowScale)
 		same("colScale", got.colScale, want.colScale)

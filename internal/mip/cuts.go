@@ -178,6 +178,7 @@ func (s *searcher) solveSeparated(nd *node) (*lpTask, bool) {
 			// the epoch check in engine.resolve.
 			priceRounds++
 			s.restartFrom(nd, res.Basis, res.Factors)
+			s.dropVecs(res)
 			continue
 		}
 		// Integral points (children == nil) satisfy every valid cut by the
@@ -197,9 +198,10 @@ func (s *searcher) solveSeparated(nd *node) (*lpTask, bool) {
 		// comparable.
 		if root {
 			s.restartFrom(nd, nil, nil)
-			s.recycle(res.Factors)
+			s.recycle(res.Basis, res.Factors)
 		} else {
 			s.restartFrom(nd, res.Basis, res.Factors)
 		}
+		s.dropVecs(res)
 	}
 }

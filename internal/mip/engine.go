@@ -25,10 +25,19 @@ import (
 // frontier node its relaxation (and often its subtree's) is already done.
 // Speculative work the committer never commits is wasted, never wrong; its
 // LP iterations are reported separately in Result.WastedLPIterations.
+//
+// With a single worker there is nothing to speculate, and the engine runs no
+// goroutine at all: the committer evaluates each relaxation itself, on its
+// own instance, which already carries every committed op. Heuristic and
+// node solves then share one instance and one workspace; each solve is a
+// pure function of the instance's rows, its bounds (installed from scratch
+// for every node) and its warm start, so the committed search is the one
+// the workers would produce.
 
 // lpTask is one node-relaxation evaluation. It is created exactly once per
-// node, solved by exactly one worker (claimed) or adopted from a root the
-// caller solved, and read by the committer only after done is closed.
+// node, solved by exactly one worker (claimed), by the committer itself, or
+// adopted from a root the caller solved, and read by the committer only
+// after done is closed (or, evaluated by the committer, once it returns).
 type lpTask struct {
 	nd *node
 
@@ -56,11 +65,13 @@ type lpTask struct {
 }
 
 // branch is the deterministic pair of children created from one fractional
-// relaxation. dive is the side the fractional value leans to. fac is the
-// relaxation's captured factorization, which both children warm-start
-// from; open counts the children not yet retired (see factors.go).
+// relaxation. dive is the side the fractional value leans to. basis and fac
+// are the relaxation's final basis and captured factorization, which both
+// children warm-start from; open counts the children not yet retired (see
+// factors.go).
 type branch struct {
 	dive, park *node
+	basis      *lp.Basis
 	fac        *sparselu.Factors
 	open       int
 }
@@ -154,7 +165,7 @@ type engine struct {
 
 	// speculate is false for a single worker: one worker chasing
 	// speculative tasks could only delay the committer's demands, so the
-	// engine degenerates to the exact serial work profile.
+	// committer evaluates every relaxation itself (see resolve).
 	speculate bool
 	specCap   int
 
@@ -192,6 +203,9 @@ func newEngine(s *searcher) *engine {
 	e.incBits.Store(math.Float64bits(math.Inf(1)))
 	e.ops.Store(new([]op))
 	s.eng = e
+	if !e.speculate {
+		return e
+	}
 	e.wg.Add(s.opts.Workers)
 	for id := 1; id <= s.opts.Workers; id++ {
 		// Clone here, before the committer starts mutating its own
@@ -229,6 +243,16 @@ func (e *engine) publishOps(log []op) {
 // demanding one if no worker speculated it. ok is false when the solve's
 // context was cancelled while waiting.
 func (e *engine) resolve(nd *node) (t *lpTask, ok bool) {
+	if !e.speculate {
+		if t = nd.task; t == nil {
+			t = &lpTask{nd: nd}
+			t.demand.Store(true)
+			synced := len(e.s.log) // the committer's instance is current
+			e.evaluate(e.s.inst, 1, t, &synced)
+			nd.task = t
+		}
+		return t, true
+	}
 	for {
 		t = nd.task
 		if t == nil {
@@ -262,7 +286,7 @@ func (e *engine) resolve(nd *node) (t *lpTask, ok bool) {
 // clone, so no simplex state is ever shared.
 func (e *engine) worker(id int, inst *lp.Instance) {
 	defer e.wg.Done()
-	defer inst.Release()
+	defer inst.Recycle()
 	synced := 0 // committed ops already applied to this instance
 	for {
 		t := e.q.pop()
@@ -273,14 +297,15 @@ func (e *engine) worker(id int, inst *lp.Instance) {
 			continue
 		}
 		e.evaluate(inst, id, t, &synced)
+		close(t.done)
 	}
 }
 
-// evaluate solves one node relaxation on the worker's instance and, when it
-// branches, creates the node's children and speculates on them. synced
-// counts the committed ops this worker's instance carries.
+// evaluate solves one node relaxation on inst — a worker's clone, or the
+// committer's own instance — and, when it branches, creates the node's
+// children and speculates on them. synced counts the committed ops inst
+// carries.
 func (e *engine) evaluate(inst *lp.Instance, id int, t *lpTask, synced *int) {
-	defer close(t.done)
 	s := e.s
 	t.worker = id
 	nd := t.nd
@@ -320,7 +345,7 @@ func (e *engine) evaluate(inst *lp.Instance, id int, t *lpTask, synced *int) {
 	// Capture the factors only for their readers: the children of a
 	// fractional optimum, and the pricing restart of any optimum.
 	if res.Status == lp.StatusOptimal && (s.cols != nil || s.fractional(res.X) >= 0) {
-		inst.CaptureFactors(&res, s.facs.get())
+		inst.CaptureFactors(&res, s.facs.get(inst.NumRows()))
 	}
 	e.finish(t, res)
 }
@@ -375,7 +400,7 @@ func (s *searcher) hasIncBound(bound, incMin float64) bool {
 // copies them into its own solver).
 func makeBranch(nd *node, col int, objMin float64, res lp.Result) *branch {
 	v := res.X[col]
-	br := &branch{fac: res.Factors, open: 2}
+	br := &branch{basis: res.Basis, fac: res.Factors, open: 2}
 	down := &node{
 		parent: nd, br: br, col: col,
 		lo: math.Inf(-1), hi: math.Floor(v),

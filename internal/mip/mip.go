@@ -337,12 +337,12 @@ type searcher struct {
 	// root is the root node's first relaxation (Result.Root).
 	root lp.Result
 
-	// LU factor buffers (see factors.go): the free list, the caller's
-	// handed-root factors (never recycled), and the dive heuristic's
-	// buffer.
-	facs      facPool
-	handedFac *sparselu.Factors
-	diveFac   *sparselu.Factors
+	// Recycled storage (see factors.go): the factor buffers' free list and
+	// the stash behind it, the caller's handed root (never recycled), and
+	// the dive heuristic's buffer.
+	facs    facPool
+	handed  lp.Result
+	diveFac *sparselu.Factors
 
 	deadline    time.Time
 	hasDL       bool
@@ -375,11 +375,13 @@ func Solve(ctx context.Context, p *Problem, opts *Options) Result {
 // search clones root.Inst instead of compiling and equilibrating the LP
 // again, and commits root.Res as the root node's relaxation instead of
 // solving it again. The root's LP iterations were paid by the caller, so
-// they are not part of Result.LPIterations. When root.Inst draws its
-// workspace from an lp.Workspaces source, the search borrows it: root.Inst
-// releases its idle workspace, the clones draw from the same source, and
-// every clone releases its workspace back when the search ends. A nil root
-// is Solve.
+// they are not part of Result.LPIterations. The search borrows root.Inst's
+// workspace for its own clone (lp.Instance.MoveWorkspace) and hands it back
+// when it ends. When root.Inst draws from an lp.Workspaces source, the
+// clones are built in shells from the same source and hand their shells
+// (and any workspace drawn from it) back when the search ends, and the
+// serial search recycles its factor buffers, bases and solution vectors
+// through it (see factors.go). A nil root is Solve.
 //
 //det:entry
 func SolveFrom(ctx context.Context, p *Problem, opts *Options, root *Root) Result {
@@ -389,15 +391,18 @@ func SolveFrom(ctx context.Context, p *Problem, opts *Options, root *Root) Resul
 	}
 	o := opts.withDefaults()
 	var inst *lp.Instance
-	var handedFac *sparselu.Factors
+	var handed lp.Result
 	if root != nil {
 		inst = root.Inst.Clone()
-		root.Inst.Release()
-		handedFac = root.Res.Factors
+		handed = root.Res
 	} else {
 		inst = lp.NewInstance(p.LP)
 	}
-	defer inst.Release()
+	defer inst.Recycle()
+	if root != nil {
+		root.Inst.MoveWorkspace(inst)
+		defer inst.MoveWorkspace(root.Inst) // before the clone is recycled
+	}
 	s := &searcher{
 		prob:         p,
 		inst:         inst,
@@ -406,7 +411,8 @@ func SolveFrom(ctx context.Context, p *Problem, opts *Options, root *Root) Resul
 		ctx:          ctx,
 		start:        start,
 		incumbentMin: math.Inf(1),
-		handedFac:    handedFac,
+		handed:       handed,
+		facs:         facPool{stash: inst.Workspaces()},
 	}
 	n := p.LP.NumCols()
 	for len(p.Integer) < n {
@@ -418,11 +424,9 @@ func SolveFrom(ctx context.Context, p *Problem, opts *Options, root *Root) Resul
 	if len(o.Pricers) > 0 {
 		s.cols = newPool()
 	}
-	s.rootLB = make([]float64, n)
-	s.rootUB = make([]float64, n)
-	for j := 0; j < n; j++ {
-		s.rootLB[j], s.rootUB[j] = s.inst.ColBounds(j)
-	}
+	// The root box is the problem's own column bounds, which the search
+	// never writes: the instance was compiled from them.
+	s.rootLB, s.rootUB = p.LP.ColLB[:n:n], p.LP.ColUB[:n:n]
 	if o.TimeLimit > 0 {
 		s.deadline = start.Add(o.TimeLimit)
 		s.hasDL = true
@@ -479,6 +483,7 @@ func SolveFrom(ctx context.Context, p *Problem, opts *Options, root *Root) Resul
 		res.Gap = 0
 		res.Bound = res.Obj
 	}
+	s.release()
 	return res
 }
 
@@ -599,7 +604,9 @@ func (s *searcher) tryIncumbent(x []float64, objMin float64) bool {
 	if objMin >= s.incumbentMin-boundCutoffTol {
 		return false
 	}
-	s.incumbent = append([]float64(nil), x...)
+	// The incumbent is handed out only when the search ends, so an
+	// improvement overwrites the one it replaces.
+	s.incumbent = append(s.incumbent[:0], x...)
 	// Round the integer components exactly.
 	for j, isInt := range s.prob.Integer {
 		if isInt {
@@ -654,8 +661,12 @@ func (s *searcher) roundingHeuristic(nd *node, res lp.Result) {
 		return
 	}
 	hres := s.heurSolve(&lp.Options{WarmBasis: res.Basis, WarmFactors: res.Factors})
-	if hres.Status == lp.StatusOptimal {
+	rounded := hres.Status == lp.StatusOptimal
+	if rounded {
 		s.tryIncumbent(hres.X, s.toMin(hres.Obj))
+	}
+	s.drop(hres)
+	if rounded {
 		return
 	}
 	// The dive is a first-feasible rescue for models whose vertices the
@@ -679,6 +690,11 @@ func (s *searcher) diveHeuristic(nd *node, res lp.Result) {
 	if !s.applyBounds(nd) {
 		return
 	}
+	// prev is the latest pass's result, which the next pass warm-starts
+	// from and reads x of; it is done once that pass is solved (its factors
+	// live in the dive buffer).
+	var prev lp.Result
+	defer func() { s.drop(prev) }()
 	basis, factors := res.Basis, res.Factors
 	x := res.X
 	for pass := 0; pass < maxDivePasses; pass++ {
@@ -718,6 +734,7 @@ func (s *searcher) diveHeuristic(nd *node, res lp.Result) {
 			// the dive into an infeasible corner; the other integer
 			// neighbor may still work (typical for link-activation
 			// columns, where rounding down severs a flow).
+			s.drop(hres)
 			alt := v + 1
 			if math.Round(x[fix]) >= x[fix] {
 				alt = v - 1
@@ -728,20 +745,24 @@ func (s *searcher) diveHeuristic(nd *node, res lp.Result) {
 			s.inst.SetColBounds(fix, alt, alt)
 			hres = s.heurSolve(&lp.Options{WarmBasis: basis, WarmFactors: factors})
 			if hres.Status != lp.StatusOptimal {
+				s.drop(hres)
 				return
 			}
 		}
 		if s.fractional(hres.X) == -1 {
 			s.tryIncumbent(hres.X, s.toMin(hres.Obj))
+			s.drop(hres)
 			return
 		}
 		// The next pass warm-starts from this one. One buffer serves every
 		// pass: a solve has copied its warm factors into its own solver
 		// before it returns, so the capture may overwrite them.
 		if s.diveFac == nil {
-			s.diveFac = &sparselu.Factors{}
+			s.diveFac = s.facs.get(s.inst.NumRows())
 		}
 		s.inst.CaptureFactors(&hres, s.diveFac)
+		s.drop(prev)
+		prev = hres
 		basis, factors, x = hres.Basis, hres.Factors, hres.X
 	}
 }
@@ -797,10 +818,11 @@ func (s *searcher) run(handed *Root) Status {
 			}
 			// Bound-based pruning against the current incumbent.
 			if s.hasInc && nd.bound >= s.incumbentMin-boundCutoffTol {
-				s.retire(nd, nil)
+				s.retire(nd, nil, nil)
 				break
 			}
 			if s.hasInc && relGap(s.incumbentMin, math.Min(nd.bound, s.globalBoundMin())) <= s.opts.GapTol {
+				s.retire(nd, nil, nil)
 				return StatusOptimal
 			}
 			s.nodes++
@@ -811,7 +833,7 @@ func (s *searcher) run(handed *Root) Status {
 			// detects trivially infeasible chains and leaves the bounds in
 			// place for a potential heuristic run below.
 			if !s.applyBounds(nd) {
-				s.retire(nd, nil)
+				s.retire(nd, nil, nil)
 				break // empty bound interval: infeasible by construction
 			}
 			// Resolve the relaxation, interleaving lazy-cut separation
@@ -825,14 +847,14 @@ func (s *searcher) run(handed *Root) Status {
 			res := t.res
 			switch res.Status {
 			case lp.StatusInfeasible:
-				s.retire(nd, res.Factors)
+				s.retire(nd, res.Basis, res.Factors)
 				nd = nil
 				continue
 			case lp.StatusUnbounded:
 				if nd.col == -1 {
 					return StatusUnbounded
 				}
-				s.retire(nd, res.Factors)
+				s.retire(nd, res.Basis, res.Factors)
 				nd = nil // should not happen below the root; treat as cut off
 				continue
 			case lp.StatusIterLimit, lp.StatusNumeric:
@@ -843,23 +865,27 @@ func (s *searcher) run(handed *Root) Status {
 				// The node's relaxation did not converge (or failed
 				// numerically); the search can no longer prove optimality,
 				// so stop with what we have.
+				s.retire(nd, res.Basis, res.Factors)
 				return StatusLimit
 			}
 			objMin := s.toMin(res.Obj)
 			if s.hasInc && objMin >= s.incumbentMin-boundCutoffTol {
-				s.retire(nd, res.Factors) // its children are dropped
-				break                     // dominated
+				s.retire(nd, res.Basis, res.Factors) // its children are dropped
+				s.dropVecs(res)
+				break // dominated
 			}
 			br := t.children // created by the solving worker; nil iff integral
 			if br == nil {
 				s.tryIncumbent(res.X, objMin)
-				s.retire(nd, res.Factors)
+				s.retire(nd, res.Basis, res.Factors)
+				s.dropVecs(res)
 				break
 			}
 			if s.opts.HeuristicEvery > 0 && (s.nodes == 1 || s.nodes%s.opts.HeuristicEvery == 0) {
 				s.roundingHeuristic(nd, res)
 			}
-			s.retire(nd, nil) // the branch owns res.Factors
+			s.retire(nd, nil, nil) // the branch owns res.Basis and res.Factors
+			s.dropVecs(res)
 			// Sequence numbers are assigned here, in commit order, so the
 			// heap tie-break is identical for any worker count; park the
 			// non-dive child on the heap.
