@@ -86,8 +86,8 @@ type lpWarmStats struct {
 	Attempts int64 `json:"attempts"`
 	OK       int64 `json:"ok"`
 	// FactorHandoffs counts warm starts served by an explicit
-	// Result.Factors → Options.WarmFactors handoff (the parallel
-	// branch-and-bound path); BasisExtensions counts warm starts whose
+	// Result.Factors → Options.WarmFactors handoff (the branch-and-bound
+	// node path); BasisExtensions counts warm starts whose
 	// basis predated appended rows and whose LU factors were extended
 	// with a bordered block instead of refactorized.
 	FactorHandoffs  int64   `json:"factor_handoffs"`

@@ -6,9 +6,8 @@
 //
 // Scenarios are solved concurrently on a bounded worker pool (-workers,
 // default one worker per CPU); records and progress output keep the serial
-// order regardless of the worker count, and the branch-and-bound solves
-// inside the sweep stay single-worker so the two levels of parallelism
-// never multiply. Ctrl-C cancels every in-flight solve cooperatively.
+// order regardless of the worker count, and the branch-and-bound search
+// inside each scenario is serial. Ctrl-C cancels every in-flight solve cooperatively.
 //
 // Usage:
 //

@@ -36,7 +36,6 @@ func main() {
 		horizon  = flag.Float64("horizon", 48, "planning horizon T in hours (without -scenario)")
 		cutMode  = flag.String("cutmode", "static", "Constraint-(20) cut pipeline: static | lazy | off")
 		nodeLim  = flag.Int("nodelimit", 0, "branch-and-bound node budget per decision (0 → engine default; keeps replays deterministic)")
-		workers  = flag.Int("workers", 1, "branch-and-bound workers per decision (decisions are bit-identical for every count)")
 		algoName = flag.String("algorithm", "exact", "admission fast-tier mode: exact (LP → MIP) | rounding (LP → randomized rounding → MIP)")
 		seed     = flag.Int64("seed", 0, "seed for the rounding tier's sampler (replays are bit-identical per seed)")
 		certify  = flag.Bool("certify", false, "independently certify every accepting decision before committing it")
@@ -75,7 +74,6 @@ func main() {
 	opts := []tvnep.Option{
 		tvnep.WithHorizon(T),
 		tvnep.WithCutMode(cm),
-		tvnep.WithWorkers(*workers),
 		tvnep.WithReoptEvery(*reopt),
 	}
 	switch *algoName {

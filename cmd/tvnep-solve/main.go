@@ -33,7 +33,6 @@ func main() {
 		algoName  = flag.String("algorithm", "", "algorithm: exact | greedy | rounding (default exact)")
 		seed      = flag.Int64("seed", 0, "seed for the randomized-rounding sampler (deterministic per seed)")
 		limit     = flag.Duration("timelimit", time.Minute, "MIP time limit")
-		workers   = flag.Int("workers", 1, "branch-and-bound relaxation workers (deterministic: the committed result is bit-identical for every count)")
 		cutMode   = flag.String("cutmode", "static", "Constraint-(20) precedence-cut pipeline, cΣ only: static (emit all rows at build time) | lazy (separate violated rows on demand) | off (drop the cut family)")
 		flowMode  = flag.String("flowmode", "arc", "link-flow formulation, cΣ only: arc (per-link flow variables) | path (convexity rows + path columns priced on demand; requires the scenario's node mapping)")
 		noCuts    = flag.Bool("nocuts", false, "deprecated alias of -cutmode off: disable temporal dependency graph cuts (applies to the cΣ model only)")
@@ -135,7 +134,6 @@ func main() {
 		tvnep.WithObjective(obj),
 		tvnep.WithHorizon(sc.Horizon),
 		tvnep.WithTimeLimit(*limit),
-		tvnep.WithWorkers(*workers),
 	}
 	if cm != tvnep.CutStatic || *noCuts {
 		opts = append(opts, tvnep.WithCutMode(cm))
@@ -174,7 +172,7 @@ func main() {
 	var conflict *tvnep.OptionConflictError
 	if errors.As(err, &conflict) {
 		fmt.Fprintf(os.Stderr, "tvnep-solve: warning: %v (ignoring it)\n", conflict)
-		solver, err = tvnep.New(sc.Substrate, dropConflicting(sc, form, obj, *limit, *workers, *seed, algo, *doCertify)...)
+		solver, err = tvnep.New(sc.Substrate, dropConflicting(sc, form, obj, *limit, *seed, algo, *doCertify)...)
 	}
 	if err != nil {
 		fail(err)
@@ -262,13 +260,12 @@ func main() {
 // dropConflicting rebuilds the option list without the cΣ-only ablation
 // options (and algorithm-conflicting cut modes) that the facade rejected
 // for this configuration.
-func dropConflicting(sc tvnep.Scenario, form tvnep.Formulation, obj tvnep.Objective, limit time.Duration, workers int, seed int64, algo tvnep.Algorithm, doCertify bool) []tvnep.Option {
+func dropConflicting(sc tvnep.Scenario, form tvnep.Formulation, obj tvnep.Objective, limit time.Duration, seed int64, algo tvnep.Algorithm, doCertify bool) []tvnep.Option {
 	opts := []tvnep.Option{
 		tvnep.WithFormulation(form),
 		tvnep.WithObjective(obj),
 		tvnep.WithHorizon(sc.Horizon),
 		tvnep.WithTimeLimit(limit),
-		tvnep.WithWorkers(workers),
 	}
 	if algo != tvnep.Exact {
 		opts = append(opts, tvnep.WithAlgorithm(algo))

@@ -28,10 +28,9 @@
 // refactorization in the common case.
 //
 // Decisions are deterministic: admissions are serialized, the per-decision
-// branch-and-bound search is bit-identical for every worker count
-// (internal/mip), and the default budget is a node limit rather than a time
-// limit, so replaying the same trace yields the same accept/reject sequence
-// regardless of parallelism or machine speed.
+// branch-and-bound search is deterministic (internal/mip), and the default
+// budget is a node limit rather than a time limit, so replaying the same
+// trace yields the same accept/reject sequence regardless of machine speed.
 package admit
 
 import (
@@ -80,12 +79,10 @@ const (
 const roundingSamples = 8
 
 // workspaceSlots is how many idle simplex workspaces, and idle clone shells,
-// an engine keeps between decisions. A decision with one worker solves on
-// one workspace and one clone throughout: the search's clone borrows the
-// decision instance's workspace, and its committer evaluates every
-// relaxation itself. The second slot serves a worker clone when the search
-// has workers of its own; more slots only pay off for wider searches and
-// cost retained heap.
+// an engine keeps between decisions. A decision's search solves on one
+// workspace and one clone throughout: the clone borrows the decision
+// instance's workspace and evaluates every relaxation on it. Every idle
+// slot is retained heap.
 const workspaceSlots = 2
 
 // Config configures an Engine.

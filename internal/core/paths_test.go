@@ -265,37 +265,3 @@ func comparePathArc(t *testing.T, inst *Instance, opts BuildOptions, seed int64,
 	}
 	return asol.Accepted
 }
-
-func TestPathModeParallelDeterminism(t *testing.T) {
-	// Pricing rides the committer-only column pool, so path-mode solves must
-	// stay bit-identical for every worker count.
-	inst, opts := diamondInstance()
-	type fp struct {
-		obj, bound uint64
-		nodes      int
-		lpIters    int
-		priced     int
-		applied    int
-	}
-	var base fp
-	for i, w := range []int{1, 2, 4, 8} {
-		b := BuildCSigma(inst, opts)
-		sol, ms := b.Solve(context.Background(), &model.SolveOptions{Workers: w})
-		if ms.Status != model.StatusOptimal || sol == nil {
-			t.Fatalf("workers %d: status %v", w, ms.Status)
-		}
-		got := fp{
-			obj:     math.Float64bits(sol.Objective),
-			bound:   math.Float64bits(sol.Bound),
-			nodes:   ms.Nodes,
-			lpIters: ms.LPIterations,
-			priced:  ms.Columns.PricedCols,
-			applied: len(ms.AppliedColumns),
-		}
-		if i == 0 {
-			base = got
-		} else if got != base {
-			t.Fatalf("workers %d: fingerprint %+v differs from workers 1: %+v", w, got, base)
-		}
-	}
-}

@@ -76,7 +76,7 @@ func (c Config) AblationSweep(ctx context.Context, progress io.Writer) ([]Ablati
 					CutMode:         v.CutMode,
 					DisablePresolve: v.DisablePresolve,
 				})
-				inner := c.innerSolve()
+				inner := c.Solve
 				sol, ms := b.Solve(ctx, &inner)
 				c.count(ms)
 				rec := AblationRecord{

@@ -155,17 +155,6 @@ func (c Config) scenario(flexMin float64, seed int64) (*core.Instance, vnet.Node
 	return &core.Instance{Sub: sc.Substrate, Reqs: sc.Requests, Horizon: sc.Horizon}, sc.Mapping
 }
 
-// innerSolve is the option set handed to each individual solve of a sweep:
-// the sweep already parallelizes across scenarios with Solve.Workers, so
-// the branch-and-bound search inside each solve runs single-worker — the
-// two levels must not multiply into Workers² goroutines. (Direct solves
-// outside a sweep, e.g. tvnep-solve, do hand Workers to the tree search.)
-func (c Config) innerSolve() model.SolveOptions {
-	o := c.Solve
-	o.Workers = 1
-	return o
-}
-
 // count feeds one model solution into the aggregate counters, if any.
 func (c Config) count(ms *model.Solution) {
 	if c.Counters == nil {
@@ -211,7 +200,7 @@ func (c Config) solveOne(ctx context.Context, f core.Formulation, obj core.Objec
 		bo.FlowMode = c.FlowMode // Δ/Σ have no path-flow variant
 	}
 	b := core.Build(f, inst, bo)
-	inner := c.innerSolve()
+	inner := c.Solve
 	sol, ms := b.Solve(ctx, &inner)
 	c.count(ms)
 	rec := Record{
@@ -321,7 +310,7 @@ func (c Config) ObjectivesSweep(ctx context.Context, progress io.Writer) []Recor
 			Objective: core.AccessControl, FixedMapping: mapping, CutMode: c.CutMode,
 			FlowMode: c.FlowMode,
 		})
-		preInner := c.innerSolve()
+		preInner := c.Solve
 		preSol, preMS := pre.Solve(ctx, &preInner)
 		c.count(preMS)
 		if preSol == nil {
@@ -362,7 +351,7 @@ func (c Config) GreedySweep(ctx context.Context, progress io.Writer) []Record {
 		opt := c.solveOne(ctx, core.CSigma, core.AccessControl, inst, mapping, key.flex, key.seed)
 
 		start := time.Now() //lint:allow nondet -- greedy runtime measurement; recorded, not branched on
-		gso := c.innerSolve()
+		gso := c.Solve
 		gsol, gstats, err := greedy.Solve(ctx, inst, mapping,
 			core.BuildOptions{CutMode: c.CutMode, FlowMode: c.FlowMode}, &gso)
 		rec := Record{

@@ -34,7 +34,7 @@ func (c Config) RoundingSweep(ctx context.Context, progress io.Writer) []Record 
 			Seed:      round.MixSeed(c.Seed, key.seed, int64(math.Float64bits(key.flex))),
 			Objective: core.AccessControl,
 			CutMode:   cutMode,
-			Solve:     c.innerSolve(),
+			Solve:     c.Solve,
 		})
 		rec := Record{
 			FlexMin: key.flex, Seed: key.seed, Form: core.CSigma,

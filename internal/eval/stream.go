@@ -77,7 +77,7 @@ func (c Config) streamOne(ctx context.Context, flexMin float64, seed int64, log 
 	eng, err := admit.New(admit.Config{
 		Sub:     inst.Sub,
 		Horizon: inst.Horizon,
-		Solve:   c.innerSolve(),
+		Solve:   c.Solve,
 		CutMode: c.CutMode,
 		Seed:    round.MixSeed(c.Seed, seed, int64(math.Float64bits(flexMin))),
 		Certify: c.Certify,

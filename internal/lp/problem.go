@@ -241,7 +241,7 @@ type Result struct {
 	// the callers that will read it. Handing it back as
 	// Options.WarmFactors of a later solve warm-starts that solve without a
 	// refactorization, and works across Instance clones, which is what
-	// makes parallel branch-and-bound bit-reproducible.
+	// makes a branch-and-bound node's solve a pure function of the node.
 	Factors *sparselu.Factors
 	// WarmUsed reports that this result came from a successful warm-started
 	// dual-simplex run (rather than the cold fallback). Unlike the

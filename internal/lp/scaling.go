@@ -14,8 +14,8 @@ import "math"
 // by 2^k only changes the exponent), so objective values, certificates and
 // duals are bit-identical to an unscaled formulation of the same solution —
 // scaling changes the simplex trajectory, never the reported answer's
-// meaning — and the scaled solve remains bit-deterministic across runs and
-// worker counts. Slack columns stay exact unit columns because the slack
+// meaning — and the scaled solve remains bit-deterministic across runs.
+// Slack columns stay exact unit columns because the slack
 // variables themselves are scaled by r_i.
 
 const (

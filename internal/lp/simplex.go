@@ -201,9 +201,9 @@ func (inst *Instance) compile(p *Problem) {
 // The immutable per-column and per-row storage (and the Problem it was
 // compiled from) is shared; the mutable column bounds are copied and the
 // clone has no workspace of its own yet: its first solve draws one from the
-// same Workspaces source, if any. Clones are what give every worker of a
-// parallel branch-and-bound search its own simplex state without recompiling
-// the problem: the shared inner slices are never written after compilation,
+// same Workspaces source, if any. Clones are what give a branch-and-bound
+// search started from a caller's instance (mip.SolveFrom) its own bounds and
+// appended rows without recompiling the problem: the shared inner slices are never written after compilation,
 // AppendRow replaces — never grows in place — the column slices it touches,
 // and a clone's view of the shared row scales is capped at its length, so
 // rows appended to one clone or to the original stay invisible to the

@@ -52,8 +52,8 @@ var (
 	DebugWarmAttempts atomic.Int64
 	DebugWarmOK       atomic.Int64
 	// DebugFactorHandoffs counts warm starts that adopted an explicitly
-	// supplied Options.WarmFactors (the cache-independent handoff used by
-	// the parallel branch-and-bound workers).
+	// supplied Options.WarmFactors (the cache-independent handoff
+	// branch-and-bound nodes warm-start from).
 	DebugFactorHandoffs atomic.Int64
 	// DebugBasisExtensions counts warm starts whose basis predated appended
 	// rows and whose LU factors were extended with a bordered block instead

@@ -9,12 +9,6 @@ package mip
 // final basis — the appended rows ride the bordered LU extension in
 // internal/lp, so a separation round costs a handful of dual pivots, not a
 // refactorization.
-//
-// Separation runs only on the serial committer. Workers learn about committed
-// cut rows through the atomically published append-only op log (see
-// engine.go) and replay them onto their own instances before solving, so the
-// committed search — and therefore the reported objective, bound, node and
-// iteration counts — stays bit-identical for any worker count.
 
 import (
 	"math"
@@ -41,10 +35,9 @@ type Cut struct {
 //     bounds, incumbents and warm bases across separation rounds, which is
 //     only sound for rows that never exclude an integral feasible point.
 //   - Determinism: Separate must be a pure function of x (same point, same
-//     cuts, same order). The committer calls it exactly once per separation
+//     cuts, same order). The search calls it exactly once per separation
 //     round on deterministic points; any internal randomness or iteration
-//     over unordered maps would break the bit-identical-across-workers
-//     guarantee.
+//     over unordered maps would make the search nondeterministic.
 //
 // Separate may return cuts that are not violated by x (they are pooled for
 // later rounds) and may return duplicates (the pool deduplicates), but it
@@ -107,12 +100,11 @@ func rowViolation(c Cut, x []float64) float64 {
 }
 
 // separate runs one separation round at x: offer every separator's cuts,
-// append the most violated batch to the committer's instance, publish the
-// grown op log to the workers, and age the pool. Returns the number of
-// rows appended (0 → the point is cut-free and the caller stops rounding).
-// A seed round (the first root round) drops the batch cap and the violation
-// floor to -rootCutSeedSlack so the near-active family members land in the
-// root LP together.
+// append the most violated batch to the search's instance, and age the
+// pool. Returns the number of rows appended (0 → the point is cut-free and
+// the caller stops rounding). A seed round (the first root round) drops the
+// batch cap and the violation floor to -rootCutSeedSlack so the near-active
+// family members land in the root LP together.
 func (s *searcher) separate(x []float64, seed bool) int {
 	for _, sep := range s.opts.Separators {
 		for _, c := range sep.Separate(x) {
@@ -127,67 +119,60 @@ func (s *searcher) separate(x []float64, seed bool) int {
 	return s.commit(s.cuts, s.cuts.best(viol, minViol, limit))
 }
 
-// solveSeparated resolves the node's relaxation, interleaving pricing and
+// solveSeparated solves the node's relaxation, interleaving pricing and
 // separation rounds: while a round adds columns or cuts, the same node is
-// re-solved at the new epoch, warm-started from its own final basis and
-// factors (appended rows ride the bordered factor extension, appended
-// columns the basis remap + primal restart). Pricing runs first and to
-// convergence — the relaxation value is only a valid node bound once no
-// column prices in, so it runs at every node, on integral points too, and
-// its per-node cap (maxPriceRounds) is a safety net rather than a
-// budget. Cut rounds follow: root nodes get RootCutRounds, tree nodes
-// TreeCutRounds. Committed iteration accounting for every round happens
-// here, so the totals stay deterministic.
-func (s *searcher) solveSeparated(nd *node) (*lpTask, bool) {
+// re-solved, warm-started from its own final basis and factors (appended
+// rows ride the bordered factor extension, appended columns the basis
+// remap + primal restart). Pricing runs first and to convergence — the
+// relaxation value is only a valid node bound once no column prices in, so
+// it runs at every node, on integral points too, and its per-node cap
+// (maxPriceRounds) is a safety net rather than a budget. Cut rounds follow:
+// root nodes get RootCutRounds, tree nodes TreeCutRounds. The LP work of
+// every round is counted here. It returns the final relaxation and the
+// column it branches on (-1 unless it is a fractional optimum).
+func (s *searcher) solveSeparated(nd *node) (lp.Result, int) {
+	root := nd.col == -1
 	maxCutRounds := 0
 	if s.cuts != nil {
 		maxCutRounds = s.opts.TreeCutRounds
-		if nd.col == -1 {
+		if root {
 			maxCutRounds = s.opts.RootCutRounds
 		}
 	}
 	cutRounds, priceRounds := 0, 0
 	for {
-		t, ok := s.eng.resolve(nd)
-		if !ok {
-			return nil, false
-		}
-		res := t.res
+		first := root && cutRounds == 0 && priceRounds == 0
+		res, col := s.relax(nd, first)
 		s.iters += res.Iterations
-		s.taskIters += res.Iterations
 		s.bflips += res.BoundFlips
 		s.rpasses += res.RatioPasses
-		s.lastWorker = t.worker
-		root := nd.col == -1
-		if root && cutRounds == 0 && priceRounds == 0 {
-			// The root's first relaxation, at epoch 0 (the root is solved
-			// once per search). The search recycles its factors, and a
-			// handed root's belong to the caller, so the record keeps
-			// neither factors nor basis.
+		if first {
+			// The root's first relaxation (the root is solved once per
+			// search). The search recycles its factors, and a handed root's
+			// belong to the caller, so the record keeps neither factors nor
+			// basis.
 			s.root = res
 			s.root.Basis, s.root.Factors = nil, nil
 		}
 		if res.Status != lp.StatusOptimal {
-			return t, true
+			return res, col
 		}
 		if s.cols != nil && priceRounds < maxPriceRounds && s.price(res) > 0 {
-			// Hot-restart the same node at the new epoch from its own final
-			// basis (the appended columns enter nonbasic, so the basis stays
-			// valid after the remap); the stale task — and its speculated
-			// children, built from the restricted point — is discarded by
-			// the epoch check in engine.resolve.
+			// Hot-restart the same node from its own final basis (the
+			// appended columns enter nonbasic, so the basis stays valid after
+			// the remap).
 			priceRounds++
 			s.restartFrom(nd, res.Basis, res.Factors)
 			s.dropVecs(res)
 			continue
 		}
-		// Integral points (children == nil) satisfy every valid cut by the
-		// Separator contract, so only fractional optima are worth separating.
-		if cutRounds >= maxCutRounds || t.children == nil {
-			return t, true
+		// Integral points satisfy every valid cut by the Separator contract,
+		// so only fractional optima are worth separating.
+		if cutRounds >= maxCutRounds || col < 0 {
+			return res, col
 		}
 		if s.separate(res.X, root && cutRounds == 0) == 0 {
-			return t, true
+			return res, col
 		}
 		cutRounds++
 		// Hot-restart from the node's own final basis, as above. The root

@@ -3,7 +3,6 @@ package mip
 import (
 	"context"
 	"math"
-	"reflect"
 	"sort"
 	"testing"
 )
@@ -125,47 +124,6 @@ func TestLazyCutsMatchPlainSolve(t *testing.T) {
 	}
 	if !sawCuts {
 		t.Fatal("no test case triggered separation; the cases no longer exercise the cut path")
-	}
-}
-
-// TestParallelDeterminismWithCuts extends the tentpole determinism guarantee
-// to lazy separation: with separators registered, the committed result AND
-// the full cut trajectory (stats and applied rows) must be bit-identical for
-// any worker count, because separation runs only on the committer against
-// deterministic fractional points.
-func TestParallelDeterminismWithCuts(t *testing.T) {
-	cases := []struct {
-		name string
-		prob *Problem
-	}{
-		{"knapsack-eq", randKnapsack(9, 18, 24, true)},
-		{"multiknapsack", multiKnapsack(3, 22, 6)},
-		{"multiknapsack-deep", multiKnapsack(7, 28, 8)},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var base Result
-			for _, w := range []int{1, 2, 4, 8} {
-				res := Solve(context.Background(), tc.prob, &Options{
-					Workers:    w,
-					Separators: []Separator{&coverSeparator{prob: tc.prob}},
-				})
-				if res.Status != StatusOptimal {
-					t.Fatalf("workers=%d: status %v", w, res.Status)
-				}
-				if w == 1 {
-					base = res
-					continue
-				}
-				assertBitIdentical(t, tc.name, base, res, 1, w)
-				if res.Cuts != base.Cuts {
-					t.Errorf("cut stats differ between 1 and %d workers: %+v vs %+v", w, base.Cuts, res.Cuts)
-				}
-				if !reflect.DeepEqual(res.AppliedCuts, base.AppliedCuts) {
-					t.Errorf("applied cut rows differ between 1 and %d workers", w)
-				}
-			}
-		})
 	}
 }
 

@@ -1,8 +1,6 @@
 package mip
 
 import (
-	"sync"
-
 	"tvnep/internal/linalg/sparselu"
 	"tvnep/internal/lp"
 )
@@ -24,7 +22,7 @@ import (
 //   - a committed result's pair that no branch adopted (an integral,
 //     infeasible or dominated relaxation) once the node is retired.
 //
-// A relaxation's X and Duals are done once the committer has read them:
+// A relaxation's X and Duals are done once the search has read them:
 // branched on, separated, priced, rounded or copied into the incumbent.
 // The root's first relaxation is the exception: Result.Root keeps it.
 //
@@ -36,17 +34,12 @@ import (
 // to the next solve that produces a result. Without a stash the free list
 // is the search's own, and bases and vectors are left to the collector.
 //
-// Only the serial engine recycles. With speculation, a pruned or stale
-// node's task may still be reading its parent's factors and basis on a
-// worker, so the parallel engine leaves its storage to the collector. What
-// the caller handed in — the root's result, its basis and its factors —
-// belongs to the caller and is never recycled either.
+// What the caller handed in — the root's result, its basis and its factors
+// — belongs to the caller and is never recycled.
 
 // facPool is the search's free list of factor buffers, drawing on stash
-// when it runs dry. Workers take from it concurrently; only the committer
-// returns to it.
+// when it runs dry.
 type facPool struct {
-	mu    sync.Mutex
 	free  []*sparselu.Factors
 	stash *lp.Workspaces
 }
@@ -56,8 +49,6 @@ type facPool struct {
 // capture of one search has about the same dimension, so the list itself
 // needs no fitting.
 func (p *facPool) get(m int) *sparselu.Factors {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	n := len(p.free)
 	if n == 0 {
 		return p.stash.Factors(m)
@@ -68,37 +59,28 @@ func (p *facPool) get(m int) *sparselu.Factors {
 	return f
 }
 
-// recycles reports whether the search recycles its storage at all.
-func (s *searcher) recycles() bool { return !s.eng.speculate }
-
 // recycle returns a warm-start pair whose last reader is done: the factor
 // buffer to the free list and the basis to the stash (see the rules above).
-// nil halves, the caller's handed root and everything under speculation are
-// ignored.
+// nil halves and the caller's handed root are ignored.
 func (s *searcher) recycle(b *lp.Basis, f *sparselu.Factors) {
-	if !s.recycles() {
-		return
-	}
 	if f != nil && f != s.handed.Factors {
-		s.facs.mu.Lock()
 		s.facs.free = append(s.facs.free, f) //lint:allow hotalloc -- grows once, to the search's peak of live buffers
-		s.facs.mu.Unlock()
 	}
 	if b != nil && b != s.handed.Basis {
 		s.facs.stash.Reuse(lp.Result{Basis: b})
 	}
 }
 
-// dropVecs hands back the X and Duals of a relaxation the committer has
+// dropVecs hands back the X and Duals of a relaxation the search has
 // finished reading, unless they are the root record's.
 func (s *searcher) dropVecs(res lp.Result) {
-	if !s.recycles() || len(res.X) > 0 && len(s.root.X) > 0 && &res.X[0] == &s.root.X[0] {
+	if len(res.X) > 0 && len(s.root.X) > 0 && &res.X[0] == &s.root.X[0] {
 		return
 	}
 	s.facs.stash.Reuse(lp.Result{X: res.X, Duals: res.Duals})
 }
 
-// drop hands back a heuristic solve's basis and vectors once the committer
+// drop hands back a heuristic solve's basis and vectors once the search
 // has finished reading them; its factors, if captured, are the dive
 // buffer's.
 func (s *searcher) drop(res lp.Result) {
@@ -112,13 +94,12 @@ func (s *searcher) drop(res lp.Result) {
 func (s *searcher) restartFrom(nd *node, basis *lp.Basis, fac *sparselu.Factors) {
 	s.recycle(ownWarm(nd))
 	nd.basis, nd.fac = basis, fac
-	nd.task = nil
 }
 
-// retire is called by the committer once nd will never be solved again,
-// committed or pruned. It recycles nd's own restart pair, the committed
-// result's pair (b, f) when no branch adopted it, and the branch's pair
-// once nd's sibling is retired too.
+// retire is called once nd will never be solved again, committed or
+// pruned. It recycles nd's own restart pair, the committed result's pair
+// (b, f) when no branch adopted it, and the branch's pair once nd's sibling
+// is retired too.
 //
 //hot:path
 func (s *searcher) retire(nd *node, b *lp.Basis, f *sparselu.Factors) {
@@ -144,9 +125,6 @@ func ownWarm(nd *node) (*lp.Basis, *sparselu.Factors) {
 // are retired, so their branches' buffers are done, and the free list and
 // the dive buffer go back to the stash. The search must not solve again.
 func (s *searcher) release() {
-	if !s.recycles() {
-		return
-	}
 	for _, nd := range s.open {
 		s.retire(nd, nil, nil)
 	}

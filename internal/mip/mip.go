@@ -92,8 +92,7 @@ func (s Status) String() string {
 // Progress is a snapshot of the branch-and-bound search handed to the
 // Options.Progress callback. Incumbent and Bound are expressed in the
 // problem's original optimization sense; Incumbent is NaN while no integral
-// solution exists. Callbacks are always serialized (they run on the
-// committing goroutine) regardless of Options.Workers.
+// solution exists. Callbacks run on the goroutine that called Solve.
 type Progress struct {
 	Nodes        int
 	Open         int // open (unexplored) nodes
@@ -105,12 +104,6 @@ type Progress struct {
 	// NewIncumbent marks callbacks fired because a better integral solution
 	// was just found (otherwise the callback is periodic).
 	NewIncumbent bool
-	// Worker is the 1-based id of the worker whose LP solve produced the
-	// most recently committed node relaxation (0 before the first commit and
-	// for a root relaxation handed in through SolveFrom).
-	// It is informational: which worker solves which node is scheduling
-	// noise and, unlike every other field, not reproducible across runs.
-	Worker int
 }
 
 // Options tunes the branch-and-bound search. It is the lowering target of
@@ -126,25 +119,15 @@ type Options struct {
 	// k-th node thereafter (0 → the default of 50; a negative value
 	// disables the heuristic entirely, including at the root).
 	HeuristicEvery int
-	// Workers is the number of workers evaluating node relaxations
-	// concurrently (0 or 1 → a single worker). Each worker owns its own
-	// simplex state; the search itself is committed by one goroutine in
-	// strict sequential order, so the reported objective, solution, node
-	// count and LP iteration count are bit-identical for every worker
-	// count — as long as no time limit cuts the run short, since where a
-	// wall-clock limit lands is never reproducible.
-	Workers int
 	// Progress, when non-nil, is invoked on every new incumbent and every
-	// ProgressEvery nodes. Callbacks run synchronously on the committing
-	// goroutine (even with Workers > 1); keep them cheap.
+	// ProgressEvery nodes. Callbacks run synchronously inside the search;
+	// keep them cheap.
 	Progress func(Progress)
 	// ProgressEvery is the periodic callback interval in nodes (default
 	// 100; < 0 disables periodic callbacks, leaving incumbent ones).
 	ProgressEvery int
 	// Separators generate valid inequalities lazily instead of having the
 	// model emit them all up front; see the Separator contract in cuts.go.
-	// Separation runs only on the committing goroutine, so the
-	// bit-identical-for-any-worker-count guarantee extends to cut rounds.
 	Separators []Separator
 	// RootCutRounds bounds the separation rounds at the root node (0 → the
 	// default of 20; negative → no root separation). The root is where cuts
@@ -154,10 +137,10 @@ type Options struct {
 	// (0 → the default of 2; negative → none).
 	TreeCutRounds int
 	// Pricers generate structural columns lazily instead of having the model
-	// emit them all up front; see the Pricer contract in price.go. Pricing
-	// runs only on the committing goroutine and — unlike separation — to
-	// convergence at every node, since a restricted relaxation's value is
-	// only a valid node bound once no column prices in.
+	// emit them all up front; see the Pricer contract in price.go. Unlike
+	// separation, pricing runs to convergence at every node, since a
+	// restricted relaxation's value is only a valid node bound once no
+	// column prices in.
 	Pricers []Pricer
 	// PriceBatch is the maximum number of columns appended per pricing
 	// round, taken in decreasing reduced-cost order (0 → the default of 32).
@@ -177,9 +160,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.HeuristicEvery == 0 {
 		out.HeuristicEvery = 50
-	}
-	if out.Workers < 1 {
-		out.Workers = 1
 	}
 	if out.ProgressEvery == 0 {
 		out.ProgressEvery = 100
@@ -210,22 +190,16 @@ type Result struct {
 	Gap          float64   // relative gap; +Inf when no incumbent exists
 	X            []float64 // incumbent solution
 	Nodes        int
-	LPIterations int // LP iterations of the committed search (deterministic)
+	LPIterations int // LP iterations of the search (deterministic)
 	// BoundFlips and RatioPasses aggregate the LP solver's long-step dual
-	// ratio-test activity over the committed search (see lp.Result); like
-	// LPIterations they are deterministic for any worker count.
+	// ratio-test activity over the search (see lp.Result); like
+	// LPIterations they are deterministic.
 	BoundFlips  int
 	RatioPasses int
-	// WastedLPIterations counts LP iterations spent on speculative node
-	// evaluations that the committed search never used (pruned before
-	// commit or still in flight at termination). Always 0 with a single
-	// worker; with several it depends on scheduling and is therefore — by
-	// design — the only nondeterministic iteration count reported.
-	WastedLPIterations int
-	Runtime            time.Duration
+	Runtime     time.Duration
 	// Cuts summarizes lazy separation (zero-valued apart from RowsAtRoot
-	// when no separators were registered). All of its fields are part of
-	// the committed search and therefore deterministic.
+	// when no separators were registered). All of its fields are
+	// deterministic.
 	Cuts CutStats
 	// AppliedCuts lists, in append order, every cut row the search added to
 	// the LP relaxation, so callers can re-validate them independently
@@ -233,7 +207,7 @@ type Result struct {
 	AppliedCuts []Cut
 	// Columns summarizes column generation (zero-valued apart from
 	// ColsAtRoot when no pricers were registered). All of its fields are
-	// part of the committed search and therefore deterministic.
+	// deterministic.
 	Columns ColumnStats
 	// AppliedColumns lists, in append order, every column pricing added to
 	// the LP relaxation: the k-th entry is LP column ColsAtRoot+k, so
@@ -262,19 +236,16 @@ type node struct {
 	// fac is the captured LU factorization matching basis: the parent's
 	// (shared read-only with the sibling through br) or, after a pricing or
 	// cut round, the node's own. Every warm start copies it into its
-	// solver. Carrying it explicitly (instead of relying on an instance's
-	// factorization cache) keeps each node's solve a pure function of the
-	// node, which is what the deterministic parallel search relies on.
+	// solver. Carrying it explicitly (instead of relying on the instance's
+	// factorization cache, which the heuristics' solves overwrite) keeps
+	// each node's solve a pure function of the node.
 	fac *sparselu.Factors
 	// br is the branch the node was created in (nil at the root); it owns
 	// the parent's factors (see factors.go).
 	br *branch
-	// seq is the committer-assigned creation sequence number, the final
-	// heap tie-break; committer-ordered, so identical for any worker count.
+	// seq is the creation sequence number, assigned when the node's branch
+	// is committed; it is the final heap tie-break.
 	seq int64
-	// task is the node's (single) relaxation evaluation, created by the
-	// speculating worker or on demand by the committer.
-	task *lpTask
 }
 
 type nodeHeap []*node
@@ -303,12 +274,11 @@ func (h *nodeHeap) Pop() interface{} {
 
 type searcher struct {
 	prob     *Problem
-	inst     *lp.Instance // committer's own instance (heuristic solves only)
+	inst     *lp.Instance // every node relaxation and heuristic solve runs on it
 	opts     Options
 	minimize bool
 	ctx      context.Context
 	start    time.Time
-	eng      *engine
 
 	rootLB, rootUB []float64
 
@@ -316,20 +286,17 @@ type searcher struct {
 	incumbentMin float64 // minimization-sense incumbent objective
 	hasInc       bool
 
-	open       nodeHeap
-	nodes      int
-	iters      int // committed LP iterations (node relaxations + heuristics)
-	taskIters  int // committed LP iterations from node relaxations only
-	bflips     int // committed long-step bound flips
-	rpasses    int // committed ratio-test breakpoint passes
-	nextSeq    int64
-	lastWorker int
+	open    nodeHeap
+	nodes   int
+	iters   int // LP iterations (node relaxations + heuristics)
+	bflips  int // long-step bound flips
+	rpasses int // ratio-test breakpoint passes
+	nextSeq int64
 
-	// Lazy-cut and pricing state, touched only by the committer (see
-	// pool.go). cuts is nil when no separators are registered, cols when no
-	// pricers are; log is the append-only list of cut rows and priced
-	// columns added to the LP in commit order, and its length is the
-	// current op epoch the workers replay to.
+	// Lazy-cut and pricing state (see pool.go). cuts is nil when no
+	// separators are registered, cols when no pricers are; log is the
+	// append-only list of cut rows and priced columns added to the LP, in
+	// commit order.
 	cuts *pool
 	cols *pool
 	log  []op
@@ -338,11 +305,12 @@ type searcher struct {
 	root lp.Result
 
 	// Recycled storage (see factors.go): the factor buffers' free list and
-	// the stash behind it, the caller's handed root (never recycled), and
-	// the dive heuristic's buffer.
-	facs    facPool
-	handed  lp.Result
-	diveFac *sparselu.Factors
+	// the stash behind it, the caller's handed root (hasHanded; never
+	// recycled), and the dive heuristic's buffer.
+	facs      facPool
+	handed    lp.Result
+	hasHanded bool
+	diveFac   *sparselu.Factors
 
 	deadline    time.Time
 	hasDL       bool
@@ -354,7 +322,7 @@ type searcher struct {
 // construction bounds, and Res must be the result of Inst.Solve with no
 // warm start and its factors captured (Inst.CaptureFactors) — exactly the
 // relaxation the search would otherwise solve itself, so handing it over
-// changes no decision. The search works on clones of Inst and never
+// changes no decision. The search works on a clone of Inst and never
 // mutates its bounds, rows or columns, nor Res and its factors.
 type Root struct {
 	Inst *lp.Instance
@@ -378,10 +346,10 @@ func Solve(ctx context.Context, p *Problem, opts *Options) Result {
 // they are not part of Result.LPIterations. The search borrows root.Inst's
 // workspace for its own clone (lp.Instance.MoveWorkspace) and hands it back
 // when it ends. When root.Inst draws from an lp.Workspaces source, the
-// clones are built in shells from the same source and hand their shells
-// (and any workspace drawn from it) back when the search ends, and the
-// serial search recycles its factor buffers, bases and solution vectors
-// through it (see factors.go). A nil root is Solve.
+// clone is built in a shell from the same source and hands its shell (and
+// any workspace drawn from it) back when the search ends, and the search
+// recycles its factor buffers, bases and solution vectors through it (see
+// factors.go). A nil root is Solve.
 //
 //det:entry
 func SolveFrom(ctx context.Context, p *Problem, opts *Options, root *Root) Result {
@@ -412,6 +380,7 @@ func SolveFrom(ctx context.Context, p *Problem, opts *Options, root *Root) Resul
 		start:        start,
 		incumbentMin: math.Inf(1),
 		handed:       handed,
+		hasHanded:    root != nil,
 		facs:         facPool{stash: inst.Workspaces()},
 	}
 	n := p.LP.NumCols()
@@ -433,7 +402,7 @@ func SolveFrom(ctx context.Context, p *Problem, opts *Options, root *Root) Resul
 		s.dlCountdown = 1 // check wall clock on the very first node
 	}
 
-	status := s.run(root)
+	status := s.run()
 	res := Result{
 		Status:       status,
 		HasSolution:  s.hasInc,
@@ -443,11 +412,6 @@ func SolveFrom(ctx context.Context, p *Problem, opts *Options, root *Root) Resul
 		RatioPasses:  s.rpasses,
 		Runtime:      time.Since(start), //lint:allow nondet -- wall-clock Runtime stat only
 		Root:         s.root,
-	}
-	if s.eng != nil {
-		// Everything the workers evaluated minus everything the committed
-		// search used; the engine has stopped, so the atomic is final.
-		res.WastedLPIterations = int(s.eng.taskIters.Load()) - s.taskIters
 	}
 	for k := range s.log {
 		if o := &s.log[k]; o.col {
@@ -566,15 +530,7 @@ func (s *searcher) emitProgress(newIncumbent bool) {
 		Gap:          relGap(s.incumbentMin, bound),
 		Elapsed:      time.Since(s.start), //lint:allow nondet -- progress-callback timing stat
 		NewIncumbent: newIncumbent,
-		Worker:       s.lastWorker,
 	})
-}
-
-// applyBounds installs the node's bound-override chain onto the committer's
-// instance. It reports false when the chain produces an empty interval (the
-// node is trivially infeasible).
-func (s *searcher) applyBounds(nd *node) bool {
-	return applyBoundsOn(s.inst, s.rootLB, s.rootUB, nd)
 }
 
 // fractional returns the index of the integer column to branch on, or -1 if
@@ -615,11 +571,6 @@ func (s *searcher) tryIncumbent(x []float64, objMin float64) bool {
 	}
 	s.incumbentMin = objMin
 	s.hasInc = true
-	if s.eng != nil {
-		// Publish for the workers, which use it to skip dominated
-		// speculation. Monotone: tryIncumbent only ever improves it.
-		s.eng.publishIncumbent(objMin)
-	}
 	s.emitProgress(true)
 	return true
 }
@@ -631,7 +582,7 @@ func (s *searcher) tryIncumbent(x []float64, objMin float64) bool {
 // on symmetric relaxations whose vertices sit at one-half everywhere), it
 // falls back to a bounded fix-and-dive pass: fix the integer column closest
 // to integrality, re-solve warm, and repeat, letting the LP repair the
-// remaining columns after every fix. Both passes run on the committer's own
+// remaining columns after every fix. Both passes run on the search's
 // instance — whose bounds the caller has already set to the node's box —
 // warm-started from the node's final basis and factors, so their outcome is
 // as much a pure function of the committed node as the relaxations are. The
@@ -767,8 +718,8 @@ func (s *searcher) diveHeuristic(nd *node, res lp.Result) {
 	}
 }
 
-// heurSolve runs one heuristic LP on the committer instance with the
-// committed iteration accounting applied.
+// heurSolve runs one heuristic LP on the search's instance and counts its
+// LP work into the search's totals.
 func (s *searcher) heurSolve(lpo *lp.Options) lp.Result {
 	lpo.Context = s.ctx
 	if s.hasDL {
@@ -781,30 +732,19 @@ func (s *searcher) heurSolve(lpo *lp.Options) lp.Result {
 	return hres
 }
 
-// run is the committer: the single goroutine that executes the sequential
-// branch-and-bound algorithm, delegating every node relaxation to the
-// engine's workers. Because the committed decisions — pruning, incumbent
-// updates, branching, heap order — depend only on relaxation results that
-// are pure functions of their nodes, the committed search is bit-identical
-// for any worker count. A non-nil handed root is the root node's relaxation,
-// already solved by the caller.
-func (s *searcher) run(handed *Root) Status {
-	e := newEngine(s)
-	defer e.stop()
-
-	root := &node{col: -1, bound: math.Inf(-1), seq: s.seq()}
-	if handed != nil {
-		e.adopt(root, handed.Res)
-	}
-	heap.Push(&s.open, root)
+// run executes the branch-and-bound search. Every decision — pruning,
+// incumbent updates, branching, heap order — depends only on relaxation
+// results that are pure functions of their nodes, so the search is
+// deterministic.
+func (s *searcher) run() Status {
+	heap.Push(&s.open, &node{col: -1, bound: math.Inf(-1), seq: s.seq()})
 
 	for len(s.open) > 0 {
 		nd := heap.Pop(&s.open).(*node)
 		// Dive: after branching, continue immediately with one child, whose
-		// relaxation warm-starts from (and is usually already speculatively
-		// solved with) the parent's final basis and factors; the sibling
-		// goes to the heap. This is the classic best-first + plunging
-		// hybrid.
+		// relaxation warm-starts from the parent's final basis and factors;
+		// the sibling goes to the heap. This is the classic best-first +
+		// plunging hybrid.
 		for nd != nil {
 			if s.cancelled() {
 				heap.Push(&s.open, nd)
@@ -829,22 +769,17 @@ func (s *searcher) run(handed *Root) Status {
 			if s.opts.ProgressEvery > 0 && s.nodes%s.opts.ProgressEvery == 0 {
 				s.emitProgress(false)
 			}
-			// Install the node's box on the committer instance too: it
-			// detects trivially infeasible chains and leaves the bounds in
-			// place for a potential heuristic run below.
+			// Install the node's box: it detects trivially infeasible chains
+			// and stays in place for the relaxation and a potential
+			// heuristic run below.
 			if !s.applyBounds(nd) {
 				s.retire(nd, nil, nil)
 				break // empty bound interval: infeasible by construction
 			}
-			// Resolve the relaxation, interleaving lazy-cut separation
-			// rounds when separators are registered (see cuts.go); the
-			// committed iteration accounting happens inside.
-			t, ok := s.solveSeparated(nd)
-			if !ok {
-				heap.Push(&s.open, nd)
-				return StatusCancelled
-			}
-			res := t.res
+			// Solve the relaxation, interleaving pricing and lazy-cut
+			// separation rounds when pricers or separators are registered
+			// (see cuts.go); the iteration accounting happens inside.
+			res, col := s.solveSeparated(nd)
 			switch res.Status {
 			case lp.StatusInfeasible:
 				s.retire(nd, res.Basis, res.Factors)
@@ -870,25 +805,23 @@ func (s *searcher) run(handed *Root) Status {
 			}
 			objMin := s.toMin(res.Obj)
 			if s.hasInc && objMin >= s.incumbentMin-boundCutoffTol {
-				s.retire(nd, res.Basis, res.Factors) // its children are dropped
+				s.retire(nd, res.Basis, res.Factors)
 				s.dropVecs(res)
 				break // dominated
 			}
-			br := t.children // created by the solving worker; nil iff integral
-			if br == nil {
+			if col < 0 {
 				s.tryIncumbent(res.X, objMin)
 				s.retire(nd, res.Basis, res.Factors)
 				s.dropVecs(res)
 				break
 			}
+			br := makeBranch(nd, col, objMin, res)
 			if s.opts.HeuristicEvery > 0 && (s.nodes == 1 || s.nodes%s.opts.HeuristicEvery == 0) {
 				s.roundingHeuristic(nd, res)
 			}
 			s.retire(nd, nil, nil) // the branch owns res.Basis and res.Factors
 			s.dropVecs(res)
-			// Sequence numbers are assigned here, in commit order, so the
-			// heap tie-break is identical for any worker count; park the
-			// non-dive child on the heap.
+			// Park the non-dive child on the heap.
 			br.dive.seq = s.seq()
 			br.park.seq = s.seq()
 			heap.Push(&s.open, br.park)
@@ -901,7 +834,7 @@ func (s *searcher) run(handed *Root) Status {
 	return StatusInfeasible
 }
 
-// seq returns the next committer-assigned node sequence number.
+// seq returns the next node sequence number.
 func (s *searcher) seq() int64 {
 	v := s.nextSeq
 	s.nextSeq++

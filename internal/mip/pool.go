@@ -5,10 +5,10 @@ package mip
 // over the current columns, priced columns over the current rows. Offered
 // ops are kept in a deterministic pool per kind (deduplicated by an exact
 // canonical key), the best-scoring batch of a round is appended to the
-// committer's instance, and every appended op goes to one append-only log in
-// commit order. Workers replay that log onto their own instances (see
-// engine.go), so a cut may reference any column — and a column any row —
-// that existed when it was committed.
+// search's instance, and every appended op goes to one append-only log in
+// commit order, which Result.AppliedCuts and AppliedColumns are read from. A
+// cut may reference any column — and a column any row — that existed when
+// it was committed.
 
 import (
 	"encoding/binary"
@@ -102,7 +102,7 @@ type pooled struct {
 	score float64
 }
 
-// pool is the committer-private store of offered ops of one kind. All
+// pool is the search's store of offered ops of one kind. All
 // operations are deterministic: iteration follows insertion order, selection
 // sorts by (score desc, insertion seq asc), and the dedup key is exact.
 type pool struct {
@@ -120,7 +120,7 @@ func newPool() *pool {
 }
 
 // offer canonicalizes o and pools it unless an identical op is already
-// present. limit is the size of the dimension o indexes on the committer's
+// present. limit is the size of the dimension o indexes on the search's
 // instance — its current column count for a cut, row count for a column.
 // Malformed ops panic here, naming the op kind and the bad index or bounds,
 // rather than deep inside lp.AppendRow or lp.AppendColumn.
@@ -206,9 +206,9 @@ func (p *pool) endRound() {
 	p.entries = kept
 }
 
-// commit ends one round of p: it appends the selected batch to the
-// committer's instance, logs it, publishes the grown log to the workers,
-// counts the round and ages the pool. It returns the number of ops appended.
+// commit ends one round of p: it appends the selected batch to the search's
+// instance, logs it, counts the round and ages the pool. It returns the
+// number of ops appended.
 func (s *searcher) commit(p *pool, batch []*pooled) int {
 	for _, pe := range batch {
 		pe.added = true
@@ -216,7 +216,6 @@ func (s *searcher) commit(p *pool, batch []*pooled) int {
 		s.log = append(s.log, pe.op)
 	}
 	if len(batch) > 0 {
-		s.eng.publishOps(s.log)
 		p.rounds++
 	}
 	p.endRound()

@@ -246,7 +246,7 @@ func opFingerprint(ops []op) uint64 {
 // to values recorded before the cut and column pools were merged (the
 // keys-only fingerprints on the same trajectory, before op names were
 // dropped). Any change to canonicalization, keys, selection order, eviction
-// or op replay shows up here.
+// or op application shows up here.
 func TestPoolTrajectoryGolden(t *testing.T) {
 	tagged := func(seed int64, nFac, nPat, batch int, cuts bool) (*Problem, *Options) {
 		prob, lazy := colGenProblem(seed, nFac, nPat, false)
@@ -312,41 +312,38 @@ func TestPoolTrajectoryGolden(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, w := range []int{1, 2, 4, 8} {
-				prob, o := tc.build()
-				o.Workers = w
-				res := Solve(context.Background(), prob, o)
-				if res.Status != StatusOptimal {
-					t.Fatalf("workers=%d: status %v", w, res.Status)
-				}
-				if res.Obj != tc.obj || res.Nodes != tc.nodes || res.LPIterations != tc.iters {
-					t.Errorf("workers=%d: obj %v nodes %d iters %d, want %v %d %d",
-						w, res.Obj, res.Nodes, res.LPIterations, tc.obj, tc.nodes, tc.iters)
-				}
-				if res.Cuts != tc.cuts {
-					t.Errorf("workers=%d: cut stats %+v, want %+v", w, res.Cuts, tc.cuts)
-				}
-				if res.Columns != tc.cols {
-					t.Errorf("workers=%d: column stats %+v, want %+v", w, res.Columns, tc.cols)
-				}
-				var cuts, cols []op
-				var colNames []string
-				for _, c := range res.AppliedCuts {
-					cuts = append(cuts, cutOp(c))
-				}
-				for _, c := range res.AppliedColumns {
-					cols = append(cols, colOp(c))
-					colNames = append(colNames, fmt.Sprintf("pat%d", c.Tag))
-				}
-				if tc.colNames != nil && !reflect.DeepEqual(colNames, tc.colNames) {
-					t.Errorf("workers=%d: applied columns %v, want %v", w, colNames, tc.colNames)
-				}
-				if fp := opFingerprint(cuts); fp != tc.cutFP {
-					t.Errorf("workers=%d: applied-cut fingerprint %#x, want %#x", w, fp, tc.cutFP)
-				}
-				if fp := opFingerprint(cols); fp != tc.colFP {
-					t.Errorf("workers=%d: applied-column fingerprint %#x, want %#x", w, fp, tc.colFP)
-				}
+			prob, o := tc.build()
+			res := Solve(context.Background(), prob, o)
+			if res.Status != StatusOptimal {
+				t.Fatalf("status %v", res.Status)
+			}
+			if res.Obj != tc.obj || res.Nodes != tc.nodes || res.LPIterations != tc.iters {
+				t.Errorf("obj %v nodes %d iters %d, want %v %d %d",
+					res.Obj, res.Nodes, res.LPIterations, tc.obj, tc.nodes, tc.iters)
+			}
+			if res.Cuts != tc.cuts {
+				t.Errorf("cut stats %+v, want %+v", res.Cuts, tc.cuts)
+			}
+			if res.Columns != tc.cols {
+				t.Errorf("column stats %+v, want %+v", res.Columns, tc.cols)
+			}
+			var cuts, cols []op
+			var colNames []string
+			for _, c := range res.AppliedCuts {
+				cuts = append(cuts, cutOp(c))
+			}
+			for _, c := range res.AppliedColumns {
+				cols = append(cols, colOp(c))
+				colNames = append(colNames, fmt.Sprintf("pat%d", c.Tag))
+			}
+			if tc.colNames != nil && !reflect.DeepEqual(colNames, tc.colNames) {
+				t.Errorf("applied columns %v, want %v", colNames, tc.colNames)
+			}
+			if fp := opFingerprint(cuts); fp != tc.cutFP {
+				t.Errorf("applied-cut fingerprint %#x, want %#x", fp, tc.cutFP)
+			}
+			if fp := opFingerprint(cols); fp != tc.colFP {
+				t.Errorf("applied-column fingerprint %#x, want %#x", fp, tc.colFP)
 			}
 		})
 	}
@@ -357,7 +354,7 @@ func TestPoolTrajectoryGolden(t *testing.T) {
 // scores them bit for bit as the pricer does and appends each offer in the
 // same round: the k-th priced LP column is pattern order[k]. It is stateful
 // rather than a pure function of the duals, which is deterministic here
-// because only the committer calls it, in commit order.
+// because the search calls it once per pricing round, in order.
 type onePatternPricer struct {
 	cols  []Column
 	done  []bool
@@ -418,10 +415,8 @@ func (vs *vubSeparator) Separate(x []float64) []Cut {
 
 // TestCutsOverPricedColumns: a separator may cut over columns that pricing
 // appended during the search. The pool must range-check such cuts against
-// the committer's current column count (not the root's), the workers must
-// replay the interleaved op log in commit order, and the result must match
-// the static formulation's optimum with a worker-count-independent
-// trajectory.
+// the search's current column count (not the root's), and the result must
+// match the static formulation's optimum.
 func TestCutsOverPricedColumns(t *testing.T) {
 	const seed, nFac, nPat = 11, 6, 30
 	full, _ := colGenProblem(seed, nFac, nPat, true)
@@ -429,50 +424,31 @@ func TestCutsOverPricedColumns(t *testing.T) {
 	if want.Status != StatusOptimal {
 		t.Fatalf("full status %v", want.Status)
 	}
-	var base Result
-	for _, w := range []int{1, 2, 4, 8} {
-		prob, lazy := colGenProblem(seed, nFac, nPat, false)
-		pp := newOnePatternPricer(lazy)
-		res := Solve(context.Background(), prob, &Options{
-			Workers:    w,
-			Pricers:    []Pricer{pp},
-			Separators: []Separator{&vubSeparator{nFac: nFac, pricer: pp}},
-		})
-		if res.Status != StatusOptimal {
-			t.Fatalf("workers=%d: status %v", w, res.Status)
+	prob, lazy := colGenProblem(seed, nFac, nPat, false)
+	pp := newOnePatternPricer(lazy)
+	res := Solve(context.Background(), prob, &Options{
+		Pricers:    []Pricer{pp},
+		Separators: []Separator{&vubSeparator{nFac: nFac, pricer: pp}},
+	})
+	if res.Status != StatusOptimal {
+		t.Fatalf("status %v", res.Status)
+	}
+	if d := math.Abs(res.Obj - want.Obj); d > 1e-6*(1+math.Abs(want.Obj)) {
+		t.Errorf("obj %v differs from static %v", res.Obj, want.Obj)
+	}
+	if res.Cuts.SeparatedRows == 0 {
+		t.Fatal("no cut over a priced column was applied; the case no longer exercises the path")
+	}
+	// The incumbent satisfies every applied cut; columns appended after it
+	// was found are zero in it.
+	x := make([]float64, res.Columns.ColsAtRoot+res.Columns.PricedCols)
+	copy(x, res.X)
+	for k, c := range res.AppliedCuts {
+		if c.Idx[1] < int32(res.Columns.ColsAtRoot) {
+			t.Errorf("cut %d references no priced column: %v", k, c.Idx)
 		}
-		if d := math.Abs(res.Obj - want.Obj); d > 1e-6*(1+math.Abs(want.Obj)) {
-			t.Errorf("workers=%d: obj %v differs from static %v", w, res.Obj, want.Obj)
-		}
-		if w > 1 {
-			assertBitIdentical(t, "vub", base, res, 1, w)
-			if res.Cuts != base.Cuts || res.Columns != base.Columns {
-				t.Errorf("stats differ between 1 and %d workers: %+v %+v vs %+v %+v",
-					w, base.Cuts, base.Columns, res.Cuts, res.Columns)
-			}
-			if !reflect.DeepEqual(res.AppliedCuts, base.AppliedCuts) {
-				t.Errorf("applied cuts differ between 1 and %d workers", w)
-			}
-			if !colsEqual(res.AppliedColumns, base.AppliedColumns) {
-				t.Errorf("applied columns differ between 1 and %d workers", w)
-			}
-			continue
-		}
-		base = res
-		if res.Cuts.SeparatedRows == 0 {
-			t.Fatal("no cut over a priced column was applied; the case no longer exercises the path")
-		}
-		// The incumbent satisfies every applied cut; columns appended after
-		// it was found are zero in it.
-		x := make([]float64, res.Columns.ColsAtRoot+res.Columns.PricedCols)
-		copy(x, res.X)
-		for k, c := range res.AppliedCuts {
-			if c.Idx[1] < int32(res.Columns.ColsAtRoot) {
-				t.Errorf("cut %d references no priced column: %v", k, c.Idx)
-			}
-			if v := rowViolation(c, x); v > 1e-6 {
-				t.Errorf("incumbent violates applied cut %d by %v", k, v)
-			}
+		if v := rowViolation(c, x); v > 1e-6 {
+			t.Errorf("incumbent violates applied cut %d by %v", k, v)
 		}
 	}
 }

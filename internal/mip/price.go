@@ -10,15 +10,10 @@ package mip
 // ride the basis remap + primal restart in internal/lp, so a pricing round
 // costs a handful of primal pivots, not a refactorization.
 //
-// Pricing runs only on the serial committer, and — unlike cut separation,
-// which is an optional strengthening — it runs to convergence at every node:
-// a restricted master's objective is only a valid branch-and-bound node bound
-// once no column prices in, so the per-node round cap exists purely as a
-// safety net against a non-converging Pricer. Workers learn about committed
-// columns (and cut rows) through the atomically published append-only op log
-// (see engine.go) and replay them onto their own instances in committed
-// order before solving, so the committed search stays bit-identical for any
-// worker count.
+// Unlike cut separation, which is an optional strengthening, pricing runs to
+// convergence at every node: a restricted master's objective is only a valid
+// branch-and-bound node bound once no column prices in, so the per-node round
+// cap exists purely as a safety net against a non-converging Pricer.
 
 import (
 	"tvnep/internal/lp"
@@ -49,10 +44,9 @@ type Column struct {
 //     which is only sound when the full formulation is exactly the closure
 //     of the restricted master under Price.
 //   - Determinism: Price must be a pure function of (duals, x) (same point,
-//     same columns, same order). The committer calls it exactly once per
+//     same columns, same order). The search calls it exactly once per
 //     pricing round on deterministic points; any internal randomness or
-//     iteration over unordered maps would break the bit-identical-across-
-//     workers guarantee.
+//     iteration over unordered maps would make the search nondeterministic.
 //
 // duals is lp.Result.Duals at the node optimum (length = current LP rows,
 // original sense); x is the relaxation point (length = current LP columns).
@@ -88,9 +82,8 @@ type ColumnStats struct {
 }
 
 // price runs one pricing round at the node optimum res: offer every pricer's
-// columns, append the best-priced batch to the committer's instance, publish
-// the grown op log to the workers, and age the pool. Returns the number of
-// columns appended (0 → no column prices in: the relaxation value is the true
+// columns, append the best-priced batch to the search's instance, and age
+// the pool. Returns the number of columns appended (0 → no column prices in: the relaxation value is the true
 // node bound and the caller stops rounding).
 func (s *searcher) price(res lp.Result) int {
 	for _, pr := range s.opts.Pricers {

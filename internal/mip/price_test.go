@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"tvnep/internal/lp"
@@ -185,73 +184,6 @@ func TestPricingSmallBatchConverges(t *testing.T) {
 	if got.Columns.Rounds != got.Columns.PricedCols {
 		t.Errorf("batch=1 appended %d columns in %d rounds", got.Columns.PricedCols, got.Columns.Rounds)
 	}
-}
-
-// TestParallelDeterminismWithPricing extends the bit-identical guarantee to
-// column generation, alone and interleaved with lazy cuts: pricing runs only
-// on the committer and workers replay the committed op log in order, so the
-// committed result, the column trajectory and the cut trajectory must all be
-// independent of the worker count.
-func TestParallelDeterminismWithPricing(t *testing.T) {
-	shapes := []struct {
-		name       string
-		seed       int64
-		nFac, nPat int
-		withCuts   bool
-	}{
-		{"pricing", 7, 5, 20, false},
-		{"pricing-wide", 23, 8, 40, false},
-		{"pricing+cuts", 11, 6, 30, true},
-	}
-	for _, sh := range shapes {
-		t.Run(sh.name, func(t *testing.T) {
-			var base Result
-			for _, w := range []int{1, 2, 4, 8} {
-				prob, lazy := colGenProblem(sh.seed, sh.nFac, sh.nPat, false)
-				o := &Options{
-					Workers: w,
-					Pricers: []Pricer{&patternPricer{cols: lazy}},
-				}
-				if sh.withCuts {
-					o.Separators = []Separator{&coverSeparator{prob: prob}}
-				}
-				res := Solve(context.Background(), prob, o)
-				if res.Status != StatusOptimal {
-					t.Fatalf("workers=%d: status %v", w, res.Status)
-				}
-				if w == 1 {
-					base = res
-					continue
-				}
-				assertBitIdentical(t, sh.name, base, res, 1, w)
-				if res.Columns != base.Columns {
-					t.Errorf("column stats differ between 1 and %d workers: %+v vs %+v", w, base.Columns, res.Columns)
-				}
-				if !colsEqual(res.AppliedColumns, base.AppliedColumns) {
-					t.Errorf("applied columns differ between 1 and %d workers", w)
-				}
-				if res.Cuts != base.Cuts {
-					t.Errorf("cut stats differ between 1 and %d workers", w)
-				}
-				if !reflect.DeepEqual(res.AppliedCuts, base.AppliedCuts) {
-					t.Errorf("applied cuts differ between 1 and %d workers", w)
-				}
-			}
-		})
-	}
-}
-
-// colsEqual compares applied-column lists entry by entry on the exact key.
-func colsEqual(a, b []Column) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if columnKey(a[k]) != columnKey(b[k]) {
-			return false
-		}
-	}
-	return true
 }
 
 // columnKey is the pool key of an already-canonical column.

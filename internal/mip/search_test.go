@@ -38,8 +38,7 @@ func randKnapsack(seed int64, n int, capacity float64, eq bool) *Problem {
 
 // multiKnapsack builds a randomized multidimensional 0/1 knapsack: m
 // correlated capacity rows make the LP bound loose, so the search has to
-// explore a deep tree (thousands of nodes) — the profile the parallel
-// engine is built for.
+// explore a deep tree (thousands of nodes).
 func multiKnapsack(seed int64, n, m int) *Problem {
 	rng := rand.New(rand.NewSource(seed))
 	p := lp.NewProblem()
@@ -66,46 +65,42 @@ func multiKnapsack(seed int64, n, m int) *Problem {
 }
 
 // assertBitIdentical fails the test unless the two results agree bit for
-// bit on every deterministic field (WastedLPIterations and Runtime are the
-// only fields allowed to differ between worker counts).
-func assertBitIdentical(t *testing.T, name string, base, got Result, baseW, gotW int) {
+// bit on every deterministic field (Runtime is the only field allowed to
+// differ).
+func assertBitIdentical(t *testing.T, name string, base, got Result) {
 	t.Helper()
 	if got.Status != base.Status {
-		t.Errorf("%s: status differs between %d and %d workers: %v vs %v", name, baseW, gotW, base.Status, got.Status)
+		t.Errorf("%s: status differs: %v vs %v", name, base.Status, got.Status)
 	}
 	if got.HasSolution != base.HasSolution {
-		t.Errorf("%s: HasSolution differs between %d and %d workers", name, baseW, gotW)
+		t.Errorf("%s: HasSolution differs", name)
 	}
 	if math.Float64bits(got.Obj) != math.Float64bits(base.Obj) {
-		t.Errorf("%s: objective not bit-identical between %d and %d workers: %x vs %x (%v vs %v)",
-			name, baseW, gotW, math.Float64bits(base.Obj), math.Float64bits(got.Obj), base.Obj, got.Obj)
+		t.Errorf("%s: objective not bit-identical: %x vs %x (%v vs %v)",
+			name, math.Float64bits(base.Obj), math.Float64bits(got.Obj), base.Obj, got.Obj)
 	}
 	if math.Float64bits(got.Bound) != math.Float64bits(base.Bound) {
-		t.Errorf("%s: bound not bit-identical between %d and %d workers: %v vs %v", name, baseW, gotW, base.Bound, got.Bound)
+		t.Errorf("%s: bound not bit-identical: %v vs %v", name, base.Bound, got.Bound)
 	}
 	if got.Nodes != base.Nodes {
-		t.Errorf("%s: node count differs between %d and %d workers: %d vs %d", name, baseW, gotW, base.Nodes, got.Nodes)
+		t.Errorf("%s: node count differs: %d vs %d", name, base.Nodes, got.Nodes)
 	}
 	if got.LPIterations != base.LPIterations {
-		t.Errorf("%s: committed LP iterations differ between %d and %d workers: %d vs %d",
-			name, baseW, gotW, base.LPIterations, got.LPIterations)
+		t.Errorf("%s: LP iterations differ: %d vs %d", name, base.LPIterations, got.LPIterations)
 	}
 	if len(got.X) != len(base.X) {
-		t.Fatalf("%s: solution length differs between %d and %d workers", name, baseW, gotW)
+		t.Fatalf("%s: solution length differs", name)
 	}
 	for j := range base.X {
 		if math.Float64bits(got.X[j]) != math.Float64bits(base.X[j]) {
-			t.Errorf("%s: x[%d] not bit-identical between %d and %d workers: %v vs %v",
-				name, baseW, gotW, j, base.X[j], got.X[j])
+			t.Errorf("%s: x[%d] not bit-identical: %v vs %v", name, j, base.X[j], got.X[j])
 		}
 	}
 }
 
-// TestParallelDeterminism asserts the tentpole guarantee at the solver
-// level: the full committed result — objective, solution vector, bound,
-// node count, LP iteration count — is bit-identical for any worker count.
-// Every case also solves from a caller-solved root (SolveFrom) at every
-// worker count and requires the cold result minus the root's LP iterations.
+// TestParallelDeterminism solves every case cold and again from a
+// caller-solved root (SolveFrom), and requires the second result to be the
+// first bit for bit, minus the root's LP iterations.
 func TestParallelDeterminism(t *testing.T) {
 	cases := []struct {
 		name string
@@ -118,28 +113,15 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var opts Options
+			var o Options
 			if tc.name == "knapsack-heur-off" {
-				opts.HeuristicEvery = -1
+				o.HeuristicEvery = -1
 			}
-			var base Result
-			for _, w := range []int{1, 2, 4, 8} {
-				o := opts
-				o.Workers = w
-				res := Solve(context.Background(), tc.prob, &o)
-				if res.Status != StatusOptimal {
-					t.Fatalf("workers=%d: status %v", w, res.Status)
-				}
-				assertHandedRoot(t, tc.name, tc.prob, &o, res)
-				if w == 1 {
-					base = res
-					if res.WastedLPIterations != 0 {
-						t.Errorf("single worker reported %d wasted LP iterations; speculation must be off", res.WastedLPIterations)
-					}
-					continue
-				}
-				assertBitIdentical(t, tc.name, base, res, 1, w)
+			res := Solve(context.Background(), tc.prob, &o)
+			if res.Status != StatusOptimal {
+				t.Fatalf("status %v", res.Status)
 			}
+			assertHandedRoot(t, tc.name, tc.prob, &o, res)
 		})
 	}
 }
@@ -165,7 +147,7 @@ func assertHandedRoot(t *testing.T, name string, p *Problem, o *Options, cold Re
 	got := SolveFrom(context.Background(), p, o, &Root{Inst: inst, Res: root})
 	want := cold
 	want.LPIterations -= root.Iterations
-	assertBitIdentical(t, name+"/handed-root", want, got, o.Workers, o.Workers)
+	assertBitIdentical(t, name+"/handed-root", want, got)
 
 	if inst.NumRows() != p.LP.NumRows() {
 		t.Errorf("%s: handed instance has %d rows after the search, %d before", name, inst.NumRows(), p.LP.NumRows())
@@ -187,92 +169,73 @@ func assertHandedRoot(t *testing.T, name string, p *Problem, o *Options, cold Re
 	}
 }
 
-// TestParallelDeterminismRepeated re-runs the same parallel solve several
-// times: scheduling noise between runs must never leak into the committed
-// result.
-func TestParallelDeterminismRepeated(t *testing.T) {
-	mp := randKnapsack(13, 20, 27, true)
-	base := Solve(context.Background(), mp, &Options{Workers: 4})
-	if base.Status != StatusOptimal {
-		t.Fatalf("status %v", base.Status)
-	}
-	for i := 0; i < 4; i++ {
-		res := Solve(context.Background(), mp, &Options{Workers: 4})
-		assertBitIdentical(t, "repeat", base, res, 4, 4)
-	}
-}
-
-// TestParallelIncumbentStress hammers the shared atomic incumbent: an
-// equality-constrained knapsack produces a long chain of improving
-// incumbents while eight workers race to read the published bound for
-// speculation pruning. Run under -race this is the engine's memory-model
-// check; in any mode it asserts the parallel result matches serial.
-func TestParallelIncumbentStress(t *testing.T) {
-	mp := multiKnapsack(7, 28, 8)
-	serial := Solve(context.Background(), mp, &Options{Workers: 1})
-	if serial.Status != StatusOptimal {
-		t.Fatalf("serial status %v", serial.Status)
-	}
-	rounds := 3
-	if testing.Short() {
-		rounds = 1
-	}
-	for i := 0; i < rounds; i++ {
-		res := Solve(context.Background(), mp, &Options{Workers: 8})
-		assertBitIdentical(t, "stress", serial, res, 1, 8)
-	}
-}
-
-// TestParallelProgressSerialized checks that progress callbacks stay
-// serialized on the committing goroutine with many workers: concurrent
-// invocations would race on the unsynchronized counter (and trip -race).
-func TestParallelProgressSerialized(t *testing.T) {
+// TestProgressCallbacks pins the progress contract: a periodic callback
+// after every ProgressEvery-th node, in node order, and one callback per
+// incumbent improvement, the last of which reports the final objective.
+func TestProgressCallbacks(t *testing.T) {
+	const every = 3
 	mp := randKnapsack(7, 24, 32, true)
-	calls := 0
-	lastNodes := 0
-	opts := &Options{
-		Workers:       8,
-		ProgressEvery: 1,
+	var periodic []int
+	var incs []float64
+	res := Solve(context.Background(), mp, &Options{
+		ProgressEvery: every,
 		Progress: func(p Progress) {
-			calls++
 			if p.NewIncumbent {
+				incs = append(incs, p.Incumbent)
 				return
 			}
-			if p.Nodes < lastNodes {
-				t.Errorf("periodic progress went backwards: %d after %d", p.Nodes, lastNodes)
-			}
-			lastNodes = p.Nodes
-			if p.Worker < 0 || p.Worker > 8 {
-				t.Errorf("progress carries out-of-range worker id %d", p.Worker)
-			}
+			periodic = append(periodic, p.Nodes)
 		},
-	}
-	res := Solve(context.Background(), mp, opts)
+	})
 	if res.Status != StatusOptimal {
 		t.Fatalf("status %v", res.Status)
 	}
-	if calls == 0 {
-		t.Fatal("progress callback never fired")
+	if len(periodic) != res.Nodes/every {
+		t.Errorf("%d periodic callbacks over %d nodes, want %d", len(periodic), res.Nodes, res.Nodes/every)
+	}
+	for k, n := range periodic {
+		if n != every*(k+1) {
+			t.Fatalf("periodic callback %d at node %d, want %d", k, n, every*(k+1))
+		}
+	}
+	if len(incs) == 0 {
+		t.Fatal("no incumbent callback")
+	}
+	for k := 1; k < len(incs); k++ {
+		if incs[k] <= incs[k-1] { // the problem maximizes
+			t.Errorf("incumbent callback %d reports %v after %v", k, incs[k], incs[k-1])
+		}
+	}
+	if last := incs[len(incs)-1]; math.Float64bits(last) != math.Float64bits(res.Obj) {
+		t.Errorf("last incumbent callback %v, result %v", last, res.Obj)
 	}
 }
 
-// TestParallelCancellation cancels mid-search with every worker busy; the
-// solve must come back promptly with StatusCancelled and no goroutine may
-// outlive it (the -race build would flag stragglers writing task state).
+// TestParallelCancellation cancels a running search from another goroutine
+// once it has solved its first node; the solve must come back promptly with
+// StatusCancelled.
 func TestParallelCancellation(t *testing.T) {
-	mp := randKnapsack(5, 40, 55, true)
+	mp := multiKnapsack(5, 50, 15) // ~140 ms: far from done after one node
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	running := make(chan struct{})
 	go func() {
-		time.Sleep(20 * time.Millisecond)
+		<-running
 		cancel()
 	}()
+	signalled := false
 	start := time.Now()
-	res := Solve(ctx, mp, &Options{Workers: 8})
+	res := Solve(ctx, mp, &Options{ProgressEvery: 1, Progress: func(Progress) {
+		if !signalled {
+			signalled = true
+			close(running)
+		}
+	}})
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("cancellation took %v", elapsed)
 	}
-	if res.Status != StatusCancelled && res.Status != StatusOptimal {
-		t.Fatalf("status %v", res.Status)
+	if res.Status != StatusCancelled {
+		t.Fatalf("status %v after %d nodes, want %v", res.Status, res.Nodes, StatusCancelled)
 	}
 }
 
@@ -281,17 +244,15 @@ func TestParallelCancellation(t *testing.T) {
 // not let a tight-but-positive TimeLimit run away (the LP-level deadline
 // bounds each node solve independently).
 func TestTightTimeLimitStops(t *testing.T) {
-	mp := multiKnapsack(5, 50, 15) // ~140 ms serial: cannot finish in 30 ms
-	for _, w := range []int{1, 4} {
-		start := time.Now()
-		res := Solve(context.Background(), mp, &Options{TimeLimit: 30 * time.Millisecond, Workers: w})
-		elapsed := time.Since(start)
-		if res.Status != StatusLimit {
-			t.Fatalf("workers=%d: status %v, want %v (elapsed %v)", w, res.Status, StatusLimit, elapsed)
-		}
-		if elapsed > 5*time.Second {
-			t.Fatalf("workers=%d: 30ms time limit stopped only after %v", w, elapsed)
-		}
+	mp := multiKnapsack(5, 50, 15) // ~140 ms: cannot finish in 30 ms
+	start := time.Now()
+	res := Solve(context.Background(), mp, &Options{TimeLimit: 30 * time.Millisecond})
+	elapsed := time.Since(start)
+	if res.Status != StatusLimit {
+		t.Fatalf("status %v, want %v (elapsed %v)", res.Status, StatusLimit, elapsed)
+	}
+	if elapsed > 5*time.Second {
+		t.Fatalf("30ms time limit stopped only after %v", elapsed)
 	}
 }
 
@@ -300,7 +261,7 @@ func TestTightTimeLimitStops(t *testing.T) {
 // admission engine chains its decisions: a larger search fills the source,
 // then a smaller and a larger one draw the dirty workspaces. Each must be
 // bit-identical to the same search on instances with workspaces of their
-// own, for every worker count.
+// own.
 func TestSolveFromRecycledWorkspaces(t *testing.T) {
 	ctx := context.Background()
 	solveFrom := func(p *Problem, o *Options, ws *lp.Workspaces) Result {
@@ -320,16 +281,14 @@ func TestSolveFromRecycledWorkspaces(t *testing.T) {
 		{"knapsack-eq-18", randKnapsack(9, 18, 24, true)},
 		{"multiknapsack-40x12", multiKnapsack(4, 40, 12)},
 	}
-	for _, w := range []int{1, 2, 4, 8} {
-		o := Options{Workers: w}
-		ws := lp.NewWorkspaces(2)
-		for _, tc := range seq {
-			want := solveFrom(tc.prob, &o, nil)
-			if want.Status != StatusOptimal {
-				t.Fatalf("%s workers=%d: status %v", tc.name, w, want.Status)
-			}
-			assertBitIdentical(t, tc.name+"/recycled", want, solveFrom(tc.prob, &o, ws), w, w)
+	var o Options
+	ws := lp.NewWorkspaces(2)
+	for _, tc := range seq {
+		want := solveFrom(tc.prob, &o, nil)
+		if want.Status != StatusOptimal {
+			t.Fatalf("%s: status %v", tc.name, want.Status)
 		}
+		assertBitIdentical(t, tc.name+"/recycled", want, solveFrom(tc.prob, &o, ws))
 	}
 }
 

@@ -45,11 +45,11 @@ type ColumnStats = mip.ColumnStats
 // repository: exact MIP solves (Model.Optimize, core.Built.Solve), the
 // per-iteration subproblems of the greedy algorithm, the admission engine's
 // per-decision solves, and the evaluation sweeps. The zero value means "no
-// limits, serial, silent".
+// limits, silent".
 //
 // Direct construction is an internal lowering target and deprecated for
 // API consumers: configure solves through the pkg/tvnep facade's functional
-// options (tvnep.WithTimeLimit, tvnep.WithWorkers, …), which lower into
+// options (tvnep.WithTimeLimit, tvnep.WithNodeLimit, …), which lower into
 // this struct in exactly one place.
 type SolveOptions struct {
 	// TimeLimit bounds one solve (0 → none). The greedy algorithm applies
@@ -66,13 +66,10 @@ type SolveOptions struct {
 	// k-th node thereafter (0 → the default of 50; a negative value
 	// disables the heuristic entirely, including at the root).
 	HeuristicEvery int
-	// Workers is the degree of parallelism. Sweep drivers (internal/eval)
-	// use it as the number of scenarios solved concurrently, where 0 means
-	// runtime.NumCPU(); a single solve hands it to the branch-and-bound
-	// tree search as the number of node-relaxation workers, where 0 means
-	// one worker. The parallel tree search is deterministic: its committed
-	// result is bit-identical for every worker count. Sweeps keep their
-	// inner solves single-worker, so the two uses never multiply.
+	// Workers is the number of scenarios an evaluation sweep
+	// (internal/eval) solves concurrently, where 0 means runtime.NumCPU().
+	// Nothing else reads it: every branch-and-bound search runs on the
+	// goroutine that calls it.
 	Workers int
 	// Progress, when non-nil, receives per-solve progress snapshots
 	// (incumbent updates, node counts, LP iteration totals).
@@ -98,7 +95,6 @@ func (o *SolveOptions) mipOptions() *mip.Options {
 		GapTol:         o.GapTol,
 		IntTol:         o.IntTol,
 		HeuristicEvery: o.HeuristicEvery,
-		Workers:        o.Workers,
 		ProgressEvery:  o.ProgressEvery,
 	}
 	if o.Progress != nil {

@@ -42,8 +42,7 @@ func (s *Solver) engine() (*admit.Engine, error) {
 // requests exists, following objective (21) of the greedy algorithm.
 // mapping pins every virtual node a priori. Requires WithHorizon; decisions
 // are made strictly in call order and, under the default node-limit budget,
-// are a pure function of the submission sequence (bit-identical replays for
-// any WithWorkers value).
+// are a pure function of the submission sequence (bit-identical replays).
 func (s *Solver) Admit(ctx context.Context, req *Request, mapping []int) (Decision, error) {
 	eng, err := s.engine()
 	if err != nil {

@@ -26,9 +26,8 @@
 // (objective recomputation, applied-cut validity, root-LP optimality).
 //
 // Determinism is a design contract throughout: branch-and-bound results are
-// bit-identical for every WithWorkers value, and admission traces replay
-// identically as long as budgets are node-based (WithNodeLimit) rather than
-// time-based.
+// bit-identical across runs, and admission traces replay identically, as
+// long as budgets are node-based (WithNodeLimit) rather than time-based.
 //
 // Direct use of the internal packages (internal/core, internal/greedy,
 // internal/mip, …) is unsupported; their exported surfaces exist for this

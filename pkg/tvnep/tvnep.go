@@ -342,8 +342,11 @@ func WithGapTol(g float64) Option {
 	return func(c *config) { c.solve.GapTol = g }
 }
 
-// WithWorkers sets the branch-and-bound parallelism. The tree search is
-// deterministic: results are bit-identical for every worker count.
+// WithWorkers sets the solve options' worker count, which only sweep pools
+// read: the evaluation harness sizes its scenario pool with it.
+//
+// Deprecated: it has no effect on Solve or Admit, whose branch-and-bound
+// search is serial.
 func WithWorkers(n int) Option {
 	return func(c *config) { c.solve.Workers = n }
 }
