@@ -145,8 +145,8 @@ func runReplay(solver *tvnep.Solver, sc *tvnep.Scenario, quiet bool) int {
 		}
 	}
 	s := solver.EngineStats()
-	fmt.Printf("decisions=%d accepted=%d (rate %.3f) tiers: precheck=%d lp=%d rounding=%d mip=%d\n",
-		s.Decisions, s.Accepted, s.AcceptRate(), s.PrecheckTier, s.LPTier, s.RoundingTier, s.MIPTier)
+	fmt.Printf("decisions=%d accepted=%d (rate %.3f) tiers: precheck=%d lp=%d (bound rejects %d) rounding=%d mip=%d\n",
+		s.Decisions, s.Accepted, s.AcceptRate(), s.PrecheckTier, s.LPTier, s.BoundRejects, s.RoundingTier, s.MIPTier)
 	fmt.Printf("latency: p50=%v p99=%v   warm rate %.3f (%d/%d, %d LU extensions)   reopts=%d\n",
 		s.LatencyP50, s.LatencyP99, s.WarmRate(), s.WarmUsed, s.WarmAttempts, s.BasisExtended, s.Reopts)
 

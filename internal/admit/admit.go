@@ -14,7 +14,9 @@
 //     substrate even on an empty network (no solve at all),
 //  2. an LP fast tier that solves the root relaxation through a raw
 //     lp.Instance (keeping the basis and LU factors) and decides
-//     immediately when the relaxation is integral,
+//     immediately when the relaxation is integral, or when its bound
+//     rules out acceptance: every acceptance scores at least 2T − t^e
+//     under objective (21), so a lower root bound proves the rejection,
 //  3. a full branch-and-bound solve otherwise, which starts from the
 //     tier-2 root: it clones the solved instance and adopts its root
 //     relaxation, basis and factors instead of compiling and solving the
@@ -65,7 +67,8 @@ type Tier string
 const (
 	// TierPrecheck: rejected by the capacity precheck, no solve.
 	TierPrecheck Tier = "precheck"
-	// TierLP: decided by an integral LP relaxation, no branch and bound.
+	// TierLP: decided by the root LP relaxation, no branch and bound: an
+	// integral relaxation, or a bound that rules out acceptance.
 	TierLP Tier = "lp"
 	// TierRounding: accepted by rounding the fractional LP relaxation
 	// (Config.Rounding; only accepts — rejections stay with the MIP tier).
@@ -187,6 +190,7 @@ type Stats struct {
 	LPTier        int
 	RoundingTier  int
 	MIPTier       int
+	BoundRejects  int // LP-tier rejections proved by the root bound (boundRejects)
 	CertFailures  int
 	Reopts        int
 	TotalLPIters  int
@@ -407,34 +411,8 @@ type acceptance struct {
 // decide runs the LP fast tier and, when inconclusive, the full
 // branch-and-bound solve. It returns nil when the request is rejected.
 func (e *Engine) decide(ctx context.Context, rec *record, d *Decision) (*acceptance, error) {
-	subInst, _, opts, newIdx, pinned := e.subproblem(rec)
+	b, newIdx := e.model(rec)
 	d.Stats.ActiveSet = newIdx
-
-	b := core.RebuildCSigma(e.built, subInst, opts)
-	e.built = b
-	// Pin the committed flows, not just the committed schedules: the solve
-	// has no authority to reroute traffic the engine already committed, so
-	// letting the χ variables of accepted requests float would admit new
-	// requests against a hypothetical rerouting that never happens — the
-	// union of per-decision flows could then overload links. The ±FlowCutoff
-	// band absorbs the quantization applied when the flows were extracted.
-	for i, flows := range pinned {
-		for lv, row := range flows {
-			for ls, f := range row {
-				lo := f - numtol.FlowCutoff
-				if lo < 0 {
-					lo = 0
-				}
-				b.Model.SetBounds(b.XE[i][lv][ls], lo, f+numtol.FlowCutoff)
-			}
-		}
-	}
-	// Objective (21): max T·x_R(new) + (T − t⁻_new).
-	T := e.cfg.Horizon
-	b.Model.SetObjective(e.obj.Reset().
-		Add(T, b.XR[newIdx]).
-		Add(-1, b.TMinus[newIdx]).
-		AddConst(T))
 
 	// LP fast tier: solve the root relaxation through a raw instance so the
 	// basis and LU factors survive for the MIP tier's root and the
@@ -457,6 +435,12 @@ func (e *Engine) decide(ctx context.Context, rec *record, d *Decision) (*accepta
 	inst.CaptureFactors(&lpRes, e.rootFac)
 	d.Stats.LPIterations += lpRes.Iterations
 
+	if boundRejects(lpRes, 2*e.cfg.Horizon-rec.req.Latest) {
+		d.Stats.Tier = TierLP
+		e.stats.BoundRejects++
+		e.commitRestart(inst, b, lpRes, nil, newIdx, d)
+		return nil, nil
+	}
 	var sol *solution.Solution
 	if lpRes.Status == lp.StatusOptimal && integral(b.Model, lpRes.X) {
 		d.Stats.Tier = TierLP
@@ -501,6 +485,39 @@ func (e *Engine) decide(ctx context.Context, rec *record, d *Decision) (*accepta
 	return acc, nil
 }
 
+// model rebuilds the per-decision cΣ model of rec's admission into the
+// engine's recycled model storage, with the committed flows pinned and
+// objective (21) set, and returns it with the arriving request's index.
+func (e *Engine) model(rec *record) (*core.Built, int) {
+	subInst, _, opts, newIdx, pinned := e.subproblem(rec)
+	b := core.RebuildCSigma(e.built, subInst, opts)
+	e.built = b
+	// Pin the committed flows, not just the committed schedules: the solve
+	// has no authority to reroute traffic the engine already committed, so
+	// letting the χ variables of accepted requests float would admit new
+	// requests against a hypothetical rerouting that never happens — the
+	// union of per-decision flows could then overload links. The ±FlowCutoff
+	// band absorbs the quantization applied when the flows were extracted.
+	for i, flows := range pinned {
+		for lv, row := range flows {
+			for ls, f := range row {
+				lo := f - numtol.FlowCutoff
+				if lo < 0 {
+					lo = 0
+				}
+				b.Model.SetBounds(b.XE[i][lv][ls], lo, f+numtol.FlowCutoff)
+			}
+		}
+	}
+	// Objective (21): max T·x_R(new) + (T − t⁻_new).
+	T := e.cfg.Horizon
+	b.Model.SetObjective(e.obj.Reset().
+		Add(T, b.XR[newIdx]).
+		Add(-1, b.TMinus[newIdx]).
+		AddConst(T))
+	return b, newIdx
+}
+
 // subproblem assembles the per-decision cΣ instance: every committed request
 // whose schedule overlaps the arriving window, pinned to its schedule and
 // force-accepted, plus the arriving request free. The arriving request's
@@ -537,6 +554,17 @@ func (e *Engine) subproblem(rec *record) (*core.Instance, vnet.NodeMapping, core
 		ForceAccept:     force,
 	}
 	return inst, subMap, opts, newIdx, pinned
+}
+
+// boundRejects reports whether the root relaxation proves the arriving
+// request rejected. Objective (21) scores an acceptance T·x_R + (T − t⁻)
+// with x_R = 1 and t⁻ ≤ t^e, so every acceptance scores at least
+// tau = 2T − t^e, and an optimal root bound below tau leaves none. The
+// relative margin ObjTol absorbs the LP's own roundoff; it is wider than
+// MIPIntTol, so an incumbent whose x_R falls a MIPIntTol short of 1, which
+// the search would accept, still scores above it.
+func boundRejects(root lp.Result, tau float64) bool {
+	return root.Status == lp.StatusOptimal && root.Obj < tau-numtol.ObjTol*math.Abs(tau)
 }
 
 // integral reports whether the LP point is integral on every integer column.

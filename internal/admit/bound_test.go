@@ -1,0 +1,146 @@
+package admit
+
+import (
+	"context"
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"testing"
+
+	"tvnep/internal/graph"
+	"tvnep/internal/lp"
+	"tvnep/internal/numtol"
+	"tvnep/internal/substrate"
+	"tvnep/internal/vnet"
+)
+
+// decisionDigest hashes what a decision commits or answers: the verdict,
+// the exact bits of Start and End, and the Hosts and Flows of the
+// embedding. Solver counters and tiers are left out, so two engines that
+// reach the same decisions by different amounts of work digest equal.
+func decisionDigest(ds []Decision) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	word := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for _, d := range ds {
+		if d.Accepted {
+			word(1)
+		} else {
+			word(0)
+		}
+		word(math.Float64bits(d.Start))
+		word(math.Float64bits(d.End))
+		word(uint64(len(d.Hosts)))
+		for _, s := range d.Hosts {
+			word(uint64(s))
+		}
+		word(uint64(len(d.Flows)))
+		for _, row := range d.Flows {
+			word(uint64(len(row)))
+			for _, f := range row {
+				word(math.Float64bits(f))
+			}
+		}
+	}
+	return h.Sum64()
+}
+
+// TestRejectionBoundKeepsDecisions replays the 4000-request default-preset
+// traces of seeds 3 and 7 (a 1000-request prefix under -short) and compares
+// the digest of every decision against digests recorded from the engine
+// that searched every non-integral rejection with branch and bound: the
+// root-bound rejection must only save work, never change an answer.
+func TestRejectionBoundKeepsDecisions(t *testing.T) {
+	for _, tc := range []struct {
+		seed        int64
+		full, short uint64
+	}{
+		{3, 0x6f293036e9459870, 0x37026d6e24f5a477},
+		{7, 0x670fd24b60a4439b, 0x030c8979499757ea},
+	} {
+		sc := trace(t, 4000, tc.seed)
+		want := tc.full
+		if testing.Short() {
+			sc.Requests, sc.Mapping = sc.Requests[:1000], sc.Mapping[:1000]
+			want = tc.short
+		}
+		eng := replay(t, sc, Config{})
+		got := decisionDigest(eng.Decisions())
+		s := eng.Stats()
+		t.Logf("seed %d, %d decisions: digest %#016x, lp=%d (bound %d) mip=%d, %d LP iterations, %d nodes",
+			tc.seed, s.Decisions, got, s.LPTier, s.BoundRejects, s.MIPTier, s.TotalLPIters, s.TotalNodes)
+		if got != want {
+			t.Errorf("seed %d: decision digest %#016x, want %#016x", tc.seed, got, want)
+		}
+	}
+}
+
+// TestRejectionBoundMargin admits a hand-built request whose root bound
+// lies a chosen distance below tau = 2T − t^e. On a 1×2 grid with node
+// capacity 3, a committed request holds 2 units of node 0 over [0, 4]; the
+// arriving single-node request (duration 2, window [0, 5], so it must
+// overlap) asks for D > 1 units there, and the root relaxation accepts the
+// fraction x_R = 1/D of it ending at t⁻ = 2: bound 10/D + 8 against
+// tau = 15 for T = 10. Choosing D = 10/(7 − gap) puts the bound gap below
+// tau. Twice the margin ObjTol·tau below tau the root rejects at the LP
+// tier; half the margin below, the bound proves nothing and branch and
+// bound has to decide (and rejects: the request does not fit).
+func TestRejectionBoundMargin(t *testing.T) {
+	const T, latest = 10.0, 5.0
+	tau := 2*T - latest
+	margin := numtol.ObjTol * tau
+	for _, tc := range []struct {
+		name   string
+		gap    float64 // tau − root bound, in units of the margin
+		tier   Tier
+		bounds int // Stats.BoundRejects after the admission
+	}{
+		{"below-margin", 2, TierLP, 1},
+		{"inside-margin", 0.5, TierMIP, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := New(Config{Sub: substrate.Grid(1, 2, 3, 5), Horizon: T})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d, err := eng.Admit(context.Background(), oneNodeRequest("a", 2, 0, 4, 4), []int{0}); err != nil || !d.Accepted {
+				t.Fatalf("committed request: accepted=%v err=%v", d.Accepted, err)
+			}
+			req := oneNodeRequest("b", T/(T-3-tc.gap*margin), 0, 2, latest)
+			b, _ := eng.model(&record{req: req, mapping: []int{0}})
+			root := lp.NewInstance(b.Model.LP()).Solve(&lp.Options{})
+			if root.Status != lp.StatusOptimal || math.Abs(tau-root.Obj-tc.gap*margin) > margin/100 {
+				t.Fatalf("root bound %v (status %v), want %v", root.Obj, root.Status, tau-tc.gap*margin)
+			}
+			d, err := eng.Admit(context.Background(), req, []int{0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.Accepted || d.Stats.Tier != tc.tier {
+				t.Fatalf("accepted=%v tier=%q, want a rejection at tier %q", d.Accepted, d.Stats.Tier, tc.tier)
+			}
+			if searched := d.Stats.Nodes > 0; searched != (tc.tier == TierMIP) {
+				t.Fatalf("%d branch-and-bound nodes at tier %q", d.Stats.Nodes, d.Stats.Tier)
+			}
+			if s := eng.Stats(); s.BoundRejects != tc.bounds {
+				t.Fatalf("BoundRejects %d, want %d", s.BoundRejects, tc.bounds)
+			}
+		})
+	}
+}
+
+// oneNodeRequest builds a request with one virtual node and no links.
+func oneNodeRequest(name string, demand, earliest, duration, latest float64) *vnet.Request {
+	return &vnet.Request{
+		Name:       name,
+		G:          graph.NewDigraph(1),
+		NodeDemand: []float64{demand},
+		LinkDemand: []float64{},
+		Earliest:   earliest,
+		Duration:   duration,
+		Latest:     latest,
+	}
+}

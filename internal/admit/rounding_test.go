@@ -1,12 +1,10 @@
 package admit
 
 import (
-	"math"
 	"testing"
 
 	"tvnep/internal/certify"
 	"tvnep/internal/core"
-	"tvnep/internal/model"
 	"tvnep/internal/solution"
 )
 
@@ -41,44 +39,26 @@ func TestRoundingTierEngages(t *testing.T) {
 		s.PrecheckTier, s.LPTier, s.RoundingTier, s.MIPTier, s.Accepted, s.Decisions)
 }
 
-// TestRoundingTierDeterminism replays one trace with the rounding tier at
-// several worker counts and twice at the same seed: the accept/reject
-// sequence, the committed schedules (bit-for-bit) and the per-decision
-// tiers must be identical — the tier's per-decision seeds derive only from
-// Config.Seed and the decision index.
+// TestRoundingTierDeterminism replays one trace with the rounding tier
+// twice at the same seed: every decision must match bit for bit, its
+// verdict, tier, schedule, pinned bound and solver counters
+// (trajectoryLine) and its hosts and flows (decisionDigest). The tier's
+// per-decision seeds derive only from Config.Seed and the decision index.
 func TestRoundingTierDeterminism(t *testing.T) {
 	n := 40
 	if testing.Short() {
 		n = 15
 	}
 	sc := trace(t, n, 11)
-	var base []Decision
-	for _, run := range []struct {
-		workers int
-	}{{1}, {2}, {4}, {8}, {1}} { // final run repeats workers=1 at the same seed
-		eng := replay(t, sc, Config{
-			Rounding: true, Seed: 23,
-			Solve: model.SolveOptions{Workers: run.workers},
-		})
-		ds := eng.Decisions()
-		if base == nil {
-			base = ds
-			continue
+	cfg := Config{Rounding: true, Seed: 23}
+	first, second := replay(t, sc, cfg).Decisions(), replay(t, sc, cfg).Decisions()
+	for i := range first {
+		if a, b := trajectoryLine(first[i]), trajectoryLine(second[i]); a != b {
+			t.Fatalf("decision %d differs between two runs:\nfirst:  %s\nsecond: %s", i, a, b)
 		}
-		if len(ds) != len(base) {
-			t.Fatalf("workers=%d: %d decisions, want %d", run.workers, len(ds), len(base))
-		}
-		for i := range ds {
-			if ds[i].Accepted != base[i].Accepted || ds[i].Stats.Tier != base[i].Stats.Tier {
-				t.Fatalf("workers=%d: decision %d (accept=%v tier=%q) != base (accept=%v tier=%q)",
-					run.workers, i, ds[i].Accepted, ds[i].Stats.Tier, base[i].Accepted, base[i].Stats.Tier)
-			}
-			if math.Float64bits(ds[i].Start) != math.Float64bits(base[i].Start) ||
-				math.Float64bits(ds[i].End) != math.Float64bits(base[i].End) {
-				t.Fatalf("workers=%d: decision %d schedule [%v,%v] != [%v,%v]",
-					run.workers, i, ds[i].Start, ds[i].End, base[i].Start, base[i].End)
-			}
-		}
+	}
+	if a, b := decisionDigest(first), decisionDigest(second); a != b {
+		t.Fatalf("hosts or flows differ between two runs: digests %#016x and %#016x", a, b)
 	}
 }
 

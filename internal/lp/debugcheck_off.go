@@ -2,9 +2,11 @@
 
 package lp
 
-// debugVerifyResult and debugCheckCandidates are compiled to no-ops unless
-// the debugchecks build tag is set; see debugcheck_on.go for the assertions
-// they enable.
+// debugVerifyResult, debugCheckCandidates and debugCheckDuals are compiled
+// to no-ops unless the debugchecks build tag is set; see debugcheck_on.go
+// for the assertions they enable.
 func debugVerifyResult(*Instance, *Result) {}
 
 func debugCheckCandidates(*solver) {}
+
+func debugCheckDuals(*solver) {}

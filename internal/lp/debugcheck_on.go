@@ -75,3 +75,20 @@ func debugCheckCandidates(s *solver) {
 		panic(fmt.Sprintf("lp debugchecks: iteration %d: %v", s.iters, err))
 	}
 }
+
+// debugCheckDuals asserts, whenever computeDuals reuses y under yFresh, that
+// a fresh solve of Bᵀ·y = c_B gives every entry bit for bit, and panics on
+// a difference.
+func debugCheckDuals(s *solver) {
+	y := make([]float64, s.m)
+	for i := range y {
+		y[i] = s.cost[s.basis[i]]
+	}
+	s.fac.Btran(y, allRows(make([]int32, 0, s.m), s.m))
+	for i, v := range y {
+		if math.Float64bits(v) != math.Float64bits(s.y[i]) {
+			panic(fmt.Sprintf("lp debugchecks: iteration %d: reused dual y[%d] = %v, a fresh solve gives %v",
+				s.iters, i, s.y[i], v))
+		}
+	}
+}

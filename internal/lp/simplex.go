@@ -350,6 +350,13 @@ type solver struct {
 	dValid    bool
 	dFresh    bool // d recomputed from scratch since the last pivot
 	xbFresh   bool // xB recomputed from scratch since the last pivot
+	// yFresh: y solves Bᵀ·y = c_B for the current basis, factors and phase
+	// costs (computeDuals skips its BTRAN while it holds). Cleared by
+	// reset (every solve, so after fit and row or column appends too), a
+	// pivot, a refactorization or adopted basis, and the switch from the
+	// phase-1 to the real costs; a solve installs its first costs before
+	// anything computes y.
+	yFresh bool
 
 	// Long-step (bound-flipping) dual ratio test scratch: a binary min-heap
 	// of breakpoints keyed (ratio, column), the ratio-sorted drain of that
@@ -508,7 +515,7 @@ func (s *solver) reset(opts Options) {
 	s.priceCursor = 0
 	s.boundFlips = 0
 	s.ratioPass = 0
-	s.dValid, s.dFresh, s.xbFresh, s.infeasOK = false, false, false, false
+	s.dValid, s.dFresh, s.xbFresh, s.yFresh, s.infeasOK = false, false, false, false, false
 	s.fac = nil
 	s.preFac = nil
 	for j := range s.devexW {
@@ -637,12 +644,20 @@ func allRows(nz []int32, m int) []int32 {
 }
 
 // computeDuals fills s.y with the solution of Bᵀ·y = c_B for the active
-// phase costs.
+// phase costs. While yFresh holds, s.y already is that solution, bit for
+// bit (the same basis, factors and costs give the same BTRAN), so the
+// solve is skipped: a solve's optimality check recomputes the reduced
+// costs, and with them y, just before result reports the duals.
 func (s *solver) computeDuals() {
+	if s.yFresh {
+		debugCheckDuals(s)
+		return
+	}
 	for i := 0; i < s.m; i++ {
 		s.y[i] = s.cost[s.basis[i]]
 	}
 	s.fac.Btran(s.y, allRows(s.denseNZ, s.m))
+	s.yFresh = true
 }
 
 // reducedCost returns d_j = c_j − yᵀ·A_j using the currently computed duals.
@@ -706,6 +721,7 @@ func (s *solver) refactor() error {
 	s.facCur = 1 - s.facCur
 	s.fac = spare
 	s.sincefac = 0
+	s.yFresh = false
 	return nil
 }
 
@@ -736,6 +752,7 @@ func (s *solver) pivot(q int, r int, enterVal float64, leaveStat int8) {
 	s.markInfeas(r)
 	s.lastPivotQ = q
 	s.xbFresh = false
+	s.yFresh = false
 	if s.sincefac >= refactorEvery(s.m) || s.fac.EtaNNZ() >= etaNNZBudget(s.m) {
 		if err := s.refactor(); err == nil { //lint:allow hotalloc -- periodic refactorization is the amortized cold path
 			s.computeXB()
@@ -777,6 +794,7 @@ func (s *solver) adoptBasis(b *Basis) bool {
 	}
 	copy(s.basis, b.Basic)
 	copy(s.vstat, b.Status)
+	s.yFresh = false
 	for j := range s.inBasis {
 		s.inBasis[j] = -1
 	}

@@ -178,7 +178,7 @@ func (inst *Instance) solveCold(o Options) Result {
 		return s.result(StatusNumeric)
 	}
 	copy(s.cost, s.real)
-	s.dValid = false
+	s.dValid, s.yFresh = false, false
 	switch s.primal(o.MaxIters) {
 	case iterOptimal:
 		return s.finishOptimal(o)

@@ -43,7 +43,8 @@ func TestWarmStartRefactorizes(t *testing.T) {
 // TestWarmStartFactorHandoff: supplying the captured factorization alongside
 // the basis must be adopted as a handoff (no refactorization) and produce
 // the same optimum — including on a DIFFERENT Instance of the same problem,
-// which is what the parallel branch-and-bound workers rely on.
+// which is what a branch-and-bound search that clones its handed root
+// instance relies on.
 func TestWarmStartFactorHandoff(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	p, _ := buildRandomLP(rng, 8, 10)

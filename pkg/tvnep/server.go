@@ -45,6 +45,7 @@ type StatsResponse struct {
 	PrecheckTier  int     `json:"precheck_tier"`
 	LPTier        int     `json:"lp_tier"`
 	MIPTier       int     `json:"mip_tier"`
+	BoundRejects  int     `json:"lp_bound_rejects"` // lp_tier rejections proved by the root bound
 	CertFailures  int     `json:"cert_failures"`
 	Reopts        int     `json:"reopts"`
 	TotalLPIters  int     `json:"total_lp_iterations"`
@@ -163,6 +164,7 @@ func (sv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		PrecheckTier:  s.PrecheckTier,
 		LPTier:        s.LPTier,
 		MIPTier:       s.MIPTier,
+		BoundRejects:  s.BoundRejects,
 		CertFailures:  s.CertFailures,
 		Reopts:        s.Reopts,
 		TotalLPIters:  s.TotalLPIters,

@@ -34,7 +34,7 @@ func TestServerRoundTrip(t *testing.T) {
 	resp.Body.Close()
 
 	// Stream every request; collect decisions.
-	accepted := 0
+	accepted, lpRejects := 0, 0
 	for i, req := range sc.Requests {
 		body, err := json.Marshal(tvnep.AdmitRequest{
 			Request: workload.EncodeRequest(req),
@@ -63,6 +63,8 @@ func TestServerRoundTrip(t *testing.T) {
 		}
 		if d.Accepted {
 			accepted++
+		} else if d.Tier == tvnep.TierLP {
+			lpRejects++
 		}
 	}
 	if accepted == 0 {
@@ -82,6 +84,9 @@ func TestServerRoundTrip(t *testing.T) {
 	if stats.Decisions != len(sc.Requests) || stats.Accepted != accepted {
 		t.Fatalf("stats (%d decisions, %d accepted) disagree with stream (%d, %d)",
 			stats.Decisions, stats.Accepted, len(sc.Requests), accepted)
+	}
+	if stats.BoundRejects > lpRejects {
+		t.Fatalf("stats report %d root-bound rejections, the stream %d LP-tier rejections", stats.BoundRejects, lpRejects)
 	}
 	if stats.WarmAttempts > 0 && stats.WarmUsed == 0 {
 		t.Errorf("warm rate zero across %d attempts", stats.WarmAttempts)

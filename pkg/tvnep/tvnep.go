@@ -111,10 +111,15 @@ const (
 
 // Admission tiers.
 const (
+	// TierPrecheck: rejected by the capacity precheck, no solve.
 	TierPrecheck = admit.TierPrecheck
-	TierLP       = admit.TierLP
+	// TierLP: decided by the root LP relaxation, no branch and bound: an
+	// integral relaxation, or a bound that rules out acceptance.
+	TierLP = admit.TierLP
+	// TierRounding: accepted by rounding the fractional root relaxation.
 	TierRounding = admit.TierRounding
-	TierMIP      = admit.TierMIP
+	// TierMIP: decided by a full branch-and-bound solve.
+	TierMIP = admit.TierMIP
 )
 
 // Re-exported constructors and helpers.
