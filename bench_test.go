@@ -157,6 +157,9 @@ func BenchmarkFig9Improvement(b *testing.B) {
 }
 
 // --- Ablation benchmarks (DESIGN.md §6) ---
+//
+// The bare variant and the single LP-relaxation solve are the
+// AblationCSigmaBare and LPRelaxationCSigma entries of `tvnep-bench -json`.
 
 func benchCSigmaVariant(b *testing.B, noCuts, noPresolve bool) {
 	wl := workload.Default()
@@ -201,9 +204,6 @@ func BenchmarkAblationCSigmaNoCuts(b *testing.B) { benchCSigmaVariant(b, true, f
 // state-space reduction.
 func BenchmarkAblationCSigmaNoPresolve(b *testing.B) { benchCSigmaVariant(b, false, true) }
 
-// BenchmarkAblationCSigmaBare disables both.
-func BenchmarkAblationCSigmaBare(b *testing.B) { benchCSigmaVariant(b, true, true) }
-
 // BenchmarkGreedyEndToEnd measures one full cΣ_A^G run on the default
 // evaluation scenario (the paper reports ~0.1 s per iteration).
 func BenchmarkGreedyEndToEnd(b *testing.B) {
@@ -237,29 +237,6 @@ func BenchmarkModelBuildCSigma(b *testing.B) {
 		})
 		if built.Model.NumVars() == 0 {
 			b.Fatal("empty model")
-		}
-	}
-}
-
-// BenchmarkLPRelaxationCSigma measures a single LP-relaxation solve of the
-// cΣ-Model at the default evaluation scale (the unit of work inside every
-// branch-and-bound node).
-func BenchmarkLPRelaxationCSigma(b *testing.B) {
-	wl := workload.Default()
-	wl.GridRows, wl.GridCols = 2, 2
-	wl.NumRequests = 5
-	wl.FlexibilityHr = 2
-	sc := workload.Generate(wl, 1)
-	inst := &core.Instance{Sub: sc.Substrate, Reqs: sc.Requests, Horizon: sc.Horizon}
-	built := core.BuildCSigma(inst, core.BuildOptions{
-		Objective:    core.AccessControl,
-		FixedMapping: sc.Mapping,
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sol := built.Model.Relax()
-		if !sol.HasSolution {
-			b.Fatal("relaxation not solved")
 		}
 	}
 }

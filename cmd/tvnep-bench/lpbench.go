@@ -3,10 +3,13 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
+	"reflect"
 	"runtime"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -17,42 +20,38 @@ import (
 	"tvnep/internal/model"
 	"tvnep/internal/round"
 	"tvnep/internal/stats"
+	"tvnep/internal/vnet"
 	"tvnep/internal/workload"
 )
 
-// The -json mode: a machine-readable micro-benchmark of the LP solver core,
-// mirroring the two guard benchmarks of the test suite
-// (BenchmarkLPRelaxationCSigma and BenchmarkAblationCSigmaBare) and
-// augmenting them with solver-internal statistics: simplex iterations,
-// long-step ratio-test activity, warm-start success rate and factor-handoff
-// rate from the lp.Debug* counters, the equilibration-scaling diagnostics
-// and a steady-state allocation probe. Pass -compare with a previously
-// written report to embed it as the baseline, compute speedups, and fail
-// the run when ns/op, allocs/op or bytes/op regresses beyond regressionTol.
+// The -json mode: a machine-readable benchmark of the solver layers. Every
+// entry of lpBenches runs a fixed number of ops, so every counter in the
+// report — simplex iterations, branch-and-bound nodes, long-step ratio-test
+// activity, cut and column counts, accept, warm-restart and fallback rates,
+// and the warm-start totals of the lp.Debug* counters — is the same on
+// every run of one build. Time is process CPU per op. The report also
+// carries the equilibration-scaling diagnostics and a steady-state
+// allocation probe. Pass -compare with a previously written report to embed
+// it as the baseline, compute speedups, and fail the run when any counter
+// differs from it, CPU time per op rises by more than cpuTol, or
+// allocations or bytes per op by more than allocTol.
 
-// regressionTol is the fractional slack the -compare regression guard
-// grants over the baseline before failing the run.
-// shortNsSlack is the extra ns/op slack granted in short mode: the capped
-// op counts amortize less warm state per op, which reads a systematic
-// 13-19% slower than the full-run baseline on an otherwise identical
-// build. Allocation counts and bytes get no extra slack.
+// Regression-guard tolerances of -compare, as fractions of the baseline.
 const (
-	regressionTol = 0.10
-	shortNsSlack  = 0.20
+	cpuTol   = 0.30
+	allocTol = 0.10
 )
 
-type lpBenchResult struct {
-	Name         string  `json:"name"`
-	Iterations   int     `json:"iterations"`
-	NsPerOp      float64 `json:"ns_per_op"`
-	AllocsPerOp  float64 `json:"allocs_per_op"`
-	BytesPerOp   float64 `json:"bytes_per_op"`
-	LPItersPerOp float64 `json:"lp_iters_per_op"`
-	BBNodes      float64 `json:"bb_nodes,omitempty"`
+// lpCounters are the deterministic counters of one op. The measuring loop
+// sums them over an entry's ops and reports their per-op means; counters an
+// entry does not produce stay zero and are omitted.
+type lpCounters struct {
+	LPIters float64 `json:"lp_iters_per_op"`
+	BBNodes float64 `json:"bb_nodes,omitempty"`
 	// Long-step dual ratio-test activity (see lp.Result): nonbasic bound
-	// flips absorbed without a pivot, and breakpoints walked per op.
-	BoundFlipsPerOp  float64 `json:"bound_flips_per_op,omitempty"`
-	RatioPassesPerOp float64 `json:"ratio_passes_per_op,omitempty"`
+	// flips absorbed without a pivot, and breakpoints walked.
+	BoundFlips  float64 `json:"bound_flips_per_op,omitempty"`
+	RatioPasses float64 `json:"ratio_passes_per_op,omitempty"`
 	// Lazy-separation statistics (LazyCutCSigma only): rows present in the
 	// root LP vs rows appended on demand, separation rounds, and pool
 	// dedup hits.
@@ -67,19 +66,38 @@ type lpBenchResult struct {
 	ColsPriced  float64 `json:"cols_priced,omitempty"`
 	ColRounds   float64 `json:"col_rounds,omitempty"`
 	ColPoolHits float64 `json:"col_pool_hits,omitempty"`
-	// Streaming-admission statistics (AdmissionStream only): per-decision
-	// latency quantiles and trace-level accept / warm-restart rates.
-	// RandomizedRounding reuses the quantile fields for its per-solve
-	// latencies.
-	P50NS      float64 `json:"p50_ns,omitempty"`
-	P99NS      float64 `json:"p99_ns,omitempty"`
-	AcceptRate float64 `json:"accept_rate,omitempty"`
-	WarmRate   float64 `json:"warm_rate,omitempty"`
-	// FallbackRate is the fraction of RandomizedRounding ops that exhausted
-	// every sample and fell back to exact branch-and-bound (a pointer so a
-	// genuine 0.0 rate still lands in the report, while the entry stays
-	// absent from every other benchmark).
-	FallbackRate *float64 `json:"fallback_rate,omitempty"`
+	// AcceptRate and FallbackRate are 1 for an admission decision that
+	// accepted and for a rounding op that exhausted every sample and fell
+	// back to exact branch-and-bound, so their means are the rates.
+	AcceptRate   float64 `json:"accept_rate,omitempty"`
+	FallbackRate float64 `json:"fallback_rate,omitempty"`
+	// Restarts and WarmRestarts count the admission engine's commitment
+	// hot-restarts and those that ran warm.
+	Restarts     float64 `json:"restarts_per_op,omitempty"`
+	WarmRestarts float64 `json:"warm_restarts_per_op,omitempty"`
+}
+
+// eachCounter calls f with the JSON name of every counter field and
+// pointers to that field in a and b.
+func eachCounter(a, b *lpCounters, f func(name string, x, y *float64)) {
+	va, vb := reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		name, _, _ := strings.Cut(va.Type().Field(i).Tag.Get("json"), ",")
+		f(name, va.Field(i).Addr().Interface().(*float64), vb.Field(i).Addr().Interface().(*float64))
+	}
+}
+
+type lpBenchResult struct {
+	Name        string  `json:"name"`
+	Ops         int     `json:"ops"`
+	CPUNsPerOp  float64 `json:"cpu_ns_per_op"`
+	CPUP50NS    float64 `json:"cpu_p50_ns"`
+	CPUP99NS    float64 `json:"cpu_p99_ns"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
+	BytesPerOp  float64 `json:"bytes_per_op"`
+	lpCounters
+	// WarmRate is the fraction of commitment restarts that ran warm.
+	WarmRate float64 `json:"warm_rate,omitempty"`
 }
 
 type lpWarmStats struct {
@@ -124,80 +142,212 @@ type lpBenchReport struct {
 	Speedup           map[string]float64 `json:"speedup,omitempty"`
 }
 
-// measureLP times f (one op per call) with alloc accounting. f reports the
-// simplex iterations it consumed; extra metrics from the first op survive
-// into the result, except the ratio-test counters, which accumulate over
-// every op like the iteration count.
-func measureLP(name string, short bool, f func() (lpIters int, extra map[string]float64)) lpBenchResult {
-	// Warmup op, also used to calibrate the iteration count to ~1s.
-	t0 := time.Now()
-	_, extra := f()
-	per := time.Since(t0)
-	n := int(time.Second / (per + 1))
-	if n < 5 {
-		n = 5
-	}
-	nmax := 2000
-	if short {
-		nmax = 25
-	}
-	if n > nmax {
-		n = nmax
-	}
+// lpOp runs op i of a benchmark and returns its counters.
+type lpOp func(i int) (lpCounters, error)
 
+// lpBench is one entry of the benchmark table: setup builds the entry's
+// scenario outside the measurement and returns its op, which runs ops
+// times.
+type lpBench struct {
+	name  string
+	ops   int
+	setup func() (lpOp, error)
+}
+
+// streamDecisions is the length of the AdmissionStream trace.
+const streamDecisions = 10000
+
+// lpBenches is the benchmark table. The op counts hold each entry near one
+// second of CPU on a 2-vCPU host, and the stream at its full trace.
+var lpBenches = []lpBench{
+	// One LP-relaxation solve of the cΣ-Model at the default evaluation
+	// scale (the unit of work in every B&B node).
+	{"LPRelaxationCSigma", 800, func() (lpOp, error) {
+		m := relaxModel().Model
+		return func(int) (lpCounters, error) {
+			sol := m.Relax()
+			if !sol.HasSolution {
+				return lpCounters{}, errors.New("relaxation not solved")
+			}
+			return lpCounters{LPIters: float64(sol.LPIterations),
+				BoundFlips: float64(sol.BoundFlips), RatioPasses: float64(sol.RatioPasses)}, nil
+		}, nil
+	}},
+	// A bare (no cuts, no model presolve) branch-and-bound solve — the
+	// warm-start-heavy workload.
+	{"AblationCSigmaBare", 90, solveBench(7, func(wl *workload.Config) {
+		wl.GridRows, wl.GridCols, wl.NumRequests, wl.StarLeaves, wl.FlexibilityHr = 2, 2, 4, 1, 2
+	}, core.BuildOptions{CutMode: core.CutOff, DisablePresolve: true})},
+	// The Constraint-(20) family separated lazily instead of statically
+	// emitted — the incremental-row / cut-pool workload (seed chosen so
+	// the root LP actually violates precedence candidates).
+	{"LazyCutCSigma", 64, solveBench(3, func(wl *workload.Config) {
+		wl.GridRows, wl.GridCols, wl.NumRequests, wl.StarLeaves, wl.FlexibilityHr = 2, 2, 4, 1, 1.5
+	}, core.BuildOptions{CutMode: core.CutLazy})},
+	// One WAN-scale scenario (ISP-style Waxman substrate, per-link
+	// capacities) under the two link-flow formulations. Arc mode carries a
+	// flow variable per (request, virtual link, substrate arc); path mode
+	// replaces them with path columns priced by the reduced-cost Dijkstra
+	// pricer, so its LP is far smaller.
+	{"WANCSigmaArc", 300, solveBench(5, wanScenario, core.BuildOptions{FlowMode: core.FlowArc})},
+	{"WANCSigmaPath", 400, solveBench(5, wanScenario, core.BuildOptions{FlowMode: core.FlowPath})},
+	// One approximate cΣ solve — LP relaxation, fractional decomposition,
+	// sampling and repair — per op, with the op's seed derived by
+	// round.MixSeed so consecutive ops sample different streams. It runs
+	// before the admission stream on purpose: the stream's long-lived
+	// engine leaves a live heap that would skew GC pacing of this
+	// allocation-heavy loop.
+	{"RandomizedRounding", 64, func() (lpOp, error) {
+		inst, mapping := scenario(1, func(wl *workload.Config) { wl.FlexibilityHr = 2 })
+		return func(i int) (lpCounters, error) {
+			sol, rs, err := round.Solve(context.Background(), inst, mapping, round.Options{
+				Seed:      round.MixSeed(1, int64(i)),
+				Objective: core.AccessControl,
+				Solve:     model.SolveOptions{TimeLimit: 30 * time.Second},
+			})
+			if err != nil || sol == nil {
+				return lpCounters{}, fmt.Errorf("sol=%v err=%v", sol, err)
+			}
+			return lpCounters{LPIters: float64(rs.LPIterations), FallbackRate: flag01(rs.FellBack)}, nil
+		}, nil
+	}},
+	// A request arrival trace replayed through one long-lived online
+	// admission engine: op i is the admission decision of request i.
+	{"AdmissionStream", streamDecisions, func() (lpOp, error) {
+		inst, mapping := scenario(1, func(wl *workload.Config) {
+			wl.NumRequests, wl.StarLeaves, wl.FlexibilityHr = streamDecisions, 1, 2
+		})
+		eng, err := admit.New(admit.Config{
+			Sub:     inst.Sub,
+			Horizon: inst.Horizon,
+			Solve:   model.SolveOptions{NodeLimit: admit.DefaultNodeLimit},
+		})
+		if err != nil {
+			return nil, err
+		}
+		return func(i int) (lpCounters, error) {
+			d, err := eng.Admit(context.Background(), inst.Reqs[i], mapping[i])
+			if err != nil {
+				return lpCounters{}, err
+			}
+			// Every decision past the capacity precheck pins itself into
+			// its root LP with one commitment restart.
+			return lpCounters{
+				LPIters:      float64(d.Stats.LPIterations),
+				BBNodes:      float64(d.Stats.Nodes),
+				AcceptRate:   flag01(d.Accepted),
+				Restarts:     flag01(d.Stats.Tier != admit.TierPrecheck),
+				WarmRestarts: flag01(d.Stats.WarmUsed),
+			}, nil
+		}, nil
+	}},
+}
+
+// scenario generates seed's scenario of the default workload after edit.
+func scenario(seed int64, edit func(wl *workload.Config)) (*core.Instance, vnet.NodeMapping) {
+	wl := workload.Default()
+	edit(&wl)
+	sc := workload.Generate(wl, seed)
+	return &core.Instance{Sub: sc.Substrate, Reqs: sc.Requests, Horizon: sc.Horizon}, sc.Mapping
+}
+
+func wanScenario(wl *workload.Config) {
+	wl.Topology, wl.WANNodes, wl.WANAvgDeg = "wan", 12, 4
+	wl.NumRequests, wl.StarLeaves, wl.FlexibilityHr = 4, 1, 1.5
+}
+
+// relaxModel builds the cΣ model LPRelaxationCSigma relaxes.
+func relaxModel() *core.Built {
+	inst, mapping := scenario(1, func(wl *workload.Config) {
+		wl.GridRows, wl.GridCols, wl.NumRequests, wl.FlexibilityHr = 2, 2, 5, 2
+	})
+	return core.BuildCSigma(inst, core.BuildOptions{Objective: core.AccessControl, FixedMapping: mapping})
+}
+
+// solveBench is an entry whose op builds the access-control cΣ model of
+// seed's scenario with opts and solves it to optimality by branch and
+// bound. Cut counters are reported under lazy separation and column
+// counters under priced path columns, the modes that separate and price.
+func solveBench(seed int64, edit func(wl *workload.Config), opts core.BuildOptions) func() (lpOp, error) {
+	return func() (lpOp, error) {
+		inst, mapping := scenario(seed, edit)
+		opts.Objective, opts.FixedMapping = core.AccessControl, mapping
+		return func(int) (lpCounters, error) {
+			built := core.BuildCSigma(inst, opts)
+			sol, ms := built.Solve(context.Background(), &model.SolveOptions{TimeLimit: 30 * time.Second})
+			if sol == nil || ms.Status != model.StatusOptimal {
+				return lpCounters{}, fmt.Errorf("solve ended %v", ms.Status)
+			}
+			c := lpCounters{LPIters: float64(ms.LPIterations), BBNodes: float64(ms.Nodes),
+				BoundFlips: float64(ms.BoundFlips), RatioPasses: float64(ms.RatioPasses)}
+			if opts.CutMode == core.CutLazy {
+				c.CutRowsRoot, c.CutRowsSeparated = float64(ms.Cuts.RowsAtRoot), float64(ms.Cuts.SeparatedRows)
+				c.CutRounds, c.CutPoolHits = float64(ms.Cuts.Rounds), float64(ms.Cuts.PoolHits)
+			}
+			if opts.FlowMode == core.FlowPath {
+				c.ColsRoot, c.ColsPriced = float64(ms.Columns.ColsAtRoot), float64(ms.Columns.PricedCols)
+				c.ColRounds, c.ColPoolHits = float64(ms.Columns.Rounds), float64(ms.Columns.PoolHits)
+			}
+			return c, nil
+		}, nil
+	}
+}
+
+func flag01(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// processCPU returns the CPU time (user + system) the process has used. On
+// a virtual machine whose host steals cycles it stays steady where wall
+// time does not: stolen time is not charged to the process.
+func processCPU() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
+// measure runs b's op b.ops times and reports the per-op means of its
+// counters, process CPU time and allocations.
+func measure(b lpBench) (lpBenchResult, error) {
+	op, err := b.setup()
+	if err != nil {
+		return lpBenchResult{}, fmt.Errorf("lpbench: %s: %w", b.name, err)
+	}
+	cpu := make([]float64, b.ops)
+	var sum lpCounters
 	var ms0, ms1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&ms0)
-	iters := 0
-	flips, passes := 0.0, 0.0
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		li, ex := f()
-		iters += li
-		flips += ex["bound_flips"]
-		passes += ex["ratio_passes"]
+	for i := 0; i < b.ops; i++ {
+		t0 := processCPU()
+		c, err := op(i)
+		cpu[i] = float64(processCPU() - t0)
+		if err != nil {
+			return lpBenchResult{}, fmt.Errorf("lpbench: %s op %d: %w", b.name, i, err)
+		}
+		eachCounter(&sum, &c, func(_ string, s, x *float64) { *s += *x })
 	}
-	dt := time.Since(start)
 	runtime.ReadMemStats(&ms1)
-
+	n := float64(b.ops)
 	res := lpBenchResult{
-		Name:             name,
-		Iterations:       n,
-		NsPerOp:          float64(dt.Nanoseconds()) / float64(n),
-		AllocsPerOp:      float64(ms1.Mallocs-ms0.Mallocs) / float64(n),
-		BytesPerOp:       float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(n),
-		LPItersPerOp:     float64(iters) / float64(n),
-		BoundFlipsPerOp:  flips / float64(n),
-		RatioPassesPerOp: passes / float64(n),
+		Name:        b.name,
+		Ops:         b.ops,
+		CPUNsPerOp:  stats.Mean(cpu),
+		CPUP50NS:    stats.Quantile(cpu, 0.5),
+		CPUP99NS:    stats.Quantile(cpu, 0.99),
+		AllocsPerOp: float64(ms1.Mallocs-ms0.Mallocs) / n,
+		BytesPerOp:  float64(ms1.TotalAlloc-ms0.TotalAlloc) / n,
 	}
-	if v, ok := extra["bb_nodes"]; ok {
-		res.BBNodes = v
+	eachCounter(&res.lpCounters, &sum, func(_ string, m, s *float64) { *m = *s / n })
+	if sum.Restarts > 0 {
+		res.WarmRate = sum.WarmRestarts / sum.Restarts
 	}
-	if v, ok := extra["cut_rows_root"]; ok {
-		res.CutRowsRoot = v
-	}
-	if v, ok := extra["cut_rows_separated"]; ok {
-		res.CutRowsSeparated = v
-	}
-	if v, ok := extra["cut_rounds"]; ok {
-		res.CutRounds = v
-	}
-	if v, ok := extra["cut_pool_hits"]; ok {
-		res.CutPoolHits = v
-	}
-	if v, ok := extra["cols_root"]; ok {
-		res.ColsRoot = v
-	}
-	if v, ok := extra["cols_priced"]; ok {
-		res.ColsPriced = v
-	}
-	if v, ok := extra["col_rounds"]; ok {
-		res.ColRounds = v
-	}
-	if v, ok := extra["col_pool_hits"]; ok {
-		res.ColPoolHits = v
-	}
-	return res
+	return res, nil
 }
 
 // steadyStateAllocs measures the per-pivot allocation count of the simplex
@@ -265,13 +415,77 @@ func steadyStateAllocs(p *lp.Problem) float64 {
 	return extra / itersPerRun
 }
 
-// runLPBench executes the LP benchmark suite and writes the JSON report to
+// compareLP records cur's speedups over base (baseline CPU time per op
+// over current) and lists its regressions against base: a baseline entry
+// that is missing, any op count, counter, rate or warm-start total that
+// differs, and CPU time per op above cpuTol or allocations or bytes per op
+// above allocTol over the baseline.
+func compareLP(cur, base *lpBenchReport) []string {
+	cur.Speedup = map[string]float64{}
+	var regs []string
+	bad := func(format string, args ...any) { regs = append(regs, fmt.Sprintf(format, args...)) }
+	for _, b := range base.Benchmarks {
+		var c *lpBenchResult
+		for i := range cur.Benchmarks {
+			if cur.Benchmarks[i].Name == b.Name {
+				c = &cur.Benchmarks[i]
+			}
+		}
+		if c == nil {
+			bad("%s: missing", b.Name)
+			continue
+		}
+		if c.CPUNsPerOp > 0 && b.CPUNsPerOp > 0 {
+			cur.Speedup[b.Name] = b.CPUNsPerOp / c.CPUNsPerOp
+		}
+		if c.Ops != b.Ops {
+			bad("%s: ops %d vs baseline %d", b.Name, c.Ops, b.Ops)
+		}
+		eachCounter(&c.lpCounters, &b.lpCounters, func(name string, x, y *float64) {
+			//lint:allow floateq -- counters are deterministic, so any difference is a change
+			if *x != *y {
+				bad("%s: %s %v vs baseline %v", b.Name, name, *x, *y)
+			}
+		})
+		//lint:allow floateq -- a ratio of deterministic counters
+		if c.WarmRate != b.WarmRate {
+			bad("%s: warm_rate %v vs baseline %v", b.Name, c.WarmRate, b.WarmRate)
+		}
+		for _, m := range []struct {
+			name           string
+			cur, base, tol float64
+		}{
+			{"cpu_ns_per_op", c.CPUNsPerOp, b.CPUNsPerOp, cpuTol},
+			{"allocs_per_op", c.AllocsPerOp, b.AllocsPerOp, allocTol},
+			{"bytes_per_op", c.BytesPerOp, b.BytesPerOp, allocTol},
+		} {
+			if m.base > 0 && m.cur > m.base*(1+m.tol) {
+				bad("%s: %s %.0f vs baseline %.0f (+%.0f%%)", b.Name, m.name, m.cur, m.base, 100*(m.cur/m.base-1))
+			}
+		}
+	}
+	if cur.WarmStart != base.WarmStart {
+		bad("warm_start %+v vs baseline %+v", cur.WarmStart, base.WarmStart)
+	}
+	return regs
+}
+
+// runLPBench runs the benchmark table and writes the JSON report to
 // outPath. When comparePath names an earlier report, it is embedded as the
-// baseline, per-benchmark speedups are computed, and the run fails if any
-// shared benchmark regressed in ns/op, allocs/op or bytes/op by more than
-// regressionTol. Short mode caps the op counts and the admission trace for
-// CI.
-func runLPBench(outPath, comparePath string, short bool) error {
+// baseline and the run fails on any regression compareLP finds.
+func runLPBench(outPath, comparePath string) error {
+	var base *lpBenchReport
+	if comparePath != "" {
+		data, err := os.ReadFile(comparePath)
+		if err != nil {
+			return fmt.Errorf("lpbench: read baseline: %w", err)
+		}
+		base = &lpBenchReport{}
+		if err := json.Unmarshal(data, base); err != nil {
+			return fmt.Errorf("lpbench: parse baseline: %w", err)
+		}
+		base.Baseline = nil // never nest more than one level
+	}
 	report := lpBenchReport{
 		Timestamp: time.Now().UTC().Format(time.RFC3339),
 		GoVersion: runtime.Version(),
@@ -279,262 +493,16 @@ func runLPBench(outPath, comparePath string, short bool) error {
 	wa0, wo0 := lp.DebugWarmAttempts.Load(), lp.DebugWarmOK.Load()
 	fh0, bx0 := lp.DebugFactorHandoffs.Load(), lp.DebugBasisExtensions.Load()
 
-	// LPRelaxationCSigma: one LP-relaxation solve of the cΣ-Model at the
-	// default evaluation scale (the unit of work in every B&B node).
-	{
-		wl := workload.Default()
-		wl.GridRows, wl.GridCols = 2, 2
-		wl.NumRequests = 5
-		wl.FlexibilityHr = 2
-		sc := workload.Generate(wl, 1)
-		inst := &core.Instance{Sub: sc.Substrate, Reqs: sc.Requests, Horizon: sc.Horizon}
-		built := core.BuildCSigma(inst, core.BuildOptions{
-			Objective:    core.AccessControl,
-			FixedMapping: sc.Mapping,
-		})
-		scaled, sb, sa := lp.NewInstance(built.Model.LP()).ScalingStats()
-		report.Scaling = lpScalingStats{Scaled: scaled, SpreadBefore: sb, SpreadAfter: sa}
-		report.SteadyStateAllocs = steadyStateAllocs(built.Model.LP())
-		report.Benchmarks = append(report.Benchmarks, measureLP("LPRelaxationCSigma", short,
-			func() (int, map[string]float64) {
-				sol := built.Model.Relax()
-				if !sol.HasSolution {
-					fmt.Fprintln(os.Stderr, "lpbench: relaxation not solved")
-					os.Exit(1)
-				}
-				return sol.LPIterations, map[string]float64{
-					"bound_flips":  float64(sol.BoundFlips),
-					"ratio_passes": float64(sol.RatioPasses),
-				}
-			}))
-	}
-
-	// AblationCSigmaBare: a full bare (no cuts, no model presolve)
-	// branch-and-bound solve — the warm-start-heavy workload.
-	{
-		wl := workload.Default()
-		wl.GridRows, wl.GridCols = 2, 2
-		wl.NumRequests = 4
-		wl.StarLeaves = 1
-		wl.FlexibilityHr = 2
-		sc := workload.Generate(wl, 7)
-		inst := &core.Instance{Sub: sc.Substrate, Reqs: sc.Requests, Horizon: sc.Horizon}
-		report.Benchmarks = append(report.Benchmarks, measureLP("AblationCSigmaBare", short,
-			func() (int, map[string]float64) {
-				built := core.BuildCSigma(inst, core.BuildOptions{
-					Objective:       core.AccessControl,
-					FixedMapping:    sc.Mapping,
-					CutMode:         core.CutOff,
-					DisablePresolve: true,
-				})
-				sol, ms := built.Solve(context.Background(), &model.SolveOptions{TimeLimit: 30 * time.Second})
-				if sol == nil || ms.Status != model.StatusOptimal {
-					fmt.Fprintf(os.Stderr, "lpbench: ablation solve failed: %v\n", ms.Status)
-					os.Exit(1)
-				}
-				return ms.LPIterations, map[string]float64{
-					"bb_nodes":     float64(ms.Nodes),
-					"bound_flips":  float64(ms.BoundFlips),
-					"ratio_passes": float64(ms.RatioPasses),
-				}
-			}))
-	}
-
-	// LazyCutCSigma: a full branch-and-bound solve with the Constraint-(20)
-	// family separated lazily instead of statically emitted — the
-	// incremental-row / cut-pool workload (seed chosen so the root LP
-	// actually violates precedence candidates).
-	{
-		wl := workload.Default()
-		wl.GridRows, wl.GridCols = 2, 2
-		wl.NumRequests = 4
-		wl.StarLeaves = 1
-		wl.FlexibilityHr = 1.5
-		sc := workload.Generate(wl, 3)
-		inst := &core.Instance{Sub: sc.Substrate, Reqs: sc.Requests, Horizon: sc.Horizon}
-		report.Benchmarks = append(report.Benchmarks, measureLP("LazyCutCSigma", short,
-			func() (int, map[string]float64) {
-				built := core.BuildCSigma(inst, core.BuildOptions{
-					Objective:    core.AccessControl,
-					FixedMapping: sc.Mapping,
-					CutMode:      core.CutLazy,
-				})
-				sol, ms := built.Solve(context.Background(), &model.SolveOptions{TimeLimit: 30 * time.Second})
-				if sol == nil || ms.Status != model.StatusOptimal {
-					fmt.Fprintf(os.Stderr, "lpbench: lazy-cut solve failed: %v\n", ms.Status)
-					os.Exit(1)
-				}
-				return ms.LPIterations, map[string]float64{
-					"bb_nodes":           float64(ms.Nodes),
-					"bound_flips":        float64(ms.BoundFlips),
-					"ratio_passes":       float64(ms.RatioPasses),
-					"cut_rows_root":      float64(ms.Cuts.RowsAtRoot),
-					"cut_rows_separated": float64(ms.Cuts.SeparatedRows),
-					"cut_rounds":         float64(ms.Cuts.Rounds),
-					"cut_pool_hits":      float64(ms.Cuts.PoolHits),
-				}
-			}))
-	}
-
-	// WANCSigmaArc / WANCSigmaPath: full branch-and-bound solves of one
-	// WAN-scale scenario (ISP-style Waxman substrate, per-link capacities)
-	// under the two link-flow formulations. Arc mode carries a flow variable
-	// per (request, virtual link, substrate arc); path mode replaces them
-	// with priced path columns generated by the reduced-cost Dijkstra
-	// pricer, so on link-rich WANs the path LP is far smaller — fewer
-	// simplex iterations per op and lower ns/op, with the column-generation
-	// counters reported alongside.
-	{
-		wl := workload.Default()
-		wl.Topology = "wan"
-		wl.WANNodes = 12
-		wl.WANAvgDeg = 4
-		wl.NumRequests = 4
-		wl.StarLeaves = 1
-		wl.FlexibilityHr = 1.5
-		sc := workload.Generate(wl, 5)
-		inst := &core.Instance{Sub: sc.Substrate, Reqs: sc.Requests, Horizon: sc.Horizon}
-		for _, mode := range []struct {
-			name string
-			fm   core.FlowMode
-		}{
-			{"WANCSigmaArc", core.FlowArc},
-			{"WANCSigmaPath", core.FlowPath},
-		} {
-			mode := mode
-			report.Benchmarks = append(report.Benchmarks, measureLP(mode.name, short,
-				func() (int, map[string]float64) {
-					built := core.BuildCSigma(inst, core.BuildOptions{
-						Objective:    core.AccessControl,
-						FixedMapping: sc.Mapping,
-						FlowMode:     mode.fm,
-					})
-					sol, ms := built.Solve(context.Background(), &model.SolveOptions{TimeLimit: 30 * time.Second})
-					if sol == nil || ms.Status != model.StatusOptimal {
-						fmt.Fprintf(os.Stderr, "lpbench: WAN %v solve failed: %v\n", mode.fm, ms.Status)
-						os.Exit(1)
-					}
-					extra := map[string]float64{
-						"bb_nodes":     float64(ms.Nodes),
-						"bound_flips":  float64(ms.BoundFlips),
-						"ratio_passes": float64(ms.RatioPasses),
-					}
-					if mode.fm == core.FlowPath {
-						extra["cols_root"] = float64(ms.Columns.ColsAtRoot)
-						extra["cols_priced"] = float64(ms.Columns.PricedCols)
-						extra["col_rounds"] = float64(ms.Columns.Rounds)
-						extra["col_pool_hits"] = float64(ms.Columns.PoolHits)
-					}
-					return ms.LPIterations, extra
-				}))
-		}
-	}
-
-	// RandomizedRounding: one approximate cΣ solve — LP relaxation,
-	// fractional decomposition, sampling and repair — per op. It runs
-	// before the admission stream on purpose: the stream's long-lived
-	// engine leaves a mode-dependent live heap (10000 vs 2000 decisions)
-	// that would skew GC pacing of this allocation-heavy loop and make
-	// short-mode ns/op incomparable to the full-run baseline.
-	// Per-op seeds derive via round.MixSeed so consecutive ops exercise
-	// different sample streams deterministically. The p50/p99 fields are
-	// per-solve latency quantiles and FallbackRate counts ops that
-	// exhausted every sample and ran exact branch-and-bound instead.
-	{
-		wl := workload.Default()
-		wl.FlexibilityHr = 2
-		sc := workload.Generate(wl, 1)
-		inst := &core.Instance{Sub: sc.Substrate, Reqs: sc.Requests, Horizon: sc.Horizon}
-		n := 64
-		if short {
-			n = 16
-		}
-		var ms0, ms1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms0)
-		lpIters, fellBack := 0, 0
-		lat := make([]float64, 0, n)
-		start := time.Now()
-		for op := 0; op < n; op++ {
-			sol, rs, err := round.Solve(context.Background(), inst, sc.Mapping, round.Options{
-				Seed:      round.MixSeed(1, int64(op)),
-				Objective: core.AccessControl,
-				Solve:     model.SolveOptions{TimeLimit: 30 * time.Second},
-			})
-			if err != nil || sol == nil {
-				return fmt.Errorf("lpbench: rounding op %d: sol=%v err=%v", op, sol, err)
-			}
-			lpIters += rs.LPIterations
-			if rs.FellBack {
-				fellBack++
-			}
-			lat = append(lat, float64(rs.Runtime.Nanoseconds()))
-		}
-		total := time.Since(start)
-		runtime.ReadMemStats(&ms1)
-		fbRate := float64(fellBack) / float64(n)
-		report.Benchmarks = append(report.Benchmarks, lpBenchResult{
-			Name:         "RandomizedRounding",
-			Iterations:   n,
-			NsPerOp:      float64(total.Nanoseconds()) / float64(n),
-			AllocsPerOp:  float64(ms1.Mallocs-ms0.Mallocs) / float64(n),
-			BytesPerOp:   float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(n),
-			LPItersPerOp: float64(lpIters) / float64(n),
-			P50NS:        stats.Quantile(lat, 0.5),
-			P99NS:        stats.Quantile(lat, 0.99),
-			FallbackRate: &fbRate,
-		})
-	}
-
-	// AdmissionStream: a request arrival trace replayed through the online
-	// admission engine in one pass. Unlike the micro-benchmarks above the
-	// op is a single admission decision inside one long-lived engine, so
-	// the trace runs exactly once: ns/op is total wall clock over decisions,
-	// and the p50/p99 fields are the engine's own per-decision latency
-	// quantiles — the bounded-tail-latency claim of the admission service.
-	{
-		wl := workload.Default()
-		wl.NumRequests = 10000
-		if short {
-			wl.NumRequests = 2000
-		}
-		wl.StarLeaves = 1
-		wl.FlexibilityHr = 2
-		sc := workload.Generate(wl, 1)
-		eng, err := admit.New(admit.Config{
-			Sub:     sc.Substrate,
-			Horizon: sc.Horizon,
-			Solve:   model.SolveOptions{NodeLimit: admit.DefaultNodeLimit},
-		})
+	relaxLP := relaxModel().Model.LP()
+	scaled, sb, sa := lp.NewInstance(relaxLP).ScalingStats()
+	report.Scaling = lpScalingStats{Scaled: scaled, SpreadBefore: sb, SpreadAfter: sa}
+	report.SteadyStateAllocs = steadyStateAllocs(relaxLP)
+	for _, b := range lpBenches {
+		res, err := measure(b)
 		if err != nil {
-			return fmt.Errorf("lpbench: admission engine: %w", err)
+			return err
 		}
-		var ms0, ms1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms0)
-		start := time.Now()
-		for r, req := range sc.Requests {
-			if _, err := eng.Admit(context.Background(), req, sc.Mapping[r]); err != nil {
-				return fmt.Errorf("lpbench: admission stream request %d: %w", r, err)
-			}
-		}
-		total := time.Since(start)
-		runtime.ReadMemStats(&ms1)
-		es := eng.Stats()
-		n := es.Decisions
-		report.Benchmarks = append(report.Benchmarks, lpBenchResult{
-			Name:         "AdmissionStream",
-			Iterations:   n,
-			NsPerOp:      float64(total.Nanoseconds()) / float64(n),
-			AllocsPerOp:  float64(ms1.Mallocs-ms0.Mallocs) / float64(n),
-			BytesPerOp:   float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(n),
-			LPItersPerOp: float64(es.TotalLPIters) / float64(n),
-			BBNodes:      float64(es.TotalNodes) / float64(n),
-			P50NS:        float64(es.LatencyP50.Nanoseconds()),
-			P99NS:        float64(es.LatencyP99.Nanoseconds()),
-			AcceptRate:   es.AcceptRate(),
-			WarmRate:     es.WarmRate(),
-		})
+		report.Benchmarks = append(report.Benchmarks, res)
 	}
 
 	wa := lp.DebugWarmAttempts.Load() - wa0
@@ -548,47 +516,9 @@ func runLPBench(outPath, comparePath string, short bool) error {
 	}
 
 	var regressions []string
-	if comparePath != "" {
-		data, err := os.ReadFile(comparePath)
-		if err != nil {
-			return fmt.Errorf("lpbench: read baseline: %w", err)
-		}
-		base := &lpBenchReport{}
-		if err := json.Unmarshal(data, base); err != nil {
-			return fmt.Errorf("lpbench: parse baseline: %w", err)
-		}
-		base.Baseline = nil // never nest more than one level
+	if base != nil {
 		report.Baseline = base
-		report.Speedup = map[string]float64{}
-		for _, b := range base.Benchmarks {
-			for _, cur := range report.Benchmarks {
-				if cur.Name != b.Name {
-					continue
-				}
-				if cur.NsPerOp > 0 {
-					report.Speedup[b.Name] = b.NsPerOp / cur.NsPerOp
-				}
-				nsTol := regressionTol
-				if short {
-					nsTol += shortNsSlack
-				}
-				if b.NsPerOp > 0 && cur.NsPerOp > b.NsPerOp*(1+nsTol) {
-					regressions = append(regressions, fmt.Sprintf(
-						"%s: ns/op %.0f vs baseline %.0f (+%.0f%%)",
-						b.Name, cur.NsPerOp, b.NsPerOp, 100*(cur.NsPerOp/b.NsPerOp-1)))
-				}
-				if b.AllocsPerOp > 0 && cur.AllocsPerOp > b.AllocsPerOp*(1+regressionTol) {
-					regressions = append(regressions, fmt.Sprintf(
-						"%s: allocs/op %.0f vs baseline %.0f (+%.0f%%)",
-						b.Name, cur.AllocsPerOp, b.AllocsPerOp, 100*(cur.AllocsPerOp/b.AllocsPerOp-1)))
-				}
-				if b.BytesPerOp > 0 && cur.BytesPerOp > b.BytesPerOp*(1+regressionTol) {
-					regressions = append(regressions, fmt.Sprintf(
-						"%s: bytes/op %.0f vs baseline %.0f (+%.0f%%)",
-						b.Name, cur.BytesPerOp, b.BytesPerOp, 100*(cur.BytesPerOp/b.BytesPerOp-1)))
-				}
-			}
-		}
+		regressions = compareLP(&report, base)
 	}
 
 	data, err := json.MarshalIndent(&report, "", "  ")
@@ -606,32 +536,18 @@ func runLPBench(outPath, comparePath string, short bool) error {
 		}
 		fmt.Printf("# wrote %s\n", outPath)
 		for _, b := range report.Benchmarks {
-			line := fmt.Sprintf("# %-22s %12.0f ns/op %10.0f allocs/op %8.1f lp_iters/op", b.Name, b.NsPerOp, b.AllocsPerOp, b.LPItersPerOp)
+			line := fmt.Sprintf("# %-20s %5d ops %10.0f cpu-ns/op (p50 %.2fms, p99 %.2fms) %6.0f allocs/op",
+				b.Name, b.Ops, b.CPUNsPerOp, b.CPUP50NS/1e6, b.CPUP99NS/1e6, b.AllocsPerOp)
 			if sp, ok := report.Speedup[b.Name]; ok {
-				line += fmt.Sprintf("   %.2fx vs baseline", sp)
+				line += fmt.Sprintf("  %.2fx vs baseline", sp)
 			}
-			if b.BoundFlipsPerOp > 0 {
-				line += fmt.Sprintf("   %.1f bound flips/op", b.BoundFlipsPerOp)
-			}
-			if b.CutRowsRoot > 0 {
-				line += fmt.Sprintf("   cuts: %.0f root rows, %.0f separated in %.0f rounds, %.0f pool hits",
-					b.CutRowsRoot, b.CutRowsSeparated, b.CutRounds, b.CutPoolHits)
-			}
-			if b.ColsRoot > 0 {
-				line += fmt.Sprintf("   cols: %.0f root, %.0f priced in %.0f rounds, %.0f pool hits",
-					b.ColsRoot, b.ColsPriced, b.ColRounds, b.ColPoolHits)
-			}
-			switch {
-			case b.Name == "RandomizedRounding":
-				fb := 0.0
-				if b.FallbackRate != nil {
-					fb = *b.FallbackRate
+			eachCounter(&b.lpCounters, &b.lpCounters, func(name string, x, _ *float64) {
+				if *x != 0 {
+					line += fmt.Sprintf("  %s=%.4g", name, *x)
 				}
-				line += fmt.Sprintf("   p50 %.2fms, p99 %.2fms, fallback %.2f",
-					b.P50NS/1e6, b.P99NS/1e6, fb)
-			case b.P99NS > 0:
-				line += fmt.Sprintf("   stream: %d decisions, p50 %.2fms, p99 %.2fms, accept %.2f, warm %.2f",
-					b.Iterations, b.P50NS/1e6, b.P99NS/1e6, b.AcceptRate, b.WarmRate)
+			})
+			if b.WarmRate > 0 {
+				line += fmt.Sprintf("  warm_rate=%.4g", b.WarmRate)
 			}
 			fmt.Println(line)
 		}
@@ -641,7 +557,7 @@ func runLPBench(outPath, comparePath string, short bool) error {
 			report.Scaling.Scaled, report.Scaling.SpreadBefore, report.Scaling.SpreadAfter, report.SteadyStateAllocs)
 	}
 	if len(regressions) > 0 {
-		return fmt.Errorf("lpbench: performance regressed vs %s:\n  %s",
+		return fmt.Errorf("lpbench: regressed vs %s:\n  %s",
 			comparePath, strings.Join(regressions, "\n  "))
 	}
 	return nil

@@ -9,7 +9,6 @@ import (
 	"tvnep/internal/certify"
 	"tvnep/internal/core"
 	"tvnep/internal/greedy"
-	"tvnep/internal/model"
 	"tvnep/internal/numtol"
 	"tvnep/internal/solution"
 	"tvnep/internal/workload"
@@ -45,34 +44,26 @@ func replay(t *testing.T, sc *workload.Scenario, cfg Config) *Engine {
 	return eng
 }
 
-// TestReplayDeterminism replays one seeded trace at several worker counts
-// and requires the bit-identical accept/reject sequence and schedules: the
-// admission engine's contract is that parallelism never changes decisions.
+// TestReplayDeterminism replays one seeded trace twice through certifying
+// engines: every decision must match bit for bit, its verdict, tier,
+// schedule, pinned bound and solver counters (trajectoryLine) and its hosts
+// and flows (decisionDigest). The accept/reject sequence is a pure function
+// of the submission order.
 func TestReplayDeterminism(t *testing.T) {
 	n := 60
 	if testing.Short() {
 		n = 20
 	}
 	sc := trace(t, n, 7)
-	var base []Decision
-	for _, workers := range []int{1, 2, 4, 8} {
-		eng := replay(t, sc, Config{Solve: model.SolveOptions{Workers: workers}, Certify: true})
-		ds := eng.Decisions()
-		if base == nil {
-			base = ds
-			continue
+	cfg := Config{Certify: true}
+	first, second := replay(t, sc, cfg).Decisions(), replay(t, sc, cfg).Decisions()
+	for i := range first {
+		if a, b := trajectoryLine(first[i]), trajectoryLine(second[i]); a != b {
+			t.Fatalf("decision %d differs between two runs:\nfirst:  %s\nsecond: %s", i, a, b)
 		}
-		for i := range ds {
-			if ds[i].Accepted != base[i].Accepted {
-				t.Fatalf("workers=%d: decision %d accept=%v, workers=1 gave %v",
-					workers, i, ds[i].Accepted, base[i].Accepted)
-			}
-			if math.Float64bits(ds[i].Start) != math.Float64bits(base[i].Start) ||
-				math.Float64bits(ds[i].End) != math.Float64bits(base[i].End) {
-				t.Fatalf("workers=%d: decision %d schedule [%v,%v] != [%v,%v]",
-					workers, i, ds[i].Start, ds[i].End, base[i].Start, base[i].End)
-			}
-		}
+	}
+	if a, b := decisionDigest(first), decisionDigest(second); a != b {
+		t.Fatalf("hosts or flows differ between two runs: digests %#016x and %#016x", a, b)
 	}
 }
 

@@ -115,7 +115,9 @@ func (c Config) streamOne(ctx context.Context, flexMin float64, seed int64, log 
 		c.Counters.Nodes.Add(int64(es.TotalNodes))
 		c.Counters.LPIters.Add(int64(es.TotalLPIters))
 		if c.Certify {
-			c.Counters.Certified.Add(int64(es.Decisions))
+			// The engine certifies candidate acceptances only: the ones it
+			// committed and the ones a failed certificate downgraded.
+			c.Counters.Certified.Add(int64(es.Accepted + es.CertFailures))
 			c.Counters.CertifyFailed.Add(int64(es.CertFailures))
 		}
 	}

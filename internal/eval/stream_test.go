@@ -30,6 +30,7 @@ func TestStreamSweepDeterministic(t *testing.T) {
 	run := func(workers int) []key {
 		c := cfg
 		c.Solve.Workers = workers
+		c.Counters = &Counters{}
 		var log strings.Builder
 		recs, err := c.StreamSweep(context.Background(), &log)
 		if err != nil {
@@ -39,7 +40,10 @@ func TestStreamSweepDeterministic(t *testing.T) {
 			t.Fatalf("workers=%d: %d records, want %d", workers, len(recs), len(cfg.FlexMinutes)*len(cfg.Seeds))
 		}
 		out := make([]key, 0, len(recs))
+		var decisions, certified int64
 		for _, r := range recs {
+			decisions += int64(r.Decisions)
+			certified += int64(r.Accepted + r.CertFailures)
 			if r.Decisions != cfg.Workload.NumRequests {
 				t.Errorf("workers=%d flex=%g seed=%d: %d decisions, want %d",
 					workers, r.FlexMin, r.Seed, r.Decisions, cfg.Workload.NumRequests)
@@ -53,6 +57,11 @@ func TestStreamSweepDeterministic(t *testing.T) {
 			}
 			out = append(out, key{r.FlexMin, r.Seed, r.Decisions, r.Accepted,
 				r.Precheck, r.LPTier, r.MIPTier, r.CertFailures})
+		}
+		// Only candidate acceptances are certified, never a rejection.
+		if got := c.Counters.Certified.Load(); got != certified || got >= decisions {
+			t.Errorf("workers=%d: %d certified, want %d accepted or downgraded of %d decisions",
+				workers, got, certified, decisions)
 		}
 		return out
 	}
