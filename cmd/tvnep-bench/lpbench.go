@@ -10,12 +10,10 @@ import (
 	"runtime"
 	"strings"
 	"syscall"
-	"testing"
 	"time"
 
 	"tvnep/internal/admit"
 	"tvnep/internal/core"
-	"tvnep/internal/linalg/sparselu"
 	"tvnep/internal/lp"
 	"tvnep/internal/model"
 	"tvnep/internal/round"
@@ -127,19 +125,13 @@ type lpScalingStats struct {
 }
 
 type lpBenchReport struct {
-	Timestamp  string          `json:"timestamp"`
-	GoVersion  string          `json:"go_version"`
-	Benchmarks []lpBenchResult `json:"benchmarks"`
-	WarmStart  lpWarmStats     `json:"warm_start"`
-	Scaling    lpScalingStats  `json:"scaling"`
-	// SteadyStateAllocs is the allocation count of the simplex hot path at
-	// steady state, measured differentially: allocations per warm re-solve
-	// that performs dual pivots, minus the fixed result-packaging cost of
-	// an identical zero-iteration re-solve, divided by the pivots
-	// performed. The kernels are allocation-free, so 0 is expected.
-	SteadyStateAllocs float64            `json:"steady_state_allocs"`
-	Baseline          *lpBenchReport     `json:"baseline,omitempty"`
-	Speedup           map[string]float64 `json:"speedup,omitempty"`
+	Timestamp  string             `json:"timestamp"`
+	GoVersion  string             `json:"go_version"`
+	Benchmarks []lpBenchResult    `json:"benchmarks"`
+	WarmStart  lpWarmStats        `json:"warm_start"`
+	Scaling    lpScalingStats     `json:"scaling"`
+	Baseline   *lpBenchReport     `json:"baseline,omitempty"`
+	Speedup    map[string]float64 `json:"speedup,omitempty"`
 }
 
 // lpOp runs op i of a benchmark and returns its counters.
@@ -230,7 +222,7 @@ var lpBenches = []lpBench{
 			if err != nil {
 				return lpCounters{}, err
 			}
-			// Every decision past the capacity precheck pins itself into
+			// Every decision past the window precheck pins itself into
 			// its root LP with one commitment restart.
 			return lpCounters{
 				LPIters:      float64(d.Stats.LPIterations),
@@ -350,71 +342,6 @@ func measure(b lpBench) (lpBenchResult, error) {
 	return res, nil
 }
 
-// steadyStateAllocs measures the per-pivot allocation count of the simplex
-// hot path on a solved instance. Both probe solves are warm starts with a
-// factor handoff; the first re-solves the unchanged optimum (zero
-// iterations — its allocations are pure result packaging), the second
-// perturbs a basic column bound so the dual simplex actually pivots. The
-// difference per pivot is the hot-path allocation rate.
-func steadyStateAllocs(p *lp.Problem) float64 {
-	inst := lp.NewInstance(p)
-	first := inst.Solve(nil)
-	inst.CaptureFactors(&first, nil)
-	if first.Status != lp.StatusOptimal {
-		return -1
-	}
-	wb, wf := first.Basis, first.Factors
-
-	// Each probe solve captures its factors into one reused buffer, the way
-	// a branch-and-bound node hands them to its children.
-	capBuf := &sparselu.Factors{}
-	warm := func() lp.Result {
-		r := inst.Solve(&lp.Options{WarmBasis: wb, WarmFactors: wf})
-		inst.CaptureFactors(&r, capBuf)
-		return r
-	}
-	warm() // warm the solver's persistent scratch
-	base := testing.AllocsPerRun(20, func() { warm() })
-
-	// Find a structural column sitting strictly between its bounds whose
-	// tightening forces dual pivots.
-	const interiorTol = 1e-6 // strictly-interior margin for picking a perturbable column
-	perturb := -1
-	var plo, phi float64
-	for j := range first.X {
-		lo, hi := inst.ColBounds(j)
-		if x := first.X[j]; x > lo+interiorTol && x < hi-interiorTol {
-			perturb, plo, phi = j, lo, hi
-			break
-		}
-	}
-	if perturb < 0 {
-		return 0 // nothing to perturb: vacuously allocation-free
-	}
-	x := first.X[perturb]
-	iters := 0
-	run := func() {
-		inst.SetColBounds(perturb, plo, (plo+x)/2) // cut off the optimum
-		r1 := warm()
-		inst.SetColBounds(perturb, plo, phi) // restore
-		r2 := warm()
-		iters += r1.Iterations + r2.Iterations
-	}
-	run() // warm-up: grows any scratch the perturbed solves need
-	iters = 0
-	const runs = 20
-	per := testing.AllocsPerRun(runs, run)
-	itersPerRun := float64(iters) / float64(runs+1) // AllocsPerRun calls run runs+1 times
-	if itersPerRun <= 0 {
-		return 0
-	}
-	extra := per - 2*base
-	if extra < 0 {
-		extra = 0
-	}
-	return extra / itersPerRun
-}
-
 // compareLP records cur's speedups over base (baseline CPU time per op
 // over current) and lists its regressions against base: a baseline entry
 // that is missing, any op count, counter, rate or warm-start total that
@@ -493,10 +420,8 @@ func runLPBench(outPath, comparePath string) error {
 	wa0, wo0 := lp.DebugWarmAttempts.Load(), lp.DebugWarmOK.Load()
 	fh0, bx0 := lp.DebugFactorHandoffs.Load(), lp.DebugBasisExtensions.Load()
 
-	relaxLP := relaxModel().Model.LP()
-	scaled, sb, sa := lp.NewInstance(relaxLP).ScalingStats()
+	scaled, sb, sa := lp.NewInstance(relaxModel().Model.LP()).ScalingStats()
 	report.Scaling = lpScalingStats{Scaled: scaled, SpreadBefore: sb, SpreadAfter: sa}
-	report.SteadyStateAllocs = steadyStateAllocs(relaxLP)
 	for _, b := range lpBenches {
 		res, err := measure(b)
 		if err != nil {
@@ -553,8 +478,8 @@ func runLPBench(outPath, comparePath string) error {
 		}
 		fmt.Printf("# warm starts: %d attempts, %.0f%% adopted, %.0f%% factor handoffs, %d basis extensions\n",
 			wa, 100*report.WarmStart.OKRate, 100*report.WarmStart.FactorHandoffRt, bx)
-		fmt.Printf("# scaling: active=%v spread %.3g -> %.3g; steady-state allocs/pivot: %.3g\n",
-			report.Scaling.Scaled, report.Scaling.SpreadBefore, report.Scaling.SpreadAfter, report.SteadyStateAllocs)
+		fmt.Printf("# scaling: active=%v spread %.3g -> %.3g\n",
+			report.Scaling.Scaled, report.Scaling.SpreadBefore, report.Scaling.SpreadAfter)
 	}
 	if len(regressions) > 0 {
 		return fmt.Errorf("lpbench: regressed vs %s:\n  %s",

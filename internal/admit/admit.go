@@ -10,8 +10,11 @@
 //
 // The engine is built around three cost tiers per admission:
 //
-//  1. a capacity precheck that rejects requests that cannot fit the
-//     substrate even on an empty network (no solve at all),
+//  1. a residual-capacity window precheck that rejects, without a model,
+//     a request whose hosts stay full: the committed node load, each
+//     committed schedule shrunk by a margin δ that covers the model's
+//     tolerances, leaves no free stretch of its duration anywhere in its
+//     window (on an empty substrate: its own demand exceeds a capacity),
 //  2. an LP fast tier that solves the root relaxation through a raw
 //     lp.Instance (keeping the basis and LU factors) and decides
 //     immediately when the relaxation is integral, or when its bound
@@ -36,10 +39,12 @@
 package admit
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -65,7 +70,8 @@ const DefaultNodeLimit = 20000
 type Tier string
 
 const (
-	// TierPrecheck: rejected by the capacity precheck, no solve.
+	// TierPrecheck: rejected by the residual-capacity window precheck
+	// (precheckRejects), no model and no solve.
 	TierPrecheck Tier = "precheck"
 	// TierLP: decided by the root LP relaxation, no branch and bound: an
 	// integral relaxation, or a bound that rules out acceptance.
@@ -252,6 +258,12 @@ type Engine struct {
 	built   *core.Built
 	obj     model.LinExpr
 
+	// Per-decision scratch: the committed requests overlapping the arrival
+	// window, and the precheck's load events and blocked starts.
+	overlap []*record
+	events  []loadEvent
+	forbid  []span
+
 	// certified, when set, sees every per-decision certificate with the
 	// acceptance it judged, before the verdict is acted on. Tests hold the
 	// extension certificate to the whole-system reference through it.
@@ -303,22 +315,99 @@ func (e *Engine) validate(req *vnet.Request, mapping []int) error {
 	return nil
 }
 
-// precheckReject reports whether the request can be rejected without any
-// solve: its own node demand, aggregated per substrate node under the
-// pinned mapping, exceeds some node capacity — then no schedule can embed
-// it even on an empty substrate.
-func (e *Engine) precheckReject(req *vnet.Request, mapping []int) bool {
-	load := map[int]float64{}
+// precheckRejects reports whether committed node load alone proves the
+// arriving request rejected, before any model is built. committed are the
+// accepted requests whose schedules overlap the arrival window (the set
+// subproblem pins). For every substrate host s of the request it sweeps the
+// committed node load on s, each committed schedule [start, end] shrunk to
+// the open interval (start + δ, end − δ) with δ = T·MIPIntTol + TimeTol, and
+// marks the times where that load plus D_s, the request's demand
+// aggregated on s under the pinned mapping, exceeds NodeCap[s] + CapTol. A
+// start t is blocked when (t, t+d) meets a marked time on some host; the
+// request is rejected when every start in [t^s, t^e − d] is blocked. With no
+// committed load this is the empty-substrate test: D_s alone exceeds a
+// capacity.
+//
+// Soundness: no acceptance the cΣ model can return is rejected. In the
+// model, the requests running at a time τ are all active in the state
+// opened by the latest of their starts, so every committed request running
+// at a time inside the arriving request's schedule shares that state's
+// capacity row (9) with it. An acceptance therefore keeps load + D_s within
+// NodeCap[s] at every time its schedule covers, up to the tolerances the
+// search allows. A χ partial sum within MIPIntTol of integral moves t⁺ or
+// t⁻ off its event time by at most T·MIPIntTol through the big-M rows
+// (14)–(17), whose M is T, and TimeTol covers the LP's feasibility noise on
+// the time rows, so an accepted schedule runs less than δ into a committed
+// one the model keeps it apart from. CapTol, the slack the certifier
+// allows on every capacity, covers the capacity rows. Link capacities are
+// left out: that can only pass on a request the model then rejects.
+// TestPrecheckRejectionsProved re-proves every precheck rejection of two
+// replayed traces by brute force, and TestRejectionBoundKeepsDecisions
+// holds their 8,000 decisions to digests recorded before this test
+// existed.
+func (e *Engine) precheckRejects(req *vnet.Request, mapping []int, committed []*record) bool {
+	delta := e.cfg.Horizon*numtol.MIPIntTol + numtol.TimeTol
+	forbid := e.forbid[:0]
 	for v, s := range mapping {
-		load[s] += req.NodeDemand[v]
-	}
-	for s, l := range load {
-		if l > e.cfg.Sub.NodeCap[s]+numtol.CapTol {
+		if slices.Contains(mapping[:v], s) {
+			continue // host already swept
+		}
+		demand := 0.0
+		for w, h := range mapping {
+			if h == s {
+				demand += req.NodeDemand[w]
+			}
+		}
+		capacity := e.cfg.Sub.NodeCap[s] + numtol.CapTol
+		if demand > capacity {
 			return true
 		}
+		events := e.events[:0]
+		for _, c := range committed {
+			load := 0.0
+			for w, h := range c.mapping {
+				if h == s {
+					load += c.req.NodeDemand[w]
+				}
+			}
+			if lo, hi := c.decided.Start+delta, c.decided.End-delta; load > 0 && lo < hi {
+				events = append(events, loadEvent{lo, load}, loadEvent{hi, -load})
+			}
+		}
+		slices.SortFunc(events, func(a, b loadEvent) int { return cmp.Compare(a.t, b.t) })
+		// The load is constant between consecutive event times; a start t
+		// is blocked by a marked stretch (lo, hi) when t ∈ (lo − d, hi).
+		load := 0.0
+		for i := 0; i+1 < len(events); i++ {
+			load += events[i].load
+			if lo, hi := events[i].t, events[i+1].t; lo < hi && load+demand > capacity {
+				forbid = append(forbid, span{lo - req.Duration, hi})
+			}
+		}
+		e.events = events
 	}
-	return false
+	e.forbid = forbid
+	// Walk the blocked starts upward from t^s: t moves to the end of every
+	// blocked stretch that holds it, and stops at the first free start. A
+	// t^s that nothing blocks is never rejected, even in a window that
+	// validate lets fall short of d by WindowTol.
+	slices.SortFunc(forbid, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
+	t := req.Earliest
+	for _, f := range forbid {
+		if f.lo >= t {
+			break
+		}
+		t = math.Max(t, f.hi)
+	}
+	return t > req.Earliest && t > req.LatestStart()
 }
+
+// loadEvent is a step of one host's committed node load at time t: the
+// load joins when positive and leaves when negative.
+type loadEvent struct{ t, load float64 }
+
+// span is the open interval (lo, hi).
+type span struct{ lo, hi float64 }
 
 // overlaps reports whether the committed schedule [start,end] can interact
 // with any schedule inside the arriving request's window [earliest,latest].
@@ -354,13 +443,14 @@ func (e *Engine) Admit(ctx context.Context, req *vnet.Request, mapping []int) (D
 	d := Decision{Index: len(e.log), Name: cp.Name}
 	d.Stats.PinnedBound = math.NaN()
 
-	if e.precheckReject(&cp, rec.mapping) {
+	committed := e.overlapping(&cp)
+	if e.precheckRejects(&cp, rec.mapping, committed) {
 		d.Stats.Tier = TierPrecheck
 		e.finishReject(rec, &d, began)
 		return d, nil
 	}
 
-	dec, err := e.decide(ctx, rec, &d)
+	dec, err := e.decide(ctx, rec, committed, &d)
 	if err != nil {
 		return Decision{}, err
 	}
@@ -409,9 +499,10 @@ type acceptance struct {
 }
 
 // decide runs the LP fast tier and, when inconclusive, the full
-// branch-and-bound solve. It returns nil when the request is rejected.
-func (e *Engine) decide(ctx context.Context, rec *record, d *Decision) (*acceptance, error) {
-	b, newIdx := e.model(rec)
+// branch-and-bound solve over rec and the committed requests overlapping
+// its window. It returns nil when the request is rejected.
+func (e *Engine) decide(ctx context.Context, rec *record, committed []*record, d *Decision) (*acceptance, error) {
+	b, newIdx := e.model(rec, committed)
 	d.Stats.ActiveSet = newIdx
 
 	// LP fast tier: solve the root relaxation through a raw instance so the
@@ -488,8 +579,8 @@ func (e *Engine) decide(ctx context.Context, rec *record, d *Decision) (*accepta
 // model rebuilds the per-decision cΣ model of rec's admission into the
 // engine's recycled model storage, with the committed flows pinned and
 // objective (21) set, and returns it with the arriving request's index.
-func (e *Engine) model(rec *record) (*core.Built, int) {
-	subInst, _, opts, newIdx, pinned := e.subproblem(rec)
+func (e *Engine) model(rec *record, committed []*record) (*core.Built, int) {
+	subInst, _, opts, newIdx, pinned := e.subproblem(rec, committed)
 	b := core.RebuildCSigma(e.built, subInst, opts)
 	e.built = b
 	// Pin the committed flows, not just the committed schedules: the solve
@@ -518,21 +609,30 @@ func (e *Engine) model(rec *record) (*core.Built, int) {
 	return b, newIdx
 }
 
-// subproblem assembles the per-decision cΣ instance: every committed request
-// whose schedule overlaps the arriving window, pinned to its schedule and
-// force-accepted, plus the arriving request free. The arriving request's
+// overlapping returns the committed requests whose schedules overlap req's
+// window, in arrival order, in storage the next decision reuses.
+func (e *Engine) overlapping(req *vnet.Request) []*record {
+	e.overlap = e.overlap[:0]
+	for _, a := range e.active {
+		if overlaps(a.decided.Start, a.decided.End, req.Earliest, req.Latest) {
+			e.overlap = append(e.overlap, a)
+		}
+	}
+	return e.overlap
+}
+
+// subproblem assembles the per-decision cΣ instance: the committed requests
+// overlapping the arriving window (overlapping's set), each pinned to its
+// schedule and force-accepted, plus the arriving request free. The arriving request's
 // subproblem index is returned (it is always last) together with the
 // committed flows of the included requests, in subproblem order, for the
 // caller to pin.
-func (e *Engine) subproblem(rec *record) (*core.Instance, vnet.NodeMapping, core.BuildOptions, int, [][][]float64) {
+func (e *Engine) subproblem(rec *record, committed []*record) (*core.Instance, vnet.NodeMapping, core.BuildOptions, int, [][][]float64) {
 	var subReqs []*vnet.Request
 	var subMap vnet.NodeMapping
 	var force []bool
 	var pinned [][][]float64
-	for _, a := range e.active {
-		if !overlaps(a.decided.Start, a.decided.End, rec.req.Earliest, rec.req.Latest) {
-			continue
-		}
+	for _, a := range committed {
 		pin := *a.req
 		pin.Earliest = a.decided.Start
 		pin.Latest = a.decided.End

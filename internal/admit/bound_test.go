@@ -70,8 +70,8 @@ func TestRejectionBoundKeepsDecisions(t *testing.T) {
 		eng := replay(t, sc, Config{})
 		got := decisionDigest(eng.Decisions())
 		s := eng.Stats()
-		t.Logf("seed %d, %d decisions: digest %#016x, lp=%d (bound %d) mip=%d, %d LP iterations, %d nodes",
-			tc.seed, s.Decisions, got, s.LPTier, s.BoundRejects, s.MIPTier, s.TotalLPIters, s.TotalNodes)
+		t.Logf("seed %d, %d decisions: digest %#016x, precheck=%d lp=%d (bound %d) mip=%d, %d LP iterations, %d nodes",
+			tc.seed, s.Decisions, got, s.PrecheckTier, s.LPTier, s.BoundRejects, s.MIPTier, s.TotalLPIters, s.TotalNodes)
 		if got != want {
 			t.Errorf("seed %d: decision digest %#016x, want %#016x", tc.seed, got, want)
 		}
@@ -80,11 +80,13 @@ func TestRejectionBoundKeepsDecisions(t *testing.T) {
 
 // TestRejectionBoundMargin admits a hand-built request whose root bound
 // lies a chosen distance below tau = 2T − t^e. On a 1×2 grid with node
-// capacity 3, a committed request holds 2 units of node 0 over [0, 4]; the
-// arriving single-node request (duration 2, window [0, 5], so it must
-// overlap) asks for D > 1 units there, and the root relaxation accepts the
-// fraction x_R = 1/D of it ending at t⁻ = 2: bound 10/D + 8 against
-// tau = 15 for T = 10. Choosing D = 10/(7 − gap) puts the bound gap below
+// capacity 3 and link capacity 5, a committed request holds 4 units of the
+// link from node 0 to node 1 over [0, 4]; the arriving request (duration 2,
+// window [0, 5], so it must overlap) asks for D > 1 units of that link, and
+// the root relaxation accepts the fraction x_R = 1/D of it ending at
+// t⁻ = 2: bound 10/D + 8 against tau = 15 for T = 10. Both requests put 1
+// unit on each node, so node load alone proves nothing and the precheck
+// passes the request on. Choosing D = 10/(7 − gap) puts the bound gap below
 // tau. Twice the margin ObjTol·tau below tau the root rejects at the LP
 // tier; half the margin below, the bound proves nothing and branch and
 // bound has to decide (and rejects: the request does not fit).
@@ -106,16 +108,20 @@ func TestRejectionBoundMargin(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d, err := eng.Admit(context.Background(), oneNodeRequest("a", 2, 0, 4, 4), []int{0}); err != nil || !d.Accepted {
+			mapping := []int{0, 1}
+			if d, err := eng.Admit(context.Background(), linkRequest("a", 4, 0, 4, 4), mapping); err != nil || !d.Accepted {
 				t.Fatalf("committed request: accepted=%v err=%v", d.Accepted, err)
 			}
-			req := oneNodeRequest("b", T/(T-3-tc.gap*margin), 0, 2, latest)
-			b, _ := eng.model(&record{req: req, mapping: []int{0}})
+			req := linkRequest("b", T/(T-3-tc.gap*margin), 0, 2, latest)
+			if eng.precheckRejects(req, mapping, eng.overlapping(req)) {
+				t.Fatal("the precheck rejects the request on node load")
+			}
+			b, _ := eng.model(&record{req: req, mapping: mapping}, eng.overlapping(req))
 			root := lp.NewInstance(b.Model.LP()).Solve(&lp.Options{})
 			if root.Status != lp.StatusOptimal || math.Abs(tau-root.Obj-tc.gap*margin) > margin/100 {
 				t.Fatalf("root bound %v (status %v), want %v", root.Obj, root.Status, tau-tc.gap*margin)
 			}
-			d, err := eng.Admit(context.Background(), req, []int{0})
+			d, err := eng.Admit(context.Background(), req, mapping)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,13 +138,17 @@ func TestRejectionBoundMargin(t *testing.T) {
 	}
 }
 
-// oneNodeRequest builds a request with one virtual node and no links.
-func oneNodeRequest(name string, demand, earliest, duration, latest float64) *vnet.Request {
+// linkRequest builds a request of two virtual nodes with 1 unit of demand
+// each, joined by one virtual link from node 0 to node 1 with the given
+// demand.
+func linkRequest(name string, demand, earliest, duration, latest float64) *vnet.Request {
+	g := graph.NewDigraph(2)
+	g.AddEdge(0, 1)
 	return &vnet.Request{
 		Name:       name,
-		G:          graph.NewDigraph(1),
-		NodeDemand: []float64{demand},
-		LinkDemand: []float64{},
+		G:          g,
+		NodeDemand: []float64{1, 1},
+		LinkDemand: []float64{demand},
 		Earliest:   earliest,
 		Duration:   duration,
 		Latest:     latest,

@@ -9,8 +9,7 @@ import (
 // of the simplex hot path: once the solver's persistent scratch is warmed,
 // warm re-solves that actually pivot must allocate exactly as much as warm
 // re-solves that do not (i.e. only result packaging) — the iterations
-// themselves are allocation-free. This is the white-box counterpart of the
-// tvnep-bench steady_state_allocs probe.
+// themselves are allocation-free.
 func TestSteadyStatePivotsAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p, _ := buildRandomLP(rng, 30, 18)

@@ -111,7 +111,8 @@ const (
 
 // Admission tiers.
 const (
-	// TierPrecheck: rejected by the capacity precheck, no solve.
+	// TierPrecheck: rejected on committed node load by the residual-
+	// capacity window precheck, no model and no solve.
 	TierPrecheck = admit.TierPrecheck
 	// TierLP: decided by the root LP relaxation, no branch and bound: an
 	// integral relaxation, or a bound that rules out acceptance.
