@@ -14,9 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"tvnep/internal/admit"
 	"tvnep/internal/core"
 	"tvnep/internal/eval"
-	"tvnep/internal/greedy"
 	"tvnep/internal/model"
 	"tvnep/internal/workload"
 )
@@ -215,7 +215,7 @@ func BenchmarkGreedyEndToEnd(b *testing.B) {
 	inst := &core.Instance{Sub: sc.Substrate, Reqs: sc.Requests, Horizon: sc.Horizon}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := greedy.Solve(context.Background(), inst, sc.Mapping, core.BuildOptions{}, nil); err != nil {
+		if _, _, err := admit.Greedy(context.Background(), inst, sc.Mapping, core.BuildOptions{}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

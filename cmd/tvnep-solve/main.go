@@ -6,7 +6,7 @@
 // Usage:
 //
 //	tvnep-solve -in scenario.json -model csigma -objective access
-//	tvnep-solve -in scenario.json -model csigma -greedy
+//	tvnep-solve -in scenario.json -model csigma -algorithm greedy
 package main
 
 import (
@@ -29,13 +29,11 @@ func main() {
 		in        = flag.String("in", "", "scenario JSON file (required)")
 		modelName = flag.String("model", "csigma", "formulation: delta | sigma | csigma")
 		objName   = flag.String("objective", "access", "objective: access | earliness | balance | disable | makespan")
-		useGreedy = flag.Bool("greedy", false, "deprecated alias of -algorithm greedy")
 		algoName  = flag.String("algorithm", "", "algorithm: exact | greedy | rounding (default exact)")
 		seed      = flag.Int64("seed", 0, "seed for the randomized-rounding sampler (deterministic per seed)")
 		limit     = flag.Duration("timelimit", time.Minute, "MIP time limit")
 		cutMode   = flag.String("cutmode", "static", "Constraint-(20) precedence-cut pipeline, cΣ only: static (emit all rows at build time) | lazy (separate violated rows on demand) | off (drop the cut family)")
 		flowMode  = flag.String("flowmode", "arc", "link-flow formulation, cΣ only: arc (per-link flow variables) | path (convexity rows + path columns priced on demand; requires the scenario's node mapping)")
-		noCuts    = flag.Bool("nocuts", false, "deprecated alias of -cutmode off: disable temporal dependency graph cuts (applies to the cΣ model only)")
 		noPre     = flag.Bool("nopresolve", false, "disable the activity-interval presolve (applies to the cΣ model only)")
 		freeMap   = flag.Bool("freemap", false, "ignore the scenario's fixed node mapping and let the model place nodes")
 		doCertify = flag.Bool("certify", false, "run the full certificate suite (named violations, objective recomputation, root-LP optimality certificate)")
@@ -85,12 +83,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if *noCuts {
-		if cm == tvnep.CutLazy {
-			fmt.Fprintln(os.Stderr, "tvnep-solve: warning: -nocuts overrides -cutmode lazy (cuts disabled)")
-		}
-		cm = tvnep.CutOff
-	}
 	fm, err := tvnep.ParseFlowMode(strings.ToLower(*flowMode))
 	if err != nil {
 		fail(err)
@@ -102,9 +94,6 @@ func main() {
 	algo := tvnep.Exact
 	switch strings.ToLower(*algoName) {
 	case "", "exact":
-		if *useGreedy {
-			algo = tvnep.Greedy
-		}
 	case "greedy":
 		algo = tvnep.Greedy
 	case "rounding":
@@ -135,7 +124,7 @@ func main() {
 		tvnep.WithHorizon(sc.Horizon),
 		tvnep.WithTimeLimit(*limit),
 	}
-	if cm != tvnep.CutStatic || *noCuts {
+	if cm != tvnep.CutStatic {
 		opts = append(opts, tvnep.WithCutMode(cm))
 	}
 	if fm != tvnep.FlowArc {
@@ -197,9 +186,9 @@ func main() {
 	}
 	sol := res.Solution
 
-	if res.Greedy != nil {
-		fmt.Printf("algorithm: cΣ_A^G greedy (%d iterations, %d B&B nodes, %d LP iterations)\n",
-			res.Greedy.Iterations, res.Greedy.TotalBBNodes, res.Greedy.TotalLPIters)
+	if gs := res.Greedy; gs != nil {
+		fmt.Printf("algorithm: cΣ_A^G greedy (%d decisions: %d precheck, %d lp, %d mip; %d B&B nodes, %d LP iterations)\n",
+			gs.Decisions, gs.PrecheckTier, gs.LPTier, gs.MIPTier, gs.TotalNodes, gs.TotalLPIters)
 	}
 	if rs := res.Rounding; rs != nil {
 		fmt.Printf("algorithm: randomized rounding (seed %d: %d samples, %d feasible, best #%d, %d repairs, %d repair-rejections)\n",

@@ -20,8 +20,8 @@ import (
 	"log"
 	"time"
 
+	"tvnep/internal/admit"
 	"tvnep/internal/core"
-	"tvnep/internal/greedy"
 	"tvnep/internal/model"
 	"tvnep/internal/solution"
 	"tvnep/internal/workload"
@@ -73,7 +73,7 @@ func main() {
 
 	fmt.Println("\n== Flexible requests, greedy cΣ_A^G ==")
 	inst := &core.Instance{Sub: flex.Substrate, Reqs: flex.Requests, Horizon: flex.Horizon}
-	gsol, gstats, err := greedy.Solve(context.Background(), inst, flex.Mapping, core.BuildOptions{}, nil)
+	gsol, gstats, err := admit.Greedy(context.Background(), inst, flex.Mapping, core.BuildOptions{}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -86,5 +86,5 @@ func main() {
 	}
 	fmt.Printf("accepted %d/%d, revenue %.2f (%.1f%% below optimal) in %v (%d iterations)\n",
 		gsol.NumAccepted(), len(flex.Requests), gsol.Objective, lost,
-		gstats.TotalRuntime.Round(time.Millisecond), gstats.Iterations)
+		gsol.Runtime.Round(time.Microsecond), gstats.Decisions)
 }

@@ -1,12 +1,14 @@
-// Package admit implements the online admission engine: a long-running
-// service that receives VNet requests one at a time and decides, for each
-// arrival, whether to embed it — the streaming counterpart of the greedy
-// algorithm cΣ_A^G (Section V). Every decision solves a small cΣ model in
+// Package admit implements Algorithm cΣ_A^G of Section V twice over with
+// one engine: online, as a long-running service that receives VNet requests
+// one at a time and decides, for each arrival, whether to embed it; and
+// offline, as Greedy, which replays a whole instance through the same engine
+// in order of earliest start. Every decision solves a small cΣ model in
 // which all previously accepted requests keep their committed schedules
-// (Constraint 24) and their committed link flows (pinned χ bounds — the
-// solve sees the true residual capacity, it cannot reroute committed
-// traffic) and only the arriving request is free, under objective (21):
-// max T·x_R + (T − t⁻).
+// (Constraint 24) and only the arriving request is free, under objective
+// (21): max T·x_R + (T − t⁻). Online, the committed link flows are pinned as
+// well (χ bounds — the solve sees the true residual capacity, it cannot
+// reroute committed traffic). Greedy lets every decision re-route them, the
+// paper's "link allocations are re-optimized in every iteration".
 //
 // The engine is built around three cost tiers per admission:
 //
@@ -264,6 +266,11 @@ type Engine struct {
 	events  []loadEvent
 	forbid  []span
 
+	// reroute lets every decision re-route the committed link flows: the
+	// subproblem holds every accepted request, their flows are free, and an
+	// acceptance commits the re-routed flows. Only Greedy sets it.
+	reroute bool
+
 	// certified, when set, sees every per-decision certificate with the
 	// acceptance it judged, before the verdict is acted on. Tests hold the
 	// extension certificate to the whole-system reference through it.
@@ -470,7 +477,10 @@ func (e *Engine) Admit(ctx context.Context, req *vnet.Request, mapping []int) (D
 		return d, nil
 	}
 
-	// Commit.
+	// Commit, with the committed flows a re-routing decision moved.
+	for i, flows := range dec.rerouted {
+		committed[i].decided.Flows = flows
+	}
 	d.Accepted = true
 	d.Start, d.End = dec.start, dec.end
 	d.Hosts = dec.hosts
@@ -496,6 +506,10 @@ type acceptance struct {
 	start, end float64
 	hosts      []int
 	flows      [][]float64
+	// rerouted holds the solve's flows of the committed requests in the
+	// subproblem, in its order, when the engine re-routes them (nil
+	// otherwise).
+	rerouted [][][]float64
 }
 
 // decide runs the LP fast tier and, when inconclusive, the full
@@ -572,16 +586,25 @@ func (e *Engine) decide(ctx context.Context, rec *record, committed []*record, d
 		hosts: sol.Hosts[newIdx],
 		flows: sol.Flows[newIdx],
 	}
+	if e.reroute {
+		acc.rerouted = sol.Flows[:newIdx]
+	}
 	e.commitRestart(inst, b, lpRes, acc, newIdx, d)
 	return acc, nil
 }
 
 // model rebuilds the per-decision cΣ model of rec's admission into the
-// engine's recycled model storage, with the committed flows pinned and
-// objective (21) set, and returns it with the arriving request's index.
+// engine's recycled model storage: the committed requests (overlapping's
+// set) as committedSystem lays them out, with their flows pinned unless the
+// engine re-routes them, plus the arriving request free and last, under
+// objective (21). It returns the model and the arriving request's index.
 func (e *Engine) model(rec *record, committed []*record) (*core.Built, int) {
-	subInst, _, opts, newIdx, pinned := e.subproblem(rec, committed)
-	b := core.RebuildCSigma(e.built, subInst, opts)
+	inst, opts := e.committedSystem(committed)
+	newIdx := len(committed)
+	inst.Reqs = append(inst.Reqs, rec.req)
+	opts.FixedMapping = append(opts.FixedMapping, rec.mapping)
+	opts.ForceAccept = append(opts.ForceAccept, false)
+	b := core.RebuildCSigma(e.built, inst, opts)
 	e.built = b
 	// Pin the committed flows, not just the committed schedules: the solve
 	// has no authority to reroute traffic the engine already committed, so
@@ -589,14 +612,11 @@ func (e *Engine) model(rec *record, committed []*record) (*core.Built, int) {
 	// requests against a hypothetical rerouting that never happens — the
 	// union of per-decision flows could then overload links. The ±FlowCutoff
 	// band absorbs the quantization applied when the flows were extracted.
-	for i, flows := range pinned {
-		for lv, row := range flows {
+	// A re-routing engine leaves them free and commits what the solve picks.
+	for i := 0; i < len(committed) && !e.reroute; i++ {
+		for lv, row := range committed[i].decided.Flows {
 			for ls, f := range row {
-				lo := f - numtol.FlowCutoff
-				if lo < 0 {
-					lo = 0
-				}
-				b.Model.SetBounds(b.XE[i][lv][ls], lo, f+numtol.FlowCutoff)
+				b.Model.SetBounds(b.XE[i][lv][ls], math.Max(f-numtol.FlowCutoff, 0), f+numtol.FlowCutoff)
 			}
 		}
 	}
@@ -610,50 +630,43 @@ func (e *Engine) model(rec *record, committed []*record) (*core.Built, int) {
 }
 
 // overlapping returns the committed requests whose schedules overlap req's
-// window, in arrival order, in storage the next decision reuses.
+// window, in arrival order, in storage the next decision reuses. A
+// re-routing engine returns every committed request: once committed flows
+// can move, a request outside the window can still make room on a link for
+// one inside it, so the pruning is unsound.
 func (e *Engine) overlapping(req *vnet.Request) []*record {
 	e.overlap = e.overlap[:0]
 	for _, a := range e.active {
-		if overlaps(a.decided.Start, a.decided.End, req.Earliest, req.Latest) {
+		if e.reroute || overlaps(a.decided.Start, a.decided.End, req.Earliest, req.Latest) {
 			e.overlap = append(e.overlap, a)
 		}
 	}
 	return e.overlap
 }
 
-// subproblem assembles the per-decision cΣ instance: the committed requests
-// overlapping the arriving window (overlapping's set), each pinned to its
-// schedule and force-accepted, plus the arriving request free. The arriving request's
-// subproblem index is returned (it is always last) together with the
-// committed flows of the included requests, in subproblem order, for the
-// caller to pin.
-func (e *Engine) subproblem(rec *record, committed []*record) (*core.Instance, vnet.NodeMapping, core.BuildOptions, int, [][][]float64) {
-	var subReqs []*vnet.Request
-	var subMap vnet.NodeMapping
+// committedSystem lays out committed requests as a cΣ instance, in order:
+// each window pinned to its committed schedule and each request
+// force-accepted under the access-control objective, which the per-decision
+// model replaces by objective (21).
+func (e *Engine) committedSystem(committed []*record) (*core.Instance, core.BuildOptions) {
+	var reqs []*vnet.Request
+	var mapping vnet.NodeMapping
 	var force []bool
-	var pinned [][][]float64
 	for _, a := range committed {
 		pin := *a.req
 		pin.Earliest = a.decided.Start
 		pin.Latest = a.decided.End
-		subReqs = append(subReqs, &pin)
-		subMap = append(subMap, a.mapping)
+		reqs = append(reqs, &pin)
+		mapping = append(mapping, a.mapping)
 		force = append(force, true)
-		pinned = append(pinned, a.decided.Flows)
 	}
-	newIdx := len(subReqs)
-	subReqs = append(subReqs, rec.req)
-	subMap = append(subMap, rec.mapping)
-	force = append(force, false)
-	inst := &core.Instance{Sub: e.cfg.Sub, Reqs: subReqs, Horizon: e.cfg.Horizon}
-	opts := core.BuildOptions{
-		Objective:       core.AccessControl, // replaced by objective (21)
-		FixedMapping:    subMap,
+	return &core.Instance{Sub: e.cfg.Sub, Reqs: reqs, Horizon: e.cfg.Horizon}, core.BuildOptions{
+		Objective:       core.AccessControl,
+		FixedMapping:    mapping,
 		CutMode:         e.cfg.CutMode,
 		DisablePresolve: e.cfg.DisablePresolve,
 		ForceAccept:     force,
 	}
-	return inst, subMap, opts, newIdx, pinned
 }
 
 // boundRejects reports whether the root relaxation proves the arriving
@@ -784,25 +797,8 @@ func (e *Engine) reoptimize(ctx context.Context) {
 	if len(e.active) == 0 {
 		return
 	}
-	subReqs := make([]*vnet.Request, len(e.active))
-	subMap := make(vnet.NodeMapping, len(e.active))
-	force := make([]bool, len(e.active))
-	for i, a := range e.active {
-		pin := *a.req
-		pin.Earliest = a.decided.Start
-		pin.Latest = a.decided.End
-		subReqs[i] = &pin
-		subMap[i] = a.mapping
-		force[i] = true
-	}
-	inst := &core.Instance{Sub: e.cfg.Sub, Reqs: subReqs, Horizon: e.cfg.Horizon}
-	b := core.BuildCSigma(inst, core.BuildOptions{
-		Objective:       core.AccessControl,
-		FixedMapping:    subMap,
-		CutMode:         e.cfg.CutMode,
-		DisablePresolve: e.cfg.DisablePresolve,
-		ForceAccept:     force,
-	})
+	inst, opts := e.committedSystem(e.active)
+	b := core.BuildCSigma(inst, opts)
 	sol, ms := b.Solve(ctx, &e.cfg.Solve)
 	e.stats.TotalLPIters += ms.LPIterations
 	e.stats.TotalNodes += ms.Nodes
@@ -810,7 +806,7 @@ func (e *Engine) reoptimize(ctx context.Context) {
 		return
 	}
 	if e.cfg.Certify {
-		rep := certify.Solution(inst, sol, certify.Options{SkipObjective: true, Mapping: subMap})
+		rep := certify.Solution(inst, sol, certify.Options{SkipObjective: true, Mapping: opts.FixedMapping})
 		if !rep.OK() {
 			return
 		}

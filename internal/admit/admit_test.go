@@ -8,7 +8,6 @@ import (
 
 	"tvnep/internal/certify"
 	"tvnep/internal/core"
-	"tvnep/internal/greedy"
 	"tvnep/internal/numtol"
 	"tvnep/internal/solution"
 	"tvnep/internal/workload"
@@ -95,9 +94,10 @@ func TestWarmRestartRegression(t *testing.T) {
 
 // TestMatchesGreedy streams a trace whose arrival order equals the
 // earliest-start order (workload arrivals are Poisson-ordered) and checks
-// the engine reproduces the offline greedy cΣ_A^G accept set and schedules:
-// the engine is the same algorithm, computed incrementally with active-set
-// pruning and tiered solves, so the decisions must coincide.
+// the engine reproduces the cΣ_A^G reference's accept set and schedules:
+// on this trace pinning the committed flows costs no acceptance, so the
+// engine, with active-set pruning and tiered solves, must coincide with
+// the per-iteration loop.
 func TestMatchesGreedy(t *testing.T) {
 	n := 30
 	if testing.Short() {
@@ -107,10 +107,7 @@ func TestMatchesGreedy(t *testing.T) {
 	eng := replay(t, sc, Config{})
 
 	inst := &core.Instance{Sub: sc.Substrate, Reqs: sc.Requests, Horizon: sc.Horizon}
-	gsol, _, err := greedy.Solve(context.Background(), inst, sc.Mapping, core.BuildOptions{}, nil)
-	if err != nil {
-		t.Fatalf("greedy: %v", err)
-	}
+	gsol := refGreedy(t, inst, sc.Mapping)
 	ds := eng.Decisions()
 	for i := range sc.Requests {
 		if ds[i].Accepted != gsol.Accepted[i] {

@@ -43,7 +43,7 @@ var Maporder = &analysis.Analyzer{
 // bare fixture names keep the analyzer testable outside the module.
 var maporderScope = []string{
 	"internal/core", "internal/depgraph", "internal/mip", "internal/lp",
-	"internal/linalg/sparselu", "internal/greedy", "internal/eval",
+	"internal/linalg/sparselu", "internal/eval",
 	"internal/admit", "internal/solution", "internal/certify",
 	"internal/analysis", "internal/analyzers",
 	"maporder",

@@ -4,9 +4,9 @@ import (
 	"context"
 	"testing"
 
+	"tvnep/internal/admit"
 	"tvnep/internal/certify"
 	"tvnep/internal/core"
-	"tvnep/internal/greedy"
 	"tvnep/internal/lp"
 	"tvnep/internal/model"
 	"tvnep/internal/solution"
@@ -120,7 +120,7 @@ func TestKnownGoodObjectives(t *testing.T) {
 func TestKnownGoodGreedy(t *testing.T) {
 	sc := smallScenario(t)
 	inst := &core.Instance{Sub: sc.Substrate, Reqs: sc.Requests, Horizon: sc.Horizon}
-	sol, _, err := greedy.Solve(context.Background(), inst, sc.Mapping, core.BuildOptions{}, solveOpts())
+	sol, _, err := admit.Greedy(context.Background(), inst, sc.Mapping, core.BuildOptions{}, solveOpts())
 	if err != nil {
 		t.Fatalf("greedy: %v", err)
 	}

@@ -232,11 +232,10 @@ type BuildOptions struct {
 	// DisablePresolve turns the activity-interval state-space reduction
 	// off. cΣ only; used for ablations.
 	DisablePresolve bool
-	// ForceAccept / ForceReject pin x_R for individual requests (used by
-	// the greedy algorithm, Constraints 24/25). Indexed by request; nil is
-	// allowed.
+	// ForceAccept pins x_R = 1 for individual requests (the committed
+	// requests of an admission subproblem, Constraint 24). Indexed by
+	// request; nil is allowed.
 	ForceAccept []bool
-	ForceReject []bool
 }
 
 func (o BuildOptions) loadFraction() float64 {

@@ -184,9 +184,6 @@ func buildAcceptVar(b *Built, r int) {
 	if forced {
 		m.Fix(b.XR[r], 1)
 	}
-	if b.Opts.ForceReject != nil && r < len(b.Opts.ForceReject) && b.Opts.ForceReject[r] {
-		m.Fix(b.XR[r], 0)
-	}
 }
 
 // addSeedLinkAlloc is addLinkAlloc's FlowPath branch: it appends coef

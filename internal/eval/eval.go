@@ -21,9 +21,9 @@ import (
 	"strings"
 	"time"
 
+	"tvnep/internal/admit"
 	"tvnep/internal/certify"
 	"tvnep/internal/core"
-	"tvnep/internal/greedy"
 	"tvnep/internal/model"
 	"tvnep/internal/solution"
 	"tvnep/internal/stats"
@@ -59,7 +59,7 @@ type Config struct {
 	CutMode core.CutMode
 	// FlowMode selects arc-based (default) or path-based link flows for
 	// every cΣ build of the sweep; path mode prices path columns on demand.
-	// Δ/Σ builds ignore it.
+	// Δ/Σ builds ignore it, and so does greedy, which decides on arc flows.
 	FlowMode core.FlowMode
 	// Seed is the base seed of every randomized component of a sweep (the
 	// rounding tier). Scenario-local seeds are derived from it with
@@ -352,13 +352,12 @@ func (c Config) GreedySweep(ctx context.Context, progress io.Writer) []Record {
 
 		start := time.Now() //lint:allow nondet -- greedy runtime measurement; recorded, not branched on
 		gso := c.Solve
-		gsol, gstats, err := greedy.Solve(ctx, inst, mapping,
-			core.BuildOptions{CutMode: c.CutMode, FlowMode: c.FlowMode}, &gso)
+		gsol, gstats, err := admit.Greedy(ctx, inst, mapping, core.BuildOptions{CutMode: c.CutMode}, &gso)
 		rec := Record{
 			FlexMin: key.flex, Seed: key.seed, Form: core.CSigma,
 			Obj: core.AccessControl, Algo: "greedy",
 			Runtime: time.Since(start), //lint:allow nondet -- greedy runtime measurement
-			Nodes:   gstats.TotalBBNodes, LPIters: gstats.TotalLPIters,
+			Nodes:   gstats.TotalNodes, LPIters: gstats.TotalLPIters,
 		}
 		if err == nil && gsol != nil {
 			rec.Value = gsol.Objective

@@ -21,7 +21,8 @@ func (s *Solver) engine() (*admit.Engine, error) {
 			s.engErr = &OptionConflictError{Option: "WithFlowMode(path)", Online: true}
 			return
 		}
-		s.eng, s.engErr = admit.New(admit.Config{
+		var eng *admit.Engine
+		eng, s.engErr = admit.New(admit.Config{
 			Sub:             s.sub,
 			Horizon:         s.cfg.horizon,
 			Solve:           s.cfg.solve,
@@ -32,8 +33,9 @@ func (s *Solver) engine() (*admit.Engine, error) {
 			Certify:         s.cfg.certify,
 			ReoptEvery:      s.cfg.reoptEvery,
 		})
+		s.eng.Store(eng)
 	})
-	return s.eng, s.engErr
+	return s.eng.Load(), s.engErr
 }
 
 // Admit streams one arriving request through the online admission engine:
@@ -54,18 +56,20 @@ func (s *Solver) Admit(ctx context.Context, req *Request, mapping []int) (Decisi
 // EngineStats returns the admission engine's aggregate statistics (zero
 // before the first Admit call).
 func (s *Solver) EngineStats() EngineStats {
-	if s.eng == nil {
+	eng := s.eng.Load()
+	if eng == nil {
 		return EngineStats{}
 	}
-	return s.eng.Stats()
+	return eng.Stats()
 }
 
 // Decisions returns every admission decision so far, in arrival order.
 func (s *Solver) Decisions() []Decision {
-	if s.eng == nil {
+	eng := s.eng.Load()
+	if eng == nil {
 		return nil
 	}
-	return s.eng.Decisions()
+	return eng.Decisions()
 }
 
 // Snapshot reconstructs the instance streamed so far and the engine's
@@ -73,8 +77,9 @@ func (s *Solver) Decisions() []Decision {
 // schedules and embeddings; rejected requests carry the Definition-2.1
 // fixed times). The pair certifies under the AccessControl objective.
 func (s *Solver) Snapshot() (*Instance, NodeMapping, *Solution) {
-	if s.eng == nil {
+	eng := s.eng.Load()
+	if eng == nil {
 		return &core.Instance{Sub: s.sub, Horizon: s.cfg.horizon}, nil, &Solution{}
 	}
-	return s.eng.Snapshot()
+	return eng.Snapshot()
 }

@@ -14,7 +14,8 @@
 //     optimality by the built-in branch-and-bound/simplex stack.
 //
 //   - The greedy heuristic (WithAlgorithm(Greedy)): the polynomial-time
-//     online algorithm cΣ_A^G for the access-control objective.
+//     online algorithm cΣ_A^G for the access-control objective, run as the
+//     admission engine replayed offline in order of earliest start.
 //
 //   - Online admission (Solver.Admit): a long-running streaming engine
 //     that decides each arriving request against the committed system,
@@ -29,7 +30,7 @@
 // bit-identical across runs, and admission traces replay identically, as
 // long as budgets are node-based (WithNodeLimit) rather than time-based.
 //
-// Direct use of the internal packages (internal/core, internal/greedy,
+// Direct use of the internal packages (internal/core, internal/admit,
 // internal/mip, …) is unsupported; their exported surfaces exist for this
 // facade and the repository's own tools.
 package tvnep

@@ -95,7 +95,7 @@ func TestFlowModeConflicts(t *testing.T) {
 		t.Fatal("path-mode Solve without a mapping must fail")
 	}
 
-	// Greedy combines with path mode (it pins mappings per iteration).
+	// Greedy combines with path mode (it decides on arc flows).
 	if _, err := tvnep.New(sub, tvnep.WithAlgorithm(tvnep.Greedy), tvnep.WithFlowMode(tvnep.FlowPath)); err != nil {
 		t.Fatalf("greedy + path must construct: %v", err)
 	}

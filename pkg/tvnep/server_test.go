@@ -2,9 +2,11 @@ package tvnep_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"tvnep/internal/workload"
@@ -174,5 +176,39 @@ func TestServerRejectsMalformed(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("out-of-range mapping: status %v, want 422", resp.Status)
+	}
+}
+
+// TestEngineReadsDuringFirstAdmit runs the first admissions concurrently
+// with the reads the /v1/stats and /v1/solution handlers make. The engine is
+// created lazily by the first Admit, so under -race every read must be
+// ordered after that creation or see none.
+func TestEngineReadsDuringFirstAdmit(t *testing.T) {
+	sc := scenario(t, 3, 1)
+	solver, err := tvnep.New(sc.Substrate, tvnep.WithHorizon(sc.Horizon))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i, req := range sc.Requests {
+			if _, err := solver.Admit(context.Background(), req, sc.Mapping[i]); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			solver.EngineStats()
+			solver.Decisions()
+			solver.Snapshot()
+		}
+	}()
+	wg.Wait()
+	if s := solver.EngineStats(); s.Decisions != len(sc.Requests) {
+		t.Fatalf("%d decisions, want %d", s.Decisions, len(sc.Requests))
 	}
 }

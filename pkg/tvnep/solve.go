@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"time"
 
+	"tvnep/internal/admit"
 	"tvnep/internal/certify"
 	"tvnep/internal/core"
-	"tvnep/internal/greedy"
 	"tvnep/internal/model"
 	"tvnep/internal/round"
 	"tvnep/internal/solution"
@@ -102,21 +102,17 @@ func (s *Solver) Solve(ctx context.Context, reqs []*Request, mapping NodeMapping
 }
 
 func (s *Solver) solveGreedy(ctx context.Context, inst *core.Instance, mapping NodeMapping) (*Result, error) {
-	build := core.BuildOptions{
-		CutMode:         s.cfg.cutMode,
-		FlowMode:        s.cfg.flowMode,
-		DisablePresolve: s.cfg.noPresolve,
-	}
-	sol, stats, err := greedy.Solve(ctx, inst, mapping, build, &s.cfg.solve)
+	build := core.BuildOptions{CutMode: s.cfg.cutMode, DisablePresolve: s.cfg.noPresolve}
+	sol, stats, err := admit.Greedy(ctx, inst, mapping, build, &s.cfg.solve)
 	if err != nil {
 		return nil, fmt.Errorf("tvnep: %w", err)
 	}
 	res := &Result{
 		Solution:     sol,
 		Status:       StatusFeasible, // heuristic: feasible, no optimality claim
-		Nodes:        stats.TotalBBNodes,
+		Nodes:        stats.TotalNodes,
 		LPIterations: stats.TotalLPIters,
-		Runtime:      stats.TotalRuntime,
+		Runtime:      sol.Runtime,
 		Greedy:       &stats,
 	}
 	if err := s.verify(inst, sol, mapping, res, nil, nil); err != nil {
@@ -215,9 +211,8 @@ func (s *Solver) verify(inst *core.Instance, sol *Solution, mapping NodeMapping,
 		Objective:    s.cfg.objective,
 		LoadFraction: s.cfg.loadFraction,
 		Mapping:      mapping,
-		// Greedy solutions carry the per-iteration objective; the greedy
-		// driver recomputes the access-control value itself, so the
-		// recomputation applies there too.
+		// Greedy solutions carry the access-control value of their
+		// accepted set, so the recomputation applies there too.
 	}
 	cert.Solution = certify.Solution(inst, sol, certOpts)
 	if err := cert.Solution.Err(); err != nil {

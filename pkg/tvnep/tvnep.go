@@ -6,11 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tvnep/internal/admit"
 	"tvnep/internal/core"
-	"tvnep/internal/greedy"
 	"tvnep/internal/model"
 	"tvnep/internal/round"
 	"tvnep/internal/solution"
@@ -54,8 +54,9 @@ type (
 	SolveStatus = model.Status
 	// Progress is a snapshot of a running solve.
 	Progress = model.Progress
-	// GreedyStats reports per-run statistics of the greedy algorithm.
-	GreedyStats = greedy.Stats
+	// GreedyStats reports per-run statistics of the greedy algorithm: the
+	// statistics of the admission engine it replays.
+	GreedyStats = admit.Stats
 	// RoundingStats reports per-run statistics of the randomized-rounding
 	// tier (samples, repairs, fallback).
 	RoundingStats = round.Stats
@@ -154,9 +155,10 @@ type Algorithm int
 const (
 	// Exact solves the selected formulation to proven optimality.
 	Exact Algorithm = iota
-	// Greedy runs the polynomial-time online heuristic cΣ_A^G (Section V).
-	// It supports the AccessControl objective only and requires a node
-	// mapping.
+	// Greedy runs the polynomial-time online heuristic cΣ_A^G (Section V):
+	// the admission engine fed the requests in order of earliest start,
+	// re-routing committed link flows at every decision. It supports the
+	// AccessControl objective only and requires a node mapping.
 	Greedy
 	// Rounding runs the approximate LP-relaxation randomized-rounding tier
 	// (internal/round): relax, decompose, sample, repair by deferral, and
@@ -298,8 +300,12 @@ func WithCutMode(m CutMode) Option {
 // reduced-cost shortest-path pricer; both modes reach the same certified
 // optimum. cΣ only: combining it with Delta or Sigma makes New fail with
 // *OptionConflictError, as do the rounding algorithm and online admission,
-// whose tiers decompose arc flows. Path mode requires a node mapping at
-// Solve time (path endpoints must be known when the model is built).
+// whose tiers decompose arc flows. The greedy algorithm accepts it and
+// still decides on arc flows: it runs the admission engine, and its
+// decisions do not depend on the flow formulation (both reach the same
+// per-decision optimum; TestGreedyFlowModesAgree). Path mode requires a
+// node mapping at Solve time (path endpoints must be known when the model
+// is built).
 func WithFlowMode(m FlowMode) Option {
 	return func(c *config) {
 		c.flowMode = m
@@ -400,9 +406,11 @@ type Solver struct {
 	sub *Substrate
 	cfg config
 
-	// Online admission engine, created lazily by the first Admit call.
+	// Online admission engine, created lazily by the first Admit call. The
+	// read methods load eng without the once: it is published atomically,
+	// so a read concurrent with that first Admit sees nil or the engine.
 	engOnce sync.Once
-	eng     *admit.Engine
+	eng     atomic.Pointer[admit.Engine]
 	engErr  error
 }
 

@@ -6,8 +6,8 @@ import (
 	"math"
 	"testing"
 
+	"tvnep/internal/admit"
 	"tvnep/internal/core"
-	"tvnep/internal/greedy"
 	"tvnep/internal/model"
 	"tvnep/internal/workload"
 	"tvnep/pkg/tvnep"
@@ -111,7 +111,7 @@ func TestFacadeMatchesDirect(t *testing.T) {
 func TestGreedyFacadeMatchesDirect(t *testing.T) {
 	sc := scenario(t, 8, 4)
 	inst := &core.Instance{Sub: sc.Substrate, Reqs: sc.Requests, Horizon: sc.Horizon}
-	wantSol, wantStats, err := greedy.Solve(context.Background(), inst, sc.Mapping, core.BuildOptions{}, nil)
+	wantSol, wantStats, err := admit.Greedy(context.Background(), inst, sc.Mapping, core.BuildOptions{}, nil)
 	if err != nil {
 		t.Fatalf("direct greedy: %v", err)
 	}
@@ -130,7 +130,7 @@ func TestGreedyFacadeMatchesDirect(t *testing.T) {
 	if math.Float64bits(got.Solution.Objective) != math.Float64bits(wantSol.Objective) {
 		t.Errorf("objective %v != direct %v", got.Solution.Objective, wantSol.Objective)
 	}
-	if got.Greedy == nil || got.Greedy.AcceptedCount != wantStats.AcceptedCount {
+	if got.Greedy == nil || got.Greedy.Accepted != wantStats.Accepted {
 		t.Errorf("greedy stats %+v != direct %+v", got.Greedy, wantStats)
 	}
 	if got.Solution.Optimal {
