@@ -252,7 +252,7 @@ func benchSweepWorkers(b *testing.B, workers int) {
 	cfg := benchConfig()
 	cfg.FlexMinutes = []float64{0, 60, 120, 180}
 	cfg.Seeds = []int64{1, 2, 3, 4}
-	cfg.Solve.Workers = workers
+	cfg.Workers = workers
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		recs := cfg.AccessControlSweep(context.Background(), []core.Formulation{core.CSigma}, nil)

@@ -25,8 +25,8 @@ import (
 // The -json mode: a machine-readable benchmark of the solver layers. Every
 // entry of lpBenches runs a fixed number of ops, so every counter in the
 // report — simplex iterations, branch-and-bound nodes, long-step ratio-test
-// activity, cut and column counts, accept, warm-restart and fallback rates,
-// and the warm-start totals of the lp.Debug* counters — is the same on
+// activity, cut and column counts, accept and fallback rates, and the
+// warm-start totals of the lp.Debug* counters — is the same on
 // every run of one build. Time is process CPU per op. The report also
 // carries the equilibration-scaling diagnostics and a steady-state
 // allocation probe. Pass -compare with a previously written report to embed
@@ -69,10 +69,6 @@ type lpCounters struct {
 	// back to exact branch-and-bound, so their means are the rates.
 	AcceptRate   float64 `json:"accept_rate,omitempty"`
 	FallbackRate float64 `json:"fallback_rate,omitempty"`
-	// Restarts and WarmRestarts count the admission engine's commitment
-	// hot-restarts and those that ran warm.
-	Restarts     float64 `json:"restarts_per_op,omitempty"`
-	WarmRestarts float64 `json:"warm_restarts_per_op,omitempty"`
 }
 
 // eachCounter calls f with the JSON name of every counter field and
@@ -94,8 +90,6 @@ type lpBenchResult struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	lpCounters
-	// WarmRate is the fraction of commitment restarts that ran warm.
-	WarmRate float64 `json:"warm_rate,omitempty"`
 }
 
 type lpWarmStats struct {
@@ -222,14 +216,10 @@ var lpBenches = []lpBench{
 			if err != nil {
 				return lpCounters{}, err
 			}
-			// Every decision past the window precheck pins itself into
-			// its root LP with one commitment restart.
 			return lpCounters{
-				LPIters:      float64(d.Stats.LPIterations),
-				BBNodes:      float64(d.Stats.Nodes),
-				AcceptRate:   flag01(d.Accepted),
-				Restarts:     flag01(d.Stats.Tier != admit.TierPrecheck),
-				WarmRestarts: flag01(d.Stats.WarmUsed),
+				LPIters:    float64(d.Stats.LPIterations),
+				BBNodes:    float64(d.Stats.Nodes),
+				AcceptRate: flag01(d.Accepted),
 			}, nil
 		}, nil
 	}},
@@ -336,9 +326,6 @@ func measure(b lpBench) (lpBenchResult, error) {
 		BytesPerOp:  float64(ms1.TotalAlloc-ms0.TotalAlloc) / n,
 	}
 	eachCounter(&res.lpCounters, &sum, func(_ string, m, s *float64) { *m = *s / n })
-	if sum.Restarts > 0 {
-		res.WarmRate = sum.WarmRestarts / sum.Restarts
-	}
 	return res, nil
 }
 
@@ -374,10 +361,6 @@ func compareLP(cur, base *lpBenchReport) []string {
 				bad("%s: %s %v vs baseline %v", b.Name, name, *x, *y)
 			}
 		})
-		//lint:allow floateq -- a ratio of deterministic counters
-		if c.WarmRate != b.WarmRate {
-			bad("%s: warm_rate %v vs baseline %v", b.Name, c.WarmRate, b.WarmRate)
-		}
 		for _, m := range []struct {
 			name           string
 			cur, base, tol float64
@@ -471,9 +454,6 @@ func runLPBench(outPath, comparePath string) error {
 					line += fmt.Sprintf("  %s=%.4g", name, *x)
 				}
 			})
-			if b.WarmRate > 0 {
-				line += fmt.Sprintf("  warm_rate=%.4g", b.WarmRate)
-			}
 			fmt.Println(line)
 		}
 		fmt.Printf("# warm starts: %d attempts, %.0f%% adopted, %.0f%% factor handoffs, %d basis extensions\n",

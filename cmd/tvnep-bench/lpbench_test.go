@@ -15,8 +15,7 @@ func TestCompareLP(t *testing.T) {
 				{Name: "LazyCutCSigma", Ops: 64, CPUNsPerOp: 1e7, AllocsPerOp: 2400, BytesPerOp: 2e6,
 					lpCounters: lpCounters{LPIters: 790, BBNodes: 83, CutRowsRoot: 220, CutPoolHits: 98}},
 				{Name: "AdmissionStream", Ops: 10000, CPUNsPerOp: 9e5, AllocsPerOp: 180, BytesPerOp: 96000,
-					lpCounters: lpCounters{LPIters: 54.037, AcceptRate: 0.8232, Restarts: 0.9865, WarmRestarts: 0.9865},
-					WarmRate:   1},
+					lpCounters: lpCounters{LPIters: 54.037, AcceptRate: 0.8232}},
 			},
 			WarmStart: lpWarmStats{Attempts: 57995, OK: 57995, FactorHandoffs: 48130, BasisExtensions: 9865},
 		}
@@ -42,8 +41,8 @@ func TestCompareLP(t *testing.T) {
 			[]string{"LazyCutCSigma", "cut_pool_hits"}},
 		{"counter appeared", func(r *lpBenchReport) { r.Benchmarks[1].BBNodes = 3.2607 },
 			[]string{"AdmissionStream", "bb_nodes"}},
-		{"rate changed", func(r *lpBenchReport) { r.Benchmarks[1].WarmRate = 0.99 },
-			[]string{"AdmissionStream", "warm_rate"}},
+		{"rate changed", func(r *lpBenchReport) { r.Benchmarks[1].AcceptRate = 0.8231 },
+			[]string{"AdmissionStream", "accept_rate"}},
 		{"ops changed", func(r *lpBenchReport) { r.Benchmarks[1].Ops = 2000 },
 			[]string{"AdmissionStream", "ops"}},
 		{"entry missing", func(r *lpBenchReport) { r.Benchmarks = r.Benchmarks[:1] },

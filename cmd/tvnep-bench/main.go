@@ -94,7 +94,7 @@ func main() {
 	if *limit > 0 {
 		cfg.Solve.TimeLimit = *limit
 	}
-	cfg.Solve.Workers = *workers
+	cfg.Workers = *workers
 	if *rows > 0 {
 		cfg.Workload.GridRows = *rows
 	}

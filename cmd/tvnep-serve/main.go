@@ -139,16 +139,15 @@ func runReplay(solver *tvnep.Solver, sc *tvnep.Scenario, quiet bool) int {
 			if d.Accepted {
 				verdict = "accept"
 			}
-			fmt.Printf("%4d %-8s %-6s start=%8.3f end=%8.3f tier=%-8s lp_iters=%5d nodes=%5d warm=%v\n",
+			fmt.Printf("%4d %-8s %-6s start=%8.3f end=%8.3f tier=%-8s lp_iters=%5d nodes=%5d\n",
 				d.Index, d.Name, verdict, d.Start, d.End, d.Stats.Tier,
-				d.Stats.LPIterations, d.Stats.Nodes, d.Stats.WarmUsed)
+				d.Stats.LPIterations, d.Stats.Nodes)
 		}
 	}
 	s := solver.EngineStats()
 	fmt.Printf("decisions=%d accepted=%d (rate %.3f) tiers: precheck=%d lp=%d (bound rejects %d) rounding=%d mip=%d\n",
 		s.Decisions, s.Accepted, s.AcceptRate(), s.PrecheckTier, s.LPTier, s.BoundRejects, s.RoundingTier, s.MIPTier)
-	fmt.Printf("latency: p50=%v p99=%v   warm rate %.3f (%d/%d, %d LU extensions)   reopts=%d\n",
-		s.LatencyP50, s.LatencyP99, s.WarmRate(), s.WarmUsed, s.WarmAttempts, s.BasisExtended, s.Reopts)
+	fmt.Printf("latency: p50=%v p99=%v   reopts=%d\n", s.LatencyP50, s.LatencyP99, s.Reopts)
 
 	// Final gate: the cumulative committed solution must pass the
 	// independent checker, whatever the per-decision settings were.

@@ -23,16 +23,9 @@
 //     rules out acceptance: every acceptance scores at least 2T − t^e
 //     under objective (21), so a lower root bound proves the rejection,
 //  3. a full branch-and-bound solve otherwise, which starts from the
-//     tier-2 root: it clones the solved instance and adopts its root
-//     relaxation, basis and factors instead of compiling and solving the
-//     same LP a second time.
-//
-// After each decision the engine pins the outcome into the still-hot LP
-// instance with lp.Instance.AppendRow (x_R and t⁺ band rows) and re-solves
-// with the captured basis/factors (lp.Options.WarmBasis/WarmFactors) — the
-// cutting-plane hot-restart machinery reused as a per-admission commitment
-// certificate, giving an LP bound on the committed system without a single
-// refactorization in the common case.
+//     tier-2 root: the search takes the solved instance over and adopts
+//     its root relaxation, basis and factors instead of compiling and
+//     solving the same LP a second time.
 //
 // Decisions are deterministic: admissions are serialized, the per-decision
 // branch-and-bound search is deterministic (internal/mip), and the default
@@ -89,10 +82,9 @@ const (
 // tries per admission after the deterministic path mix.
 const roundingSamples = 8
 
-// workspaceSlots is how many idle simplex workspaces, and idle clone shells,
-// an engine keeps between decisions. A decision's search solves on one
-// workspace and one clone throughout: the clone borrows the decision
-// instance's workspace and evaluates every relaxation on it. Every idle
+// workspaceSlots is how many idle simplex workspaces an engine keeps
+// between decisions. A decision solves on one workspace throughout: its
+// search evaluates every relaxation on the decision instance. Every idle
 // slot is retained heap.
 const workspaceSlots = 2
 
@@ -169,21 +161,21 @@ type DecisionStats struct {
 	// Latency is the wall-clock time of the whole admission.
 	Latency time.Duration
 	// LPIterations counts simplex iterations across all solves of the
-	// admission: fast tier, branch-and-bound search (whose root is the fast
-	// tier's, counted once) and commitment restart.
+	// admission: fast tier and branch-and-bound search (whose root is the
+	// fast tier's, counted once).
 	LPIterations int
 	// Nodes counts branch-and-bound nodes (0 for precheck/LP decisions).
 	Nodes int
-	// WarmUsed reports that the commitment hot-restart ran warm (dual
-	// simplex from the captured basis, no cold fallback).
+	// WarmUsed is always false.
+	//
+	// Deprecated: it reported the warm restart that pinned each decision
+	// into its LP, which the engine no longer runs.
 	WarmUsed bool
-	// BasisExtended reports that the hot-restart extended the LU factors
-	// over the appended pin rows (sparselu.ExtendInto) instead of
-	// refactorizing.
+	// BasisExtended is always false.
+	//
+	// Deprecated: it reported that the same restart extended the LU
+	// factors over the pin rows.
 	BasisExtended bool
-	// PinnedBound is the LP optimum of the decision-pinned model produced
-	// by the commitment hot-restart (NaN when the restart was skipped).
-	PinnedBound float64
 	// ActiveSet is the number of committed requests included in the
 	// per-decision model after temporal pruning.
 	ActiveSet int
@@ -191,21 +183,18 @@ type DecisionStats struct {
 
 // Stats aggregates engine statistics across all decisions.
 type Stats struct {
-	Decisions     int
-	Accepted      int
-	Rejected      int
-	PrecheckTier  int
-	LPTier        int
-	RoundingTier  int
-	MIPTier       int
-	BoundRejects  int // LP-tier rejections proved by the root bound (boundRejects)
-	CertFailures  int
-	Reopts        int
-	TotalLPIters  int
-	TotalNodes    int
-	WarmAttempts  int
-	WarmUsed      int
-	BasisExtended int
+	Decisions    int
+	Accepted     int
+	Rejected     int
+	PrecheckTier int
+	LPTier       int
+	RoundingTier int
+	MIPTier      int
+	BoundRejects int // LP-tier rejections proved by the root bound (boundRejects)
+	CertFailures int
+	Reopts       int
+	TotalLPIters int
+	TotalNodes   int
 	// LatencyP50 and LatencyP99 summarize per-decision latency.
 	LatencyP50, LatencyP99 time.Duration
 }
@@ -216,14 +205,6 @@ func (s Stats) AcceptRate() float64 {
 		return 0
 	}
 	return float64(s.Accepted) / float64(s.Decisions)
-}
-
-// WarmRate returns the fraction of commitment restarts that ran warm.
-func (s Stats) WarmRate() float64 {
-	if s.WarmAttempts == 0 {
-		return 0
-	}
-	return float64(s.WarmUsed) / float64(s.WarmAttempts)
 }
 
 // record is the engine's log entry for one decided request.
@@ -247,12 +228,12 @@ type Engine struct {
 
 	// Memory the decisions recycle instead of allocating: the stash every
 	// decision's instances draw from and return to (idle simplex
-	// workspaces, compiled LP storage, clone shells, and the factor
-	// buffers, bases and solution vectors of finished solves), kept for the
-	// engine's lifetime; the buffer holding the fast tier's root
-	// factorization, which the MIP tier's root and the commitment restart
-	// read and which never enters the stash; and the last decision's cΣ
-	// model and objective, which the next decision rebuilds in place.
+	// workspaces, compiled LP storage, and the factor buffers, bases and
+	// solution vectors of finished solves), kept for the engine's lifetime;
+	// the buffer holding the fast tier's root factorization, which the MIP
+	// tier's root reads and which never enters the stash; and the last
+	// decision's cΣ model and objective, which the next decision rebuilds
+	// in place.
 	// Nothing a decision returns or the engine commits points into this
 	// storage: Extract and the acceptance copy out.
 	spares  *lp.Workspaces
@@ -448,7 +429,6 @@ func (e *Engine) Admit(ctx context.Context, req *vnet.Request, mapping []int) (D
 	cp := *req
 	rec := &record{req: &cp, mapping: append([]int(nil), mapping...)}
 	d := Decision{Index: len(e.log), Name: cp.Name}
-	d.Stats.PinnedBound = math.NaN()
 
 	committed := e.overlapping(&cp)
 	if e.precheckRejects(&cp, rec.mapping, committed) {
@@ -519,31 +499,29 @@ func (e *Engine) decide(ctx context.Context, rec *record, committed []*record, d
 	b, newIdx := e.model(rec, committed)
 	d.Stats.ActiveSet = newIdx
 
-	// LP fast tier: solve the root relaxation through a raw instance so the
-	// basis and LU factors survive for the MIP tier's root and the
-	// commitment hot-restart below. The instance is compiled into storage
-	// recycled through the engine's spares, and so are its workspaces. The
-	// model is kept for the next decision only while the spares keep the
-	// instance storage compiled from it: both are as large as the model.
+	// LP fast tier: solve the root relaxation through a raw instance whose
+	// basis and LU factors the MIP tier's search takes over. The instance is
+	// compiled into storage recycled through the engine's spares, and so are
+	// its workspaces. The model is kept for the next decision only while the
+	// spares keep the instance storage compiled from it: both are as large
+	// as the model.
 	inst := e.spares.Compile(b.Model.LP())
 	var lpRes lp.Result
 	defer func() {
 		// Nothing the decision returns or commits points into the root
 		// relaxation: Extract and the acceptance copy out. Its vectors and
-		// basis go back to the spares; its factors are rootFac.
+		// basis go back to the spares; its factors, if captured, are rootFac.
 		e.spares.Reuse(lp.Result{X: lpRes.X, Duals: lpRes.Duals, Basis: lpRes.Basis})
 		if !inst.Recycle() {
 			e.built = nil
 		}
 	}()
 	lpRes = inst.Solve(&lp.Options{Context: ctx})
-	inst.CaptureFactors(&lpRes, e.rootFac)
 	d.Stats.LPIterations += lpRes.Iterations
 
 	if boundRejects(lpRes, 2*e.cfg.Horizon-rec.req.Latest) {
 		d.Stats.Tier = TierLP
 		e.stats.BoundRejects++
-		e.commitRestart(inst, b, lpRes, nil, newIdx, d)
 		return nil, nil
 	}
 	var sol *solution.Solution
@@ -563,10 +541,11 @@ func (e *Engine) decide(ctx context.Context, rec *record, committed []*record, d
 			}
 		}
 		if sol == nil {
-			// The search starts from the fast tier's root: it clones inst
-			// (leaving it intact for the commitment restart) and adopts
-			// lpRes instead of solving the same relaxation again.
+			// The search starts from the fast tier's root: it takes inst
+			// over and adopts lpRes instead of solving the same relaxation
+			// again.
 			d.Stats.Tier = TierMIP
+			inst.CaptureFactors(&lpRes, e.rootFac)
 			ms := b.Model.OptimizeFrom(ctx, &e.cfg.Solve, inst, lpRes)
 			d.Stats.LPIterations += ms.LPIterations
 			d.Stats.Nodes += ms.Nodes
@@ -577,7 +556,6 @@ func (e *Engine) decide(ctx context.Context, rec *record, committed []*record, d
 		}
 	}
 	if sol == nil || !sol.Accepted[newIdx] {
-		e.commitRestart(inst, b, lpRes, nil, newIdx, d)
 		return nil, nil
 	}
 	acc := &acceptance{
@@ -589,7 +567,6 @@ func (e *Engine) decide(ctx context.Context, rec *record, committed []*record, d
 	if e.reroute {
 		acc.rerouted = sol.Flows[:newIdx]
 	}
-	e.commitRestart(inst, b, lpRes, acc, newIdx, d)
 	return acc, nil
 }
 
@@ -691,39 +668,6 @@ func integral(m *model.Model, x []float64) bool {
 		}
 	}
 	return true
-}
-
-// commitRestart pins the decision into the already-solved LP instance with
-// AppendRow band rows and re-solves warm from the captured basis and LU
-// factors — the lazy-cut hot-restart machinery reused to certify the
-// committed system with an LP bound. acc == nil pins a rejection.
-func (e *Engine) commitRestart(inst *lp.Instance, b *core.Built, lpRes lp.Result, acc *acceptance, newIdx int, d *Decision) {
-	if lpRes.Basis == nil {
-		return // fast-tier LP did not finish; nothing to restart from
-	}
-	xr := int32(b.XR[newIdx].Index())
-	if acc != nil {
-		inst.AppendRow([]int32{xr}, []float64{1}, 0.5, lp.Inf)
-		tp := int32(b.TPlus[newIdx].Index())
-		inst.AppendRow([]int32{tp}, []float64{1}, acc.start-numtol.TimeTol, acc.start+numtol.TimeTol)
-	} else {
-		inst.AppendRow([]int32{xr}, []float64{1}, math.Inf(-1), 0.5)
-	}
-	e.stats.WarmAttempts++
-	res := inst.Solve(&lp.Options{WarmBasis: lpRes.Basis, WarmFactors: lpRes.Factors})
-	d.Stats.LPIterations += res.Iterations
-	d.Stats.WarmUsed = res.WarmUsed
-	d.Stats.BasisExtended = res.BasisExtended
-	if res.WarmUsed {
-		e.stats.WarmUsed++
-	}
-	if res.BasisExtended {
-		e.stats.BasisExtended++
-	}
-	if res.Status == lp.StatusOptimal {
-		d.Stats.PinnedBound = res.Obj
-	}
-	e.spares.Reuse(res)
 }
 
 // certifyDecision certifies an accepting decision before it is committed,

@@ -45,8 +45,8 @@ func replay(t *testing.T, sc *workload.Scenario, cfg Config) *Engine {
 
 // TestReplayDeterminism replays one seeded trace twice through certifying
 // engines: every decision must match bit for bit, its verdict, tier,
-// schedule, pinned bound and solver counters (trajectoryLine) and its hosts
-// and flows (decisionDigest). The accept/reject sequence is a pure function
+// schedule and solver counters (trajectoryLine) and its hosts and flows
+// (decisionDigest). The accept/reject sequence is a pure function
 // of the submission order.
 func TestReplayDeterminism(t *testing.T) {
 	n := 60
@@ -63,32 +63,6 @@ func TestReplayDeterminism(t *testing.T) {
 	}
 	if a, b := decisionDigest(first), decisionDigest(second); a != b {
 		t.Fatalf("hosts or flows differ between two runs: digests %#016x and %#016x", a, b)
-	}
-}
-
-// TestWarmRestartRegression guards the commitment hot-restart: across a
-// streamed trace every restart must run warm and extend the LU factors over
-// the appended pin rows — the whole point of keeping the LP instance hot
-// (and untouched by the branch-and-bound tier, which only clones it)
-// between the deciding solve and the decision pin.
-func TestWarmRestartRegression(t *testing.T) {
-	sc := trace(t, 25, 3)
-	eng := replay(t, sc, Config{})
-	s := eng.Stats()
-	if s.WarmAttempts == 0 {
-		t.Fatal("no commitment hot-restarts were attempted")
-	}
-	t.Logf("warm rate %.2f (%d/%d), basis extensions %d, mip tier %d",
-		s.WarmRate(), s.WarmUsed, s.WarmAttempts, s.BasisExtended, s.MIPTier)
-	if s.WarmUsed != s.WarmAttempts {
-		t.Errorf("warm rate %.2f: %d of %d restarts fell back cold", s.WarmRate(), s.WarmAttempts-s.WarmUsed, s.WarmAttempts)
-	}
-	if s.BasisExtended != s.WarmAttempts {
-		t.Errorf("%d of %d restarts refactorized instead of extending the LU factors over the pin rows",
-			s.WarmAttempts-s.BasisExtended, s.WarmAttempts)
-	}
-	if s.MIPTier == 0 {
-		t.Error("no decision reached the branch-and-bound tier; the trace no longer covers a restart after it")
 	}
 }
 

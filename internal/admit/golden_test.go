@@ -15,21 +15,20 @@ import (
 const goldenTrajectory = "testdata/trajectory_seed3_n300.golden"
 
 // trajectoryLine renders the deterministic fields of one decision: the
-// verdict, the tier, the exact bits of the committed times and the pinned LP
-// bound, and the solver counters of the admission.
+// verdict, the tier, the exact bits of the committed times, and the solver
+// counters of the admission.
 func trajectoryLine(d Decision) string {
-	return fmt.Sprintf("%d %t %s %016x %016x %016x %d %d %t %t",
+	return fmt.Sprintf("%d %t %s %016x %016x %d %d",
 		d.Index, d.Accepted, d.Stats.Tier,
-		math.Float64bits(d.Start), math.Float64bits(d.End), math.Float64bits(d.Stats.PinnedBound),
-		d.Stats.LPIterations, d.Stats.Nodes, d.Stats.WarmUsed, d.Stats.BasisExtended)
+		math.Float64bits(d.Start), math.Float64bits(d.End),
+		d.Stats.LPIterations, d.Stats.Nodes)
 }
 
 // TestAdmissionTrajectoryGolden replays a fixed 300-request default-preset
 // trace and compares every decision against literals recorded from an
 // earlier build: not only the verdicts and schedules but the LP iteration
-// and node counts and the hot-restart provenance, so a change meant to
-// touch only memory management or speed cannot silently move a single
-// pivot of any admission's solves.
+// and node counts, so a change meant to touch only memory management or
+// speed cannot silently move a single pivot of any admission's solves.
 func TestAdmissionTrajectoryGolden(t *testing.T) {
 	sc := trace(t, 300, 3)
 	ds := replay(t, sc, Config{}).Decisions()

@@ -19,17 +19,23 @@ import (
 
 // TestSteadyStateDecisionAllocs pins what one admission decision allocates
 // once the engine's recycled storage has grown: the cΣ model is rebuilt
-// and the LP recompiled in place, and the branch and bound recycles its
-// clone, node results and factor buffers through the engine's stash, so the
-// mean over a window of decisions stays far below the roughly 3,250
-// objects and 615 kB a decision cost when every decision built a fresh
-// model and instance, and the 286 kB it cost with a garbage-collected
-// search. What is left is mostly storage regrown after the stash's size
-// rule dropped it (EXPERIMENTS.md, "Garbage-free branch and bound").
+// and the LP recompiled in place, and the branch and bound runs on the
+// decision's instance and recycles its node results and factor buffers
+// through the engine's stash, so the mean over a window of decisions stays
+// far below the roughly 3,250 objects and 615 kB a decision cost when every
+// decision built a fresh model and instance. What is left is mostly storage
+// regrown after the stash's size rule dropped it (EXPERIMENTS.md,
+// "Garbage-free branch and bound"). Measured with Go 1.24 on linux/amd64:
+// 83 allocations and 38,386 bytes per decision over decisions 300–399 (87
+// and 46,521 with -tags debugchecks), and 70 and 22,819 over decisions
+// 300–349 in -short mode (73 and 27,904). The bounds leave about 25% over
+// the larger figure of each pair.
 func TestSteadyStateDecisionAllocs(t *testing.T) {
 	warm, window := 300, 100
+	maxAllocs, maxBytes := 110.0, 58.0*1024
 	if testing.Short() {
 		window = 50
+		maxAllocs, maxBytes = 92, 35*1024
 	}
 	sc := trace(t, warm+window, 3)
 	eng, err := New(Config{Sub: sc.Substrate, Horizon: sc.Horizon})
@@ -56,11 +62,11 @@ func TestSteadyStateDecisionAllocs(t *testing.T) {
 	bytesPerDecision := float64(after.TotalAlloc-before.TotalAlloc) / float64(window)
 	t.Logf("%.0f allocations, %.0f bytes per decision over decisions %d..%d",
 		perDecision, bytesPerDecision, warm, warm+window-1)
-	if perDecision > 1000 {
-		t.Fatalf("a steady-state decision allocates %.0f objects on average, want at most 1000", perDecision)
+	if perDecision > maxAllocs {
+		t.Fatalf("a steady-state decision allocates %.0f objects on average, want at most %.0f", perDecision, maxAllocs)
 	}
-	if bytesPerDecision > 128<<10 {
-		t.Fatalf("a steady-state decision allocates %.0f bytes on average, want at most %d", bytesPerDecision, 128<<10)
+	if bytesPerDecision > maxBytes {
+		t.Fatalf("a steady-state decision allocates %.0f bytes on average, want at most %.0f", bytesPerDecision, maxBytes)
 	}
 }
 
@@ -115,10 +121,10 @@ func sameDecision(a, b Decision) bool {
 // rebuild into the engine's recycled model and instance. Nothing held may
 // change: no decision, committed flow or snapshot may point into storage a
 // later decision reuses. The third configuration runs the rounding
-// heuristic at every node, so the searches dive, and checks the factors the
-// engine holds for its commitment restart at every certified acceptance:
-// after the search and the restart they must still equal a fresh capture
-// of the decision's root relaxation, so no search or restart recycled them.
+// heuristic at every node, so the searches dive, and checks the root
+// factors the engine hands its search at every certified acceptance the
+// search decided: after the search they must still equal a fresh capture of
+// the decision's root relaxation, so the search recycled none of them.
 func TestRecycledStorageIsolation(t *testing.T) {
 	for _, cfg := range []Config{
 		{},
@@ -139,6 +145,9 @@ func TestRecycledStorageIsolation(t *testing.T) {
 				}
 				fresh := lp.NewInstance(eng.built.Model.LP())
 				root := fresh.Solve(nil)
+				if integral(eng.built.Model, root.X) {
+					return // decided by the LP tier, which hands no factors on
+				}
 				fresh.CaptureFactors(&root, nil)
 				if !reflect.DeepEqual(root.Factors, eng.rootFac) {
 					t.Fatalf("decision %d: the root factors the engine holds changed during the decision", len(eng.log))

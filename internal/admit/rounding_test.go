@@ -41,9 +41,9 @@ func TestRoundingTierEngages(t *testing.T) {
 
 // TestRoundingTierDeterminism replays one trace with the rounding tier
 // twice at the same seed: every decision must match bit for bit, its
-// verdict, tier, schedule, pinned bound and solver counters
-// (trajectoryLine) and its hosts and flows (decisionDigest). The tier's
-// per-decision seeds derive only from Config.Seed and the decision index.
+// verdict, tier, schedule and solver counters (trajectoryLine) and its
+// hosts and flows (decisionDigest). The tier's per-decision seeds derive
+// only from Config.Seed and the decision index.
 func TestRoundingTierDeterminism(t *testing.T) {
 	n := 40
 	if testing.Short() {

@@ -62,7 +62,7 @@ func (c Config) AblationSweep(ctx context.Context, progress io.Writer) ([]Ablati
 	keys := c.pairs()
 	var out []AblationRecord
 	var firstErr error
-	runOrdered(ctx, c.Solve.Workers, len(keys),
+	runOrdered(ctx, c.Workers, len(keys),
 		func(ctx context.Context, i int) ablResult {
 			flex, seed := keys[i].flex, keys[i].seed
 			inst, mapping := c.scenario(flex, seed)

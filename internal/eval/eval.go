@@ -4,8 +4,8 @@
 // figure of the paper (Figures 3–9) is regenerated.
 //
 // Sweeps are embarrassingly parallel across (flexibility, seed) scenarios:
-// every sweep fans its scenarios out over a bounded worker pool (Config.
-// Solve.Workers, default runtime.NumCPU()) while emitting records and
+// every sweep fans its scenarios out over a bounded worker pool
+// (Config.Workers, default runtime.NumCPU()) while emitting records and
 // progress lines in exactly the order a serial run would produce — results
 // are handed back in scenario order, so output is deterministic and
 // independent of the worker count. Cancelling the context stops every
@@ -41,9 +41,11 @@ type Config struct {
 	// (the paper uses 24).
 	Seeds []int64
 	// Solve configures every MIP solve of the sweep. TimeLimit bounds each
-	// solve (the paper uses one hour); Workers bounds the number of
-	// scenarios solved concurrently (≤ 0 means runtime.NumCPU()).
+	// solve (the paper uses one hour).
 	Solve model.SolveOptions
+	// Workers bounds the number of scenarios solved concurrently (≤ 0
+	// means runtime.NumCPU()).
+	Workers int
 	// Counters, when non-nil, accumulates aggregate solver activity across
 	// the sweep (thread-safe; may be shared between sweeps).
 	Counters *Counters
@@ -261,7 +263,7 @@ func (c Config) sweep(ctx context.Context, progress io.Writer,
 	body func(ctx context.Context, key scenKey, log *strings.Builder) []Record) []Record {
 	keys := c.pairs()
 	var out []Record
-	runOrdered(ctx, c.Solve.Workers, len(keys),
+	runOrdered(ctx, c.Workers, len(keys),
 		func(ctx context.Context, i int) scenResult {
 			var log strings.Builder
 			recs := body(ctx, keys[i], &log)
@@ -278,7 +280,7 @@ func (c Config) sweep(ctx context.Context, progress io.Writer,
 
 // AccessControlSweep solves every (flexibility, seed) scenario under the
 // access-control objective with each formulation. It yields the data behind
-// Figures 3, 4, 8 and 9. Scenarios run concurrently (Config.Solve.Workers);
+// Figures 3, 4, 8 and 9. Scenarios run concurrently (Config.Workers);
 // records and progress lines keep serial order.
 //
 //det:entry

@@ -44,7 +44,7 @@ func TestParallelSweepDeterminism(t *testing.T) {
 		// race detector slows solves ~10×; a tight limit would make Optimal
 		// itself timing-dependent).
 		cfg.Solve.TimeLimit = time.Hour
-		cfg.Solve.Workers = workers
+		cfg.Workers = workers
 		var buf bytes.Buffer
 		ac := cfg.AccessControlSweep(context.Background(), forms, &buf)
 		gr := cfg.GreedySweep(context.Background(), nil)
@@ -97,7 +97,7 @@ func TestRunOrderedEmitsInOrder(t *testing.T) {
 // parallel sweep.
 func TestCountersAccumulate(t *testing.T) {
 	cfg := micro()
-	cfg.Solve.Workers = 4
+	cfg.Workers = 4
 	cfg.Counters = &Counters{}
 	recs := cfg.AccessControlSweep(context.Background(), []core.Formulation{core.CSigma}, nil)
 	if got, want := cfg.Counters.Solves.Load(), int64(len(recs)); got != want {
@@ -118,7 +118,7 @@ func TestCountersAccumulate(t *testing.T) {
 // and count every attempted solve as cancelled rather than optimal.
 func TestSweepCancellation(t *testing.T) {
 	cfg := micro()
-	cfg.Solve.Workers = 2
+	cfg.Workers = 2
 	cfg.Counters = &Counters{}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

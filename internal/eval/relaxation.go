@@ -33,7 +33,7 @@ func (c Config) RelaxationSweep(ctx context.Context, progress io.Writer) []Relax
 	}
 	keys := c.pairs()
 	var out []RelaxationRecord
-	runOrdered(ctx, c.Solve.Workers, len(keys),
+	runOrdered(ctx, c.Workers, len(keys),
 		func(ctx context.Context, i int) relResult {
 			flex, seed := keys[i].flex, keys[i].seed
 			inst, mapping := c.scenario(flex, seed)

@@ -20,7 +20,7 @@ func TestRoundingSweepDeterminism(t *testing.T) {
 		cfg := micro()
 		cfg.Seed = 17
 		cfg.Solve.TimeLimit = time.Hour
-		cfg.Solve.Workers = workers
+		cfg.Workers = workers
 		var buf bytes.Buffer
 		recs := cfg.RoundingSweep(context.Background(), &buf)
 		return zeroRuntimes(recs), stripTimes(buf.String())

@@ -15,15 +15,14 @@ import (
 
 // StreamRecord is the outcome of replaying one scenario's arrival trace
 // through the online admission engine (internal/admit): per-trace decision
-// counts, tier usage, warm-restart adoption and the latency distribution of
-// the individual admission decisions.
+// counts, tier usage and the latency distribution of the individual
+// admission decisions.
 type StreamRecord struct {
 	FlexMin    float64
 	Seed       int64
 	Decisions  int
 	Accepted   int
 	AcceptRate float64
-	WarmRate   float64
 	// P50 and P99 are quantiles of the per-decision admission latency.
 	P50, P99 time.Duration
 	// Tier usage across the trace.
@@ -53,7 +52,7 @@ func (c Config) StreamSweep(ctx context.Context, progress io.Writer) ([]StreamRe
 	keys := c.pairs()
 	out := make([]StreamRecord, 0, len(keys))
 	var firstErr error
-	runOrdered(ctx, c.Solve.Workers, len(keys),
+	runOrdered(ctx, c.Workers, len(keys),
 		func(ctx context.Context, i int) streamResult {
 			var log strings.Builder
 			rec, err := c.streamOne(ctx, keys[i].flex, keys[i].seed, &log)
@@ -101,7 +100,6 @@ func (c Config) streamOne(ctx context.Context, flexMin float64, seed int64, log 
 		Decisions:    es.Decisions,
 		Accepted:     es.Accepted,
 		AcceptRate:   es.AcceptRate(),
-		WarmRate:     es.WarmRate(),
 		P50:          es.LatencyP50,
 		P99:          es.LatencyP99,
 		Precheck:     es.PrecheckTier,
@@ -121,25 +119,25 @@ func (c Config) streamOne(ctx context.Context, flexMin float64, seed int64, log 
 			c.Counters.CertifyFailed.Add(int64(es.CertFailures))
 		}
 	}
-	fmt.Fprintf(log, "flex=%3.0f seed=%2d stream n=%d accept=%.2f warm=%.2f p50=%s p99=%s tiers=%d/%d/%d\n",
-		flexMin, seed, rec.Decisions, rec.AcceptRate, rec.WarmRate,
+	fmt.Fprintf(log, "flex=%3.0f seed=%2d stream n=%d accept=%.2f p50=%s p99=%s tiers=%d/%d/%d\n",
+		flexMin, seed, rec.Decisions, rec.AcceptRate,
 		rec.P50.Round(time.Microsecond), rec.P99.Round(time.Microsecond),
 		rec.Precheck, rec.LPTier, rec.MIPTier)
 	return rec, nil
 }
 
 // WriteStreamTable renders the streaming-throughput table: per flexibility
-// step the mean accept and warm rates across seeds, the median of the
+// step the mean accept rate across seeds, the median of the
 // per-trace p50 latencies and the worst per-trace p99. The p99 column is the
 // sweep's bounded-latency claim: it is the slowest percentile any seed
 // experienced at that flexibility.
 func WriteStreamTable(w io.Writer, title string, recs []StreamRecord, cfg Config) {
 	fmt.Fprintf(w, "# %s\n", title)
-	fmt.Fprintf(w, "%10s %10s %12s %11s %12s %12s %8s\n",
-		"flex_min", "decisions", "accept_rate", "warm_rate", "p50", "p99_max", "traces")
+	fmt.Fprintf(w, "%10s %10s %12s %12s %12s %8s\n",
+		"flex_min", "decisions", "accept_rate", "p50", "p99_max", "traces")
 	for _, x := range cfg.FlexMinutes {
 		var n, decisions int
-		var acceptSum, warmSum float64
+		var acceptSum float64
 		var p50s []float64
 		var p99Max time.Duration
 		for _, r := range recs {
@@ -150,7 +148,6 @@ func WriteStreamTable(w io.Writer, title string, recs []StreamRecord, cfg Config
 			n++
 			decisions += r.Decisions
 			acceptSum += r.AcceptRate
-			warmSum += r.WarmRate
 			p50s = append(p50s, float64(r.P50))
 			if r.P99 > p99Max {
 				p99Max = r.P99
@@ -160,8 +157,8 @@ func WriteStreamTable(w io.Writer, title string, recs []StreamRecord, cfg Config
 			continue
 		}
 		p50 := time.Duration(stats.Quantile(p50s, 0.5))
-		fmt.Fprintf(w, "%10.0f %10d %12.3f %11.3f %12s %12s %8d\n",
-			x, decisions, acceptSum/float64(n), warmSum/float64(n),
+		fmt.Fprintf(w, "%10.0f %10d %12.3f %12s %12s %8d\n",
+			x, decisions, acceptSum/float64(n),
 			p50.Round(time.Microsecond), p99Max.Round(time.Microsecond), n)
 	}
 	fmt.Fprintln(w)

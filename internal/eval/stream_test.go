@@ -29,7 +29,7 @@ func TestStreamSweepDeterministic(t *testing.T) {
 	}
 	run := func(workers int) []key {
 		c := cfg
-		c.Solve.Workers = workers
+		c.Workers = workers
 		c.Counters = &Counters{}
 		var log strings.Builder
 		recs, err := c.StreamSweep(context.Background(), &log)
@@ -78,9 +78,9 @@ func TestStreamSweepDeterministic(t *testing.T) {
 // TestWriteStreamTable smoke-tests the table renderer.
 func TestWriteStreamTable(t *testing.T) {
 	recs := []StreamRecord{
-		{FlexMin: 0, Seed: 1, Decisions: 5, Accepted: 3, AcceptRate: 0.6, WarmRate: 1,
+		{FlexMin: 0, Seed: 1, Decisions: 5, Accepted: 3, AcceptRate: 0.6,
 			P50: time.Millisecond, P99: 3 * time.Millisecond},
-		{FlexMin: 0, Seed: 2, Decisions: 5, Accepted: 4, AcceptRate: 0.8, WarmRate: 1,
+		{FlexMin: 0, Seed: 2, Decisions: 5, Accepted: 4, AcceptRate: 0.8,
 			P50: 2 * time.Millisecond, P99: 5 * time.Millisecond},
 	}
 	cfg := Default()

@@ -20,11 +20,10 @@ import (
 // idx, bounds [lb, ub] and objective coefficient obj (all in the problem's
 // original sense and units), returning its column index. Duplicate row
 // indices are merged and zero coefficients dropped. The column-major matrix
-// and the row-wise overlay are updated copy-on-write: clones sharing the
-// pre-append storage stay valid, and clones taken after the append see the
-// new column. On a scaled instance the stored column is equilibrated like
-// the compiled ones (a fresh power-of-two column scale over the already
-// row-scaled coefficients); bounds and objective stay in original units.
+// and the row-wise overlay are updated copy-on-write. On a scaled instance
+// the stored column is equilibrated like the compiled ones (a fresh
+// power-of-two column scale over the already row-scaled coefficients);
+// bounds and objective stay in original units.
 // Bases snapshotted before the append no longer match the instance's
 // dimensions; Solve remaps them automatically (see extendWarmStartCols).
 func (inst *Instance) AppendColumn(idx []int32, val []float64, lb, ub, obj float64) int {
@@ -61,8 +60,8 @@ func (inst *Instance) AppendColumn(idx []int32, val []float64, lb, ub, obj float
 		inst.colScaleInv = nci
 	}
 
-	// Objective, in the internal minimization sense (copy-on-write: the old
-	// slice may be shared with clones or the compiled Problem's era).
+	// Objective, in the internal minimization sense (copy-on-write, like
+	// the scales above).
 	nob := make([]float64, j+1)
 	copy(nob, inst.objMin)
 	if inst.negate {
@@ -91,8 +90,8 @@ func (inst *Instance) AppendColumn(idx []int32, val []float64, lb, ub, obj float
 	// Row-wise overlay for the rows this column touches: every such row's
 	// own storage (compiled Problem row or AppendRow copy) predates the
 	// column, so the row-wise consumers (pivotRow, debug checks) read the
-	// missing entries from here. Copy-on-write like the column updates in
-	// AppendRow: clones sharing the old overlay must not observe the column.
+	// missing entries from here, copy-on-write like the column updates in
+	// AppendRow.
 	if len(colIdx) > 0 {
 		nap := make([][]int32, inst.m)
 		nav := make([][]float64, inst.m)

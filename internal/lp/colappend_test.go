@@ -236,42 +236,6 @@ func TestAppendColumnRedundantIsFree(t *testing.T) {
 	}
 }
 
-func TestAppendColumnCloneIsolation(t *testing.T) {
-	p := NewProblem()
-	p.Sense = Maximize
-	x := p.AddCol(1, 0, 5)
-	p.AddLE([]int32{int32(x)}, []float64{1}, 5)
-	parent := NewInstance(p)
-	before := parent.Clone() // cloned before the append: must not see the column
-	parent.AppendColumn([]int32{0}, []float64{1}, 0, 5, 2)
-	after := parent.Clone() // cloned after: must see it
-
-	if got := before.NumCols(); got != 1 {
-		t.Fatalf("pre-append clone has %d cols, want 1", got)
-	}
-	if got := after.NumCols(); got != 2 {
-		t.Fatalf("post-append clone has %d cols, want 2", got)
-	}
-	rb := before.Solve(&Options{})
-	rp := parent.Solve(&Options{})
-	ra := after.Solve(&Options{})
-	if math.Abs(rb.Obj-5) > 1e-9 {
-		t.Fatalf("pre-append clone obj %v, want 5", rb.Obj)
-	}
-	if math.Abs(rp.Obj-10) > 1e-9 || math.Abs(ra.Obj-10) > 1e-9 {
-		t.Fatalf("parent/post-append objs %v/%v, want 10", rp.Obj, ra.Obj)
-	}
-	// Appending different columns to two clones must stay independent.
-	c1, c2 := before.Clone(), before.Clone()
-	c1.AppendColumn([]int32{0}, []float64{1}, 0, 5, 3)
-	c2.AppendColumn([]int32{0}, []float64{1}, 0, 5, 7)
-	r1 := c1.Solve(&Options{})
-	r2 := c2.Solve(&Options{})
-	if math.Abs(r1.Obj-15) > 1e-9 || math.Abs(r2.Obj-35) > 1e-9 {
-		t.Fatalf("sibling clone objs %v/%v, want 15/35", r1.Obj, r2.Obj)
-	}
-}
-
 func TestAppendColumnMergesDuplicates(t *testing.T) {
 	p := NewProblem()
 	x := p.AddCol(-1, 0, 10)

@@ -19,8 +19,8 @@ import (
 // AppendRow appends the row rlb ≤ Σ val[k]·x[idx[k]] ≤ rub over structural
 // columns and returns its row index. Duplicate indices are merged and zero
 // coefficients dropped. The column-major matrix is updated copy-on-write:
-// clones sharing the pre-append column storage stay valid, and clones taken
-// after the append see the new row. On a scaled instance the stored row is
+// a compiled column shares its backing array with its neighbours, so it
+// cannot grow in place. On a scaled instance the stored row is
 // equilibrated like the compiled rows (a fresh power-of-two row scale over
 // the already column-scaled coefficients); bounds stay in original units.
 // Bases snapshotted before the append no longer match the instance's
@@ -48,14 +48,12 @@ func (inst *Instance) AppendRow(idx []int32, val []float64, rlb, rub float64) in
 		for k, j := range rowIdx {
 			rowVal[k] *= rs * inst.colScale[j]
 		}
-		// Clones see rowScale only up to their own length and cannot
-		// append in place (Clone caps it), so it grows in place here.
 		inst.rowScale = append(inst.rowScale, rs)
 	}
 
-	// Copy-on-write column updates: the old column slices may be shared with
-	// clones (or with the compile-time backing arrays), so each affected
-	// column gets fresh storage.
+	// Copy-on-write column updates: the old column slices are carved from
+	// the compile-time backing arrays, so each affected column gets fresh
+	// storage.
 	for k, j := range rowIdx {
 		ci, cv := inst.colIdx[j], inst.colVal[j]
 		nci := make([]int32, len(ci)+1)

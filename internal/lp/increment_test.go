@@ -178,41 +178,6 @@ func TestAppendRowInfeasibleCut(t *testing.T) {
 	}
 }
 
-func TestAppendRowCloneIsolation(t *testing.T) {
-	p := NewProblem()
-	x := p.AddCol(-1, 0, 10)
-	p.AddLE([]int32{int32(x)}, []float64{1}, 8)
-	parent := NewInstance(p)
-	before := parent.Clone() // cloned before the append: must not see the row
-	parent.AppendRow([]int32{int32(x)}, []float64{1}, math.Inf(-1), 4)
-	after := parent.Clone() // cloned after: must see it
-
-	if got := before.NumRows(); got != 1 {
-		t.Fatalf("pre-append clone has %d rows, want 1", got)
-	}
-	if got := after.NumRows(); got != 2 {
-		t.Fatalf("post-append clone has %d rows, want 2", got)
-	}
-	rb := before.Solve(&Options{})
-	rp := parent.Solve(&Options{})
-	ra := after.Solve(&Options{})
-	if math.Abs(rb.Obj+8) > 1e-9 {
-		t.Fatalf("pre-append clone obj %v, want -8", rb.Obj)
-	}
-	if math.Abs(rp.Obj+4) > 1e-9 || math.Abs(ra.Obj+4) > 1e-9 {
-		t.Fatalf("parent/post-append objs %v/%v, want -4", rp.Obj, ra.Obj)
-	}
-	// Appending different rows to two clones must stay independent.
-	c1, c2 := before.Clone(), before.Clone()
-	c1.AppendRow([]int32{int32(x)}, []float64{1}, math.Inf(-1), 2)
-	c2.AppendRow([]int32{int32(x)}, []float64{1}, math.Inf(-1), 6)
-	r1 := c1.Solve(&Options{})
-	r2 := c2.Solve(&Options{})
-	if math.Abs(r1.Obj+2) > 1e-9 || math.Abs(r2.Obj+6) > 1e-9 {
-		t.Fatalf("sibling clone objs %v/%v, want -2/-6", r1.Obj, r2.Obj)
-	}
-}
-
 func TestAppendRowMergesDuplicates(t *testing.T) {
 	p := NewProblem()
 	x := p.AddCol(-1, 0, 10)

@@ -332,7 +332,8 @@ func buildSparseLP(rng *rand.Rand, n, m, perRow int) (*Problem, []float64) {
 // section, around three sections and above eight (where sections straddle
 // the wrap at N), runs with Bland's rule switched on, and warm restarts
 // after AppendRow and AppendColumn. Every stepped solve must also take the
-// iterations and reach the objective of the real Solve on a clone.
+// iterations and reach the objective of the real Solve on a twin instance
+// compiled from the same problem and given the same appends.
 func TestPricingMatchesFullScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	total := pricingRun{}
@@ -358,8 +359,8 @@ func TestPricingMatchesFullScan(t *testing.T) {
 	for _, c := range cases {
 		for trial := 0; trial < 3; trial++ {
 			p, xstar := buildSparseLP(rng, c.n, c.m, c.per)
-			inst := NewInstance(p)
-			want := inst.Clone().Solve(nil)
+			inst, twin := NewInstance(p), NewInstance(p)
+			want := twin.Solve(nil)
 			pr := &pricingRun{t: t, where: c.name + "/cold", blandEvery: c.blandEvery}
 			s, st := pr.cold(inst)
 			if c.blandEvery > 0 && st != iterOptimal {
@@ -395,15 +396,17 @@ func TestPricingMatchesFullScan(t *testing.T) {
 					lbs[k], ubs[k] = math.Inf(-1), act+0.01
 				}
 				inst.AppendRow(idxs[k], vals[k], lbs[k], ubs[k])
+				twin.AppendRow(idxs[k], vals[k], lbs[k], ubs[k])
 			}
 			for _, step := range []string{"append-row", "append-column"} {
 				if step == "append-column" {
 					cidx, cval, clb, cub, cobj := appendRandomCols(rng, inst.NumRows(), 3)
 					for k := range cidx {
 						inst.AppendColumn(cidx[k], cval[k], clb[k], cub[k], -5+cobj[k])
+						twin.AppendColumn(cidx[k], cval[k], clb[k], cub[k], -5+cobj[k])
 					}
 				}
-				want := inst.Clone().Solve(&Options{WarmBasis: res.Basis, WarmFactors: res.Factors})
+				want := twin.Solve(&Options{WarmBasis: res.Basis, WarmFactors: res.Factors})
 				pr := &pricingRun{t: t, where: c.name + "/" + step, blandEvery: c.blandEvery}
 				s, st := pr.warm(inst, &res)
 				if st != iterOptimal || want.Status != StatusOptimal || !want.WarmUsed {

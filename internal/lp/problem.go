@@ -240,8 +240,8 @@ type Result struct {
 	// Instance.CaptureFactors fills it, into a buffer the caller owns, for
 	// the callers that will read it. Handing it back as
 	// Options.WarmFactors of a later solve warm-starts that solve without a
-	// refactorization, and works across Instance clones, which is what
-	// makes a branch-and-bound node's solve a pure function of the node.
+	// refactorization, which is what makes a branch-and-bound node's solve
+	// a pure function of the node.
 	Factors *sparselu.Factors
 	// WarmUsed reports that this result came from a successful warm-started
 	// dual-simplex run (rather than the cold fallback). Unlike the

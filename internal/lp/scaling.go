@@ -172,8 +172,7 @@ func (inst *Instance) equilibrate() {
 	for j := 0; j < n; j++ {
 		inst.colScaleInv[j] = 1 / cs[j] // exact: cs[j] is a power of two
 	}
-	// Scale the column-major storage in place (just filled by compile,
-	// shared with no clone yet).
+	// Scale the column-major storage in place (just filled by compile).
 	for j := 0; j < n; j++ {
 		c := cs[j]
 		for k, i := range inst.colIdx[j] {

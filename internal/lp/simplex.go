@@ -127,11 +127,8 @@ type Instance struct {
 	sv *solver
 	// src is the caller-owned stash the workspace and result storage are
 	// drawn from and returned to (see Workspaces); nil when the instance
-	// keeps its own. Clones inherit it.
+	// keeps its own.
 	src *Workspaces
-	// shell marks a clone: it owns only its outer column and row slices and
-	// its bounds, which Recycle hands back for the next Clone.
-	shell bool
 }
 
 // NewInstance compiles p into column-major form and equilibrates it.
@@ -195,47 +192,6 @@ func (inst *Instance) compile(p *Problem) {
 		}
 	}
 	inst.equilibrate()
-}
-
-// Clone returns an independent Instance over the same compiled problem.
-// The immutable per-column and per-row storage (and the Problem it was
-// compiled from) is shared; the mutable column bounds are copied and the
-// clone has no workspace of its own yet: its first solve draws one from the
-// same Workspaces source, if any. Clones are what give a branch-and-bound
-// search started from a caller's instance (mip.SolveFrom) its own bounds and
-// appended rows without recompiling the problem: the shared inner slices are never written after compilation,
-// AppendRow replaces — never grows in place — the column slices it touches,
-// and a clone's view of the shared row scales is capped at its length, so
-// rows appended to one clone or to the original stay invisible to the
-// others. With a source, the clone is built in a shell Recycle handed back,
-// reusing its outer slices and bounds.
-//
-//hot:path
-func (inst *Instance) Clone() *Instance {
-	out, w := inst.src.shell(), inst.src
-	*out = Instance{
-		p: inst.p, n: inst.n, m: inst.m,
-		baseRows:    inst.baseRows,
-		baseCols:    inst.baseCols,
-		colIdx:      append(fitRoom(out.colIdx, inst.n, w)[:0], inst.colIdx...),
-		colVal:      append(fitRoom(out.colVal, inst.n, w)[:0], inst.colVal...),
-		extraIdx:    append(out.extraIdx[:0], inst.extraIdx...),
-		extraVal:    append(out.extraVal[:0], inst.extraVal...),
-		apRowIdx:    append([][]int32(nil), inst.apRowIdx...),   //lint:allow hotalloc -- nil until pricing appends a column
-		apRowVal:    append([][]float64(nil), inst.apRowVal...), //lint:allow hotalloc -- nil until pricing appends a column
-		baseRowVal:  inst.baseRowVal,
-		lb:          append(fitRoom(out.lb, len(inst.lb), w)[:0], inst.lb...),
-		ub:          append(fitRoom(out.ub, len(inst.ub), w)[:0], inst.ub...),
-		objMin:      inst.objMin,
-		negate:      inst.negate,
-		scaled:      inst.scaled,
-		rowScale:    inst.rowScale[:len(inst.rowScale):len(inst.rowScale)],
-		colScale:    inst.colScale,
-		colScaleInv: inst.colScaleInv,
-		src:         inst.src,
-		shell:       true,
-	}
-	return out
 }
 
 // CaptureFactors sets res.Factors to a copy of the LU factorization matching

@@ -9,36 +9,32 @@ import (
 // Workspaces is a bounded, caller-owned stash of the storage a stream of
 // short-lived solves recycles instead of allocating: idle simplex
 // workspaces, one instance's compiled storage (see Compile and Recycle),
-// clone shells (see Clone), and the LU factor buffers, solution vectors and
-// basis snapshots of results the caller has finished reading (see Factors
-// and Reuse). An instance attached with UseWorkspaces — and every clone of
-// it — takes its workspace from the stash on its first solve and the
-// storage of its results on every solve, and Release hands the workspace
-// back, so a caller that solves one admission decision after another
-// allocates only when the stash runs dry. Recycled storage is zeroed or
-// overwritten exactly as fresh storage is, so which piece a solve receives
-// never changes a result. The package keeps no stash of its own. Safe for
-// concurrent use.
+// and the LU factor buffers, solution vectors and basis snapshots of
+// results the caller has finished reading (see Factors and Reuse). An
+// instance attached with UseWorkspaces takes its workspace from the stash
+// on its first solve and the storage of its results on every solve, and
+// Release hands the workspace back, so a caller that solves one admission
+// decision after another allocates only when the stash runs dry. Recycled
+// storage is zeroed or overwritten exactly as fresh storage is, so which
+// piece a solve receives never changes a result. The package keeps no
+// stash of its own. Safe for concurrent use.
 type Workspaces struct {
 	mu   sync.Mutex
 	idle []*solver
 	max  int
 	// peak is a decaying maximum of the sizes (structural plus slack
-	// columns) of the workspaces handed back: each Release or
-	// MoveWorkspace raises it to the workspace's size or lowers it by
-	// 1/peakDecay (see sight). The stash keeps storage only while its
-	// capacity is within twice peak.
+	// columns) of the workspaces handed back: each Release raises it to
+	// the workspace's size or lowers it by 1/peakDecay (see sight). The
+	// stash keeps storage only while its capacity is within twice peak.
 	peak int
 	// compiled is an instance whose compiled storage Recycle handed back
 	// for the next Compile; nil when there is none.
 	compiled *Instance
-	// Idle clone shells (at most max), factor buffers (at most
-	// factorSlots), bases, and solution and dual vectors (at most
-	// bufferSlots each).
-	shells []*Instance
-	facs   []*sparselu.Factors
-	bases  []*Basis
-	vecs   [2][][]float64 // indexed by solutionVec and dualVec
+	// Idle factor buffers (at most factorSlots), bases, and solution and
+	// dual vectors (at most bufferSlots each).
+	facs  []*sparselu.Factors
+	bases []*Basis
+	vecs  [2][][]float64 // indexed by solutionVec and dualVec
 }
 
 // Kinds of result vectors the stash keeps apart, so each is drawn at the
@@ -50,9 +46,9 @@ const (
 )
 
 // peakDecay sets how fast Workspaces.peak forgets a large instance: by
-// 1/peakDecay per Release or MoveWorkspace, so storage grown for a size the
-// stream stops producing is dropped about a dozen of them later, while
-// storage for sizes that recur every few decisions stays.
+// 1/peakDecay per Release, so storage grown for a size the stream stops
+// producing is dropped about a dozen of them later, while storage for sizes
+// that recur every few decisions stays.
 const peakDecay = 16
 
 // factorSlots caps the stash's idle factor buffers. A serial
@@ -72,8 +68,7 @@ const factorSlots = 4
 const bufferSlots = 8
 
 // NewWorkspaces returns an empty stash that keeps at most max idle
-// workspaces and max idle clone shells; Release and Recycle drop any beyond
-// that.
+// workspaces; Release drops any beyond that.
 func NewWorkspaces(max int) *Workspaces { return &Workspaces{max: max} }
 
 // fits reports whether storage of capacity c is within what the stash
@@ -81,11 +76,12 @@ func NewWorkspaces(max int) *Workspaces { return &Workspaces{max: max} }
 func (w *Workspaces) fits(c int) bool { return c <= 2*w.peak }
 
 // room returns the capacity storage of k entries drawing on w grows to when
-// it has to grow: a sixteenth of headroom, enough for the rows a decision's
-// commitment restart appends to the instance it compiled. The stash judges
-// storage by its capacity (see fits), so more headroom would only make it
-// drop storage sooner. A nil w gives k: storage without a stash is sized
-// exactly.
+// it has to grow: a sixteenth of headroom, so a problem a little larger
+// than the last, or an instance a search grew by appending cut rows and
+// priced columns, is compiled into the same storage again instead of
+// regrowing it. The stash judges storage by its capacity (see fits), so
+// more headroom would only make it drop storage sooner. A nil w gives k:
+// storage without a stash is sized exactly.
 func (w *Workspaces) room(k int) int {
 	if w == nil {
 		return k
@@ -156,9 +152,8 @@ func servesBetter(a, b, N int) bool {
 	return a > b
 }
 
-// UseWorkspaces makes w the source the instance (and its later clones)
-// draw their workspaces and result storage from and Release returns
-// workspaces to.
+// UseWorkspaces makes w the source the instance draws its workspace and
+// result storage from and Release returns the workspace to.
 func (inst *Instance) UseWorkspaces(w *Workspaces) { inst.src = w }
 
 // Workspaces returns the stash the instance draws from, nil when it keeps
@@ -228,7 +223,6 @@ func (w *Workspaces) prune() {
 		}
 	}
 	w.idle = dropUnfit(w, w.idle, workspaceCap)
-	w.shells = dropUnfit(w, w.shells, func(inst *Instance) int { return cap(inst.lb) })
 	w.facs = dropUnfit(w, w.facs, (*sparselu.Factors).Cap)
 	w.bases = dropUnfit(w, w.bases, func(b *Basis) int { return cap(b.Status) })
 	for k := range w.vecs {
@@ -250,27 +244,6 @@ func dropUnfit[T any](w *Workspaces, list []T, size func(T) int) []T {
 	return list[:k]
 }
 
-// MoveWorkspace hands the instance's workspace, if it holds one, to to,
-// which solves in its place for a while: a clone taking over a search and
-// handing the workspace back when it ends. It counts as a Release for the
-// stash's peak, so the stash ages its sizes exactly as if inst released the
-// workspace and to drew it, but the workspace in use is never dropped at
-// the hand-over, nor swapped for another. A workspace to held is released
-// first. The result of every solve is unchanged: to refits the workspace on
-// its next solve.
-func (inst *Instance) MoveWorkspace(to *Instance) {
-	if inst.sv == nil || to == inst {
-		return
-	}
-	to.Release()
-	to.sv, inst.sv = inst.sv, nil
-	if w := inst.src; w != nil {
-		w.mu.Lock()
-		w.sight(to.sv.N)
-		w.mu.Unlock()
-	}
-}
-
 // Compile is NewInstance for a caller that compiles one short-lived problem
 // after another (one admission decision after another): p is compiled into
 // the storage of the instance the last Recycle handed back, when w holds
@@ -290,28 +263,12 @@ func (w *Workspaces) Compile(p *Problem) *Instance {
 	return inst
 }
 
-// shell pops an idle clone shell, or returns a new one when there is none
-// (or w is nil).
-func (w *Workspaces) shell() *Instance {
-	if w != nil {
-		w.mu.Lock()
-		out := pop(&w.shells)
-		w.mu.Unlock()
-		if out != nil {
-			return out
-		}
-	}
-	return &Instance{} //lint:allow hotalloc -- until the stash holds a shell
-}
-
-// Recycle ends an instance obtained from Workspaces.Compile or cloned from
-// one: it releases the workspace and hands the instance's own storage to
-// the source — a compiled instance's storage for the next Compile, a
-// clone's shell for the next Clone — which keeps it under Release's rule:
-// only while its capacity is within twice the sizes the source has recently
-// seen. It reports whether the storage was kept. Clones share the compiled
-// storage, so a compiled instance is recycled only once it and every clone
-// of it are out of use; the instance must not be used afterwards.
+// Recycle ends an instance obtained from Workspaces.Compile: it releases
+// the workspace and hands the instance's compiled storage to the source for
+// the next Compile, which keeps it under Release's rule: only while its
+// capacity is within twice the sizes the source has recently seen. It
+// reports whether the storage was kept. The instance must not be used
+// afterwards.
 func (inst *Instance) Recycle() bool {
 	inst.Release()
 	w := inst.src
@@ -320,23 +277,6 @@ func (inst *Instance) Recycle() bool {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if inst.shell {
-		if len(w.shells) >= w.max || !w.fits(cap(inst.lb)) {
-			return false
-		}
-		// The idle shell keeps no compiled storage or appended row alive.
-		clear(inst.colIdx)
-		clear(inst.colVal)
-		clear(inst.extraIdx)
-		clear(inst.extraVal)
-		*inst = Instance{
-			colIdx: inst.colIdx[:0], colVal: inst.colVal[:0],
-			extraIdx: inst.extraIdx[:0], extraVal: inst.extraVal[:0],
-			lb: inst.lb[:0], ub: inst.ub[:0], shell: true,
-		}
-		w.shells = append(w.shells, inst)
-		return true
-	}
 	// lb (n+m, with the room of compile and the rows appended since) has the
 	// compiled storage's dimensions.
 	if !w.fits(cap(inst.lb)) {

@@ -97,13 +97,6 @@ func TestRecycledWorkspaceMatchesFresh(t *testing.T) {
 		assertSameResult(t, "warm", rw, fw)
 		recycled.Release()
 	}
-
-	// Clones draw from their original's source.
-	c := inst.Clone()
-	c.Solve(nil)
-	if c.sv != sv {
-		t.Fatal("a clone did not draw from its original's source")
-	}
 }
 
 // TestReleaseKeepsOnlyWhatFits pins when Release stashes a workspace:
@@ -249,8 +242,8 @@ func assertSameCompiled(t *testing.T, got, want *Instance) {
 }
 
 // TestCompileMatchesFresh is the stale-state guard of compiled-storage
-// recycling: storage left with appended rows and columns, a clone and a
-// workspace by a large scaled problem, then recompiled for smaller and
+// recycling: storage left with appended rows and columns and a workspace
+// by a large scaled problem, then recompiled for smaller and
 // larger, scaled and unscaled problems, must hold exactly what NewInstance
 // compiles and take exactly its simplex path, cold and after a warm restart
 // over appended rows.
@@ -268,9 +261,7 @@ func TestCompileMatchesFresh(t *testing.T) {
 	for k := range idxs {
 		inst.AppendColumn(idxs[k], vals[k], lbs[k], ubs[k], objs[k])
 	}
-	clone := inst.Clone()
-	clone.Solve(nil)
-	clone.Release()
+	inst.Solve(nil)
 	if !inst.Recycle() {
 		t.Fatal("the source dropped the storage of the instance it saw last")
 	}

@@ -318,12 +318,15 @@ type searcher struct {
 }
 
 // Root is a root relaxation the caller has already solved. Inst must be
-// compiled from the problem's LP (lp.NewInstance) and still carry its
-// construction bounds, and Res must be the result of Inst.Solve with no
-// warm start and its factors captured (Inst.CaptureFactors) — exactly the
-// relaxation the search would otherwise solve itself, so handing it over
-// changes no decision. The search works on a clone of Inst and never
-// mutates its bounds, rows or columns, nor Res and its factors.
+// compiled from the problem's LP (lp.NewInstance or lp.Workspaces.Compile)
+// and still carry its construction bounds, and Res must be the result of
+// Inst.Solve with no warm start and its factors captured
+// (Inst.CaptureFactors) — exactly the relaxation the search would otherwise
+// solve itself, so handing it over changes no decision. The search takes
+// Inst over: it sets its column bounds and appends cut rows and priced
+// columns to it, so the caller may only Release or Recycle Inst once the
+// search returns. Res and its factors stay the caller's and are never
+// written.
 type Root struct {
 	Inst *lp.Instance
 	Res  lp.Result
@@ -340,16 +343,12 @@ func Solve(ctx context.Context, p *Problem, opts *Options) Result {
 }
 
 // SolveFrom is Solve starting from an already-solved root relaxation: the
-// search clones root.Inst instead of compiling and equilibrating the LP
+// search runs on root.Inst instead of compiling and equilibrating the LP
 // again, and commits root.Res as the root node's relaxation instead of
 // solving it again. The root's LP iterations were paid by the caller, so
-// they are not part of Result.LPIterations. The search borrows root.Inst's
-// workspace for its own clone (lp.Instance.MoveWorkspace) and hands it back
-// when it ends. When root.Inst draws from an lp.Workspaces source, the
-// clone is built in a shell from the same source and hands its shell (and
-// any workspace drawn from it) back when the search ends, and the search
-// recycles its factor buffers, bases and solution vectors through it (see
-// factors.go). A nil root is Solve.
+// they are not part of Result.LPIterations. When root.Inst draws from an
+// lp.Workspaces source, the search recycles its factor buffers, bases and
+// solution vectors through it (see factors.go). A nil root is Solve.
 //
 //det:entry
 func SolveFrom(ctx context.Context, p *Problem, opts *Options, root *Root) Result {
@@ -361,15 +360,9 @@ func SolveFrom(ctx context.Context, p *Problem, opts *Options, root *Root) Resul
 	var inst *lp.Instance
 	var handed lp.Result
 	if root != nil {
-		inst = root.Inst.Clone()
-		handed = root.Res
+		inst, handed = root.Inst, root.Res
 	} else {
 		inst = lp.NewInstance(p.LP)
-	}
-	defer inst.Recycle()
-	if root != nil {
-		root.Inst.MoveWorkspace(inst)
-		defer inst.MoveWorkspace(root.Inst) // before the clone is recycled
 	}
 	s := &searcher{
 		prob:         p,

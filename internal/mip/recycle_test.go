@@ -70,8 +70,8 @@ func setPartition(seed int64, k, ncols int) *Problem {
 // TestRecyclingKeepsCallerStorage runs handed-root searches through one
 // lp.Workspaces stash, the way the admission engine chains its decisions:
 // multi-node searches, set-partitioning ones among them whose rounding
-// fails at the root so the dive runs. Their node results, bases, factor
-// buffers and clone shells go back to the stash. After every later search
+// fails at the root so the dive runs. Their node results, bases and factor
+// buffers go back to the stash. After every later search
 // and solve on the same stash has drawn that storage again, nothing a
 // caller still holds may have changed: each handed root's result, basis
 // and factors, its Result.X (the incumbent) and Result.Root.

@@ -128,16 +128,9 @@ func TestParallelDeterminism(t *testing.T) {
 
 // assertHandedRoot solves p again from a root relaxation solved outside the
 // search and requires cold, the same solve without a handed root, with the
-// root's LP iterations taken out. The handed instance must come back
-// untouched: same rows, root bounds, and a warm re-solve from the root basis
-// and factors that reaches the root objective in as many iterations as the
-// same re-solve on a fresh instance that never met the search. (That count
-// need not be 0: on multiKnapsack it is 1 for a fresh instance too.)
+// root's LP iterations taken out.
 func assertHandedRoot(t *testing.T, name string, p *Problem, o *Options, cold Result) {
 	t.Helper()
-	warm := func(inst *lp.Instance, root lp.Result) lp.Result {
-		return inst.Solve(&lp.Options{WarmBasis: root.Basis, WarmFactors: root.Factors})
-	}
 	inst := lp.NewInstance(p.LP)
 	root := inst.Solve(nil)
 	inst.CaptureFactors(&root, nil)
@@ -148,25 +141,6 @@ func assertHandedRoot(t *testing.T, name string, p *Problem, o *Options, cold Re
 	want := cold
 	want.LPIterations -= root.Iterations
 	assertBitIdentical(t, name+"/handed-root", want, got)
-
-	if inst.NumRows() != p.LP.NumRows() {
-		t.Errorf("%s: handed instance has %d rows after the search, %d before", name, inst.NumRows(), p.LP.NumRows())
-	}
-	for j := 0; j < inst.NumCols(); j++ {
-		if lo, hi := inst.ColBounds(j); lo != p.LP.ColLB[j] || hi != p.LP.ColUB[j] {
-			t.Fatalf("%s: handed instance column %d has bounds [%v,%v] after the search, root [%v,%v]",
-				name, j, lo, hi, p.LP.ColLB[j], p.LP.ColUB[j])
-		}
-	}
-	fresh := lp.NewInstance(p.LP)
-	fr := fresh.Solve(nil)
-	fresh.CaptureFactors(&fr, nil)
-	ref := warm(fresh, fr)
-	again := warm(inst, root)
-	if again.Iterations != ref.Iterations || math.Float64bits(again.Obj) != math.Float64bits(root.Obj) {
-		t.Errorf("%s: warm re-solve of the handed instance took %d iterations to %v; untouched: %d iterations, root %v",
-			name, again.Iterations, again.Obj, ref.Iterations, root.Obj)
-	}
 }
 
 // TestProgressCallbacks pins the progress contract: a periodic callback

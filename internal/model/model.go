@@ -389,10 +389,11 @@ func (m *Model) Optimize(ctx context.Context, opts *SolveOptions) *Solution {
 }
 
 // OptimizeFrom is Optimize for callers that already solved the root
-// relaxation through their own instance of LP(): the search clones inst
-// and starts from root instead of compiling and solving the root again
-// (see mip.SolveFrom for the contract inst and root must meet). The
-// returned LPIterations exclude root's. A nil inst is Optimize.
+// relaxation through their own instance of LP(): the search takes inst
+// over and starts from root instead of compiling and solving the root again
+// (see mip.Root for the contract inst and root must meet; the caller still
+// Releases or Recycles inst). The returned LPIterations exclude root's. A
+// nil inst is Optimize.
 func (m *Model) OptimizeFrom(ctx context.Context, opts *SolveOptions, inst *lp.Instance, root lp.Result) *Solution {
 	mp := mip.NewProblem(m.lp)
 	for j, isInt := range m.integer {

@@ -66,10 +66,11 @@ type SolveOptions struct {
 	// k-th node thereafter (0 → the default of 50; a negative value
 	// disables the heuristic entirely, including at the root).
 	HeuristicEvery int
-	// Workers is the number of scenarios an evaluation sweep
-	// (internal/eval) solves concurrently, where 0 means runtime.NumCPU().
-	// Nothing else reads it: every branch-and-bound search runs on the
-	// goroutine that calls it.
+	// Workers is read by nothing: every branch-and-bound search runs on
+	// the goroutine that calls it, and an evaluation sweep sizes its pool
+	// with eval.Config.Workers.
+	//
+	// Deprecated: setting it has no effect.
 	Workers int
 	// Progress, when non-nil, receives per-solve progress snapshots
 	// (incumbent updates, node counts, LP iteration totals).

@@ -15,9 +15,9 @@ func (s *Solver) engine() (*admit.Engine, error) {
 			return
 		}
 		if s.cfg.flowMode == core.FlowPath {
-			// The admission tiers (integral-LP shortcut, rounding, warm
-			// commit-restart) all decompose arc flows; path mode has no
-			// incremental counterpart here.
+			// The admission tiers (integral-LP shortcut, rounding) all
+			// decompose arc flows; path mode has no incremental
+			// counterpart here.
 			s.engErr = &OptionConflictError{Option: "WithFlowMode(path)", Online: true}
 			return
 		}

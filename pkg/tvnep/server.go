@@ -21,41 +21,42 @@ type AdmitRequest struct {
 
 // AdmitResponse is the POST /v1/admit response body.
 type AdmitResponse struct {
-	Index         int     `json:"index"`
-	Name          string  `json:"name"`
-	Accepted      bool    `json:"accepted"`
-	Start         float64 `json:"start"`
-	End           float64 `json:"end"`
-	Hosts         []int   `json:"hosts,omitempty"`
-	Tier          Tier    `json:"tier"`
-	LatencyNS     int64   `json:"latency_ns"`
-	LPIterations  int     `json:"lp_iterations"`
-	Nodes         int     `json:"nodes"`
-	WarmUsed      bool    `json:"warm_used"`
-	BasisExtended bool    `json:"basis_extended"`
-	CertError     string  `json:"cert_error,omitempty"`
+	Index        int     `json:"index"`
+	Name         string  `json:"name"`
+	Accepted     bool    `json:"accepted"`
+	Start        float64 `json:"start"`
+	End          float64 `json:"end"`
+	Hosts        []int   `json:"hosts,omitempty"`
+	Tier         Tier    `json:"tier"`
+	LatencyNS    int64   `json:"latency_ns"`
+	LPIterations int     `json:"lp_iterations"`
+	Nodes        int     `json:"nodes"`
+	// Deprecated: always false; the engine no longer runs the warm restart
+	// that pinned each decision into its LP.
+	WarmUsed bool `json:"warm_used"`
+	// Deprecated: always false, like WarmUsed.
+	BasisExtended bool   `json:"basis_extended"`
+	CertError     string `json:"cert_error,omitempty"`
 }
 
 // StatsResponse is the GET /v1/stats response body.
 type StatsResponse struct {
-	Decisions     int     `json:"decisions"`
-	Accepted      int     `json:"accepted"`
-	Rejected      int     `json:"rejected"`
-	AcceptRate    float64 `json:"accept_rate"`
-	PrecheckTier  int     `json:"precheck_tier"`
-	LPTier        int     `json:"lp_tier"`
-	MIPTier       int     `json:"mip_tier"`
-	BoundRejects  int     `json:"lp_bound_rejects"` // lp_tier rejections proved by the root bound
-	CertFailures  int     `json:"cert_failures"`
-	Reopts        int     `json:"reopts"`
-	TotalLPIters  int     `json:"total_lp_iterations"`
-	TotalNodes    int     `json:"total_nodes"`
-	WarmAttempts  int     `json:"warm_attempts"`
-	WarmUsed      int     `json:"warm_used"`
-	WarmRate      float64 `json:"warm_rate"`
-	BasisExtended int     `json:"basis_extended"`
-	LatencyP50NS  int64   `json:"latency_p50_ns"`
-	LatencyP99NS  int64   `json:"latency_p99_ns"`
+	Decisions  int     `json:"decisions"`
+	Accepted   int     `json:"accepted"`
+	Rejected   int     `json:"rejected"`
+	AcceptRate float64 `json:"accept_rate"`
+	// Decisions per cost tier; the four add up to Decisions.
+	PrecheckTier int   `json:"precheck_tier"`
+	LPTier       int   `json:"lp_tier"`
+	RoundingTier int   `json:"rounding_tier"`
+	MIPTier      int   `json:"mip_tier"`
+	BoundRejects int   `json:"lp_bound_rejects"` // lp_tier rejections proved by the root bound
+	CertFailures int   `json:"cert_failures"`
+	Reopts       int   `json:"reopts"`
+	TotalLPIters int   `json:"total_lp_iterations"`
+	TotalNodes   int   `json:"total_nodes"`
+	LatencyP50NS int64 `json:"latency_p50_ns"`
+	LatencyP99NS int64 `json:"latency_p99_ns"`
 }
 
 // SolutionResponse is the GET /v1/solution response body: the instance
@@ -131,18 +132,16 @@ func (sv *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	out := AdmitResponse{
-		Index:         d.Index,
-		Name:          d.Name,
-		Accepted:      d.Accepted,
-		Start:         d.Start,
-		End:           d.End,
-		Hosts:         d.Hosts,
-		Tier:          d.Stats.Tier,
-		LatencyNS:     d.Stats.Latency.Nanoseconds(),
-		LPIterations:  d.Stats.LPIterations,
-		Nodes:         d.Stats.Nodes,
-		WarmUsed:      d.Stats.WarmUsed,
-		BasisExtended: d.Stats.BasisExtended,
+		Index:        d.Index,
+		Name:         d.Name,
+		Accepted:     d.Accepted,
+		Start:        d.Start,
+		End:          d.End,
+		Hosts:        d.Hosts,
+		Tier:         d.Stats.Tier,
+		LatencyNS:    d.Stats.Latency.Nanoseconds(),
+		LPIterations: d.Stats.LPIterations,
+		Nodes:        d.Stats.Nodes,
 	}
 	if d.CertErr != nil {
 		out.CertError = d.CertErr.Error()
@@ -157,24 +156,21 @@ func (sv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	s := sv.solver.EngineStats()
 	writeJSON(w, StatsResponse{
-		Decisions:     s.Decisions,
-		Accepted:      s.Accepted,
-		Rejected:      s.Rejected,
-		AcceptRate:    s.AcceptRate(),
-		PrecheckTier:  s.PrecheckTier,
-		LPTier:        s.LPTier,
-		MIPTier:       s.MIPTier,
-		BoundRejects:  s.BoundRejects,
-		CertFailures:  s.CertFailures,
-		Reopts:        s.Reopts,
-		TotalLPIters:  s.TotalLPIters,
-		TotalNodes:    s.TotalNodes,
-		WarmAttempts:  s.WarmAttempts,
-		WarmUsed:      s.WarmUsed,
-		WarmRate:      s.WarmRate(),
-		BasisExtended: s.BasisExtended,
-		LatencyP50NS:  int64(s.LatencyP50 / time.Nanosecond),
-		LatencyP99NS:  int64(s.LatencyP99 / time.Nanosecond),
+		Decisions:    s.Decisions,
+		Accepted:     s.Accepted,
+		Rejected:     s.Rejected,
+		AcceptRate:   s.AcceptRate(),
+		PrecheckTier: s.PrecheckTier,
+		LPTier:       s.LPTier,
+		RoundingTier: s.RoundingTier,
+		MIPTier:      s.MIPTier,
+		BoundRejects: s.BoundRejects,
+		CertFailures: s.CertFailures,
+		Reopts:       s.Reopts,
+		TotalLPIters: s.TotalLPIters,
+		TotalNodes:   s.TotalNodes,
+		LatencyP50NS: int64(s.LatencyP50 / time.Nanosecond),
+		LatencyP99NS: int64(s.LatencyP99 / time.Nanosecond),
 	})
 }
 

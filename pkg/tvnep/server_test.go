@@ -15,13 +15,18 @@ import (
 
 // TestServerRoundTrip drives the full HTTP surface: health probe, streamed
 // admissions, per-decision responses, aggregate stats and the certified
-// solution fetch.
+// solution fetch, on a default server and on one that admits with the
+// rounding tier. The stats' tier counts must equal the streamed tiers and
+// add up to the decisions.
 func TestServerRoundTrip(t *testing.T) {
+	t.Run("default", func(t *testing.T) { serverRoundTrip(t) })
+	t.Run("rounding", func(t *testing.T) { serverRoundTrip(t, tvnep.WithAlgorithm(tvnep.Rounding)) })
+}
+
+func serverRoundTrip(t *testing.T, opts ...tvnep.Option) {
 	sc := scenario(t, 12, 6)
 	solver, err := tvnep.New(sc.Substrate,
-		tvnep.WithHorizon(sc.Horizon),
-		tvnep.WithCertify(),
-	)
+		append([]tvnep.Option{tvnep.WithHorizon(sc.Horizon), tvnep.WithCertify()}, opts...)...)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -37,6 +42,7 @@ func TestServerRoundTrip(t *testing.T) {
 
 	// Stream every request; collect decisions.
 	accepted, lpRejects := 0, 0
+	tiers := map[tvnep.Tier]int{}
 	for i, req := range sc.Requests {
 		body, err := json.Marshal(tvnep.AdmitRequest{
 			Request: workload.EncodeRequest(req),
@@ -63,6 +69,7 @@ func TestServerRoundTrip(t *testing.T) {
 		if d.CertError != "" {
 			t.Fatalf("admit %d: certificate failure: %s", i, d.CertError)
 		}
+		tiers[d.Tier]++
 		if d.Accepted {
 			accepted++
 		} else if d.Tier == tvnep.TierLP {
@@ -90,8 +97,16 @@ func TestServerRoundTrip(t *testing.T) {
 	if stats.BoundRejects > lpRejects {
 		t.Fatalf("stats report %d root-bound rejections, the stream %d LP-tier rejections", stats.BoundRejects, lpRejects)
 	}
-	if stats.WarmAttempts > 0 && stats.WarmUsed == 0 {
-		t.Errorf("warm rate zero across %d attempts", stats.WarmAttempts)
+	got := map[tvnep.Tier]int{tvnep.TierPrecheck: stats.PrecheckTier, tvnep.TierLP: stats.LPTier,
+		tvnep.TierRounding: stats.RoundingTier, tvnep.TierMIP: stats.MIPTier}
+	for tier, n := range tiers {
+		if got[tier] != n {
+			t.Errorf("stats report %d %s-tier decisions, the stream %d", got[tier], tier, n)
+		}
+	}
+	t.Logf("streamed tiers %v", tiers)
+	if sum := stats.PrecheckTier + stats.LPTier + stats.RoundingTier + stats.MIPTier; sum != stats.Decisions {
+		t.Errorf("tier counts add up to %d, want %d decisions", sum, stats.Decisions)
 	}
 	if stats.LatencyP99NS <= 0 {
 		t.Errorf("latency p99 not reported: %d", stats.LatencyP99NS)

@@ -354,13 +354,12 @@ func WithGapTol(g float64) Option {
 	return func(c *config) { c.solve.GapTol = g }
 }
 
-// WithWorkers sets the solve options' worker count, which only sweep pools
-// read: the evaluation harness sizes its scenario pool with it.
+// WithWorkers sets nothing: Solve and Admit run their branch-and-bound
+// search serially, and no Solver method runs a sweep.
 //
-// Deprecated: it has no effect on Solve or Admit, whose branch-and-bound
-// search is serial.
+// Deprecated: it has no effect.
 func WithWorkers(n int) Option {
-	return func(c *config) { c.solve.Workers = n }
+	return func(*config) {}
 }
 
 // WithSeed sets the seed for the randomized-rounding tier's explicitly
