@@ -57,13 +57,16 @@ type lpCounters struct {
 	CutRowsSeparated float64 `json:"cut_rows_separated,omitempty"`
 	CutRounds        float64 `json:"cut_rounds,omitempty"`
 	CutPoolHits      float64 `json:"cut_pool_hits,omitempty"`
-	// Column-generation statistics (WANCSigmaPath only): structural columns
-	// in the root LP, columns appended by pricing, pricing rounds and pool
+	// Column-generation statistics (WANCSigmaPath only): rows and
+	// structural columns in the root LP, columns appended by pricing, the
+	// state rows they opened as companion rows, pricing rounds and pool
 	// dedup hits — the pricing mirror of the lazy-cut fields above.
-	ColsRoot    float64 `json:"cols_root,omitempty"`
-	ColsPriced  float64 `json:"cols_priced,omitempty"`
-	ColRounds   float64 `json:"col_rounds,omitempty"`
-	ColPoolHits float64 `json:"col_pool_hits,omitempty"`
+	RowsRoot      float64 `json:"rows_root,omitempty"`
+	ColsRoot      float64 `json:"cols_root,omitempty"`
+	ColsPriced    float64 `json:"cols_priced,omitempty"`
+	CompanionRows float64 `json:"companion_rows,omitempty"`
+	ColRounds     float64 `json:"col_rounds,omitempty"`
+	ColPoolHits   float64 `json:"col_pool_hits,omitempty"`
 	// AcceptRate and FallbackRate are 1 for an admission decision that
 	// accepted and for a rounding op that exhausted every sample and fell
 	// back to exact branch-and-bound, so their means are the rates.
@@ -267,6 +270,7 @@ func solveBench(seed int64, edit func(wl *workload.Config), opts core.BuildOptio
 				c.CutRounds, c.CutPoolHits = float64(ms.Cuts.Rounds), float64(ms.Cuts.PoolHits)
 			}
 			if opts.FlowMode == core.FlowPath {
+				c.RowsRoot, c.CompanionRows = float64(ms.Cuts.RowsAtRoot), float64(ms.Columns.CompanionRows)
 				c.ColsRoot, c.ColsPriced = float64(ms.Columns.ColsAtRoot), float64(ms.Columns.PricedCols)
 				c.ColRounds, c.ColPoolHits = float64(ms.Columns.Rounds), float64(ms.Columns.PoolHits)
 			}

@@ -5,14 +5,19 @@ package certify
 // feeding internal/mip's column pool). Each applied column must (a) carry a
 // path tag naming the virtual link it serves, (b) route that tag over a
 // contiguous simple directed substrate path between the pinned endpoint
-// hosts, and (c) carry exactly the LP coefficients that path implies. The
-// expected coefficients are re-derived here from the dependency graph and
-// the compiled row keys — independently of the link-use registry the
-// builder and pricer share — so a registry corrupted at build time cannot
-// vouch for the columns it produced.
+// hosts, (c) carry exactly the LP coefficients that path implies, and (d)
+// open exactly the state rows (7) its path needs that neither the build nor
+// an earlier column holds: the build leaves out the state rows of a request
+// on links no seed column of it routes over, and the first priced column of
+// the request over such a link brings them as companion rows. The expected
+// coefficients and companion rows are re-derived here from the dependency
+// graph, the compiled row keys and the χ variables — independently of the
+// link-use registry the builder and pricer share — so a registry corrupted
+// at build time cannot vouch for the columns it produced.
 
 import (
 	"fmt"
+	"math"
 
 	"tvnep/internal/core"
 	"tvnep/internal/depgraph"
@@ -34,6 +39,18 @@ const (
 	// ColCoef: a column's LP coefficients disagree with the coefficients its
 	// tagged path implies under the dependency-graph activity analysis.
 	ColCoef Kind = "col-coef"
+	// ColRowMissing: a Maybe state on a link of a column's path has no
+	// state row after the column — neither in the build nor among the
+	// companion rows of the column or an earlier one.
+	ColRowMissing Kind = "col-row-missing"
+	// ColRowCoef: a companion row's coefficients or bounds differ from the
+	// state row (7) it opens.
+	ColRowCoef Kind = "col-row-coef"
+	// ColRowStray: a companion row opens no state row the build left out, or
+	// one of another request or of a link the column's path does not use.
+	ColRowStray Kind = "col-row-stray"
+	// ColRowDup: a companion row opens a state row that already exists.
+	ColRowDup Kind = "col-row-dup"
 )
 
 // Columns re-verifies every applied path column of a cΣ solve. A solve
@@ -50,12 +67,137 @@ func Columns(b *core.Built, ms *model.Solution) *Report {
 			b.Kind, b.Opts.FlowMode)
 		return rep
 	}
-	rows := rowIndexByKey(b.Model)
-	oracle := newActivityOracle(b)
+	cc := &colCheck{
+		rep: rep, b: b,
+		rows:     rowIndexByKey(b.Model),
+		oracle:   newActivityOracle(b),
+		deferred: make(map[int32]stateKey),
+		next:     b.Model.NumConstrs(),
+	}
+	b.ForEachDeferredState(func(r, n, ls int, a model.Var) {
+		cc.deferred[int32(a.Index())] = stateKey{r: r, n: n, ls: ls}
+	})
 	for k, c := range ms.AppliedColumns {
-		checkColumn(rep, b, rows, oracle, k, c)
+		cc.column(k, ms.Columns.ColsAtRoot+k, c)
 	}
 	return rep
+}
+
+// colCheck is the state of one Columns certificate as it walks the applied
+// columns in commit order.
+type colCheck struct {
+	rep    *Report
+	b      *core.Built
+	oracle *activityOracle
+	// rows maps the key of every row the LP holds so far — the build's and
+	// the companion rows opened by the columns walked — to its index.
+	rows map[model.Key]int
+	// deferred maps the allocation variable of every state row the build
+	// left out to its state.
+	deferred map[int32]stateKey
+	// next is the lowest LP index the next companion row may take.
+	next int
+}
+
+// stateKey names a link state row (7): request r, state n, substrate link
+// ls.
+type stateKey struct{ r, n, ls int }
+
+func (s stateKey) key(numNodes int) model.Key {
+	return model.Key3(core.FamState, s.r, s.n, numNodes+s.ls)
+}
+
+// column certifies applied column k, LP column j: its coefficients over the
+// rows held before it, then the companion rows it opens.
+func (cc *colCheck) column(k, j int, c model.Column) {
+	if !checkColumn(cc.rep, cc.b, cc.rows, cc.next, cc.oracle, k, c) {
+		cc.next = max(cc.next, c.Row+len(c.Rows))
+		return
+	}
+	cc.companions(k, j, c)
+}
+
+// companions re-derives the state rows (7) applied column k (LP column j)
+// opens and compares its companion rows with them: each must open a state
+// row the build left out, of the column's request on a link of its path,
+// that no row holds yet, with exactly the coefficients (7) gives it. Then
+// every Maybe state on every link of the path must have its row.
+func (cc *colCheck) companions(k, j int, c model.Column) {
+	b, rep := cc.b, cc.rep
+	name := colLabel{k: k, c: c}
+	r, lv, links, _ := core.PathTagInfo(c)
+	numNodes := b.Inst.Sub.NumNodes()
+	if len(c.Rows) > 0 && c.Row < cc.next {
+		rep.addf(ColShape, r, "%v: companion rows start at LP row %d, below %d", name, c.Row, cc.next)
+	}
+	onPath := make(map[int]bool, len(links))
+	for _, ls := range links {
+		onPath[ls] = true
+	}
+	d := b.Inst.Reqs[r].LinkDemand[lv]
+	for i, row := range c.Rows {
+		st, a, ok := cc.stateOf(row)
+		switch {
+		case !ok:
+			rep.addf(ColRowStray, r, "%v: companion row %d opens no state row the build left out", name, i)
+			continue
+		case st.r != r || !onPath[st.ls]:
+			rep.addf(ColRowStray, r, "%v: companion row %d opens state %d of request %d on link %d, off its path %v",
+				name, i, st.n, st.r, st.ls, links)
+			continue
+		}
+		key := st.key(numNodes)
+		if at, dup := cc.rows[key]; dup {
+			rep.addf(ColRowDup, r, "%v: companion row %d opens %v, already LP row %d", name, i, key, at)
+			continue
+		}
+		idx, val, lb := expectedStateRow(b, st, a, j, d)
+		if cutRowKey(idx, val, lb, math.Inf(1)) != cutRowKey(row.Idx, row.Val, row.LB, row.UB) {
+			rep.addf(ColRowCoef, r, "%v: companion row %d disagrees with the state row %v (got %v@%v in [%v, %v], expected %v@%v in [%v, +Inf])",
+				name, i, key, row.Idx, row.Val, row.LB, row.UB, idx, val, lb)
+		}
+		cc.rows[key] = c.Row + i
+	}
+	cc.next = max(cc.next, c.Row+len(c.Rows))
+	for _, ls := range links {
+		for n := 1; d > 0 && n <= len(b.Inst.Reqs); n++ {
+			if cc.oracle.at(r, n) != depgraph.Maybe {
+				continue
+			}
+			if _, ok := cc.rows[stateKey{r: r, n: n, ls: ls}.key(numNodes)]; !ok {
+				rep.addf(ColRowMissing, r, "%v: no state row for state %d on link %d after it", name, n, ls)
+			}
+		}
+	}
+}
+
+// stateOf names the state a companion row opens by the deferred state
+// allocation variable a among its columns.
+func (cc *colCheck) stateOf(row model.Cut) (st stateKey, a int32, ok bool) {
+	for _, jj := range row.Idx {
+		if st, ok := cc.deferred[jj]; ok {
+			return st, jj, true
+		}
+	}
+	return st, 0, false
+}
+
+// expectedStateRow re-derives the state row (7) of st once column j with
+// per-unit demand d routes over its link: a − d·λ_j − c·Σ_{i≤n} χ⁺ +
+// c·Σ_{i≤n} χ⁻ ≥ −c, with a the state's allocation variable and c the link
+// capacity.
+func expectedStateRow(b *core.Built, st stateKey, a int32, j int, d float64) ([]int32, []float64, float64) {
+	c := b.Inst.Sub.LinkCap[st.ls]
+	idx, val := []int32{a, int32(j)}, []float64{1, -d}
+	for i := 1; i <= st.n; i++ {
+		if i < len(b.ChiPlus[st.r]) && b.ChiPlus[st.r][i].Valid() {
+			idx, val = append(idx, int32(b.ChiPlus[st.r][i].Index())), append(val, -c)
+		}
+		if i < len(b.ChiMinus[st.r]) && b.ChiMinus[st.r][i].Valid() {
+			idx, val = append(idx, int32(b.ChiMinus[st.r][i].Index())), append(val, c)
+		}
+	}
+	return idx, val, -c
 }
 
 // colLabel names an applied column in messages: by its path tag (r, lv,
@@ -72,17 +214,20 @@ func (l colLabel) String() string {
 	return fmt.Sprintf("column %d", l.k)
 }
 
-func checkColumn(rep *Report, b *core.Built, rows map[model.Key]int, oracle *activityOracle, k int, c model.Column) {
+// checkColumn certifies applied column k's own coefficients over the rows
+// the LP held before it (nRows of them, rows indexing their keys) and
+// reports whether its tag and path are sound enough to check its companion
+// rows.
+func checkColumn(rep *Report, b *core.Built, rows map[model.Key]int, nRows int, oracle *activityOracle, k int, c model.Column) bool {
 	name := colLabel{k: k, c: c}
 	if len(c.Idx) != len(c.Val) || len(c.Idx) == 0 {
 		rep.addf(ColShape, -1, "%v: %d indices, %d values", name, len(c.Idx), len(c.Val))
-		return
+		return false
 	}
-	nRows := b.Model.NumConstrs()
 	for _, i := range c.Idx {
 		if int(i) < 0 || int(i) >= nRows {
-			rep.addf(ColShape, -1, "%v: row %d outside model with %d rows", name, i, nRows)
-			return
+			rep.addf(ColShape, -1, "%v: row %d outside the LP's %d rows", name, i, nRows)
+			return false
 		}
 	}
 	//lint:allow floateq -- path-weight bounds are the exact literals 0 and 1 the builder emits; any drift is the violation
@@ -94,37 +239,38 @@ func checkColumn(rep *Report, b *core.Built, rows map[model.Key]int, oracle *act
 	r, lv, links, ok := core.PathTagInfo(c)
 	if !ok {
 		rep.addf(ColTag, -1, "%v carries no path tag", name)
-		return
+		return false
 	}
 	if r < 0 || r >= len(b.Inst.Reqs) {
 		rep.addf(ColTag, -1, "%v: request %d outside instance with %d requests", name, r, len(b.Inst.Reqs))
-		return
+		return false
 	}
 	req := b.Inst.Reqs[r]
 	if lv < 0 || lv >= req.G.NumEdges() {
 		rep.addf(ColTag, r, "%v: virtual link %d outside request with %d links", name, lv, req.G.NumEdges())
-		return
+		return false
 	}
 	u, v := req.G.Edge(lv)
 	hu, hv := b.Opts.FixedMapping[r][u], b.Opts.FixedMapping[r][v]
 	if hu == hv {
 		rep.addf(ColPath, r, "%v serves virtual link %d whose endpoints share host %d — no path column should exist",
 			name, lv, hu)
-		return
+		return false
 	}
 	if !checkSimplePath(rep, b, name, r, links, hu, hv) {
-		return
+		return false
 	}
 
 	wantIdx, wantVal, ok := expectedPathColumn(rep, b, rows, oracle, name, r, lv, links)
 	if !ok {
-		return
+		return true
 	}
 	if cutRowKey(wantIdx, wantVal, 0, 0) != cutRowKey(c.Idx, c.Val, 0, 0) {
 		rep.addf(ColCoef, r,
 			"%v: coefficients disagree with path %v (got %d terms %v@%v, expected %d terms %v@%v)",
 			name, links, len(c.Idx), c.Idx, c.Val, len(wantIdx), wantIdx, wantVal)
 	}
+	return true
 }
 
 // checkSimplePath verifies links is a contiguous directed walk from hu to hv
@@ -161,27 +307,31 @@ func checkSimplePath(rep *Report, b *core.Built, name colLabel, r int, links []i
 	return true
 }
 
-// expectedPathColumn re-derives the LP column the tagged path implies: +1 on
-// the convexity row, the per-state allocation coefficients of every
-// traversed link (−d on the Maybe-state rows, +d directly on the
-// Always-state capacity rows, per the Section IV-C presolve), and the unit
-// flow-count coefficients on the DisableLinks activity rows. Activity comes
+// expectedPathColumn re-derives the LP column the tagged path implies over
+// the rows held before it: +1 on the convexity row, the per-state
+// allocation coefficients of every traversed link (−d on the Maybe-state
+// rows, +d directly on the Always-state capacity rows, per the Section IV-C
+// presolve), and the unit flow-count coefficients on the DisableLinks
+// activity rows. A Maybe state without a row yet is the column's to open:
+// its −d sits in the companion row, which companions checks. Activity comes
 // from a fresh dependency-graph analysis, not from the builder's registry.
 func expectedPathColumn(rep *Report, b *core.Built, rows map[model.Key]int, oracle *activityOracle, name colLabel, r, lv int, links []int) ([]int32, []float64, bool) {
 	var idx []int32
 	var val []float64
 	ok := true
-	// add puts coef on the row under key; a missing row is a violation.
-	add := func(key model.Key, coef float64) {
+	// add puts coef on the row under key; a missing row is a violation
+	// unless the column may open it.
+	add := func(key model.Key, coef float64, opens bool) {
 		row, found := rows[key]
-		if !found {
+		switch {
+		case found:
+			idx, val = append(idx, int32(row)), append(val, coef)
+		case !opens:
 			rep.addf(ColCoef, r, "%v: model has no row %v for its path", name, key)
 			ok = false
-			return
 		}
-		idx, val = append(idx, int32(row)), append(val, coef)
 	}
-	add(model.Key2(core.FamConv, r, lv), 1)
+	add(model.Key2(core.FamConv, r, lv), 1, false)
 	k := len(b.Inst.Reqs)
 	numNodes := b.Inst.Sub.NumNodes()
 	d := b.Inst.Reqs[r].LinkDemand[lv]
@@ -189,13 +339,13 @@ func expectedPathColumn(rep *Report, b *core.Built, rows map[model.Key]int, orac
 		for n := 1; d > 0 && n <= k; n++ {
 			switch oracle.at(r, n) {
 			case depgraph.Maybe:
-				add(model.Key3(core.FamState, r, n, numNodes+ls), -d)
+				add(model.Key3(core.FamState, r, n, numNodes+ls), -d, true)
 			case depgraph.Always:
-				add(model.Key2(core.FamCap, n, numNodes+ls), d)
+				add(model.Key2(core.FamCap, n, numNodes+ls), d, false)
 			}
 		}
 		if b.Opts.Objective == core.DisableLinks {
-			add(model.Key1(core.FamDis, ls), 1)
+			add(model.Key1(core.FamDis, ls), 1, false)
 		}
 	}
 	return idx, val, ok

@@ -316,6 +316,15 @@ type Built struct {
 	// convRow[r][lv] is the FlowPath convexity row index (−1 for trivial
 	// virtual links whose endpoints share a substrate node).
 	convRow [][]int
+	// deferred[r] lists the state rows (7) of request r on substrate links
+	// that no seed column of r routes over, which the FlowPath build leaves
+	// out; the path pricer opens those of a link with the first priced
+	// column of r over it (see pathPricer.Commit).
+	deferred [][]deferredRow
+	// opened[r·|E_S|+ls] counts the rows of deferred[r] on link ls the
+	// current search has opened; their link-use entries sit at the tail of
+	// linkUse[r][·][ls].
+	opened []int
 }
 
 // rowCoef is one (compiled row, coefficient-per-unit-flow) entry of the
@@ -323,6 +332,13 @@ type Built struct {
 type rowCoef struct {
 	row  int
 	coef float64
+}
+
+// deferredRow is a state row (7) the FlowPath build left out: request r's
+// Maybe state n on substrate link ls, with its allocation variable a.
+type deferredRow struct {
+	n, ls int
+	a     model.Var
 }
 
 // numReq is a convenience accessor.

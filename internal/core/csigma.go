@@ -134,10 +134,10 @@ func RebuildCSigma(b *Built, inst *Instance, opts BuildOptions) *Built {
 			capacity := b.sum.Reset()
 			any := false
 			// FlowPath: priced path columns join link rows after the build,
-			// so link-resource rows must exist for every request whose paths
-			// can carry demand even when the compiled (seed-only) allocation
-			// is empty; pendAlways defers their cap-row registration until
-			// the row index exists.
+			// so every request whose paths can carry demand gets its state
+			// allocation on every link even when the compiled (seed-only)
+			// allocation is empty; pendAlways defers the cap-row
+			// registration of its Always states until the row index exists.
 			var pendAlways []int
 			for r := 0; r < k; r++ {
 				force := b.linkUse != nil && rsc >= numNodes && b.pathLinkDemand(r)
@@ -166,19 +166,28 @@ func RebuildCSigma(b *Built, inst *Instance, opts BuildOptions) *Built {
 					if aVars != nil {
 						aVars[[3]int{r, n, rsc}] = a
 					}
+					capacity.Add(1, a)
+					any = true
+					if alloc.Len() == 0 {
+						// FlowPath, no seed column of r over this link:
+						// while no column of r routes over it either, (7)
+						// reads a ≥ −c·(1 − Σc) with Σc ≤ 1 (start1), which
+						// a ≥ 0 implies. The row is left out until the first
+						// priced column of r over the link opens it (see
+						// pathPricer.Commit).
+						b.deferred[r] = append(b.deferred[r], deferredRow{n: n, ls: rsc - numNodes, a: a})
+						continue
+					}
 					// (7): a ≥ alloc − c·(1 − Σc(r, e_n)) with
 					// Σc = Σ_{j≤n} χ⁺ − Σ_{j≤n} χ⁻, i.e.
 					// a − alloc − c·Σχ⁺ + c·Σχ⁻ ≥ −c.
 					con := b.row.Reset().Add(1, a)
 					con.AddExpr(-1, alloc)
-					addChiUpTo(con, -capRsc, b.ChiPlus[r], n)
-					addChiUpTo(con, capRsc, b.ChiMinus[r], n)
+					b.addStateChi(con, r, n, capRsc)
 					row := m.AddGE(con, -capRsc, model.Key3(FamState, r, n, rsc))
 					if force {
 						b.recordLinkUse(r, rsc-numNodes, row, -1)
 					}
-					capacity.Add(1, a)
-					any = true
 				}
 			}
 			if any {

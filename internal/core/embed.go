@@ -175,6 +175,13 @@ func addChiUpTo(e *model.LinExpr, coef float64, chi []model.Var, i int) {
 	}
 }
 
+// addStateChi appends the event terms of request r's state-n row (7),
+// −c·Σ_{j≤n} χ⁺ + c·Σ_{j≤n} χ⁻, to e.
+func (b *Built) addStateChi(e *model.LinExpr, r, n int, c float64) {
+	addChiUpTo(e, -c, b.ChiPlus[r], n)
+	addChiUpTo(e, c, b.ChiMinus[r], n)
+}
+
 // addChiFrom appends coef·Σ_{j≥i} χ[j] over the variables that exist to e.
 func addChiFrom(e *model.LinExpr, coef float64, chi []model.Var, i int) {
 	for j := max(i, 1); j < len(chi); j++ {

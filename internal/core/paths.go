@@ -25,6 +25,19 @@ package core
 // artificial, and parking it always loses to the penalty, so the artificial
 // carries flow only when the request is force-accepted yet genuinely
 // unroutable, which Extract reports as "no solution".
+//
+// State rows arrive with the paths that need them. The build emits the
+// state row (7) of a request's Maybe state on a substrate link only where
+// a seed column of the request routes over the link; the others read
+// a ≥ −c·(1 − Σc) with Σc ≤ 1 while no column of the request uses the link,
+// which a ≥ 0 implies, so leaving them out changes neither the restricted
+// master's optimum nor, extended by zeros, its duals. The first priced
+// column of the request over such a link opens its rows for every Maybe
+// state as companion rows (pathPricer.Commit, appended right after the
+// column by internal/mip); the capacity rows (9), the Always-state
+// registrations and the node state rows are built as before. On the WAN
+// scenarios most link state rows never receive a path column, so the root
+// LP no longer carries them.
 
 import (
 	"fmt"
@@ -129,6 +142,8 @@ func buildPathEmbedding(b *Built) {
 	b.Art = make([][]model.Var, k)
 	b.convRow = make([][]int, k)
 	b.linkUse = make([][][][]rowCoef, k)
+	b.deferred = make([][]deferredRow, k)
+	b.opened = make([]int, k*sub.NumLinks())
 
 	for r, req := range inst.Reqs {
 		buildAcceptVar(b, r)
@@ -240,9 +255,16 @@ func applyArtPenalty(b *Built) bool {
 
 // pathColumn assembles the LP column of path (a substrate-link sequence) for
 // virtual link (r, lv): +1 on the convexity row plus the registered per-unit
-// capacity and activity coefficients of every traversed link. The solver's
-// column pool canonicalizes (sorts, merges) the raw entries.
+// capacity, state and activity coefficients of every traversed link. The
+// solver's column pool canonicalizes (sorts, merges) the raw entries.
 func (b *Built) pathColumn(r, lv int, path []int) model.Column {
+	c := model.Column{LB: 0, UB: 1, Obj: 0, Tag: pathTag{r: r, lv: lv, links: append([]int(nil), path...)}}
+	c.Idx, c.Val = b.pathCoefs(r, lv, path)
+	return c
+}
+
+// pathCoefs returns the raw row entries of pathColumn.
+func (b *Built) pathCoefs(r, lv int, path []int) ([]int32, []float64) {
 	idx := []int32{int32(b.convRow[r][lv])}
 	val := []float64{1}
 	for _, ls := range path {
@@ -251,9 +273,18 @@ func (b *Built) pathColumn(r, lv int, path []int) model.Column {
 			val = append(val, rc.coef)
 		}
 	}
-	return model.Column{
-		Idx: idx, Val: val, LB: 0, UB: 1, Obj: 0,
-		Tag: pathTag{r: r, lv: lv, links: append([]int(nil), path...)},
+	return idx, val
+}
+
+// ForEachDeferredState calls f with every state row (7) the FlowPath build
+// left out — request r's Maybe state n on substrate link ls, with its
+// allocation variable a — in build order. The first priced column of r over
+// ls opens these rows; internal/certify re-derives them from this list.
+func (b *Built) ForEachDeferredState(f func(r, n, ls int, a model.Var)) {
+	for r, rows := range b.deferred {
+		for _, d := range rows {
+			f(r, d.n, d.ls, d.a)
+		}
 	}
 }
 
@@ -264,8 +295,9 @@ func (b *Built) pathColumn(r, lv int, path []int) model.Column {
 // every cost(ls) is nonnegative — the state rows contribute (−d)·(y ≤ 0),
 // the capacity and activity rows (+d)·(y ≥ 0) — so Dijkstra applies;
 // LP-tolerance dual noise is clamped away and the winner re-checked with the
-// exact reduced cost before it is offered. A pure function of duals with
-// index-ordered tie-breaks, as the mip.Pricer contract requires.
+// exact reduced cost before it is offered. A pure function of duals and the
+// state rows opened so far, with index-ordered tie-breaks, as the
+// mip.RowPricer contract requires.
 type pathPricer struct {
 	b *Built
 }
@@ -304,4 +336,64 @@ func (pp *pathPricer) Price(duals, x []float64) []model.Column {
 		}
 	}
 	return out
+}
+
+// Reset implements mip.RowPricer: it closes every deferred row the last
+// search opened, truncating their entries off the link-use registry, so a
+// search starts from the build's rows.
+func (pp *pathPricer) Reset() {
+	b := pp.b
+	nL := b.Inst.Sub.NumLinks()
+	for k, c := range b.opened {
+		if c == 0 {
+			continue
+		}
+		r, ls := k/nL, k%nL
+		for lv, use := range b.linkUse[r] {
+			if b.Inst.Reqs[r].LinkDemand[lv] > 0 && b.convRow[r][lv] >= 0 {
+				use[ls] = use[ls][:len(use[ls])-c]
+			}
+		}
+		b.opened[k] = 0
+	}
+}
+
+// Commit implements mip.RowPricer. It re-derives c over the rows opened
+// so far, and on every link of c's path that no earlier column of its
+// request routes over it opens the deferred rows (7) of every Maybe state
+// (in build order), each carrying the −d coefficient of c itself (LP column
+// j). The opened rows take LP indices m, m+1, … and join the link-use
+// registry, so every later column of the request over the link carries its
+// coefficient on them and the pricer prices their duals.
+func (pp *pathPricer) Commit(c model.Column, j, m int) (model.Column, []model.Cut) {
+	b := pp.b
+	tag := c.Tag.(pathTag)
+	r := tag.r
+	c.Idx, c.Val = b.pathCoefs(r, tag.lv, tag.links)
+	d := b.Inst.Reqs[r].LinkDemand[tag.lv]
+	if d <= 0 {
+		return c, nil
+	}
+	nL := b.Inst.Sub.NumLinks()
+	numNodes := b.Inst.Sub.NumNodes()
+	var rows []model.Cut
+	for _, ls := range tag.links {
+		if b.opened[r*nL+ls] > 0 {
+			continue
+		}
+		for _, dr := range b.deferred[r] {
+			if dr.ls != ls {
+				continue
+			}
+			capL := b.resourceCap(numNodes + ls)
+			con := b.row.Reset().Add(1, dr.a)
+			b.addStateChi(con, r, dr.n, capL)
+			row := model.CutGE(con, -capL)
+			row.Idx, row.Val = append(row.Idx, int32(j)), append(row.Val, -d)
+			b.recordLinkUse(r, ls, m+len(rows), -1)
+			b.opened[r*nL+ls]++
+			rows = append(rows, row)
+		}
+	}
+	return c, rows
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -189,8 +190,10 @@ var pathEquivalenceObjectives = []Objective{
 
 func TestPathMatchesArcRandom(t *testing.T) {
 	// Satellite property test: arc-mode and path-mode cΣ must reach the same
-	// certified optimum across objectives × seeds × flexibilities, and every
-	// extracted path-mode solution must pass the independent checker.
+	// certified optimum across objectives × seeds × flexibilities × cut
+	// modes, and every extracted path-mode solution must pass the
+	// independent checker. At flexibility 4 the requests span several
+	// Maybe states, so priced columns open their state rows across states.
 	cfg := workload.Config{
 		GridRows: 2, GridCols: 2, NodeCap: 2, LinkCap: 2,
 		NumRequests: 3, StarLeaves: 1,
@@ -198,70 +201,180 @@ func TestPathMatchesArcRandom(t *testing.T) {
 		MeanInterArr: 1.5, WeibullShape: 2, WeibullScale: 2,
 	}
 	seeds := []int64{1, 2, 3, 4}
-	flexes := []float64{0, 1.5}
+	flexes := []float64{0, 1.5, 4}
 	if testing.Short() {
 		seeds = seeds[:2]
 		flexes = flexes[1:]
 	}
 	lim := &model.SolveOptions{TimeLimit: 60 * time.Second}
-	for _, flex := range flexes {
-		for _, seed := range seeds {
-			cfg.FlexibilityHr = flex
-			sc := workload.Generate(cfg, seed)
-			inst := &Instance{Sub: sc.Substrate, Reqs: sc.Requests, Horizon: sc.Horizon}
+	companion := 0
+	for _, cm := range []CutMode{CutStatic, CutLazy} {
+		for _, flex := range flexes {
+			for _, seed := range seeds {
+				cfg.FlexibilityHr = flex
+				sc := workload.Generate(cfg, seed)
+				inst := &Instance{Sub: sc.Substrate, Reqs: sc.Requests, Horizon: sc.Horizon}
 
-			accepted := comparePathArc(t, inst, BuildOptions{
-				Objective:    AccessControl,
-				FixedMapping: sc.Mapping,
-			}, seed, flex, lim)
-
-			// Fixed-set objectives need an embeddable request set: reuse the
-			// accept set of the access-control optimum.
-			var reqs []*vnet.Request
-			var mapping vnet.NodeMapping
-			for r, ok := range accepted {
-				if ok {
-					reqs = append(reqs, inst.Reqs[r])
-					mapping = append(mapping, sc.Mapping[r])
-				}
-			}
-			if len(reqs) == 0 {
-				continue
-			}
-			sub := &Instance{Sub: inst.Sub, Reqs: reqs, Horizon: inst.Horizon}
-			for _, obj := range pathEquivalenceObjectives {
-				comparePathArc(t, sub, BuildOptions{
-					Objective:    obj,
-					FixedMapping: mapping,
+				accepted, opened := comparePathArc(t, inst, BuildOptions{
+					Objective:    AccessControl,
+					FixedMapping: sc.Mapping,
+					CutMode:      cm,
 				}, seed, flex, lim)
+				companion += opened
+
+				// Fixed-set objectives need an embeddable request set: reuse
+				// the accept set of the access-control optimum.
+				var reqs []*vnet.Request
+				var mapping vnet.NodeMapping
+				for r, ok := range accepted {
+					if ok {
+						reqs = append(reqs, inst.Reqs[r])
+						mapping = append(mapping, sc.Mapping[r])
+					}
+				}
+				if len(reqs) == 0 {
+					continue
+				}
+				sub := &Instance{Sub: inst.Sub, Reqs: reqs, Horizon: inst.Horizon}
+				for _, obj := range pathEquivalenceObjectives {
+					_, opened := comparePathArc(t, sub, BuildOptions{
+						Objective:    obj,
+						FixedMapping: mapping,
+						CutMode:      cm,
+					}, seed, flex, lim)
+					companion += opened
+				}
 			}
 		}
 	}
+	if companion == 0 {
+		t.Fatal("no priced column opened a state row; the sweep no longer compares companion rows")
+	}
+	t.Logf("%d companion rows opened", companion)
 }
 
 // comparePathArc solves the instance in both flow modes, asserts both close
 // to the same certified optimum with checker-clean solutions, and returns
-// the arc-mode accept set.
-func comparePathArc(t *testing.T, inst *Instance, opts BuildOptions, seed int64, flex float64, lim *model.SolveOptions) []bool {
+// the arc-mode accept set and the number of state rows path mode's priced
+// columns opened.
+func comparePathArc(t *testing.T, inst *Instance, opts BuildOptions, seed int64, flex float64, lim *model.SolveOptions) ([]bool, int) {
 	t.Helper()
 	opts.FlowMode = FlowArc
 	asol, ams := BuildCSigma(inst, opts).Solve(context.Background(), lim)
 	if ams.Status != model.StatusOptimal || asol == nil {
-		t.Fatalf("seed %d flex %v %v arc: status %v", seed, flex, opts.Objective, ams.Status)
+		t.Fatalf("seed %d flex %v %v %v arc: status %v", seed, flex, opts.CutMode, opts.Objective, ams.Status)
 	}
 	opts.FlowMode = FlowPath
 	psol, pms := BuildCSigma(inst, opts).Solve(context.Background(), lim)
 	if pms.Status != model.StatusOptimal || psol == nil {
-		t.Fatalf("seed %d flex %v %v path: status %v", seed, flex, opts.Objective, pms.Status)
+		t.Fatalf("seed %d flex %v %v %v path: status %v", seed, flex, opts.CutMode, opts.Objective, pms.Status)
 	}
 	if math.Abs(asol.Objective-psol.Objective) > 1e-5*(1+math.Abs(asol.Objective)) {
-		t.Fatalf("seed %d flex %v %v: arc objective %v, path objective %v",
-			seed, flex, opts.Objective, asol.Objective, psol.Objective)
+		t.Fatalf("seed %d flex %v %v %v: arc objective %v, path objective %v",
+			seed, flex, opts.CutMode, opts.Objective, asol.Objective, psol.Objective)
 	}
 	for _, sol := range []*solution.Solution{asol, psol} {
 		if err := solution.Check(inst.Sub, inst.Reqs, sol); err != nil {
-			t.Fatalf("seed %d flex %v %v: checker rejected solution: %v", seed, flex, opts.Objective, err)
+			t.Fatalf("seed %d flex %v %v %v: checker rejected solution: %v", seed, flex, opts.CutMode, opts.Objective, err)
 		}
 	}
-	return asol.Accepted
+	return asol.Accepted, pms.Columns.CompanionRows
+}
+
+// TestPathLinkStateRowsHoldPaths pins the FlowPath row layer on WAN
+// scenarios whose requests span several Maybe states: after a solve, every
+// link state row (7) — built, or opened by a priced column — holds at least
+// one path column, so the build emits no state row that only pads the LP.
+func TestPathLinkStateRowsHoldPaths(t *testing.T) {
+	wl := workload.Default()
+	wl.Topology, wl.WANNodes, wl.WANAvgDeg = "wan", 12, 4
+	wl.NumRequests, wl.StarLeaves = 5, 1
+	built, opened := 0, 0
+	for _, flex := range []float64{1, 3} {
+		for _, cm := range []CutMode{CutStatic, CutLazy} {
+			for seed := int64(1); seed <= 3; seed++ {
+				wl.FlexibilityHr = flex
+				sc := workload.Generate(wl, seed)
+				inst := &Instance{Sub: sc.Substrate, Reqs: sc.Requests, Horizon: sc.Horizon}
+				b := BuildCSigma(inst, BuildOptions{
+					Objective: AccessControl, FixedMapping: sc.Mapping, FlowMode: FlowPath, CutMode: cm,
+				})
+				_, ms := b.Solve(context.Background(), &model.SolveOptions{TimeLimit: 60 * time.Second})
+				if ms.Status != model.StatusOptimal {
+					t.Fatalf("seed %d flex %v %v: status %v", seed, flex, cm, ms.Status)
+				}
+				isPath := make(map[int32]bool)
+				for _, lams := range b.Lambda {
+					for _, lam := range lams {
+						for _, v := range lam {
+							isPath[int32(v.Index())] = true
+						}
+					}
+				}
+				for k := range ms.AppliedColumns {
+					isPath[int32(ms.Columns.ColsAtRoot+k)] = true
+				}
+				holdsPath := func(idx []int32) bool {
+					for _, j := range idx {
+						if isPath[j] {
+							return true
+						}
+					}
+					return false
+				}
+				numNodes := inst.Sub.NumNodes()
+				for i := 0; i < b.Model.NumConstrs(); i++ {
+					key := b.Model.RowKey(i)
+					if key.Fam != FamState || int(key.K) < numNodes {
+						continue
+					}
+					if idx, _ := b.Model.LP().Row(i); !holdsPath(idx) {
+						t.Fatalf("seed %d flex %v %v: built link state row %v holds no path column", seed, flex, cm, key)
+					}
+					built++
+				}
+				for k, c := range ms.AppliedColumns {
+					for _, row := range c.Rows {
+						if !holdsPath(row.Idx) {
+							t.Fatalf("seed %d flex %v %v: companion row of priced column %d holds no path column", seed, flex, cm, k)
+						}
+						opened++
+					}
+				}
+			}
+		}
+	}
+	if opened == 0 {
+		t.Fatal("no priced column opened a state row; the scenarios no longer exercise companion rows")
+	}
+	t.Logf("%d built and %d opened link state rows", built, opened)
+}
+
+// TestPathResolveReopensRows solves one FlowPath build twice: the second
+// search must start from the build's rows again (the pricer closes what the
+// first opened) and repeat the first bit for bit.
+func TestPathResolveReopensRows(t *testing.T) {
+	wl := workload.Default()
+	wl.Topology, wl.WANNodes, wl.WANAvgDeg = "wan", 12, 4
+	wl.NumRequests, wl.StarLeaves, wl.FlexibilityHr = 5, 1, 3
+	sc := workload.Generate(wl, 2)
+	inst := &Instance{Sub: sc.Substrate, Reqs: sc.Requests, Horizon: sc.Horizon}
+	b := BuildCSigma(inst, BuildOptions{Objective: AccessControl, FixedMapping: sc.Mapping, FlowMode: FlowPath})
+	_, first := b.Solve(context.Background(), nil)
+	_, again := b.Solve(context.Background(), nil)
+	if first.Columns.CompanionRows == 0 {
+		t.Fatal("the solve opened no state row; the scenario no longer exercises companion rows")
+	}
+	if first.Status != again.Status || math.Float64bits(first.Obj) != math.Float64bits(again.Obj) ||
+		first.LPIterations != again.LPIterations || first.Columns != again.Columns {
+		t.Fatalf("re-solve differs: %v %v %d iters %+v, first %v %v %d iters %+v",
+			again.Status, again.Obj, again.LPIterations, again.Columns,
+			first.Status, first.Obj, first.LPIterations, first.Columns)
+	}
+	for k, c := range first.AppliedColumns {
+		d := again.AppliedColumns[k]
+		if c.Row != d.Row || !reflect.DeepEqual(c.Idx, d.Idx) || !reflect.DeepEqual(c.Rows, d.Rows) {
+			t.Fatalf("priced column %d differs on the re-solve", k)
+		}
+	}
 }

@@ -3,6 +3,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Incremental columns: the column-generation interface, the column-side
@@ -19,8 +20,9 @@ import (
 // AppendColumn appends a structural column with coefficients val over rows
 // idx, bounds [lb, ub] and objective coefficient obj (all in the problem's
 // original sense and units), returning its column index. Duplicate row
-// indices are merged and zero coefficients dropped. The column-major matrix
-// and the row-wise overlay are updated copy-on-write. On a scaled instance
+// indices are merged and zero coefficients dropped. The column-major matrix,
+// the row-wise overlay, bounds, objective and scales grow in place, within
+// the headroom compile left. On a scaled instance
 // the stored column is equilibrated like the compiled ones (a fresh
 // power-of-two column scale over the already row-scaled coefficients);
 // bounds and objective stay in original units.
@@ -44,43 +46,26 @@ func (inst *Instance) AppendColumn(idx []int32, val []float64, lb, ub, obj float
 
 	// Equilibrate the stored column like the compiled ones. Scaling was fixed
 	// at compile time; an unscaled instance stays unscaled (column scale 1).
-	// colScale/colScaleInv grow copy-on-write, like objMin below.
 	if inst.scaled {
 		cs := inst.appendedColScale(colIdx, colVal)
 		for k, i := range colIdx {
 			colVal[k] *= cs * inst.rowScale[i]
 		}
-		ncs := make([]float64, j+1)
-		copy(ncs, inst.colScale)
-		ncs[j] = cs
-		inst.colScale = ncs
-		nci := make([]float64, j+1)
-		copy(nci, inst.colScaleInv)
-		nci[j] = 1 / cs
-		inst.colScaleInv = nci
+		inst.colScale = append(inst.colScale, cs)
+		inst.colScaleInv = append(inst.colScaleInv, 1/cs)
 	}
 
-	// Objective, in the internal minimization sense (copy-on-write, like
-	// the scales above).
-	nob := make([]float64, j+1)
-	copy(nob, inst.objMin)
+	// Objective, in the internal minimization sense.
 	if inst.negate {
 		obj = -obj
 	}
-	nob[j] = obj
-	inst.objMin = nob
+	inst.objMin = append(inst.objMin, obj)
 
 	// Bounds: structural bounds occupy [0, n) with the row (slack) bounds at
 	// the tail, so the new column's bounds are inserted at position n and the
 	// row tail shifts up by one.
-	nlb := make([]float64, len(inst.lb)+1)
-	nub := make([]float64, len(inst.ub)+1)
-	copy(nlb, inst.lb[:j])
-	copy(nub, inst.ub[:j])
-	nlb[j], nub[j] = lb, ub
-	copy(nlb[j+1:], inst.lb[j:])
-	copy(nub[j+1:], inst.ub[j:])
-	inst.lb, inst.ub = nlb, nub
+	inst.lb = slices.Insert(inst.lb, j, lb)
+	inst.ub = slices.Insert(inst.ub, j, ub)
 
 	// The column-major matrix gains an outer entry; the slices were
 	// canonicalized above and are owned by this instance.
@@ -90,23 +75,19 @@ func (inst *Instance) AppendColumn(idx []int32, val []float64, lb, ub, obj float
 	// Row-wise overlay for the rows this column touches: every such row's
 	// own storage (compiled Problem row or AppendRow copy) predates the
 	// column, so the row-wise consumers (pivotRow, debug checks) read the
-	// missing entries from here, copy-on-write like the column updates in
-	// AppendRow.
+	// missing entries from here. It covers the rows up to the last one a
+	// column was appended over.
 	if len(colIdx) > 0 {
-		nap := make([][]int32, inst.m)
-		nav := make([][]float64, inst.m)
-		copy(nap, inst.apRowIdx)
-		copy(nav, inst.apRowVal)
-		for k, i := range colIdx {
-			ri := make([]int32, len(nap[i])+1)
-			rv := make([]float64, len(nav[i])+1)
-			copy(ri, nap[i])
-			copy(rv, nav[i])
-			ri[len(ri)-1] = int32(j)
-			rv[len(rv)-1] = colVal[k]
-			nap[i], nav[i] = ri, rv
+		if k := len(inst.apRowIdx); k < inst.m {
+			inst.apRowIdx = slices.Grow(inst.apRowIdx, inst.m-k)[:inst.m]
+			inst.apRowVal = slices.Grow(inst.apRowVal, inst.m-k)[:inst.m]
+			clear(inst.apRowIdx[k:])
+			clear(inst.apRowVal[k:])
 		}
-		inst.apRowIdx, inst.apRowVal = nap, nav
+		for k, i := range colIdx {
+			inst.apRowIdx[i] = append(inst.apRowIdx[i], int32(j))
+			inst.apRowVal[i] = append(inst.apRowVal[i], colVal[k])
+		}
 	}
 
 	inst.n = j + 1

@@ -18,9 +18,9 @@ import (
 
 // AppendRow appends the row rlb ≤ Σ val[k]·x[idx[k]] ≤ rub over structural
 // columns and returns its row index. Duplicate indices are merged and zero
-// coefficients dropped. The column-major matrix is updated copy-on-write:
-// a compiled column shares its backing array with its neighbours, so it
-// cannot grow in place. On a scaled instance the stored row is
+// coefficients dropped. The column-major matrix grows in place, a compiled
+// column moving to storage of its own on its first append (it shares its
+// backing array with its neighbours). On a scaled instance the stored row is
 // equilibrated like the compiled rows (a fresh power-of-two row scale over
 // the already column-scaled coefficients); bounds stay in original units.
 // Bases snapshotted before the append no longer match the instance's
@@ -51,18 +51,12 @@ func (inst *Instance) AppendRow(idx []int32, val []float64, rlb, rub float64) in
 		inst.rowScale = append(inst.rowScale, rs)
 	}
 
-	// Copy-on-write column updates: the old column slices are carved from
-	// the compile-time backing arrays, so each affected column gets fresh
-	// storage.
+	// Column updates: a compiled column is carved from the compile-time
+	// backing arrays with its capacity capped at its length, so its first
+	// append moves it to storage of its own, where later ones grow in place.
 	for k, j := range rowIdx {
-		ci, cv := inst.colIdx[j], inst.colVal[j]
-		nci := make([]int32, len(ci)+1)
-		ncv := make([]float64, len(cv)+1)
-		copy(nci, ci)
-		copy(ncv, cv)
-		nci[len(ci)] = int32(r)
-		ncv[len(cv)] = rowVal[k]
-		inst.colIdx[j], inst.colVal[j] = nci, ncv
+		inst.colIdx[j] = append(inst.colIdx[j], int32(r))
+		inst.colVal[j] = append(inst.colVal[j], rowVal[k])
 	}
 	inst.extraIdx = append(inst.extraIdx, rowIdx)
 	inst.extraVal = append(inst.extraVal, rowVal)

@@ -11,7 +11,7 @@ import (
 // workspaces, one instance's compiled storage (see Compile and Recycle),
 // and the LU factor buffers, solution vectors and basis snapshots of
 // results the caller has finished reading (see Factors and Reuse). An
-// instance attached with UseWorkspaces takes its workspace from the stash
+// instance compiled with Compile takes its workspace from the stash
 // on its first solve and the storage of its results on every solve, and
 // Release hands the workspace back, so a caller that solves one admission
 // decision after another allocates only when the stash runs dry. Recycled
@@ -152,10 +152,6 @@ func servesBetter(a, b, N int) bool {
 	return a > b
 }
 
-// UseWorkspaces makes w the source the instance draws its workspace and
-// result storage from and Release returns the workspace to.
-func (inst *Instance) UseWorkspaces(w *Workspaces) { inst.src = w }
-
 // Workspaces returns the stash the instance draws from, nil when it keeps
 // its own storage.
 func (inst *Instance) Workspaces() *Workspaces { return inst.src }
@@ -247,8 +243,9 @@ func dropUnfit[T any](w *Workspaces, list []T, size func(T) int) []T {
 // Compile is NewInstance for a caller that compiles one short-lived problem
 // after another (one admission decision after another): p is compiled into
 // the storage of the instance the last Recycle handed back, when w holds
-// one, and the instance is attached to w as by UseWorkspaces. The result
-// equals NewInstance(p)'s, and a stream of problems allocates compiled
+// one, and the instance is attached to w: it draws its workspace and result
+// storage from w, and Release returns the workspace. The result equals
+// NewInstance(p)'s, and a stream of problems allocates compiled
 // storage only where one outgrows the storage w kept.
 func (w *Workspaces) Compile(p *Problem) *Instance {
 	w.mu.Lock()

@@ -70,8 +70,7 @@ func TestRecycledWorkspaceMatchesFresh(t *testing.T) {
 	w := NewWorkspaces(1)
 	rng := rand.New(rand.NewSource(17))
 	big, bigX := buildRandomLP(rng, 60, 40)
-	inst := NewInstance(big)
-	inst.UseWorkspaces(w)
+	inst := w.Compile(big)
 	if _, warm := solveAndCut(inst, rng, bigX); warm.Status != StatusOptimal {
 		t.Fatalf("large warm restart: %v", warm.Status)
 	}
@@ -86,8 +85,7 @@ func TestRecycledWorkspaceMatchesFresh(t *testing.T) {
 	for _, size := range []struct{ n, m int }{{40, 25}, {90, 70}} {
 		p, xstar := buildRandomLP(rng, size.n, size.m)
 		seed := rng.Int63()
-		recycled := NewInstance(p)
-		recycled.UseWorkspaces(w)
+		recycled := w.Compile(p)
 		rc, rw := solveAndCut(recycled, rand.New(rand.NewSource(seed)), xstar)
 		if recycled.sv != sv {
 			t.Fatalf("%dx%d: the instance did not draw the released workspace", size.n, size.m)
@@ -118,9 +116,7 @@ func TestReleaseKeepsOnlyWhatFits(t *testing.T) {
 	}
 
 	w := NewWorkspaces(1)
-	a, b := NewInstance(p), NewInstance(p)
-	a.UseWorkspaces(w)
-	b.UseWorkspaces(w)
+	a, b := w.Compile(p), w.Compile(p)
 	a.Solve(nil)
 	b.Solve(nil)
 	a.Release()
@@ -130,8 +126,7 @@ func TestReleaseKeepsOnlyWhatFits(t *testing.T) {
 	}
 
 	big, _ := buildRandomLP(rng, 100, 60)
-	c := NewInstance(big)
-	c.UseWorkspaces(w)
+	c := w.Compile(big)
 	c.Solve(nil) // grows the stashed workspace for the large instance
 	c.Release()
 	if len(w.idle) != 1 {

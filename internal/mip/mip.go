@@ -210,9 +210,10 @@ type Result struct {
 	// deterministic.
 	Columns ColumnStats
 	// AppliedColumns lists, in append order, every column pricing added to
-	// the LP relaxation: the k-th entry is LP column ColsAtRoot+k, so
-	// callers can map incumbent values back to pricer payloads (Column.Tag)
-	// and re-validate each column independently. Note that X may be shorter
+	// the LP relaxation, with its companion rows: the k-th entry is LP
+	// column ColsAtRoot+k, so callers can map incumbent values back to
+	// pricer payloads (Column.Tag) and re-validate each column and its rows
+	// independently. Note that X may be shorter
 	// than ColsAtRoot+len(AppliedColumns): an incumbent found before later
 	// pricing rounds simply does not use the columns appended after it.
 	AppliedColumns []Column
@@ -385,6 +386,11 @@ func SolveFrom(ctx context.Context, p *Problem, opts *Options, root *Root) Resul
 	}
 	if len(o.Pricers) > 0 {
 		s.cols = newPool()
+		for _, pr := range o.Pricers {
+			if rp, ok := pr.(RowPricer); ok {
+				rp.Reset()
+			}
+		}
 	}
 	// The root box is the problem's own column bounds, which the search
 	// never writes: the instance was compiled from them.
@@ -406,9 +412,11 @@ func SolveFrom(ctx context.Context, p *Problem, opts *Options, root *Root) Resul
 		Runtime:      time.Since(start), //lint:allow nondet -- wall-clock Runtime stat only
 		Root:         s.root,
 	}
+	companion := 0
 	for k := range s.log {
 		if o := &s.log[k]; o.col {
 			res.AppliedColumns = append(res.AppliedColumns, o.column())
+			companion += len(o.rows)
 		} else {
 			res.AppliedCuts = append(res.AppliedCuts, o.cut())
 		}
@@ -420,7 +428,7 @@ func SolveFrom(ctx context.Context, p *Problem, opts *Options, root *Root) Resul
 		res.Cuts.PoolHits = s.cuts.hits
 		res.Cuts.Evicted = s.cuts.evicted
 	}
-	res.Columns = ColumnStats{ColsAtRoot: n, PricedCols: len(res.AppliedColumns)}
+	res.Columns = ColumnStats{ColsAtRoot: n, PricedCols: len(res.AppliedColumns), CompanionRows: companion}
 	if s.cols != nil {
 		res.Columns.Rounds = s.cols.rounds
 		res.Columns.Offered = s.cols.offered

@@ -35,7 +35,8 @@ const (
 
 // op is one incremental change to the LP relaxation in canonical form: a cut
 // row LB ≤ Σ val·x[idx] ≤ UB over columns, or (col set) a priced column
-// with coefficients val over rows idx, bounds [LB, UB] and objective obj.
+// with coefficients val over rows idx, bounds [LB, UB] and objective obj,
+// followed by the companion rows its RowPricer opened with it.
 type op struct {
 	idx    []int32
 	val    []float64
@@ -43,6 +44,9 @@ type op struct {
 	obj    float64 // columns only
 	col    bool
 	tag    interface{} // columns only
+	rp     RowPricer   // columns of a RowPricer only
+	rows   []Cut       // companion rows, set when the column is committed
+	row    int         // LP index of rows[0]
 }
 
 func cutOp(c Cut) op { return op{idx: c.Idx, val: c.Val, lb: c.LB, ub: c.UB} }
@@ -54,16 +58,20 @@ func colOp(c Column) op {
 func (o *op) cut() Cut { return Cut{Idx: o.idx, Val: o.val, LB: o.lb, UB: o.ub} }
 
 func (o *op) column() Column {
-	return Column{Idx: o.idx, Val: o.val, LB: o.lb, UB: o.ub, Obj: o.obj, Tag: o.tag}
+	return Column{Idx: o.idx, Val: o.val, LB: o.lb, UB: o.ub, Obj: o.obj, Tag: o.tag, Rows: o.rows, Row: o.row}
 }
 
-// apply appends the op to an instance.
+// apply appends the op to an instance: a column with its companion rows
+// right after it.
 func (o *op) apply(inst *lp.Instance) {
-	if o.col {
-		inst.AppendColumn(o.idx, o.val, o.lb, o.ub, o.obj)
+	if !o.col {
+		inst.AppendRow(o.idx, o.val, o.lb, o.ub)
 		return
 	}
-	inst.AppendRow(o.idx, o.val, o.lb, o.ub)
+	inst.AppendColumn(o.idx, o.val, o.lb, o.ub, o.obj)
+	for _, c := range o.rows {
+		inst.AppendRow(c.Idx, c.Val, c.LB, c.UB)
+	}
 }
 
 // key returns the exact canonical key of an already-canonicalized op: the
@@ -191,9 +199,17 @@ func (p *pool) best(score func(*op) float64, floor float64, batch int) []*pooled
 // part of the LP now, and keeping them pooled keeps the dedup exact.
 func (p *pool) endRound() {
 	p.round++
+	p.evict(func(pe *pooled) bool { return p.round-pe.lastHit > poolMaxAge })
+}
+
+// flush evicts every unapplied op.
+func (p *pool) flush() { p.evict(func(*pooled) bool { return true }) }
+
+// evict drops the unapplied ops old reports.
+func (p *pool) evict(old func(*pooled) bool) {
 	kept := p.entries[:0]
 	for _, pe := range p.entries {
-		if !pe.added && p.round-pe.lastHit > poolMaxAge {
+		if !pe.added && old(pe) {
 			delete(p.byKey, pe.key)
 			p.evicted++
 			continue
@@ -208,16 +224,56 @@ func (p *pool) endRound() {
 
 // commit ends one round of p: it appends the selected batch to the search's
 // instance, logs it, counts the round and ages the pool. It returns the
-// number of ops appended.
+// number of ops appended. A batch that opened companion rows leaves no
+// unapplied op pooled: each was priced without those rows, so its score is
+// stale, and committing it could append a column the batch already did.
 func (s *searcher) commit(p *pool, batch []*pooled) int {
+	opened := false
 	for _, pe := range batch {
 		pe.added = true
+		if pe.op.rp != nil {
+			opened = p.complete(pe, s.inst) || opened
+		}
 		pe.op.apply(s.inst)
 		s.log = append(s.log, pe.op)
 	}
 	if len(batch) > 0 {
 		p.rounds++
 	}
+	if opened {
+		p.flush()
+	}
 	p.endRound()
 	return len(batch)
+}
+
+// complete has a RowPricer column's pricer re-derive it over inst's current
+// rows and supply the companion rows it opens, and keys the entry by the
+// column's final form — its coefficients on its own companion rows
+// included, as Price offers it from now on — so a re-offer is a pool hit,
+// not a second copy of the column. It reports whether the column opened
+// rows.
+func (p *pool) complete(pe *pooled, inst *lp.Instance) bool {
+	o := &pe.op
+	j, m := int32(inst.NumCols()), inst.NumRows()
+	c, rows := o.rp.Commit(o.column(), int(j), m)
+	o.idx, o.val = lp.Canonical(c.Idx, c.Val)
+	o.lb, o.ub, o.obj = c.LB, c.UB, c.Obj
+	o.rows, o.row = rows, m
+	final := *o
+	final.idx, final.val = append([]int32(nil), o.idx...), append([]float64(nil), o.val...)
+	for i, row := range rows {
+		for k, jj := range row.Idx {
+			if jj == j {
+				final.idx, final.val = append(final.idx, int32(m+i)), append(final.val, row.Val[k])
+			}
+		}
+	}
+	final.idx, final.val = lp.Canonical(final.idx, final.val)
+	if key := final.key(); key != pe.key {
+		if _, dup := p.byKey[key]; !dup {
+			p.byKey[key] = pe
+		}
+	}
+	return len(rows) > 0
 }

@@ -32,6 +32,11 @@ type Column struct {
 	UB  float64
 	Obj float64
 	Tag interface{}
+	// Rows are the companion rows a RowPricer opened with the column: the
+	// search appends them right after it, as LP rows Row, Row+1, …, and
+	// records both fields in Result.AppliedColumns. Pricers leave them zero.
+	Rows []Cut
+	Row  int
 }
 
 // Pricer generates columns with improving reduced cost at a relaxation
@@ -59,6 +64,25 @@ type Pricer interface {
 	Price(duals []float64, x []float64) []Column
 }
 
+// A RowPricer is a Pricer whose columns can need rows that the restricted
+// master leaves out while no column uses them: rows of the full formulation
+// that every column present satisfies trivially, so the master without them
+// has the same optimum and, extended by zero duals, the same duals. The
+// search calls Reset once before its first pricing round and Commit as it
+// appends each column the pricer offered, with the column's LP index j and
+// the LP's row count m. Commit returns the column re-derived over those m
+// rows (a pooled column may predate rows opened since it was priced) and
+// the companion rows it opens, which the search appends right after the
+// column as rows m, m+1, …; they may carry coefficients on column j. Price
+// prices over every row opened so far — it is a pure function of the point
+// and the commits since Reset — and companion rows are rows of the full
+// formulation, so the Pricer contract keeps holding.
+type RowPricer interface {
+	Pricer
+	Reset()
+	Commit(c Column, j, m int) (Column, []Cut)
+}
+
 // ColumnStats summarizes the pricing work of one solve.
 type ColumnStats struct {
 	// ColsAtRoot is the number of structural LP columns the root relaxation
@@ -76,6 +100,9 @@ type ColumnStats struct {
 	// PoolHits counts offered columns that were already pooled — the dedup
 	// rate is PoolHits/Offered.
 	PoolHits int
+	// CompanionRows is the number of rows RowPricers opened with the
+	// appended columns.
+	CompanionRows int
 	// Evicted counts pooled-but-never-appended columns dropped by age-based
 	// eviction.
 	Evicted int
@@ -87,8 +114,11 @@ type ColumnStats struct {
 // node bound and the caller stops rounding).
 func (s *searcher) price(res lp.Result) int {
 	for _, pr := range s.opts.Pricers {
+		rp, _ := pr.(RowPricer)
 		for _, c := range pr.Price(res.Duals, res.X) {
-			s.cols.offer(colOp(c), s.inst.NumRows())
+			o := colOp(c)
+			o.rp = rp
+			s.cols.offer(o, s.inst.NumRows())
 		}
 	}
 	// The score is the sense-adjusted reduced cost: for a minimization

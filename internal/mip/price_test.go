@@ -191,3 +191,137 @@ func columnKey(c Column) string {
 	o := colOp(c)
 	return o.key()
 }
+
+// rowPatternPricer is patternPricer over a master that leaves out the
+// linking row of every facility but the first while no pattern uses the
+// facility: the row then reads −u_j·y_j ≤ 0, which y_j ≥ 0 implies. Commit
+// opens a facility's row with the first pattern over it. Pattern Idx name
+// facilities; row[j] is facility j's LP row, −1 while it is closed.
+type rowPatternPricer struct {
+	pats []Column
+	caps []float64
+	row  []int
+}
+
+// deferredRowsProblem is colGenProblem's restricted master with only the
+// first facility's linking row, and its RowPricer.
+func deferredRowsProblem(seed int64, nFac, nPat int) (*Problem, *rowPatternPricer) {
+	restricted, lazy := colGenProblem(seed, nFac, nPat, false)
+	p := lp.NewProblem()
+	p.Sense = restricted.LP.Sense
+	rp := &rowPatternPricer{pats: lazy, caps: make([]float64, nFac), row: make([]int, nFac)}
+	for j := 0; j < nFac; j++ {
+		p.AddCol(restricted.LP.Obj[j], restricted.LP.ColLB[j], restricted.LP.ColUB[j])
+		_, val := restricted.LP.Row(j)
+		rp.caps[j] = -val[0]
+	}
+	p.AddLE([]int32{0}, []float64{-rp.caps[0]}, 0)
+	mp := NewProblem(p)
+	for j := 0; j < nFac; j++ {
+		mp.SetInteger(j)
+	}
+	return mp, rp
+}
+
+// column is pattern q over the open linking rows.
+func (rp *rowPatternPricer) column(q int) Column {
+	c := rp.pats[q]
+	out := Column{LB: c.LB, UB: c.UB, Obj: c.Obj, Tag: q}
+	for k, j := range c.Idx {
+		if rp.row[j] >= 0 {
+			out.Idx = append(out.Idx, int32(rp.row[j]))
+			out.Val = append(out.Val, c.Val[k])
+		}
+	}
+	return out
+}
+
+func (rp *rowPatternPricer) Price(duals, x []float64) []Column {
+	var out []Column
+	for q := range rp.pats {
+		c := rp.column(q)
+		if lp.CandidateReducedCost(c.Obj, c.Idx, c.Val, duals) > numtol.PriceRedTol {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+func (rp *rowPatternPricer) Reset() {
+	for j := range rp.row {
+		rp.row[j] = -1
+	}
+	rp.row[0] = 0
+}
+
+func (rp *rowPatternPricer) Commit(c Column, j, m int) (Column, []Cut) {
+	q := c.Tag.(int)
+	out := rp.column(q)
+	var rows []Cut
+	pat := rp.pats[q]
+	for k, f := range pat.Idx {
+		if rp.row[f] < 0 {
+			rp.row[f] = m + len(rows)
+			rows = append(rows, Cut{Idx: []int32{f, int32(j)}, Val: []float64{-rp.caps[f], pat.Val[k]},
+				LB: math.Inf(-1), UB: 0})
+		}
+	}
+	return out, rows
+}
+
+// TestRowPricerMatchesStaticSolve: a RowPricer whose columns open the rows
+// the restricted master leaves out reaches the optimum of the full static
+// formulation, records its companion rows with their columns at the LP rows
+// they took, appends no column twice, and repeats itself bit for bit on a
+// second search over the same problem (Reset closes what the first
+// opened).
+func TestRowPricerMatchesStaticSolve(t *testing.T) {
+	for _, sh := range []struct {
+		seed       int64
+		nFac, nPat int
+	}{{3, 4, 12}, {7, 5, 20}, {11, 6, 30}, {23, 8, 40}} {
+		full, _ := colGenProblem(sh.seed, sh.nFac, sh.nPat, true)
+		want := Solve(context.Background(), full, nil)
+		prob, rp := deferredRowsProblem(sh.seed, sh.nFac, sh.nPat)
+		opts := &Options{Pricers: []Pricer{rp}}
+		got := Solve(context.Background(), prob, opts)
+		if got.Status != StatusOptimal || want.Status != StatusOptimal {
+			t.Fatalf("seed %d: status %v, static %v", sh.seed, got.Status, want.Status)
+		}
+		if d := math.Abs(got.Obj - want.Obj); d > 1e-6*(1+math.Abs(want.Obj)) {
+			t.Errorf("seed %d: obj %v differs from static %v", sh.seed, got.Obj, want.Obj)
+		}
+		if got.Columns.CompanionRows == 0 {
+			t.Errorf("seed %d: no column opened a row; the shape no longer exercises companion rows", sh.seed)
+		}
+		// Every facility row is opened once, right after its first column,
+		// at the LP row the next row index names, and no pattern is
+		// appended twice (a re-offer after its rows opened is a pool hit).
+		next, opened := prob.LP.NumRows(), 0
+		seen := make(map[int]bool)
+		for k, c := range got.AppliedColumns {
+			q := c.Tag.(int)
+			if seen[q] {
+				t.Fatalf("seed %d: pattern %d appended twice", sh.seed, q)
+			}
+			seen[q] = true
+			if len(c.Rows) == 0 {
+				continue
+			}
+			if c.Row != next {
+				t.Fatalf("seed %d: column %d's rows start at %d, want %d", sh.seed, k, c.Row, next)
+			}
+			for _, row := range c.Rows {
+				if row.Idx[1] != int32(got.Columns.ColsAtRoot+k) {
+					t.Fatalf("seed %d: companion row of column %d covers column %d", sh.seed, k, row.Idx[1])
+				}
+			}
+			next += len(c.Rows)
+			opened += len(c.Rows)
+		}
+		if opened != got.Columns.CompanionRows || opened > sh.nFac-1 {
+			t.Errorf("seed %d: %d rows recorded, %d counted, %d facilities", sh.seed, opened, got.Columns.CompanionRows, sh.nFac)
+		}
+		assertBitIdentical(t, "re-solve", got, Solve(context.Background(), prob, opts))
+	}
+}

@@ -95,8 +95,7 @@ func TestRecyclingKeepsCallerStorage(t *testing.T) {
 		{"multiknapsack-40x12", multiKnapsack(4, 40, 12)},
 		{"partition-3", setPartition(3, 14, 60)},
 	} {
-		inst := lp.NewInstance(tc.prob.LP)
-		inst.UseWorkspaces(ws)
+		inst := ws.Compile(tc.prob.LP)
 		root := inst.Solve(nil)
 		inst.CaptureFactors(&root, nil)
 		res := SolveFrom(ctx, tc.prob, &Options{HeuristicEvery: 1}, &Root{Inst: inst, Res: root})
@@ -106,8 +105,7 @@ func TestRecyclingKeepsCallerStorage(t *testing.T) {
 		}
 		all = append(all, held{tc.name, root, res, copyHeld(root, res)})
 		// A plain solve on the stash draws recycled vectors and bases too.
-		plain := lp.NewInstance(tc.prob.LP)
-		plain.UseWorkspaces(ws)
+		plain := ws.Compile(tc.prob.LP)
 		plain.Solve(nil)
 		plain.Release()
 	}

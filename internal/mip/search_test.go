@@ -240,7 +240,9 @@ func TestSolveFromRecycledWorkspaces(t *testing.T) {
 	ctx := context.Background()
 	solveFrom := func(p *Problem, o *Options, ws *lp.Workspaces) Result {
 		inst := lp.NewInstance(p.LP)
-		inst.UseWorkspaces(ws)
+		if ws != nil {
+			inst = ws.Compile(p.LP)
+		}
 		root := inst.Solve(nil)
 		inst.CaptureFactors(&root, nil)
 		res := SolveFrom(ctx, p, o, &Root{Inst: inst, Res: root})

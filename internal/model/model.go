@@ -272,6 +272,15 @@ func CutLE(e *LinExpr, rhs float64) Cut {
 	}
 }
 
+// CutGE converts an expression into the ≥-row record e ≥ rhs, the lazy
+// counterpart of AddGE. The cut owns copies of e's terms.
+func CutGE(e *LinExpr, rhs float64) Cut {
+	return Cut{
+		Idx: append([]int32(nil), e.vars...), Val: append([]float64(nil), e.coefs...),
+		LB: rhs - e.Const, UB: math.Inf(1),
+	}
+}
+
 // RegisterSeparator attaches a lazy-cut separator to the model: instead of
 // emitting a constraint family as static rows, Optimize will call the
 // separator on fractional relaxation points and append only the violated
