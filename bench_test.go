@@ -31,7 +31,7 @@ func benchConfig() eval.Config {
 		Workload:    wl,
 		FlexMinutes: []float64{0, 120},
 		Seeds:       []int64{1, 2},
-		Solve:       model.SolveOptions{TimeLimit: 10 * time.Second},
+		TimeLimit:   10 * time.Second,
 	}
 }
 

@@ -33,6 +33,7 @@ import (
 	"tvnep/internal/eval"
 	"tvnep/internal/model"
 	"tvnep/internal/prof"
+	"tvnep/pkg/tvnep"
 )
 
 func main() {
@@ -48,7 +49,7 @@ func main() {
 		flexList  = flag.String("flex", "", "comma-separated flexibility steps in minutes (default per config)")
 		cutModeF  = flag.String("cutmode", "static", "Constraint-(20) cut pipeline for every cΣ solve of the sweep: static | lazy | off")
 		flowModeF = flag.String("flowmode", "arc", "link-flow formulation for every cΣ solve of the sweep: arc | path (priced path columns)")
-		certFlag  = flag.Bool("certify", false, "run the full internal/certify certificate on every sweep solution (including applied-cut re-validation under -cutmode lazy); exit non-zero on any violation")
+		certFlag  = flag.Bool("certify", false, "certify every sweep solution (solution certificate; for exact solves also the applied-cut, priced-column and root-LP certificates; every acceptance of a stream); exit non-zero on any violation")
 		seedFlag  = flag.Int64("seed", 0, "base seed of the randomized components (rounding tier, admission stream); sweeps are bit-identical per seed")
 		verbose   = flag.Bool("v", false, "print per-solve progress")
 		progFlag  = flag.Bool("progress", false, "stream branch-and-bound progress (incumbents, node counts) to stderr")
@@ -92,7 +93,7 @@ func main() {
 		}
 	}
 	if *limit > 0 {
-		cfg.Solve.TimeLimit = *limit
+		cfg.TimeLimit = *limit
 	}
 	cfg.Workers = *workers
 	if *rows > 0 {
@@ -115,8 +116,6 @@ func main() {
 			cfg.FlexMinutes = append(cfg.FlexMinutes, v)
 		}
 	}
-	counters := &eval.Counters{}
-	cfg.Counters = counters
 	cfg.Certify = *certFlag
 	cfg.Seed = *seedFlag
 	cm, err := core.ParseCutMode(*cutModeF)
@@ -135,7 +134,7 @@ func main() {
 		// The callback fires from whichever worker goroutine owns the solve;
 		// lines may interleave between concurrent solves but each line is
 		// written in one call.
-		cfg.Solve.Progress = func(p model.Progress) {
+		cfg.Progress = func(p tvnep.Progress) {
 			if p.NewIncumbent {
 				fmt.Fprintf(os.Stderr, "  [b&b] incumbent %.4f (bound %.4f, gap %.3g, %d nodes, %v)\n",
 					p.Incumbent, p.Bound, p.Gap, p.Nodes, p.Elapsed.Round(time.Millisecond))
@@ -161,12 +160,14 @@ func main() {
 
 	fmt.Printf("# tvnep-bench: grid %dx%d, %d requests, %d seeds, flex %v min, time limit %v, workers %d, cutmode %v, flowmode %v\n\n",
 		cfg.Workload.GridRows, cfg.Workload.GridCols, cfg.Workload.NumRequests,
-		len(cfg.Seeds), cfg.FlexMinutes, cfg.Solve.TimeLimit, *workers, cfg.CutMode, cfg.FlowMode)
+		len(cfg.Seeds), cfg.FlexMinutes, cfg.TimeLimit, *workers, cfg.CutMode, cfg.FlowMode)
 
+	var tot totals
 	start := time.Now()
 	// Figures 3/4 need all three formulations; 8/9 only cΣ. Reuse records.
 	if want["3"] || want["4"] {
 		recs := cfg.AccessControlSweep(ctx, []core.Formulation{core.Delta, core.Sigma, core.CSigma}, progress)
+		tot.add(recs...)
 		if want["3"] {
 			eval.WriteSeries(os.Stdout, "Figure 3 — runtime of the MIP formulations vs temporal flexibility (access control)", eval.Figure3(recs, cfg))
 		}
@@ -184,6 +185,7 @@ func main() {
 	}
 	if want["5"] || want["6"] {
 		recs := cfg.ObjectivesSweep(ctx, progress)
+		tot.add(recs...)
 		if want["5"] {
 			eval.WriteSeries(os.Stdout, "Figure 5 — runtime of the cΣ-Model under the fixed-set objectives", eval.Figure5(recs, cfg))
 		}
@@ -193,6 +195,7 @@ func main() {
 	}
 	if want["7"] || want["8"] || want["9"] {
 		recs := cfg.GreedySweep(ctx, progress)
+		tot.add(recs...)
 		if want["7"] {
 			eval.WriteSeries(os.Stdout, "Figure 7 — relative performance of greedy cΣ_A^G vs the cΣ-Model", eval.Figure7(recs, cfg))
 		}
@@ -209,10 +212,18 @@ func main() {
 			fmt.Fprintln(os.Stderr, "ablation:", err)
 			os.Exit(1)
 		}
+		for _, r := range recs {
+			tot.add(r.Record)
+		}
 		eval.WriteAblation(os.Stdout, recs, cfg)
 	}
 	if want["relax"] {
 		recs := cfg.RelaxationSweep(ctx, progress)
+		for _, r := range recs {
+			if r.Ref != nil {
+				tot.add(*r.Ref)
+			}
+		}
 		eval.WriteRelaxation(os.Stdout, recs, cfg)
 	}
 	if want["stream"] {
@@ -221,22 +232,92 @@ func main() {
 			fmt.Fprintln(os.Stderr, "stream:", err)
 			os.Exit(1)
 		}
+		for _, r := range recs {
+			tot.addStream(r, cfg.Certify)
+		}
 		eval.WriteStreamTable(os.Stdout,
 			"Streaming admission — per-decision latency and accept rate vs temporal flexibility", recs, cfg)
 	}
 	if want["rounding"] {
 		recs := cfg.RoundingSweep(ctx, progress)
+		tot.add(recs...)
 		eval.WriteRoundingTable(os.Stdout, recs)
 	}
-	fmt.Printf("# aggregate: %v\n", counters)
+	fmt.Printf("# aggregate: %v\n", tot)
 	fmt.Printf("# total bench time: %v\n", time.Since(start).Round(time.Millisecond))
 	if ctx.Err() != nil {
 		fmt.Println("# sweep interrupted — summaries cover completed solves only")
 		os.Exit(130)
 	}
-	if failed := counters.CertifyFailed.Load(); failed > 0 {
+	if tot.certifyFailed > 0 {
 		fmt.Fprintf(os.Stderr, "tvnep-bench: %d of %d certificates failed\n",
-			failed, counters.Certified.Load())
+			tot.certifyFailed, tot.certified)
 		os.Exit(1)
 	}
+}
+
+// totals sums the solver activity of the records a run printed.
+type totals struct {
+	solves, optimal, cancelled, nodes, lpIters int
+	boundFlips, ratioPasses                    int
+	certified, certifyFailed                   int // certificates run, and failed
+	cuts                                       model.CutStats
+}
+
+func (t *totals) add(recs ...eval.Record) {
+	for _, r := range recs {
+		t.solves++
+		if r.Optimal {
+			t.optimal++
+		}
+		if r.Cancelled {
+			t.cancelled++
+		}
+		t.nodes += r.Nodes
+		t.lpIters += r.LPIters
+		t.boundFlips += r.BoundFlips
+		t.ratioPasses += r.RatioPasses
+		if r.Certified || r.CertFailed {
+			t.certified++
+		}
+		if r.CertFailed {
+			t.certifyFailed++
+		}
+		t.cuts.RowsAtRoot += r.Cuts.RowsAtRoot
+		t.cuts.SeparatedRows += r.Cuts.SeparatedRows
+		t.cuts.Rounds += r.Cuts.Rounds
+		t.cuts.Offered += r.Cuts.Offered
+		t.cuts.PoolHits += r.Cuts.PoolHits
+	}
+}
+
+// addStream counts a trace's model-backed decisions as solves and, under
+// certification, its candidate acceptances as certificates: the engine
+// certifies the acceptances it committed and the ones a failed certificate
+// downgraded, never a rejection.
+func (t *totals) addStream(r eval.StreamRecord, certify bool) {
+	t.solves += r.LPTier + r.MIPTier
+	t.nodes += r.Nodes
+	t.lpIters += r.LPIters
+	if certify {
+		t.certified += r.Accepted + r.CertFailures
+		t.certifyFailed += r.CertFailures
+	}
+}
+
+// String renders the one-line summary.
+func (t totals) String() string {
+	s := fmt.Sprintf("solves=%d optimal=%d cancelled=%d nodes=%d lp_iters=%d",
+		t.solves, t.optimal, t.cancelled, t.nodes, t.lpIters)
+	if t.boundFlips > 0 || t.ratioPasses > 0 {
+		s += fmt.Sprintf(" bound_flips=%d ratio_passes=%d", t.boundFlips, t.ratioPasses)
+	}
+	if t.certified > 0 {
+		s += fmt.Sprintf(" certified=%d certify_failed=%d", t.certified, t.certifyFailed)
+	}
+	if c := t.cuts; c.Offered > 0 || c.SeparatedRows > 0 || c.Rounds > 0 {
+		s += fmt.Sprintf(" cut_rows_root=%d cut_rows_separated=%d cut_rounds=%d cut_offered=%d cut_pool_hits=%d",
+			c.RowsAtRoot, c.SeparatedRows, c.Rounds, c.Offered, c.PoolHits)
+	}
+	return s
 }

@@ -124,14 +124,16 @@ func main() {
 		tvnep.WithHorizon(sc.Horizon),
 		tvnep.WithTimeLimit(*limit),
 	}
+	// The cΣ-only variants, kept apart so that a conflict drops them alone.
+	var variants []tvnep.Option
 	if cm != tvnep.CutStatic {
-		opts = append(opts, tvnep.WithCutMode(cm))
+		variants = append(variants, tvnep.WithCutMode(cm))
 	}
 	if fm != tvnep.FlowArc {
-		opts = append(opts, tvnep.WithFlowMode(fm))
+		variants = append(variants, tvnep.WithFlowMode(fm))
 	}
 	if *noPre {
-		opts = append(opts, tvnep.WithoutPresolve())
+		variants = append(variants, tvnep.WithoutPresolve())
 	}
 	if algo != tvnep.Exact {
 		opts = append(opts, tvnep.WithAlgorithm(algo))
@@ -154,14 +156,13 @@ func main() {
 		}))
 	}
 
-	solver, err := tvnep.New(sc.Substrate, opts...)
-	// The cΣ-only ablation flags used to degrade to a stderr warning; the
-	// facade reports them as a typed configuration error instead. Keep the
-	// CLI's permissive behavior: warn, drop the inapplicable options, retry.
+	solver, err := tvnep.New(sc.Substrate, append(variants, opts...)...)
+	// The facade reports cΣ-only variants on Δ/Σ as a typed configuration
+	// error. Keep the CLI permissive: warn, drop the variants, retry.
 	var conflict *tvnep.OptionConflictError
-	if errors.As(err, &conflict) {
+	if errors.As(err, &conflict) && len(variants) > 0 {
 		fmt.Fprintf(os.Stderr, "tvnep-solve: warning: %v (ignoring it)\n", conflict)
-		solver, err = tvnep.New(sc.Substrate, dropConflicting(sc, form, obj, *limit, *seed, algo, *doCertify)...)
+		solver, err = tvnep.New(sc.Substrate, opts...)
 	}
 	if err != nil {
 		fail(err)
@@ -244,28 +245,6 @@ func main() {
 		fmt.Println()
 		tvnep.WriteTimeline(os.Stdout, sc.Substrate, sc.Requests, sol)
 	}
-}
-
-// dropConflicting rebuilds the option list without the cΣ-only ablation
-// options (and algorithm-conflicting cut modes) that the facade rejected
-// for this configuration.
-func dropConflicting(sc tvnep.Scenario, form tvnep.Formulation, obj tvnep.Objective, limit time.Duration, seed int64, algo tvnep.Algorithm, doCertify bool) []tvnep.Option {
-	opts := []tvnep.Option{
-		tvnep.WithFormulation(form),
-		tvnep.WithObjective(obj),
-		tvnep.WithHorizon(sc.Horizon),
-		tvnep.WithTimeLimit(limit),
-	}
-	if algo != tvnep.Exact {
-		opts = append(opts, tvnep.WithAlgorithm(algo))
-	}
-	if algo == tvnep.Rounding {
-		opts = append(opts, tvnep.WithSeed(seed))
-	}
-	if doCertify {
-		opts = append(opts, tvnep.WithCertify())
-	}
-	return opts
 }
 
 func fail(err error) {

@@ -4,12 +4,12 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"tvnep/internal/core"
-	"tvnep/internal/model"
 	"tvnep/internal/numtol"
-	"tvnep/internal/solution"
+	"tvnep/pkg/tvnep"
 )
 
 // AblationVariant names one cΣ configuration in the cuts/presolve ablation.
@@ -54,84 +54,39 @@ type AblationRecord struct {
 //
 //det:entry
 func (c Config) AblationSweep(ctx context.Context, progress io.Writer) ([]AblationRecord, error) {
-	type ablResult struct {
-		recs []AblationRecord
-		log  string
-		err  error
-	}
-	keys := c.pairs()
-	var out []AblationRecord
-	var firstErr error
-	runOrdered(ctx, c.Workers, len(keys),
-		func(ctx context.Context, i int) ablResult {
-			flex, seed := keys[i].flex, keys[i].seed
-			inst, mapping := c.scenario(flex, seed)
-			var log strings.Builder
-			var res ablResult
-			best := map[string]float64{}
-			for _, v := range AblationVariants() {
-				b := core.BuildCSigma(inst, core.BuildOptions{
-					Objective:       core.AccessControl,
-					FixedMapping:    mapping,
-					CutMode:         v.CutMode,
-					DisablePresolve: v.DisablePresolve,
-				})
-				inner := c.Solve
-				sol, ms := b.Solve(ctx, &inner)
-				c.count(ms)
-				rec := AblationRecord{
-					Record: Record{
-						FlexMin: flex, Seed: seed, Form: core.CSigma,
-						Obj: core.AccessControl, Algo: "mip",
-						Runtime: ms.Runtime, Gap: ms.Gap,
-						Nodes: ms.Nodes, LPIters: ms.LPIterations,
-						Optimal: ms.Status == model.StatusOptimal,
-					},
-					Variant:       v.Name,
-					NumVars:       b.Model.NumVars(),
-					NumConstrs:    b.Model.NumConstrs(),
-					NumInts:       b.Model.NumIntVars(),
-					SeparatedRows: ms.Cuts.SeparatedRows,
-				}
-				if sol != nil {
-					rec.Value = sol.Objective
-					rec.Accepted = sol.NumAccepted()
-					rec.Feasible = solution.Check(inst.Sub, inst.Reqs, sol) == nil
-				}
-				if rec.Optimal {
-					best[v.Name] = rec.Value
-				}
-				res.recs = append(res.recs, rec)
-				fmt.Fprintf(&log, "flex=%3.0f seed=%2d %-14s obj=%7.2f time=%7.2fs nodes=%5d vars=%d rows=%d\n",
-					flex, seed, v.Name, rec.Value, rec.Runtime.Seconds(), rec.Nodes, rec.NumVars, rec.NumConstrs)
+	return flatten(sweep(ctx, c, progress, func(ctx context.Context, key scenKey, log *strings.Builder) outcome[AblationRecord] {
+		inst, mapping := c.scenario(key.flex, key.seed)
+		var out outcome[AblationRecord]
+		for _, v := range AblationVariants() {
+			opts := []tvnep.Option{tvnep.WithCutMode(v.CutMode), tvnep.WithFlowMode(tvnep.FlowArc)}
+			if v.DisablePresolve {
+				opts = append(opts, tvnep.WithoutPresolve())
 			}
-			// Cross-variant sanity: proven optima must agree.
-			var ref float64
-			first := true
-			for name, v := range best {
-				if first {
-					ref, first = v, false
-					continue
-				}
-				if diff := v - ref; diff > numtol.ObjTol || diff < -numtol.ObjTol {
-					res.err = fmt.Errorf("ablation mismatch at flex=%v seed=%d: %s=%v vs ref=%v",
-						flex, seed, name, v, ref)
-					break
-				}
+			r, res := c.solve(ctx, inst, mapping, key.record(core.CSigma, core.AccessControl, "mip"), opts...)
+			rec := AblationRecord{Record: r, Variant: v.Name, SeparatedRows: r.Cuts.SeparatedRows}
+			if res != nil {
+				rec.NumVars, rec.NumConstrs, rec.NumInts = res.ModelStats.Vars, res.ModelStats.Constrs, res.ModelStats.IntVars
 			}
-			res.log = log.String()
-			return res
-		},
-		func(_ int, r ablResult) {
-			out = append(out, r.recs...)
-			if progress != nil && r.log != "" {
-				io.WriteString(progress, r.log)
+			out.recs = append(out.recs, rec)
+			fmt.Fprintf(log, "flex=%3.0f seed=%2d %-14s obj=%7.2f time=%7.2fs nodes=%5d vars=%d rows=%d\n",
+				key.flex, key.seed, v.Name, rec.Value, rec.Runtime.Seconds(), rec.Nodes, rec.NumVars, rec.NumConstrs)
+		}
+		// Cross-variant sanity: proven optima must agree.
+		var ref *AblationRecord
+		for i := range out.recs {
+			rec := &out.recs[i]
+			switch {
+			case !rec.Optimal:
+			case ref == nil:
+				ref = rec
+			case math.Abs(rec.Value-ref.Value) > numtol.ObjTol:
+				out.err = fmt.Errorf("ablation mismatch at flex=%v seed=%d: %s=%v vs %s=%v",
+					key.flex, key.seed, rec.Variant, rec.Value, ref.Variant, ref.Value)
+				return out
 			}
-			if r.err != nil && firstErr == nil {
-				firstErr = r.err
-			}
-		})
-	return out, firstErr
+		}
+		return out
+	}))
 }
 
 // WriteAblation renders the ablation results grouped by variant.
@@ -153,7 +108,7 @@ func WriteAblation(w io.Writer, recs []AblationRecord, cfg Config) {
 					solved++
 					times = append(times, r.Runtime.Seconds())
 				} else {
-					times = append(times, cfg.Solve.TimeLimit.Seconds())
+					times = append(times, cfg.TimeLimit.Seconds())
 				}
 				nodes = append(nodes, float64(r.Nodes))
 				vars = append(vars, float64(r.NumVars))

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"tvnep/internal/model"
 	"tvnep/internal/workload"
 )
 
@@ -22,7 +21,7 @@ func TestAblationSweep(t *testing.T) {
 		Workload:    wl,
 		FlexMinutes: []float64{0, 120},
 		Seeds:       []int64{1, 2},
-		Solve:       model.SolveOptions{TimeLimit: 20 * time.Second},
+		TimeLimit:   20 * time.Second,
 	}
 	recs, err := cfg.AblationSweep(context.Background(), nil)
 	if err != nil {

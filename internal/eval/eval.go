@@ -14,24 +14,25 @@ package eval
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
-	"tvnep/internal/admit"
-	"tvnep/internal/certify"
 	"tvnep/internal/core"
 	"tvnep/internal/model"
-	"tvnep/internal/solution"
 	"tvnep/internal/stats"
 	"tvnep/internal/vnet"
 	"tvnep/internal/workload"
+	"tvnep/pkg/tvnep"
 )
 
-// Config drives a sweep.
+// Config drives a sweep. Every solve of a sweep runs through the pkg/tvnep
+// facade, which lowers these settings onto its functional options.
 type Config struct {
 	Workload workload.Config
 	// FlexMinutes is the x-axis of every figure: the scheduling slack (in
@@ -40,28 +41,30 @@ type Config struct {
 	// Seeds identifies the independent scenarios per flexibility step
 	// (the paper uses 24).
 	Seeds []int64
-	// Solve configures every MIP solve of the sweep. TimeLimit bounds each
-	// solve (the paper uses one hour).
-	Solve model.SolveOptions
+	// TimeLimit bounds every solve of the sweep, and every decision of an
+	// admission stream (the paper uses one hour; 0 → none, and streams fall
+	// back to the engine's node limit).
+	TimeLimit time.Duration
+	// Progress, when non-nil, receives every solve's branch-and-bound
+	// progress. It runs on the worker goroutine that owns the solve.
+	Progress func(tvnep.Progress)
 	// Workers bounds the number of scenarios solved concurrently (≤ 0
 	// means runtime.NumCPU()).
 	Workers int
-	// Counters, when non-nil, accumulates aggregate solver activity across
-	// the sweep (thread-safe; may be shared between sweeps).
-	Counters *Counters
-	// Certify runs the full internal/certify certificate (capacities at
-	// every event interval, flow conservation, objective recomputation, and
-	// — under CutLazy — re-validation of every applied cut against the
-	// dependency graph) on every solution produced by the sweep, counting
-	// verdicts in Counters.
+	// Certify runs every solve under tvnep.WithCertify: the solution
+	// certificate (capacities at every event interval, flow conservation,
+	// objective recomputation) and, for exact solves, the applied-cut,
+	// priced-column and root-LP certificates; admission streams certify
+	// every acceptance. Records carry the verdicts.
 	Certify bool
 	// CutMode selects the Constraint-(20) pipeline for every cΣ build of the
 	// sweep: static emission (default), lazy separation, or off. Δ/Σ builds
-	// ignore it.
+	// have no such variant.
 	CutMode core.CutMode
 	// FlowMode selects arc-based (default) or path-based link flows for
-	// every cΣ build of the sweep; path mode prices path columns on demand.
-	// Δ/Σ builds ignore it, and so does greedy, which decides on arc flows.
+	// every exact cΣ solve of the sweep; path mode prices path columns on
+	// demand. Δ/Σ builds have no such variant, and greedy, rounding and
+	// admission decide on arc flows.
 	FlowMode core.FlowMode
 	// Seed is the base seed of every randomized component of a sweep (the
 	// rounding tier). Scenario-local seeds are derived from it with
@@ -82,7 +85,7 @@ func Default() Config {
 		Workload:    wl,
 		FlexMinutes: []float64{0, 60, 120, 180, 240, 300},
 		Seeds:       []int64{1, 2, 3, 4, 5},
-		Solve:       model.SolveOptions{TimeLimit: 60 * time.Second},
+		TimeLimit:   60 * time.Second,
 	}
 }
 
@@ -103,7 +106,7 @@ func Paper() Config {
 		Workload:    workload.PaperScale(),
 		FlexMinutes: flex,
 		Seeds:       seeds,
-		Solve:       model.SolveOptions{TimeLimit: time.Hour},
+		TimeLimit:   time.Hour,
 	}
 }
 
@@ -113,18 +116,27 @@ type Record struct {
 	Seed     int64
 	Form     core.Formulation
 	Obj      core.Objective
-	Algo     string // "mip" or "greedy"
+	Algo     string // "mip", "greedy" or "rounding"
 	Runtime  time.Duration
 	Gap      float64 // relative branch-and-bound gap; +Inf if no solution
 	Value    float64 // objective value achieved (0 if none)
 	Accepted int
 	Optimal  bool
 	Feasible bool // independent checker verdict (false when no solution)
-	// Certified is the internal/certify verdict (only meaningful when
-	// Config.Certify is set and a solution exists).
-	Certified bool
+	// Certified is the certificate verdict (only set when Config.Certify
+	// is); CertFailed reports a solution that the checker or a certificate
+	// rejected.
+	Certified  bool
+	CertFailed bool
+	// Cancelled reports a solve that the context stopped.
+	Cancelled bool
 	Nodes     int
 	LPIters   int
+	// BoundFlips and RatioPasses count the long-step dual ratio test's work
+	// (exact solves only), and Cuts the lazy separation's.
+	BoundFlips  int
+	RatioPasses int
+	Cuts        model.CutStats
 	// FellBack reports that a rounding solve exhausted its samples and ran
 	// the exact branch-and-bound fallback (rounding records only).
 	FellBack bool
@@ -134,6 +146,11 @@ type Record struct {
 type scenKey struct {
 	flex float64
 	seed int64
+}
+
+// record starts the Record of one solve of the scenario.
+func (k scenKey) record(f core.Formulation, obj core.Objective, algo string) Record {
+	return Record{FlexMin: k.flex, Seed: k.seed, Form: f, Obj: obj, Algo: algo}
 }
 
 // pairs flattens the (flexibility × seed) grid in sweep order.
@@ -157,125 +174,107 @@ func (c Config) scenario(flexMin float64, seed int64) (*core.Instance, vnet.Node
 	return &core.Instance{Sub: sc.Substrate, Reqs: sc.Requests, Horizon: sc.Horizon}, sc.Mapping
 }
 
-// count feeds one model solution into the aggregate counters, if any.
-func (c Config) count(ms *model.Solution) {
-	if c.Counters == nil {
-		return
+// options lowers the sweep configuration onto the facade options every
+// solver of the sweep shares. The cut and flow modes are cΣ variants, so
+// they apply to cΣ solvers only.
+func (c Config) options(f core.Formulation, horizon float64) []tvnep.Option {
+	opts := []tvnep.Option{
+		tvnep.WithFormulation(f),
+		tvnep.WithHorizon(horizon),
+		tvnep.WithTimeLimit(c.TimeLimit),
+		tvnep.WithProgress(c.Progress),
 	}
-	c.Counters.Solves.Add(1)
-	if ms.Status == model.StatusOptimal {
-		c.Counters.Optimal.Add(1)
-	}
-	if ms.Status == model.StatusCancelled {
-		c.Counters.Cancelled.Add(1)
-	}
-	c.Counters.Nodes.Add(int64(ms.Nodes))
-	c.Counters.LPIters.Add(int64(ms.LPIterations))
-	c.Counters.BoundFlips.Add(int64(ms.BoundFlips))
-	c.Counters.RatioPasses.Add(int64(ms.RatioPasses))
-	c.Counters.CutRowsRoot.Add(int64(ms.Cuts.RowsAtRoot))
-	c.Counters.CutRowsSeparated.Add(int64(ms.Cuts.SeparatedRows))
-	c.Counters.CutRounds.Add(int64(ms.Cuts.Rounds))
-	c.Counters.CutOffered.Add(int64(ms.Cuts.Offered))
-	c.Counters.CutPoolHits.Add(int64(ms.Cuts.PoolHits))
-}
-
-// solveOne runs a single MIP solve and converts it into a Record. A
-// context cancelled before the solve starts short-circuits the (potentially
-// expensive) model build too, so an interrupted sweep drains its remaining
-// scenarios in microseconds instead of constructing models that the solver
-// would only refuse to run.
-func (c Config) solveOne(ctx context.Context, f core.Formulation, obj core.Objective, inst *core.Instance,
-	mapping vnet.NodeMapping, flexMin float64, seed int64) Record {
-	if ctx != nil && ctx.Err() != nil {
-		if c.Counters != nil {
-			c.Counters.Solves.Add(1)
-			c.Counters.Cancelled.Add(1)
-		}
-		return Record{
-			FlexMin: flexMin, Seed: seed, Form: f, Obj: obj, Algo: "mip",
-			Gap: math.Inf(1),
-		}
-	}
-	bo := core.BuildOptions{Objective: obj, FixedMapping: mapping, CutMode: c.CutMode}
 	if f == core.CSigma {
-		bo.FlowMode = c.FlowMode // Δ/Σ have no path-flow variant
+		opts = append(opts, tvnep.WithCutMode(c.CutMode), tvnep.WithFlowMode(c.FlowMode))
 	}
-	b := core.Build(f, inst, bo)
-	inner := c.Solve
-	sol, ms := b.Solve(ctx, &inner)
-	c.count(ms)
-	rec := Record{
-		FlexMin: flexMin, Seed: seed, Form: f, Obj: obj, Algo: "mip",
-		Runtime: ms.Runtime, Gap: ms.Gap, Nodes: ms.Nodes, LPIters: ms.LPIterations,
-		Optimal: ms.Status == model.StatusOptimal,
+	if c.Certify {
+		opts = append(opts, tvnep.WithCertify())
 	}
-	if sol != nil {
-		rec.Value = sol.Objective
-		rec.Accepted = sol.NumAccepted()
-		rec.Feasible = solution.Check(inst.Sub, inst.Reqs, sol) == nil
-		if c.Certify {
-			rec.Certified = c.certifyOne(inst, sol, obj, mapping, b, ms)
+	return opts
+}
+
+// solve runs one solve of the instance through the facade and fills rec,
+// whose scenario key, formulation, objective and algorithm the caller set.
+// opts follow the sweep's own options, so a variant's settings win. A
+// certificate failure is also reported on stderr, so a failing sweep names
+// the defect even when a figure's aggregation hides the record. The result
+// is nil when the solve returned no statistics (cancelled, or a
+// certificate failed).
+func (c Config) solve(ctx context.Context, inst *core.Instance, mapping vnet.NodeMapping,
+	rec Record, opts ...tvnep.Option) (Record, *tvnep.Result) {
+	all := append(c.options(rec.Form, inst.Horizon), tvnep.WithObjective(rec.Obj))
+	s, err := tvnep.New(inst.Sub, append(all, opts...)...)
+	if err != nil {
+		panic(fmt.Sprintf("eval: sweep options rejected: %v", err))
+	}
+	res, err := s.Solve(ctx, inst.Reqs, mapping)
+	rec.Gap = math.Inf(1)
+	if res != nil {
+		rec.Runtime, rec.Gap, rec.Optimal = res.Runtime, res.Gap, res.Status == tvnep.StatusOptimal
+		rec.Nodes, rec.LPIters = res.Nodes, res.LPIterations
+		rec.BoundFlips, rec.RatioPasses, rec.Cuts = res.BoundFlips, res.RatioPasses, res.Cuts
+		if res.Rounding != nil {
+			rec.FellBack = res.Rounding.FellBack
 		}
 	}
-	return rec
+	var certErr *tvnep.CertificationError
+	switch {
+	case err == nil:
+		rec.Value, rec.Accepted = res.Solution.Objective, res.Solution.NumAccepted()
+		rec.Feasible, rec.Certified = true, c.Certify
+	case errors.As(err, &certErr):
+		rec.CertFailed = true
+		fmt.Fprintf(os.Stderr, "eval: %v %s solve at flex=%v seed=%d: %v\n", rec.Obj, rec.Algo, rec.FlexMin, rec.Seed, err)
+	case ctx.Err() != nil:
+		rec.Cancelled = true
+	}
+	return rec, res
 }
 
-// certifyOne runs the independent certificate on one solution and folds the
-// verdict into the counters. When the solve carries applied cuts (lazy
-// separation), every cut row is additionally re-validated against the
-// dependency graph — a cut excluding this certified-feasible incumbent is a
-// named violation. Violations are reported on stderr so a failing sweep
-// names the defect even when the figure aggregation hides the record.
-// b and ms may be nil (the greedy path has no single built model).
-func (c Config) certifyOne(inst *core.Instance, sol *solution.Solution,
-	obj core.Objective, mapping vnet.NodeMapping, b *core.Built, ms *model.Solution) bool {
-	rep := certify.Solution(inst, sol, certify.Options{Objective: obj, Mapping: mapping})
-	if rep.OK() && b != nil && ms != nil {
-		rep = certify.Cuts(b, ms)
+// sweep runs body once per (flexibility, seed) scenario on the worker pool
+// and returns the results in scenario order, writing each scenario's
+// progress text to progress (when non-nil) exactly as a serial run would.
+func sweep[T any](ctx context.Context, c Config, progress io.Writer,
+	body func(ctx context.Context, key scenKey, log *strings.Builder) T) []T {
+	type result struct {
+		val T
+		log string
 	}
-	if rep.OK() && b != nil && ms != nil {
-		rep = certify.Columns(b, ms)
-	}
-	if c.Counters != nil {
-		c.Counters.Certified.Add(1)
-		if !rep.OK() {
-			c.Counters.CertifyFailed.Add(1)
-		}
-	}
-	if err := rep.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "eval: certificate failure (%v): %v\n", obj, err)
-		return false
-	}
-	return true
-}
-
-// scenResult is what one parallel scenario hands back to the emitter: its
-// records plus the progress text a serial run would have printed.
-type scenResult struct {
-	recs []Record
-	log  string
-}
-
-// sweep runs one scenario body per (flex, seed) pair on the worker pool and
-// concatenates records in scenario order.
-func (c Config) sweep(ctx context.Context, progress io.Writer,
-	body func(ctx context.Context, key scenKey, log *strings.Builder) []Record) []Record {
 	keys := c.pairs()
-	var out []Record
+	out := make([]T, 0, len(keys))
 	runOrdered(ctx, c.Workers, len(keys),
-		func(ctx context.Context, i int) scenResult {
+		func(ctx context.Context, i int) result {
 			var log strings.Builder
-			recs := body(ctx, keys[i], &log)
-			return scenResult{recs: recs, log: log.String()}
+			val := body(ctx, keys[i], &log)
+			return result{val, log.String()}
 		},
-		func(_ int, r scenResult) {
-			out = append(out, r.recs...)
+		func(_ int, r result) {
+			out = append(out, r.val)
 			if progress != nil && r.log != "" {
 				io.WriteString(progress, r.log)
 			}
 		})
 	return out
+}
+
+// outcome is one scenario's records and the error that ended it, if any.
+type outcome[R any] struct {
+	recs []R
+	err  error
+}
+
+// flatten concatenates outcomes in scenario order and returns the first
+// error among them.
+func flatten[R any](outs []outcome[R]) ([]R, error) {
+	var recs []R
+	var first error
+	for _, o := range outs {
+		recs = append(recs, o.recs...)
+		if first == nil {
+			first = o.err
+		}
+	}
+	return recs, first
 }
 
 // AccessControlSweep solves every (flexibility, seed) scenario under the
@@ -285,17 +284,17 @@ func (c Config) sweep(ctx context.Context, progress io.Writer,
 //
 //det:entry
 func (c Config) AccessControlSweep(ctx context.Context, forms []core.Formulation, progress io.Writer) []Record {
-	return c.sweep(ctx, progress, func(ctx context.Context, key scenKey, log *strings.Builder) []Record {
+	return slices.Concat(sweep(ctx, c, progress, func(ctx context.Context, key scenKey, log *strings.Builder) []Record {
 		inst, mapping := c.scenario(key.flex, key.seed)
 		recs := make([]Record, 0, len(forms))
 		for _, f := range forms {
-			rec := c.solveOne(ctx, f, core.AccessControl, inst, mapping, key.flex, key.seed)
+			rec, _ := c.solve(ctx, inst, mapping, key.record(f, core.AccessControl, "mip"))
 			recs = append(recs, rec)
 			fmt.Fprintf(log, "flex=%3.0f seed=%2d %-2v obj=%7.2f gap=%6.3g time=%8.2fs nodes=%d\n",
 				key.flex, key.seed, f, rec.Value, rec.Gap, rec.Runtime.Seconds(), rec.Nodes)
 		}
 		return recs
-	})
+	})...)
 }
 
 // ObjectivesSweep runs the cΣ-Model under the three fixed-set objectives of
@@ -306,22 +305,19 @@ func (c Config) AccessControlSweep(ctx context.Context, forms []core.Formulation
 //
 //det:entry
 func (c Config) ObjectivesSweep(ctx context.Context, progress io.Writer) []Record {
-	return c.sweep(ctx, progress, func(ctx context.Context, key scenKey, log *strings.Builder) []Record {
+	return slices.Concat(sweep(ctx, c, progress, func(ctx context.Context, key scenKey, log *strings.Builder) []Record {
 		inst, mapping := c.scenario(key.flex, key.seed)
-		pre := core.BuildCSigma(inst, core.BuildOptions{
-			Objective: core.AccessControl, FixedMapping: mapping, CutMode: c.CutMode,
-			FlowMode: c.FlowMode,
-		})
-		preInner := c.Solve
-		preSol, preMS := pre.Solve(ctx, &preInner)
-		c.count(preMS)
-		if preSol == nil {
+		pre, res := c.solve(ctx, inst, mapping, key.record(core.CSigma, core.AccessControl, "mip"))
+		if pre.CertFailed {
+			return []Record{pre} // the failure must reach the caller; figures 5/6 skip it
+		}
+		if !pre.Feasible {
 			return nil
 		}
 		// Restrict to the accepted set.
 		var reqs []*vnet.Request
 		var subMap vnet.NodeMapping
-		for r, acc := range preSol.Accepted {
+		for r, acc := range res.Solution.Accepted {
 			if acc {
 				reqs = append(reqs, inst.Reqs[r])
 				subMap = append(subMap, mapping[r])
@@ -333,14 +329,14 @@ func (c Config) ObjectivesSweep(ctx context.Context, progress io.Writer) []Recor
 		sub := &core.Instance{Sub: inst.Sub, Reqs: reqs, Horizon: inst.Horizon}
 		var recs []Record
 		for _, obj := range []core.Objective{core.MaxEarliness, core.BalanceNodeLoad, core.DisableLinks} {
-			rec := c.solveOne(ctx, core.CSigma, obj, sub, subMap, key.flex, key.seed)
+			rec, _ := c.solve(ctx, sub, subMap, key.record(core.CSigma, obj, "mip"))
 			rec.Accepted = len(reqs)
 			recs = append(recs, rec)
 			fmt.Fprintf(log, "flex=%3.0f seed=%2d cΣ %-18v obj=%7.2f gap=%6.3g time=%8.2fs\n",
 				key.flex, key.seed, rec.Obj, rec.Value, rec.Gap, rec.Runtime.Seconds())
 		}
 		return recs
-	})
+	})...)
 }
 
 // GreedySweep runs cΣ_A^G and the optimal cΣ-Model side by side on every
@@ -348,31 +344,15 @@ func (c Config) ObjectivesSweep(ctx context.Context, progress io.Writer) []Recor
 //
 //det:entry
 func (c Config) GreedySweep(ctx context.Context, progress io.Writer) []Record {
-	return c.sweep(ctx, progress, func(ctx context.Context, key scenKey, log *strings.Builder) []Record {
+	return slices.Concat(sweep(ctx, c, progress, func(ctx context.Context, key scenKey, log *strings.Builder) []Record {
 		inst, mapping := c.scenario(key.flex, key.seed)
-		opt := c.solveOne(ctx, core.CSigma, core.AccessControl, inst, mapping, key.flex, key.seed)
-
-		start := time.Now() //lint:allow nondet -- greedy runtime measurement; recorded, not branched on
-		gso := c.Solve
-		gsol, gstats, err := admit.Greedy(ctx, inst, mapping, core.BuildOptions{CutMode: c.CutMode}, &gso)
-		rec := Record{
-			FlexMin: key.flex, Seed: key.seed, Form: core.CSigma,
-			Obj: core.AccessControl, Algo: "greedy",
-			Runtime: time.Since(start), //lint:allow nondet -- greedy runtime measurement
-			Nodes:   gstats.TotalNodes, LPIters: gstats.TotalLPIters,
-		}
-		if err == nil && gsol != nil {
-			rec.Value = gsol.Objective
-			rec.Accepted = gsol.NumAccepted()
-			rec.Feasible = solution.Check(inst.Sub, inst.Reqs, gsol) == nil
-			if c.Certify {
-				rec.Certified = c.certifyOne(inst, gsol, core.AccessControl, mapping, nil, nil)
-			}
-		}
+		opt, _ := c.solve(ctx, inst, mapping, key.record(core.CSigma, core.AccessControl, "mip"))
+		rec, _ := c.solve(ctx, inst, mapping, key.record(core.CSigma, core.AccessControl, "greedy"),
+			tvnep.WithAlgorithm(tvnep.Greedy))
 		fmt.Fprintf(log, "flex=%3.0f seed=%2d greedy obj=%7.2f (opt %7.2f) time=%8.2fs\n",
 			key.flex, key.seed, rec.Value, opt.Value, rec.Runtime.Seconds())
 		return []Record{opt, rec}
-	})
+	})...)
 }
 
 // Series is one plottable line: per x-value summary statistics over seeds.

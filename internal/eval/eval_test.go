@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"tvnep/internal/core"
-	"tvnep/internal/model"
 	"tvnep/internal/workload"
 )
 
@@ -25,7 +24,7 @@ func micro() Config {
 		Workload:    wl,
 		FlexMinutes: []float64{0, 120},
 		Seeds:       []int64{1, 2},
-		Solve:       model.SolveOptions{TimeLimit: 15 * time.Second},
+		TimeLimit:   15 * time.Second,
 	}
 }
 
@@ -104,8 +103,8 @@ func TestFigures348FromSyntheticRecords(t *testing.T) {
 		mk(0, 1, core.CSigma, 10, 2, true, 0, time.Second),
 		mk(0, 2, core.CSigma, 20, 3, true, 0, 2*time.Second),
 		mk(120, 1, core.CSigma, 15, 3, true, 0, 3*time.Second),
-		mk(120, 2, core.CSigma, 30, 4, false, 0.25, cfg.Solve.TimeLimit),
-		mk(0, 1, core.Delta, 10, 2, false, math.Inf(1), cfg.Solve.TimeLimit),
+		mk(120, 2, core.CSigma, 30, 4, false, 0.25, cfg.TimeLimit),
+		mk(0, 1, core.Delta, 10, 2, false, math.Inf(1), cfg.TimeLimit),
 	}
 	f3 := Figure3(recs, cfg)
 	if len(f3) != 3 {
@@ -114,8 +113,8 @@ func TestFigures348FromSyntheticRecords(t *testing.T) {
 	// cΣ series is the third; at flex 120 one solve hit the limit → max
 	// equals the limit.
 	cs := f3[2]
-	if cs.Summaries[1].Max != cfg.Solve.TimeLimit.Seconds() {
-		t.Fatalf("figure 3 cΣ max = %v, want %v", cs.Summaries[1].Max, cfg.Solve.TimeLimit.Seconds())
+	if cs.Summaries[1].Max != cfg.TimeLimit.Seconds() {
+		t.Fatalf("figure 3 cΣ max = %v, want %v", cs.Summaries[1].Max, cfg.TimeLimit.Seconds())
 	}
 	f4 := Figure4(recs, cfg)
 	// Δ at flex 0 has no solution → sentinel 1e6.
@@ -150,7 +149,7 @@ func TestWriteSeries(t *testing.T) {
 
 func TestDefaultAndPaperConfigs(t *testing.T) {
 	d := Default()
-	if len(d.FlexMinutes) == 0 || len(d.Seeds) == 0 || d.Solve.TimeLimit <= 0 {
+	if len(d.FlexMinutes) == 0 || len(d.Seeds) == 0 || d.TimeLimit <= 0 {
 		t.Fatal("default config incomplete")
 	}
 	p := Paper()

@@ -20,7 +20,7 @@ func Figure3(records []Record, cfg Config) []Series {
 			func(r Record) bool { return r.Algo == "mip" && r.Form == form && r.Obj == core.AccessControl },
 			func(r Record) float64 {
 				if !r.Optimal {
-					return cfg.Solve.TimeLimit.Seconds()
+					return cfg.TimeLimit.Seconds()
 				}
 				return r.Runtime.Seconds()
 			})
@@ -60,7 +60,7 @@ func Figure5(records []Record, cfg Config) []Series {
 			func(r Record) bool { return r.Algo == "mip" && r.Obj == obj },
 			func(r Record) float64 {
 				if !r.Optimal {
-					return cfg.Solve.TimeLimit.Seconds()
+					return cfg.TimeLimit.Seconds()
 				}
 				return r.Runtime.Seconds()
 			})

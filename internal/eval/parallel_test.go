@@ -43,7 +43,7 @@ func TestParallelSweepDeterminism(t *testing.T) {
 		// wall-clock limit, so give it one no micro instance can reach (the
 		// race detector slows solves ~10×; a tight limit would make Optimal
 		// itself timing-dependent).
-		cfg.Solve.TimeLimit = time.Hour
+		cfg.TimeLimit = time.Hour
 		cfg.Workers = workers
 		var buf bytes.Buffer
 		ac := cfg.AccessControlSweep(context.Background(), forms, &buf)
@@ -93,24 +93,28 @@ func TestRunOrderedEmitsInOrder(t *testing.T) {
 	}
 }
 
-// TestCountersAccumulate checks the aggregate observability layer under a
-// parallel sweep.
+// TestCountersAccumulate checks the per-record solver counters, which
+// tvnep-bench sums into its aggregate line, under a parallel sweep: one
+// record per solve, each proven optimal and carrying its simplex work.
 func TestCountersAccumulate(t *testing.T) {
 	cfg := micro()
 	cfg.Workers = 4
-	cfg.Counters = &Counters{}
 	recs := cfg.AccessControlSweep(context.Background(), []core.Formulation{core.CSigma}, nil)
-	if got, want := cfg.Counters.Solves.Load(), int64(len(recs)); got != want {
-		t.Fatalf("counted %d solves, want %d", got, want)
+	if got, want := len(recs), len(cfg.pairs()); got != want {
+		t.Fatalf("%d records, want one solve per scenario (%d)", got, want)
 	}
-	if got := cfg.Counters.Optimal.Load(); got != cfg.Counters.Solves.Load() {
-		t.Fatalf("micro sweep should solve everything to optimality: %v", cfg.Counters)
+	lpIters := 0
+	for _, r := range recs {
+		if !r.Optimal || r.Cancelled {
+			t.Fatalf("micro sweep should solve everything to optimality: %+v", r)
+		}
+		if r.LPIters <= 0 {
+			t.Fatalf("flex=%v seed=%d: no LP iterations recorded: %+v", r.FlexMin, r.Seed, r)
+		}
+		lpIters += r.LPIters
 	}
-	if cfg.Counters.LPIters.Load() <= 0 {
-		t.Fatalf("no LP iterations recorded: %v", cfg.Counters)
-	}
-	if cfg.Counters.String() == "" {
-		t.Fatal("empty counters summary")
+	if lpIters <= 0 {
+		t.Fatal("no LP iterations recorded")
 	}
 }
 
@@ -119,7 +123,6 @@ func TestCountersAccumulate(t *testing.T) {
 func TestSweepCancellation(t *testing.T) {
 	cfg := micro()
 	cfg.Workers = 2
-	cfg.Counters = &Counters{}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	recs := cfg.AccessControlSweep(ctx, []core.Formulation{core.CSigma}, nil)
@@ -130,8 +133,8 @@ func TestSweepCancellation(t *testing.T) {
 		if r.Optimal {
 			t.Fatalf("flex=%v seed=%d reported optimal under a cancelled context", r.FlexMin, r.Seed)
 		}
-	}
-	if got := cfg.Counters.Cancelled.Load(); got != cfg.Counters.Solves.Load() {
-		t.Fatalf("cancelled %d of %d solves, want all: %v", got, cfg.Counters.Solves.Load(), cfg.Counters)
+		if !r.Cancelled {
+			t.Fatalf("flex=%v seed=%d not marked cancelled: %+v", r.FlexMin, r.Seed, r)
+		}
 	}
 }

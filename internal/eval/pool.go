@@ -2,57 +2,9 @@ package eval
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
-
-// Counters aggregates solver activity across a sweep. All fields are
-// atomic, so a single Counters value can be shared by every worker of a
-// parallel sweep (and by several sweeps run back to back).
-type Counters struct {
-	Solves    atomic.Int64 // MIP solves started
-	Optimal   atomic.Int64 // solves finished with a proven optimum
-	Cancelled atomic.Int64 // solves stopped by context cancellation
-	Nodes     atomic.Int64 // branch-and-bound nodes across all solves
-	LPIters   atomic.Int64 // simplex iterations across all solves
-	// Long-step dual ratio-test activity across all solves: nonbasic
-	// bound flips absorbed without a pivot, and breakpoints walked.
-	BoundFlips  atomic.Int64
-	RatioPasses atomic.Int64
-
-	// Certification verdicts (populated when Config.Certify is set).
-	Certified     atomic.Int64 // solutions run through internal/certify
-	CertifyFailed atomic.Int64 // certificates with at least one violation
-
-	// Lazy-cut separation activity (populated from mip.CutStats; the
-	// non-root fields stay zero unless solves run with Config.CutMode ==
-	// core.CutLazy).
-	CutRowsRoot      atomic.Int64 // LP rows present at the root across solves
-	CutRowsSeparated atomic.Int64 // rows appended by separation
-	CutRounds        atomic.Int64 // separation rounds that added at least one row
-	CutOffered       atomic.Int64 // candidate rows offered to the cut pool
-	CutPoolHits      atomic.Int64 // offers deduplicated against pooled rows
-}
-
-// String renders a one-line summary.
-func (c *Counters) String() string {
-	s := fmt.Sprintf("solves=%d optimal=%d cancelled=%d nodes=%d lp_iters=%d",
-		c.Solves.Load(), c.Optimal.Load(), c.Cancelled.Load(), c.Nodes.Load(), c.LPIters.Load())
-	if c.BoundFlips.Load() > 0 || c.RatioPasses.Load() > 0 {
-		s += fmt.Sprintf(" bound_flips=%d ratio_passes=%d", c.BoundFlips.Load(), c.RatioPasses.Load())
-	}
-	if n := c.Certified.Load(); n > 0 {
-		s += fmt.Sprintf(" certified=%d certify_failed=%d", n, c.CertifyFailed.Load())
-	}
-	if c.CutOffered.Load() > 0 || c.CutRowsSeparated.Load() > 0 || c.CutRounds.Load() > 0 {
-		s += fmt.Sprintf(" cut_rows_root=%d cut_rows_separated=%d cut_rounds=%d cut_offered=%d cut_pool_hits=%d",
-			c.CutRowsRoot.Load(), c.CutRowsSeparated.Load(), c.CutRounds.Load(),
-			c.CutOffered.Load(), c.CutPoolHits.Load())
-	}
-	return s
-}
 
 // runOrdered distributes n independent work items over w workers and hands
 // every result to emit in item order, regardless of completion order. This

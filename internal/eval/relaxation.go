@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 
 	"tvnep/internal/core"
@@ -18,6 +19,9 @@ type RelaxationRecord struct {
 	Form    core.Formulation
 	Bound   float64 // LP relaxation objective (upper bound on the optimum)
 	Exact   float64 // integer optimum (NaN if not computed)
+	// Ref is the exact cΣ solve behind Exact, on the cΣ row only (nil on
+	// the Δ and Σ rows), so each reference solve is counted once.
+	Ref *Record
 }
 
 // RelaxationSweep reproduces the Section III strength argument numerically:
@@ -27,47 +31,34 @@ type RelaxationRecord struct {
 //
 //det:entry
 func (c Config) RelaxationSweep(ctx context.Context, progress io.Writer) []RelaxationRecord {
-	type relResult struct {
-		recs []RelaxationRecord
-		log  string
-	}
-	keys := c.pairs()
-	var out []RelaxationRecord
-	runOrdered(ctx, c.Workers, len(keys),
-		func(ctx context.Context, i int) relResult {
-			flex, seed := keys[i].flex, keys[i].seed
-			inst, mapping := c.scenario(flex, seed)
-			var log strings.Builder
-			var res relResult
-			exact := math.NaN()
-			if rec := c.solveOne(ctx, core.CSigma, core.AccessControl, inst, mapping, flex, seed); rec.Optimal {
-				exact = rec.Value
+	return slices.Concat(sweep(ctx, c, progress, func(ctx context.Context, key scenKey, log *strings.Builder) []RelaxationRecord {
+		inst, mapping := c.scenario(key.flex, key.seed)
+		ref, _ := c.solve(ctx, inst, mapping, key.record(core.CSigma, core.AccessControl, "mip"))
+		exact := math.NaN()
+		if ref.Optimal {
+			exact = ref.Value
+		}
+		var recs []RelaxationRecord
+		for _, f := range []core.Formulation{core.Delta, core.Sigma, core.CSigma} {
+			// The facade has no relaxation entry, so the bounds come from
+			// the built models directly.
+			b := core.Build(f, inst, core.BuildOptions{
+				Objective: core.AccessControl, FixedMapping: mapping,
+			})
+			rel := b.Model.Relax()
+			rec := RelaxationRecord{FlexMin: key.flex, Seed: key.seed, Form: f, Exact: exact, Bound: math.NaN()}
+			if rel.HasSolution {
+				rec.Bound = rel.Obj
 			}
-			for _, f := range []core.Formulation{core.Delta, core.Sigma, core.CSigma} {
-				b := core.Build(f, inst, core.BuildOptions{
-					Objective: core.AccessControl, FixedMapping: mapping,
-				})
-				rel := b.Model.Relax()
-				rec := RelaxationRecord{FlexMin: flex, Seed: seed, Form: f, Exact: exact}
-				if rel.HasSolution {
-					rec.Bound = rel.Obj
-				} else {
-					rec.Bound = math.NaN()
-				}
-				res.recs = append(res.recs, rec)
-				fmt.Fprintf(&log, "flex=%3.0f seed=%2d %-2v relaxation=%8.3f exact=%8.3f\n",
-					flex, seed, f, rec.Bound, exact)
+			if f == core.CSigma {
+				rec.Ref = &ref
 			}
-			res.log = log.String()
-			return res
-		},
-		func(_ int, r relResult) {
-			out = append(out, r.recs...)
-			if progress != nil && r.log != "" {
-				io.WriteString(progress, r.log)
-			}
-		})
-	return out
+			recs = append(recs, rec)
+			fmt.Fprintf(log, "flex=%3.0f seed=%2d %-2v relaxation=%8.3f exact=%8.3f\n",
+				key.flex, key.seed, f, rec.Bound, exact)
+		}
+		return recs
+	})...)
 }
 
 // WriteRelaxation renders per-formulation mean relaxation bounds and the

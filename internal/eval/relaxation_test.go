@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"tvnep/internal/core"
-	"tvnep/internal/model"
 	"tvnep/internal/workload"
 )
 
@@ -24,7 +23,7 @@ func TestRelaxationSweepOrdering(t *testing.T) {
 		Workload:    wl,
 		FlexMinutes: []float64{0, 120},
 		Seeds:       []int64{1, 2, 3},
-		Solve:       model.SolveOptions{TimeLimit: 30 * time.Second},
+		TimeLimit:   30 * time.Second,
 	}
 	recs := cfg.RelaxationSweep(context.Background(), nil)
 	if len(recs) != 2*3*3 {

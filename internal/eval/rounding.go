@@ -5,12 +5,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 
 	"tvnep/internal/core"
 	"tvnep/internal/round"
-	"tvnep/internal/solution"
 	"tvnep/internal/stats"
+	"tvnep/pkg/tvnep"
 )
 
 // RoundingSweep runs the randomized-rounding tier and the optimal cΣ-Model
@@ -18,46 +19,18 @@ import (
 // exact-vs-approx comparison behind the EXPERIMENTS table (objective gap,
 // fallback rate, wall-clock). Scenario-local seeds derive from Config.Seed
 // via round.MixSeed, so the sweep is bit-identical for equal seeds and
-// every worker count.
+// every worker count. Under CutLazy the rounding tier relaxes the
+// static-cut model (round.Solve), since nothing separates cuts in a bare
+// relaxation.
 //
 //det:entry
 func (c Config) RoundingSweep(ctx context.Context, progress io.Writer) []Record {
-	return c.sweep(ctx, progress, func(ctx context.Context, key scenKey, log *strings.Builder) []Record {
+	return slices.Concat(sweep(ctx, c, progress, func(ctx context.Context, key scenKey, log *strings.Builder) []Record {
 		inst, mapping := c.scenario(key.flex, key.seed)
-		opt := c.solveOne(ctx, core.CSigma, core.AccessControl, inst, mapping, key.flex, key.seed)
-
-		cutMode := c.CutMode
-		if cutMode == core.CutLazy {
-			cutMode = core.CutStatic // nothing separates cuts during a bare relaxation
-		}
-		rsol, rstats, err := round.Solve(ctx, inst, mapping, round.Options{
-			Seed:      round.MixSeed(c.Seed, key.seed, int64(math.Float64bits(key.flex))),
-			Objective: core.AccessControl,
-			CutMode:   cutMode,
-			Solve:     c.Solve,
-		})
-		rec := Record{
-			FlexMin: key.flex, Seed: key.seed, Form: core.CSigma,
-			Obj: core.AccessControl, Algo: "rounding",
-			Runtime: rstats.Runtime, LPIters: rstats.LPIterations,
-			Nodes: rstats.FallbackNodes, FellBack: rstats.FellBack,
-			Gap: math.Inf(1),
-		}
-		if c.Counters != nil {
-			c.Counters.Solves.Add(1)
-			c.Counters.LPIters.Add(int64(rstats.LPIterations))
-			c.Counters.Nodes.Add(int64(rstats.FallbackNodes))
-		}
-		if err == nil && rsol != nil {
-			rec.Value = rsol.Objective
-			rec.Accepted = rsol.NumAccepted()
-			rec.Gap = rsol.Gap
-			rec.Optimal = rsol.Optimal
-			rec.Feasible = solution.Check(inst.Sub, inst.Reqs, rsol) == nil
-			if c.Certify {
-				rec.Certified = c.certifyOne(inst, rsol, core.AccessControl, mapping, nil, nil)
-			}
-		}
+		opt, _ := c.solve(ctx, inst, mapping, key.record(core.CSigma, core.AccessControl, "mip"))
+		rec, _ := c.solve(ctx, inst, mapping, key.record(core.CSigma, core.AccessControl, "rounding"),
+			tvnep.WithAlgorithm(tvnep.Rounding),
+			tvnep.WithSeed(round.MixSeed(c.Seed, key.seed, int64(math.Float64bits(key.flex)))))
 		fb := " "
 		if rec.FellBack {
 			fb = "F"
@@ -65,7 +38,7 @@ func (c Config) RoundingSweep(ctx context.Context, progress io.Writer) []Record 
 		fmt.Fprintf(log, "flex=%3.0f seed=%2d rounding obj=%7.2f (opt %7.2f) lp-gap=%6.3g %s time=%8.4fs\n",
 			key.flex, key.seed, rec.Value, opt.Value, rec.Gap, fb, rec.Runtime.Seconds())
 		return []Record{opt, rec}
-	})
+	})...)
 }
 
 // WriteRoundingTable renders the exact-vs-approx comparison: per

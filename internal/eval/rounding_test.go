@@ -19,7 +19,7 @@ func TestRoundingSweepDeterminism(t *testing.T) {
 	run := func(workers int) ([]Record, string) {
 		cfg := micro()
 		cfg.Seed = 17
-		cfg.Solve.TimeLimit = time.Hour
+		cfg.TimeLimit = time.Hour
 		cfg.Workers = workers
 		var buf bytes.Buffer
 		recs := cfg.RoundingSweep(context.Background(), &buf)
@@ -52,7 +52,7 @@ func TestRoundingSweepDeterminism(t *testing.T) {
 	other := func() []Record {
 		cfg := micro()
 		cfg.Seed = 18
-		cfg.Solve.TimeLimit = time.Hour
+		cfg.TimeLimit = time.Hour
 		return zeroRuntimes(cfg.RoundingSweep(context.Background(), nil))
 	}()
 	if len(other) != len(refRecs) {
@@ -65,11 +65,13 @@ func TestRoundingSweepDeterminism(t *testing.T) {
 func TestWriteRoundingTable(t *testing.T) {
 	cfg := micro()
 	cfg.Certify = true
-	cfg.Counters = &Counters{}
 	recs := cfg.RoundingSweep(context.Background(), nil)
 	for _, r := range recs {
 		if r.Algo == "rounding" && r.Feasible && !r.Certified {
 			t.Fatalf("flex=%v seed=%d: feasible rounding record not certified", r.FlexMin, r.Seed)
+		}
+		if r.CertFailed {
+			t.Fatalf("flex=%v seed=%d %s: certificate failed", r.FlexMin, r.Seed, r.Algo)
 		}
 	}
 	var buf bytes.Buffer

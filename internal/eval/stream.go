@@ -8,15 +8,16 @@ import (
 	"strings"
 	"time"
 
-	"tvnep/internal/admit"
+	"tvnep/internal/core"
 	"tvnep/internal/round"
 	"tvnep/internal/stats"
+	"tvnep/pkg/tvnep"
 )
 
 // StreamRecord is the outcome of replaying one scenario's arrival trace
-// through the online admission engine (internal/admit): per-trace decision
-// counts, tier usage and the latency distribution of the individual
-// admission decisions.
+// through the online admission engine (tvnep.Solver.Admit): per-trace
+// decision counts, tier usage, solver work and the latency distribution of
+// the individual admission decisions.
 type StreamRecord struct {
 	FlexMin    float64
 	Seed       int64
@@ -28,14 +29,9 @@ type StreamRecord struct {
 	// Tier usage across the trace.
 	Precheck, LPTier, MIPTier int
 	CertFailures              int
-	Runtime                   time.Duration
-}
-
-// streamResult is what one parallel trace replay hands back to the emitter.
-type streamResult struct {
-	rec StreamRecord
-	err error
-	log string
+	// Nodes and LPIters total the trace's branch-and-bound and simplex work.
+	Nodes, LPIters int
+	Runtime        time.Duration
 }
 
 // StreamSweep replays every (flexibility, seed) scenario of the sweep grid
@@ -44,83 +40,44 @@ type streamResult struct {
 // Earliest = arrival time, so sweep order is arrival order). Scenarios run
 // concurrently on the worker pool; records and progress lines keep serial
 // order, and each engine's decision sequence is deterministic, so the sweep
-// output is bit-identical for every worker count as long as Config.Solve
-// carries node-based limits.
+// output is bit-identical for every worker count as long as no decision
+// runs under a time limit (Config.TimeLimit 0 leaves the engine's node
+// limit in charge).
 //
 //det:entry
 func (c Config) StreamSweep(ctx context.Context, progress io.Writer) ([]StreamRecord, error) {
-	keys := c.pairs()
-	out := make([]StreamRecord, 0, len(keys))
-	var firstErr error
-	runOrdered(ctx, c.Workers, len(keys),
-		func(ctx context.Context, i int) streamResult {
-			var log strings.Builder
-			rec, err := c.streamOne(ctx, keys[i].flex, keys[i].seed, &log)
-			return streamResult{rec: rec, err: err, log: log.String()}
-		},
-		func(_ int, r streamResult) {
-			if r.err != nil && firstErr == nil {
-				firstErr = r.err
-			}
-			out = append(out, r.rec)
-			if progress != nil && r.log != "" {
-				io.WriteString(progress, r.log)
-			}
-		})
-	return out, firstErr
+	return flatten(sweep(ctx, c, progress, func(ctx context.Context, key scenKey, log *strings.Builder) outcome[StreamRecord] {
+		rec, err := c.streamOne(ctx, key, log)
+		return outcome[StreamRecord]{[]StreamRecord{rec}, err}
+	}))
 }
 
-// streamOne replays one scenario through a fresh engine.
-func (c Config) streamOne(ctx context.Context, flexMin float64, seed int64, log *strings.Builder) (StreamRecord, error) {
-	inst, mapping := c.scenario(flexMin, seed)
-	eng, err := admit.New(admit.Config{
-		Sub:     inst.Sub,
-		Horizon: inst.Horizon,
-		Solve:   c.Solve,
-		CutMode: c.CutMode,
-		Seed:    round.MixSeed(c.Seed, seed, int64(math.Float64bits(flexMin))),
-		Certify: c.Certify,
-	})
+// streamOne replays one scenario through a fresh solver's engine.
+func (c Config) streamOne(ctx context.Context, key scenKey, log *strings.Builder) (StreamRecord, error) {
+	inst, mapping := c.scenario(key.flex, key.seed)
+	rec := StreamRecord{FlexMin: key.flex, Seed: key.seed}
+	s, err := tvnep.New(inst.Sub, append(c.options(core.CSigma, inst.Horizon),
+		tvnep.WithSeed(round.MixSeed(c.Seed, key.seed, int64(math.Float64bits(key.flex)))))...)
 	if err != nil {
-		return StreamRecord{FlexMin: flexMin, Seed: seed}, err
+		return rec, err
 	}
 	start := time.Now() //lint:allow nondet -- stream runtime measurement; recorded, not branched on
 	for r, req := range inst.Reqs {
-		if ctx != nil && ctx.Err() != nil {
+		if ctx.Err() != nil {
 			break
 		}
-		if _, err := eng.Admit(ctx, req, mapping[r]); err != nil {
-			return StreamRecord{FlexMin: flexMin, Seed: seed}, fmt.Errorf("stream flex=%g seed=%d request %d: %w", flexMin, seed, r, err)
+		if _, err := s.Admit(ctx, req, mapping[r]); err != nil {
+			return rec, fmt.Errorf("stream flex=%g seed=%d request %d: %w", key.flex, key.seed, r, err)
 		}
 	}
-	es := eng.Stats()
-	rec := StreamRecord{
-		FlexMin:      flexMin,
-		Seed:         seed,
-		Decisions:    es.Decisions,
-		Accepted:     es.Accepted,
-		AcceptRate:   es.AcceptRate(),
-		P50:          es.LatencyP50,
-		P99:          es.LatencyP99,
-		Precheck:     es.PrecheckTier,
-		LPTier:       es.LPTier,
-		MIPTier:      es.MIPTier,
-		CertFailures: es.CertFailures,
-		Runtime:      time.Since(start), //lint:allow nondet -- stream runtime measurement
-	}
-	if c.Counters != nil {
-		c.Counters.Solves.Add(int64(es.LPTier + es.MIPTier))
-		c.Counters.Nodes.Add(int64(es.TotalNodes))
-		c.Counters.LPIters.Add(int64(es.TotalLPIters))
-		if c.Certify {
-			// The engine certifies candidate acceptances only: the ones it
-			// committed and the ones a failed certificate downgraded.
-			c.Counters.Certified.Add(int64(es.Accepted + es.CertFailures))
-			c.Counters.CertifyFailed.Add(int64(es.CertFailures))
-		}
-	}
+	es := s.EngineStats()
+	rec.Decisions, rec.Accepted, rec.AcceptRate = es.Decisions, es.Accepted, es.AcceptRate()
+	rec.P50, rec.P99 = es.LatencyP50, es.LatencyP99
+	rec.Precheck, rec.LPTier, rec.MIPTier = es.PrecheckTier, es.LPTier, es.MIPTier
+	rec.CertFailures, rec.Nodes, rec.LPIters = es.CertFailures, es.TotalNodes, es.TotalLPIters
+	rec.Runtime = time.Since(start) //lint:allow nondet -- stream runtime measurement
 	fmt.Fprintf(log, "flex=%3.0f seed=%2d stream n=%d accept=%.2f p50=%s p99=%s tiers=%d/%d/%d\n",
-		flexMin, seed, rec.Decisions, rec.AcceptRate,
+		key.flex, key.seed, rec.Decisions, rec.AcceptRate,
 		rec.P50.Round(time.Microsecond), rec.P99.Round(time.Microsecond),
 		rec.Precheck, rec.LPTier, rec.MIPTier)
 	return rec, nil

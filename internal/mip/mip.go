@@ -113,8 +113,7 @@ type Progress struct {
 type Options struct {
 	TimeLimit time.Duration // 0 → none
 	NodeLimit int           // 0 → none
-	GapTol    float64       // relative optimality gap, default 1e-6
-	IntTol    float64       // integrality tolerance, default 1e-6
+	GapTol    float64       // relative optimality gap, default numtol.MIPGapTol
 	// HeuristicEvery runs the rounding heuristic at the root and at every
 	// k-th node thereafter (0 → the default of 50; a negative value
 	// disables the heuristic entirely, including at the root).
@@ -154,9 +153,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.GapTol <= 0 {
 		out.GapTol = numtol.MIPGapTol
-	}
-	if out.IntTol <= 0 {
-		out.IntTol = numtol.MIPIntTol
 	}
 	if out.HeuristicEvery == 0 {
 		out.HeuristicEvery = 50
@@ -538,13 +534,13 @@ func (s *searcher) emitProgress(newIncumbent bool) {
 // x is integral. Selection: most fractional, ties broken by larger absolute
 // objective coefficient.
 func (s *searcher) fractional(x []float64) int {
-	best, bestScore := -1, s.opts.IntTol
+	best, bestScore := -1, numtol.MIPIntTol
 	for j, isInt := range s.prob.Integer {
 		if !isInt {
 			continue
 		}
 		f := math.Abs(x[j] - math.Round(x[j]))
-		if f <= s.opts.IntTol {
+		if f <= numtol.MIPIntTol {
 			continue
 		}
 		score := 0.5 - math.Abs(f-0.5) // distance from integrality, peak at 0.5
@@ -656,7 +652,7 @@ func (s *searcher) diveHeuristic(nd *node, res lp.Result) {
 				continue
 			}
 			f := math.Abs(x[j] - math.Round(x[j]))
-			if f <= s.opts.IntTol {
+			if f <= numtol.MIPIntTol {
 				continue
 			}
 			if f < bestFrac {

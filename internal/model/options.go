@@ -43,25 +43,23 @@ type ColumnStats = mip.ColumnStats
 
 // SolveOptions is the single options struct for every solve in the
 // repository: exact MIP solves (Model.Optimize, core.Built.Solve), the
-// per-iteration subproblems of the greedy algorithm, the admission engine's
-// per-decision solves, and the evaluation sweeps. The zero value means "no
-// limits, silent".
+// per-decision solves of the admission engine and of the greedy algorithm
+// that replays it, and the rounding tier's fallback. The zero value means
+// "no limits, silent".
 //
-// Direct construction is an internal lowering target and deprecated for
-// API consumers: configure solves through the pkg/tvnep facade's functional
-// options (tvnep.WithTimeLimit, tvnep.WithNodeLimit, …), which lower into
-// this struct in exactly one place.
+// Direct construction is an internal lowering target: configure solves
+// through the pkg/tvnep facade's functional options (tvnep.WithTimeLimit,
+// tvnep.WithNodeLimit, …), which lower into this struct in exactly one
+// place, the facade's config. The evaluation sweeps, tvnep-solve and
+// tvnep-serve go through the facade. The direct users that remain measure
+// or demonstrate single layers: the tvnep-bench -json layer entries, the
+// benchmark module and the examples/ programs.
 type SolveOptions struct {
 	// TimeLimit bounds one solve (0 → none). The greedy algorithm applies
 	// it per iteration; sweeps apply it per scenario solve.
 	TimeLimit time.Duration
 	// NodeLimit bounds the branch-and-bound node count (0 → none).
 	NodeLimit int
-	// GapTol is the relative optimality gap at which the search stops
-	// (default 1e-6).
-	GapTol float64
-	// IntTol is the integrality tolerance (default 1e-6).
-	IntTol float64
 	// HeuristicEvery runs the rounding heuristic at the root and at every
 	// k-th node thereafter (0 → the default of 50; a negative value
 	// disables the heuristic entirely, including at the root).
@@ -75,9 +73,6 @@ type SolveOptions struct {
 	// Progress, when non-nil, receives per-solve progress snapshots
 	// (incumbent updates, node counts, LP iteration totals).
 	Progress ProgressFunc
-	// ProgressEvery is the periodic progress interval in nodes (default
-	// 100; < 0 keeps only incumbent callbacks).
-	ProgressEvery int
 	// Seed drives the explicitly seeded sampling of the randomized-rounding
 	// tier (internal/round) and any future randomized component. The exact
 	// branch-and-bound is deterministic by construction and ignores it.
@@ -93,10 +88,7 @@ func (o *SolveOptions) mipOptions() *mip.Options {
 	mo := &mip.Options{
 		TimeLimit:      o.TimeLimit,
 		NodeLimit:      o.NodeLimit,
-		GapTol:         o.GapTol,
-		IntTol:         o.IntTol,
 		HeuristicEvery: o.HeuristicEvery,
-		ProgressEvery:  o.ProgressEvery,
 	}
 	if o.Progress != nil {
 		mo.Progress = o.Progress

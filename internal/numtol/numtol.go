@@ -89,9 +89,11 @@ const (
 	// bound declares an incumbent optimal.
 	MIPGapTol = 1e-6
 
-	// MIPIntTol is the default distance from integrality within which a
-	// relaxation value counts as integral. It must comfortably exceed
-	// LPFeasTol, since basic variable values carry that much noise.
+	// MIPIntTol is the distance from integrality within which a relaxation
+	// value counts as integral. It is not configurable: the branch-and-bound
+	// search, the admission precheck's δ and the admission engine's
+	// integral-LP shortcut all assume this one value. It must comfortably
+	// exceed LPFeasTol, since basic variable values carry that much noise.
 	MIPIntTol = 1e-6
 
 	// PriceRedTol is the minimum improving reduced cost a pooled column must

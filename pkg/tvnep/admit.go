@@ -14,13 +14,6 @@ func (s *Solver) engine() (*admit.Engine, error) {
 			s.engErr = ErrNoHorizon
 			return
 		}
-		if s.cfg.flowMode == core.FlowPath {
-			// The admission tiers (integral-LP shortcut, rounding) all
-			// decompose arc flows; path mode has no incremental
-			// counterpart here.
-			s.engErr = &OptionConflictError{Option: "WithFlowMode(path)", Online: true}
-			return
-		}
 		var eng *admit.Engine
 		eng, s.engErr = admit.New(admit.Config{
 			Sub:             s.sub,
@@ -42,7 +35,8 @@ func (s *Solver) engine() (*admit.Engine, error) {
 // the request is accepted (and its schedule committed, never to change)
 // exactly when a feasible embedding alongside all previously committed
 // requests exists, following objective (21) of the greedy algorithm.
-// mapping pins every virtual node a priori. Requires WithHorizon; decisions
+// mapping pins every virtual node a priori. Every decision is made on arc
+// flows whatever WithFlowMode says. Requires WithHorizon; decisions
 // are made strictly in call order and, under the default node-limit budget,
 // are a pure function of the submission sequence (bit-identical replays).
 func (s *Solver) Admit(ctx context.Context, req *Request, mapping []int) (Decision, error) {

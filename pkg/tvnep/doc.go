@@ -6,7 +6,7 @@
 //
 // The package is a facade: it re-exports the problem-data types (Substrate,
 // Request, NodeMapping, Solution, Scenario) and funnels every solve through
-// one Solver type configured with functional options. Three modes exist:
+// one Solver type configured with functional options. Four modes exist:
 //
 //   - Exact offline solves (Solver.Solve with WithAlgorithm(Exact), the
 //     default): one of the paper's three MIP formulations (Delta, Sigma,
@@ -16,6 +16,9 @@
 //   - The greedy heuristic (WithAlgorithm(Greedy)): the polynomial-time
 //     online algorithm cΣ_A^G for the access-control objective, run as the
 //     admission engine replayed offline in order of earliest start.
+//
+//   - Randomized rounding (WithAlgorithm(Rounding)): the cΣ LP relaxation
+//     rounded into certified integral solutions, with an exact fallback.
 //
 //   - Online admission (Solver.Admit): a long-running streaming engine
 //     that decides each arriving request against the committed system,

@@ -51,8 +51,10 @@ func TestFlowModeFacade(t *testing.T) {
 	}
 }
 
-// TestFlowModeConflicts pins the typed-error contract for every combination
-// path mode does not support.
+// TestFlowModeConflicts pins the typed-error contract for the formulations
+// path mode does not support, and the combinations it does (the algorithms
+// and online admission that decide on arc flows; TestOptionsCompose checks
+// their answers).
 func TestFlowModeConflicts(t *testing.T) {
 	sub := tvnep.Grid(2, 2, 1, 1)
 	cases := []struct {
@@ -61,7 +63,6 @@ func TestFlowModeConflicts(t *testing.T) {
 	}{
 		{"delta", []tvnep.Option{tvnep.WithFormulation(tvnep.Delta), tvnep.WithFlowMode(tvnep.FlowPath)}},
 		{"sigma", []tvnep.Option{tvnep.WithFormulation(tvnep.Sigma), tvnep.WithFlowMode(tvnep.FlowPath)}},
-		{"rounding", []tvnep.Option{tvnep.WithAlgorithm(tvnep.Rounding), tvnep.WithFlowMode(tvnep.FlowPath)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -76,17 +77,15 @@ func TestFlowModeConflicts(t *testing.T) {
 		})
 	}
 
-	// Online admission rejects path mode with the typed error too.
+	// Online admission under path mode decides on arc flows.
 	solver, err := tvnep.New(sub, tvnep.WithFlowMode(tvnep.FlowPath), tvnep.WithHorizon(10))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	req := tvnep.Star("r", 1, false, 0.5, 0.25)
 	req.Duration, req.Earliest, req.Latest = 1, 0, 2
-	_, err = solver.Admit(context.Background(), req, []int{0, 1})
-	var conflict *tvnep.OptionConflictError
-	if !errors.As(err, &conflict) || !conflict.Online {
-		t.Fatalf("Admit under path mode: want an online *OptionConflictError, got %v", err)
+	if d, err := solver.Admit(context.Background(), req, []int{0, 1}); err != nil || !d.Accepted {
+		t.Fatalf("Admit under path mode: accepted=%v err=%v, want an acceptance", d.Accepted, err)
 	}
 
 	// Path mode without a node mapping is a Solve-time error: the builder
@@ -95,9 +94,11 @@ func TestFlowModeConflicts(t *testing.T) {
 		t.Fatal("path-mode Solve without a mapping must fail")
 	}
 
-	// Greedy combines with path mode (it decides on arc flows).
-	if _, err := tvnep.New(sub, tvnep.WithAlgorithm(tvnep.Greedy), tvnep.WithFlowMode(tvnep.FlowPath)); err != nil {
-		t.Fatalf("greedy + path must construct: %v", err)
+	// Greedy and rounding combine with path mode (they decide on arc flows).
+	for _, a := range []tvnep.Algorithm{tvnep.Greedy, tvnep.Rounding} {
+		if _, err := tvnep.New(sub, tvnep.WithAlgorithm(a), tvnep.WithFlowMode(tvnep.FlowPath)); err != nil {
+			t.Fatalf("%v + path must construct: %v", a, err)
+		}
 	}
 }
 

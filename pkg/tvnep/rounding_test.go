@@ -73,9 +73,9 @@ func TestRoundingFacadeDeterministicSeed(t *testing.T) {
 }
 
 // TestRoundingOptionConflicts pins the typed-error contract of the
-// rounding algorithm: it requires the cΣ formulation and refuses an
-// explicit lazy cut pipeline (a bare LP relaxation never separates cuts,
-// so honoring the option would silently change its meaning).
+// rounding algorithm: it requires the cΣ formulation, and it takes every
+// cut mode (under lazy it relaxes the static-cut model, since a bare LP
+// relaxation never separates cuts; TestOptionsCompose checks the answers).
 func TestRoundingOptionConflicts(t *testing.T) {
 	sub := tvnep.Grid(2, 2, 1, 1)
 	cases := []struct {
@@ -89,9 +89,6 @@ func TestRoundingOptionConflicts(t *testing.T) {
 		{"rounding-sigma", []tvnep.Option{
 			tvnep.WithAlgorithm(tvnep.Rounding), tvnep.WithFormulation(tvnep.Sigma),
 		}, "WithAlgorithm(rounding)"},
-		{"rounding-lazy", []tvnep.Option{
-			tvnep.WithAlgorithm(tvnep.Rounding), tvnep.WithCutMode(tvnep.CutLazy),
-		}, "WithCutMode(lazy)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -108,10 +105,10 @@ func TestRoundingOptionConflicts(t *testing.T) {
 			}
 		})
 	}
-	// Rounding with the compatible cut modes must construct.
-	for _, opt := range []tvnep.Option{tvnep.WithCutMode(tvnep.CutStatic), tvnep.WithCutMode(tvnep.CutOff)} {
-		if _, err := tvnep.New(sub, tvnep.WithAlgorithm(tvnep.Rounding), opt); err != nil {
-			t.Fatalf("compatible cut mode refused: %v", err)
+	// Rounding with every cut mode must construct.
+	for _, m := range []tvnep.CutMode{tvnep.CutStatic, tvnep.CutLazy, tvnep.CutOff} {
+		if _, err := tvnep.New(sub, tvnep.WithAlgorithm(tvnep.Rounding), tvnep.WithCutMode(m)); err != nil {
+			t.Fatalf("cut mode %v refused: %v", m, err)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package tvnep
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"tvnep/internal/admit"
@@ -24,6 +25,10 @@ type Result struct {
 	// Nodes and LPIterations count branch-and-bound and simplex work.
 	Nodes        int
 	LPIterations int
+	// BoundFlips and RatioPasses count the long-step dual ratio test's
+	// bound flips and breakpoints walked (exact solves only).
+	BoundFlips  int
+	RatioPasses int
 	// Runtime is the wall-clock solve time.
 	Runtime time.Duration
 	// Cuts summarizes lazy separation (zero without separators).
@@ -76,7 +81,11 @@ type Certificate struct {
 // mode); a nil mapping lets exact models place nodes freely. It returns
 // ErrNoSolution when the limits are exhausted without a feasible solution
 // and *CertificationError when WithCertify is set and a certificate fails.
+// A context already cancelled returns its error before any model is built.
 func (s *Solver) Solve(ctx context.Context, reqs []*Request, mapping NodeMapping) (*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	horizon := s.cfg.horizon
 	if horizon <= 0 {
 		for _, r := range reqs {
@@ -136,6 +145,7 @@ func (s *Solver) solveRounding(ctx context.Context, inst *core.Instance, mapping
 	}
 	res := &Result{
 		Status:       StatusFeasible, // heuristic: feasible, no optimality claim
+		Gap:          math.Inf(1),    // until a solution exists
 		Nodes:        stats.FallbackNodes,
 		LPIterations: stats.LPIterations,
 		Runtime:      stats.Runtime,
@@ -170,6 +180,8 @@ func (s *Solver) solveExact(ctx context.Context, inst *core.Instance, mapping No
 		Gap:          ms.Gap,
 		Nodes:        ms.Nodes,
 		LPIterations: ms.LPIterations,
+		BoundFlips:   ms.BoundFlips,
+		RatioPasses:  ms.RatioPasses,
 		Runtime:      ms.Runtime,
 		Cuts:         ms.Cuts,
 		ColumnStats:  ms.Columns,

@@ -164,8 +164,11 @@ const (
 	// (internal/round): relax, decompose, sample, repair by deferral, and
 	// fall back to exact branch-and-bound only when no sample survives. It
 	// requires a node mapping and the cΣ formulation; every returned
-	// solution has passed the independent certifier. Online admission
-	// (Solver.Admit) uses it as an extra fast tier ahead of the MIP tier.
+	// solution has passed the independent certifier. It relaxes arc flows
+	// whatever WithFlowMode says, and under WithCutMode(lazy) the
+	// static-cut model, since nothing separates cuts in a bare relaxation.
+	// Online admission (Solver.Admit) uses it as an extra fast tier ahead of
+	// the MIP tier.
 	Rounding
 )
 
@@ -184,37 +187,21 @@ func (a Algorithm) String() string {
 }
 
 // OptionConflictError reports an option that does not apply to the
-// configured formulation or algorithm: the cut pipeline and the
-// activity-interval presolve exist in the cΣ-Model only, so requesting
-// them with Δ or Σ is a configuration error, not a silent no-op (and not
-// a stderr warning). Likewise, the rounding algorithm solves only a bare
-// LP relaxation, so options that shape the branch-and-bound cut pipeline
-// (lazy separation) are meaningless with it, and the algorithm itself is
-// cΣ-only.
+// configured formulation or algorithm: the cut pipeline, the path flows and
+// the activity-interval presolve exist in the cΣ-Model only, so requesting
+// them with Δ or Σ is a configuration error, not a silent no-op (and not a
+// stderr warning). Likewise, the rounding algorithm relaxes the cΣ-Model
+// only.
 type OptionConflictError struct {
 	// Option is the conflicting option's name, e.g. "WithCutMode".
 	Option string
-	// Formulation is the formulation the option does not apply to (for
-	// formulation conflicts; Algorithm is Exact then).
+	// Formulation is the formulation the option does not apply to.
 	Formulation Formulation
-	// Algorithm is the algorithm the option does not combine with (for
-	// algorithm conflicts, e.g. WithCutMode(lazy) with Rounding).
-	Algorithm Algorithm
-	// Online is set when the option does not combine with online admission
-	// (Solver.Admit), whose incremental tiers run the arc-flow engine.
-	Online bool
 }
 
 // Error implements error.
 func (e *OptionConflictError) Error() string {
-	if e.Online {
-		return fmt.Sprintf("tvnep: %s does not combine with online admission", e.Option)
-	}
-	if e.Algorithm != Exact {
-		return fmt.Sprintf("tvnep: %s does not combine with the %v algorithm",
-			e.Option, e.Algorithm)
-	}
-	return fmt.Sprintf("tvnep: %s applies to the cΣ model only; the %v model has no such ablation",
+	return fmt.Sprintf("tvnep: %s applies to the cΣ model only; the %v model has no such variant",
 		e.Option, e.Formulation)
 }
 
@@ -251,16 +238,13 @@ type config struct {
 	objective       Objective
 	algorithm       Algorithm
 	cutMode         CutMode
-	cutModeSet      bool
 	flowMode        FlowMode
-	flowModeSet     bool
 	noPresolve      bool
 	loadFraction    float64
 	horizon         float64
 	certify         bool
 	reoptEvery      int
 	solve           model.SolveOptions
-	progressSet     bool
 	conflictingOpts []string // options that require the cΣ formulation
 }
 
@@ -277,9 +261,10 @@ func WithObjective(o Objective) Option {
 	return func(c *config) { c.objective = o }
 }
 
-// WithAlgorithm selects exact or greedy solving (default Exact). Online
-// admission (Solver.Admit) always runs the engine's incremental algorithm
-// and ignores this option.
+// WithAlgorithm selects exact, greedy or rounding solving (default Exact).
+// Online admission (Solver.Admit) always runs the engine's incremental
+// algorithm; Rounding adds the rounding tier to it, the other two leave it
+// as is.
 func WithAlgorithm(a Algorithm) Option {
 	return func(c *config) { c.algorithm = a }
 }
@@ -289,7 +274,6 @@ func WithAlgorithm(a Algorithm) Option {
 func WithCutMode(m CutMode) Option {
 	return func(c *config) {
 		c.cutMode = m
-		c.cutModeSet = true
 		c.conflictingOpts = append(c.conflictingOpts, "WithCutMode")
 	}
 }
@@ -298,18 +282,16 @@ func WithCutMode(m CutMode) Option {
 // Path mode replaces the per-link arc variables and conservation rows with
 // one convexity row per virtual link and path columns priced on demand by a
 // reduced-cost shortest-path pricer; both modes reach the same certified
-// optimum. cΣ only: combining it with Delta or Sigma makes New fail with
-// *OptionConflictError, as do the rounding algorithm and online admission,
-// whose tiers decompose arc flows. The greedy algorithm accepts it and
-// still decides on arc flows: it runs the admission engine, and its
-// decisions do not depend on the flow formulation (both reach the same
-// per-decision optimum; TestGreedyFlowModesAgree). Path mode requires a
-// node mapping at Solve time (path endpoints must be known when the model
-// is built).
+// optimum. It shapes exact solves only: the greedy and rounding algorithms
+// and online admission decide on arc flows whatever it says, since every
+// per-decision model and every rounded relaxation reaches the same optimum
+// in either mode (TestGreedyFlowModesAgree, TestOptionsCompose). cΣ only:
+// combining it with Delta or Sigma makes New fail with
+// *OptionConflictError. Path mode requires a node mapping at Solve time
+// (path endpoints must be known when the model is built).
 func WithFlowMode(m FlowMode) Option {
 	return func(c *config) {
 		c.flowMode = m
-		c.flowModeSet = true
 		c.conflictingOpts = append(c.conflictingOpts, "WithFlowMode")
 	}
 }
@@ -348,12 +330,6 @@ func WithNodeLimit(n int) Option {
 	return func(c *config) { c.solve.NodeLimit = n }
 }
 
-// WithGapTol sets the relative optimality gap at which a search stops
-// (default 1e-6).
-func WithGapTol(g float64) Option {
-	return func(c *config) { c.solve.GapTol = g }
-}
-
 // WithWorkers sets nothing: Solve and Admit run their branch-and-bound
 // search serially, and no Solver method runs a sweep.
 //
@@ -372,10 +348,7 @@ func WithSeed(seed int64) Option {
 
 // WithProgress installs a per-solve progress callback.
 func WithProgress(fn func(Progress)) Option {
-	return func(c *config) {
-		c.solve.Progress = fn
-		c.progressSet = true
-	}
+	return func(c *config) { c.solve.Progress = fn }
 }
 
 // WithCertify re-verifies every result with the independent certifier
@@ -432,22 +405,8 @@ func New(sub *Substrate, opts ...Option) (*Solver, error) {
 		return nil, fmt.Errorf("tvnep: the greedy algorithm supports the %v objective only, not %v",
 			AccessControl, cfg.objective)
 	}
-	if cfg.algorithm == Rounding {
-		if cfg.formulation != CSigma {
-			return nil, &OptionConflictError{Option: "WithAlgorithm(rounding)", Formulation: cfg.formulation}
-		}
-		if cfg.flowMode == FlowPath {
-			// The rounding tier samples from an arc-flow relaxation and its
-			// path decomposition; it has no column-generation loop to price
-			// path variables with.
-			return nil, &OptionConflictError{Option: "WithFlowMode(path)", Algorithm: Rounding}
-		}
-		if cfg.cutModeSet && cfg.cutMode == CutLazy {
-			// Rounding solves a bare relaxation: nothing ever separates
-			// lazy cuts, so the request is a configuration error rather
-			// than a silently weaker relaxation.
-			return nil, &OptionConflictError{Option: "WithCutMode(lazy)", Algorithm: Rounding}
-		}
+	if cfg.algorithm == Rounding && cfg.formulation != CSigma {
+		return nil, &OptionConflictError{Option: "WithAlgorithm(rounding)", Formulation: cfg.formulation}
 	}
 	return &Solver{sub: sub, cfg: cfg}, nil
 }
