@@ -50,7 +50,7 @@ func main() {
 		cutModeF  = flag.String("cutmode", "static", "Constraint-(20) cut pipeline for every cΣ solve of the sweep: static | lazy | off")
 		flowModeF = flag.String("flowmode", "arc", "link-flow formulation for every cΣ solve of the sweep: arc | path (priced path columns)")
 		certFlag  = flag.Bool("certify", false, "certify every sweep solution (solution certificate; for exact solves also the applied-cut, priced-column and root-LP certificates; every acceptance of a stream); exit non-zero on any violation")
-		seedFlag  = flag.Int64("seed", 0, "base seed of the randomized components (rounding tier, admission stream); sweeps are bit-identical per seed")
+		seedFlag  = flag.Int64("seed", 0, "base seed of the randomized rounding sweeps; sweeps are bit-identical per seed")
 		verbose   = flag.Bool("v", false, "print per-solve progress")
 		progFlag  = flag.Bool("progress", false, "stream branch-and-bound progress (incumbents, node counts) to stderr")
 		jsonMode  = flag.Bool("json", false, "run the LP solver micro-benchmarks and write a machine-readable report instead of figures")
@@ -296,7 +296,7 @@ func (t *totals) add(recs ...eval.Record) {
 // certifies the acceptances it committed and the ones a failed certificate
 // downgraded, never a rejection.
 func (t *totals) addStream(r eval.StreamRecord, certify bool) {
-	t.solves += r.LPTier + r.MIPTier
+	t.solves += r.MIPTier
 	t.nodes += r.Nodes
 	t.lpIters += r.LPIters
 	if certify {

@@ -145,8 +145,8 @@ func runReplay(solver *tvnep.Solver, sc *tvnep.Scenario, quiet bool) int {
 		}
 	}
 	s := solver.EngineStats()
-	fmt.Printf("decisions=%d accepted=%d (rate %.3f) tiers: precheck=%d lp=%d (bound rejects %d) rounding=%d mip=%d\n",
-		s.Decisions, s.Accepted, s.AcceptRate(), s.PrecheckTier, s.LPTier, s.BoundRejects, s.RoundingTier, s.MIPTier)
+	fmt.Printf("decisions=%d accepted=%d (rate %.3f) tiers: precheck=%d rounding=%d mip=%d\n",
+		s.Decisions, s.Accepted, s.AcceptRate(), s.PrecheckTier, s.RoundingTier, s.MIPTier)
 	fmt.Printf("latency: p50=%v p99=%v   reopts=%d\n", s.LatencyP50, s.LatencyP99, s.Reopts)
 
 	// Final gate: the cumulative committed solution must pass the

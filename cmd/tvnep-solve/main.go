@@ -188,8 +188,8 @@ func main() {
 	sol := res.Solution
 
 	if gs := res.Greedy; gs != nil {
-		fmt.Printf("algorithm: cΣ_A^G greedy (%d decisions: %d precheck, %d lp, %d mip; %d B&B nodes, %d LP iterations)\n",
-			gs.Decisions, gs.PrecheckTier, gs.LPTier, gs.MIPTier, gs.TotalNodes, gs.TotalLPIters)
+		fmt.Printf("algorithm: cΣ_A^G greedy (%d decisions: %d precheck, %d mip; %d B&B nodes, %d LP iterations)\n",
+			gs.Decisions, gs.PrecheckTier, gs.MIPTier, gs.TotalNodes, gs.TotalLPIters)
 	}
 	if rs := res.Rounding; rs != nil {
 		fmt.Printf("algorithm: randomized rounding (seed %d: %d samples, %d feasible, best #%d, %d repairs, %d repair-rejections)\n",

@@ -10,22 +10,20 @@
 // reroute committed traffic). Greedy lets every decision re-route them, the
 // paper's "link allocations are re-optimized in every iteration".
 //
-// The engine is built around three cost tiers per admission:
+// An admission is decided in one of two ways:
 //
-//  1. a residual-capacity window precheck that rejects, without a model,
-//     a request whose hosts stay full: the committed node load, each
+//  1. a residual-capacity window precheck rejects, without a model, a
+//     request whose hosts stay full: the committed node load, each
 //     committed schedule shrunk by a margin δ that covers the model's
 //     tolerances, leaves no free stretch of its duration anywhere in its
-//     window (on an empty substrate: its own demand exceeds a capacity),
-//  2. an LP fast tier that solves the root relaxation through a raw
-//     lp.Instance (keeping the basis and LU factors) and decides
-//     immediately when the relaxation is integral, or when its bound
-//     rules out acceptance: every acceptance scores at least 2T − t^e
-//     under objective (21), so a lower root bound proves the rejection,
-//  3. a full branch-and-bound solve otherwise, which starts from the
-//     tier-2 root: the search takes the solved instance over and adopts
-//     its root relaxation, basis and factors instead of compiling and
-//     solving the same LP a second time.
+//     window (on an empty substrate: its own demand exceeds a capacity);
+//  2. otherwise one branch-and-bound search decides it, on an instance
+//     compiled into storage the engine recycles. Its root node decides
+//     an integral root relaxation without branching.
+//
+// With Config.Rounding, an opt-in rounding tier solves the root relaxation
+// first and tries to place the request by rounding it; only what it cannot
+// place goes on to the search.
 //
 // Decisions are deterministic: admissions are serialized, the per-decision
 // branch-and-bound search is deterministic (internal/mip), and the default
@@ -45,7 +43,6 @@ import (
 
 	"tvnep/internal/certify"
 	"tvnep/internal/core"
-	"tvnep/internal/linalg/sparselu"
 	"tvnep/internal/lp"
 	"tvnep/internal/model"
 	"tvnep/internal/numtol"
@@ -68,13 +65,15 @@ const (
 	// TierPrecheck: rejected by the residual-capacity window precheck
 	// (precheckRejects), no model and no solve.
 	TierPrecheck Tier = "precheck"
-	// TierLP: decided by the root LP relaxation, no branch and bound: an
-	// integral relaxation, or a bound that rules out acceptance.
+	// TierLP is never produced.
+	//
+	// Deprecated: it named a root-LP fast tier that the engine no longer
+	// runs; the search now decides those admissions at its root, as TierMIP.
 	TierLP Tier = "lp"
-	// TierRounding: accepted by rounding the fractional LP relaxation
+	// TierRounding: accepted by rounding the root relaxation
 	// (Config.Rounding; only accepts — rejections stay with the MIP tier).
 	TierRounding Tier = "rounding"
-	// TierMIP: decided by a full branch-and-bound solve.
+	// TierMIP: decided by the branch-and-bound search.
 	TierMIP Tier = "mip"
 )
 
@@ -83,9 +82,9 @@ const (
 const roundingSamples = 8
 
 // workspaceSlots is how many idle simplex workspaces an engine keeps
-// between decisions. A decision solves on one workspace throughout: its
-// search evaluates every relaxation on the decision instance. Every idle
-// slot is retained heap.
+// between decisions. A decision solves on one workspace throughout: the
+// rounding tier's relaxation and every relaxation of the search run on the
+// decision instance. Every idle slot is retained heap.
 const workspaceSlots = 2
 
 // Config configures an Engine.
@@ -104,12 +103,12 @@ type Config struct {
 	// DisablePresolve turns the activity-interval state-space reduction off
 	// in the per-decision models (ablations).
 	DisablePresolve bool
-	// Rounding enables the randomized-rounding fast tier between the LP
-	// relaxation and the branch-and-bound: when the relaxation is optimal
-	// but fractional, the engine first tries to round the arriving request
-	// into the committed system (internal/round.AdmitSample). The tier only
-	// ever accepts; anything it cannot place falls through to the exact
-	// solve, so rejections keep their branch-and-bound justification.
+	// Rounding enables the randomized-rounding fast tier before the
+	// branch-and-bound: the engine solves the root relaxation and, when it
+	// is optimal, first tries to round the arriving request into the
+	// committed system (internal/round.AdmitSample). The tier only ever
+	// accepts; anything it cannot place falls through to the exact search,
+	// so rejections keep their branch-and-bound justification.
 	Rounding bool
 	// Seed drives the rounding tier's per-decision sampling (ignored when
 	// Rounding is off). Decisions derive their own seeds from it via
@@ -161,10 +160,11 @@ type DecisionStats struct {
 	// Latency is the wall-clock time of the whole admission.
 	Latency time.Duration
 	// LPIterations counts simplex iterations across all solves of the
-	// admission: fast tier and branch-and-bound search (whose root is the
-	// fast tier's, counted once).
+	// admission: the rounding tier's relaxation, if it ran, and the
+	// branch-and-bound search.
 	LPIterations int
-	// Nodes counts branch-and-bound nodes (0 for precheck/LP decisions).
+	// Nodes counts branch-and-bound nodes (0 for precheck and rounding
+	// decisions).
 	Nodes int
 	// WarmUsed is always false.
 	//
@@ -187,10 +187,8 @@ type Stats struct {
 	Accepted     int
 	Rejected     int
 	PrecheckTier int
-	LPTier       int
 	RoundingTier int
 	MIPTier      int
-	BoundRejects int // LP-tier rejections proved by the root bound (boundRejects)
 	CertFailures int
 	Reopts       int
 	TotalLPIters int
@@ -230,16 +228,13 @@ type Engine struct {
 	// decision's instances draw from and return to (idle simplex
 	// workspaces, compiled LP storage, and the factor buffers, bases and
 	// solution vectors of finished solves), kept for the engine's lifetime;
-	// the buffer holding the fast tier's root factorization, which the MIP
-	// tier's root reads and which never enters the stash; and the last
-	// decision's cΣ model and objective, which the next decision rebuilds
-	// in place.
+	// and the last decision's cΣ model and objective, which the next
+	// decision rebuilds in place.
 	// Nothing a decision returns or the engine commits points into this
 	// storage: Extract and the acceptance copy out.
-	spares  *lp.Workspaces
-	rootFac *sparselu.Factors
-	built   *core.Built
-	obj     model.LinExpr
+	spares *lp.Workspaces
+	built  *core.Built
+	obj    model.LinExpr
 
 	// Per-decision scratch: the committed requests overlapping the arrival
 	// window, and the precheck's load events and blocked starts.
@@ -272,7 +267,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Solve.TimeLimit == 0 && cfg.Solve.NodeLimit == 0 {
 		cfg.Solve.NodeLimit = DefaultNodeLimit
 	}
-	return &Engine{cfg: cfg, spares: lp.NewWorkspaces(workspaceSlots), rootFac: &sparselu.Factors{}}, nil
+	return &Engine{cfg: cfg, spares: lp.NewWorkspaces(workspaceSlots)}, nil
 }
 
 // Horizon returns the engine's planning horizon T.
@@ -492,68 +487,54 @@ type acceptance struct {
 	rerouted [][][]float64
 }
 
-// decide runs the LP fast tier and, when inconclusive, the full
-// branch-and-bound solve over rec and the committed requests overlapping
+// decide runs the rounding tier, when it is on, and otherwise the
+// branch-and-bound search over rec and the committed requests overlapping
 // its window. It returns nil when the request is rejected.
 func (e *Engine) decide(ctx context.Context, rec *record, committed []*record, d *Decision) (*acceptance, error) {
 	b, newIdx := e.model(rec, committed)
 	d.Stats.ActiveSet = newIdx
 
-	// LP fast tier: solve the root relaxation through a raw instance whose
-	// basis and LU factors the MIP tier's search takes over. The instance is
-	// compiled into storage recycled through the engine's spares, and so are
-	// its workspaces. The model is kept for the next decision only while the
+	// Every solve of the decision runs on one instance, compiled into
+	// storage recycled through the engine's spares, and so are its
+	// workspaces. The model is kept for the next decision only while the
 	// spares keep the instance storage compiled from it: both are as large
 	// as the model.
 	inst := e.spares.Compile(b.Model.LP())
-	var lpRes lp.Result
 	defer func() {
-		// Nothing the decision returns or commits points into the root
-		// relaxation: Extract and the acceptance copy out. Its vectors and
-		// basis go back to the spares; its factors, if captured, are rootFac.
-		e.spares.Reuse(lp.Result{X: lpRes.X, Duals: lpRes.Duals, Basis: lpRes.Basis})
 		if !inst.Recycle() {
 			e.built = nil
 		}
 	}()
-	lpRes = inst.Solve(&lp.Options{Context: ctx})
-	d.Stats.LPIterations += lpRes.Iterations
-
-	if boundRejects(lpRes, 2*e.cfg.Horizon-rec.req.Latest) {
-		d.Stats.Tier = TierLP
-		e.stats.BoundRejects++
-		return nil, nil
-	}
 	var sol *solution.Solution
-	if lpRes.Status == lp.StatusOptimal && integral(b.Model, lpRes.X) {
-		d.Stats.Tier = TierLP
-		sol = b.Extract(b.Model.SolutionFromLP(lpRes))
-	} else {
-		if e.cfg.Rounding && lpRes.Status == lp.StatusOptimal {
-			// Rounding fast tier: try to place the arriving request by
-			// rounding the fractional relaxation before paying for a full
-			// branch-and-bound. Accept-only; the per-decision seed is
-			// derived from the arrival index so traces replay identically.
-			if rsol := round.AdmitSample(b, b.Model.SolutionFromLP(lpRes), newIdx,
-				round.MixSeed(e.cfg.Seed, int64(len(e.log))), roundingSamples); rsol != nil {
-				d.Stats.Tier = TierRounding
-				sol = rsol
-			}
+	if e.cfg.Rounding {
+		// Rounding fast tier: try to place the arriving request by rounding
+		// the root relaxation before paying for a branch-and-bound.
+		// Accept-only; the per-decision seed is derived from the arrival
+		// index so traces replay identically. Nothing sol holds points into
+		// the relaxation, so its vectors and basis go back to the spares.
+		rel := inst.Solve(&lp.Options{Context: ctx})
+		d.Stats.LPIterations += rel.Iterations
+		if rel.Status == lp.StatusOptimal {
+			sol = round.AdmitSample(b, b.Model.SolutionFromLP(rel), newIdx,
+				round.MixSeed(e.cfg.Seed, int64(len(e.log))), roundingSamples)
 		}
-		if sol == nil {
-			// The search starts from the fast tier's root: it takes inst
-			// over and adopts lpRes instead of solving the same relaxation
-			// again.
-			d.Stats.Tier = TierMIP
-			inst.CaptureFactors(&lpRes, e.rootFac)
-			ms := b.Model.OptimizeFrom(ctx, &e.cfg.Solve, inst, lpRes)
-			d.Stats.LPIterations += ms.LPIterations
-			d.Stats.Nodes += ms.Nodes
-			if ms.Status == model.StatusCancelled {
-				return nil, ctx.Err()
-			}
-			sol = b.Extract(ms)
+		e.spares.Reuse(lp.Result{X: rel.X, Duals: rel.Duals, Basis: rel.Basis})
+		if sol != nil {
+			d.Stats.Tier = TierRounding
 		}
+	}
+	if sol == nil {
+		d.Stats.Tier = TierMIP
+		ms := b.Model.OptimizeFrom(ctx, &e.cfg.Solve, inst)
+		d.Stats.LPIterations += ms.LPIterations
+		d.Stats.Nodes += ms.Nodes
+		if ms.Status == model.StatusCancelled {
+			return nil, ctx.Err()
+		}
+		sol = b.Extract(ms)
+		// Extract copied out; the search's root vectors, which it never
+		// recycles itself, go back to the spares.
+		e.spares.Reuse(lp.Result{X: ms.RootLP.X, Duals: ms.RootLP.Duals})
 	}
 	if sol == nil || !sol.Accepted[newIdx] {
 		return nil, nil
@@ -646,30 +627,6 @@ func (e *Engine) committedSystem(committed []*record) (*core.Instance, core.Buil
 	}
 }
 
-// boundRejects reports whether the root relaxation proves the arriving
-// request rejected. Objective (21) scores an acceptance T·x_R + (T − t⁻)
-// with x_R = 1 and t⁻ ≤ t^e, so every acceptance scores at least
-// tau = 2T − t^e, and an optimal root bound below tau leaves none. The
-// relative margin ObjTol absorbs the LP's own roundoff; it is wider than
-// MIPIntTol, so an incumbent whose x_R falls a MIPIntTol short of 1, which
-// the search would accept, still scores above it.
-func boundRejects(root lp.Result, tau float64) bool {
-	return root.Status == lp.StatusOptimal && root.Obj < tau-numtol.ObjTol*math.Abs(tau)
-}
-
-// integral reports whether the LP point is integral on every integer column.
-func integral(m *model.Model, x []float64) bool {
-	for j, isInt := range m.IntegerMask() {
-		if !isInt {
-			continue
-		}
-		if frac := math.Abs(x[j] - math.Round(x[j])); frac > numtol.MIPIntTol {
-			return false
-		}
-	}
-	return true
-}
-
 // certifyDecision certifies an accepting decision before it is committed,
 // as an extension of the committed system: the arriving embedding is laid
 // over the committed requests whose schedules overlap it, in arrival order,
@@ -720,8 +677,6 @@ func (e *Engine) observe(d *Decision, began time.Time) {
 	switch d.Stats.Tier {
 	case TierPrecheck:
 		e.stats.PrecheckTier++
-	case TierLP:
-		e.stats.LPTier++
 	case TierRounding:
 		e.stats.RoundingTier++
 	case TierMIP:

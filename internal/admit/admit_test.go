@@ -131,8 +131,8 @@ func TestSnapshotCertifies(t *testing.T) {
 			if tc.reoptEvery > 0 && s.Reopts == 0 {
 				t.Fatal("no re-optimization was committed")
 			}
-			t.Logf("accepted %d/%d, tiers precheck=%d lp=%d mip=%d, reopts=%d",
-				s.Accepted, s.Decisions, s.PrecheckTier, s.LPTier, s.MIPTier, s.Reopts)
+			t.Logf("accepted %d/%d, tiers precheck=%d mip=%d, reopts=%d",
+				s.Accepted, s.Decisions, s.PrecheckTier, s.MIPTier, s.Reopts)
 		})
 	}
 }

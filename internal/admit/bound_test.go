@@ -50,16 +50,25 @@ func decisionDigest(ds []Decision) uint64 {
 
 // TestRejectionBoundKeepsDecisions replays the 4000-request default-preset
 // traces of seeds 3 and 7 (a 1000-request prefix under -short) and compares
-// the digest of every decision against digests recorded from the engine
-// that searched every non-integral rejection with branch and bound: the
-// root-bound rejection must only save work, never change an answer.
+// the digest of every decision against recorded digests. The exact
+// engine's were recorded from an engine that searched every non-integral
+// rejection with branch and bound, without a root-bound rejection: how
+// much work a decision takes must never change its answer. The rounding
+// engine's were recorded from an engine that rounds every optimal root
+// relaxation, integral ones included; it accepts 2,582 and 2,576 requests
+// of the full traces, as many as when integral roots were decided without
+// rounding.
 func TestRejectionBoundKeepsDecisions(t *testing.T) {
+	rounding := Config{Rounding: true, Seed: 5}
 	for _, tc := range []struct {
 		seed        int64
+		cfg         Config
 		full, short uint64
 	}{
-		{3, 0x6f293036e9459870, 0x37026d6e24f5a477},
-		{7, 0x670fd24b60a4439b, 0x030c8979499757ea},
+		{3, Config{}, 0x6f293036e9459870, 0x37026d6e24f5a477},
+		{7, Config{}, 0x670fd24b60a4439b, 0x030c8979499757ea},
+		{3, rounding, 0xdd476779a6f14a2e, 0x91bf512feb84dc6f},
+		{7, rounding, 0x0d0e7863cb62134d, 0x9b10c37275d1ab0d},
 	} {
 		sc := trace(t, 4000, tc.seed)
 		want := tc.full
@@ -67,19 +76,20 @@ func TestRejectionBoundKeepsDecisions(t *testing.T) {
 			sc.Requests, sc.Mapping = sc.Requests[:1000], sc.Mapping[:1000]
 			want = tc.short
 		}
-		eng := replay(t, sc, Config{})
+		eng := replay(t, sc, tc.cfg)
 		got := decisionDigest(eng.Decisions())
 		s := eng.Stats()
-		t.Logf("seed %d, %d decisions: digest %#016x, precheck=%d lp=%d (bound %d) mip=%d, %d LP iterations, %d nodes",
-			tc.seed, s.Decisions, got, s.PrecheckTier, s.LPTier, s.BoundRejects, s.MIPTier, s.TotalLPIters, s.TotalNodes)
+		t.Logf("seed %d rounding=%v, %d decisions: digest %#016x, %d accepted, precheck=%d rounding=%d mip=%d, %d LP iterations, %d nodes",
+			tc.seed, tc.cfg.Rounding, s.Decisions, got, s.Accepted, s.PrecheckTier, s.RoundingTier, s.MIPTier, s.TotalLPIters, s.TotalNodes)
 		if got != want {
-			t.Errorf("seed %d: decision digest %#016x, want %#016x", tc.seed, got, want)
+			t.Errorf("seed %d rounding=%v: decision digest %#016x, want %#016x", tc.seed, tc.cfg.Rounding, got, want)
 		}
 	}
 }
 
 // TestRejectionBoundMargin admits a hand-built request whose root bound
-// lies a chosen distance below tau = 2T − t^e. On a 1×2 grid with node
+// lies a chosen distance below tau = 2T − t^e, the score every acceptance
+// reaches under objective (21). On a 1×2 grid with node
 // capacity 3 and link capacity 5, a committed request holds 4 units of the
 // link from node 0 to node 1 over [0, 4]; the arriving request (duration 2,
 // window [0, 5], so it must overlap) asks for D > 1 units of that link, and
@@ -87,21 +97,19 @@ func TestRejectionBoundKeepsDecisions(t *testing.T) {
 // t⁻ = 2: bound 10/D + 8 against tau = 15 for T = 10. Both requests put 1
 // unit on each node, so node load alone proves nothing and the precheck
 // passes the request on. Choosing D = 10/(7 − gap) puts the bound gap below
-// tau. Twice the margin ObjTol·tau below tau the root rejects at the LP
-// tier; half the margin below, the bound proves nothing and branch and
-// bound has to decide (and rejects: the request does not fit).
+// tau. Twice the margin ObjTol·tau below tau and half the margin below,
+// the branch-and-bound search decides, and rejects: the request does not
+// fit.
 func TestRejectionBoundMargin(t *testing.T) {
 	const T, latest = 10.0, 5.0
 	tau := 2*T - latest
 	margin := numtol.ObjTol * tau
 	for _, tc := range []struct {
-		name   string
-		gap    float64 // tau − root bound, in units of the margin
-		tier   Tier
-		bounds int // Stats.BoundRejects after the admission
+		name string
+		gap  float64 // tau − root bound, in units of the margin
 	}{
-		{"below-margin", 2, TierLP, 1},
-		{"inside-margin", 0.5, TierMIP, 0},
+		{"below-margin", 2},
+		{"inside-margin", 0.5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, err := New(Config{Sub: substrate.Grid(1, 2, 3, 5), Horizon: T})
@@ -125,14 +133,11 @@ func TestRejectionBoundMargin(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d.Accepted || d.Stats.Tier != tc.tier {
-				t.Fatalf("accepted=%v tier=%q, want a rejection at tier %q", d.Accepted, d.Stats.Tier, tc.tier)
+			if d.Accepted || d.Stats.Tier != TierMIP {
+				t.Fatalf("accepted=%v tier=%q, want a rejection at tier %q", d.Accepted, d.Stats.Tier, TierMIP)
 			}
-			if searched := d.Stats.Nodes > 0; searched != (tc.tier == TierMIP) {
-				t.Fatalf("%d branch-and-bound nodes at tier %q", d.Stats.Nodes, d.Stats.Tier)
-			}
-			if s := eng.Stats(); s.BoundRejects != tc.bounds {
-				t.Fatalf("BoundRejects %d, want %d", s.BoundRejects, tc.bounds)
+			if d.Stats.Nodes == 0 {
+				t.Fatalf("rejected at tier %q without a branch-and-bound node", d.Stats.Tier)
 			}
 		})
 	}

@@ -10,8 +10,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"tvnep/internal/certify"
-	"tvnep/internal/lp"
 	"tvnep/internal/model"
 	"tvnep/internal/solution"
 	"tvnep/internal/vnet"
@@ -26,10 +24,10 @@ import (
 // decision built a fresh model and instance. What is left is mostly storage
 // regrown after the stash's size rule dropped it (EXPERIMENTS.md,
 // "Garbage-free branch and bound"). Measured with Go 1.24 on linux/amd64:
-// 83 allocations and 38,386 bytes per decision over decisions 300–399 (87
-// and 46,521 with -tags debugchecks), and 70 and 22,819 over decisions
-// 300–349 in -short mode (73 and 27,904). The bounds leave about 25% over
-// the larger figure of each pair.
+// 85 allocations and 38,745 bytes per decision over decisions 300–399 (89
+// and 46,880 with -tags debugchecks), and 73 and 24,839 over decisions
+// 300–349 in -short mode (75 and 29,924). The bounds leave at least 20%
+// over the larger figure of each pair.
 func TestSteadyStateDecisionAllocs(t *testing.T) {
 	warm, window := 300, 100
 	maxAllocs, maxBytes := 110.0, 58.0*1024
@@ -121,10 +119,7 @@ func sameDecision(a, b Decision) bool {
 // rebuild into the engine's recycled model and instance. Nothing held may
 // change: no decision, committed flow or snapshot may point into storage a
 // later decision reuses. The third configuration runs the rounding
-// heuristic at every node, so the searches dive, and checks the root
-// factors the engine hands its search at every certified acceptance the
-// search decided: after the search they must still equal a fresh capture of
-// the decision's root relaxation, so the search recycled none of them.
+// heuristic at every node, so the searches dive.
 func TestRecycledStorageIsolation(t *testing.T) {
 	for _, cfg := range []Config{
 		{},
@@ -136,24 +131,6 @@ func TestRecycledStorageIsolation(t *testing.T) {
 		eng, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
-		}
-		checked := 0
-		if cfg.Solve.HeuristicEvery != 0 {
-			eng.certified = func(*record, *acceptance, *certify.Report) {
-				if eng.built == nil {
-					return // the decision's storage was dropped, and its model with it
-				}
-				fresh := lp.NewInstance(eng.built.Model.LP())
-				root := fresh.Solve(nil)
-				if integral(eng.built.Model, root.X) {
-					return // decided by the LP tier, which hands no factors on
-				}
-				fresh.CaptureFactors(&root, nil)
-				if !reflect.DeepEqual(root.Factors, eng.rootFac) {
-					t.Fatalf("decision %d: the root factors the engine holds changed during the decision", len(eng.log))
-				}
-				checked++
-			}
 		}
 		var held, copies []Decision
 		admit := func(i int) {
@@ -184,9 +161,6 @@ func TestRecycledStorageIsolation(t *testing.T) {
 			if !sameDecision(d, copies[i]) {
 				t.Fatalf("rounding=%v: the engine's record of decision %d differs from the decision it returned", cfg.Rounding, i)
 			}
-		}
-		if cfg.Solve.HeuristicEvery != 0 && checked < 100 {
-			t.Fatalf("the root factors were checked at only %d acceptances", checked)
 		}
 	}
 }

@@ -35,8 +35,8 @@ func TestRoundingTierEngages(t *testing.T) {
 	if err := solution.Check(inst.Sub, inst.Reqs, sol); err != nil {
 		t.Fatalf("snapshot fails the feasibility checker: %v", err)
 	}
-	t.Logf("tiers precheck=%d lp=%d rounding=%d mip=%d, accepted %d/%d",
-		s.PrecheckTier, s.LPTier, s.RoundingTier, s.MIPTier, s.Accepted, s.Decisions)
+	t.Logf("tiers precheck=%d rounding=%d mip=%d, accepted %d/%d",
+		s.PrecheckTier, s.RoundingTier, s.MIPTier, s.Accepted, s.Decisions)
 }
 
 // TestRoundingTierDeterminism replays one trace with the rounding tier

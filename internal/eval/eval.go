@@ -198,8 +198,8 @@ func (c Config) options(f core.Formulation, horizon float64) []tvnep.Option {
 // opts follow the sweep's own options, so a variant's settings win. A
 // certificate failure is also reported on stderr, so a failing sweep names
 // the defect even when a figure's aggregation hides the record. The result
-// is nil when the solve returned no statistics (cancelled, or a
-// certificate failed).
+// is nil when the solve returned no statistics: a certificate failed, or
+// the context was cancelled before the solve or stopped a heuristic one.
 func (c Config) solve(ctx context.Context, inst *core.Instance, mapping vnet.NodeMapping,
 	rec Record, opts ...tvnep.Option) (Record, *tvnep.Result) {
 	all := append(c.options(rec.Form, inst.Horizon), tvnep.WithObjective(rec.Obj))

@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"strings"
 	"time"
 
 	"tvnep/internal/core"
-	"tvnep/internal/round"
 	"tvnep/internal/stats"
 	"tvnep/pkg/tvnep"
 )
@@ -27,8 +25,8 @@ type StreamRecord struct {
 	// P50 and P99 are quantiles of the per-decision admission latency.
 	P50, P99 time.Duration
 	// Tier usage across the trace.
-	Precheck, LPTier, MIPTier int
-	CertFailures              int
+	Precheck, MIPTier int
+	CertFailures      int
 	// Nodes and LPIters total the trace's branch-and-bound and simplex work.
 	Nodes, LPIters int
 	Runtime        time.Duration
@@ -56,8 +54,7 @@ func (c Config) StreamSweep(ctx context.Context, progress io.Writer) ([]StreamRe
 func (c Config) streamOne(ctx context.Context, key scenKey, log *strings.Builder) (StreamRecord, error) {
 	inst, mapping := c.scenario(key.flex, key.seed)
 	rec := StreamRecord{FlexMin: key.flex, Seed: key.seed}
-	s, err := tvnep.New(inst.Sub, append(c.options(core.CSigma, inst.Horizon),
-		tvnep.WithSeed(round.MixSeed(c.Seed, key.seed, int64(math.Float64bits(key.flex)))))...)
+	s, err := tvnep.New(inst.Sub, c.options(core.CSigma, inst.Horizon)...)
 	if err != nil {
 		return rec, err
 	}
@@ -73,13 +70,13 @@ func (c Config) streamOne(ctx context.Context, key scenKey, log *strings.Builder
 	es := s.EngineStats()
 	rec.Decisions, rec.Accepted, rec.AcceptRate = es.Decisions, es.Accepted, es.AcceptRate()
 	rec.P50, rec.P99 = es.LatencyP50, es.LatencyP99
-	rec.Precheck, rec.LPTier, rec.MIPTier = es.PrecheckTier, es.LPTier, es.MIPTier
+	rec.Precheck, rec.MIPTier = es.PrecheckTier, es.MIPTier
 	rec.CertFailures, rec.Nodes, rec.LPIters = es.CertFailures, es.TotalNodes, es.TotalLPIters
 	rec.Runtime = time.Since(start) //lint:allow nondet -- stream runtime measurement
-	fmt.Fprintf(log, "flex=%3.0f seed=%2d stream n=%d accept=%.2f p50=%s p99=%s tiers=%d/%d/%d\n",
+	fmt.Fprintf(log, "flex=%3.0f seed=%2d stream n=%d accept=%.2f p50=%s p99=%s tiers=%d/%d\n",
 		key.flex, key.seed, rec.Decisions, rec.AcceptRate,
 		rec.P50.Round(time.Microsecond), rec.P99.Round(time.Microsecond),
-		rec.Precheck, rec.LPTier, rec.MIPTier)
+		rec.Precheck, rec.MIPTier)
 	return rec, nil
 }
 

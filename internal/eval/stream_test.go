@@ -19,12 +19,12 @@ func TestStreamSweepDeterministic(t *testing.T) {
 	cfg.Certify = true
 
 	type key struct {
-		flex                      float64
-		seed                      int64
-		decisions, accepted       int
-		precheck, lpTier, mipTier int
-		certFailures              int
-		nodes, lpIters            int
+		flex                float64
+		seed                int64
+		decisions, accepted int
+		precheck, mipTier   int
+		certFailures        int
+		nodes, lpIters      int
 	}
 	run := func(workers int) []key {
 		c := cfg
@@ -55,7 +55,7 @@ func TestStreamSweepDeterministic(t *testing.T) {
 					workers, r.FlexMin, r.Seed, r.P50, r.P99)
 			}
 			out = append(out, key{r.FlexMin, r.Seed, r.Decisions, r.Accepted,
-				r.Precheck, r.LPTier, r.MIPTier, r.CertFailures, r.Nodes, r.LPIters})
+				r.Precheck, r.MIPTier, r.CertFailures, r.Nodes, r.LPIters})
 		}
 		// Only candidate acceptances are certified, never a rejection.
 		if certified >= decisions {

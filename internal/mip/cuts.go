@@ -141,16 +141,14 @@ func (s *searcher) solveSeparated(nd *node) (lp.Result, int) {
 	}
 	cutRounds, priceRounds := 0, 0
 	for {
-		first := root && cutRounds == 0 && priceRounds == 0
-		res, col := s.relax(nd, first)
+		res, col := s.relax(nd)
 		s.iters += res.Iterations
 		s.bflips += res.BoundFlips
 		s.rpasses += res.RatioPasses
-		if first {
+		if root && cutRounds == 0 && priceRounds == 0 {
 			// The root's first relaxation (the root is solved once per
-			// search). The search recycles its factors, and a handed root's
-			// belong to the caller, so the record keeps neither factors nor
-			// basis.
+			// search). The search recycles its factors and basis, so the
+			// record keeps neither.
 			s.root = res
 			s.root.Basis, s.root.Factors = nil, nil
 		}

@@ -31,30 +31,21 @@ type branch struct {
 
 // relax evaluates nd's relaxation on the search's instance, whose bounds
 // applyBounds has set to nd's box, warm-started from nd's basis and
-// factors. first marks the root's first relaxation: when SolveFrom was
-// handed a root, that relaxation is adopted instead of solved, with its LP
-// counters zeroed, since the caller paid for that solve. col is the column
-// a fractional optimum branches on, -1 otherwise.
-func (s *searcher) relax(nd *node, first bool) (res lp.Result, col int) {
-	adopt := first && s.hasHanded
-	if adopt {
-		res = s.handed
-		res.Iterations, res.BoundFlips, res.RatioPasses = 0, 0, 0
-	} else {
-		lpo := lp.Options{Context: s.ctx, WarmBasis: nd.basis, WarmFactors: nd.fac}
-		if s.hasDL {
-			lpo.Deadline = s.deadline
-		}
-		res = s.inst.Solve(&lpo)
+// factors. col is the column a fractional optimum branches on, -1
+// otherwise.
+func (s *searcher) relax(nd *node) (res lp.Result, col int) {
+	lpo := lp.Options{Context: s.ctx, WarmBasis: nd.basis, WarmFactors: nd.fac}
+	if s.hasDL {
+		lpo.Deadline = s.deadline
 	}
+	res = s.inst.Solve(&lpo)
 	if res.Status != lp.StatusOptimal {
 		return res, -1
 	}
 	col = s.fractional(res.X)
 	// Capture the factors only for their readers: the children of a
-	// fractional optimum, and the pricing restart of any optimum. A handed
-	// root comes with the caller's.
-	if !adopt && (s.cols != nil || col >= 0) {
+	// fractional optimum, and the pricing restart of any optimum.
+	if s.cols != nil || col >= 0 {
 		s.inst.CaptureFactors(&res, s.facs.get(s.inst.NumRows()))
 	}
 	return res, col

@@ -26,16 +26,13 @@ import (
 // branched on, separated, priced, rounded or copied into the incumbent.
 // The root's first relaxation is the exception: Result.Root keeps it.
 //
-// When the search draws from an lp.Workspaces stash (SolveFrom with a root
+// When the search draws from an lp.Workspaces stash (SolveFrom with an
 // instance attached to one), the free list outlives the search: it is
 // filled from the stash when it runs dry, and handed back to it, with every
 // buffer the open nodes still hold, when the search ends; bases and vectors
 // go back to the stash as soon as they are done, and the stash hands them
 // to the next solve that produces a result. Without a stash the free list
 // is the search's own, and bases and vectors are left to the collector.
-//
-// What the caller handed in — the root's result, its basis and its factors
-// — belongs to the caller and is never recycled.
 
 // facPool is the search's free list of factor buffers, drawing on stash
 // when it runs dry.
@@ -61,12 +58,12 @@ func (p *facPool) get(m int) *sparselu.Factors {
 
 // recycle returns a warm-start pair whose last reader is done: the factor
 // buffer to the free list and the basis to the stash (see the rules above).
-// nil halves and the caller's handed root are ignored.
+// nil halves are ignored.
 func (s *searcher) recycle(b *lp.Basis, f *sparselu.Factors) {
-	if f != nil && f != s.handed.Factors {
+	if f != nil {
 		s.facs.free = append(s.facs.free, f) //lint:allow hotalloc -- grows once, to the search's peak of live buffers
 	}
-	if b != nil && b != s.handed.Basis {
+	if b != nil {
 		s.facs.stash.Reuse(lp.Result{Basis: b})
 	}
 }

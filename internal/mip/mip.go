@@ -214,10 +214,12 @@ type Result struct {
 	// pricing rounds simply does not use the columns appended after it.
 	AppliedColumns []Column
 	// Root is the root node's first relaxation, over the problem's own rows
-	// and columns before any cut or priced column was appended (with
-	// SolveFrom, the handed root). It is the bound the search started
-	// from, kept so callers can certify it; Basis and Factors are nil. It
-	// is zero-valued when the search stopped before solving the root.
+	// and columns before any cut or priced column was appended. It is the
+	// bound the search started from, kept so callers can certify it; Basis
+	// and Factors are nil. It is zero-valued when the search stopped before
+	// solving the root. The search never recycles its X and Duals: a caller
+	// whose instance draws from an lp.Workspaces source may hand them back
+	// to it once done with them.
 	Root lp.Result
 }
 
@@ -302,31 +304,13 @@ type searcher struct {
 	root lp.Result
 
 	// Recycled storage (see factors.go): the factor buffers' free list and
-	// the stash behind it, the caller's handed root (hasHanded; never
-	// recycled), and the dive heuristic's buffer.
-	facs      facPool
-	handed    lp.Result
-	hasHanded bool
-	diveFac   *sparselu.Factors
+	// the stash behind it, and the dive heuristic's buffer.
+	facs    facPool
+	diveFac *sparselu.Factors
 
 	deadline    time.Time
 	hasDL       bool
 	dlCountdown int // nodes until the next wall-clock deadline check
-}
-
-// Root is a root relaxation the caller has already solved. Inst must be
-// compiled from the problem's LP (lp.NewInstance or lp.Workspaces.Compile)
-// and still carry its construction bounds, and Res must be the result of
-// Inst.Solve with no warm start and its factors captured
-// (Inst.CaptureFactors) — exactly the relaxation the search would otherwise
-// solve itself, so handing it over changes no decision. The search takes
-// Inst over: it sets its column bounds and appends cut rows and priced
-// columns to it, so the caller may only Release or Recycle Inst once the
-// search returns. Res and its factors stay the caller's and are never
-// written.
-type Root struct {
-	Inst *lp.Instance
-	Res  lp.Result
 }
 
 // Solve runs branch and bound. Cancelling ctx stops the search
@@ -339,26 +323,22 @@ func Solve(ctx context.Context, p *Problem, opts *Options) Result {
 	return SolveFrom(ctx, p, opts, nil)
 }
 
-// SolveFrom is Solve starting from an already-solved root relaxation: the
-// search runs on root.Inst instead of compiling and equilibrating the LP
-// again, and commits root.Res as the root node's relaxation instead of
-// solving it again. The root's LP iterations were paid by the caller, so
-// they are not part of Result.LPIterations. When root.Inst draws from an
-// lp.Workspaces source, the search recycles its factor buffers, bases and
-// solution vectors through it (see factors.go). A nil root is Solve.
+// SolveFrom is Solve on an instance the caller compiled from p's LP
+// (lp.NewInstance or lp.Workspaces.Compile) and has not solved. The search
+// takes inst over: it sets its column bounds and appends cut rows and
+// priced columns to it, so the caller may only Release or Recycle inst once
+// the search returns. When inst draws from an lp.Workspaces source, the
+// search recycles its factor buffers, bases and solution vectors through it
+// (see factors.go). A nil inst is Solve: the search compiles its own.
 //
 //det:entry
-func SolveFrom(ctx context.Context, p *Problem, opts *Options, root *Root) Result {
+func SolveFrom(ctx context.Context, p *Problem, opts *Options, inst *lp.Instance) Result {
 	start := time.Now() //lint:allow nondet -- wall-clock Runtime stat only
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	o := opts.withDefaults()
-	var inst *lp.Instance
-	var handed lp.Result
-	if root != nil {
-		inst, handed = root.Inst, root.Res
-	} else {
+	if inst == nil {
 		inst = lp.NewInstance(p.LP)
 	}
 	s := &searcher{
@@ -369,8 +349,6 @@ func SolveFrom(ctx context.Context, p *Problem, opts *Options, root *Root) Resul
 		ctx:          ctx,
 		start:        start,
 		incumbentMin: math.Inf(1),
-		handed:       handed,
-		hasHanded:    root != nil,
 		facs:         facPool{stash: inst.Workspaces()},
 	}
 	n := p.LP.NumCols()

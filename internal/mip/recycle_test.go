@@ -6,28 +6,21 @@ import (
 	"reflect"
 	"testing"
 
-	"tvnep/internal/linalg/sparselu"
 	"tvnep/internal/lp"
 )
 
 // heldCopy is a deep copy of everything a SolveFrom caller still holds once
-// the search returns: the handed root result, its basis and factors, and
-// the search's incumbent (Result.X, with Result.Root's vectors).
+// the search returns: the incumbent (Result.X) and the root relaxation's
+// vectors (Result.Root), which the search never recycles.
 type heldCopy struct {
 	rootX, rootDuals []float64
-	rootBasis        *lp.Basis
-	rootFac          *sparselu.Factors
 	x                []float64
 }
 
-func copyHeld(root lp.Result, res Result) heldCopy {
-	fac := &sparselu.Factors{}
-	root.Factors.CopyInto(fac)
+func copyHeld(res Result) heldCopy {
 	return heldCopy{
-		rootX:     append([]float64(nil), root.X...),
-		rootDuals: append([]float64(nil), root.Duals...),
-		rootBasis: root.Basis.Clone(),
-		rootFac:   fac,
+		rootX:     append([]float64(nil), res.Root.X...),
+		rootDuals: append([]float64(nil), res.Root.Duals...),
 		x:         append([]float64(nil), res.X...),
 	}
 }
@@ -67,20 +60,19 @@ func setPartition(seed int64, k, ncols int) *Problem {
 	return mp
 }
 
-// TestRecyclingKeepsCallerStorage runs handed-root searches through one
-// lp.Workspaces stash, the way the admission engine chains its decisions:
-// multi-node searches, set-partitioning ones among them whose rounding
-// fails at the root so the dive runs. Their node results, bases and factor
-// buffers go back to the stash. After every later search
-// and solve on the same stash has drawn that storage again, nothing a
-// caller still holds may have changed: each handed root's result, basis
-// and factors, its Result.X (the incumbent) and Result.Root.
+// TestRecyclingKeepsCallerStorage runs searches through one lp.Workspaces
+// stash, the way the admission engine chains its decisions: multi-node
+// searches, set-partitioning ones among them whose rounding fails at the
+// root so the dive runs. Each must equal Solve bit for bit. Their node
+// results, bases and factor buffers go back to the stash. After every
+// later search and solve on the same stash has drawn that storage again,
+// nothing a caller still holds may have changed: each search's Result.X
+// (the incumbent) and Result.Root.
 func TestRecyclingKeepsCallerStorage(t *testing.T) {
 	ctx := context.Background()
 	ws := lp.NewWorkspaces(2)
 	type held struct {
 		name string
-		root lp.Result
 		res  Result
 		cp   heldCopy
 	}
@@ -95,27 +87,23 @@ func TestRecyclingKeepsCallerStorage(t *testing.T) {
 		{"multiknapsack-40x12", multiKnapsack(4, 40, 12)},
 		{"partition-3", setPartition(3, 14, 60)},
 	} {
+		o := &Options{HeuristicEvery: 1}
 		inst := ws.Compile(tc.prob.LP)
-		root := inst.Solve(nil)
-		inst.CaptureFactors(&root, nil)
-		res := SolveFrom(ctx, tc.prob, &Options{HeuristicEvery: 1}, &Root{Inst: inst, Res: root})
+		res := SolveFrom(ctx, tc.prob, o, inst)
 		inst.Recycle()
 		if res.Status != StatusOptimal || res.Nodes < 5 {
 			t.Fatalf("%s: status %v after %d nodes; the case no longer searches a tree", tc.name, res.Status, res.Nodes)
 		}
-		all = append(all, held{tc.name, root, res, copyHeld(root, res)})
+		assertBitIdentical(t, tc.name, Solve(ctx, tc.prob, o), res)
+		all = append(all, held{tc.name, res, copyHeld(res)})
 		// A plain solve on the stash draws recycled vectors and bases too.
 		plain := ws.Compile(tc.prob.LP)
 		plain.Solve(nil)
 		plain.Release()
 	}
 	for _, h := range all {
-		got := copyHeld(h.root, h.res)
-		if !reflect.DeepEqual(got, h.cp) {
+		if got := copyHeld(h.res); !reflect.DeepEqual(got, h.cp) {
 			t.Errorf("%s: storage the caller holds changed after later searches on the stash", h.name)
-		}
-		if &h.res.Root.X[0] != &h.root.X[0] {
-			t.Errorf("%s: Result.Root is not the handed root", h.name)
 		}
 	}
 }

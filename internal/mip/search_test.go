@@ -98,9 +98,9 @@ func assertBitIdentical(t *testing.T, name string, base, got Result) {
 	}
 }
 
-// TestParallelDeterminism solves every case cold and again from a
-// caller-solved root (SolveFrom), and requires the second result to be the
-// first bit for bit, minus the root's LP iterations.
+// TestParallelDeterminism solves every case cold and again on instances
+// the caller compiled (SolveFrom), and requires the later results to be
+// the first bit for bit.
 func TestParallelDeterminism(t *testing.T) {
 	cases := []struct {
 		name string
@@ -121,26 +121,24 @@ func TestParallelDeterminism(t *testing.T) {
 			if res.Status != StatusOptimal {
 				t.Fatalf("status %v", res.Status)
 			}
-			assertHandedRoot(t, tc.name, tc.prob, &o, res)
+			assertSolveFrom(t, tc.name, tc.prob, &o, res)
 		})
 	}
 }
 
-// assertHandedRoot solves p again from a root relaxation solved outside the
-// search and requires cold, the same solve without a handed root, with the
-// root's LP iterations taken out.
-func assertHandedRoot(t *testing.T, name string, p *Problem, o *Options, cold Result) {
+// assertSolveFrom solves p again on an unsolved instance compiled by the
+// caller, twice on one workspace stash so the second search draws the
+// storage the first handed back, and requires cold, the same problem's
+// Solve, each time.
+func assertSolveFrom(t *testing.T, name string, p *Problem, o *Options, cold Result) {
 	t.Helper()
-	inst := lp.NewInstance(p.LP)
-	root := inst.Solve(nil)
-	inst.CaptureFactors(&root, nil)
-	if root.Status != lp.StatusOptimal || root.Iterations == 0 {
-		t.Fatalf("%s: root relaxation status %v after %d iterations", name, root.Status, root.Iterations)
+	ws := lp.NewWorkspaces(1)
+	for pass := 0; pass < 2; pass++ {
+		inst := ws.Compile(p.LP)
+		got := SolveFrom(context.Background(), p, o, inst)
+		inst.Recycle()
+		assertBitIdentical(t, name+"/solve-from", cold, got)
 	}
-	got := SolveFrom(context.Background(), p, o, &Root{Inst: inst, Res: root})
-	want := cold
-	want.LPIterations -= root.Iterations
-	assertBitIdentical(t, name+"/handed-root", want, got)
 }
 
 // TestProgressCallbacks pins the progress contract: a periodic callback
@@ -230,22 +228,19 @@ func TestTightTimeLimitStops(t *testing.T) {
 	}
 }
 
-// TestSolveFromRecycledWorkspaces runs handed-root searches whose instances
-// draw their simplex workspaces from one lp.Workspaces source, the way the
+// TestSolveFromRecycledWorkspaces runs searches whose instances draw
+// their simplex workspaces from one lp.Workspaces source, the way the
 // admission engine chains its decisions: a larger search fills the source,
 // then a smaller and a larger one draw the dirty workspaces. Each must be
-// bit-identical to the same search on instances with workspaces of their
-// own.
+// bit-identical to Solve, whose instance has workspaces of its own.
 func TestSolveFromRecycledWorkspaces(t *testing.T) {
 	ctx := context.Background()
 	solveFrom := func(p *Problem, o *Options, ws *lp.Workspaces) Result {
-		inst := lp.NewInstance(p.LP)
-		if ws != nil {
-			inst = ws.Compile(p.LP)
+		if ws == nil {
+			return Solve(ctx, p, o)
 		}
-		root := inst.Solve(nil)
-		inst.CaptureFactors(&root, nil)
-		res := SolveFrom(ctx, p, o, &Root{Inst: inst, Res: root})
+		inst := ws.Compile(p.LP)
+		res := SolveFrom(ctx, p, o, inst)
 		inst.Release()
 		return res
 	}
@@ -271,7 +266,8 @@ func TestSolveFromRecycledWorkspaces(t *testing.T) {
 // TestResultRootIsFirstRelaxation pins Result.Root: the root node's first
 // relaxation over the problem's own rows and columns, even when separation
 // and pricing append rows and columns to the root LP later, with neither
-// basis nor factors attached. With SolveFrom it is the handed root.
+// basis nor factors attached. SolveFrom on a caller-compiled instance
+// returns the same result bit for bit, its root included.
 func TestResultRootIsFirstRelaxation(t *testing.T) {
 	const nFac = 6
 	cases := []struct {
@@ -317,15 +313,13 @@ func TestResultRootIsFirstRelaxation(t *testing.T) {
 			}
 
 			prob, o = tc.build()
-			inst := lp.NewInstance(prob.LP)
-			handed := inst.Solve(nil)
-			inst.CaptureFactors(&handed, nil)
-			from := SolveFrom(context.Background(), prob, o, &Root{Inst: inst, Res: handed})
-			if math.Float64bits(from.Root.Obj) != math.Float64bits(handed.Obj) {
-				t.Errorf("SolveFrom root objective %v, handed root %v", from.Root.Obj, handed.Obj)
+			from := SolveFrom(context.Background(), prob, o, lp.NewWorkspaces(1).Compile(prob.LP))
+			assertBitIdentical(t, tc.name+"/solve-from", res, from)
+			if math.Float64bits(from.Root.Obj) != math.Float64bits(root.Obj) {
+				t.Errorf("SolveFrom root objective %v, Solve's %v", from.Root.Obj, root.Obj)
 			}
 			if from.Root.Factors != nil || from.Root.Basis != nil {
-				t.Error("SolveFrom root result keeps the handed factors or basis")
+				t.Error("SolveFrom root result keeps its factors or basis")
 			}
 		})
 	}

@@ -394,16 +394,14 @@ func (s *Solution) ValueOf(e *LinExpr) float64 {
 // cooperatively (Status == StatusCancelled); a nil ctx is treated as
 // context.Background(). A nil opts solves with the solver defaults.
 func (m *Model) Optimize(ctx context.Context, opts *SolveOptions) *Solution {
-	return m.OptimizeFrom(ctx, opts, nil, lp.Result{})
+	return m.OptimizeFrom(ctx, opts, nil)
 }
 
-// OptimizeFrom is Optimize for callers that already solved the root
-// relaxation through their own instance of LP(): the search takes inst
-// over and starts from root instead of compiling and solving the root again
-// (see mip.Root for the contract inst and root must meet; the caller still
-// Releases or Recycles inst). The returned LPIterations exclude root's. A
-// nil inst is Optimize.
-func (m *Model) OptimizeFrom(ctx context.Context, opts *SolveOptions, inst *lp.Instance, root lp.Result) *Solution {
+// OptimizeFrom is Optimize on an unsolved instance the caller compiled
+// from LP(), so the search draws on the caller's recycled storage (see
+// mip.SolveFrom; the caller still Releases or Recycles inst). A nil inst
+// is Optimize.
+func (m *Model) OptimizeFrom(ctx context.Context, opts *SolveOptions, inst *lp.Instance) *Solution {
 	mp := mip.NewProblem(m.lp)
 	for j, isInt := range m.integer {
 		if isInt {
@@ -423,11 +421,7 @@ func (m *Model) OptimizeFrom(ctx context.Context, opts *SolveOptions, inst *lp.I
 		}
 		mo.Pricers = m.prs
 	}
-	var mr *mip.Root
-	if inst != nil {
-		mr = &mip.Root{Inst: inst, Res: root}
-	}
-	res := mip.SolveFrom(ctx, mp, mo, mr)
+	res := mip.SolveFrom(ctx, mp, mo, inst)
 	return &Solution{
 		Status:         statusFromMIP(res.Status, res.HasSolution),
 		HasSolution:    res.HasSolution,
@@ -449,10 +443,7 @@ func (m *Model) OptimizeFrom(ctx context.Context, opts *SolveOptions, inst *lp.I
 }
 
 // IntegerMask returns the per-column integrality markers (shared slice;
-// treat as read-only). Index it with Var.Index. It exists for callers that
-// drive the raw LP of the model themselves — the admission engine's LP fast
-// tier checks the root relaxation for integrality before deciding whether a
-// branch-and-bound search is needed at all.
+// treat as read-only). Index it with Var.Index.
 func (m *Model) IntegerMask() []bool { return m.integer }
 
 // SolutionFromLP wraps a raw LP result over this model's columns into a
@@ -460,7 +451,7 @@ func (m *Model) IntegerMask() []bool { return m.integer }
 // lp.Instance (to keep the basis and LU factors for warm restarts) can
 // reuse the variable-indexed accessors and extractors. The LP bound is only
 // a bound on the MIP; HasSolution is set for an optimal LP result whether
-// or not it is integral — use IntegerMask to decide that.
+// or not it is integral.
 func (m *Model) SolutionFromLP(res lp.Result) *Solution {
 	sol := &Solution{LPIterations: res.Iterations, BoundFlips: res.BoundFlips, RatioPasses: res.RatioPasses}
 	switch res.Status {

@@ -45,12 +45,10 @@ type StatsResponse struct {
 	Accepted   int     `json:"accepted"`
 	Rejected   int     `json:"rejected"`
 	AcceptRate float64 `json:"accept_rate"`
-	// Decisions per cost tier; the four add up to Decisions.
+	// Decisions per cost tier; the three add up to Decisions.
 	PrecheckTier int   `json:"precheck_tier"`
-	LPTier       int   `json:"lp_tier"`
 	RoundingTier int   `json:"rounding_tier"`
 	MIPTier      int   `json:"mip_tier"`
-	BoundRejects int   `json:"lp_bound_rejects"` // lp_tier rejections proved by the root bound
 	CertFailures int   `json:"cert_failures"`
 	Reopts       int   `json:"reopts"`
 	TotalLPIters int   `json:"total_lp_iterations"`
@@ -161,10 +159,8 @@ func (sv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Rejected:     s.Rejected,
 		AcceptRate:   s.AcceptRate(),
 		PrecheckTier: s.PrecheckTier,
-		LPTier:       s.LPTier,
 		RoundingTier: s.RoundingTier,
 		MIPTier:      s.MIPTier,
-		BoundRejects: s.BoundRejects,
 		CertFailures: s.CertFailures,
 		Reopts:       s.Reopts,
 		TotalLPIters: s.TotalLPIters,

@@ -41,7 +41,7 @@ func serverRoundTrip(t *testing.T, opts ...tvnep.Option) {
 	resp.Body.Close()
 
 	// Stream every request; collect decisions.
-	accepted, lpRejects := 0, 0
+	accepted := 0
 	tiers := map[tvnep.Tier]int{}
 	for i, req := range sc.Requests {
 		body, err := json.Marshal(tvnep.AdmitRequest{
@@ -72,8 +72,6 @@ func serverRoundTrip(t *testing.T, opts ...tvnep.Option) {
 		tiers[d.Tier]++
 		if d.Accepted {
 			accepted++
-		} else if d.Tier == tvnep.TierLP {
-			lpRejects++
 		}
 	}
 	if accepted == 0 {
@@ -94,10 +92,7 @@ func serverRoundTrip(t *testing.T, opts ...tvnep.Option) {
 		t.Fatalf("stats (%d decisions, %d accepted) disagree with stream (%d, %d)",
 			stats.Decisions, stats.Accepted, len(sc.Requests), accepted)
 	}
-	if stats.BoundRejects > lpRejects {
-		t.Fatalf("stats report %d root-bound rejections, the stream %d LP-tier rejections", stats.BoundRejects, lpRejects)
-	}
-	got := map[tvnep.Tier]int{tvnep.TierPrecheck: stats.PrecheckTier, tvnep.TierLP: stats.LPTier,
+	got := map[tvnep.Tier]int{tvnep.TierPrecheck: stats.PrecheckTier,
 		tvnep.TierRounding: stats.RoundingTier, tvnep.TierMIP: stats.MIPTier}
 	for tier, n := range tiers {
 		if got[tier] != n {
@@ -105,7 +100,7 @@ func serverRoundTrip(t *testing.T, opts ...tvnep.Option) {
 		}
 	}
 	t.Logf("streamed tiers %v", tiers)
-	if sum := stats.PrecheckTier + stats.LPTier + stats.RoundingTier + stats.MIPTier; sum != stats.Decisions {
+	if sum := stats.PrecheckTier + stats.RoundingTier + stats.MIPTier; sum != stats.Decisions {
 		t.Errorf("tier counts add up to %d, want %d decisions", sum, stats.Decisions)
 	}
 	if stats.LatencyP99NS <= 0 {

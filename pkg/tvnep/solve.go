@@ -81,7 +81,10 @@ type Certificate struct {
 // mode); a nil mapping lets exact models place nodes freely. It returns
 // ErrNoSolution when the limits are exhausted without a feasible solution
 // and *CertificationError when WithCertify is set and a certificate fails.
-// A context already cancelled returns its error before any model is built.
+// A context already cancelled returns its error and no Result before any
+// model is built. An exact solve that the context stops returns the
+// context's error beside a Result with StatusCancelled and no Solution,
+// whose counters hold the work done until then, as ErrNoSolution does.
 func (s *Solver) Solve(ctx context.Context, reqs []*Request, mapping NodeMapping) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -195,7 +198,7 @@ func (s *Solver) solveExact(ctx context.Context, inst *core.Instance, mapping No
 		},
 	}
 	if ms.Status == model.StatusCancelled {
-		return nil, ctx.Err()
+		return res, ctx.Err()
 	}
 	if sol == nil {
 		return res, ErrNoSolution

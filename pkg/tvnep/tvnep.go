@@ -115,10 +115,12 @@ const (
 	// TierPrecheck: rejected on committed node load by the residual-
 	// capacity window precheck, no model and no solve.
 	TierPrecheck = admit.TierPrecheck
-	// TierLP: decided by the root LP relaxation, no branch and bound: an
-	// integral relaxation, or a bound that rules out acceptance.
+	// TierLP is never produced.
+	//
+	// Deprecated: it named a root-LP fast tier that the engine no longer
+	// runs; the search now decides those admissions at its root, as TierMIP.
 	TierLP = admit.TierLP
-	// TierRounding: accepted by rounding the fractional root relaxation.
+	// TierRounding: accepted by rounding the root relaxation.
 	TierRounding = admit.TierRounding
 	// TierMIP: decided by a full branch-and-bound solve.
 	TierMIP = admit.TierMIP

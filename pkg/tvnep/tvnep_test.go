@@ -192,6 +192,32 @@ func TestAdmitRequiresHorizon(t *testing.T) {
 	}
 }
 
+// TestCancelledSolveKeepsStatistics cancels an exact solve from its first
+// progress callback, which comes after the root relaxation: the solve
+// returns the context's error beside a Result that carries the search's
+// work so far. A context cancelled before the call returns no Result.
+func TestCancelledSolveKeepsStatistics(t *testing.T) {
+	sc := scenario(t, 10, 3)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	solver, err := tvnep.New(sc.Substrate, tvnep.WithHorizon(sc.Horizon),
+		tvnep.WithProgress(func(tvnep.Progress) { cancel() }))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	res, err := solver.Solve(ctx, sc.Requests, sc.Mapping)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled solve returned %v, want context.Canceled", err)
+	}
+	if res == nil || res.Status != tvnep.StatusCancelled || res.Solution != nil || res.LPIterations == 0 {
+		t.Fatalf("cancelled solve returned %+v, want a cancelled Result with its LP iterations", res)
+	}
+	t.Logf("cancelled after %d nodes and %d LP iterations", res.Nodes, res.LPIterations)
+	if res, err := solver.Solve(ctx, sc.Requests, sc.Mapping); res != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("solve under a cancelled context returned (%v, %v), want (nil, context.Canceled)", res, err)
+	}
+}
+
 // TestCertifiedSolve exercises the WithCertify path end to end.
 func TestCertifiedSolve(t *testing.T) {
 	sc := scenario(t, 5, 2)
