@@ -17,9 +17,11 @@
 //     committed schedule shrunk by a margin δ that covers the model's
 //     tolerances, leaves no free stretch of its duration anywhere in its
 //     window (on an empty substrate: its own demand exceeds a capacity);
-//  2. otherwise one branch-and-bound search decides it, on an instance
-//     compiled into storage the engine recycles. Its root node decides
-//     an integral root relaxation without branching.
+//  2. otherwise one branch-and-bound search decides it, on the LP
+//     instance the engine keeps for its lifetime and recompiles for every
+//     decision (lp.Instance.Recompile), so the decision reuses the
+//     storage the earlier ones grew. Its root node decides an integral
+//     root relaxation without branching.
 //
 // With Config.Rounding, an opt-in rounding tier solves the root relaxation
 // first and tries to place the request by rounding it; only what it cannot
@@ -80,12 +82,6 @@ const (
 // roundingSamples is the number of random flow samples the rounding tier
 // tries per admission after the deterministic path mix.
 const roundingSamples = 8
-
-// workspaceSlots is how many idle simplex workspaces an engine keeps
-// between decisions. A decision solves on one workspace throughout: the
-// rounding tier's relaxation and every relaxation of the search run on the
-// decision instance. Every idle slot is retained heap.
-const workspaceSlots = 2
 
 // Config configures an Engine.
 type Config struct {
@@ -224,17 +220,17 @@ type Engine struct {
 	latencies  []float64 // seconds, one per decision
 	sinceReopt int
 
-	// Memory the decisions recycle instead of allocating: the stash every
-	// decision's instances draw from and return to (idle simplex
-	// workspaces, compiled LP storage, and the factor buffers, bases and
-	// solution vectors of finished solves), kept for the engine's lifetime;
-	// and the last decision's cΣ model and objective, which the next
-	// decision rebuilds in place.
-	// Nothing a decision returns or the engine commits points into this
-	// storage: Extract and the acceptance copy out.
-	spares *lp.Workspaces
-	built  *core.Built
-	obj    model.LinExpr
+	// Memory the decisions recycle instead of allocating, kept for the
+	// engine's lifetime: the decision instance, which every decision
+	// recompiles and solves on and which keeps its compiled storage, its
+	// simplex workspace and the factor buffers, bases and solution vectors
+	// of finished solves under its size rule (lp.Instance.Recompile); and
+	// the last decision's cΣ model and objective, which the next decision
+	// rebuilds in place. Nothing a decision returns or the engine commits
+	// points into this storage: Extract and the acceptance copy out.
+	inst  lp.Instance
+	built *core.Built
+	obj   model.LinExpr
 
 	// Per-decision scratch: the committed requests overlapping the arrival
 	// window, and the precheck's load events and blocked starts.
@@ -267,7 +263,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Solve.TimeLimit == 0 && cfg.Solve.NodeLimit == 0 {
 		cfg.Solve.NodeLimit = DefaultNodeLimit
 	}
-	return &Engine{cfg: cfg, spares: lp.NewWorkspaces(workspaceSlots)}, nil
+	return &Engine{cfg: cfg}, nil
 }
 
 // Horizon returns the engine's planning horizon T.
@@ -494,31 +490,24 @@ func (e *Engine) decide(ctx context.Context, rec *record, committed []*record, d
 	b, newIdx := e.model(rec, committed)
 	d.Stats.ActiveSet = newIdx
 
-	// Every solve of the decision runs on one instance, compiled into
-	// storage recycled through the engine's spares, and so are its
-	// workspaces. The model is kept for the next decision only while the
-	// spares keep the instance storage compiled from it: both are as large
-	// as the model.
-	inst := e.spares.Compile(b.Model.LP())
-	defer func() {
-		if !inst.Recycle() {
-			e.built = nil
-		}
-	}()
+	// Every solve of the decision runs on the engine's instance, recompiled
+	// into the storage the earlier decisions left.
+	inst := &e.inst
+	inst.Recompile(b.Model.LP())
 	var sol *solution.Solution
 	if e.cfg.Rounding {
 		// Rounding fast tier: try to place the arriving request by rounding
 		// the root relaxation before paying for a branch-and-bound.
 		// Accept-only; the per-decision seed is derived from the arrival
 		// index so traces replay identically. Nothing sol holds points into
-		// the relaxation, so its vectors and basis go back to the spares.
+		// the relaxation, so its vectors and basis go back to the instance.
 		rel := inst.Solve(&lp.Options{Context: ctx})
 		d.Stats.LPIterations += rel.Iterations
 		if rel.Status == lp.StatusOptimal {
 			sol = round.AdmitSample(b, b.Model.SolutionFromLP(rel), newIdx,
 				round.MixSeed(e.cfg.Seed, int64(len(e.log))), roundingSamples)
 		}
-		e.spares.Reuse(lp.Result{X: rel.X, Duals: rel.Duals, Basis: rel.Basis})
+		inst.Reuse(lp.Result{X: rel.X, Duals: rel.Duals, Basis: rel.Basis})
 		if sol != nil {
 			d.Stats.Tier = TierRounding
 		}
@@ -533,8 +522,8 @@ func (e *Engine) decide(ctx context.Context, rec *record, committed []*record, d
 		}
 		sol = b.Extract(ms)
 		// Extract copied out; the search's root vectors, which it never
-		// recycles itself, go back to the spares.
-		e.spares.Reuse(lp.Result{X: ms.RootLP.X, Duals: ms.RootLP.Duals})
+		// recycles itself, go back to the instance.
+		inst.Reuse(lp.Result{X: ms.RootLP.X, Duals: ms.RootLP.Duals})
 	}
 	if sol == nil || !sol.Accepted[newIdx] {
 		return nil, nil

@@ -17,16 +17,16 @@ import (
 
 // TestSteadyStateDecisionAllocs pins what one admission decision allocates
 // once the engine's recycled storage has grown: the cΣ model is rebuilt
-// and the LP recompiled in place, and the branch and bound runs on the
-// decision's instance and recycles its node results and factor buffers
-// through the engine's stash, so the mean over a window of decisions stays
-// far below the roughly 3,250 objects and 615 kB a decision cost when every
+// and the engine's LP instance recompiled in place, and the branch and
+// bound runs on that instance and recycles its node results and factor
+// buffers through it, so the mean over a window of decisions stays far
+// below the roughly 3,250 objects and 615 kB a decision cost when every
 // decision built a fresh model and instance. What is left is mostly storage
-// regrown after the stash's size rule dropped it (EXPERIMENTS.md,
+// regrown after the instance's size rule dropped it (EXPERIMENTS.md,
 // "Garbage-free branch and bound"). Measured with Go 1.24 on linux/amd64:
-// 85 allocations and 38,745 bytes per decision over decisions 300–399 (89
-// and 46,880 with -tags debugchecks), and 73 and 24,839 over decisions
-// 300–349 in -short mode (75 and 29,924). The bounds leave at least 20%
+// 84 allocations and 35,692 bytes per decision over decisions 300–399 (87
+// and 43,826 with -tags debugchecks), and 70 and 21,422 over decisions
+// 300–349 in -short mode (73 and 26,508). The bounds leave at least 20%
 // over the larger figure of each pair.
 func TestSteadyStateDecisionAllocs(t *testing.T) {
 	warm, window := 300, 100

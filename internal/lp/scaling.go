@@ -97,8 +97,7 @@ func (inst *Instance) equilibrate() {
 	if hi == 0 || hi/lo < scalingSpreadMin {
 		return
 	}
-	w := inst.src
-	rs, cs := fitRoom(inst.rowScale, m, w), fitRoom(inst.colScale, n, w)
+	rs, cs := fitRoom(inst.rowScale, m, inst), fitRoom(inst.colScale, n, inst)
 	inst.rowScale, inst.colScale = rs, cs
 	for i := range rs {
 		rs[i] = 1
@@ -168,7 +167,7 @@ func (inst *Instance) equilibrate() {
 		return
 	}
 	inst.scaled = true
-	inst.colScaleInv = fitRoom(inst.colScaleInv, n, w)
+	inst.colScaleInv = fitRoom(inst.colScaleInv, n, inst)
 	for j := 0; j < n; j++ {
 		inst.colScaleInv[j] = 1 / cs[j] // exact: cs[j] is a power of two
 	}
@@ -182,8 +181,8 @@ func (inst *Instance) equilibrate() {
 	// Scaled row view of the compiled rows for the row-wise consumers
 	// (pivotRow, warm-basis borders). Indices are shared with the Problem;
 	// only the values need scaled copies.
-	inst.baseRowVal = fitRoom(inst.baseRowVal, m, w)
-	back := fitRoom(inst.rowValBack, len(inst.valBack), w)
+	inst.baseRowVal = fitRoom(inst.baseRowVal, m, inst)
+	back := fitRoom(inst.rowValBack, len(inst.valBack), inst)
 	inst.rowValBack = back
 	off := 0
 	for i := 0; i < m; i++ {

@@ -99,7 +99,7 @@ type Instance struct {
 	// Problem); unused when the instance is unscaled.
 	baseRowVal [][]float64
 
-	// Storage a recompilation reuses (see Workspaces.Compile): the backing
+	// Storage a recompilation reuses (see Recompile): the backing
 	// arrays the compiled columns and the scaled row view are carved from,
 	// and the per-column entry counts.
 	idxBack    []int32
@@ -121,14 +121,13 @@ type Instance struct {
 	colScaleInv []float64
 
 	// sv is the instance's simplex workspace, reused across its solves. It
-	// is taken from src (or allocated) on the first solve, resized in place
-	// when AppendRow or AppendColumn change the dimensions, and handed back
-	// to src by Release. nil until the first solve and after Release.
+	// is allocated on the first solve and resized in place when AppendRow,
+	// AppendColumn or Recompile change the dimensions. nil until the first
+	// solve and after Recompile dropped it.
 	sv *solver
-	// src is the caller-owned stash the workspace and result storage are
-	// drawn from and returned to (see Workspaces); nil when the instance
-	// keeps its own.
-	src *Workspaces
+	// spares is the storage the instance recycles across the problems
+	// Recompile compiles into it (see recycle.go).
+	spares spares
 }
 
 // NewInstance compiles p into column-major form and equilibrates it.
@@ -140,8 +139,7 @@ func NewInstance(p *Problem) *Instance {
 
 // compile fills inst with p compiled into column-major form and
 // equilibrated, reusing inst's storage where its capacity allows and
-// growing it with its stash's room otherwise (exactly without a stash);
-// inst is fresh or was handed back by Recycle.
+// growing it with its room otherwise; inst is fresh or being recompiled.
 //
 //hot:path
 func (inst *Instance) compile(p *Problem) {
@@ -152,13 +150,12 @@ func (inst *Instance) compile(p *Problem) {
 	inst.extraIdx, inst.extraVal = inst.extraIdx[:0], inst.extraVal[:0]
 	inst.apRowIdx, inst.apRowVal = nil, nil
 	inst.scaled = false
-	w := inst.src
-	inst.lb, inst.ub = fitRoom(inst.lb, n+m, w), fitRoom(inst.ub, n+m, w)
+	inst.lb, inst.ub = fitRoom(inst.lb, n+m, inst), fitRoom(inst.ub, n+m, inst)
 	copy(inst.lb, p.ColLB)
 	copy(inst.ub, p.ColUB)
 	copy(inst.lb[n:], p.RowLB)
 	copy(inst.ub[n:], p.RowUB)
-	inst.objMin = fitRoom(inst.objMin, n, w)
+	inst.objMin = fitRoom(inst.objMin, n, inst)
 	for j, c := range p.Obj {
 		if inst.negate {
 			c = -c
@@ -166,7 +163,7 @@ func (inst *Instance) compile(p *Problem) {
 		inst.objMin[j] = c
 	}
 	// Transpose rows into columns, carved from one backing array per type.
-	counts := fitRoom(inst.colCount, n, w)
+	counts := fitRoom(inst.colCount, n, inst)
 	inst.colCount = counts
 	nnz := 0
 	for i := 0; i < m; i++ {
@@ -176,8 +173,8 @@ func (inst *Instance) compile(p *Problem) {
 		}
 		nnz += len(idx)
 	}
-	inst.idxBack, inst.valBack = fitRoom(inst.idxBack, nnz, w), fitRoom(inst.valBack, nnz, w)
-	inst.colIdx, inst.colVal = fitRoom(inst.colIdx, n, w), fitRoom(inst.colVal, n, w)
+	inst.idxBack, inst.valBack = fitRoom(inst.idxBack, nnz, inst), fitRoom(inst.valBack, nnz, inst)
+	inst.colIdx, inst.colVal = fitRoom(inst.colIdx, n, inst), fitRoom(inst.colVal, n, inst)
 	off := int32(0)
 	for j, c := range counts {
 		inst.colIdx[j] = inst.idxBack[off : off : off+c]
@@ -196,7 +193,7 @@ func (inst *Instance) compile(p *Problem) {
 
 // CaptureFactors sets res.Factors to a copy of the LU factorization matching
 // res.Basis, where res is the result of the instance's latest Solve (no
-// other Solve or Release may come in between). The copy goes into dst,
+// other Solve or Recompile may come in between). The copy goes into dst,
 // reusing its storage, or into fresh storage when dst is nil; either way the
 // caller owns it and may hand it to any instance's solve as
 // Options.WarmFactors. res.Factors is set to nil, and dst left untouched,
@@ -232,10 +229,10 @@ func (inst *Instance) SetColBounds(j int, lb, ub float64) {
 func (inst *Instance) ColBounds(j int) (lb, ub float64) { return inst.lb[j], inst.ub[j] }
 
 // solver holds the simplex state for solves on one instance: the workspace.
-// It is reused across the instance's solves, resized in place (with
-// headroom) when the instance grows, and can move to another instance
-// through a Workspaces stash, so warm restarts, steady-state iterations and
-// the solves of a stream of short-lived instances allocate no workspace.
+// It is reused across the instance's solves and resized in place (with
+// headroom) when the instance grows or is recompiled, so warm restarts,
+// steady-state iterations and the solves of a stream of short-lived
+// problems allocate no workspace.
 type solver struct {
 	inst *Instance
 	m    int // rows
@@ -357,15 +354,13 @@ func (s *solver) fixedCol(j int) bool {
 }
 
 // newSolver returns the instance's solver, reset for a fresh solve. The
-// workspace is drawn from the instance's Workspaces source (or allocated) on
-// first use and refitted whenever it is new to the instance or AppendRow or
+// workspace is allocated on first use and refitted whenever it is new to
+// the instance, Recompile compiled a new problem, or AppendRow or
 // AppendColumn changed the dimensions; otherwise it is reused as is.
 func newSolver(inst *Instance, opts Options) *solver {
 	s := inst.sv
 	if s == nil {
-		if s = inst.src.take(inst.n + inst.m); s == nil {
-			s = &solver{facWS: sparselu.NewWorkspace()}
-		}
+		s = &solver{facWS: sparselu.NewWorkspace()}
 		inst.sv = s
 	}
 	if s.inst != inst || s.m != inst.m || s.N != inst.n+inst.m {
@@ -416,18 +411,18 @@ func (s *solver) fit(inst *Instance) {
 }
 
 // room returns the capacities the workspace's N- and m-sized slices grow
-// to when they have to grow for inst (see Workspaces.room). Without a stash
-// a first allocation gets no headroom, so instances that never grow pay
-// nothing.
+// to when they have to grow for inst (see Instance.room). On an instance
+// that is never recompiled a first allocation gets no headroom, so
+// instances that never grow pay nothing.
 func (s *solver) room(inst *Instance) (rN, rm int) {
 	N, m := inst.n+inst.m, inst.m
-	if inst.src == nil {
+	if !inst.spares.on {
 		if cap(s.lb) == 0 {
 			return N, m
 		}
 		return N + N/4, m + m/4
 	}
-	return inst.src.room(N), inst.src.room(m)
+	return inst.room(N), inst.room(m)
 }
 
 // fit returns b resized to n zero values, reusing its storage when the
@@ -440,10 +435,10 @@ func fit[T any](b []T, n int) []T {
 	return fitIn(b, n, n+n/4)
 }
 
-// fitRoom is fitIn with the room w gives storage of n entries (see
-// Workspaces.room).
-func fitRoom[T any](b []T, n int, w *Workspaces) []T {
-	return fitIn(b, n, w.room(n))
+// fitRoom is fitIn with the room inst gives storage of n entries (see
+// Instance.room).
+func fitRoom[T any](b []T, n int, inst *Instance) []T {
+	return fitIn(b, n, inst.room(n))
 }
 
 // fitIn returns b resized to n zero values, reusing its storage when the
@@ -524,11 +519,12 @@ func (s *solver) grabFacBuf() *sparselu.Factors {
 }
 
 // spareFacBuf returns the inactive solver-owned factorization buffer,
-// drawing it from the instance's stash (or allocating it) on first use.
+// drawing it from the instance's idle buffers (or allocating it) on first
+// use.
 func (s *solver) spareFacBuf() *sparselu.Factors {
 	next := 1 - s.facCur
 	if s.facBuf[next] == nil {
-		s.facBuf[next] = s.inst.src.Factors(s.m)
+		s.facBuf[next] = s.inst.Factors(s.m)
 	}
 	return s.facBuf[next]
 }
@@ -720,7 +716,7 @@ func (s *solver) pivot(q int, r int, enterVal float64, leaveStat int8) {
 // snapshot extracts a warm-startable basis (all N structural and slack
 // columns, so a later solver of the same instance can adopt it).
 func (s *solver) snapshot() *Basis {
-	b := s.inst.src.basis(s.m, s.N)
+	b := s.inst.basis(s.m, s.N)
 	copy(b.Basic, s.basis)
 	copy(b.Status, s.vstat)
 	return b

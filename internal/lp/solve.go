@@ -218,8 +218,8 @@ func (s *solver) finishOptimal(o Options) Result {
 // result packages the solver state into a Result, removing the
 // equilibration scaling: solutions, duals and objective are reported in the
 // problem's original units (exactly — the scales are powers of two). The
-// vectors and the basis snapshot are drawn from the instance's stash, if
-// any, and every entry is written.
+// vectors and the basis snapshot are drawn from the instance's idle
+// buffers, if any, and every entry is written.
 //
 //hot:path
 func (s *solver) result(status Status) Result {
@@ -231,7 +231,7 @@ func (s *solver) result(status Status) Result {
 		RatioPasses: s.ratioPass,
 	}
 	if status == StatusOptimal {
-		res.X = inst.src.vector(solutionVec, inst.n)
+		res.X = inst.vector(solutionVec, inst.n)
 		for j := 0; j < inst.n; j++ {
 			v := s.colValue(j)
 			if inst.scaled {
@@ -258,7 +258,7 @@ func (s *solver) result(status Status) Result {
 		}
 		res.Obj = obj
 		s.computeDuals()
-		res.Duals = inst.src.vector(dualVec, s.m)
+		res.Duals = inst.vector(dualVec, s.m)
 		if inst.scaled {
 			for i := 0; i < s.m; i++ {
 				res.Duals[i] = s.y[i] * inst.rowScale[i] // y_i = r_i·y'_i, exact

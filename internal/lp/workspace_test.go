@@ -61,99 +61,6 @@ func solveAndCut(inst *Instance, rng *rand.Rand, xstar []float64) (cold, warm Re
 	return cold, warm
 }
 
-// TestRecycledWorkspaceMatchesFresh is the stale-state guard of workspace
-// recycling: a workspace left dirty by a large solve and handed back through
-// Workspaces must give a smaller and then a larger instance exactly the
-// trajectory a fresh workspace gives — same X, objective, duals, iteration
-// count and basis, cold and after a warm restart over appended rows.
-func TestRecycledWorkspaceMatchesFresh(t *testing.T) {
-	w := NewWorkspaces(1)
-	rng := rand.New(rand.NewSource(17))
-	big, bigX := buildRandomLP(rng, 60, 40)
-	inst := w.Compile(big)
-	if _, warm := solveAndCut(inst, rng, bigX); warm.Status != StatusOptimal {
-		t.Fatalf("large warm restart: %v", warm.Status)
-	}
-	sv := inst.sv
-	inst.Release()
-	if inst.sv != nil || len(w.idle) != 1 || w.idle[0] != sv {
-		t.Fatal("Release did not hand the workspace to the source")
-	}
-
-	// The smaller instance stays within the size Release still stashes a
-	// workspace for, so both instances draw the same one.
-	for _, size := range []struct{ n, m int }{{40, 25}, {90, 70}} {
-		p, xstar := buildRandomLP(rng, size.n, size.m)
-		seed := rng.Int63()
-		recycled := w.Compile(p)
-		rc, rw := solveAndCut(recycled, rand.New(rand.NewSource(seed)), xstar)
-		if recycled.sv != sv {
-			t.Fatalf("%dx%d: the instance did not draw the released workspace", size.n, size.m)
-		}
-		fc, fw := solveAndCut(NewInstance(p), rand.New(rand.NewSource(seed)), xstar)
-		assertSameResult(t, "cold", rc, fc)
-		assertSameResult(t, "warm", rw, fw)
-		recycled.Release()
-	}
-}
-
-// TestReleaseKeepsOnlyWhatFits pins when Release stashes a workspace:
-// without a source it stays with its instance; a full source drops the
-// surplus; a workspace grown for a large instance survives a small
-// instance's Release right after, because the source has just seen the
-// large size; and it is dropped once the source has seen only small
-// instances for a while, instead of pinning its peak footprint in the
-// stash.
-func TestReleaseKeepsOnlyWhatFits(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	p, _ := buildRandomLP(rng, 10, 6)
-	inst := NewInstance(p)
-	inst.Solve(nil)
-	sv := inst.sv
-	inst.Release()
-	if inst.sv != sv {
-		t.Fatal("Release without a source dropped the workspace")
-	}
-
-	w := NewWorkspaces(1)
-	a, b := w.Compile(p), w.Compile(p)
-	a.Solve(nil)
-	b.Solve(nil)
-	a.Release()
-	b.Release()
-	if len(w.idle) != 1 {
-		t.Fatalf("a one-slot source holds %d workspaces", len(w.idle))
-	}
-
-	big, _ := buildRandomLP(rng, 100, 60)
-	c := w.Compile(big)
-	c.Solve(nil) // grows the stashed workspace for the large instance
-	c.Release()
-	if len(w.idle) != 1 {
-		t.Fatal("a workspace that fit its instance was not stashed")
-	}
-	a.Solve(nil) // the small instance draws the grown workspace
-	a.Release()
-	if len(w.idle) != 1 {
-		t.Fatal("a small instance dropped the workspace a large one grew just before")
-	}
-	// Each small Release lowers the observed size by 1/peakDecay; the grown
-	// workspace goes once its capacity exceeds twice that, several releases
-	// later.
-	releases := 1
-	for len(w.idle) == 1 {
-		if releases > 4*peakDecay {
-			t.Fatalf("a workspace sized for a much larger instance is still stashed after %d small releases", releases)
-		}
-		a.Solve(nil)
-		a.Release()
-		releases++
-	}
-	if releases < 4 {
-		t.Fatalf("the grown workspace was dropped after only %d small releases", releases)
-	}
-}
-
 // spreadRows multiplies row i of p, coefficients and bounds, by 10^(2·(i mod
 // 5)): the same feasible set with a coefficient spread equilibration acts
 // on.
@@ -236,95 +143,171 @@ func assertSameCompiled(t *testing.T, got, want *Instance) {
 	}
 }
 
-// TestCompileMatchesFresh is the stale-state guard of compiled-storage
-// recycling: storage left with appended rows and columns and a workspace
-// by a large scaled problem, then recompiled for smaller and
-// larger, scaled and unscaled problems, must hold exactly what NewInstance
-// compiles and take exactly its simplex path, cold and after a warm restart
-// over appended rows.
+// TestCompileMatchesFresh is the stale-state guard of recompilation:
+// storage and a workspace left with appended rows and columns by a large
+// scaled problem, then recompiled for smaller and larger, scaled and
+// unscaled problems, must hold exactly what NewInstance compiles and take
+// exactly its simplex path, cold and after a warm restart over appended
+// rows. Recompile must leave the workspace it keeps bound to no problem and
+// holding no warm start, so the next solve refits it and nothing of the
+// previous problem stays reachable. The last row has the dimensions the
+// row before it leaves the workspace at (its two appended rows included):
+// the one shape whose first solve would not refit the workspace by its
+// dimensions alone.
 func TestCompileMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	w := NewWorkspaces(2)
 	big, bigX := buildRandomLP(rng, 90, 70)
 	spreadRows(big)
-	inst := w.Compile(big)
+	var inst Instance
+	inst.Recompile(big)
 	if !inst.scaled {
 		t.Fatal("the spread problem was left unscaled")
 	}
-	solveAndCut(inst, rng, bigX)
+	solveAndCut(&inst, rng, bigX)
 	idxs, vals, lbs, ubs, objs := appendRandomCols(rng, inst.NumRows(), 2)
 	for k := range idxs {
 		inst.AppendColumn(idxs[k], vals[k], lbs[k], ubs[k], objs[k])
 	}
 	inst.Solve(nil)
-	if !inst.Recycle() {
-		t.Fatal("the source dropped the storage of the instance it saw last")
-	}
 
 	for _, tc := range []struct {
 		n, m   int
 		spread bool
-	}{{40, 25, false}, {60, 45, true}, {110, 85, false}, {120, 90, true}} {
+	}{{40, 25, false}, {60, 45, true}, {110, 85, false}, {120, 90, true}, {120, 92, true}} {
 		// buildRandomLP's normal coefficients already need scaling.
 		p, xstar := buildRandomLP(rng, tc.n, tc.m)
 		if !tc.spread {
 			tameRows(p, xstar)
 		}
 		seed := rng.Int63()
-		recycled := w.Compile(p)
-		if recycled != inst {
-			t.Fatalf("%d×%d: Compile did not reuse the recycled storage", tc.m, tc.n)
+		sv := inst.sv
+		inst.Recompile(p)
+		if inst.sv != sv {
+			t.Fatalf("%d×%d: Recompile dropped the workspace of the problem it saw last", tc.m, tc.n)
+		}
+		if sv.inst != nil || sv.fac != nil || sv.preFac != nil || sv.opts.WarmBasis != nil || sv.opts.WarmFactors != nil {
+			t.Fatalf("%d×%d: the kept workspace still holds the previous problem or its warm start", tc.m, tc.n)
 		}
 		fresh := NewInstance(p)
 		if fresh.scaled != tc.spread {
 			t.Fatalf("%d×%d: scaled=%v, want %v", tc.m, tc.n, fresh.scaled, tc.spread)
 		}
-		assertSameCompiled(t, recycled, fresh)
-		rc, rw := solveAndCut(recycled, rand.New(rand.NewSource(seed)), xstar)
+		assertSameCompiled(t, &inst, fresh)
+		rc, rw := solveAndCut(&inst, rand.New(rand.NewSource(seed)), xstar)
 		fc, fw := solveAndCut(fresh, rand.New(rand.NewSource(seed)), xstar)
 		assertSameResult(t, "cold", rc, fc)
 		assertSameResult(t, "warm", rw, fw)
-		if !recycled.Recycle() {
-			t.Fatalf("%d×%d: the source dropped the storage of the instance it saw last", tc.m, tc.n)
-		}
 	}
 }
 
-// TestRecycleKeepsOnlyWhatFits pins when Recycle keeps compiled storage:
-// never without a source; right after a large instance, even from a small
-// one compiled into the large one's storage; and no longer once the source
-// has seen only small instances for a while.
-func TestRecycleKeepsOnlyWhatFits(t *testing.T) {
+// TestRecompileKeepsOnlyWhatFits pins what a recompiled instance keeps
+// across its problems: storage grown for a large problem survives a small
+// one recompiled right after it, because the instance has just seen the
+// large size; it goes once the instance has seen only small problems for a
+// while, instead of pinning its peak footprint, and so do the idle buffers
+// the lowered peak no longer fits; and an instance that is never recompiled
+// keeps nothing.
+func TestRecompileKeepsOnlyWhatFits(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	small, _ := buildRandomLP(rng, 10, 6)
 	big, _ := buildRandomLP(rng, 100, 60)
-	if inst := NewInstance(small); inst.Recycle() {
-		t.Fatal("an instance without a source kept its storage somewhere")
-	}
-	w := NewWorkspaces(1)
-	inst := w.Compile(big)
-	inst.Solve(nil)
-	if !inst.Recycle() {
-		t.Fatal("the source dropped the storage of the only instance it saw")
-	}
-	for releases := 1; ; releases++ {
-		again := w.Compile(small)
-		if again != inst {
-			t.Fatal("Compile did not reuse the kept storage")
-		}
-		again.Solve(nil)
-		if again.Recycle() {
-			if releases > 4*peakDecay {
-				t.Fatalf("storage compiled for a much larger instance is still kept after %d small ones", releases)
+	// grown returns an instance that solved big twice, the result of the
+	// second solve handed back to it.
+	grown := func(t *testing.T) *Instance {
+		inst := &Instance{}
+		for pass := 0; pass < 2; pass++ {
+			inst.Recompile(big)
+			res := inst.Solve(nil)
+			if res.Status != StatusOptimal {
+				t.Fatalf("large problem: %v", res.Status)
 			}
-			continue
+			inst.CaptureFactors(&res, nil)
+			inst.Reuse(res)
 		}
-		if releases < 2 {
-			t.Fatal("a small instance dropped the storage a large one grew just before")
+		sp := inst.spares
+		if len(sp.facs) != 1 || len(sp.bases) != 1 || len(sp.vecs[solutionVec]) != 1 || len(sp.vecs[dualVec]) != 1 {
+			t.Fatal("the instance did not keep a result of the problem it sized itself for")
 		}
-		break
+		return inst
 	}
-	if w.Compile(small) == inst {
-		t.Fatal("Compile reused storage Recycle dropped")
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"small-right-after-large", func(t *testing.T) {
+			inst := grown(t)
+			sv, lbCap := inst.sv, cap(inst.lb)
+			inst.Recompile(small)
+			inst.Solve(nil)
+			if inst.sv != sv || cap(inst.lb) != lbCap {
+				t.Fatal("a small problem dropped the storage a large one grew just before")
+			}
+		}},
+		{"run-of-small", func(t *testing.T) {
+			inst := grown(t)
+			sv, lbCap := inst.sv, cap(inst.lb)
+			// Each small Recompile lowers the peak by 1/peakDecay; the
+			// large storage goes once its capacity exceeds twice that,
+			// several problems later, and the idle buffers as their
+			// capacities stop fitting.
+			for recompiles := 1; ; recompiles++ {
+				if recompiles > 4*peakDecay {
+					t.Fatalf("storage sized for a much larger problem is still kept after %d small ones", recompiles)
+				}
+				inst.Recompile(small)
+				sp := &inst.spares
+				for _, f := range sp.facs {
+					if !sp.fits(f.Cap()) {
+						t.Fatalf("recompile %d: kept a factor buffer of capacity %d over peak %d", recompiles, f.Cap(), sp.peak)
+					}
+				}
+				for _, b := range sp.bases {
+					if !sp.fits(cap(b.Status)) {
+						t.Fatalf("recompile %d: kept a basis of capacity %d over peak %d", recompiles, cap(b.Status), sp.peak)
+					}
+				}
+				for _, vs := range sp.vecs {
+					for _, v := range vs {
+						if !sp.fits(cap(v)) {
+							t.Fatalf("recompile %d: kept a vector of capacity %d over peak %d", recompiles, cap(v), sp.peak)
+						}
+					}
+				}
+				if (inst.sv == sv) != (cap(inst.lb) == lbCap) {
+					t.Fatalf("recompile %d: the workspace and the compiled storage went separately", recompiles)
+				}
+				inst.Solve(nil)
+				if inst.sv != sv {
+					if recompiles < 4 {
+						t.Fatalf("the large storage was dropped after only %d small problems", recompiles)
+					}
+					break
+				}
+			}
+			// The large result's pieces are smaller than the workspace
+			// but still large beside the small problem's.
+			for recompiles := 1; len(inst.spares.facs)+len(inst.spares.bases)+len(inst.spares.vecs[solutionVec])+len(inst.spares.vecs[dualVec]) > 0; recompiles++ {
+				if recompiles > 4*peakDecay {
+					t.Fatalf("idle buffers of a much larger problem are still kept after %d more small ones", recompiles)
+				}
+				inst.Recompile(small)
+				inst.Solve(nil)
+			}
+		}},
+		{"never-recompiled", func(t *testing.T) {
+			inst := NewInstance(big)
+			res := inst.Solve(nil)
+			inst.CaptureFactors(&res, nil)
+			inst.Reuse(res)
+			sp := inst.spares
+			if len(sp.facs)+len(sp.bases)+len(sp.vecs[solutionVec])+len(sp.vecs[dualVec]) != 0 {
+				t.Fatal("an instance that was never recompiled kept storage handed back to it")
+			}
+			if again := inst.Solve(nil); &again.X[0] == &res.X[0] || again.Basis == res.Basis {
+				t.Fatal("a solve on an instance that was never recompiled reused handed-back storage")
+			}
+		}},
+	} {
+		t.Run(tc.name, tc.run)
 	}
 }

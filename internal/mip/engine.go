@@ -46,7 +46,7 @@ func (s *searcher) relax(nd *node) (res lp.Result, col int) {
 	// Capture the factors only for their readers: the children of a
 	// fractional optimum, and the pricing restart of any optimum.
 	if s.cols != nil || col >= 0 {
-		s.inst.CaptureFactors(&res, s.facs.get(s.inst.NumRows()))
+		s.inst.CaptureFactors(&res, s.factors(s.inst.NumRows()))
 	}
 	return res, col
 }

@@ -26,45 +26,39 @@ import (
 // branched on, separated, priced, rounded or copied into the incumbent.
 // The root's first relaxation is the exception: Result.Root keeps it.
 //
-// When the search draws from an lp.Workspaces stash (SolveFrom with an
-// instance attached to one), the free list outlives the search: it is
-// filled from the stash when it runs dry, and handed back to it, with every
+// The free list is filled from the search's instance (lp.Instance.Factors)
+// when it runs dry, and handed back to it (lp.Instance.Reuse), with every
 // buffer the open nodes still hold, when the search ends; bases and vectors
-// go back to the stash as soon as they are done, and the stash hands them
-// to the next solve that produces a result. Without a stash the free list
-// is the search's own, and bases and vectors are left to the collector.
+// go back to the instance as soon as they are done, and the instance hands
+// them to its next solve that produces a result. An instance that
+// Recompile compiles one problem after another into (SolveFrom) keeps them
+// for the next search; one that is never recompiled keeps none, and leaves
+// them to the collector.
 
-// facPool is the search's free list of factor buffers, drawing on stash
-// when it runs dry.
-type facPool struct {
-	free  []*sparselu.Factors
-	stash *lp.Workspaces
-}
-
-// get returns a recycled buffer, or, when the list is empty, the stash's
-// best fit for a basis of dimension m (a new one without a stash). Every
-// capture of one search has about the same dimension, so the list itself
-// needs no fitting.
-func (p *facPool) get(m int) *sparselu.Factors {
-	n := len(p.free)
+// factors returns a buffer from the free list, or, when the list is empty,
+// the instance's best fit for a basis of dimension m. Every capture of one
+// search has about the same dimension, so the list itself needs no
+// fitting.
+func (s *searcher) factors(m int) *sparselu.Factors {
+	n := len(s.facs)
 	if n == 0 {
-		return p.stash.Factors(m)
+		return s.inst.Factors(m)
 	}
-	f := p.free[n-1]
-	p.free[n-1] = nil
-	p.free = p.free[:n-1]
+	f := s.facs[n-1]
+	s.facs[n-1] = nil
+	s.facs = s.facs[:n-1]
 	return f
 }
 
 // recycle returns a warm-start pair whose last reader is done: the factor
-// buffer to the free list and the basis to the stash (see the rules above).
-// nil halves are ignored.
+// buffer to the free list and the basis to the instance (see the rules
+// above). nil halves are ignored.
 func (s *searcher) recycle(b *lp.Basis, f *sparselu.Factors) {
 	if f != nil {
-		s.facs.free = append(s.facs.free, f) //lint:allow hotalloc -- grows once, to the search's peak of live buffers
+		s.facs = append(s.facs, f) //lint:allow hotalloc -- grows once, to the search's peak of live buffers
 	}
 	if b != nil {
-		s.facs.stash.Reuse(lp.Result{Basis: b})
+		s.inst.Reuse(lp.Result{Basis: b})
 	}
 }
 
@@ -74,7 +68,7 @@ func (s *searcher) dropVecs(res lp.Result) {
 	if len(res.X) > 0 && len(s.root.X) > 0 && &res.X[0] == &s.root.X[0] {
 		return
 	}
-	s.facs.stash.Reuse(lp.Result{X: res.X, Duals: res.Duals})
+	s.inst.Reuse(lp.Result{X: res.X, Duals: res.Duals})
 }
 
 // drop hands back a heuristic solve's basis and vectors once the search
@@ -120,7 +114,7 @@ func ownWarm(nd *node) (*lp.Basis, *sparselu.Factors) {
 
 // release ends the search's hold on its recycled storage: the open nodes
 // are retired, so their branches' buffers are done, and the free list and
-// the dive buffer go back to the stash. The search must not solve again.
+// the dive buffer go back to the instance. The search must not solve again.
 func (s *searcher) release() {
 	for _, nd := range s.open {
 		s.retire(nd, nil, nil)
@@ -128,12 +122,9 @@ func (s *searcher) release() {
 	s.open = nil
 	s.recycle(nil, s.diveFac)
 	s.diveFac = nil
-	if s.facs.stash == nil {
-		return
+	for i, f := range s.facs {
+		s.inst.Reuse(lp.Result{Factors: f})
+		s.facs[i] = nil
 	}
-	for i, f := range s.facs.free {
-		s.facs.stash.Reuse(lp.Result{Factors: f})
-		s.facs.free[i] = nil
-	}
-	s.facs.free = s.facs.free[:0]
+	s.facs = s.facs[:0]
 }

@@ -218,8 +218,8 @@ type Result struct {
 	// bound the search started from, kept so callers can certify it; Basis
 	// and Factors are nil. It is zero-valued when the search stopped before
 	// solving the root. The search never recycles its X and Duals: a caller
-	// whose instance draws from an lp.Workspaces source may hand them back
-	// to it once done with them.
+	// of SolveFrom may hand them back to the instance (lp.Instance.Reuse)
+	// once done with them.
 	Root lp.Result
 }
 
@@ -304,8 +304,8 @@ type searcher struct {
 	root lp.Result
 
 	// Recycled storage (see factors.go): the factor buffers' free list and
-	// the stash behind it, and the dive heuristic's buffer.
-	facs    facPool
+	// the dive heuristic's buffer.
+	facs    []*sparselu.Factors
 	diveFac *sparselu.Factors
 
 	deadline    time.Time
@@ -324,12 +324,13 @@ func Solve(ctx context.Context, p *Problem, opts *Options) Result {
 }
 
 // SolveFrom is Solve on an instance the caller compiled from p's LP
-// (lp.NewInstance or lp.Workspaces.Compile) and has not solved. The search
-// takes inst over: it sets its column bounds and appends cut rows and
-// priced columns to it, so the caller may only Release or Recycle inst once
-// the search returns. When inst draws from an lp.Workspaces source, the
-// search recycles its factor buffers, bases and solution vectors through it
-// (see factors.go). A nil inst is Solve: the search compiles its own.
+// (lp.NewInstance or lp.Instance.Recompile) and has not solved since. The
+// search takes inst over: it sets its column bounds and appends cut rows
+// and priced columns to it, so the caller may only Recompile inst once the
+// search returns. The search recycles its factor buffers, bases and
+// solution vectors through inst (see factors.go), which keeps them for its
+// next problem when the caller recompiles it. A nil inst is Solve: the
+// search compiles its own.
 //
 //det:entry
 func SolveFrom(ctx context.Context, p *Problem, opts *Options, inst *lp.Instance) Result {
@@ -349,7 +350,6 @@ func SolveFrom(ctx context.Context, p *Problem, opts *Options, inst *lp.Instance
 		ctx:          ctx,
 		start:        start,
 		incumbentMin: math.Inf(1),
-		facs:         facPool{stash: inst.Workspaces()},
 	}
 	n := p.LP.NumCols()
 	for len(p.Integer) < n {
@@ -684,7 +684,7 @@ func (s *searcher) diveHeuristic(nd *node, res lp.Result) {
 		// pass: a solve has copied its warm factors into its own solver
 		// before it returns, so the capture may overwrite them.
 		if s.diveFac == nil {
-			s.diveFac = s.facs.get(s.inst.NumRows())
+			s.diveFac = s.factors(s.inst.NumRows())
 		}
 		s.inst.CaptureFactors(&hres, s.diveFac)
 		s.drop(prev)

@@ -60,17 +60,17 @@ func setPartition(seed int64, k, ncols int) *Problem {
 	return mp
 }
 
-// TestRecyclingKeepsCallerStorage runs searches through one lp.Workspaces
-// stash, the way the admission engine chains its decisions: multi-node
+// TestRecyclingKeepsCallerStorage runs searches on one recompiled
+// instance, the way the admission engine chains its decisions: multi-node
 // searches, set-partitioning ones among them whose rounding fails at the
 // root so the dive runs. Each must equal Solve bit for bit. Their node
-// results, bases and factor buffers go back to the stash. After every
-// later search and solve on the same stash has drawn that storage again,
-// nothing a caller still holds may have changed: each search's Result.X
-// (the incumbent) and Result.Root.
+// results, bases and factor buffers go back to the instance. After every
+// later search and solve on the same instance has drawn that storage
+// again, nothing a caller still holds may have changed: each search's
+// Result.X (the incumbent) and Result.Root.
 func TestRecyclingKeepsCallerStorage(t *testing.T) {
 	ctx := context.Background()
-	ws := lp.NewWorkspaces(2)
+	var inst lp.Instance
 	type held struct {
 		name string
 		res  Result
@@ -88,22 +88,21 @@ func TestRecyclingKeepsCallerStorage(t *testing.T) {
 		{"partition-3", setPartition(3, 14, 60)},
 	} {
 		o := &Options{HeuristicEvery: 1}
-		inst := ws.Compile(tc.prob.LP)
-		res := SolveFrom(ctx, tc.prob, o, inst)
-		inst.Recycle()
+		inst.Recompile(tc.prob.LP)
+		res := SolveFrom(ctx, tc.prob, o, &inst)
 		if res.Status != StatusOptimal || res.Nodes < 5 {
 			t.Fatalf("%s: status %v after %d nodes; the case no longer searches a tree", tc.name, res.Status, res.Nodes)
 		}
 		assertBitIdentical(t, tc.name, Solve(ctx, tc.prob, o), res)
 		all = append(all, held{tc.name, res, copyHeld(res)})
-		// A plain solve on the stash draws recycled vectors and bases too.
-		plain := ws.Compile(tc.prob.LP)
-		plain.Solve(nil)
-		plain.Release()
+		// A plain solve on the instance draws recycled vectors and bases
+		// too.
+		inst.Recompile(tc.prob.LP)
+		inst.Solve(nil)
 	}
 	for _, h := range all {
 		if got := copyHeld(h.res); !reflect.DeepEqual(got, h.cp) {
-			t.Errorf("%s: storage the caller holds changed after later searches on the stash", h.name)
+			t.Errorf("%s: storage the caller holds changed after later searches on the instance", h.name)
 		}
 	}
 }

@@ -127,16 +127,15 @@ func TestParallelDeterminism(t *testing.T) {
 }
 
 // assertSolveFrom solves p again on an unsolved instance compiled by the
-// caller, twice on one workspace stash so the second search draws the
+// caller, twice on one recompiled instance so the second search draws the
 // storage the first handed back, and requires cold, the same problem's
 // Solve, each time.
 func assertSolveFrom(t *testing.T, name string, p *Problem, o *Options, cold Result) {
 	t.Helper()
-	ws := lp.NewWorkspaces(1)
+	var inst lp.Instance
 	for pass := 0; pass < 2; pass++ {
-		inst := ws.Compile(p.LP)
-		got := SolveFrom(context.Background(), p, o, inst)
-		inst.Recycle()
+		inst.Recompile(p.LP)
+		got := SolveFrom(context.Background(), p, o, &inst)
 		assertBitIdentical(t, name+"/solve-from", cold, got)
 	}
 }
@@ -228,21 +227,19 @@ func TestTightTimeLimitStops(t *testing.T) {
 	}
 }
 
-// TestSolveFromRecycledWorkspaces runs searches whose instances draw
-// their simplex workspaces from one lp.Workspaces source, the way the
-// admission engine chains its decisions: a larger search fills the source,
-// then a smaller and a larger one draw the dirty workspaces. Each must be
-// bit-identical to Solve, whose instance has workspaces of its own.
+// TestSolveFromRecycledWorkspaces runs searches on one instance that each
+// recompiles, the way the admission engine chains its decisions: a larger
+// search grows the instance's workspace, then a smaller and a larger one
+// solve on the dirty workspace. Each must be bit-identical to Solve, whose
+// instance has a workspace of its own.
 func TestSolveFromRecycledWorkspaces(t *testing.T) {
 	ctx := context.Background()
-	solveFrom := func(p *Problem, o *Options, ws *lp.Workspaces) Result {
-		if ws == nil {
+	solveFrom := func(p *Problem, o *Options, inst *lp.Instance) Result {
+		if inst == nil {
 			return Solve(ctx, p, o)
 		}
-		inst := ws.Compile(p.LP)
-		res := SolveFrom(ctx, p, o, inst)
-		inst.Release()
-		return res
+		inst.Recompile(p.LP)
+		return SolveFrom(ctx, p, o, inst)
 	}
 	seq := []struct {
 		name string
@@ -253,13 +250,13 @@ func TestSolveFromRecycledWorkspaces(t *testing.T) {
 		{"multiknapsack-40x12", multiKnapsack(4, 40, 12)},
 	}
 	var o Options
-	ws := lp.NewWorkspaces(2)
+	var inst lp.Instance
 	for _, tc := range seq {
 		want := solveFrom(tc.prob, &o, nil)
 		if want.Status != StatusOptimal {
 			t.Fatalf("%s: status %v", tc.name, want.Status)
 		}
-		assertBitIdentical(t, tc.name+"/recycled", want, solveFrom(tc.prob, &o, ws))
+		assertBitIdentical(t, tc.name+"/recycled", want, solveFrom(tc.prob, &o, &inst))
 	}
 }
 
@@ -313,7 +310,9 @@ func TestResultRootIsFirstRelaxation(t *testing.T) {
 			}
 
 			prob, o = tc.build()
-			from := SolveFrom(context.Background(), prob, o, lp.NewWorkspaces(1).Compile(prob.LP))
+			var inst lp.Instance
+			inst.Recompile(prob.LP)
+			from := SolveFrom(context.Background(), prob, o, &inst)
 			assertBitIdentical(t, tc.name+"/solve-from", res, from)
 			if math.Float64bits(from.Root.Obj) != math.Float64bits(root.Obj) {
 				t.Errorf("SolveFrom root objective %v, Solve's %v", from.Root.Obj, root.Obj)
