@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -309,5 +310,157 @@ func TestRecompileKeepsOnlyWhatFits(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, tc.run)
+	}
+}
+
+// TestRecycledWorkspaceMatchesFresh is the stale-state guard of the storage
+// Reuse hands back: problems solved one after another on one recompiled
+// instance, every result of a problem (its captured factors included)
+// handed back before the next Recompile, must take exactly a fresh
+// instance's simplex path, cold and after a warm restart over appended
+// rows, although their solves draw solution and dual vectors, bases and
+// factor buffers the previous problem left dirty.
+func TestRecycledWorkspaceMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var inst Instance
+	handedX, handedBases := map[*float64]bool{}, map[*Basis]bool{}
+	drawnX, drawnBases := 0, 0
+	for _, size := range []struct{ n, m int }{{60, 40}, {40, 25}, {90, 70}, {60, 40}, {50, 30}} {
+		p, xstar := buildRandomLP(rng, size.n, size.m)
+		seed := rng.Int63()
+		inst.Recompile(p)
+		rc, rw := solveAndCut(&inst, rand.New(rand.NewSource(seed)), xstar)
+		fc, fw := solveAndCut(NewInstance(p), rand.New(rand.NewSource(seed)), xstar)
+		assertSameResult(t, "cold", rc, fc)
+		assertSameResult(t, "warm", rw, fw)
+		for _, r := range []Result{rc, rw} {
+			if len(r.X) > 0 && handedX[&r.X[0]] {
+				drawnX++
+			}
+			if handedBases[r.Basis] {
+				drawnBases++
+			}
+		}
+		for _, r := range []Result{rc, rw} {
+			if len(r.X) > 0 {
+				handedX[&r.X[0]] = true
+			}
+			handedBases[r.Basis] = true
+			inst.Reuse(r)
+		}
+	}
+	if drawnX == 0 || drawnBases == 0 {
+		t.Fatalf("the solves drew %d solution vectors and %d bases handed back, want some of each", drawnX, drawnBases)
+	}
+}
+
+// TestReleaseKeepsOnlyWhatFits pins what becomes of a workspace: an
+// instance that is never recompiled keeps its workspace across its solves;
+// a recompiled instance releases a workspace grown for a wide problem once
+// a run of narrow problems has lowered its peak, but keeps the factor
+// buffers that workspace held, which are sized by the basis dimension, and
+// the next solve's workspace draws them.
+func TestReleaseKeepsOnlyWhatFits(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	wide, _ := buildRandomLP(rng, 200, 6)
+	narrow, _ := buildRandomLP(rng, 10, 6)
+
+	plain := NewInstance(narrow)
+	plain.Solve(nil)
+	sv := plain.sv
+	plain.Solve(nil)
+	if plain.sv != sv {
+		t.Fatal("an instance that was never recompiled dropped its workspace")
+	}
+
+	var inst Instance
+	inst.Recompile(wide)
+	inst.Solve(nil)
+	sv = inst.sv
+	for recompiles := 1; ; recompiles++ {
+		if recompiles > 4*peakDecay {
+			t.Fatalf("a workspace grown for a wide problem is still kept after %d narrow ones", recompiles)
+		}
+		held := sv.facBuf
+		inst.Recompile(narrow)
+		if inst.sv == sv {
+			inst.Solve(nil)
+			continue
+		}
+		if recompiles < 4 {
+			t.Fatalf("the wide problem's workspace was released after only %d narrow problems", recompiles)
+		}
+		released := 0
+		for _, f := range held {
+			if f == nil {
+				continue
+			}
+			released++
+			if !slices.Contains(inst.spares.facs, f) {
+				t.Fatal("Recompile dropped a factor buffer of the workspace it released, though the buffer fits")
+			}
+		}
+		if released == 0 {
+			t.Fatal("the released workspace held no factor buffer")
+		}
+		inst.Solve(nil)
+		if inst.sv.facBuf[0] != held[0] && inst.sv.facBuf[0] != held[1] {
+			t.Fatal("the next workspace did not draw a factor buffer of the released one")
+		}
+		return
+	}
+}
+
+// TestRecycleKeepsOnlyWhatFits pins how Recompile reuses compiled storage:
+// an instance that is never recompiled sizes it exactly; a recompiled one
+// gives it a sixteenth of headroom and compiles the next problem, a little
+// larger or, right after a large one, a small one, into the same arrays;
+// and storage it dropped once its peak fell is replaced by storage sized
+// for the problem at hand.
+func TestRecycleKeepsOnlyWhatFits(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	p, _ := buildRandomLP(rng, 40, 25)
+	wider, _ := buildRandomLP(rng, 42, 25)
+	small, _ := buildRandomLP(rng, 10, 6)
+	big, _ := buildRandomLP(rng, 100, 60)
+	size := func(inst *Instance) int { return inst.n + inst.m }
+
+	if fresh := NewInstance(p); cap(fresh.lb) != size(fresh) {
+		t.Fatalf("an instance that was never recompiled holds %d entries for %d", cap(fresh.lb), size(fresh))
+	}
+	var inst Instance
+	inst.Recompile(p)
+	if k := size(&inst); cap(inst.lb) != k+k/16 {
+		t.Fatalf("a recompiled instance holds %d entries for %d, want a sixteenth of headroom", cap(inst.lb), k)
+	}
+	inst.Solve(nil)
+	lb := &inst.lb[0]
+	if wider.NumCols()+wider.NumRows() > cap(inst.lb) {
+		t.Fatal("the wider problem does not fit the headroom")
+	}
+	inst.Recompile(wider)
+	if &inst.lb[0] != lb {
+		t.Fatal("a slightly larger problem was not compiled into the same storage")
+	}
+
+	inst.Recompile(big)
+	inst.Solve(nil)
+	lb = &inst.lb[0]
+	for recompiles := 1; ; recompiles++ {
+		if recompiles > 4*peakDecay {
+			t.Fatalf("storage compiled for a much larger problem is still kept after %d small ones", recompiles)
+		}
+		inst.Recompile(small)
+		if &inst.lb[0] == lb {
+			inst.Solve(nil)
+			continue
+		}
+		if recompiles < 2 {
+			t.Fatal("a small problem dropped the storage a large one grew just before")
+		}
+		if k := size(&inst); cap(inst.lb) != k+k/16 {
+			t.Fatalf("storage replacing dropped storage holds %d entries for %d", cap(inst.lb), k)
+		}
+		return
 	}
 }
