@@ -258,10 +258,10 @@ func main() {
 
 // totals sums the solver activity of the records a run printed.
 type totals struct {
-	solves, optimal, cancelled, nodes, lpIters int
-	boundFlips, ratioPasses                    int
-	certified, certifyFailed                   int // certificates run, and failed
-	cuts                                       model.CutStats
+	solves, optimal, cancelled int
+	model.Work
+	certified, certifyFailed int // certificates run, and failed
+	cuts                     model.CutStats
 }
 
 func (t *totals) add(recs ...eval.Record) {
@@ -273,10 +273,7 @@ func (t *totals) add(recs ...eval.Record) {
 		if r.Cancelled {
 			t.cancelled++
 		}
-		t.nodes += r.Nodes
-		t.lpIters += r.LPIters
-		t.boundFlips += r.BoundFlips
-		t.ratioPasses += r.RatioPasses
+		t.Add(r.Work)
 		if r.Certified || r.CertFailed {
 			t.certified++
 		}
@@ -297,8 +294,7 @@ func (t *totals) add(recs ...eval.Record) {
 // downgraded, never a rejection.
 func (t *totals) addStream(r eval.StreamRecord, certify bool) {
 	t.solves += r.MIPTier
-	t.nodes += r.Nodes
-	t.lpIters += r.LPIters
+	t.Add(r.Work)
 	if certify {
 		t.certified += r.Accepted + r.CertFailures
 		t.certifyFailed += r.CertFailures
@@ -308,9 +304,9 @@ func (t *totals) addStream(r eval.StreamRecord, certify bool) {
 // String renders the one-line summary.
 func (t totals) String() string {
 	s := fmt.Sprintf("solves=%d optimal=%d cancelled=%d nodes=%d lp_iters=%d",
-		t.solves, t.optimal, t.cancelled, t.nodes, t.lpIters)
-	if t.boundFlips > 0 || t.ratioPasses > 0 {
-		s += fmt.Sprintf(" bound_flips=%d ratio_passes=%d", t.boundFlips, t.ratioPasses)
+		t.solves, t.optimal, t.cancelled, t.Nodes, t.LPIterations)
+	if t.BoundFlips > 0 || t.RatioPasses > 0 {
+		s += fmt.Sprintf(" bound_flips=%d ratio_passes=%d", t.BoundFlips, t.RatioPasses)
 	}
 	if t.certified > 0 {
 		s += fmt.Sprintf(" certified=%d certify_failed=%d", t.certified, t.certifyFailed)

@@ -36,7 +36,7 @@ func main() {
 		horizon  = flag.Float64("horizon", 48, "planning horizon T in hours (without -scenario)")
 		cutMode  = flag.String("cutmode", "static", "Constraint-(20) cut pipeline: static | lazy | off")
 		nodeLim  = flag.Int("nodelimit", 0, "branch-and-bound node budget per decision (0 → engine default; keeps replays deterministic)")
-		algoName = flag.String("algorithm", "exact", "admission fast-tier mode: exact (LP → MIP) | rounding (LP → randomized rounding → MIP)")
+		algoName = flag.String("algorithm", "exact", "admission fast-tier mode: exact (precheck → MIP) | rounding (precheck → rounded root LP → MIP)")
 		seed     = flag.Int64("seed", 0, "seed for the rounding tier's sampler (replays are bit-identical per seed)")
 		certify  = flag.Bool("certify", false, "independently certify every accepting decision before committing it")
 		reopt    = flag.Int("reopt", 0, "re-optimize committed link allocations after every n-th acceptance (0 → never)")

@@ -189,7 +189,7 @@ func main() {
 
 	if gs := res.Greedy; gs != nil {
 		fmt.Printf("algorithm: cΣ_A^G greedy (%d decisions: %d precheck, %d mip; %d B&B nodes, %d LP iterations)\n",
-			gs.Decisions, gs.PrecheckTier, gs.MIPTier, gs.TotalNodes, gs.TotalLPIters)
+			gs.Decisions, gs.PrecheckTier, gs.MIPTier, gs.Nodes, gs.LPIterations)
 	}
 	if rs := res.Rounding; rs != nil {
 		fmt.Printf("algorithm: randomized rounding (seed %d: %d samples, %d feasible, best #%d, %d repairs, %d repair-rejections)\n",

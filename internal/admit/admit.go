@@ -46,6 +46,7 @@ import (
 	"tvnep/internal/certify"
 	"tvnep/internal/core"
 	"tvnep/internal/lp"
+	"tvnep/internal/mip"
 	"tvnep/internal/model"
 	"tvnep/internal/numtol"
 	"tvnep/internal/round"
@@ -155,13 +156,11 @@ type DecisionStats struct {
 	Tier Tier
 	// Latency is the wall-clock time of the whole admission.
 	Latency time.Duration
-	// LPIterations counts simplex iterations across all solves of the
-	// admission: the rounding tier's relaxation, if it ran, and the
-	// branch-and-bound search.
-	LPIterations int
-	// Nodes counts branch-and-bound nodes (0 for precheck and rounding
+	// Work counts the LP work of every solve of the admission (the
+	// rounding tier's relaxation, if it ran, and the branch-and-bound
+	// search) and the search's nodes (0 for precheck and rounding
 	// decisions).
-	Nodes int
+	model.Work
 	// WarmUsed is always false.
 	//
 	// Deprecated: it reported the warm restart that pinned each decision
@@ -187,8 +186,8 @@ type Stats struct {
 	MIPTier      int
 	CertFailures int
 	Reopts       int
-	TotalLPIters int
-	TotalNodes   int
+	// Work totals the decisions' work and that of the re-optimizations.
+	model.Work
 	// LatencyP50 and LatencyP99 summarize per-decision latency.
 	LatencyP50, LatencyP99 time.Duration
 }
@@ -502,7 +501,7 @@ func (e *Engine) decide(ctx context.Context, rec *record, committed []*record, d
 		// index so traces replay identically. Nothing sol holds points into
 		// the relaxation, so its vectors and basis go back to the instance.
 		rel := inst.Solve(&lp.Options{Context: ctx})
-		d.Stats.LPIterations += rel.Iterations
+		d.Stats.Add(mip.LPWork(&rel))
 		if rel.Status == lp.StatusOptimal {
 			sol = round.AdmitSample(b, b.Model.SolutionFromLP(rel), newIdx,
 				round.MixSeed(e.cfg.Seed, int64(len(e.log))), roundingSamples)
@@ -515,15 +514,14 @@ func (e *Engine) decide(ctx context.Context, rec *record, committed []*record, d
 	if sol == nil {
 		d.Stats.Tier = TierMIP
 		ms := b.Model.OptimizeFrom(ctx, &e.cfg.Solve, inst)
-		d.Stats.LPIterations += ms.LPIterations
-		d.Stats.Nodes += ms.Nodes
+		d.Stats.Add(ms.Work)
 		if ms.Status == model.StatusCancelled {
 			return nil, ctx.Err()
 		}
 		sol = b.Extract(ms)
 		// Extract copied out; the search's root vectors, which it never
 		// recycles itself, go back to the instance.
-		inst.Reuse(lp.Result{X: ms.RootLP.X, Duals: ms.RootLP.Duals})
+		inst.Reuse(lp.Result{X: ms.Root.X, Duals: ms.Root.Duals})
 	}
 	if sol == nil || !sol.Accepted[newIdx] {
 		return nil, nil
@@ -671,8 +669,7 @@ func (e *Engine) observe(d *Decision, began time.Time) {
 	case TierMIP:
 		e.stats.MIPTier++
 	}
-	e.stats.TotalLPIters += d.Stats.LPIterations
-	e.stats.TotalNodes += d.Stats.Nodes
+	e.stats.Add(d.Stats.Work)
 	e.latencies = append(e.latencies, d.Stats.Latency.Seconds())
 }
 
@@ -688,8 +685,7 @@ func (e *Engine) reoptimize(ctx context.Context) {
 	inst, opts := e.committedSystem(e.active)
 	b := core.BuildCSigma(inst, opts)
 	sol, ms := b.Solve(ctx, &e.cfg.Solve)
-	e.stats.TotalLPIters += ms.LPIterations
-	e.stats.TotalNodes += ms.Nodes
+	e.stats.Add(ms.Work)
 	if sol == nil {
 		return
 	}

@@ -80,7 +80,7 @@ func TestRejectionBoundKeepsDecisions(t *testing.T) {
 		got := decisionDigest(eng.Decisions())
 		s := eng.Stats()
 		t.Logf("seed %d rounding=%v, %d decisions: digest %#016x, %d accepted, precheck=%d rounding=%d mip=%d, %d LP iterations, %d nodes",
-			tc.seed, tc.cfg.Rounding, s.Decisions, got, s.Accepted, s.PrecheckTier, s.RoundingTier, s.MIPTier, s.TotalLPIters, s.TotalNodes)
+			tc.seed, tc.cfg.Rounding, s.Decisions, got, s.Accepted, s.PrecheckTier, s.RoundingTier, s.MIPTier, s.LPIterations, s.Nodes)
 		if got != want {
 			t.Errorf("seed %d rounding=%v: decision digest %#016x, want %#016x", tc.seed, tc.cfg.Rounding, got, want)
 		}

@@ -96,7 +96,6 @@ func Greedy(ctx context.Context, inst *core.Instance, mapping vnet.NodeMapping, 
 		sol.Objective = snap.Objective
 		stats = e.Stats()
 	}
-	sol.Nodes = stats.TotalNodes
 	sol.Runtime = time.Since(began) //lint:allow nondet -- runtime accounting only
 	return sol, stats, nil
 }

@@ -255,30 +255,26 @@ func TestGreedyStatsPopulated(t *testing.T) {
 	if stats.Decisions != 3 || stats.Accepted != sol.NumAccepted() || stats.Accepted+stats.Rejected != 3 {
 		t.Fatalf("stats %+v for %d accepted of 3", stats, sol.NumAccepted())
 	}
-	if stats.TotalLPIters <= 0 || stats.LatencyP50 <= 0 || sol.Runtime <= 0 {
+	if stats.LPIterations <= 0 || stats.LatencyP50 <= 0 || sol.Runtime <= 0 {
 		t.Fatalf("solver work or timings not recorded: %+v, runtime %v", stats, sol.Runtime)
 	}
 }
 
 // TestGreedyClaimsNoOptimality pins the solution's solver metadata: the
 // decisions optimize objective (21), not access control, and greedy proves
-// no bound, so the result claims no optimality and reports the run's node
-// total.
+// no bound, so the result claims no optimality.
 func TestGreedyClaimsNoOptimality(t *testing.T) {
 	for _, cm := range []core.CutMode{core.CutStatic, core.CutLazy} {
 		for seed := int64(1); seed <= 4; seed++ {
 			sc := workload.Generate(tinyWorkload(5), seed)
 			inst := &core.Instance{Sub: sc.Substrate, Reqs: sc.Requests, Horizon: sc.Horizon}
-			sol, stats, err := Greedy(context.Background(), inst, sc.Mapping, core.BuildOptions{CutMode: cm}, nil)
+			sol, _, err := Greedy(context.Background(), inst, sc.Mapping, core.BuildOptions{CutMode: cm}, nil)
 			if err != nil {
 				t.Fatalf("cutmode %v seed %d: %v", cm, seed, err)
 			}
 			if sol.Optimal || !math.IsInf(sol.Gap, 1) || !math.IsInf(sol.Bound, 1) {
 				t.Errorf("cutmode %v seed %d: Optimal=%v Gap=%v Bound=%v, want false +Inf +Inf",
 					cm, seed, sol.Optimal, sol.Gap, sol.Bound)
-			}
-			if sol.Nodes != stats.TotalNodes {
-				t.Errorf("cutmode %v seed %d: Nodes=%d, want the run total %d", cm, seed, sol.Nodes, stats.TotalNodes)
 			}
 		}
 	}

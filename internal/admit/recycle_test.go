@@ -24,9 +24,9 @@ import (
 // decision built a fresh model and instance. What is left is mostly storage
 // regrown after the instance's size rule dropped it (EXPERIMENTS.md,
 // "Garbage-free branch and bound"). Measured with Go 1.24 on linux/amd64:
-// 84 allocations and 35,692 bytes per decision over decisions 300–399 (87
-// and 43,826 with -tags debugchecks), and 70 and 21,422 over decisions
-// 300–349 in -short mode (73 and 26,508). The bounds leave at least 20%
+// 83 allocations and 35,574 bytes per decision over decisions 300–399 (87
+// and 43,709 with -tags debugchecks), and 70 and 21,325 over decisions
+// 300–349 in -short mode (72 and 26,411). The bounds leave at least 20%
 // over the larger figure of each pair.
 func TestSteadyStateDecisionAllocs(t *testing.T) {
 	warm, window := 300, 100

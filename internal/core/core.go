@@ -384,7 +384,6 @@ func (b *Built) Extract(ms *model.Solution) *solution.Solution {
 		Bound:     ms.Bound,
 		Gap:       ms.Gap,
 		Optimal:   ms.Status == model.StatusOptimal && ms.Gap == 0,
-		Nodes:     ms.Nodes,
 		Runtime:   ms.Runtime,
 	}
 	for r, req := range b.Inst.Reqs {

@@ -130,13 +130,9 @@ type Record struct {
 	CertFailed bool
 	// Cancelled reports a solve that the context stopped.
 	Cancelled bool
-	Nodes     int
-	LPIters   int
-	// BoundFlips and RatioPasses count the long-step dual ratio test's work
-	// (exact solves only), and Cuts the lazy separation's.
-	BoundFlips  int
-	RatioPasses int
-	Cuts        model.CutStats
+	// Work counts the solver's work and Cuts the lazy separation's.
+	tvnep.Work
+	Cuts model.CutStats
 	// FellBack reports that a rounding solve exhausted its samples and ran
 	// the exact branch-and-bound fallback (rounding records only).
 	FellBack bool
@@ -211,8 +207,7 @@ func (c Config) solve(ctx context.Context, inst *core.Instance, mapping vnet.Nod
 	rec.Gap = math.Inf(1)
 	if res != nil {
 		rec.Runtime, rec.Gap, rec.Optimal = res.Runtime, res.Gap, res.Status == tvnep.StatusOptimal
-		rec.Nodes, rec.LPIters = res.Nodes, res.LPIterations
-		rec.BoundFlips, rec.RatioPasses, rec.Cuts = res.BoundFlips, res.RatioPasses, res.Cuts
+		rec.Work, rec.Cuts = res.Work, res.Cuts
 		if res.Rounding != nil {
 			rec.FellBack = res.Rounding.FellBack
 		}

@@ -108,10 +108,10 @@ func TestCountersAccumulate(t *testing.T) {
 		if !r.Optimal || r.Cancelled {
 			t.Fatalf("micro sweep should solve everything to optimality: %+v", r)
 		}
-		if r.LPIters <= 0 {
+		if r.LPIterations <= 0 {
 			t.Fatalf("flex=%v seed=%d: no LP iterations recorded: %+v", r.FlexMin, r.Seed, r)
 		}
-		lpIters += r.LPIters
+		lpIters += r.LPIterations
 	}
 	if lpIters <= 0 {
 		t.Fatal("no LP iterations recorded")

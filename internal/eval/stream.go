@@ -27,9 +27,9 @@ type StreamRecord struct {
 	// Tier usage across the trace.
 	Precheck, MIPTier int
 	CertFailures      int
-	// Nodes and LPIters total the trace's branch-and-bound and simplex work.
-	Nodes, LPIters int
-	Runtime        time.Duration
+	// Work totals the trace's branch-and-bound and simplex work.
+	tvnep.Work
+	Runtime time.Duration
 }
 
 // StreamSweep replays every (flexibility, seed) scenario of the sweep grid
@@ -71,7 +71,7 @@ func (c Config) streamOne(ctx context.Context, key scenKey, log *strings.Builder
 	rec.Decisions, rec.Accepted, rec.AcceptRate = es.Decisions, es.Accepted, es.AcceptRate()
 	rec.P50, rec.P99 = es.LatencyP50, es.LatencyP99
 	rec.Precheck, rec.MIPTier = es.PrecheckTier, es.MIPTier
-	rec.CertFailures, rec.Nodes, rec.LPIters = es.CertFailures, es.TotalNodes, es.TotalLPIters
+	rec.CertFailures, rec.Work = es.CertFailures, es.Work
 	rec.Runtime = time.Since(start) //lint:allow nondet -- stream runtime measurement
 	fmt.Fprintf(log, "flex=%3.0f seed=%2d stream n=%d accept=%.2f p50=%s p99=%s tiers=%d/%d\n",
 		key.flex, key.seed, rec.Decisions, rec.AcceptRate,

@@ -42,7 +42,7 @@ func TestStreamSweepDeterministic(t *testing.T) {
 		for _, r := range recs {
 			decisions += r.Decisions
 			certified += r.Accepted + r.CertFailures
-			lpIters += r.LPIters
+			lpIters += r.LPIterations
 			if r.Decisions != cfg.Workload.NumRequests {
 				t.Errorf("workers=%d flex=%g seed=%d: %d decisions, want %d",
 					workers, r.FlexMin, r.Seed, r.Decisions, cfg.Workload.NumRequests)
@@ -55,7 +55,7 @@ func TestStreamSweepDeterministic(t *testing.T) {
 					workers, r.FlexMin, r.Seed, r.P50, r.P99)
 			}
 			out = append(out, key{r.FlexMin, r.Seed, r.Decisions, r.Accepted,
-				r.Precheck, r.MIPTier, r.CertFailures, r.Nodes, r.LPIters})
+				r.Precheck, r.MIPTier, r.CertFailures, r.Nodes, r.LPIterations})
 		}
 		// Only candidate acceptances are certified, never a rejection.
 		if certified >= decisions {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"tvnep/internal/numtol"
 )
 
 // Candidate sets. Both pricing loops choose from a set that the iteration
@@ -76,7 +78,7 @@ func (s *solver) enterViol(j int) float64 {
 
 // isCand reports whether column j belongs in cand.
 func (s *solver) isCand(j int) bool {
-	return s.vstat[j] != vsBasic && !s.fixedCol(j) && s.enterViol(j) > s.opts.OptTol
+	return s.vstat[j] != vsBasic && !s.fixedCol(j) && s.enterViol(j) > numtol.LPOptTol
 }
 
 // markCand re-derives column j's membership in cand.
@@ -96,7 +98,7 @@ func (s *solver) rowViol(i int) (v float64, below bool) {
 // isInfeas reports whether row i belongs in infeas.
 func (s *solver) isInfeas(i int) bool {
 	v, _ := s.rowViol(i)
-	return v > s.opts.FeasTol
+	return v > numtol.LPFeasTol
 }
 
 // markInfeas re-derives row i's membership in infeas.

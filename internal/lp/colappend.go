@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"tvnep/internal/numtol"
 )
 
 // Incremental columns: the column-generation interface, the column-side
@@ -152,22 +154,22 @@ func (inst *Instance) extendWarmStartCols(b *Basis, nOld int) *Basis {
 // usual dual-simplex restart applies; when false, solveWarm switches to the
 // primal-first column-generation restart. Requires an installed
 // factorization (adoptBasis); uses the active phase costs.
-func (s *solver) appendedColsDualFeasible(nOld int, optTol float64) bool {
+func (s *solver) appendedColsDualFeasible(nOld int) bool {
 	s.computeDuals()
 	for j := nOld; j < s.inst.n; j++ {
 		switch s.vstat[j] {
 		case vsBasic:
 			continue
 		case vsLower:
-			if s.reducedCost(j) < -optTol {
+			if s.reducedCost(j) < -numtol.LPOptTol {
 				return false
 			}
 		case vsUpper:
-			if s.reducedCost(j) > optTol {
+			if s.reducedCost(j) > numtol.LPOptTol {
 				return false
 			}
 		default: // vsFree
-			if math.Abs(s.reducedCost(j)) > optTol {
+			if math.Abs(s.reducedCost(j)) > numtol.LPOptTol {
 				return false
 			}
 		}

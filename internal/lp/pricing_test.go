@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"tvnep/internal/numtol"
 )
 
 // refPriceEntering is primal pricing as a full scan of the ring of N
@@ -12,7 +14,7 @@ import (
 // priceEntering reproduces from the candidate set. Kept as the reference its
 // choices are held to.
 func refPriceEntering(s *solver) (int, float64) {
-	tol := s.opts.OptTol
+	tol := numtol.LPOptTol
 	if s.bland {
 		for j := 0; j < s.N; j++ {
 			st := s.vstat[j]
@@ -90,7 +92,7 @@ func refPriceEntering(s *solver) (int, float64) {
 // refLeavingRow is the dual's leaving-row choice as a full scan of all m
 // basic values: the reference leavingRow's walk over infeas is held to.
 func refLeavingRow(s *solver) (r int, viol float64, below bool) {
-	feas := s.opts.FeasTol
+	feas := numtol.LPFeasTol
 	r, bestScore := -1, 0.0
 	for i := 0; i < s.m; i++ {
 		j := s.basis[i]
@@ -247,25 +249,24 @@ func (pr *pricingRun) dual(s *solver, maxIters int) iterStatus {
 // primal status.
 func (pr *pricingRun) cold(inst *Instance) (*solver, iterStatus) {
 	pr.t.Helper()
-	o := (*Options)(nil).withDefaults(inst.m, inst.n)
-	s := newSolver(inst, o)
+	s := newSolver(inst, Options{})
 	if err := s.crashSlackBasis(); err != nil {
 		pr.t.Fatalf("%s: crash basis: %v", pr.where, err)
 	}
 	s.dValid, s.xbFresh = false, true
-	if st := pr.dual(s, o.MaxIters); st != iterOptimal {
+	if st := pr.dual(s, inst.iterBudget()); st != iterOptimal {
 		return s, st
 	}
 	copy(s.cost, s.real)
 	s.dValid = false
-	return s, pr.primal(s, o.MaxIters)
+	return s, pr.primal(s, inst.iterBudget())
 }
 
 // warm mirrors solveWarm on inst from res's basis and factors, including
 // the AppendColumn remap and the AppendRow extension.
 func (pr *pricingRun) warm(inst *Instance, res *Result) (*solver, iterStatus) {
 	pr.t.Helper()
-	o := (&Options{WarmBasis: res.Basis, WarmFactors: res.Factors}).withDefaults(inst.m, inst.n)
+	o := Options{WarmBasis: res.Basis, WarmFactors: res.Factors}
 	s := newSolver(inst, o)
 	copy(s.cost, s.real)
 	wb := o.WarmBasis
@@ -282,13 +283,13 @@ func (pr *pricingRun) warm(inst *Instance, res *Result) (*solver, iterStatus) {
 	if !s.adoptBasis(wb) {
 		pr.t.Fatalf("%s: adoptBasis failed", pr.where)
 	}
-	if nOld != inst.n && !s.appendedColsDualFeasible(nOld, o.OptTol) {
+	if nOld != inst.n && !s.appendedColsDualFeasible(nOld) {
 		s.dValid = false
-		return s, pr.primal(s, o.MaxIters)
+		return s, pr.primal(s, inst.iterBudget())
 	}
-	st := pr.dual(s, o.MaxIters)
+	st := pr.dual(s, inst.iterBudget())
 	if st == iterOptimal {
-		st = pr.primal(s, o.MaxIters)
+		st = pr.primal(s, inst.iterBudget())
 	}
 	return s, st
 }
@@ -533,9 +534,8 @@ func TestFinishOptimalReportsCleanupFailure(t *testing.T) {
 		s.lb[basic], s.ub[basic] = tc.lo, tc.hi
 		s.lb[other] = tc.lo2
 		s.iters = 0 // the dual checks for interruption when iters%64 == 0
-		o := (&Options{Context: tc.ctx}).withDefaults(inst.m, inst.n)
-		s.opts = o
-		if got := s.finishOptimal(o); got.Status != tc.want {
+		s.opts = Options{Context: tc.ctx}
+		if got := s.finishOptimal(inst.iterBudget()); got.Status != tc.want {
 			t.Fatalf("%s: finishOptimal status %v, want %v", tc.name, got.Status, tc.want)
 		}
 	}
@@ -547,8 +547,10 @@ func TestFinishOptimalReportsCleanupFailure(t *testing.T) {
 // and Devex and steepest-edge weights from tiny to huge. density is the
 // share of columns and rows pushed out of tolerance.
 func randomPricingState(rng *rand.Rand, N, m int, density float64) *solver {
-	const tol = 1e-9
-	s := &solver{N: N, m: m, opts: Options{OptTol: tol, FeasTol: tol}}
+	// The solver's two tolerances are equal, so the edge values below sit
+	// at both.
+	const tol = numtol.LPOptTol
+	s := &solver{N: N, m: m}
 	s.vstat, s.lb, s.ub = make([]int8, N), make([]float64, N), make([]float64, N)
 	s.d, s.devexW = make([]float64, N), make([]float64, N)
 	s.basis, s.xB, s.dualW = make([]int32, m), make([]float64, m), make([]float64, m)

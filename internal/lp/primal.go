@@ -1,6 +1,10 @@
 package lp
 
-import "math"
+import (
+	"math"
+
+	"tvnep/internal/numtol"
+)
 
 // iterStatus is the outcome of a simplex phase.
 type iterStatus int
@@ -18,7 +22,7 @@ const (
 //
 //hot:path
 func (s *solver) primal(maxIters int) iterStatus {
-	feas := s.opts.FeasTol
+	feas := numtol.LPFeasTol
 	s.infeasOK = false // the primal's steps move xB without re-marking
 	for ; s.iters < maxIters; s.iters++ {
 		if s.iters&63 == 0 && s.interrupted() {

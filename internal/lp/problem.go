@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"tvnep/internal/linalg/sparselu"
-	"tvnep/internal/numtol"
 )
 
 // Inf is the canonical infinity used for absent bounds.
@@ -263,7 +262,6 @@ type Result struct {
 
 // Options tunes a solve.
 type Options struct {
-	MaxIters  int    // 0 → automatic (20000 + 50·(rows+cols))
 	WarmBasis *Basis // if non-nil, attempt a dual-simplex warm start
 	// WarmFactors, when non-nil, is the LU factorization of WarmBasis
 	// (typically a prior Result.Factors). The warm start copies it into
@@ -271,8 +269,6 @@ type Options struct {
 	// pure function of its inputs; the solve only reads it. The caller must
 	// guarantee the factors actually belong to WarmBasis.
 	WarmFactors *sparselu.Factors
-	FeasTol     float64
-	OptTol      float64
 	// Deadline aborts the solve (StatusIterLimit) once passed. Zero means
 	// no deadline. Checked every few dozen iterations.
 	Deadline time.Time
@@ -283,22 +279,9 @@ type Options struct {
 	Context context.Context
 }
 
-func (o *Options) withDefaults(rows, cols int) Options {
-	out := Options{}
-	if o != nil {
-		out = *o
-	}
-	if out.MaxIters <= 0 {
-		out.MaxIters = 20000 + 50*(rows+cols)
-	}
-	if out.FeasTol <= 0 {
-		out.FeasTol = numtol.LPFeasTol
-	}
-	if out.OptTol <= 0 {
-		out.OptTol = numtol.LPOptTol
-	}
-	return out
-}
+// iterBudget is a solve's simplex iteration budget: a warm attempt and its
+// cold fallback share it.
+func (inst *Instance) iterBudget() int { return 20000 + 50*(inst.m+inst.n) }
 
 // Solve solves the problem from scratch (or from opts.WarmBasis when given)
 // on a fresh Instance.

@@ -23,25 +23,28 @@ func (inst *Instance) Solve(opts *Options) Result {
 }
 
 func (inst *Instance) solveDispatch(opts *Options) Result {
-	o := opts.withDefaults(inst.m, inst.n)
-
+	var o Options
+	if opts != nil {
+		o = *opts
+	}
+	budget := inst.iterBudget()
 	if o.WarmBasis != nil {
-		res, used, ok := inst.solveWarm(o)
+		res, used, ok := inst.solveWarm(o, budget)
 		if ok {
 			return res
 		}
 		// One shared budget: iterations burned by the failed warm attempt
 		// come out of the cold fallback's allowance, so a warm-started
-		// solve can never run up to twice MaxIters.
-		o.MaxIters -= used
-		if o.MaxIters <= 0 {
+		// solve can never run up to twice the budget.
+		budget -= used
+		if budget <= 0 {
 			return Result{Status: StatusIterLimit, Iterations: used}
 		}
-		res = inst.solveCold(o)
+		res = inst.solveCold(o, budget)
 		res.Iterations += used
 		return res
 	}
-	return inst.solveCold(o)
+	return inst.solveCold(o, budget)
 }
 
 // Debug counters, safe for concurrent solves (each worker of a parallel
@@ -65,7 +68,7 @@ var (
 // whether the attempt produced a conclusive answer; iters is the number of
 // simplex iterations consumed either way, so an inconclusive attempt can be
 // charged against the cold fallback's budget.
-func (inst *Instance) solveWarm(o Options) (res Result, iters int, ok bool) {
+func (inst *Instance) solveWarm(o Options, maxIters int) (res Result, iters int, ok bool) {
 	DebugWarmAttempts.Add(1)
 	s := newSolver(inst, o)
 	copy(s.cost, s.real)
@@ -110,18 +113,18 @@ func (inst *Instance) solveWarm(o Options) (res Result, iters int, ok bool) {
 		r.ColumnsRemapped = remapped
 		return r
 	}
-	if remapped && !s.appendedColsDualFeasible(nOld, o.OptTol) {
+	if remapped && !s.appendedColsDualFeasible(nOld) {
 		// An appended column prices in at the adopted point, so the point is
 		// dual infeasible and the dual restart below would be unsound (its
 		// phase logic assumes dual feasibility throughout). With only columns
 		// appended the basic values are unchanged and the point stays primal
 		// feasible — verify (branching may have moved bounds since the
 		// snapshot) and optimize with the primal simplex directly.
-		if s.primalInfeasibility() > 10*o.FeasTol {
+		if s.primalInfeasibility() > 10*numtol.LPFeasTol {
 			return Result{}, s.iters, false
 		}
 		s.dValid = false
-		switch s.primal(o.MaxIters) {
+		switch s.primal(maxIters) {
 		case iterOptimal:
 			return warmResult(StatusOptimal), s.iters, true
 		case iterUnbounded:
@@ -130,13 +133,13 @@ func (inst *Instance) solveWarm(o Options) (res Result, iters int, ok bool) {
 			return Result{}, s.iters, false
 		}
 	}
-	st := s.dual(o.MaxIters)
+	st := s.dual(maxIters)
 	switch st {
 	case iterOptimal:
 		// Polish: the dual run restored primal feasibility; a short primal
 		// run certifies optimality (usually zero iterations). The two runs
-		// share s.iters, so MaxIters bounds their sum.
-		st2 := s.primal(o.MaxIters)
+		// share s.iters, so maxIters bounds their sum.
+		st2 := s.primal(maxIters)
 		switch st2 {
 		case iterOptimal:
 			return warmResult(StatusOptimal), s.iters, true
@@ -157,7 +160,7 @@ func (inst *Instance) solveWarm(o Options) (res Result, iters int, ok bool) {
 // objective. A run that is interrupted or exhausts its iteration budget
 // reports StatusIterLimit, and one that hits irrecoverable numerical trouble
 // StatusNumeric; either way the result keeps the iterations taken.
-func (inst *Instance) solveCold(o Options) Result {
+func (inst *Instance) solveCold(o Options, maxIters int) Result {
 	s := newSolver(inst, o)
 	// Dual phase 1: the all-slack basis under zero costs is trivially dual
 	// feasible, so the dual simplex restores primal feasibility directly,
@@ -169,7 +172,7 @@ func (inst *Instance) solveCold(o Options) Result {
 	}
 	s.dValid = false
 	s.xbFresh = true
-	switch s.dual(o.MaxIters) {
+	switch s.dual(maxIters) {
 	case iterInfeasible:
 		return s.result(StatusInfeasible)
 	case iterLimit:
@@ -179,9 +182,9 @@ func (inst *Instance) solveCold(o Options) Result {
 	}
 	copy(s.cost, s.real)
 	s.dValid, s.yFresh = false, false
-	switch s.primal(o.MaxIters) {
+	switch s.primal(maxIters) {
 	case iterOptimal:
-		return s.finishOptimal(o)
+		return s.finishOptimal(maxIters)
 	case iterUnbounded:
 		return s.result(StatusUnbounded)
 	default:
@@ -195,14 +198,14 @@ func (inst *Instance) solveCold(o Options) Result {
 // result is packaged. A cleanup that does not end optimal reports its real
 // outcome instead: StatusIterLimit when it was interrupted or ran out of
 // iterations, StatusNumeric otherwise.
-func (s *solver) finishOptimal(o Options) Result {
+func (s *solver) finishOptimal(maxIters int) Result {
 	if err := s.refactor(); err == nil {
 		s.computeXB()
 	}
-	if s.primalInfeasibility() > 10*o.FeasTol {
-		st := s.dual(o.MaxIters)
+	if s.primalInfeasibility() > 10*numtol.LPFeasTol {
+		st := s.dual(maxIters)
 		if st == iterOptimal {
-			st = s.primal(o.MaxIters)
+			st = s.primal(maxIters)
 		}
 		switch st {
 		case iterOptimal:

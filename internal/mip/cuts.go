@@ -127,24 +127,22 @@ func (s *searcher) separate(x []float64, seed bool) int {
 // relaxation value is only a valid node bound once no column prices in, so
 // it runs at every node, on integral points too, and its per-node cap
 // (maxPriceRounds) is a safety net rather than a budget. Cut rounds follow:
-// root nodes get RootCutRounds, tree nodes TreeCutRounds. The LP work of
+// root nodes get rootCutRounds, tree nodes treeCutRounds. The LP work of
 // every round is counted here. It returns the final relaxation and the
 // column it branches on (-1 unless it is a fractional optimum).
 func (s *searcher) solveSeparated(nd *node) (lp.Result, int) {
 	root := nd.col == -1
 	maxCutRounds := 0
 	if s.cuts != nil {
-		maxCutRounds = s.opts.TreeCutRounds
+		maxCutRounds = treeCutRounds
 		if root {
-			maxCutRounds = s.opts.RootCutRounds
+			maxCutRounds = rootCutRounds
 		}
 	}
 	cutRounds, priceRounds := 0, 0
 	for {
 		res, col := s.relax(nd)
-		s.iters += res.Iterations
-		s.bflips += res.BoundFlips
-		s.rpasses += res.RatioPasses
+		s.work.Add(LPWork(&res))
 		if root && cutRounds == 0 && priceRounds == 0 {
 			// The root's first relaxation (the root is solved once per
 			// search). The search recycles its factors and basis, so the

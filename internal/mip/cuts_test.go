@@ -126,20 +126,3 @@ func TestLazyCutsMatchPlainSolve(t *testing.T) {
 		t.Fatal("no test case triggered separation; the cases no longer exercise the cut path")
 	}
 }
-
-// TestCutRoundsDisabled: negative round budgets must turn separation off
-// even with separators registered.
-func TestCutRoundsDisabled(t *testing.T) {
-	prob := multiKnapsack(3, 30, 10)
-	res := Solve(context.Background(), prob, &Options{
-		Separators:    []Separator{&coverSeparator{prob: prob}},
-		RootCutRounds: -1,
-		TreeCutRounds: -1,
-	})
-	if res.Status != StatusOptimal {
-		t.Fatalf("status %v", res.Status)
-	}
-	if res.Cuts.SeparatedRows != 0 || res.Cuts.Offered != 0 {
-		t.Fatalf("separation ran with negative round budgets: %+v", res.Cuts)
-	}
-}

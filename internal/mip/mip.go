@@ -30,12 +30,19 @@ const (
 	// integer column and pays one warm LP solve, so the cap is also the
 	// heuristic's per-invocation LP budget.
 	maxDivePasses = 200
+	// rootCutRounds bounds the separation rounds at the root node and
+	// treeCutRounds those at every other node. The root is where cuts pay
+	// off most, so it gets a much deeper budget than tree nodes.
+	rootCutRounds = 20
+	treeCutRounds = 2
 )
 
 // Problem couples an LP with integrality markers.
 type Problem struct {
-	LP      *lp.Problem
-	Integer []bool // len == LP.NumCols(); true → column must be integral
+	LP *lp.Problem
+	// Integer[j] marks column j integral; columns past its end are
+	// continuous. The search only reads it.
+	Integer []bool
 }
 
 // NewProblem wraps an LP builder; mark integer columns via SetInteger.
@@ -56,7 +63,8 @@ func (p *Problem) SetInteger(j int) {
 type Status int
 
 const (
-	// StatusOptimal means the incumbent is proven optimal within GapTol.
+	// StatusOptimal means the incumbent is proven optimal within
+	// numtol.MIPGapTol.
 	StatusOptimal Status = iota
 	// StatusInfeasible means no integral solution exists.
 	StatusInfeasible
@@ -94,13 +102,12 @@ func (s Status) String() string {
 // problem's original optimization sense; Incumbent is NaN while no integral
 // solution exists. Callbacks run on the goroutine that called Solve.
 type Progress struct {
-	Nodes        int
-	Open         int // open (unexplored) nodes
-	LPIterations int
-	Incumbent    float64
-	Bound        float64
-	Gap          float64
-	Elapsed      time.Duration
+	Work
+	Open      int // open (unexplored) nodes
+	Incumbent float64
+	Bound     float64
+	Gap       float64
+	Elapsed   time.Duration
 	// NewIncumbent marks callbacks fired because a better integral solution
 	// was just found (otherwise the callback is periodic).
 	NewIncumbent bool
@@ -113,7 +120,6 @@ type Progress struct {
 type Options struct {
 	TimeLimit time.Duration // 0 → none
 	NodeLimit int           // 0 → none
-	GapTol    float64       // relative optimality gap, default numtol.MIPGapTol
 	// HeuristicEvery runs the rounding heuristic at the root and at every
 	// k-th node thereafter (0 → the default of 50; a negative value
 	// disables the heuristic entirely, including at the root).
@@ -128,13 +134,6 @@ type Options struct {
 	// Separators generate valid inequalities lazily instead of having the
 	// model emit them all up front; see the Separator contract in cuts.go.
 	Separators []Separator
-	// RootCutRounds bounds the separation rounds at the root node (0 → the
-	// default of 20; negative → no root separation). The root is where cuts
-	// pay off most, so it gets a much deeper budget than tree nodes.
-	RootCutRounds int
-	// TreeCutRounds bounds the separation rounds at each non-root node
-	// (0 → the default of 2; negative → none).
-	TreeCutRounds int
 	// Pricers generate structural columns lazily instead of having the model
 	// emit them all up front; see the Pricer contract in price.go. Unlike
 	// separation, pricing runs to convergence at every node, since a
@@ -151,24 +150,11 @@ func (o *Options) withDefaults() Options {
 	if o != nil {
 		out = *o
 	}
-	if out.GapTol <= 0 {
-		out.GapTol = numtol.MIPGapTol
-	}
 	if out.HeuristicEvery == 0 {
 		out.HeuristicEvery = 50
 	}
 	if out.ProgressEvery == 0 {
 		out.ProgressEvery = 100
-	}
-	if out.RootCutRounds == 0 {
-		out.RootCutRounds = 20
-	} else if out.RootCutRounds < 0 {
-		out.RootCutRounds = 0
-	}
-	if out.TreeCutRounds == 0 {
-		out.TreeCutRounds = 2
-	} else if out.TreeCutRounds < 0 {
-		out.TreeCutRounds = 0
 	}
 	if out.PriceBatch <= 0 {
 		out.PriceBatch = 32
@@ -179,20 +165,16 @@ func (o *Options) withDefaults() Options {
 // Result reports the outcome of a solve. Obj, Bound and Gap are expressed in
 // the problem's original optimization sense.
 type Result struct {
-	Status       Status
-	HasSolution  bool
-	Obj          float64   // incumbent objective (valid if HasSolution)
-	Bound        float64   // best proven bound on the optimum
-	Gap          float64   // relative gap; +Inf when no incumbent exists
-	X            []float64 // incumbent solution
-	Nodes        int
-	LPIterations int // LP iterations of the search (deterministic)
-	// BoundFlips and RatioPasses aggregate the LP solver's long-step dual
-	// ratio-test activity over the search (see lp.Result); like
-	// LPIterations they are deterministic.
-	BoundFlips  int
-	RatioPasses int
-	Runtime     time.Duration
+	Status      Status
+	HasSolution bool
+	Obj         float64   // incumbent objective (valid if HasSolution)
+	Bound       float64   // best proven bound on the optimum
+	Gap         float64   // relative gap; +Inf when no incumbent exists
+	X           []float64 // incumbent solution
+	// Work counts the search's nodes and the LP work of its node
+	// relaxations and heuristics.
+	Work
+	Runtime time.Duration
 	// Cuts summarizes lazy separation (zero-valued apart from RowsAtRoot
 	// when no separators were registered). All of its fields are
 	// deterministic.
@@ -221,6 +203,31 @@ type Result struct {
 	// of SolveFrom may hand them back to the instance (lp.Instance.Reuse)
 	// once done with them.
 	Root lp.Result
+}
+
+// Work counts the deterministic work of a solve: branch-and-bound nodes,
+// simplex iterations, and the long-step dual ratio test's bound flips and
+// breakpoint passes (see lp.Result). The search fills it, and every result
+// above the search embeds it and sums it with Add, so this type alone
+// decides which counters a solve reports.
+type Work struct {
+	Nodes        int
+	LPIterations int
+	BoundFlips   int
+	RatioPasses  int
+}
+
+// Add adds o's counts to w.
+func (w *Work) Add(o Work) {
+	w.Nodes += o.Nodes
+	w.LPIterations += o.LPIterations
+	w.BoundFlips += o.BoundFlips
+	w.RatioPasses += o.RatioPasses
+}
+
+// LPWork is the work of one LP solve.
+func LPWork(r *lp.Result) Work {
+	return Work{LPIterations: r.Iterations, BoundFlips: r.BoundFlips, RatioPasses: r.RatioPasses}
 }
 
 // node is a branch-and-bound node: a chain of bound overrides on top of the
@@ -286,10 +293,7 @@ type searcher struct {
 	hasInc       bool
 
 	open    nodeHeap
-	nodes   int
-	iters   int // LP iterations (node relaxations + heuristics)
-	bflips  int // long-step bound flips
-	rpasses int // ratio-test breakpoint passes
+	work    Work
 	nextSeq int64
 
 	// Lazy-cut and pricing state (see pool.go). cuts is nil when no
@@ -352,9 +356,6 @@ func SolveFrom(ctx context.Context, p *Problem, opts *Options, inst *lp.Instance
 		incumbentMin: math.Inf(1),
 	}
 	n := p.LP.NumCols()
-	for len(p.Integer) < n {
-		p.Integer = append(p.Integer, false)
-	}
 	if len(o.Separators) > 0 {
 		s.cuts = newPool()
 	}
@@ -377,14 +378,11 @@ func SolveFrom(ctx context.Context, p *Problem, opts *Options, inst *lp.Instance
 
 	status := s.run()
 	res := Result{
-		Status:       status,
-		HasSolution:  s.hasInc,
-		Nodes:        s.nodes,
-		LPIterations: s.iters,
-		BoundFlips:   s.bflips,
-		RatioPasses:  s.rpasses,
-		Runtime:      time.Since(start), //lint:allow nondet -- wall-clock Runtime stat only
-		Root:         s.root,
+		Status:      status,
+		HasSolution: s.hasInc,
+		Work:        s.work,
+		Runtime:     time.Since(start), //lint:allow nondet -- wall-clock Runtime stat only
+		Root:        s.root,
 	}
 	companion := 0
 	for k := range s.log {
@@ -497,9 +495,8 @@ func (s *searcher) emitProgress(newIncumbent bool) {
 	}
 	bound := s.globalBoundMin()
 	s.opts.Progress(Progress{
-		Nodes:        s.nodes,
+		Work:         s.work,
 		Open:         len(s.open),
-		LPIterations: s.iters,
 		Incumbent:    inc,
 		Bound:        s.fromMin(bound),
 		Gap:          relGap(s.incumbentMin, bound),
@@ -701,9 +698,7 @@ func (s *searcher) heurSolve(lpo *lp.Options) lp.Result {
 		lpo.Deadline = s.deadline
 	}
 	hres := s.inst.Solve(lpo)
-	s.iters += hres.Iterations
-	s.bflips += hres.BoundFlips
-	s.rpasses += hres.RatioPasses
+	s.work.Add(LPWork(&hres))
 	return hres
 }
 
@@ -725,7 +720,7 @@ func (s *searcher) run() Status {
 				heap.Push(&s.open, nd)
 				return StatusCancelled
 			}
-			if s.timedOut() || (s.opts.NodeLimit > 0 && s.nodes >= s.opts.NodeLimit) {
+			if s.timedOut() || (s.opts.NodeLimit > 0 && s.work.Nodes >= s.opts.NodeLimit) {
 				// Re-park the dive node so the reported global bound stays
 				// valid.
 				heap.Push(&s.open, nd)
@@ -736,12 +731,12 @@ func (s *searcher) run() Status {
 				s.retire(nd, nil, nil)
 				break
 			}
-			if s.hasInc && relGap(s.incumbentMin, math.Min(nd.bound, s.globalBoundMin())) <= s.opts.GapTol {
+			if s.hasInc && relGap(s.incumbentMin, math.Min(nd.bound, s.globalBoundMin())) <= numtol.MIPGapTol {
 				s.retire(nd, nil, nil)
 				return StatusOptimal
 			}
-			s.nodes++
-			if s.opts.ProgressEvery > 0 && s.nodes%s.opts.ProgressEvery == 0 {
+			s.work.Nodes++
+			if s.opts.ProgressEvery > 0 && s.work.Nodes%s.opts.ProgressEvery == 0 {
 				s.emitProgress(false)
 			}
 			// Install the node's box: it detects trivially infeasible chains
@@ -791,7 +786,7 @@ func (s *searcher) run() Status {
 				break
 			}
 			br := makeBranch(nd, col, objMin, res)
-			if s.opts.HeuristicEvery > 0 && (s.nodes == 1 || s.nodes%s.opts.HeuristicEvery == 0) {
+			if s.opts.HeuristicEvery > 0 && (s.work.Nodes == 1 || s.work.Nodes%s.opts.HeuristicEvery == 0) {
 				s.roundingHeuristic(nd, res)
 			}
 			s.retire(nd, nil, nil) // the branch owns res.Basis and res.Factors

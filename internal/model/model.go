@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"time"
 
 	"tvnep/internal/lp"
 	"tvnep/internal/mip"
@@ -326,48 +325,22 @@ func (m *Model) AbsObjSum() float64 {
 	return s
 }
 
-// Solution is the result of optimizing a model.
+// Solution is the result of optimizing a model: the search's result, whose
+// Root is the root node's first relaxation over LP()'s own rows and
+// columns (internal/certify checks it with certify.LP), under the model's
+// status vocabulary.
 type Solution struct {
-	Status       Status
-	HasSolution  bool
-	Obj          float64
-	Bound        float64
-	Gap          float64
-	Nodes        int
-	LPIterations int
-	// BoundFlips and RatioPasses summarize the LP solver's long-step dual
-	// ratio-test activity over the committed search (deterministic, like
-	// LPIterations).
-	BoundFlips  int
-	RatioPasses int
-	Runtime     time.Duration
-	// Cuts summarizes lazy separation (zero apart from RowsAtRoot when no
-	// separators were registered).
-	Cuts CutStats
-	// AppliedCuts lists every cut row the search appended, in order, for
-	// independent re-validation (internal/certify).
-	AppliedCuts []Cut
-	// Columns summarizes column generation (zero apart from ColsAtRoot when
-	// no pricers were registered).
-	Columns ColumnStats
-	// AppliedColumns lists every column pricing appended, in order: the k-th
-	// entry is raw LP column Columns.ColsAtRoot + k. Extractors use it to
-	// map incumbent values back to pricer payloads (Column.Tag).
-	AppliedColumns []Column
-	// RootLP is the root node's first relaxation over LP()'s own rows and
-	// columns, the bound the search branched from (see mip.Result.Root);
-	// internal/certify checks it with certify.LP. Zero-valued for
-	// SolutionFromLP and when the search stopped before the root.
-	RootLP lp.Result
-	x      []float64
+	mip.Result
+	// Status is Result.Status translated into the model's vocabulary.
+	Status Status
 }
 
 // Value returns the solution value of v (NaN when no solution exists).
 func (s *Solution) Value(v Var) float64 {
-	if !s.HasSolution || v.idx >= len(s.x) {
+	if !s.HasSolution || v.idx >= len(s.Result.X) {
 		return math.NaN()
 	}
-	return s.x[v.idx]
+	return s.Result.X[v.idx]
 }
 
 // X returns the raw column assignment (shared slice; treat as read-only),
@@ -378,14 +351,14 @@ func (s *Solution) X() []float64 {
 	if !s.HasSolution {
 		return nil
 	}
-	return s.x
+	return s.Result.X
 }
 
 // ValueOf returns the solution value of an expression.
 func (s *Solution) ValueOf(e *LinExpr) float64 {
 	val := e.Const
 	for k, vi := range e.vars {
-		val += e.coefs[k] * s.x[vi]
+		val += e.coefs[k] * s.Result.X[vi]
 	}
 	return val
 }
@@ -398,16 +371,10 @@ func (m *Model) Optimize(ctx context.Context, opts *SolveOptions) *Solution {
 }
 
 // OptimizeFrom is Optimize on an unsolved instance the caller compiled
-// from LP(), so the search draws on the caller's recycled storage (see
-// mip.SolveFrom; the caller still Releases or Recycles inst). A nil inst
-// is Optimize.
+// from LP() (lp.NewInstance or lp.Instance.Recompile), so the search draws
+// on the caller's recycled storage; the caller may recompile inst once the
+// search returns (see mip.SolveFrom). A nil inst is Optimize.
 func (m *Model) OptimizeFrom(ctx context.Context, opts *SolveOptions, inst *lp.Instance) *Solution {
-	mp := mip.NewProblem(m.lp)
-	for j, isInt := range m.integer {
-		if isInt {
-			mp.SetInteger(j)
-		}
-	}
 	mo := opts.mipOptions()
 	if len(m.seps) > 0 {
 		if mo == nil {
@@ -421,25 +388,8 @@ func (m *Model) OptimizeFrom(ctx context.Context, opts *SolveOptions, inst *lp.I
 		}
 		mo.Pricers = m.prs
 	}
-	res := mip.SolveFrom(ctx, mp, mo, inst)
-	return &Solution{
-		Status:         statusFromMIP(res.Status, res.HasSolution),
-		HasSolution:    res.HasSolution,
-		Obj:            res.Obj,
-		Bound:          res.Bound,
-		Gap:            res.Gap,
-		Nodes:          res.Nodes,
-		LPIterations:   res.LPIterations,
-		BoundFlips:     res.BoundFlips,
-		RatioPasses:    res.RatioPasses,
-		Runtime:        res.Runtime,
-		Cuts:           res.Cuts,
-		AppliedCuts:    res.AppliedCuts,
-		Columns:        res.Columns,
-		AppliedColumns: res.AppliedColumns,
-		RootLP:         res.Root,
-		x:              res.X,
-	}
+	res := mip.SolveFrom(ctx, &mip.Problem{LP: m.lp, Integer: m.integer}, mo, inst)
+	return &Solution{Result: res, Status: statusFromMIP(res.Status, res.HasSolution)}
 }
 
 // IntegerMask returns the per-column integrality markers (shared slice;
@@ -453,14 +403,14 @@ func (m *Model) IntegerMask() []bool { return m.integer }
 // a bound on the MIP; HasSolution is set for an optimal LP result whether
 // or not it is integral.
 func (m *Model) SolutionFromLP(res lp.Result) *Solution {
-	sol := &Solution{LPIterations: res.Iterations, BoundFlips: res.BoundFlips, RatioPasses: res.RatioPasses}
+	sol := &Solution{Result: mip.Result{Work: mip.LPWork(&res)}}
 	switch res.Status {
 	case lp.StatusOptimal:
 		sol.Status = StatusOptimal
 		sol.HasSolution = true
 		sol.Obj = res.Obj
 		sol.Bound = res.Obj
-		sol.x = res.X
+		sol.Result.X = res.X
 	case lp.StatusInfeasible:
 		sol.Status = StatusInfeasible
 		sol.Gap = math.Inf(1)

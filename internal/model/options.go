@@ -41,6 +41,10 @@ type Pricer = mip.Pricer
 // ColumnStats summarizes the column-generation work of one solve.
 type ColumnStats = mip.ColumnStats
 
+// Work counts the deterministic work of one solve (nodes, simplex
+// iterations, bound flips and ratio passes); see mip.Work.
+type Work = mip.Work
+
 // SolveOptions is the single options struct for every solve in the
 // repository: exact MIP solves (Model.Optimize, core.Built.Solve), the
 // per-decision solves of the admission engine and of the greedy algorithm

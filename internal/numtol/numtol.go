@@ -63,11 +63,11 @@ const (
 	// TimeTol.
 	EventCoincide = 1e-12
 
-	// LPFeasTol is the default primal feasibility tolerance of the simplex
+	// LPFeasTol is the primal feasibility tolerance of the simplex
 	// solver: bound and row violations up to this are accepted.
 	LPFeasTol = 1e-7
 
-	// LPOptTol is the default dual feasibility (reduced-cost) tolerance of
+	// LPOptTol is the dual feasibility (reduced-cost) tolerance of
 	// the simplex solver.
 	LPOptTol = 1e-7
 
@@ -85,7 +85,7 @@ const (
 	// snap distance.
 	AtBoundTol = 1e-6
 
-	// MIPGapTol is the default relative optimality gap at which branch and
+	// MIPGapTol is the relative optimality gap at which branch and
 	// bound declares an incumbent optimal.
 	MIPGapTol = 1e-6
 

@@ -118,8 +118,7 @@ var ErrNoMapping = errors.New("round: randomized rounding requires a fixed node 
 // ctx stops the solve between samples and inside the fallback.
 //
 //det:entry
-func Solve(ctx context.Context, inst *core.Instance, mapping vnet.NodeMapping, opts Options) (*solution.Solution, Stats, error) {
-	var stats Stats
+func Solve(ctx context.Context, inst *core.Instance, mapping vnet.NodeMapping, opts Options) (sol *solution.Solution, stats Stats, err error) {
 	stats.BestSample = -1
 	if ctx == nil {
 		ctx = context.Background()
@@ -128,6 +127,12 @@ func Solve(ctx context.Context, inst *core.Instance, mapping vnet.NodeMapping, o
 		return nil, stats, ErrNoMapping
 	}
 	start := time.Now() //lint:allow nondet -- runtime accounting only; never branches the search
+	defer func() {
+		stats.Runtime = time.Since(start) //lint:allow nondet -- runtime accounting only
+		if sol != nil {
+			sol.Runtime = stats.Runtime
+		}
+	}()
 
 	cutMode := opts.CutMode
 	if cutMode == core.CutLazy {
@@ -145,7 +150,6 @@ func Solve(ctx context.Context, inst *core.Instance, mapping vnet.NodeMapping, o
 	if !rel.HasSolution {
 		// The relaxation is infeasible, so the integral model is too;
 		// there is nothing to round and nothing for B&B to find.
-		stats.Runtime = time.Since(start) //lint:allow nondet -- runtime accounting only
 		return nil, stats, nil
 	}
 	stats.LPBound = rel.Obj
@@ -199,12 +203,9 @@ func Solve(ctx context.Context, inst *core.Instance, mapping vnet.NodeMapping, o
 			best.Gap = gap
 		}
 		best.Optimal = best.Gap <= numtol.MIPGapTol
-		stats.Runtime = time.Since(start) //lint:allow nondet -- runtime accounting only
-		best.Runtime = stats.Runtime
 		return best, stats, nil
 	}
 	if opts.DisableFallback {
-		stats.Runtime = time.Since(start) //lint:allow nondet -- runtime accounting only
 		return nil, stats, nil
 	}
 
@@ -214,14 +215,9 @@ func Solve(ctx context.Context, inst *core.Instance, mapping vnet.NodeMapping, o
 	sol, ms := b.Solve(ctx, &opts.Solve)
 	stats.LPIterations += ms.LPIterations
 	stats.FallbackNodes = ms.Nodes
-	stats.Runtime = time.Since(start) //lint:allow nondet -- runtime accounting only
 	if sol == nil {
-		if err := ctx.Err(); err != nil {
-			return nil, stats, err
-		}
-		return nil, stats, nil
+		return nil, stats, ctx.Err()
 	}
-	sol.Runtime = stats.Runtime
 	return sol, stats, nil
 }
 

@@ -35,7 +35,6 @@ type Solution struct {
 	Bound     float64
 	Gap       float64
 	Optimal   bool
-	Nodes     int
 	Runtime   time.Duration
 
 	// Warnings collects non-fatal consistency notes produced while the

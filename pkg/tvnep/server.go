@@ -163,8 +163,8 @@ func (sv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		MIPTier:      s.MIPTier,
 		CertFailures: s.CertFailures,
 		Reopts:       s.Reopts,
-		TotalLPIters: s.TotalLPIters,
-		TotalNodes:   s.TotalNodes,
+		TotalLPIters: s.LPIterations,
+		TotalNodes:   s.Nodes,
 		LatencyP50NS: int64(s.LatencyP50 / time.Nanosecond),
 		LatencyP99NS: int64(s.LatencyP99 / time.Nanosecond),
 	})

@@ -22,13 +22,10 @@ type Result struct {
 	Status SolveStatus
 	// Gap is the final relative optimality gap.
 	Gap float64
-	// Nodes and LPIterations count branch-and-bound and simplex work.
-	Nodes        int
-	LPIterations int
-	// BoundFlips and RatioPasses count the long-step dual ratio test's
-	// bound flips and breakpoints walked (exact solves only).
-	BoundFlips  int
-	RatioPasses int
+	// Work counts the solve's branch-and-bound nodes and simplex work. A
+	// rounding solve reports its LP iterations and its fallback's nodes
+	// only.
+	Work
 	// Runtime is the wall-clock solve time.
 	Runtime time.Duration
 	// Cuts summarizes lazy separation (zero without separators).
@@ -120,12 +117,11 @@ func (s *Solver) solveGreedy(ctx context.Context, inst *core.Instance, mapping N
 		return nil, fmt.Errorf("tvnep: %w", err)
 	}
 	res := &Result{
-		Solution:     sol,
-		Status:       StatusFeasible, // heuristic: feasible, no optimality claim
-		Nodes:        stats.TotalNodes,
-		LPIterations: stats.TotalLPIters,
-		Runtime:      sol.Runtime,
-		Greedy:       &stats,
+		Solution: sol,
+		Status:   StatusFeasible, // heuristic: feasible, no optimality claim
+		Work:     stats.Work,
+		Runtime:  sol.Runtime,
+		Greedy:   &stats,
 	}
 	if err := s.verify(inst, sol, mapping, res, nil, nil); err != nil {
 		return nil, err
@@ -147,12 +143,11 @@ func (s *Solver) solveRounding(ctx context.Context, inst *core.Instance, mapping
 		return nil, fmt.Errorf("tvnep: %w", err)
 	}
 	res := &Result{
-		Status:       StatusFeasible, // heuristic: feasible, no optimality claim
-		Gap:          math.Inf(1),    // until a solution exists
-		Nodes:        stats.FallbackNodes,
-		LPIterations: stats.LPIterations,
-		Runtime:      stats.Runtime,
-		Rounding:     &stats,
+		Status:   StatusFeasible, // heuristic: feasible, no optimality claim
+		Gap:      math.Inf(1),    // until a solution exists
+		Work:     Work{Nodes: stats.FallbackNodes, LPIterations: stats.LPIterations},
+		Runtime:  stats.Runtime,
+		Rounding: &stats,
 	}
 	if sol == nil {
 		return res, ErrNoSolution
@@ -179,15 +174,12 @@ func (s *Solver) solveExact(ctx context.Context, inst *core.Instance, mapping No
 	})
 	sol, ms := b.Solve(ctx, &s.cfg.solve)
 	res := &Result{
-		Status:       ms.Status,
-		Gap:          ms.Gap,
-		Nodes:        ms.Nodes,
-		LPIterations: ms.LPIterations,
-		BoundFlips:   ms.BoundFlips,
-		RatioPasses:  ms.RatioPasses,
-		Runtime:      ms.Runtime,
-		Cuts:         ms.Cuts,
-		ColumnStats:  ms.Columns,
+		Status:      ms.Status,
+		Gap:         ms.Gap,
+		Work:        ms.Work,
+		Runtime:     ms.Runtime,
+		Cuts:        ms.Cuts,
+		ColumnStats: ms.Columns,
 		ModelStats: &ModelStats{
 			Formulation:   s.cfg.formulation,
 			Objective:     s.cfg.objective,
@@ -242,7 +234,7 @@ func (s *Solver) verify(inst *core.Instance, sol *Solution, mapping NodeMapping,
 		if err := cert.Columns.Err(); err != nil {
 			return &CertificationError{Stage: "columns", Err: err}
 		}
-		cert.RootLP = certify.LP(b.Model.LP(), ms.RootLP, 0)
+		cert.RootLP = certify.LP(b.Model.LP(), ms.Root, 0)
 		if err := cert.RootLP.Err(); err != nil {
 			return &CertificationError{Stage: "root-lp", Err: err}
 		}

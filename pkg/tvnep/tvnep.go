@@ -52,6 +52,10 @@ type (
 
 	// SolveStatus is the typed outcome of a solve.
 	SolveStatus = model.Status
+	// Work counts a solve's deterministic work: branch-and-bound nodes,
+	// simplex iterations, and the dual ratio test's bound flips and
+	// breakpoint passes.
+	Work = model.Work
 	// Progress is a snapshot of a running solve.
 	Progress = model.Progress
 	// GreedyStats reports per-run statistics of the greedy algorithm: the

@@ -44,15 +44,15 @@ func TestRootLPCertifiesEveryFamily(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			b := tc.build()
 			_, ms := b.Solve(context.Background(), &model.SolveOptions{NodeLimit: 1})
-			if ms.RootLP.Status != lp.StatusOptimal {
-				t.Fatalf("root relaxation status %v (search status %v)", ms.RootLP.Status, ms.Status)
+			if ms.Root.Status != lp.StatusOptimal {
+				t.Fatalf("root relaxation status %v (search status %v)", ms.Root.Status, ms.Status)
 			}
-			if cert := certify.LP(b.Model.LP(), ms.RootLP, 0); cert.Err() != nil {
+			if cert := certify.LP(b.Model.LP(), ms.Root, 0); cert.Err() != nil {
 				t.Fatalf("root LP certificate: %v", cert.Err())
 			}
 			cold := lp.Solve(b.Model.LP(), nil)
-			if d := math.Abs(ms.RootLP.Obj - cold.Obj); d > 1e-6*math.Max(1, math.Abs(cold.Obj)) {
-				t.Fatalf("root objective %v, cold relaxation %v", ms.RootLP.Obj, cold.Obj)
+			if d := math.Abs(ms.Root.Obj - cold.Obj); d > 1e-6*math.Max(1, math.Abs(cold.Obj)) {
+				t.Fatalf("root objective %v, cold relaxation %v", ms.Root.Obj, cold.Obj)
 			}
 		})
 	}
