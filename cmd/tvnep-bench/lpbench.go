@@ -157,7 +157,7 @@ var lpBenches = []lpBench{
 	{"LPRelaxationCSigma", 3200, func() (lpOp, error) {
 		m := relaxModel().Model
 		return func(int) (lpCounters, error) {
-			sol := m.Relax()
+			sol := m.Relax(context.Background())
 			if !sol.HasSolution {
 				return lpCounters{}, errors.New("relaxation not solved")
 			}

@@ -195,7 +195,7 @@ func main() {
 		fmt.Printf("algorithm: randomized rounding (seed %d: %d samples, %d feasible, best #%d, %d repairs, %d repair-rejections)\n",
 			*seed, rs.Samples, rs.Feasible, rs.BestSample, rs.Repairs, rs.Rejections)
 		if rs.FellBack {
-			fmt.Printf("rounding: fell back to exact branch-and-bound (%d nodes)\n", rs.FallbackNodes)
+			fmt.Printf("rounding: fell back to exact branch-and-bound (%d nodes)\n", rs.Nodes)
 		} else {
 			fmt.Printf("rounding: LP bound %.4f, %d LP iterations, no fallback\n", rs.LPBound, rs.LPIterations)
 		}

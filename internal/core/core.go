@@ -308,11 +308,13 @@ type Built struct {
 	// an inner loop, part a sub-expression folded into row once it is known
 	// to be nonempty.
 	row, sum, part model.LinExpr
-	// linkUse[r][lv][ls] lists the compiled rows in which one unit of
-	// (r, lv)-flow over substrate link ls participates (FlowPath builds
-	// only); the pricer assembles priced path columns from it, and the seed
-	// columns carry exactly the same coefficients through the expressions.
-	linkUse [][][][]rowCoef
+	// linkUse[r·|E_S|+ls] lists the compiled rows in which a unit of
+	// request r's flow over substrate link ls participates (FlowPath builds
+	// only), each entry scaled by the demand of the virtual link it is read
+	// for (see rowCoef.at); the pricer assembles priced path columns from
+	// it, and the seed columns carry exactly the same coefficients through
+	// the expressions.
+	linkUse [][]rowCoef
 	// convRow[r][lv] is the FlowPath convexity row index (−1 for trivial
 	// virtual links whose endpoints share a substrate node).
 	convRow [][]int
@@ -323,15 +325,27 @@ type Built struct {
 	deferred [][]deferredRow
 	// opened[r·|E_S|+ls] counts the rows of deferred[r] on link ls the
 	// current search has opened; their link-use entries sit at the tail of
-	// linkUse[r][·][ls].
+	// linkUse[r·|E_S|+ls].
 	opened []int
 }
 
 // rowCoef is one (compiled row, coefficient-per-unit-flow) entry of the
-// FlowPath link-use registry.
+// FlowPath link-use registry. A demand entry's sign (±1) is scaled by the
+// demand of the virtual link it is read for; a unit entry (sign 0) counts
+// flow with coefficient 1 whatever the demand.
 type rowCoef struct {
-	row  int
-	coef float64
+	row  int32
+	sign int8
+}
+
+// at returns the entry's coefficient for one unit of flow on a virtual
+// link of demand d, and false when the entry does not apply to the link (a
+// demand entry on a link without demand).
+func (rc rowCoef) at(d float64) (float64, bool) {
+	if rc.sign == 0 {
+		return 1, true
+	}
+	return float64(rc.sign) * d, d > 0
 }
 
 // deferredRow is a state row (7) the FlowPath build left out: request r's
@@ -428,18 +442,8 @@ func (b *Built) Extract(ms *model.Solution) *solution.Solution {
 				}
 				continue
 			}
-			// FlowPath: the arc flow on ls is the total path-variable value
-			// over the paths crossing it — seed columns first, priced
-			// columns below (they cover every request at once).
-			for k, p := range b.SeedPaths[r][lv] {
-				v := ms.Value(b.Lambda[r][lv][k])
-				if v < numtol.FlowCutoff {
-					continue
-				}
-				for _, ls := range p {
-					flows[lv][ls] += v
-				}
-			}
+			// FlowPath: the arc flows are summed from the path columns
+			// below, once every request is known to be routed.
 			if art := b.Art[r][lv]; art.Valid() && sol.Accepted[r] {
 				if v := ms.Value(art); v > numtol.FlowTol {
 					// The request was accepted but its unit flow fell on the
@@ -454,27 +458,50 @@ func (b *Built) Extract(ms *model.Solution) *solution.Solution {
 		}
 		sol.Flows[r] = flows
 	}
-	if b.XE == nil {
-		x := ms.X()
-		for k, c := range ms.AppliedColumns {
-			tag, ok := c.Tag.(pathTag)
-			if !ok {
-				continue
-			}
-			j := ms.Columns.ColsAtRoot + k
-			if j >= len(x) {
-				continue // incumbent predates this column: value is zero
-			}
-			v := x[j]
-			if v < numtol.FlowCutoff {
-				continue
-			}
-			for _, ls := range tag.links {
-				sol.Flows[tag.r][tag.lv][ls] += v
+	// FlowPath: the arc flow on ls is the total path-variable value over
+	// the paths crossing it.
+	b.ForEachPathFlow(ms, func(r, lv int, links []int, v float64) {
+		for _, ls := range links {
+			sol.Flows[r][lv][ls] += v
+		}
+	})
+	return sol
+}
+
+// ForEachPathFlow calls f with every path column of a FlowPath model
+// solution that carries flow: value v ≥ numtol.FlowCutoff on virtual link
+// lv of request r, routed over the substrate links in links (shared; treat
+// as read-only). The seed columns come first in (r, lv) order, then the
+// priced columns in append order. Extract sums the arc flows from it, and
+// internal/round reads the relaxation's path decomposition off it. On an
+// arc build, or a solution without an assignment, f is never called.
+func (b *Built) ForEachPathFlow(ms *model.Solution, f func(r, lv int, links []int, v float64)) {
+	if b.XE != nil || !ms.HasSolution {
+		return
+	}
+	for r, seeds := range b.SeedPaths {
+		for lv, paths := range seeds {
+			for k, p := range paths {
+				if v := ms.Value(b.Lambda[r][lv][k]); v >= numtol.FlowCutoff {
+					f(r, lv, p, v)
+				}
 			}
 		}
 	}
-	return sol
+	x := ms.X()
+	for k, c := range ms.AppliedColumns {
+		tag, ok := c.Tag.(pathTag)
+		if !ok {
+			continue
+		}
+		j := ms.Columns.ColsAtRoot + k
+		if j >= len(x) {
+			continue // incumbent predates this column: value is zero
+		}
+		if v := x[j]; v >= numtol.FlowCutoff {
+			f(tag.r, tag.lv, tag.links, v)
+		}
+	}
 }
 
 // Build dispatches to the requested formulation.

@@ -385,7 +385,7 @@ func TestRelaxationStrengthOrdering(t *testing.T) {
 	inst, opts := pairInstance(0)
 	relax := func(f Formulation) float64 {
 		b := Build(f, inst, opts)
-		sol := b.Model.Relax()
+		sol := b.Model.Relax(context.Background())
 		if !sol.HasSolution {
 			t.Fatalf("%v relaxation not optimal", f)
 		}

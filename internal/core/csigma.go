@@ -121,6 +121,18 @@ func RebuildCSigma(b *Built, inst *Instance, opts BuildOptions) *Built {
 		return dg.ActivityAt(r, n)
 	}
 
+	if b.linkUse != nil {
+		active := make([]int, k)
+		for r := range active {
+			for n := 1; n <= k; n++ {
+				if activity(r, n) != depgraph.Never {
+					active[r]++
+				}
+			}
+		}
+		b.sizeLinkUse(active)
+	}
+
 	// (r, state, resource) → a, kept only for the objective that reads it.
 	var aVars map[[3]int]model.Var
 	if opts.Objective == BalanceNodeLoad {

@@ -139,7 +139,7 @@ func applyDisableLinks(b *Built) {
 			}
 		}
 		row := m.AddLE(con, M, model.Key1(FamDis, ls))
-		b.recordLinkUseUnit(ls, row, 1)
+		b.recordLinkUseUnit(ls, row)
 	}
 	m.SetObjective(obj)
 }

@@ -41,6 +41,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"tvnep/internal/lp"
 	"tvnep/internal/model"
@@ -91,31 +92,44 @@ func (b *Built) pathLinkDemand(r int) bool {
 }
 
 // recordLinkUse registers "one unit of (r, lv)-flow over substrate link ls
-// participates in row with coefficient sign·d" for every nontrivial virtual
-// link of r with positive demand. Seed columns receive exactly the same
-// coefficients through addLinkAlloc, so priced and seeded paths are
-// interchangeable LP columns.
-func (b *Built) recordLinkUse(r, ls, row int, sign float64) {
-	req := b.Inst.Reqs[r]
-	for lv := 0; lv < req.G.NumEdges(); lv++ {
-		d := req.LinkDemand[lv]
-		if d <= 0 || b.convRow[r][lv] < 0 {
-			continue
+// participates in row with coefficient sign·d_lv" for every nontrivial
+// virtual link lv of r with positive demand d_lv. Seed columns receive
+// exactly the same coefficients through addLinkAlloc, so priced and seeded
+// paths are interchangeable LP columns.
+func (b *Built) recordLinkUse(r, ls, row int, sign int8) {
+	k := r*b.Inst.Sub.NumLinks() + ls
+	b.linkUse[k] = append(b.linkUse[k], rowCoef{row: int32(row), sign: sign})
+}
+
+// sizeLinkUse carves the link-use lists out of one arena. Request r
+// participates on a link in at most one row per state it can be active in
+// (active[r] of them: its state row (7), built or opened, or the capacity
+// row (9) of a state presolve proves it active in) and in one activity row
+// (DisableLinks), so no list outgrows its share.
+func (b *Built) sizeLinkUse(active []int) {
+	nL := b.Inst.Sub.NumLinks()
+	total := 0
+	for _, a := range active {
+		total += (a + 1) * nL
+	}
+	arena := make([]rowCoef, total)
+	off := 0
+	for r, a := range active {
+		for ls := 0; ls < nL; ls++ {
+			b.linkUse[r*nL+ls] = arena[off : off : off+a+1]
+			off += a + 1
 		}
-		b.linkUse[r][lv][ls] = append(b.linkUse[r][lv][ls], rowCoef{row: row, coef: sign * d})
 	}
 }
 
 // recordLinkUseUnit registers a demand-independent unit-flow coefficient
 // (the DisableLinks activity rows count flow, not allocation) on every
 // nontrivial virtual link of every request.
-func (b *Built) recordLinkUseUnit(ls, row int, coef float64) {
-	for r, req := range b.Inst.Reqs {
-		for lv := 0; lv < req.G.NumEdges(); lv++ {
-			if b.convRow[r][lv] < 0 {
-				continue
-			}
-			b.linkUse[r][lv][ls] = append(b.linkUse[r][lv][ls], rowCoef{row: row, coef: coef})
+func (b *Built) recordLinkUseUnit(ls, row int) {
+	nL := b.Inst.Sub.NumLinks()
+	for r, conv := range b.convRow {
+		if slices.ContainsFunc(conv, func(i int) bool { return i >= 0 }) {
+			b.linkUse[r*nL+ls] = append(b.linkUse[r*nL+ls], rowCoef{row: int32(row)})
 		}
 	}
 }
@@ -141,7 +155,7 @@ func buildPathEmbedding(b *Built) {
 	b.SeedPaths = make([][][][]int, k)
 	b.Art = make([][]model.Var, k)
 	b.convRow = make([][]int, k)
-	b.linkUse = make([][][][]rowCoef, k)
+	b.linkUse = make([][]rowCoef, k*sub.NumLinks())
 	b.deferred = make([][]deferredRow, k)
 	b.opened = make([]int, k*sub.NumLinks())
 
@@ -152,9 +166,7 @@ func buildPathEmbedding(b *Built) {
 		b.SeedPaths[r] = make([][][]int, nE)
 		b.Art[r] = make([]model.Var, nE)
 		b.convRow[r] = make([]int, nE)
-		b.linkUse[r] = make([][][]rowCoef, nE)
 		for lv := 0; lv < nE; lv++ {
-			b.linkUse[r][lv] = make([][]rowCoef, sub.NumLinks())
 			u, v := req.G.Edge(lv)
 			hu, hv := b.Opts.FixedMapping[r][u], b.Opts.FixedMapping[r][v]
 			if hu == hv {
@@ -199,6 +211,26 @@ func buildAcceptVar(b *Built, r int) {
 	if forced {
 		m.Fix(b.XR[r], 1)
 	}
+}
+
+// ArtificialFlow returns the largest flow a FlowPath model solution parks
+// on a convexity artificial, i.e. flow that no substrate path carries; 0 on
+// arc builds and on solutions without an assignment. On a relaxation it is
+// positive exactly when the arc relaxation is infeasible: the big-M
+// penalty makes parking flow lose to every routable point.
+func (b *Built) ArtificialFlow(ms *model.Solution) float64 {
+	parked := 0.0
+	if !ms.HasSolution {
+		return parked
+	}
+	for _, arts := range b.Art {
+		for _, art := range arts {
+			if art.Valid() {
+				parked = max(parked, ms.Value(art))
+			}
+		}
+	}
+	return parked
 }
 
 // addSeedLinkAlloc is addLinkAlloc's FlowPath branch: it appends coef
@@ -253,24 +285,33 @@ func applyArtPenalty(b *Built) bool {
 	return any
 }
 
-// pathColumn assembles the LP column of path (a substrate-link sequence) for
-// virtual link (r, lv): +1 on the convexity row plus the registered per-unit
-// capacity, state and activity coefficients of every traversed link. The
-// solver's column pool canonicalizes (sorts, merges) the raw entries.
+// pathColumn assembles the LP column of path (a substrate-link sequence,
+// which the column's tag keeps) for virtual link (r, lv): +1 on the
+// convexity row plus the registered per-unit capacity, state and activity
+// coefficients of every traversed link. The solver's column pool
+// canonicalizes (sorts, merges) the raw entries.
 func (b *Built) pathColumn(r, lv int, path []int) model.Column {
-	c := model.Column{LB: 0, UB: 1, Obj: 0, Tag: pathTag{r: r, lv: lv, links: append([]int(nil), path...)}}
+	c := model.Column{LB: 0, UB: 1, Obj: 0, Tag: pathTag{r: r, lv: lv, links: path}}
 	c.Idx, c.Val = b.pathCoefs(r, lv, path)
 	return c
 }
 
 // pathCoefs returns the raw row entries of pathColumn.
 func (b *Built) pathCoefs(r, lv int, path []int) ([]int32, []float64) {
-	idx := []int32{int32(b.convRow[r][lv])}
-	val := []float64{1}
+	d := b.Inst.Reqs[r].LinkDemand[lv]
+	use := b.linkUse[r*b.Inst.Sub.NumLinks():]
+	n := 1
 	for _, ls := range path {
-		for _, rc := range b.linkUse[r][lv][ls] {
-			idx = append(idx, int32(rc.row))
-			val = append(val, rc.coef)
+		n += len(use[ls])
+	}
+	idx := append(make([]int32, 0, n), int32(b.convRow[r][lv]))
+	val := append(make([]float64, 0, n), 1)
+	for _, ls := range path {
+		for _, rc := range use[ls] {
+			if c, ok := rc.at(d); ok {
+				idx = append(idx, rc.row)
+				val = append(val, c)
+			}
 		}
 	}
 	return idx, val
@@ -309,14 +350,18 @@ func (pp *pathPricer) Price(duals, x []float64) []model.Column {
 	w := make([]float64, sub.NumLinks())
 	var out []model.Column
 	for r, req := range b.Inst.Reqs {
+		use := b.linkUse[r*len(w):]
 		for lv := 0; lv < req.G.NumEdges(); lv++ {
 			if b.convRow[r][lv] < 0 {
 				continue
 			}
+			d := req.LinkDemand[lv]
 			for ls := range w {
 				c := 0.0
-				for _, rc := range b.linkUse[r][lv][ls] {
-					c += rc.coef * duals[rc.row]
+				for _, rc := range use[ls] {
+					if k, ok := rc.at(d); ok {
+						c += k * duals[rc.row]
+					}
 				}
 				if c < 0 {
 					c = 0 // dual noise; the exact recheck below decides
@@ -343,17 +388,11 @@ func (pp *pathPricer) Price(duals, x []float64) []model.Column {
 // search starts from the build's rows.
 func (pp *pathPricer) Reset() {
 	b := pp.b
-	nL := b.Inst.Sub.NumLinks()
 	for k, c := range b.opened {
 		if c == 0 {
 			continue
 		}
-		r, ls := k/nL, k%nL
-		for lv, use := range b.linkUse[r] {
-			if b.Inst.Reqs[r].LinkDemand[lv] > 0 && b.convRow[r][lv] >= 0 {
-				use[ls] = use[ls][:len(use[ls])-c]
-			}
-		}
+		b.linkUse[k] = b.linkUse[k][:len(b.linkUse[k])-c]
 		b.opened[k] = 0
 	}
 }

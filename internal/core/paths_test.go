@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
 	"tvnep/internal/graph"
 	"tvnep/internal/model"
+	"tvnep/internal/numtol"
 	"tvnep/internal/solution"
 	"tvnep/internal/substrate"
 	"tvnep/internal/vnet"
@@ -279,6 +281,90 @@ func comparePathArc(t *testing.T, inst *Instance, opts BuildOptions, seed int64,
 		}
 	}
 	return asol.Accepted, pms.Columns.CompanionRows
+}
+
+// TestPathRelaxMatchesArcRandom checks the relaxation randomized rounding
+// decomposes: on random grid and WAN scenarios, Model.Relax on a FlowPath
+// build, its columns priced to convergence, reaches the FlowArc relaxation
+// value, and every nontrivial virtual link of a request the relaxation
+// takes carries one unit of x_R-normalized flow over src→dst path columns
+// (nothing on the convexity artificial). The fixed-set DisableLinks
+// objective covers the registry's demand-independent entries.
+func TestPathRelaxMatchesArcRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	ctx := context.Background()
+	compared, links := 0, 0
+	for trial := 0; trial < 48; trial++ {
+		wl := workload.Default()
+		if trial%2 == 1 {
+			wl.Topology, wl.WANNodes, wl.WANAvgDeg = "wan", 8+rng.Intn(5), float64(3+rng.Intn(2))
+		} else {
+			wl.GridRows, wl.GridCols = 2+rng.Intn(2), 2+rng.Intn(2)
+		}
+		wl.NumRequests, wl.StarLeaves = 2+rng.Intn(5), 1+rng.Intn(2)
+		wl.FlexibilityHr = []float64{0, 1, 2, 4}[rng.Intn(4)]
+		sc := workload.Generate(wl, rng.Int63())
+		inst := &Instance{Sub: sc.Substrate, Reqs: sc.Requests, Horizon: sc.Horizon}
+		for _, obj := range []Objective{AccessControl, DisableLinks} {
+			opts := BuildOptions{Objective: obj, FixedMapping: sc.Mapping}
+			arc := BuildCSigma(inst, opts).Model.Relax(ctx)
+			if !arc.HasSolution {
+				if obj == AccessControl {
+					t.Fatalf("trial %d: arc relaxation %v", trial, arc.Status)
+				}
+				continue // the fixed set is not even fractionally embeddable
+			}
+			opts.FlowMode = FlowPath
+			b := BuildCSigma(inst, opts)
+			rel := b.Model.Relax(ctx)
+			if rel.Status != model.StatusOptimal || rel.Nodes != 0 {
+				t.Fatalf("trial %d %v: path relaxation %v after %d nodes", trial, obj, rel.Status, rel.Nodes)
+			}
+			if math.Abs(rel.Obj-arc.Obj) > numtol.ObjTol*(1+math.Abs(arc.Obj)) {
+				t.Fatalf("trial %d %v: path relaxation %v, arc relaxation %v", trial, obj, rel.Obj, arc.Obj)
+			}
+			compared++
+
+			flow := make([][]float64, len(inst.Reqs))
+			for r, req := range inst.Reqs {
+				flow[r] = make([]float64, req.G.NumEdges())
+			}
+			b.ForEachPathFlow(rel, func(r, lv int, p []int, v float64) {
+				u, w := inst.Reqs[r].G.Edge(lv)
+				at := sc.Mapping[r][u]
+				for _, ls := range p {
+					from, to := inst.Sub.G.Edge(ls)
+					if from != at {
+						t.Fatalf("trial %d %v: path column %v of request %d link %d is not a walk", trial, obj, p, r, lv)
+					}
+					at = to
+				}
+				if at != sc.Mapping[r][w] {
+					t.Fatalf("trial %d %v: path column %v of request %d link %d ends at %d, not at host %d", trial, obj, p, r, lv, at, sc.Mapping[r][w])
+				}
+				flow[r][lv] += v
+			})
+			for r, req := range inst.Reqs {
+				xr := rel.Value(b.XR[r])
+				if xr < 1e-3 {
+					continue
+				}
+				for lv := 0; lv < req.G.NumEdges(); lv++ {
+					if u, w := req.G.Edge(lv); sc.Mapping[r][u] == sc.Mapping[r][w] {
+						continue
+					}
+					if unit := flow[r][lv] / xr; math.Abs(unit-1) > 1e-6 {
+						t.Fatalf("trial %d %v: request %d link %d carries %v units of x_R-normalized flow", trial, obj, r, lv, unit)
+					}
+					links++
+				}
+			}
+		}
+	}
+	if compared < 64 || links == 0 {
+		t.Fatalf("only %d relaxations compared and %d links decomposed; the sweep lost its coverage", compared, links)
+	}
+	t.Logf("%d relaxations compared, %d links decomposed", compared, links)
 }
 
 // TestPathLinkStateRowsHoldPaths pins the FlowPath row layer on WAN

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -109,7 +110,7 @@ func TestRebuildCSigmaMatchesFresh(t *testing.T) {
 				}
 				assertSameModel(t, got, want)
 
-				gr, wr := got.Model.Relax(), want.Model.Relax()
+				gr, wr := got.Model.Relax(context.Background()), want.Model.Relax(context.Background())
 				if gr.Status != model.StatusOptimal || math.Float64bits(gr.Obj) != math.Float64bits(wr.Obj) ||
 					gr.LPIterations != wr.LPIterations {
 					t.Fatalf("rebuilt relaxation %v obj %v in %d iterations; fresh %v obj %v in %d",

@@ -45,7 +45,7 @@ func (c Config) RelaxationSweep(ctx context.Context, progress io.Writer) []Relax
 			b := core.Build(f, inst, core.BuildOptions{
 				Objective: core.AccessControl, FixedMapping: mapping,
 			})
-			rel := b.Model.Relax()
+			rel := b.Model.Relax(ctx)
 			rec := RelaxationRecord{FlexMin: key.flex, Seed: key.seed, Form: f, Exact: exact, Bound: math.NaN()}
 			if rel.HasSolution {
 				rec.Bound = rel.Obj

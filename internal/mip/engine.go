@@ -45,7 +45,7 @@ func (s *searcher) relax(nd *node) (res lp.Result, col int) {
 	col = s.fractional(res.X)
 	// Capture the factors only for their readers: the children of a
 	// fractional optimum, and the pricing restart of any optimum.
-	if s.cols != nil || col >= 0 {
+	if s.cols != nil || (col >= 0 && !s.rootOnly) {
 		s.inst.CaptureFactors(&res, s.factors(s.inst.NumRows()))
 	}
 	return res, col

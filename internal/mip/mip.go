@@ -306,6 +306,9 @@ type searcher struct {
 
 	// root is the root node's first relaxation (Result.Root).
 	root lp.Result
+	// rootOnly marks a Relax search, which never branches, so no
+	// relaxation's factors are captured for children.
+	rootOnly bool
 
 	// Recycled storage (see factors.go): the factor buffers' free list and
 	// the dive heuristic's buffer.
@@ -338,6 +341,69 @@ func Solve(ctx context.Context, p *Problem, opts *Options) Result {
 //
 //det:entry
 func SolveFrom(ctx context.Context, p *Problem, opts *Options, inst *lp.Instance) Result {
+	s := newSearcher(ctx, p, opts, inst)
+	status := s.run()
+	res := s.result(status)
+	bound := s.globalBoundMin()
+	if s.hasInc {
+		res.HasSolution, res.X = true, s.incumbent
+		res.Obj = s.fromMin(s.incumbentMin)
+		res.Gap = relGap(s.incumbentMin, bound)
+	} else {
+		res.Gap = math.Inf(1)
+	}
+	res.Bound = s.fromMin(bound)
+	if status == StatusOptimal && s.hasInc {
+		res.Gap = 0
+		res.Bound = res.Obj
+	}
+	s.release()
+	return res
+}
+
+// Relax is the root-only twin of SolveFrom: it solves the root node's
+// relaxation on a fresh instance, pricing to convergence and separating
+// the root's cut rounds, and neither branches nor runs a heuristic. Its X
+// is the final relaxation over p's columns and the priced ones, owned by
+// the caller; Obj and Bound are its value, which is a bound on the MIP
+// once no column prices in. Work counts no node. Without pricers or
+// separators it is one cold LP solve.
+//
+//det:entry
+func Relax(ctx context.Context, p *Problem, opts *Options) Result {
+	s := newSearcher(ctx, p, opts, nil)
+	s.rootOnly = true
+	nd := &node{col: -1} // the fresh instance carries the root box
+	rel, _ := s.solveSeparated(nd)
+	s.retire(nd, rel.Basis, rel.Factors)
+	res := s.result(relaxStatus(rel.Status, s.cancelled()))
+	res.Gap = math.Inf(1)
+	if rel.Status == lp.StatusOptimal {
+		res.HasSolution, res.X = true, rel.X
+		res.Obj, res.Bound, res.Gap = rel.Obj, rel.Obj, 0
+	}
+	s.release()
+	return res
+}
+
+// relaxStatus translates the outcome of a root relaxation into a Status.
+func relaxStatus(st lp.Status, cancelled bool) Status {
+	switch {
+	case st == lp.StatusOptimal:
+		return StatusOptimal
+	case st == lp.StatusInfeasible:
+		return StatusInfeasible
+	case st == lp.StatusUnbounded:
+		return StatusUnbounded
+	case cancelled:
+		return StatusCancelled
+	default:
+		return StatusLimit
+	}
+}
+
+// newSearcher prepares a search of p on inst (compiled from p.LP when nil).
+func newSearcher(ctx context.Context, p *Problem, opts *Options, inst *lp.Instance) *searcher {
 	start := time.Now() //lint:allow nondet -- wall-clock Runtime stat only
 	if ctx == nil {
 		ctx = context.Background()
@@ -375,14 +441,17 @@ func SolveFrom(ctx context.Context, p *Problem, opts *Options, inst *lp.Instance
 		s.hasDL = true
 		s.dlCountdown = 1 // check wall clock on the very first node
 	}
+	return s
+}
 
-	status := s.run()
+// result reports the search's status, work, root record and applied rows
+// and columns; the caller fills in the solution and its bound.
+func (s *searcher) result(status Status) Result {
 	res := Result{
-		Status:      status,
-		HasSolution: s.hasInc,
-		Work:        s.work,
-		Runtime:     time.Since(start), //lint:allow nondet -- wall-clock Runtime stat only
-		Root:        s.root,
+		Status:  status,
+		Work:    s.work,
+		Runtime: time.Since(s.start), //lint:allow nondet -- wall-clock Runtime stat only
+		Root:    s.root,
 	}
 	companion := 0
 	for k := range s.log {
@@ -393,34 +462,20 @@ func SolveFrom(ctx context.Context, p *Problem, opts *Options, inst *lp.Instance
 			res.AppliedCuts = append(res.AppliedCuts, o.cut())
 		}
 	}
-	res.Cuts = CutStats{RowsAtRoot: p.LP.NumRows(), SeparatedRows: len(res.AppliedCuts)}
+	res.Cuts = CutStats{RowsAtRoot: s.prob.LP.NumRows(), SeparatedRows: len(res.AppliedCuts)}
 	if s.cuts != nil {
 		res.Cuts.Rounds = s.cuts.rounds
 		res.Cuts.Offered = s.cuts.offered
 		res.Cuts.PoolHits = s.cuts.hits
 		res.Cuts.Evicted = s.cuts.evicted
 	}
-	res.Columns = ColumnStats{ColsAtRoot: n, PricedCols: len(res.AppliedColumns), CompanionRows: companion}
+	res.Columns = ColumnStats{ColsAtRoot: len(s.rootLB), PricedCols: len(res.AppliedColumns), CompanionRows: companion}
 	if s.cols != nil {
 		res.Columns.Rounds = s.cols.rounds
 		res.Columns.Offered = s.cols.offered
 		res.Columns.PoolHits = s.cols.hits
 		res.Columns.Evicted = s.cols.evicted
 	}
-	bound := s.globalBoundMin()
-	if s.hasInc {
-		res.X = s.incumbent
-		res.Obj = s.fromMin(s.incumbentMin)
-		res.Gap = relGap(s.incumbentMin, bound)
-	} else {
-		res.Gap = math.Inf(1)
-	}
-	res.Bound = s.fromMin(bound)
-	if status == StatusOptimal && s.hasInc {
-		res.Gap = 0
-		res.Bound = res.Obj
-	}
-	s.release()
 	return res
 }
 

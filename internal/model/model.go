@@ -424,7 +424,13 @@ func (m *Model) SolutionFromLP(res lp.Result) *Solution {
 	return sol
 }
 
-// Relax solves the LP relaxation (integrality dropped).
-func (m *Model) Relax() *Solution {
-	return m.SolutionFromLP(lp.Solve(m.lp, nil))
+// Relax solves the LP relaxation (integrality dropped) with the model's
+// pricers and separators, so its value bounds the MIP whatever the model
+// leaves to them: pricing runs to convergence and the separators get the
+// root's cut rounds (see mip.Relax). A model with neither is one cold LP
+// solve. Cancelling ctx stops the solve (Status == StatusCancelled); a nil
+// ctx is treated as context.Background().
+func (m *Model) Relax(ctx context.Context) *Solution {
+	res := mip.Relax(ctx, &mip.Problem{LP: m.lp, Integer: m.integer}, &mip.Options{Separators: m.seps, Pricers: m.prs})
+	return &Solution{Result: res, Status: statusFromMIP(res.Status, res.HasSolution)}
 }

@@ -92,7 +92,7 @@ func TestRelaxDropsIntegrality(t *testing.T) {
 	x := m.IntegerVar(0, 9)
 	m.SetObjective(Term(1, x))
 	m.AddLE(Term(2, x), 7, Key1("r", 0))
-	sol := m.Relax()
+	sol := m.Relax(context.Background())
 	if sol.Status != StatusOptimal || math.Abs(sol.Obj-3.5) > 1e-7 {
 		t.Fatalf("relax obj = %v (status %v), want 3.5", sol.Obj, sol.Status)
 	}
@@ -102,7 +102,7 @@ func TestRelaxInfeasible(t *testing.T) {
 	m := New(Minimize)
 	x := m.Continuous(0, 1)
 	m.AddGE(Term(1, x), 5, Key1("r", 0))
-	sol := m.Relax()
+	sol := m.Relax(context.Background())
 	if sol.Status != StatusInfeasible {
 		t.Fatalf("status = %v, want infeasible", sol.Status)
 	}

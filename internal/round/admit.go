@@ -14,7 +14,8 @@ import (
 // committed request keeps its pinned schedule and flows (their relaxation
 // values are exact, the engine fixed their bounds), only the arriving
 // request — index newIdx, the last one — is rounded. Flow candidates come
-// from the same path decomposition as the offline solve; the start is the
+// from the same decomposition as the offline solve, stripped from the
+// admission model's arc flows; the start is the
 // earliest one that fits, found by walking the request forward over the
 // violated intervals (deferral restricted to the new request: committed
 // schedules must never move). Returns nil when no sample fits, in which
@@ -31,7 +32,7 @@ func AdmitSample(b *core.Built, rel *model.Solution, newIdx int, seed int64, sam
 	if rel.Value(b.XR[newIdx]) < 1-numtol.MIPIntTol {
 		return nil
 	}
-	cand := decomposeRequest(b, rel, newIdx)
+	cand := decomposeRequest(b, rel, pathColumns(b, rel), newIdx)
 	if !cand.embeddable {
 		return nil
 	}

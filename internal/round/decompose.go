@@ -45,16 +45,40 @@ type reqCand struct {
 // Requests whose acceptance mass is below xrFloor keep embeddable=false
 // and are never rounded up (their normalized flows would be LP noise).
 func decompose(b *core.Built, rel *model.Solution) []reqCand {
-	k := len(b.Inst.Reqs)
-	cands := make([]reqCand, k)
-	for r := range b.Inst.Reqs {
-		cands[r] = decomposeRequest(b, rel, r)
+	cols := pathColumns(b, rel)
+	cands := make([]reqCand, len(b.Inst.Reqs))
+	for r := range cands {
+		cands[r] = decomposeRequest(b, rel, cols, r)
 	}
 	return cands
 }
 
+// pathColumns lists, per request and virtual link, the path columns that
+// carry flow in a FlowPath relaxation, weighted by their flow; nil for an
+// arc relaxation.
+func pathColumns(b *core.Built, rel *model.Solution) [][][]pathCand {
+	if b.XE != nil {
+		return nil
+	}
+	cols := make([][][]pathCand, len(b.Inst.Reqs))
+	for r, req := range b.Inst.Reqs {
+		cols[r] = make([][]pathCand, req.G.NumEdges())
+	}
+	b.ForEachPathFlow(rel, func(r, lv int, links []int, v float64) {
+		edges := make([]int32, len(links))
+		for i, ls := range links {
+			edges[i] = int32(ls)
+		}
+		cols[r][lv] = append(cols[r][lv], pathCand{edges: edges, w: v})
+	})
+	return cols
+}
+
 // decomposeRequest builds the rounding candidate for a single request.
-func decomposeRequest(b *core.Built, rel *model.Solution, r int) reqCand {
+// The paths of a virtual link are the relaxation's own path columns (cols,
+// from pathColumns) on a FlowPath build, and are stripped from the arc
+// flows otherwise.
+func decomposeRequest(b *core.Built, rel *model.Solution, cols [][][]pathCand, r int) reqCand {
 	req := b.Inst.Reqs[r]
 	c := reqCand{xr: clamp(rel.Value(b.XR[r]), 0, 1)}
 
@@ -84,9 +108,9 @@ func decomposeRequest(b *core.Built, rel *model.Solution, r int) reqCand {
 		sort.SliceStable(c.starts, func(a, b int) bool { return c.starts[a].t < c.starts[b].t })
 	}
 
-	// Flow decomposition. Dividing the LP edge flows by a tiny x_R
-	// amplifies the solver's feasibility tolerance into real flow, so
-	// requests below the floor are never rounded up at all.
+	// Flow decomposition. Dividing the LP flows by a tiny x_R amplifies
+	// the solver's feasibility tolerance into real flow, so requests below
+	// the floor are never rounded up at all.
 	if c.xr < xrFloor {
 		return c
 	}
@@ -100,14 +124,23 @@ func decomposeRequest(b *core.Built, rel *model.Solution, r int) reqCand {
 			c.links[lv] = linkCand{mix: make([]float64, sub.NumLinks())}
 			continue
 		}
-		raw := make([]float64, sub.NumLinks())
-		for ls := range raw {
-			f := rel.Value(b.XE[r][lv][ls]) / c.xr
-			if f > 0 {
-				raw[ls] = f
+		var paths []pathCand
+		if cols != nil {
+			for _, p := range cols[r][lv] {
+				if p.w/c.xr > stripCutoff {
+					paths = append(paths, p)
+				}
 			}
+		} else {
+			raw := make([]float64, sub.NumLinks())
+			for ls := range raw {
+				f := rel.Value(b.XE[r][lv][ls]) / c.xr
+				if f > 0 {
+					raw[ls] = f
+				}
+			}
+			paths = stripPaths(sub.G, raw, src, dst)
 		}
-		paths := stripPaths(sub.G, raw, src, dst)
 		if len(paths) == 0 {
 			// The LP flow is too noisy to walk: fall back to a hop-shortest
 			// path.
@@ -123,7 +156,8 @@ func decomposeRequest(b *core.Built, rel *model.Solution, r int) reqCand {
 		}
 		// Renormalize so the path weights sum to exactly one; the re-mixed
 		// flow then satisfies unit conservation to machine precision
-		// regardless of LP noise in the raw flows.
+		// regardless of LP noise in the raw flows or of flow the
+		// relaxation parked on a path build's convexity artificial.
 		total := 0.0
 		for _, p := range paths {
 			total += p.w

@@ -160,7 +160,9 @@ func firstViolation(inst *core.Instance, sol *solution.Solution) (intervalEnd fl
 // repairSample resolves capacity violations by deferring contributors
 // within their flexibility windows: the contributor with the most
 // remaining slack that can still start at the violated interval's end is
-// pushed to exactly that end (aligning it with an existing event). When no
+// pushed to exactly that end (aligning it with an existing event); among
+// contributors tied on slack, the one that started last, whose start made
+// the overlap, is deferred (the lowest index on a further tie). When no
 // contributor can defer, the access-control objective rejects the
 // cheapest contributor instead; fixed-set objectives fail the sample. The
 // iteration guard bounds pathological defer chains — on overflow the
@@ -181,8 +183,12 @@ func repairSample(inst *core.Instance, sol *solution.Solution, obj core.Objectiv
 			if latestStart+numtol.WindowTol < t2 {
 				continue // cannot start after the violated interval
 			}
-			if room := latestStart - sol.Start[r]; room > bestRoom+numtol.TieEps {
+			room := latestStart - sol.Start[r]
+			switch {
+			case room > bestRoom+numtol.TieEps:
 				best, bestRoom = r, room
+			case best >= 0 && room >= bestRoom-numtol.TieEps && sol.Start[r] > sol.Start[best]+numtol.TieEps:
+				best = r
 			}
 		}
 		if best >= 0 {

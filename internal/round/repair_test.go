@@ -139,3 +139,45 @@ func TestFirstViolationMatchesRescan(t *testing.T) {
 		t.Fatalf("only %d of 2000 schedules overload a resource; the test lost its teeth", found)
 	}
 }
+
+// TestRepairDefersContributor pins which contributor repairSample defers:
+// two unit-demand requests overlap on one unit-capacity node, and the
+// repair must resolve the overlap with the deferral the rows name.
+func TestRepairDefersContributor(t *testing.T) {
+	type req struct{ earliest, latest, start float64 }
+	for _, tc := range []struct {
+		name      string
+		reqs      [2]req
+		wantStart [2]float64
+	}{
+		// r1 has more room left: it is deferred to r0's end.
+		{"most room", [2]req{{0, 4, 0}, {1, 6, 1}}, [2]float64{0, 2}},
+		// Equal room: r1 started later, so its start made the overlap and
+		// it is deferred; deferring r0 would overlap r1 again.
+		{"room tie defers the later start", [2]req{{0, 4, 0}, {1, 5, 1}}, [2]float64{0, 2}},
+		// Equal room and equal start: the lowest index is deferred.
+		{"full tie defers the lowest index", [2]req{{0, 4, 0}, {0, 4, 0}}, [2]float64{2, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inst := &core.Instance{Sub: substrate.Grid(1, 2, 1, 1)}
+			sol := &solution.Solution{}
+			for _, q := range tc.reqs {
+				r := vnet.Chain("r", 1, 1, 0)
+				r.Earliest, r.Latest, r.Duration = q.earliest, q.latest, 2
+				inst.Reqs = append(inst.Reqs, r)
+				sol.Accepted = append(sol.Accepted, true)
+				sol.Start = append(sol.Start, q.start)
+				sol.End = append(sol.End, q.start+r.Duration)
+				sol.Hosts = append(sol.Hosts, []int{0})
+				sol.Flows = append(sol.Flows, [][]float64{})
+			}
+			repairs, rejections, ok := repairSample(inst, sol, core.AccessControl)
+			if !ok || repairs != 1 || rejections != 0 {
+				t.Fatalf("repairSample = (%d repairs, %d rejections, ok=%v), want one deferral", repairs, rejections, ok)
+			}
+			if got := [2]float64{sol.Start[0], sol.Start[1]}; got != tc.wantStart {
+				t.Fatalf("starts %v after repair, want %v", got, tc.wantStart)
+			}
+		})
+	}
+}

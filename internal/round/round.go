@@ -3,17 +3,19 @@
 // Embedding Approximations: Leveraging Randomized Rounding"
 // (arXiv:1803.03622), adapted to the temporal dimension of the TVNEP.
 //
-// The tier solves only the LP relaxation of the cΣ-Model, decomposes the
+// The tier solves only the LP relaxation of the cΣ-Model with path flows
+// (core.FlowPath), its path columns priced to convergence, which reaches
+// the arc model's relaxation value over a far smaller LP. It decomposes the
 // fractional optimum into weighted integral candidates per request — a
 // probability distribution over start times read off the χ⁺ event-mapping
 // mass (valid because the start1[r] rows sum χ⁺ to exactly one even when
-// x_R is fractional) and a convex combination of substrate paths stripped
-// from the x_R-normalized edge flows — then samples integral solutions
-// with an explicitly seeded generator, repairs capacity violations by
-// deferring requests within their flexibility windows, and falls back to
-// the full branch-and-bound only when no sample survives repair. Every
-// returned rounded solution has already passed the independent
-// internal/certify checker with zero violations.
+// x_R is fractional) and a convex combination of substrate paths, the
+// relaxation's own path columns weighted by their flow — then samples
+// integral solutions with an explicitly seeded generator, repairs capacity
+// violations by deferring requests within their flexibility windows, and
+// falls back to the full branch-and-bound only when no sample survives
+// repair. Every returned rounded solution has already passed the
+// independent internal/certify checker with zero violations.
 package round
 
 import (
@@ -24,6 +26,7 @@ import (
 	"time"
 
 	"tvnep/internal/core"
+	"tvnep/internal/mip"
 	"tvnep/internal/model"
 	"tvnep/internal/numtol"
 	"tvnep/internal/solution"
@@ -45,7 +48,8 @@ const (
 	// weightCutoff drops dust entries from the χ⁺ start distribution.
 	weightCutoff = 1e-9
 	// stripCutoff is the residual below which a substrate edge is
-	// considered drained during path stripping.
+	// considered drained during path stripping, and the x_R-normalized
+	// flow below which a relaxation's path column is dust.
 	stripCutoff = 1e-6
 	// halfMass is the deterministic sample's acceptance threshold.
 	halfMass = 0.5
@@ -64,9 +68,8 @@ type Options struct {
 	Samples int
 	// Objective, LoadFraction, CutMode and DisablePresolve configure the
 	// underlying cΣ build exactly as core.BuildOptions does. CutLazy is
-	// meaningless here (nothing separates cuts during a bare relaxation)
-	// and is strengthened to CutStatic so the relaxation keeps the
-	// Constraint-(20) rows it would otherwise lose.
+	// strengthened to CutStatic: a relaxation separates only the root's
+	// cut rounds, and the static build keeps every Constraint-(20) row.
 	Objective       core.Objective
 	LoadFraction    float64
 	CutMode         core.CutMode
@@ -82,9 +85,10 @@ type Options struct {
 
 // Stats reports per-solve statistics of the rounding tier.
 type Stats struct {
-	// LPIterations counts simplex iterations: the relaxation's, plus the
-	// fallback B&B's when it ran.
-	LPIterations int
+	// Work is the relaxation's work plus the fallback B&B's when it ran;
+	// its Nodes are the fallback's alone, since the relaxation branches
+	// nowhere.
+	mip.Work
 	// LPBound is the LP relaxation optimum — an upper bound on every
 	// integral solution (all objectives maximize).
 	LPBound float64
@@ -98,9 +102,11 @@ type Stats struct {
 	// rejections (access control only), summed over all samples.
 	Repairs    int
 	Rejections int
-	// FellBack is set when no sample survived and the exact B&B ran;
-	// FallbackNodes is that run's node count.
-	FellBack      bool
+	// FellBack is set when no sample survived and the exact B&B ran.
+	FellBack bool
+	// FallbackNodes is the fallback's node count.
+	//
+	// Deprecated: it equals Work.Nodes; read that instead.
 	FallbackNodes int
 	// Runtime is the wall-clock time of the whole solve.
 	Runtime time.Duration
@@ -143,14 +149,17 @@ func Solve(ctx context.Context, inst *core.Instance, mapping vnet.NodeMapping, o
 		LoadFraction:    opts.LoadFraction,
 		FixedMapping:    mapping,
 		CutMode:         cutMode,
+		FlowMode:        core.FlowPath,
 		DisablePresolve: opts.DisablePresolve,
 	})
-	rel := b.Model.Relax()
-	stats.LPIterations = rel.LPIterations
-	if !rel.HasSolution {
-		// The relaxation is infeasible, so the integral model is too;
-		// there is nothing to round and nothing for B&B to find.
-		return nil, stats, nil
+	rel := b.Model.Relax(ctx)
+	stats.Work = rel.Work
+	if !rel.HasSolution || b.ArtificialFlow(rel) > numtol.FlowTol {
+		// Unless the solve was cancelled, the relaxation is infeasible
+		// (flow it parks on an artificial has no path), so the integral
+		// model is too; there is nothing to round and nothing for B&B to
+		// find.
+		return nil, stats, ctx.Err()
 	}
 	stats.LPBound = rel.Obj
 
@@ -213,8 +222,8 @@ func Solve(ctx context.Context, inst *core.Instance, mapping vnet.NodeMapping, o
 	// on the already-built model (Relax never mutates it).
 	stats.FellBack = true
 	sol, ms := b.Solve(ctx, &opts.Solve)
-	stats.LPIterations += ms.LPIterations
-	stats.FallbackNodes = ms.Nodes
+	stats.Work.Add(ms.Work)
+	stats.FallbackNodes = stats.Nodes
 	if sol == nil {
 		return nil, stats, ctx.Err()
 	}

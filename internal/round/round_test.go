@@ -10,6 +10,7 @@ import (
 	"tvnep/internal/core"
 	"tvnep/internal/model"
 	"tvnep/internal/solution"
+	"tvnep/internal/substrate"
 	"tvnep/internal/vnet"
 	"tvnep/internal/workload"
 )
@@ -250,6 +251,30 @@ func TestRoundingFallsBack(t *testing.T) {
 		t.Fatalf("fallback did not engage: sol=%v stats=%+v", sol, stats)
 	}
 	assertCertified(t, inst, sol, core.MinMakespan, sc.Mapping, 2, 3)
+}
+
+// TestRoundingInfeasibleRelaxation pins a fixed-set instance no fractional
+// embedding satisfies: both requests must hold most of one substrate
+// link's capacity over the same hour. The arc relaxation is infeasible; the
+// path relaxation parks the flow on a convexity artificial instead, which
+// the tier must read as the same verdict — no solution, no fallback.
+func TestRoundingInfeasibleRelaxation(t *testing.T) {
+	inst := &core.Instance{Sub: substrate.Grid(1, 2, 10, 1), Horizon: 1}
+	var mapping vnet.NodeMapping
+	for _, name := range []string{"a", "b"} {
+		req := vnet.Chain(name, 2, 0.1, 0.8)
+		req.Earliest, req.Latest, req.Duration = 0, 1, 1
+		inst.Reqs = append(inst.Reqs, req)
+		mapping = append(mapping, []int{0, 1})
+	}
+	arc := core.BuildCSigma(inst, core.BuildOptions{Objective: core.MaxEarliness, FixedMapping: mapping})
+	if rel := arc.Model.Relax(context.Background()); rel.HasSolution {
+		t.Fatalf("arc relaxation %v with objective %v; the instance no longer overbooks the link", rel.Status, rel.Obj)
+	}
+	sol, stats, err := Solve(context.Background(), inst, mapping, Options{Seed: 1, Objective: core.MaxEarliness})
+	if sol != nil || err != nil || stats.FellBack || stats.Samples != 0 || stats.LPBound != 0 {
+		t.Fatalf("Solve = (%v, %+v, %v), want no solution from the relaxation alone", sol, stats, err)
+	}
 }
 
 func TestRoundingCancellation(t *testing.T) {

@@ -145,7 +145,7 @@ func (s *Solver) solveRounding(ctx context.Context, inst *core.Instance, mapping
 	res := &Result{
 		Status:   StatusFeasible, // heuristic: feasible, no optimality claim
 		Gap:      math.Inf(1),    // until a solution exists
-		Work:     Work{Nodes: stats.FallbackNodes, LPIterations: stats.LPIterations},
+		Work:     stats.Work,
 		Runtime:  stats.Runtime,
 		Rounding: &stats,
 	}

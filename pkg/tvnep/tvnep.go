@@ -288,10 +288,12 @@ func WithCutMode(m CutMode) Option {
 // Path mode replaces the per-link arc variables and conservation rows with
 // one convexity row per virtual link and path columns priced on demand by a
 // reduced-cost shortest-path pricer; both modes reach the same certified
-// optimum. It shapes exact solves only: the greedy and rounding algorithms
-// and online admission decide on arc flows whatever it says, since every
-// per-decision model and every rounded relaxation reaches the same optimum
-// in either mode (TestGreedyFlowModesAgree, TestOptionsCompose). cΣ only:
+// optimum. It shapes exact solves only: the greedy algorithm and online
+// admission decide on arc flows and the rounding algorithm relaxes path
+// flows whatever it says, since every per-decision model and every
+// relaxation reaches the same optimum in either mode
+// (TestGreedyFlowModesAgree, TestPathRelaxMatchesArcRandom,
+// TestOptionsCompose). cΣ only:
 // combining it with Delta or Sigma makes New fail with
 // *OptionConflictError. Path mode requires a node mapping at Solve time
 // (path endpoints must be known when the model is built).

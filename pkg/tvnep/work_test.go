@@ -14,7 +14,7 @@ import (
 // TestResultWorkMatchesLayers pins that each algorithm's Result reports the
 // work its layers counted: an exact solve the search's counters, greedy the
 // admission engine's totals (bound flips and ratio passes included), and
-// rounding its LP iterations and its fallback's nodes.
+// rounding its relaxation's and its fallback's.
 func TestResultWorkMatchesLayers(t *testing.T) {
 	ctx := context.Background()
 	const nodeLimit, seed = 2000, 21
@@ -56,9 +56,8 @@ func TestResultWorkMatchesLayers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("scenario %d: direct rounding: %v", scSeed, err)
 		}
-		want := tvnep.Work{Nodes: rs.FallbackNodes, LPIterations: rs.LPIterations}
-		if got := facade(tvnep.WithAlgorithm(tvnep.Rounding), tvnep.WithSeed(seed)); got != want {
-			t.Errorf("scenario %d: rounding work %+v, tier counted %+v", scSeed, got, want)
+		if got := facade(tvnep.WithAlgorithm(tvnep.Rounding), tvnep.WithSeed(seed)); got != rs.Work {
+			t.Errorf("scenario %d: rounding work %+v, tier counted %+v", scSeed, got, rs.Work)
 		}
 	}
 	// Bound flips are zero on these models (as on every BENCH_lp.json
