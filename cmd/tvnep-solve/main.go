@@ -229,6 +229,8 @@ func main() {
 		if cert.RootLP != nil {
 			fmt.Printf("certificate: root LP OK (primal residual %.3g, dual residual %.3g, duality gap %.3g)\n",
 				cert.RootLP.PrimalResidual, cert.RootLP.DualResidual, cert.RootLP.DualityGap)
+		} else if cert.Cuts != nil {
+			fmt.Println("certificate: root LP unproven (infeasible over the build's own columns until Farkas pricing)")
 		}
 	}
 	fmt.Printf("runtime: %.3fs   objective: %.4f   accepted: %d/%d   verified: OK\n",

@@ -63,7 +63,7 @@ func refGreedy(t *testing.T, inst *core.Instance, mapping vnet.NodeMapping) *sol
 		b := core.BuildCSigma(&core.Instance{Sub: inst.Sub, Reqs: reqs, Horizon: inst.Horizon},
 			core.BuildOptions{Objective: core.AccessControl, FixedMapping: subMap, ForceAccept: force})
 		T := inst.Horizon
-		b.SetObjective(model.Expr().Add(T, b.XR[n]).Add(-1, b.TMinus[n]).AddConst(T))
+		b.Model.SetObjective(model.Expr().Add(T, b.XR[n]).Add(-1, b.TMinus[n]).AddConst(T))
 		sub, ms := b.Solve(context.Background(), &model.SolveOptions{NodeLimit: DefaultNodeLimit})
 		if ms.Status != model.StatusOptimal && ms.Status != model.StatusInfeasible {
 			t.Fatalf("reference iteration for request %d: status %v", cur, ms.Status)

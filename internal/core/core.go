@@ -179,8 +179,8 @@ const (
 	// per request up front.
 	FlowArc FlowMode = iota
 	// FlowPath replaces the arc variables with path variables: one convexity
-	// row per virtual link (Σ_p λ_p + artificial = x_R), a seed column along
-	// a fewest-hops substrate path, and further paths priced in on demand by
+	// row per virtual link (Σ_p λ_p = x_R), a seed column along a
+	// fewest-hops substrate path, and further paths priced in on demand by
 	// a reduced-cost shortest-path pricer (internal/mip column generation).
 	// Same certified optimum — every arc flow decomposes into simple paths
 	// and capacity-useless cycles — with far fewer root-LP columns on
@@ -278,12 +278,6 @@ type Built struct {
 	// SeedPaths[r][lv][k] is the substrate-link sequence of seed column
 	// Lambda[r][lv][k].
 	SeedPaths [][][][]int
-	// Art[r][lv] is the FlowPath convexity artificial, a big-M-penalized
-	// binary that absorbs the unit flow when no priced path can carry it
-	// (nonzero only when the request is forced accepted yet unroutable —
-	// Extract treats that as no solution). The zero Var for trivial links
-	// whose endpoints share a substrate node.
-	Art [][]model.Var
 	// ChiPlus[r][i] / ChiMinus[r][i] map request starts/ends onto abstract
 	// event points (1-based event index i; entries outside the model's
 	// event range or cut windows are the zero Var).
@@ -358,18 +352,6 @@ type deferredRow struct {
 // numReq is a convenience accessor.
 func (b *Built) numReq() int { return len(b.Inst.Reqs) }
 
-// SetObjective replaces the built model's objective with a custom expression
-// (the greedy algorithm swaps in its per-iteration objective this way). Use
-// it instead of Model.SetObjective on a Built: in FlowPath mode the big-M
-// penalties on the convexity artificials scale with the objective and must be
-// re-applied after every replacement.
-func (b *Built) SetObjective(e *model.LinExpr) {
-	b.Model.SetObjective(e)
-	if b.Opts.FlowMode == FlowPath && b.linkUse != nil {
-		applyArtPenalty(b)
-	}
-}
-
 // Solve optimizes the built model and converts the result into a
 // solution.Solution. The raw model solution is returned alongside for
 // callers that need solver statistics or custom variable values.
@@ -432,28 +414,15 @@ func (b *Built) Extract(ms *model.Solution) *solution.Solution {
 		flows := make([][]float64, req.G.NumEdges())
 		for lv := range flows {
 			flows[lv] = make([]float64, sub.NumLinks())
-			if b.XE != nil {
-				for ls := 0; ls < sub.NumLinks(); ls++ {
-					f := ms.Value(b.XE[r][lv][ls])
-					if f < numtol.FlowCutoff {
-						f = 0
-					}
-					flows[lv][ls] = f
-				}
-				continue
+			if b.XE == nil {
+				continue // FlowPath: summed from the path columns below
 			}
-			// FlowPath: the arc flows are summed from the path columns
-			// below, once every request is known to be routed.
-			if art := b.Art[r][lv]; art.Valid() && sol.Accepted[r] {
-				if v := ms.Value(art); v > numtol.FlowTol {
-					// The request was accepted but its unit flow fell on the
-					// big-M artificial: no substrate path could carry it, so
-					// the reported assignment is not a real embedding.
-					sol.Warnings = append(sol.Warnings, fmt.Sprintf(
-						"request %s: virtual link %d routed %.3g of its flow on the convexity artificial",
-						req.Name, lv, v))
-					return nil
+			for ls := 0; ls < sub.NumLinks(); ls++ {
+				f := ms.Value(b.XE[r][lv][ls])
+				if f < numtol.FlowCutoff {
+					f = 0
 				}
+				flows[lv][ls] = f
 			}
 		}
 		sol.Flows[r] = flows

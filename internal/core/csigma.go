@@ -255,8 +255,5 @@ func RebuildCSigma(b *Built, inst *Instance, opts BuildOptions) *Built {
 	}
 
 	applyObjective(b)
-	if opts.FlowMode == FlowPath {
-		finishPathFlows(b)
-	}
 	return b
 }

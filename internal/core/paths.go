@@ -6,7 +6,7 @@ package core
 // request up front; the path formulation replaces all of it with one
 // convexity row per virtual link,
 //
-//	Σ_p λ_p + art = x_R,
+//	Σ_p λ_p = x_R,
 //
 // a single statically seeded fewest-hops path column, and further path
 // columns priced in on demand by a reduced-cost shortest-path pricer riding
@@ -17,27 +17,24 @@ package core
 // never cuts off an optimal embedding, while every path column maps back to
 // a feasible arc flow.
 //
-// The artificial keeps every restricted master primal feasible — a seed path
-// may be capacity-blocked while another route exists, and pricing can only
-// rescue a node whose relaxation still has duals. It is a binary variable
-// with a big-M objective penalty dominating the whole objective: integer
-// solutions either route the full unit flow or park all of it on the
-// artificial, and parking it always loses to the penalty, so the artificial
-// carries flow only when the request is force-accepted yet genuinely
-// unroutable, which Extract reports as "no solution".
+// A restricted master can be infeasible where the full one is not (a seed
+// path is capacity-blocked); the search then prices the same way from the
+// relaxation's Farkas ray (internal/mip). Every integer point routes each
+// accepted virtual link over substrate paths, and a forced request with no
+// route makes the model infeasible.
 //
 // State rows arrive with the paths that need them. The build emits the
 // state row (7) of a request's Maybe state on a substrate link only where
 // a seed column of the request routes over the link; the others read
 // a ≥ −c·(1 − Σc) with Σc ≤ 1 while no column of the request uses the link,
 // which a ≥ 0 implies, so leaving them out changes neither the restricted
-// master's optimum nor, extended by zeros, its duals. The first priced
-// column of the request over such a link opens its rows for every Maybe
-// state as companion rows (pathPricer.Commit, appended right after the
-// column by internal/mip); the capacity rows (9), the Always-state
-// registrations and the node state rows are built as before. On the WAN
-// scenarios most link state rows never receive a path column, so the root
-// LP no longer carries them.
+// master's optimum nor, extended by zeros, its duals or Farkas rays. The
+// first priced column of the request over such a link opens its rows for
+// every Maybe state as companion rows (pathPricer.Commit, appended right
+// after the column by internal/mip); the capacity rows (9), the
+// Always-state registrations and the node state rows are built as before.
+// On the WAN scenarios most link state rows never receive a path column,
+// so the root LP no longer carries them.
 
 import (
 	"fmt"
@@ -137,7 +134,9 @@ func (b *Built) recordLinkUseUnit(ls, row int) {
 // buildPathEmbedding is the FlowPath counterpart of buildEmbedding: the
 // acceptance variables are identical, but instead of arc variables and
 // conservation rows each virtual link gets a convexity row over path
-// variables — one seeded fewest-hops path plus the big-M artificial.
+// variables, seeded with one fewest-hops path. The path pricer, registered
+// when any link needs a path, reads the link-use registry the rest of the
+// build fills.
 func buildPathEmbedding(b *Built) {
 	if b.Kind != CSigma {
 		panic(fmt.Sprintf("core: FlowPath requires the cΣ formulation, not %v", b.Kind))
@@ -153,18 +152,17 @@ func buildPathEmbedding(b *Built) {
 	b.XR = make([]model.Var, k)
 	b.Lambda = make([][][]model.Var, k)
 	b.SeedPaths = make([][][][]int, k)
-	b.Art = make([][]model.Var, k)
 	b.convRow = make([][]int, k)
 	b.linkUse = make([][]rowCoef, k*sub.NumLinks())
 	b.deferred = make([][]deferredRow, k)
 	b.opened = make([]int, k*sub.NumLinks())
 
+	priced := false
 	for r, req := range inst.Reqs {
 		buildAcceptVar(b, r)
 		nE := req.G.NumEdges()
 		b.Lambda[r] = make([][]model.Var, nE)
 		b.SeedPaths[r] = make([][][]int, nE)
-		b.Art[r] = make([]model.Var, nE)
 		b.convRow[r] = make([]int, nE)
 		for lv := 0; lv < nE; lv++ {
 			u, v := req.G.Edge(lv)
@@ -182,20 +180,13 @@ func buildPathEmbedding(b *Built) {
 				b.SeedPaths[r][lv] = [][]int{p}
 				conv.Add(1, lam)
 			}
-			// The artificial is BINARY, not continuous: a continuous artificial
-			// could absorb a capacity residual (route 1−δ, park δ) at a big-M
-			// penalty linear in δ while the matching objective gain is a step —
-			// e.g. keeping a disable-links D at 1 — which would admit integer
-			// incumbents strictly better than the arc optimum. As a binary it
-			// relaxes to [0,1] in every node LP (keeping the restricted master
-			// feasible and duals available for pricing), while integer
-			// solutions either route the full unit flow or park all of it,
-			// and a full unit always loses to big-M.
-			art := m.Binary()
-			b.Art[r][lv] = art
-			conv.Add(1, art).Add(-1, b.XR[r])
+			conv.Add(-1, b.XR[r])
 			b.convRow[r][lv] = m.AddEQ(conv, 0, model.Key2(FamConv, r, lv))
+			priced = true
 		}
+	}
+	if priced {
+		m.RegisterPricer(&pathPricer{b: b})
 	}
 }
 
@@ -211,26 +202,6 @@ func buildAcceptVar(b *Built, r int) {
 	if forced {
 		m.Fix(b.XR[r], 1)
 	}
-}
-
-// ArtificialFlow returns the largest flow a FlowPath model solution parks
-// on a convexity artificial, i.e. flow that no substrate path carries; 0 on
-// arc builds and on solutions without an assignment. On a relaxation it is
-// positive exactly when the arc relaxation is infeasible: the big-M
-// penalty makes parking flow lose to every routable point.
-func (b *Built) ArtificialFlow(ms *model.Solution) float64 {
-	parked := 0.0
-	if !ms.HasSolution {
-		return parked
-	}
-	for _, arts := range b.Art {
-		for _, art := range arts {
-			if art.Valid() {
-				parked = max(parked, ms.Value(art))
-			}
-		}
-	}
-	return parked
 }
 
 // addSeedLinkAlloc is addLinkAlloc's FlowPath branch: it appends coef
@@ -251,38 +222,6 @@ func (b *Built) addSeedLinkAlloc(e *model.LinExpr, coef float64, r, ls int) {
 			}
 		}
 	}
-}
-
-// finishPathFlows installs the big-M artificial penalties (the objective is
-// final by now) and registers the path pricer. Called at the end of
-// BuildCSigma, after applyObjective has filled linkUse with every row a path
-// column can participate in.
-func finishPathFlows(b *Built) {
-	if applyArtPenalty(b) {
-		b.Model.RegisterPricer(&pathPricer{b: b})
-	}
-}
-
-// applyArtPenalty big-M penalizes the FlowPath convexity artificials against
-// the current objective, reporting whether any artificial exists. Any
-// solution routing ε of flow on an artificial is worse than the same
-// solution with the request rejected, whatever the rest of the objective
-// contributes — that is what makes "art > tol" a reliable no-embedding
-// signal in Extract. The artificials must carry objective 0 on entry (fresh
-// build, or right after Model.SetObjective rebuilt the objective vector).
-func applyArtPenalty(b *Built) bool {
-	M := 1 + b.Model.AbsObjSum()
-	any := false
-	for r, req := range b.Inst.Reqs {
-		for lv := 0; lv < req.G.NumEdges(); lv++ {
-			if b.convRow[r][lv] < 0 {
-				continue
-			}
-			b.Model.BumpObjective(b.Art[r][lv], -M)
-			any = true
-		}
-	}
-	return any
 }
 
 // pathColumn assembles the LP column of path (a substrate-link sequence,
@@ -336,9 +275,11 @@ func (b *Built) ForEachDeferredState(f func(r, n, ls int, a model.Var)) {
 // every cost(ls) is nonnegative — the state rows contribute (−d)·(y ≤ 0),
 // the capacity and activity rows (+d)·(y ≥ 0) — so Dijkstra applies;
 // LP-tolerance dual noise is clamped away and the winner re-checked with the
-// exact reduced cost before it is offered. A pure function of duals and the
-// state rows opened so far, with index-ordered tie-breaks, as the
-// mip.RowPricer contract requires.
+// exact reduced cost before it is offered. Path columns carry objective 0
+// and a Farkas ray has the duals' signs on these rows, so the same code
+// prices a ray (x nil). A pure function of duals and the state rows opened
+// so far, with index-ordered tie-breaks, as the mip.RowPricer contract
+// requires.
 type pathPricer struct {
 	b *Built
 }

@@ -156,8 +156,8 @@ func assertContiguousPath(t *testing.T, g *graph.Digraph, links []int, src, dst 
 
 func TestPathModeUnroutableReturnsNoSolution(t *testing.T) {
 	// Substrate with no route between the pinned endpoints under a fixed-set
-	// objective: the artificial absorbs the unit flow, which Extract must
-	// refuse to report as an embedding.
+	// objective: no path column exists, the Farkas round at the root prices
+	// none, and the model is infeasible — there is no embedding to report.
 	g := graph.NewDigraph(2) // two isolated nodes
 	sub := substrate.New(g, 4, 1)
 	rg := graph.NewDigraph(2)
@@ -175,8 +175,8 @@ func TestPathModeUnroutableReturnsNoSolution(t *testing.T) {
 	}
 	b := BuildCSigma(inst, opts)
 	sol, ms := b.Solve(context.Background(), nil)
-	if !ms.HasSolution {
-		t.Fatalf("restricted master should stay feasible via the artificial, status %v", ms.Status)
+	if ms.Status != model.StatusInfeasible || ms.HasSolution {
+		t.Fatalf("status %v (has solution %v), want infeasible", ms.Status, ms.HasSolution)
 	}
 	if sol != nil {
 		t.Fatalf("Extract reported an embedding over a disconnected substrate: %+v", sol)

@@ -17,6 +17,10 @@ import (
 // this assertion. The tolerance is deliberately loose (catch wrong answers,
 // not honest roundoff); the precise certificate lives in internal/certify.
 func debugVerifyResult(inst *Instance, res *Result) {
+	if res.Status == StatusInfeasible {
+		debugVerifyRay(inst, res)
+		return
+	}
 	if res.Status != StatusOptimal || res.X == nil {
 		return
 	}
@@ -64,6 +68,42 @@ func debugVerifyResult(inst *Instance, res *Result) {
 			panic(fmt.Sprintf("lp debugchecks: row %d activity %v outside [%v, %v]",
 				i, act, rlb, rub))
 		}
+	}
+}
+
+// debugVerifyRay re-checks the Farkas ray of an infeasible result and
+// panics unless it proves infeasibility (see Instance.FarkasRay): mapped
+// back to the solver's scaled minimization units, the minimum of
+// Σ_j d_j·x_j over every structural and slack column's bounds, with
+// d = −yᵀ[A | −I], must be positive. As in the dual ratio test, entries
+// below the pivot tolerance are left out.
+func debugVerifyRay(inst *Instance, res *Result) {
+	y := inst.FarkasRay(res, nil)
+	if y == nil {
+		panic("lp debugchecks: infeasible result without a Farkas ray")
+	}
+	s := inst.sv
+	for i := range y {
+		if inst.scaled {
+			y[i] /= inst.rowScale[i]
+		}
+		if inst.negate {
+			y[i] = -y[i]
+		}
+	}
+	margin := 0.0
+	for j := 0; j < s.N; j++ {
+		d := 0.0
+		idx, val := s.col(j)
+		for k, i := range idx {
+			d -= y[i] * val[k]
+		}
+		if math.Abs(d) > 10*pivTol {
+			margin += math.Min(d*s.lb[j], d*s.ub[j])
+		}
+	}
+	if !(margin > 0) {
+		panic(fmt.Sprintf("lp debugchecks: Farkas ray does not prove infeasibility: bounded combination %v", margin))
 	}
 }
 

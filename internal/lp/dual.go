@@ -57,6 +57,10 @@ func (s *solver) dual(maxIters int) iterStatus {
 			// but only if the violation is real and not drift; certify
 			// with freshly recomputed basic values and basis inverse.
 			if s.xbFresh && s.sincefac == 0 {
+				s.farkas = 1 // s.rho, signed, is the Farkas ray
+				if below {
+					s.farkas = -1
+				}
 				return iterInfeasible
 			}
 			if err := s.refactor(); err != nil { //lint:allow hotalloc -- periodic refactorization is the amortized cold path

@@ -211,6 +211,35 @@ func (inst *Instance) CaptureFactors(res *Result, dst *sparselu.Factors) {
 	res.Factors = dst
 }
 
+// FarkasRay returns the Farkas ray of res, the result of the instance's
+// latest Solve (no Solve, append or Recompile since), into dst, reusing its
+// storage; nil unless res is StatusInfeasible. The dual simplex ends
+// infeasible on a basic variable off its bound that no nonbasic column can
+// move back, and the ray is that row of B⁻¹, unscaled and signed like
+// Result.Duals: for Minimize, with d_j = −Σ_i y_i·A_ij, the minimum of
+// Σ_j d_j·x_j + Σ_i y_i·s_i over the column box and the row bounds s_i is
+// positive, though it vanishes wherever s = A·x (Maximize negates y, as it
+// does the duals). So a column with objective 0 entering at 0 can make the
+// LP feasible only if CandidateReducedCost(0, idx, val, y) improves.
+func (inst *Instance) FarkasRay(res *Result, dst []float64) []float64 {
+	s := inst.sv
+	if res.Status != StatusInfeasible || s == nil || s.farkas == 0 || s.m != inst.m {
+		return nil
+	}
+	dst = fitIn(dst, inst.m, inst.m)
+	sign := s.farkas
+	if inst.negate {
+		sign = -sign
+	}
+	for _, i := range s.rhoNZ {
+		dst[i] = sign * s.rho[i]
+		if inst.scaled {
+			dst[i] *= inst.rowScale[i] // y_i = r_i·y'_i, exact
+		}
+	}
+	return dst
+}
+
 // NumCols reports the number of structural columns.
 func (inst *Instance) NumCols() int { return inst.n }
 
@@ -343,6 +372,10 @@ type solver struct {
 	stall      int
 	sincefac   int
 	lastPivotQ int
+	// farkas is the sign that makes s.rho the minimization Farkas ray
+	// after the last dual run proved the LP infeasible, 0 otherwise (see
+	// Instance.FarkasRay).
+	farkas float64
 }
 
 // fixedCol reports whether column j is fixed (equal bounds) and can never
@@ -463,6 +496,7 @@ func (s *solver) reset(opts Options) {
 	s.stall = 0
 	s.sincefac = 0
 	s.lastPivotQ = -1
+	s.farkas = 0
 	s.priceCursor = 0
 	s.boundFlips = 0
 	s.ratioPass = 0

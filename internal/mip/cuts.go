@@ -126,7 +126,9 @@ func (s *searcher) separate(x []float64, seed bool) int {
 // remap + primal restart). Pricing runs first and to convergence — the
 // relaxation value is only a valid node bound once no column prices in, so
 // it runs at every node, on integral points too, and its per-node cap
-// (maxPriceRounds) is a safety net rather than a budget. Cut rounds follow:
+// (maxPriceRounds) is a safety net rather than a budget. An infeasible
+// relaxation gets Farkas pricing rounds from the same budget, and is
+// returned infeasible once one appends nothing. Cut rounds follow:
 // root nodes get rootCutRounds, tree nodes treeCutRounds. The LP work of
 // every round is counted here. It returns the final relaxation and the
 // column it branches on (-1 unless it is a fractional optimum).
@@ -150,10 +152,21 @@ func (s *searcher) solveSeparated(nd *node) (lp.Result, int) {
 			s.root = res
 			s.root.Basis, s.root.Factors = nil, nil
 		}
+		if res.Status == lp.StatusInfeasible && s.cols != nil && priceRounds < maxPriceRounds {
+			s.ray = s.inst.FarkasRay(&res, s.ray)
+			if s.price(s.ray, nil) > 0 {
+				// Restart cold: a basis left by a cold phase 1 is dual
+				// feasible only for its zero costs. Such rounds are rare.
+				priceRounds++
+				s.restartFrom(nd, nil, nil)
+				s.recycle(res.Basis, nil)
+				continue
+			}
+		}
 		if res.Status != lp.StatusOptimal {
 			return res, col
 		}
-		if s.cols != nil && priceRounds < maxPriceRounds && s.price(res) > 0 {
+		if s.cols != nil && priceRounds < maxPriceRounds && s.price(res.Duals, res.X) > 0 {
 			// Hot-restart the same node from its own final basis (the
 			// appended columns enter nonbasic, so the basis stays valid after
 			// the remap).

@@ -303,6 +303,7 @@ type searcher struct {
 	cuts *pool
 	cols *pool
 	log  []op
+	ray  []float64 // Farkas ray buffer of infeasible nodes' pricing
 
 	// root is the root node's first relaxation (Result.Root).
 	root lp.Result

@@ -60,6 +60,13 @@ type Column struct {
 // mutate its arguments. A pricer that can prove no improving column exists
 // must eventually return none, or the round cap stops the node's pricing
 // with an invalid bound.
+//
+// When a node's restricted master is infeasible, the search calls
+// Price(ray, nil) with its Farkas ray (lp.Instance.FarkasRay, laid out and
+// signed like duals): only columns whose reduced cost against the ray, with
+// objective 0, improves can repair it. The search scores them that way and
+// prunes the node once a round appends none, so Price must offer such a
+// column whenever the full formulation has one.
 type Pricer interface {
 	Price(duals []float64, x []float64) []Column
 }
@@ -108,14 +115,15 @@ type ColumnStats struct {
 	Evicted int
 }
 
-// price runs one pricing round at the node optimum res: offer every pricer's
-// columns, append the best-priced batch to the search's instance, and age
-// the pool. Returns the number of columns appended (0 → no column prices in: the relaxation value is the true
-// node bound and the caller stops rounding).
-func (s *searcher) price(res lp.Result) int {
+// price runs one pricing round at a node optimum's duals and x, or a Farkas
+// round (x nil, duals the ray): offer every pricer's columns, append the
+// best-priced batch to the search's instance, and age the pool. Returns
+// the number of columns appended (0 → no column prices in: the relaxation
+// value is the true node bound, or the node is infeasible).
+func (s *searcher) price(duals, x []float64) int {
 	for _, pr := range s.opts.Pricers {
 		rp, _ := pr.(RowPricer)
-		for _, c := range pr.Price(res.Duals, res.X) {
+		for _, c := range pr.Price(duals, x) {
 			o := colOp(c)
 			o.rp = rp
 			s.cols.offer(o, s.inst.NumRows())
@@ -123,9 +131,14 @@ func (s *searcher) price(res lp.Result) int {
 	}
 	// The score is the sense-adjusted reduced cost: for a minimization
 	// problem a column improves when its reduced cost is below
-	// −PriceRedTol, for maximization above it.
+	// −PriceRedTol, for maximization above it. A Farkas round prices every
+	// column with objective 0.
 	redCost := func(o *op) float64 {
-		d := lp.CandidateReducedCost(o.obj, o.idx, o.val, res.Duals)
+		obj := o.obj
+		if x == nil {
+			obj = 0
+		}
+		d := lp.CandidateReducedCost(obj, o.idx, o.val, duals)
 		if s.minimize {
 			d = -d
 		}

@@ -82,8 +82,9 @@ func colGenProblem(seed int64, nFac, nPat int, full bool) (*Problem, []Column) {
 
 // patternPricer is the test Pricer: it holds the full formulation's lazy
 // pattern columns and returns the ones with improving reduced cost at the
-// dual point — a pure function of duals, as the contract requires. Appended
-// columns are re-offered freely; the pool's dedup absorbs them.
+// dual point, or against the Farkas ray with objective 0 when x is nil — a
+// pure function of duals, as the contract requires. Appended columns are
+// re-offered freely; the pool's dedup absorbs them.
 type patternPricer struct {
 	cols     []Column
 	minimize bool
@@ -92,7 +93,11 @@ type patternPricer struct {
 func (pp *patternPricer) Price(duals, x []float64) []Column {
 	var out []Column
 	for _, c := range pp.cols {
-		d := lp.CandidateReducedCost(c.Obj, c.Idx, c.Val, duals)
+		obj := c.Obj
+		if x == nil {
+			obj = 0
+		}
+		d := lp.CandidateReducedCost(obj, c.Idx, c.Val, duals)
 		if pp.minimize {
 			d = -d
 		}
@@ -162,6 +167,68 @@ func TestPricingMatchesStaticSolve(t *testing.T) {
 	}
 	if !sawTreeCols {
 		t.Error("no shape needed more than one pricing round; the cases are too easy")
+	}
+}
+
+// demandProblem is colGenProblem over five facilities and twenty patterns
+// plus a demand row Σ_p λ_p ≥ demand, which the restricted master (no
+// pattern columns) cannot meet: its root relaxation is infeasible until
+// Farkas pricing brings patterns in. With profit −1 the patterns cost what
+// they earned, so only their Farkas reduced cost, not their objective,
+// recommends them.
+func demandProblem(seed int64, full bool, demand, profit float64) (*Problem, []Column) {
+	const nFac = 5
+	mp, lazy := colGenProblem(seed, nFac, 20, full)
+	var idx []int32
+	var val []float64
+	for j := nFac; j < mp.LP.NumCols(); j++ {
+		mp.LP.Obj[j] *= profit
+		idx, val = append(idx, int32(j)), append(val, 1)
+	}
+	row := mp.LP.AddGE(idx, val, demand)
+	for q := range lazy {
+		lazy[q].Obj *= profit
+		lazy[q].Idx = append(lazy[q].Idx, int32(row))
+		lazy[q].Val = append(lazy[q].Val, 1)
+	}
+	return mp, lazy
+}
+
+// TestFarkasPricingRepairsInfeasibleMaster: a restricted master that starts
+// infeasible must be repaired by pricing from its Farkas ray and reach the
+// full formulation's optimum; one that no column set can repair must end
+// infeasible.
+func TestFarkasPricingRepairsInfeasibleMaster(t *testing.T) {
+	ctx := context.Background()
+	for _, seed := range []int64{3, 7, 11} {
+		profit := float64(1 - 2*(seed%2))
+		full, _ := demandProblem(seed, true, 1, profit)
+		restricted, lazy := demandProblem(seed, false, 1, profit)
+		want := Solve(ctx, full, nil)
+		if want.Status != StatusOptimal {
+			t.Fatalf("seed %d: full status %v", seed, want.Status)
+		}
+		got := Solve(ctx, restricted, &Options{Pricers: []Pricer{&patternPricer{cols: lazy}}})
+		if got.Root.Status != lp.StatusInfeasible {
+			t.Fatalf("seed %d: restricted root relaxation %v, want infeasible", seed, got.Root.Status)
+		}
+		if got.Status != StatusOptimal {
+			t.Fatalf("seed %d: priced status %v", seed, got.Status)
+		}
+		if d := math.Abs(got.Obj - want.Obj); d > 1e-6*(1+math.Abs(want.Obj)) {
+			t.Errorf("seed %d: priced obj %v differs from static %v", seed, got.Obj, want.Obj)
+		}
+		rel := Relax(ctx, restricted, &Options{Pricers: []Pricer{&patternPricer{cols: lazy}}})
+		if wantRel := Relax(ctx, full, nil); rel.Status != StatusOptimal ||
+			math.Abs(rel.Obj-wantRel.Obj) > 1e-6*(1+math.Abs(wantRel.Obj)) {
+			t.Errorf("seed %d: priced relaxation %v (%v), full %v", seed, rel.Status, rel.Obj, wantRel.Obj)
+		}
+	}
+	restricted, lazy := demandProblem(3, false, 1e3, 1)
+	got := Solve(ctx, restricted, &Options{Pricers: []Pricer{&patternPricer{cols: lazy}}})
+	if got.Status != StatusInfeasible || got.Columns.PricedCols == 0 {
+		t.Fatalf("unmeetable demand: status %v after %d priced columns, want infeasible after some",
+			got.Status, got.Columns.PricedCols)
 	}
 }
 

@@ -307,24 +307,6 @@ func (m *Model) RegisterPricer(pr Pricer) {
 // Pricers returns the registered pricers (shared slice; treat as read-only).
 func (m *Model) Pricers() []Pricer { return m.prs }
 
-// BumpObjective adds delta to a variable's objective coefficient without
-// replacing the rest of the objective. It exists for penalty terms attached
-// after SetObjective has installed the real objective (e.g. the path-flow
-// artificials' big-M penalties in internal/core).
-func (m *Model) BumpObjective(v Var, delta float64) {
-	m.lp.Obj[v.idx] += delta
-}
-
-// AbsObjSum returns Σ_j |obj_j|, the scale from which big-M penalty weights
-// that must dominate the whole objective can be derived.
-func (m *Model) AbsObjSum() float64 {
-	s := 0.0
-	for _, c := range m.lp.Obj {
-		s += math.Abs(c)
-	}
-	return s
-}
-
 // Solution is the result of optimizing a model: the search's result, whose
 // Root is the root node's first relaxation over LP()'s own rows and
 // columns (internal/certify checks it with certify.LP), under the model's

@@ -36,11 +36,8 @@ func AdmitSample(b *core.Built, rel *model.Solution, newIdx int, seed int64, sam
 	if !cand.embeddable {
 		return nil
 	}
-	base := b.Extract(rel)
-	if base == nil {
-		return nil
-	}
-	base.Warnings = nil // fractional t⁻ disagreements are expected here
+	base := b.Extract(rel) // non-nil: rel has a solution
+	base.Warnings = nil    // fractional t⁻ disagreements are expected here
 	base.Accepted[newIdx] = true
 
 	req := b.Inst.Reqs[newIdx]

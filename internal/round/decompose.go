@@ -156,8 +156,7 @@ func decomposeRequest(b *core.Built, rel *model.Solution, cols [][][]pathCand, r
 		}
 		// Renormalize so the path weights sum to exactly one; the re-mixed
 		// flow then satisfies unit conservation to machine precision
-		// regardless of LP noise in the raw flows or of flow the
-		// relaxation parked on a path build's convexity artificial.
+		// regardless of LP noise in the raw flows.
 		total := 0.0
 		for _, p := range paths {
 			total += p.w

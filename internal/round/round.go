@@ -154,11 +154,10 @@ func Solve(ctx context.Context, inst *core.Instance, mapping vnet.NodeMapping, o
 	})
 	rel := b.Model.Relax(ctx)
 	stats.Work = rel.Work
-	if !rel.HasSolution || b.ArtificialFlow(rel) > numtol.FlowTol {
-		// Unless the solve was cancelled, the relaxation is infeasible
-		// (flow it parks on an artificial has no path), so the integral
-		// model is too; there is nothing to round and nothing for B&B to
-		// find.
+	if !rel.HasSolution {
+		// Unless the solve was cancelled, the relaxation is infeasible, so
+		// the integral model is too; there is nothing to round and nothing
+		// for B&B to find.
 		return nil, stats, ctx.Err()
 	}
 	stats.LPBound = rel.Obj

@@ -255,9 +255,9 @@ func TestRoundingFallsBack(t *testing.T) {
 
 // TestRoundingInfeasibleRelaxation pins a fixed-set instance no fractional
 // embedding satisfies: both requests must hold most of one substrate
-// link's capacity over the same hour. The arc relaxation is infeasible; the
-// path relaxation parks the flow on a convexity artificial instead, which
-// the tier must read as the same verdict — no solution, no fallback.
+// link's capacity over the same hour. The arc relaxation is infeasible, and
+// so is the path relaxation once Farkas pricing finds no path to add; the
+// tier must read that as no solution, with no fallback.
 func TestRoundingInfeasibleRelaxation(t *testing.T) {
 	inst := &core.Instance{Sub: substrate.Grid(1, 2, 10, 1), Horizon: 1}
 	var mapping vnet.NodeMapping

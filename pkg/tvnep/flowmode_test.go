@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"tvnep/pkg/tvnep"
 )
@@ -133,6 +134,79 @@ func TestGreedyFlowModesAgree(t *testing.T) {
 				math.Float64bits(arc.Solution.End[r]) != math.Float64bits(path.Solution.End[r])) {
 			t.Fatalf("request %d: arc schedule [%v,%v], path [%v,%v]", r,
 				arc.Solution.Start[r], arc.Solution.End[r], path.Solution.Start[r], path.Solution.End[r])
+		}
+	}
+}
+
+// TestPathModeIncumbentsEmbed solves two paper-scale cells (4×5 grid, 20
+// five-node stars, one hour of flexibility) in path mode under a node
+// budget the search exhausts. Every integer point of the path build routes
+// each accepted virtual link over substrate paths, so the search finds an
+// incumbent and it extracts to an embedding that certifies; and the build
+// adds no integer variable the arc build lacks.
+func TestPathModeIncumbentsEmbed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale solves")
+	}
+	cfg := tvnep.PaperWorkload()
+	cfg.FlexibilityHr = 1
+	for _, seed := range []int64{1, 3} {
+		sc := tvnep.Generate(cfg, seed)
+		solve := func(opts ...tvnep.Option) (*tvnep.Result, error) {
+			opts = append(opts, tvnep.WithHorizon(sc.Horizon))
+			solver, err := tvnep.New(sc.Substrate, opts...)
+			if err != nil {
+				t.Fatalf("seed %d: New: %v", seed, err)
+			}
+			return solver.Solve(context.Background(), sc.Requests, sc.Mapping)
+		}
+		path, err := solve(tvnep.WithFlowMode(tvnep.FlowPath), tvnep.WithNodeLimit(200), tvnep.WithCertify())
+		if err != nil {
+			t.Fatalf("seed %d: path solve: %v", seed, err)
+		}
+		if path.Status != tvnep.StatusFeasible && path.Status != tvnep.StatusOptimal {
+			t.Fatalf("seed %d: path solve status %v", seed, path.Status)
+		}
+		if path.Solution == nil || path.Certificate == nil || !path.Certificate.Solution.OK() {
+			t.Fatalf("seed %d: path solve (status %v) returned no certified solution", seed, path.Status)
+		}
+		// The arc build's statistics only: the search stops before its
+		// root relaxation.
+		arc, _ := solve(tvnep.WithTimeLimit(time.Nanosecond))
+		if arc == nil || arc.ModelStats == nil || path.ModelStats.IntVars != arc.ModelStats.IntVars {
+			t.Fatalf("seed %d: path build has %d integer variables, arc build %+v", seed,
+				path.ModelStats.IntVars, arc)
+		}
+	}
+}
+
+// TestPathModeCertifiesRepairedRoot solves, with certification, a path
+// build whose root relaxation starts infeasible: two forced requests share
+// their endpoints on a 2×2 grid whose links carry one of them at a time,
+// so their common fewest-hops seed path is blocked and only a priced path
+// around the other side repairs the root.
+func TestPathModeCertifiesRepairedRoot(t *testing.T) {
+	sub := tvnep.Grid(2, 2, 4, 1)
+	var reqs []*tvnep.Request
+	var mapping tvnep.NodeMapping
+	for _, name := range []string{"a", "b"} {
+		req := tvnep.Chain(name, 2, 0.5, 1)
+		req.Earliest, req.Duration, req.Latest = 0, 2, 2
+		reqs = append(reqs, req)
+		mapping = append(mapping, []int{0, 3})
+	}
+	for _, obj := range []tvnep.Objective{tvnep.MaxEarliness, tvnep.DisableLinks} {
+		solver, err := tvnep.New(sub, tvnep.WithFlowMode(tvnep.FlowPath), tvnep.WithObjective(obj),
+			tvnep.WithCertify(), tvnep.WithHorizon(2))
+		if err != nil {
+			t.Fatalf("%v: New: %v", obj, err)
+		}
+		res, err := solver.Solve(context.Background(), reqs, mapping)
+		if err != nil {
+			t.Fatalf("%v: %v", obj, err)
+		}
+		if res.Status != tvnep.StatusOptimal || res.ColumnStats.PricedCols == 0 {
+			t.Fatalf("%v: status %v after %d priced columns", obj, res.Status, res.ColumnStats.PricedCols)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"tvnep/internal/admit"
 	"tvnep/internal/certify"
 	"tvnep/internal/core"
+	"tvnep/internal/lp"
 	"tvnep/internal/model"
 	"tvnep/internal/round"
 	"tvnep/internal/solution"
@@ -69,7 +70,9 @@ type Certificate struct {
 	// graph (exact FlowPath solves; nil otherwise).
 	Columns *certify.Report
 	// RootLP is the primal/dual optimality certificate of the root
-	// relaxation the search branched from (exact solves; nil otherwise).
+	// relaxation the search branched from (exact solves; nil otherwise, and
+	// nil when that relaxation, over the model's own columns, was
+	// infeasible until Farkas pricing added path columns).
 	RootLP *certify.LPCertificate
 }
 
@@ -233,6 +236,9 @@ func (s *Solver) verify(inst *core.Instance, sol *Solution, mapping NodeMapping,
 		cert.Columns = certify.Columns(b, ms)
 		if err := cert.Columns.Err(); err != nil {
 			return &CertificationError{Stage: "columns", Err: err}
+		}
+		if ms.Root.Status == lp.StatusInfeasible {
+			return nil // no optimum over the model's own columns to certify
 		}
 		cert.RootLP = certify.LP(b.Model.LP(), ms.Root, 0)
 		if err := cert.RootLP.Err(); err != nil {
