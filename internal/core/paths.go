@@ -275,7 +275,8 @@ func (b *Built) ForEachDeferredState(f func(r, n, ls int, a model.Var)) {
 // every cost(ls) is nonnegative — the state rows contribute (−d)·(y ≤ 0),
 // the capacity and activity rows (+d)·(y ≥ 0) — so Dijkstra applies;
 // LP-tolerance dual noise is clamped away and the winner re-checked with the
-// exact reduced cost before it is offered. Path columns carry objective 0
+// exact reduced cost before it is offered; a virtual link where no path
+// could pass that recheck gets no search. Path columns carry objective 0
 // and a Farkas ray has the duals' signs on these rows, so the same code
 // prices a ray (x nil). A pure function of duals and the state rows opened
 // so far, with index-ordered tie-breaks, as the mip.RowPricer contract
@@ -297,6 +298,10 @@ func (pp *pathPricer) Price(duals, x []float64) []model.Column {
 				continue
 			}
 			d := req.LinkDemand[lv]
+			// gain bounds every path's reduced cost −y_conv − Σ_{ls∈p}
+			// cost(ls) from above: only links of negative cost (dual noise)
+			// can raise it.
+			gain := -duals[b.convRow[r][lv]]
 			for ls := range w {
 				c := 0.0
 				for _, rc := range use[ls] {
@@ -305,9 +310,13 @@ func (pp *pathPricer) Price(duals, x []float64) []model.Column {
 					}
 				}
 				if c < 0 {
+					gain -= c
 					c = 0 // dual noise; the exact recheck below decides
 				}
 				w[ls] = c
+			}
+			if gain <= numtol.PriceRedTol {
+				continue // no path can pass the exact recheck
 			}
 			u, v := req.G.Edge(lv)
 			hu, hv := b.Opts.FixedMapping[r][u], b.Opts.FixedMapping[r][v]

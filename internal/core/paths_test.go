@@ -216,43 +216,74 @@ func TestPathMatchesArcRandom(t *testing.T) {
 				cfg.FlexibilityHr = flex
 				sc := workload.Generate(cfg, seed)
 				inst := &Instance{Sub: sc.Substrate, Reqs: sc.Requests, Horizon: sc.Horizon}
-
-				accepted, opened := comparePathArc(t, inst, BuildOptions{
-					Objective:    AccessControl,
-					FixedMapping: sc.Mapping,
-					CutMode:      cm,
-				}, seed, flex, lim)
-				companion += opened
-
-				// Fixed-set objectives need an embeddable request set: reuse
-				// the accept set of the access-control optimum.
-				var reqs []*vnet.Request
-				var mapping vnet.NodeMapping
-				for r, ok := range accepted {
-					if ok {
-						reqs = append(reqs, inst.Reqs[r])
-						mapping = append(mapping, sc.Mapping[r])
-					}
-				}
-				if len(reqs) == 0 {
-					continue
-				}
-				sub := &Instance{Sub: inst.Sub, Reqs: reqs, Horizon: inst.Horizon}
-				for _, obj := range pathEquivalenceObjectives {
-					_, opened := comparePathArc(t, sub, BuildOptions{
-						Objective:    obj,
-						FixedMapping: mapping,
-						CutMode:      cm,
-					}, seed, flex, lim)
-					companion += opened
-				}
+				companion += comparePathArcObjectives(t, inst, sc.Mapping, cm, seed, flex, lim)
 			}
 		}
+		inst, mapping := poolCollisionInstance()
+		comparePathArcObjectives(t, inst, mapping, cm, -1, 2, lim) // seed -1: the fixed instance
 	}
 	if companion == 0 {
 		t.Fatal("no priced column opened a state row; the sweep no longer compares companion rows")
 	}
 	t.Logf("%d companion rows opened", companion)
+}
+
+// poolCollisionInstance is a scenario the random sweep does not draw: request
+// a routes 2.5 units from host 0 to host 1 over a substrate whose three
+// routes 0→1, 0→2→1 and 0→3→1 carry 1 each, so it needs all three paths,
+// while request b sits on host 2 alone. A path of a over links where a has
+// opened no state row is offered with the convexity coefficient alone, so
+// the two priced routes arrive with equal coefficients and the column pool
+// must still append both. Both requests fit: the arc optimum accepts them.
+func poolCollisionInstance() (*Instance, vnet.NodeMapping) {
+	g := graph.NewDigraph(4)
+	for _, e := range [][2]int{{0, 1}, {0, 2}, {2, 1}, {0, 3}, {3, 1}} {
+		g.AddEdge(e[0], e[1])
+		g.AddEdge(e[1], e[0])
+	}
+	req := func(name string, link float64) *vnet.Request {
+		rg := graph.NewDigraph(2)
+		rg.AddEdge(0, 1)
+		return &vnet.Request{Name: name, G: rg, NodeDemand: []float64{0.1, 0.1}, LinkDemand: []float64{link},
+			Earliest: 0, Duration: 1, Latest: 3}
+	}
+	inst := &Instance{Sub: substrate.New(g, 10, 1), Reqs: []*vnet.Request{req("a", 2.5), req("b", 0.1)}, Horizon: 3}
+	return inst, vnet.NodeMapping{{0, 1}, {2, 2}}
+}
+
+// comparePathArcObjectives runs comparePathArc under AccessControl and,
+// on the access-control optimum's accept set, under every fixed-set
+// objective, and returns the state rows path mode's priced columns opened.
+func comparePathArcObjectives(t *testing.T, inst *Instance, mapping vnet.NodeMapping, cm CutMode, seed int64, flex float64, lim *model.SolveOptions) int {
+	t.Helper()
+	accepted, companion := comparePathArc(t, inst, BuildOptions{
+		Objective:    AccessControl,
+		FixedMapping: mapping,
+		CutMode:      cm,
+	}, seed, flex, lim)
+	// Fixed-set objectives need an embeddable request set: reuse the accept
+	// set of the access-control optimum.
+	var reqs []*vnet.Request
+	var subMap vnet.NodeMapping
+	for r, ok := range accepted {
+		if ok {
+			reqs = append(reqs, inst.Reqs[r])
+			subMap = append(subMap, mapping[r])
+		}
+	}
+	if len(reqs) == 0 {
+		return companion
+	}
+	sub := &Instance{Sub: inst.Sub, Reqs: reqs, Horizon: inst.Horizon}
+	for _, obj := range pathEquivalenceObjectives {
+		_, opened := comparePathArc(t, sub, BuildOptions{
+			Objective:    obj,
+			FixedMapping: subMap,
+			CutMode:      cm,
+		}, seed, flex, lim)
+		companion += opened
+	}
+	return companion
 }
 
 // comparePathArc solves the instance in both flow modes, asserts both close

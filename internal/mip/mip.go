@@ -35,6 +35,15 @@ const (
 	// off most, so it gets a much deeper budget than tree nodes.
 	rootCutRounds = 20
 	treeCutRounds = 2
+	// heuristicEvery runs the rounding heuristic at the root and at every
+	// k-th node thereafter.
+	heuristicEvery = 50
+	// progressEvery is the interval, in nodes, of the periodic progress
+	// callback.
+	progressEvery = 100
+	// priceBatch is the maximum number of columns appended per pricing
+	// round, taken in decreasing reduced-cost order.
+	priceBatch = 32
 )
 
 // Problem couples an LP with integrality markers.
@@ -45,35 +54,25 @@ type Problem struct {
 	Integer []bool
 }
 
-// NewProblem wraps an LP builder; mark integer columns via SetInteger.
-func NewProblem(p *lp.Problem) *Problem {
-	return &Problem{LP: p, Integer: make([]bool, p.NumCols())}
-}
-
-// SetInteger marks column j as integral. The Integer slice is grown on
-// demand so columns may be added to the LP after construction.
-func (p *Problem) SetInteger(j int) {
-	for len(p.Integer) <= j {
-		p.Integer = append(p.Integer, false)
-	}
-	p.Integer[j] = true
-}
-
-// Status reports the outcome of a MIP solve.
+// Status is the outcome of a solve, the one vocabulary every layer above
+// the search reports in.
 type Status int
 
 const (
 	// StatusOptimal means the incumbent is proven optimal within
 	// numtol.MIPGapTol.
 	StatusOptimal Status = iota
+	// StatusFeasible means a limit stopped the search after an integral
+	// solution was found but before optimality was proven.
+	StatusFeasible
 	// StatusInfeasible means no integral solution exists.
 	StatusInfeasible
 	// StatusUnbounded means the relaxation (and thus the MIP, if feasible)
 	// is unbounded.
 	StatusUnbounded
-	// StatusLimit means a time/node/iteration limit stopped the search; an
-	// incumbent may or may not exist (check HasSolution).
-	StatusLimit
+	// StatusTimeLimit means a time, node or iteration limit stopped the
+	// search before any integral solution was found.
+	StatusTimeLimit
 	// StatusCancelled means the solve's context was cancelled before the
 	// search concluded; an incumbent may or may not exist.
 	StatusCancelled
@@ -84,12 +83,14 @@ func (s Status) String() string {
 	switch s {
 	case StatusOptimal:
 		return "optimal"
+	case StatusFeasible:
+		return "feasible"
 	case StatusInfeasible:
 		return "infeasible"
 	case StatusUnbounded:
 		return "unbounded"
-	case StatusLimit:
-		return "limit"
+	case StatusTimeLimit:
+		return "time-limit"
 	case StatusCancelled:
 		return "cancelled"
 	default:
@@ -120,17 +121,10 @@ type Progress struct {
 type Options struct {
 	TimeLimit time.Duration // 0 → none
 	NodeLimit int           // 0 → none
-	// HeuristicEvery runs the rounding heuristic at the root and at every
-	// k-th node thereafter (0 → the default of 50; a negative value
-	// disables the heuristic entirely, including at the root).
-	HeuristicEvery int
 	// Progress, when non-nil, is invoked on every new incumbent and every
-	// ProgressEvery nodes. Callbacks run synchronously inside the search;
+	// progressEvery nodes. Callbacks run synchronously inside the search;
 	// keep them cheap.
 	Progress func(Progress)
-	// ProgressEvery is the periodic callback interval in nodes (default
-	// 100; < 0 disables periodic callbacks, leaving incumbent ones).
-	ProgressEvery int
 	// Separators generate valid inequalities lazily instead of having the
 	// model emit them all up front; see the Separator contract in cuts.go.
 	Separators []Separator
@@ -140,26 +134,6 @@ type Options struct {
 	// restricted relaxation's value is only a valid node bound once no
 	// column prices in.
 	Pricers []Pricer
-	// PriceBatch is the maximum number of columns appended per pricing
-	// round, taken in decreasing reduced-cost order (0 → the default of 32).
-	PriceBatch int
-}
-
-func (o *Options) withDefaults() Options {
-	out := Options{}
-	if o != nil {
-		out = *o
-	}
-	if out.HeuristicEvery == 0 {
-		out.HeuristicEvery = 50
-	}
-	if out.ProgressEvery == 0 {
-		out.ProgressEvery = 100
-	}
-	if out.PriceBatch <= 0 {
-		out.PriceBatch = 32
-	}
-	return out
 }
 
 // Result reports the outcome of a solve. Obj, Bound and Gap are expressed in
@@ -228,6 +202,34 @@ func (w *Work) Add(o Work) {
 // LPWork is the work of one LP solve.
 func LPWork(r *lp.Result) Work {
 	return Work{LPIterations: r.Iterations, BoundFlips: r.BoundFlips, RatioPasses: r.RatioPasses}
+}
+
+// LPResult reports one LP solve of a problem's relaxation as a Result: the
+// LP's outcome and work, and its optimum, integral or not, as the solution.
+func LPResult(rel lp.Result) Result {
+	res := Result{Work: LPWork(&rel)}
+	res.relaxation(&rel, false)
+	return res
+}
+
+// relaxation reports rel, a relaxation solved to its end or stopped, as
+// the result's outcome: an optimal rel is the solution and its own bound.
+func (r *Result) relaxation(rel *lp.Result, cancelled bool) {
+	switch {
+	case rel.Status == lp.StatusOptimal:
+		r.Status, r.HasSolution, r.X = StatusOptimal, true, rel.X
+		r.Obj, r.Bound = rel.Obj, rel.Obj
+		return
+	case rel.Status == lp.StatusInfeasible:
+		r.Status = StatusInfeasible
+	case rel.Status == lp.StatusUnbounded:
+		r.Status = StatusUnbounded
+	case cancelled:
+		r.Status = StatusCancelled
+	default:
+		r.Status = StatusTimeLimit
+	}
+	r.Gap = math.Inf(1)
 }
 
 // node is a branch-and-bound node: a chain of bound overrides on top of the
@@ -344,7 +346,11 @@ func Solve(ctx context.Context, p *Problem, opts *Options) Result {
 func SolveFrom(ctx context.Context, p *Problem, opts *Options, inst *lp.Instance) Result {
 	s := newSearcher(ctx, p, opts, inst)
 	status := s.run()
-	res := s.result(status)
+	if status == StatusTimeLimit && s.hasInc {
+		status = StatusFeasible
+	}
+	res := s.result()
+	res.Status = status
 	bound := s.globalBoundMin()
 	if s.hasInc {
 		res.HasSolution, res.X = true, s.incumbent
@@ -354,7 +360,7 @@ func SolveFrom(ctx context.Context, p *Problem, opts *Options, inst *lp.Instance
 		res.Gap = math.Inf(1)
 	}
 	res.Bound = s.fromMin(bound)
-	if status == StatusOptimal && s.hasInc {
+	if res.Status == StatusOptimal && s.hasInc {
 		res.Gap = 0
 		res.Bound = res.Obj
 	}
@@ -377,30 +383,10 @@ func Relax(ctx context.Context, p *Problem, opts *Options) Result {
 	nd := &node{col: -1} // the fresh instance carries the root box
 	rel, _ := s.solveSeparated(nd)
 	s.retire(nd, rel.Basis, rel.Factors)
-	res := s.result(relaxStatus(rel.Status, s.cancelled()))
-	res.Gap = math.Inf(1)
-	if rel.Status == lp.StatusOptimal {
-		res.HasSolution, res.X = true, rel.X
-		res.Obj, res.Bound, res.Gap = rel.Obj, rel.Obj, 0
-	}
+	res := s.result()
+	res.relaxation(&rel, s.cancelled())
 	s.release()
 	return res
-}
-
-// relaxStatus translates the outcome of a root relaxation into a Status.
-func relaxStatus(st lp.Status, cancelled bool) Status {
-	switch {
-	case st == lp.StatusOptimal:
-		return StatusOptimal
-	case st == lp.StatusInfeasible:
-		return StatusInfeasible
-	case st == lp.StatusUnbounded:
-		return StatusUnbounded
-	case cancelled:
-		return StatusCancelled
-	default:
-		return StatusLimit
-	}
 }
 
 // newSearcher prepares a search of p on inst (compiled from p.LP when nil).
@@ -409,7 +395,10 @@ func newSearcher(ctx context.Context, p *Problem, opts *Options, inst *lp.Instan
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	o := opts.withDefaults()
+	var o Options
+	if opts != nil {
+		o = *opts
+	}
 	if inst == nil {
 		inst = lp.NewInstance(p.LP)
 	}
@@ -445,11 +434,10 @@ func newSearcher(ctx context.Context, p *Problem, opts *Options, inst *lp.Instan
 	return s
 }
 
-// result reports the search's status, work, root record and applied rows
-// and columns; the caller fills in the solution and its bound.
-func (s *searcher) result(status Status) Result {
+// result reports the search's work, root record and applied rows and
+// columns; the caller fills in the status, the solution and its bound.
+func (s *searcher) result() Result {
 	res := Result{
-		Status:  status,
 		Work:    s.work,
 		Runtime: time.Since(s.start), //lint:allow nondet -- wall-clock Runtime stat only
 		Root:    s.root,
@@ -780,7 +768,7 @@ func (s *searcher) run() Status {
 				// Re-park the dive node so the reported global bound stays
 				// valid.
 				heap.Push(&s.open, nd)
-				return StatusLimit
+				return StatusTimeLimit
 			}
 			// Bound-based pruning against the current incumbent.
 			if s.hasInc && nd.bound >= s.incumbentMin-boundCutoffTol {
@@ -792,7 +780,7 @@ func (s *searcher) run() Status {
 				return StatusOptimal
 			}
 			s.work.Nodes++
-			if s.opts.ProgressEvery > 0 && s.work.Nodes%s.opts.ProgressEvery == 0 {
+			if s.work.Nodes%progressEvery == 0 {
 				s.emitProgress(false)
 			}
 			// Install the node's box: it detects trivially infeasible chains
@@ -827,7 +815,7 @@ func (s *searcher) run() Status {
 				// numerically); the search can no longer prove optimality,
 				// so stop with what we have.
 				s.retire(nd, res.Basis, res.Factors)
-				return StatusLimit
+				return StatusTimeLimit
 			}
 			objMin := s.toMin(res.Obj)
 			if s.hasInc && objMin >= s.incumbentMin-boundCutoffTol {
@@ -842,7 +830,7 @@ func (s *searcher) run() Status {
 				break
 			}
 			br := makeBranch(nd, col, objMin, res)
-			if s.opts.HeuristicEvery > 0 && (s.work.Nodes == 1 || s.work.Nodes%s.opts.HeuristicEvery == 0) {
+			if s.work.Nodes == 1 || s.work.Nodes%heuristicEvery == 0 {
 				s.roundingHeuristic(nd, res)
 			}
 			s.retire(nd, nil, nil) // the branch owns res.Basis and res.Factors

@@ -17,9 +17,7 @@ func TestMinimizeWithNegativeRange(t *testing.T) {
 	x := p.AddCol(2, -4, 4)
 	y := p.AddCol(3, -2, 2)
 	p.AddGE([]int32{int32(x), int32(y)}, []float64{1, 1}, -3)
-	mp := NewProblem(p)
-	mp.SetInteger(x)
-	mp.SetInteger(y)
+	mp := &Problem{LP: p, Integer: integerAt(p, x, y)}
 	res := Solve(context.Background(), mp, nil)
 	if res.Status != StatusOptimal || math.Abs(res.Obj-(-8)) > 1e-6 {
 		t.Fatalf("status %v obj %v X %v, want optimal -8", res.Status, res.Obj, res.X)
@@ -34,8 +32,7 @@ func TestMixedIntegerContinuous(t *testing.T) {
 	x := p.AddCol(1, 0, 2.5)
 	y := p.AddCol(1, 0, 1.5)
 	p.AddLE([]int32{int32(x), int32(y)}, []float64{1, 2}, 5)
-	mp := NewProblem(p)
-	mp.SetInteger(x)
+	mp := &Problem{LP: p, Integer: integerAt(p, x)}
 	res := Solve(context.Background(), mp, nil)
 	if res.Status != StatusOptimal || math.Abs(res.Obj-3.5) > 1e-6 {
 		t.Fatalf("obj %v, want 3.5 (x=2, y=1.5)", res.Obj)
@@ -45,7 +42,10 @@ func TestMixedIntegerContinuous(t *testing.T) {
 	}
 }
 
-func TestHeuristicDisabled(t *testing.T) {
+// TestRootHeuristicFindsIncumbent: the rounding heuristic runs at the
+// root, so on a knapsack whose root relaxation is fractional the first
+// incumbent callback already comes at node 1.
+func TestRootHeuristicFindsIncumbent(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	p := lp.NewProblem()
 	p.Sense = lp.Maximize
@@ -57,32 +57,21 @@ func TestHeuristicDisabled(t *testing.T) {
 		val = append(val, 1+rng.Float64()*4)
 	}
 	p.AddLE(idx, val, 20)
-	mp := NewProblem(p)
-	for j := 0; j < 15; j++ {
-		mp.SetInteger(j)
+	first := 0
+	res := Solve(context.Background(), &Problem{LP: p, Integer: allInteger(15)}, &Options{Progress: func(pr Progress) {
+		if pr.NewIncumbent && first == 0 {
+			first = pr.Nodes
+		}
+	}})
+	if res.Status != StatusOptimal || res.Nodes < 2 {
+		t.Fatalf("status %v after %d nodes; the case no longer branches", res.Status, res.Nodes)
 	}
-	withH := Solve(context.Background(), mp, nil)
-	withoutH := Solve(context.Background(), mp, &Options{HeuristicEvery: -1})
-	if withH.Status != StatusOptimal || withoutH.Status != StatusOptimal {
-		t.Fatalf("statuses %v / %v", withH.Status, withoutH.Status)
+	fractional := false
+	for _, x := range res.Root.X {
+		fractional = fractional || math.Abs(x-math.Round(x)) > 1e-6
 	}
-	if math.Abs(withH.Obj-withoutH.Obj) > 1e-6 {
-		t.Fatalf("heuristic changed the optimum: %v vs %v", withH.Obj, withoutH.Obj)
-	}
-	// The documented contract: 0 means "use the default interval of 50", so
-	// the two settings must commit bit-identical searches — while -1 must
-	// genuinely disable the heuristic, including at the root (fewer or
-	// equal LP iterations, never the heuristic's extra solves).
-	zero := Solve(context.Background(), mp, &Options{HeuristicEvery: 0})
-	fifty := Solve(context.Background(), mp, &Options{HeuristicEvery: 50})
-	if zero.Nodes != fifty.Nodes || zero.LPIterations != fifty.LPIterations ||
-		math.Float64bits(zero.Obj) != math.Float64bits(fifty.Obj) {
-		t.Fatalf("HeuristicEvery 0 (→ default) and 50 diverge: nodes %d/%d iters %d/%d obj %v/%v",
-			zero.Nodes, fifty.Nodes, zero.LPIterations, fifty.LPIterations, zero.Obj, fifty.Obj)
-	}
-	if withoutH.LPIterations > zero.LPIterations {
-		t.Fatalf("HeuristicEvery -1 ran more LP iterations (%d) than the default (%d); is the root heuristic really off?",
-			withoutH.LPIterations, zero.LPIterations)
+	if !fractional || first != 1 {
+		t.Fatalf("root relaxation fractional %v, first incumbent at node %d, want a fractional root and node 1", fractional, first)
 	}
 }
 
@@ -94,9 +83,7 @@ func TestRepeatedSolveIndependence(t *testing.T) {
 	a := p.AddCol(5, 0, 1)
 	b := p.AddCol(4, 0, 1)
 	p.AddLE([]int32{int32(a), int32(b)}, []float64{2, 3}, 4)
-	mp := NewProblem(p)
-	mp.SetInteger(a)
-	mp.SetInteger(b)
+	mp := &Problem{LP: p, Integer: integerAt(p, a, b)}
 	r1 := Solve(context.Background(), mp, nil)
 	r2 := Solve(context.Background(), mp, nil)
 	if r1.Obj != r2.Obj || r1.Status != r2.Status {
@@ -115,10 +102,7 @@ func TestDeepBranching(t *testing.T) {
 		cols = append(cols, int32(p.AddCol(1, 0, 1)))
 	}
 	p.AddEQ(cols, w, 16)
-	mp := NewProblem(p)
-	for j := 0; j < 4; j++ {
-		mp.SetInteger(j)
-	}
+	mp := &Problem{LP: p, Integer: allInteger(4)}
 	res := Solve(context.Background(), mp, nil)
 	if res.Status != StatusOptimal {
 		t.Fatalf("status %v", res.Status)
@@ -137,9 +121,7 @@ func TestGeneralIntegerBranching(t *testing.T) {
 	x := p.AddCol(7, 0, lp.Inf)
 	y := p.AddCol(9, 0, lp.Inf)
 	p.AddLE([]int32{int32(x), int32(y)}, []float64{13, 11}, 47)
-	mp := NewProblem(p)
-	mp.SetInteger(x)
-	mp.SetInteger(y)
+	mp := &Problem{LP: p, Integer: integerAt(p, x, y)}
 	res := Solve(context.Background(), mp, nil)
 	if res.Status != StatusOptimal || math.Abs(res.Obj-36) > 1e-6 {
 		t.Fatalf("obj %v X %v, want 36 at (0,4)", res.Obj, res.X)
@@ -183,10 +165,7 @@ func TestLargerBruteForceSweep(t *testing.T) {
 				p.AddEQ(idx, val, float64(rng.Intn(3)))
 			}
 		}
-		mp := NewProblem(p)
-		for _, j := range intCols {
-			mp.SetInteger(j)
-		}
+		mp := &Problem{LP: p, Integer: integerAt(p, intCols...)}
 		res := Solve(context.Background(), mp, nil)
 		want := bruteForceBinary(p, intCols)
 		if math.IsNaN(want) {

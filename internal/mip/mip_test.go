@@ -19,10 +19,7 @@ func TestKnapsack(t *testing.T) {
 	b := p.AddCol(13, 0, 1)
 	c := p.AddCol(7, 0, 1)
 	p.AddLE([]int32{int32(a), int32(b), int32(c)}, []float64{3, 4, 2}, 6)
-	mp := NewProblem(p)
-	mp.SetInteger(a)
-	mp.SetInteger(b)
-	mp.SetInteger(c)
+	mp := &Problem{LP: p, Integer: integerAt(p, a, b, c)}
 	res := Solve(context.Background(), mp, nil)
 	if res.Status != StatusOptimal || math.Abs(res.Obj-20) > 1e-6 {
 		t.Fatalf("status %v obj %v, want optimal 20", res.Status, res.Obj)
@@ -39,7 +36,7 @@ func TestPureLPPassThrough(t *testing.T) {
 	p := lp.NewProblem()
 	x := p.AddCol(1, 0, 5)
 	p.AddGE([]int32{int32(x)}, []float64{1}, 2.5)
-	mp := NewProblem(p) // no integers
+	mp := &Problem{LP: p} // no integers
 	res := Solve(context.Background(), mp, nil)
 	if res.Status != StatusOptimal || math.Abs(res.Obj-2.5) > 1e-7 {
 		t.Fatalf("status %v obj %v, want optimal 2.5", res.Status, res.Obj)
@@ -51,8 +48,7 @@ func TestIntegerRounding(t *testing.T) {
 	p := lp.NewProblem()
 	x := p.AddCol(1, 0, 10)
 	p.AddGE([]int32{int32(x)}, []float64{1}, 2.3)
-	mp := NewProblem(p)
-	mp.SetInteger(x)
+	mp := &Problem{LP: p, Integer: integerAt(p, x)}
 	res := Solve(context.Background(), mp, nil)
 	if res.Status != StatusOptimal || math.Abs(res.Obj-3) > 1e-7 {
 		t.Fatalf("status %v obj %v, want optimal 3", res.Status, res.Obj)
@@ -64,8 +60,7 @@ func TestInfeasibleMIP(t *testing.T) {
 	p := lp.NewProblem()
 	x := p.AddCol(1, 0.4, 0.6)
 	_ = x
-	mp := NewProblem(p)
-	mp.SetInteger(x)
+	mp := &Problem{LP: p, Integer: integerAt(p, x)}
 	res := Solve(context.Background(), mp, nil)
 	if res.Status != StatusInfeasible {
 		t.Fatalf("status = %v, want infeasible", res.Status)
@@ -82,8 +77,7 @@ func TestUnboundedMIP(t *testing.T) {
 	p := lp.NewProblem()
 	p.Sense = lp.Maximize
 	p.AddCol(1, 0, lp.Inf)
-	mp := NewProblem(p)
-	mp.SetInteger(0)
+	mp := &Problem{LP: p, Integer: integerAt(p, 0)}
 	res := Solve(context.Background(), mp, nil)
 	if res.Status != StatusUnbounded {
 		t.Fatalf("status = %v, want unbounded", res.Status)
@@ -96,9 +90,7 @@ func TestEqualityParity(t *testing.T) {
 	x := p.AddCol(3, 0, lp.Inf)
 	y := p.AddCol(1, 0, lp.Inf)
 	p.AddEQ([]int32{int32(x), int32(y)}, []float64{1, 1}, 5)
-	mp := NewProblem(p)
-	mp.SetInteger(x)
-	mp.SetInteger(y)
+	mp := &Problem{LP: p, Integer: integerAt(p, x, y)}
 	res := Solve(context.Background(), mp, nil)
 	if res.Status != StatusOptimal || math.Abs(res.Obj-5) > 1e-6 {
 		t.Fatalf("status %v obj %v, want optimal 5", res.Status, res.Obj)
@@ -169,10 +161,7 @@ func TestRandomBinaryMIPsAgainstBruteForce(t *testing.T) {
 				p.AddGE(idx, val, -rhs)
 			}
 		}
-		mp := NewProblem(p)
-		for _, j := range intCols {
-			mp.SetInteger(j)
-		}
+		mp := &Problem{LP: p, Integer: integerAt(p, intCols...)}
 		res := Solve(context.Background(), mp, nil)
 		want := bruteForceBinary(p, intCols)
 		if math.IsNaN(want) {
@@ -200,9 +189,7 @@ func TestGeneralIntegerMIP(t *testing.T) {
 	y := p.AddCol(4, 0, lp.Inf)
 	p.AddLE([]int32{int32(x), int32(y)}, []float64{6, 4}, 24)
 	p.AddLE([]int32{int32(x), int32(y)}, []float64{1, 2}, 6)
-	mp := NewProblem(p)
-	mp.SetInteger(x)
-	mp.SetInteger(y)
+	mp := &Problem{LP: p, Integer: integerAt(p, x, y)}
 	res := Solve(context.Background(), mp, nil)
 	if res.Status != StatusOptimal || math.Abs(res.Obj-20) > 1e-6 {
 		t.Fatalf("status %v obj %v X %v, want optimal 20", res.Status, res.Obj, res.X)
@@ -211,7 +198,7 @@ func TestGeneralIntegerMIP(t *testing.T) {
 
 func TestTimeLimit(t *testing.T) {
 	// A hard-ish equality knapsack to burn nodes, with a 1 ns limit: must
-	// stop immediately and report StatusLimit.
+	// stop before the first node and report StatusTimeLimit.
 	rng := rand.New(rand.NewSource(5))
 	p := lp.NewProblem()
 	p.Sense = lp.Maximize
@@ -223,13 +210,10 @@ func TestTimeLimit(t *testing.T) {
 		val = append(val, 1+rng.Float64()*9)
 	}
 	p.AddLE(idx, val, 40)
-	mp := NewProblem(p)
-	for j := 0; j < 30; j++ {
-		mp.SetInteger(j)
-	}
+	mp := &Problem{LP: p, Integer: allInteger(30)}
 	res := Solve(context.Background(), mp, &Options{TimeLimit: time.Nanosecond})
-	if res.Status != StatusLimit {
-		t.Fatalf("status = %v, want limit", res.Status)
+	if res.Status != StatusTimeLimit || res.HasSolution {
+		t.Fatalf("status = %v (has solution %v), want time-limit without one", res.Status, res.HasSolution)
 	}
 }
 
@@ -245,13 +229,13 @@ func TestNodeLimit(t *testing.T) {
 		val = append(val, 1+rng.Float64()*9)
 	}
 	p.AddLE(idx, val, 30)
-	mp := NewProblem(p)
-	for j := 0; j < 25; j++ {
-		mp.SetInteger(j)
-	}
-	res := Solve(context.Background(), mp, &Options{NodeLimit: 3, HeuristicEvery: -1})
-	if res.Status != StatusLimit && res.Status != StatusOptimal {
+	mp := &Problem{LP: p, Integer: allInteger(25)}
+	res := Solve(context.Background(), mp, &Options{NodeLimit: 3})
+	if res.Status != StatusFeasible && res.Status != StatusTimeLimit && res.Status != StatusOptimal {
 		t.Fatalf("status = %v", res.Status)
+	}
+	if res.HasSolution != (res.Status != StatusTimeLimit) {
+		t.Fatalf("status %v with has solution %v", res.Status, res.HasSolution)
 	}
 	if res.Nodes > 3 {
 		t.Fatalf("nodes = %d, want ≤ 3", res.Nodes)
@@ -270,10 +254,7 @@ func TestBoundAndGapConsistency(t *testing.T) {
 		val = append(val, 1+rng.Float64()*5)
 	}
 	p.AddLE(idx, val, 25)
-	mp := NewProblem(p)
-	for j := 0; j < 20; j++ {
-		mp.SetInteger(j)
-	}
+	mp := &Problem{LP: p, Integer: allInteger(20)}
 	res := Solve(context.Background(), mp, nil)
 	if res.Status != StatusOptimal {
 		t.Fatalf("status %v", res.Status)
@@ -297,8 +278,9 @@ func TestBoundAndGapConsistency(t *testing.T) {
 
 func TestStatusStrings(t *testing.T) {
 	for st, want := range map[Status]string{
-		StatusOptimal: "optimal", StatusInfeasible: "infeasible",
-		StatusUnbounded: "unbounded", StatusLimit: "limit", Status(9): "unknown",
+		StatusOptimal: "optimal", StatusFeasible: "feasible", StatusInfeasible: "infeasible",
+		StatusUnbounded: "unbounded", StatusTimeLimit: "time-limit", StatusCancelled: "cancelled",
+		Status(9): "unknown",
 	} {
 		if st.String() != want {
 			t.Fatalf("%d.String() = %q, want %q", int(st), st.String(), want)
@@ -306,13 +288,21 @@ func TestStatusStrings(t *testing.T) {
 	}
 }
 
-func TestSetIntegerGrows(t *testing.T) {
-	p := lp.NewProblem()
-	mp := NewProblem(p)
-	p.AddCol(1, 0, 1)
-	p.AddCol(1, 0, 1)
-	mp.SetInteger(1)
-	if len(mp.Integer) != 2 || !mp.Integer[1] || mp.Integer[0] {
-		t.Fatalf("Integer = %v", mp.Integer)
+// allInteger is the integrality mask of n integer columns; columns past
+// them are continuous.
+func allInteger(n int) []bool {
+	mask := make([]bool, n)
+	for j := range mask {
+		mask[j] = true
 	}
+	return mask
+}
+
+// integerAt is the integrality mask over p's columns that marks cols.
+func integerAt(p *lp.Problem, cols ...int) []bool {
+	mask := make([]bool, p.NumCols())
+	for _, j := range cols {
+		mask[j] = true
+	}
+	return mask
 }

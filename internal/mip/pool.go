@@ -248,7 +248,7 @@ func (s *searcher) commit(p *pool, batch []*pooled) int {
 }
 
 // complete has a RowPricer column's pricer re-derive it over inst's current
-// rows and supply the companion rows it opens, and keys the entry by the
+// rows and supply the companion rows it opens, and re-keys the entry by the
 // column's final form — its coefficients on its own companion rows
 // included, as Price offers it from now on — so a re-offer is a pool hit,
 // not a second copy of the column. It reports whether the column opened
@@ -270,10 +270,12 @@ func (p *pool) complete(pe *pooled, inst *lp.Instance) bool {
 		}
 	}
 	final.idx, final.val = lp.Canonical(final.idx, final.val)
-	if key := final.key(); key != pe.key {
-		if _, dup := p.byKey[key]; !dup {
-			p.byKey[key] = pe
-		}
+	// The offer-time key goes: a different column of the pricer may be
+	// offered with the same coefficients before its own rows open.
+	delete(p.byKey, pe.key)
+	pe.key = final.key()
+	if _, dup := p.byKey[pe.key]; !dup {
+		p.byKey[pe.key] = pe
 	}
 	return len(rows) > 0
 }

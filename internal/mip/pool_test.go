@@ -248,12 +248,12 @@ func opFingerprint(ops []op) uint64 {
 // dropped). Any change to canonicalization, keys, selection order, eviction
 // or op application shows up here.
 func TestPoolTrajectoryGolden(t *testing.T) {
-	tagged := func(seed int64, nFac, nPat, batch int, cuts bool) (*Problem, *Options) {
+	tagged := func(seed int64, nFac, nPat int, cuts bool) (*Problem, *Options) {
 		prob, lazy := colGenProblem(seed, nFac, nPat, false)
 		for q := range lazy {
 			lazy[q].Tag = q
 		}
-		o := &Options{Pricers: []Pricer{&patternPricer{cols: lazy}}, PriceBatch: batch}
+		o := &Options{Pricers: []Pricer{&patternPricer{cols: lazy}}}
 		if cuts {
 			o.Separators = []Separator{&coverSeparator{prob: prob}}
 		}
@@ -275,7 +275,7 @@ func TestPoolTrajectoryGolden(t *testing.T) {
 		{
 			// The pricing+cuts shape of TestParallelDeterminismWithPricing.
 			name:  "pricing+cuts",
-			build: func() (*Problem, *Options) { return tagged(11, 6, 30, 0, true) },
+			build: func() (*Problem, *Options) { return tagged(11, 6, 30, true) },
 			obj:   39.08312023721864, nodes: 7, iters: 47,
 			cuts: CutStats{RowsAtRoot: 6},
 			cols: ColumnStats{ColsAtRoot: 6, PricedCols: 30, Rounds: 1, Offered: 63, PoolHits: 33},
@@ -288,14 +288,15 @@ func TestPoolTrajectoryGolden(t *testing.T) {
 			colFP: 0x5811c7e5cec2998c,
 		},
 		{
-			// Many small pricing rounds, with column evictions.
-			name:  "pricing-batch3",
-			build: func() (*Problem, *Options) { return tagged(23, 8, 40, 3, false) },
-			obj:   71.21962998151515, nodes: 5, iters: 66,
-			cuts:  CutStats{RowsAtRoot: 8},
-			cols:  ColumnStats{ColsAtRoot: 8, PricedCols: 24, Rounds: 10, Offered: 266, PoolHits: 226, Evicted: 16},
+			// More improving columns than one pricing round appends, with
+			// column evictions.
+			name:  "pricing-evictions",
+			build: func() (*Problem, *Options) { return tagged(13, 12, 100, false) },
+			obj:   127.99902018146896, nodes: 5, iters: 82,
+			cuts:  CutStats{RowsAtRoot: 12},
+			cols:  ColumnStats{ColsAtRoot: 12, PricedCols: 46, Rounds: 5, Offered: 230, PoolHits: 130, Evicted: 54},
 			cutFP: 0xcbf29ce484222325,
-			colFP: 0x633b07eeffa5c80,
+			colFP: 0xf96409a5d4df5f,
 		},
 		{
 			// Deep cut separation through the tree.

@@ -144,5 +144,5 @@ func (s *searcher) price(duals, x []float64) int {
 		}
 		return d
 	}
-	return s.commit(s.cols, s.cols.best(redCost, numtol.PriceRedTol, s.opts.PriceBatch))
+	return s.commit(s.cols, s.cols.best(redCost, numtol.PriceRedTol, priceBatch))
 }

@@ -73,11 +73,7 @@ func colGenProblem(seed int64, nFac, nPat int, full bool) (*Problem, []Column) {
 		}
 		p.AddLE(idx, val, 0)
 	}
-	mp := NewProblem(p)
-	for j := 0; j < nFac; j++ {
-		mp.SetInteger(j)
-	}
-	return mp, lazy
+	return &Problem{LP: p, Integer: allInteger(nFac)}, lazy
 }
 
 // patternPricer is the test Pricer: it holds the full formulation's lazy
@@ -232,24 +228,22 @@ func TestFarkasPricingRepairsInfeasibleMaster(t *testing.T) {
 	}
 }
 
-// TestPricingSmallBatchConverges forces many rounds through PriceBatch=1 and
-// still must land on the same optimum, with one round per appended column.
+// TestPricingSmallBatchConverges: a shape whose root prices in more columns
+// than one round appends (priceBatch) takes several rounds and still lands
+// on the static optimum.
 func TestPricingSmallBatchConverges(t *testing.T) {
-	full, _ := colGenProblem(7, 5, 20, true)
-	restricted, lazy := colGenProblem(7, 5, 20, false)
+	full, _ := colGenProblem(13, 12, 100, true)
+	restricted, lazy := colGenProblem(13, 12, 100, false)
 	want := Solve(context.Background(), full, nil)
-	got := Solve(context.Background(), restricted, &Options{
-		Pricers:    []Pricer{&patternPricer{cols: lazy}},
-		PriceBatch: 1,
-	})
+	got := Solve(context.Background(), restricted, &Options{Pricers: []Pricer{&patternPricer{cols: lazy}}})
 	if got.Status != StatusOptimal {
 		t.Fatalf("status %v", got.Status)
 	}
 	if d := math.Abs(got.Obj - want.Obj); d > 1e-6*(1+math.Abs(want.Obj)) {
 		t.Errorf("obj %v differs from static %v", got.Obj, want.Obj)
 	}
-	if got.Columns.Rounds != got.Columns.PricedCols {
-		t.Errorf("batch=1 appended %d columns in %d rounds", got.Columns.PricedCols, got.Columns.Rounds)
+	if c := got.Columns; c.PricedCols <= priceBatch || c.Rounds*priceBatch < c.PricedCols {
+		t.Errorf("%d columns appended in %d rounds of at most %d", c.PricedCols, c.Rounds, priceBatch)
 	}
 }
 
@@ -283,11 +277,7 @@ func deferredRowsProblem(seed int64, nFac, nPat int) (*Problem, *rowPatternPrice
 		rp.caps[j] = -val[0]
 	}
 	p.AddLE([]int32{0}, []float64{-rp.caps[0]}, 0)
-	mp := NewProblem(p)
-	for j := 0; j < nFac; j++ {
-		mp.SetInteger(j)
-	}
-	return mp, rp
+	return &Problem{LP: p, Integer: allInteger(nFac)}, rp
 }
 
 // column is pattern q over the open linking rows.
@@ -390,5 +380,40 @@ func TestRowPricerMatchesStaticSolve(t *testing.T) {
 			t.Errorf("seed %d: %d rows recorded, %d counted, %d facilities", sh.seed, opened, got.Columns.CompanionRows, sh.nFac)
 		}
 		assertBitIdentical(t, "re-solve", got, Solve(context.Background(), prob, opts))
+	}
+}
+
+// TestRowPricerKeepsEqualOffersApart: two patterns over facility 0 and one
+// closed facility each are offered with equal coefficients, facility 0's
+// row alone, until their own rows open. Committing the first must not make
+// the second a pool hit: each is appended in its own round, opening its own
+// row, and the search reaches the optimum that uses both (profit 3 each,
+// less opening costs 0.5·3).
+func TestRowPricerKeepsEqualOffersApart(t *testing.T) {
+	p := lp.NewProblem()
+	p.Sense = lp.Maximize
+	for j := 0; j < 3; j++ {
+		p.AddCol(-0.5, 0, 1)
+	}
+	p.AddLE([]int32{0}, []float64{-2}, 0)
+	rp := &rowPatternPricer{
+		pats: []Column{
+			{Idx: []int32{0, 1}, Val: []float64{1, 1}, UB: 1, Obj: 3},
+			{Idx: []int32{0, 2}, Val: []float64{1, 1}, UB: 1, Obj: 3},
+		},
+		caps: []float64{2, 1, 1},
+		row:  make([]int, 3),
+	}
+	got := Solve(context.Background(), &Problem{LP: p, Integer: allInteger(3)}, &Options{Pricers: []Pricer{rp}})
+	if got.Status != StatusOptimal || math.Abs(got.Obj-4.5) > 1e-9 {
+		t.Fatalf("status %v obj %v, want optimal 4.5", got.Status, got.Obj)
+	}
+	if len(got.AppliedColumns) != 2 || got.Columns.Rounds != 2 {
+		t.Fatalf("%d columns appended in %d rounds, want 2 in 2", len(got.AppliedColumns), got.Columns.Rounds)
+	}
+	for k, c := range got.AppliedColumns {
+		if c.Tag.(int) != k || len(c.Rows) != 1 {
+			t.Fatalf("column %d is pattern %v with %d companion rows, want pattern %d with 1", k, c.Tag, len(c.Rows), k)
+		}
 	}
 }

@@ -53,11 +53,7 @@ func setPartition(seed int64, k, ncols int) *Problem {
 		}
 		p.AddEQ(row, ones, 1)
 	}
-	mp := NewProblem(p)
-	for j := 0; j < p.NumCols(); j++ {
-		mp.SetInteger(j)
-	}
-	return mp
+	return &Problem{LP: p, Integer: allInteger(p.NumCols())}
 }
 
 // TestRecyclingKeepsCallerStorage runs searches on one recompiled
@@ -87,13 +83,12 @@ func TestRecyclingKeepsCallerStorage(t *testing.T) {
 		{"multiknapsack-40x12", multiKnapsack(4, 40, 12)},
 		{"partition-3", setPartition(3, 14, 60)},
 	} {
-		o := &Options{HeuristicEvery: 1}
 		inst.Recompile(tc.prob.LP)
-		res := SolveFrom(ctx, tc.prob, o, &inst)
+		res := SolveFrom(ctx, tc.prob, nil, &inst)
 		if res.Status != StatusOptimal || res.Nodes < 5 {
 			t.Fatalf("%s: status %v after %d nodes; the case no longer searches a tree", tc.name, res.Status, res.Nodes)
 		}
-		assertBitIdentical(t, tc.name, Solve(ctx, tc.prob, o), res)
+		assertBitIdentical(t, tc.name, Solve(ctx, tc.prob, nil), res)
 		all = append(all, held{tc.name, res, copyHeld(res)})
 		// A plain solve on the instance draws recycled vectors and bases
 		// too.

@@ -309,12 +309,9 @@ func (m *Model) Pricers() []Pricer { return m.prs }
 
 // Solution is the result of optimizing a model: the search's result, whose
 // Root is the root node's first relaxation over LP()'s own rows and
-// columns (internal/certify checks it with certify.LP), under the model's
-// status vocabulary.
+// columns (internal/certify checks it with certify.LP).
 type Solution struct {
 	mip.Result
-	// Status is Result.Status translated into the model's vocabulary.
-	Status Status
 }
 
 // Value returns the solution value of v (NaN when no solution exists).
@@ -370,8 +367,7 @@ func (m *Model) OptimizeFrom(ctx context.Context, opts *SolveOptions, inst *lp.I
 		}
 		mo.Pricers = m.prs
 	}
-	res := mip.SolveFrom(ctx, &mip.Problem{LP: m.lp, Integer: m.integer}, mo, inst)
-	return &Solution{Result: res, Status: statusFromMIP(res.Status, res.HasSolution)}
+	return &Solution{Result: mip.SolveFrom(ctx, &mip.Problem{LP: m.lp, Integer: m.integer}, mo, inst)}
 }
 
 // IntegerMask returns the per-column integrality markers (shared slice;
@@ -385,25 +381,7 @@ func (m *Model) IntegerMask() []bool { return m.integer }
 // a bound on the MIP; HasSolution is set for an optimal LP result whether
 // or not it is integral.
 func (m *Model) SolutionFromLP(res lp.Result) *Solution {
-	sol := &Solution{Result: mip.Result{Work: mip.LPWork(&res)}}
-	switch res.Status {
-	case lp.StatusOptimal:
-		sol.Status = StatusOptimal
-		sol.HasSolution = true
-		sol.Obj = res.Obj
-		sol.Bound = res.Obj
-		sol.Result.X = res.X
-	case lp.StatusInfeasible:
-		sol.Status = StatusInfeasible
-		sol.Gap = math.Inf(1)
-	case lp.StatusUnbounded:
-		sol.Status = StatusUnbounded
-		sol.Gap = math.Inf(1)
-	default:
-		sol.Status = StatusTimeLimit
-		sol.Gap = math.Inf(1)
-	}
-	return sol
+	return &Solution{Result: mip.LPResult(res)}
 }
 
 // Relax solves the LP relaxation (integrality dropped) with the model's
@@ -413,6 +391,5 @@ func (m *Model) SolutionFromLP(res lp.Result) *Solution {
 // solve. Cancelling ctx stops the solve (Status == StatusCancelled); a nil
 // ctx is treated as context.Background().
 func (m *Model) Relax(ctx context.Context) *Solution {
-	res := mip.Relax(ctx, &mip.Problem{LP: m.lp, Integer: m.integer}, &mip.Options{Separators: m.seps, Pricers: m.prs})
-	return &Solution{Result: res, Status: statusFromMIP(res.Status, res.HasSolution)}
+	return &Solution{Result: mip.Relax(ctx, &mip.Problem{LP: m.lp, Integer: m.integer}, &mip.Options{Separators: m.seps, Pricers: m.prs})}
 }

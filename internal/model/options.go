@@ -64,10 +64,6 @@ type SolveOptions struct {
 	TimeLimit time.Duration
 	// NodeLimit bounds the branch-and-bound node count (0 → none).
 	NodeLimit int
-	// HeuristicEvery runs the rounding heuristic at the root and at every
-	// k-th node thereafter (0 → the default of 50; a negative value
-	// disables the heuristic entirely, including at the root).
-	HeuristicEvery int
 	// Workers is read by nothing: every branch-and-bound search runs on
 	// the goroutine that calls it, and an evaluation sweep sizes its pool
 	// with eval.Config.Workers.
@@ -90,9 +86,8 @@ func (o *SolveOptions) mipOptions() *mip.Options {
 		return nil
 	}
 	mo := &mip.Options{
-		TimeLimit:      o.TimeLimit,
-		NodeLimit:      o.NodeLimit,
-		HeuristicEvery: o.HeuristicEvery,
+		TimeLimit: o.TimeLimit,
+		NodeLimit: o.NodeLimit,
 	}
 	if o.Progress != nil {
 		mo.Progress = o.Progress

@@ -2,74 +2,16 @@ package model
 
 import "tvnep/internal/mip"
 
-// Status is the typed outcome of a model solve. It replaces raw solver
-// status integers in all public signatures: callers compare against the
-// exported constants instead of magic numbers.
-type Status int
+// Status is the typed outcome of a model solve: the search's own outcome
+// vocabulary, so a Solution's Status is the search's Result.Status.
+type Status = mip.Status
 
+// The outcomes a solve reports; see mip.Status.
 const (
-	// StatusOptimal means the solution is proven optimal within tolerance.
-	StatusOptimal Status = iota
-	// StatusFeasible means a limit stopped the search after an integral
-	// solution was found but before optimality was proven.
-	StatusFeasible
-	// StatusInfeasible means no feasible solution exists.
-	StatusInfeasible
-	// StatusUnbounded means the objective is unbounded over the feasible
-	// set.
-	StatusUnbounded
-	// StatusTimeLimit means a time, node or iteration limit stopped the
-	// search before any integral solution was found.
-	StatusTimeLimit
-	// StatusCancelled means the solve's context was cancelled before the
-	// search concluded.
-	StatusCancelled
+	StatusOptimal    = mip.StatusOptimal
+	StatusFeasible   = mip.StatusFeasible
+	StatusInfeasible = mip.StatusInfeasible
+	StatusUnbounded  = mip.StatusUnbounded
+	StatusTimeLimit  = mip.StatusTimeLimit
+	StatusCancelled  = mip.StatusCancelled
 )
-
-// String implements fmt.Stringer.
-func (s Status) String() string {
-	switch s {
-	case StatusOptimal:
-		return "optimal"
-	case StatusFeasible:
-		return "feasible"
-	case StatusInfeasible:
-		return "infeasible"
-	case StatusUnbounded:
-		return "unbounded"
-	case StatusTimeLimit:
-		return "time-limit"
-	case StatusCancelled:
-		return "cancelled"
-	default:
-		return "unknown"
-	}
-}
-
-// Optimal reports whether the status certifies a proven optimum.
-func (s Status) Optimal() bool { return s == StatusOptimal }
-
-// HasSolution reports whether the status implies an incumbent solution
-// exists (StatusOptimal and StatusFeasible; for the limit and cancelled
-// statuses consult Solution.HasSolution).
-func (s Status) HasSolution() bool { return s == StatusOptimal || s == StatusFeasible }
-
-// statusFromMIP translates a branch-and-bound outcome into the public
-// Status vocabulary.
-func statusFromMIP(st mip.Status, hasSolution bool) Status {
-	switch st {
-	case mip.StatusOptimal:
-		return StatusOptimal
-	case mip.StatusInfeasible:
-		return StatusInfeasible
-	case mip.StatusUnbounded:
-		return StatusUnbounded
-	case mip.StatusCancelled:
-		return StatusCancelled
-	default: // mip.StatusLimit
-		if hasSolution {
-			return StatusFeasible
-		}
-		return StatusTimeLimit
-	}
-}

@@ -10,11 +10,11 @@ import (
 )
 
 // TestOptionsCompose pins which options compose and which are real
-// limitations. The rounding tier relaxes arc flows whatever WithFlowMode
+// limitations. The rounding tier relaxes path flows whatever WithFlowMode
 // says and the static-cut model under WithCutMode(lazy), and online
 // admission decides on arc flows, so those combinations must give results
-// bit-identical to their arc/static counterparts, solution and statistics
-// alike (wall-clock fields aside). Δ and Σ have no cΣ variants, and
+// bit-identical to their counterparts under the default arc and static
+// options, solution and statistics alike (wall-clock fields aside). Δ and Σ have no cΣ variants, and
 // rounding relaxes the cΣ-Model only: those combinations still fail New
 // with *OptionConflictError.
 func TestOptionsCompose(t *testing.T) {
@@ -63,7 +63,7 @@ func TestOptionsCompose(t *testing.T) {
 		run           func(*testing.T, ...tvnep.Option) any
 		base, variant []tvnep.Option
 	}{
-		{"rounding/path=arc", rounding, nil, []tvnep.Option{tvnep.WithFlowMode(tvnep.FlowPath)}},
+		{"rounding/path=default", rounding, nil, []tvnep.Option{tvnep.WithFlowMode(tvnep.FlowPath)}},
 		{"rounding/lazy=static", rounding,
 			[]tvnep.Option{tvnep.WithCutMode(tvnep.CutStatic)}, []tvnep.Option{tvnep.WithCutMode(tvnep.CutLazy)}},
 		{"rounding/path+lazy=arc+static", rounding,

@@ -54,8 +54,8 @@ func TestFlowModeFacade(t *testing.T) {
 
 // TestFlowModeConflicts pins the typed-error contract for the formulations
 // path mode does not support, and the combinations it does (the algorithms
-// and online admission that decide on arc flows; TestOptionsCompose checks
-// their answers).
+// and online admission whose flows it does not shape; TestOptionsCompose
+// checks their answers).
 func TestFlowModeConflicts(t *testing.T) {
 	sub := tvnep.Grid(2, 2, 1, 1)
 	cases := []struct {
@@ -95,7 +95,8 @@ func TestFlowModeConflicts(t *testing.T) {
 		t.Fatal("path-mode Solve without a mapping must fail")
 	}
 
-	// Greedy and rounding combine with path mode (they decide on arc flows).
+	// Greedy and rounding combine with path mode (greedy decides on arc
+	// flows, rounding relaxes path flows either way).
 	for _, a := range []tvnep.Algorithm{tvnep.Greedy, tvnep.Rounding} {
 		if _, err := tvnep.New(sub, tvnep.WithAlgorithm(a), tvnep.WithFlowMode(tvnep.FlowPath)); err != nil {
 			t.Fatalf("%v + path must construct: %v", a, err)

@@ -170,9 +170,10 @@ const (
 	// (internal/round): relax, decompose, sample, repair by deferral, and
 	// fall back to exact branch-and-bound only when no sample survives. It
 	// requires a node mapping and the cΣ formulation; every returned
-	// solution has passed the independent certifier. It relaxes arc flows
-	// whatever WithFlowMode says, and under WithCutMode(lazy) the
-	// static-cut model, since nothing separates cuts in a bare relaxation.
+	// solution has passed the independent certifier. It relaxes path flows,
+	// priced to convergence, whatever WithFlowMode says, and under
+	// WithCutMode(lazy) the static-cut model, since nothing separates cuts
+	// in a bare relaxation.
 	// Online admission (Solver.Admit) uses it as an extra fast tier ahead of
 	// the MIP tier.
 	Rounding
