@@ -59,11 +59,13 @@ type lpCounters struct {
 	CutPoolHits      float64 `json:"cut_pool_hits,omitempty"`
 	// Column-generation statistics (WANCSigmaPath only): rows and
 	// structural columns in the root LP, columns appended by pricing, the
-	// state rows they opened as companion rows, pricing rounds and pool
-	// dedup hits — the pricing mirror of the lazy-cut fields above.
+	// state allocation variables and rows they opened as companion columns
+	// and rows, pricing rounds and pool dedup hits — the pricing mirror of
+	// the lazy-cut fields above.
 	RowsRoot      float64 `json:"rows_root,omitempty"`
 	ColsRoot      float64 `json:"cols_root,omitempty"`
 	ColsPriced    float64 `json:"cols_priced,omitempty"`
+	CompanionCols float64 `json:"companion_cols,omitempty"`
 	CompanionRows float64 `json:"companion_rows,omitempty"`
 	ColRounds     float64 `json:"col_rounds,omitempty"`
 	ColPoolHits   float64 `json:"col_pool_hits,omitempty"`
@@ -274,6 +276,7 @@ func solveBench(seed int64, edit func(wl *workload.Config), opts core.BuildOptio
 			}
 			if opts.FlowMode == core.FlowPath {
 				c.RowsRoot, c.CompanionRows = float64(ms.Cuts.RowsAtRoot), float64(ms.Columns.CompanionRows)
+				c.CompanionCols = float64(ms.Columns.CompanionCols)
 				c.ColsRoot, c.ColsPriced = float64(ms.Columns.ColsAtRoot), float64(ms.Columns.PricedCols)
 				c.ColRounds, c.ColPoolHits = float64(ms.Columns.Rounds), float64(ms.Columns.PoolHits)
 			}

@@ -210,8 +210,8 @@ func main() {
 				res.Cuts.Offered, res.Cuts.PoolHits, res.Cuts.Evicted)
 		}
 		if fm == tvnep.FlowPath && form == tvnep.CSigma {
-			fmt.Printf("columns: mode=path root_cols=%d priced=%d companion_rows=%d rounds=%d offered=%d pool_hits=%d evicted=%d\n",
-				res.ColumnStats.ColsAtRoot, res.ColumnStats.PricedCols, res.ColumnStats.CompanionRows, res.ColumnStats.Rounds,
+			fmt.Printf("columns: mode=path root_cols=%d priced=%d companion_cols=%d companion_rows=%d rounds=%d offered=%d pool_hits=%d evicted=%d\n",
+				res.ColumnStats.ColsAtRoot, res.ColumnStats.PricedCols, res.ColumnStats.CompanionCols, res.ColumnStats.CompanionRows, res.ColumnStats.Rounds,
 				res.ColumnStats.Offered, res.ColumnStats.PoolHits, res.ColumnStats.Evicted)
 		}
 		fmt.Printf("status: %v  gap: %.4g  nodes: %d  lp-iterations: %d\n",

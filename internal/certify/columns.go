@@ -6,14 +6,16 @@ package certify
 // path tag naming the virtual link it serves, (b) route that tag over a
 // contiguous simple directed substrate path between the pinned endpoint
 // hosts, (c) carry exactly the LP coefficients that path implies, and (d)
-// open exactly the state rows (7) its path needs that neither the build nor
-// an earlier column holds: the build leaves out the state rows of a request
-// on links no seed column of it routes over, and the first priced column of
-// the request over such a link brings them as companion rows. The expected
-// coefficients and companion rows are re-derived here from the dependency
-// graph, the compiled row keys and the χ variables — independently of the
-// link-use registry the builder and pricer share — so a registry corrupted
-// at build time cannot vouch for the columns it produced.
+// open exactly the states its path needs that neither the build nor an
+// earlier column holds: the build leaves out the state rows (7) of a
+// request on links no seed column of it routes over, with their allocation
+// variables, and the first priced column of the request over such a link
+// brings each state's variable as a companion column and its row as a
+// companion row. The expected coefficients and companions are re-derived
+// here from the dependency graph, the compiled row keys and the χ
+// variables — independently of the link-use registry the builder and pricer
+// share — so a registry corrupted at build time cannot vouch for the
+// columns it produced.
 
 import (
 	"fmt"
@@ -46,11 +48,20 @@ const (
 	// ColRowCoef: a companion row's coefficients or bounds differ from the
 	// state row (7) it opens.
 	ColRowCoef Kind = "col-row-coef"
-	// ColRowStray: a companion row opens no state row the build left out, or
-	// one of another request or of a link the column's path does not use.
+	// ColRowStray: a companion row names no companion column of its path
+	// column as its allocation variable, or opens a state of another request
+	// or on a link the column's path does not use.
 	ColRowStray Kind = "col-row-stray"
 	// ColRowDup: a companion row opens a state row that already exists.
 	ColRowDup Kind = "col-row-dup"
+	// ColAllocShape: a companion column differs from a state allocation
+	// variable: bounds other than [0, +Inf), a nonzero objective, or entries
+	// other than one +1 on the capacity row (9) of the state it opens.
+	ColAllocShape Kind = "col-alloc-shape"
+	// ColAllocStray: a companion column opens no state the build left out:
+	// no companion row of its path column names it, or its capacity row is
+	// not that of a deferred state.
+	ColAllocStray Kind = "col-alloc-stray"
 )
 
 // Columns re-verifies every applied path column of a cΣ solve. A solve
@@ -71,14 +82,22 @@ func Columns(b *core.Built, ms *model.Solution) *Report {
 		rep: rep, b: b,
 		rows:     rowIndexByKey(b.Model),
 		oracle:   newActivityOracle(b),
-		deferred: make(map[int32]stateKey),
+		deferred: make(map[stateKey]bool),
 		next:     b.Model.NumConstrs(),
 	}
-	b.ForEachDeferredState(func(r, n, ls int, a model.Var) {
-		cc.deferred[int32(a.Index())] = stateKey{r: r, n: n, ls: ls}
+	b.ForEachDeferredState(func(r, n, ls int) {
+		cc.deferred[stateKey{r: r, n: n, ls: ls}] = true
 	})
-	for k, c := range ms.AppliedColumns {
-		cc.column(k, ms.Columns.ColsAtRoot+k, c)
+	cols := ms.AppliedColumns
+	for k := 0; k < len(cols); k++ {
+		c := cols[k]
+		nc := c.Cols
+		if nc < 0 || nc > len(cols)-k-1 {
+			rep.addf(ColShape, -1, "%v: %d companion columns, %d entries follow it", colLabel{k: k, c: c}, nc, len(cols)-k-1)
+			nc = max(0, min(nc, len(cols)-k-1))
+		}
+		cc.column(k, ms.Columns.ColsAtRoot+k, c, cols[k+1:k+1+nc])
+		k += nc
 	}
 	return rep
 }
@@ -92,37 +111,40 @@ type colCheck struct {
 	// rows maps the key of every row the LP holds so far — the build's and
 	// the companion rows opened by the columns walked — to its index.
 	rows map[model.Key]int
-	// deferred maps the allocation variable of every state row the build
-	// left out to its state.
-	deferred map[int32]stateKey
+	// deferred holds every state whose row and allocation variable the
+	// build left out.
+	deferred map[stateKey]bool
 	// next is the lowest LP index the next companion row may take.
 	next int
 }
 
-// stateKey names a link state row (7): request r, state n, substrate link
-// ls.
+// stateKey names a link state (7): request r, state n, substrate link ls.
 type stateKey struct{ r, n, ls int }
 
 func (s stateKey) key(numNodes int) model.Key {
 	return model.Key3(core.FamState, s.r, s.n, numNodes+s.ls)
 }
 
-// column certifies applied column k, LP column j: its coefficients over the
-// rows held before it, then the companion rows it opens.
-func (cc *colCheck) column(k, j int, c model.Column) {
+// column certifies applied column k, LP column j, whose companion columns
+// are comp (LP columns j+1, …): its coefficients over the rows held before
+// it, then the companions it opens.
+func (cc *colCheck) column(k, j int, c model.Column, comp []model.Column) {
 	if !checkColumn(cc.rep, cc.b, cc.rows, cc.next, cc.oracle, k, c) {
 		cc.next = max(cc.next, c.Row+len(c.Rows))
 		return
 	}
-	cc.companions(k, j, c)
+	cc.companions(k, j, c, comp)
 }
 
-// companions re-derives the state rows (7) applied column k (LP column j)
-// opens and compares its companion rows with them: each must open a state
-// row the build left out, of the column's request on a link of its path,
-// that no row holds yet, with exactly the coefficients (7) gives it. Then
+// companions re-derives the states applied column k (LP column j) opens
+// and compares its companion columns comp and rows with them. Each
+// companion row must name exactly one companion column as its allocation
+// variable a, and each companion column must be named by exactly one row;
+// the column's +1 on a capacity row (9) names the state, which must be one
+// the build left out, of the column's request on a link of its path, with
+// no row yet; the row must be exactly the state row (7) over that a. Then
 // every Maybe state on every link of the path must have its row.
-func (cc *colCheck) companions(k, j int, c model.Column) {
+func (cc *colCheck) companions(k, j int, c model.Column, comp []model.Column) {
 	b, rep := cc.b, cc.rep
 	name := colLabel{k: k, c: c}
 	r, lv, links, _ := core.PathTagInfo(c)
@@ -134,16 +156,23 @@ func (cc *colCheck) companions(k, j int, c model.Column) {
 	for _, ls := range links {
 		onPath[ls] = true
 	}
+	named := make([]int, len(comp))
 	d := b.Inst.Reqs[r].LinkDemand[lv]
 	for i, row := range c.Rows {
-		st, a, ok := cc.stateOf(row)
-		switch {
-		case !ok:
-			rep.addf(ColRowStray, r, "%v: companion row %d opens no state row the build left out", name, i)
+		p, ok := companionEntry(row, j, len(comp))
+		if !ok {
+			rep.addf(ColRowStray, r, "%v: companion row %d names no single companion column of it", name, i)
 			continue
-		case st.r != r || !onPath[st.ls]:
-			rep.addf(ColRowStray, r, "%v: companion row %d opens state %d of request %d on link %d, off its path %v",
-				name, i, st.n, st.r, st.ls, links)
+		}
+		a := j + 1 + p
+		named[p]++
+		st, ok := cc.stateOf(name, r, p, comp[p])
+		if !ok {
+			continue
+		}
+		if !onPath[st.ls] {
+			rep.addf(ColRowStray, r, "%v: companion row %d opens state %d on link %d, off its path %v",
+				name, i, st.n, st.ls, links)
 			continue
 		}
 		key := st.key(numNodes)
@@ -151,12 +180,18 @@ func (cc *colCheck) companions(k, j int, c model.Column) {
 			rep.addf(ColRowDup, r, "%v: companion row %d opens %v, already LP row %d", name, i, key, at)
 			continue
 		}
-		idx, val, lb := expectedStateRow(b, st, a, j, d)
+		idx, val, lb := expectedStateRow(b, st, int32(a), j, d)
 		if cutRowKey(idx, val, lb, math.Inf(1)) != cutRowKey(row.Idx, row.Val, row.LB, row.UB) {
 			rep.addf(ColRowCoef, r, "%v: companion row %d disagrees with the state row %v (got %v@%v in [%v, %v], expected %v@%v in [%v, +Inf])",
 				name, i, key, row.Idx, row.Val, row.LB, row.UB, idx, val, lb)
 		}
 		cc.rows[key] = c.Row + i
+	}
+	for p, times := range named {
+		if times != 1 {
+			rep.addf(ColAllocStray, r, "%v: companion column %d (LP column %d) is named by %d companion rows, want 1",
+				name, p, j+1+p, times)
+		}
 	}
 	cc.next = max(cc.next, c.Row+len(c.Rows))
 	for _, ls := range links {
@@ -171,21 +206,49 @@ func (cc *colCheck) companions(k, j int, c model.Column) {
 	}
 }
 
-// stateOf names the state a companion row opens by the deferred state
-// allocation variable a among its columns.
-func (cc *colCheck) stateOf(row model.Cut) (st stateKey, a int32, ok bool) {
+// companionEntry finds the one entry of a companion row of LP column j on
+// its nc companion columns and reports that column's position among them.
+func companionEntry(row model.Cut, j, nc int) (p int, ok bool) {
 	for _, jj := range row.Idx {
-		if st, ok := cc.deferred[jj]; ok {
-			return st, jj, true
+		if q := int(jj) - j - 1; q >= 0 && q < nc {
+			if ok {
+				return 0, false
+			}
+			p, ok = q, true
 		}
 	}
-	return st, 0, false
+	return p, ok
+}
+
+// stateOf certifies companion column a (the p-th one of request r's column
+// name) as a state allocation variable — bounds [0, +Inf), objective 0,
+// exactly +1 on one capacity row (9) — and names the deferred state of r
+// whose capacity row that is.
+func (cc *colCheck) stateOf(name colLabel, r, p int, a model.Column) (stateKey, bool) {
+	if a.LB != 0 || !math.IsInf(a.UB, 1) || a.Obj != 0 {
+		cc.rep.addf(ColAllocShape, r, "%v: companion column %d has bounds [%v, %v] obj %v, want [0, +Inf) obj 0",
+			name, p, a.LB, a.UB, a.Obj)
+	}
+	//lint:allow floateq -- the capacity-row coefficient is the exact literal 1
+	if len(a.Idx) != 1 || len(a.Val) != 1 || a.Val[0] != 1 || int(a.Idx[0]) < 0 || int(a.Idx[0]) >= cc.b.Model.NumConstrs() {
+		cc.rep.addf(ColAllocShape, r, "%v: companion column %d has entries %v@%v, want +1 on one built capacity row",
+			name, p, a.Idx, a.Val)
+		return stateKey{}, false
+	}
+	key := cc.b.Model.RowKey(int(a.Idx[0]))
+	st := stateKey{r: r, n: int(key.I), ls: int(key.J) - cc.b.Inst.Sub.NumNodes()}
+	if key.Fam != core.FamCap || !cc.deferred[st] {
+		cc.rep.addf(ColAllocStray, r, "%v: companion column %d sits on row %v, the capacity row of no state the build left out",
+			name, p, key)
+		return stateKey{}, false
+	}
+	return st, true
 }
 
 // expectedStateRow re-derives the state row (7) of st once column j with
 // per-unit demand d routes over its link: a − d·λ_j − c·Σ_{i≤n} χ⁺ +
-// c·Σ_{i≤n} χ⁻ ≥ −c, with a the state's allocation variable and c the link
-// capacity.
+// c·Σ_{i≤n} χ⁻ ≥ −c, with a the state's allocation variable (its companion
+// column) and c the link capacity.
 func expectedStateRow(b *core.Built, st stateKey, a int32, j int, d float64) ([]int32, []float64, float64) {
 	c := b.Inst.Sub.LinkCap[st.ls]
 	idx, val := []int32{a, int32(j)}, []float64{1, -d}

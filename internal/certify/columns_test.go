@@ -155,28 +155,43 @@ func companionSolve(t *testing.T) (*core.Built, *model.Solution, int) {
 	return nil, nil, 0
 }
 
-// TestColumnsCertificateCompanionRows: the companion rows of a genuine solve
-// certify, and each corruption of one column's rows surfaces as its named
-// violation.
+// capRowOf returns the LP index of the capacity row (9) of state n on
+// substrate link ls.
+func capRowOf(t *testing.T, b *core.Built, n, ls int) int32 {
+	t.Helper()
+	key := model.Key2(core.FamCap, n, b.Inst.Sub.NumNodes()+ls)
+	for i := 0; i < b.Model.NumConstrs(); i++ {
+		if b.Model.RowKey(i) == key {
+			return int32(i)
+		}
+	}
+	t.Fatalf("no capacity row %v", key)
+	return -1
+}
+
+// TestColumnsCertificateCompanionRows: the companion columns and rows of a
+// genuine solve certify, and each corruption of one column's companions
+// surfaces as its named violation.
 func TestColumnsCertificateCompanionRows(t *testing.T) {
 	b, ms, k := companionSolve(t)
 	if rep := Columns(b, ms); !rep.OK() {
 		t.Fatalf("known-good companion rows rejected: %v", rep.Err())
 	}
+	c := ms.AppliedColumns[k]
 	j := int32(ms.Columns.ColsAtRoot + k)
-	r, _, links, _ := core.PathTagInfo(ms.AppliedColumns[k])
-	type state struct{ r, n, ls int }
-	alloc := make(map[int32]state)
-	b.ForEachDeferredState(func(r, n, ls int, a model.Var) { alloc[int32(a.Index())] = state{r, n, ls} })
-	row0 := ms.AppliedColumns[k].Rows[0]
-	// Positions in row 0 of λ_j, of its state allocation a and of a χ.
+	r, _, links, _ := core.PathTagInfo(c)
+	if c.Cols != len(c.Rows) {
+		t.Fatalf("column %d opened %d companion columns for %d rows", k, c.Cols, len(c.Rows))
+	}
+	isCompanion := func(jj int32) bool { return jj > j && jj <= j+int32(c.Cols) }
+	row0 := c.Rows[0]
+	// Positions in row 0 of λ_j, of its companion allocation a and of a χ.
 	lam, a, chi := -1, -1, -1
 	for p, jj := range row0.Idx {
-		_, isAlloc := alloc[jj]
 		switch {
 		case jj == j:
 			lam = p
-		case isAlloc:
+		case isCompanion(jj):
 			a = p
 		default:
 			chi = p
@@ -185,36 +200,65 @@ func TestColumnsCertificateCompanionRows(t *testing.T) {
 	if lam < 0 || a < 0 || chi < 0 {
 		t.Fatalf("companion row %v@%v lacks a λ, a or χ entry", row0.Idx, row0.Val)
 	}
-	// offPath is the allocation variable of row 0's state on a link the
-	// path does not use.
-	st := alloc[row0.Idx[a]]
+	// Row 0's companion column, its position p among the companions, its
+	// state, and the capacity rows of r's deferred state at the same n off
+	// the path and of a state the build did not defer.
+	ca := row0.Idx[a]
+	p := k + int(ca-j)
+	capRow := ms.AppliedColumns[p].Idx[0]
+	deferred := make(map[[3]int]bool)
+	b.ForEachDeferredState(func(rr, n, ls int) { deferred[[3]int{rr, n, ls}] = true })
+	var st [3]int
+	for key := range deferred {
+		if key[0] == r && capRowOf(t, b, key[1], key[2]) == capRow {
+			st = key
+		}
+	}
 	onPath := make(map[int]bool)
 	for _, ls := range links {
 		onPath[ls] = true
 	}
-	offPath := int32(-1)
-	b.ForEachDeferredState(func(rr, n, ls int, v model.Var) {
-		if offPath < 0 && rr == r && n == st.n && !onPath[ls] {
-			offPath = int32(v.Index())
+	offPath, notDeferred := int32(-1), int32(-1)
+	for ls := 0; ls < b.Inst.Sub.NumLinks(); ls++ {
+		switch {
+		case offPath < 0 && deferred[[3]int{r, st[1], ls}] && !onPath[ls]:
+			offPath = capRowOf(t, b, st[1], ls)
+		case notDeferred < 0 && !deferred[[3]int{r, st[1], ls}]:
+			notDeferred = capRowOf(t, b, st[1], ls)
 		}
-	})
-	if offPath < 0 {
-		t.Fatal("no deferred state off the column's path")
+	}
+	if offPath < 0 || notDeferred < 0 {
+		t.Fatalf("state %v: no deferred state off the column's path or no built one", st)
+	}
+	// other is a second companion column of the same column.
+	other := j + 1
+	if other == ca {
+		other++
 	}
 
 	cases := []struct {
 		name   string
-		mutate func(c *model.Column)
+		mutate func(cols []model.Column)
 		want   Kind
 	}{
-		{"row-missing", func(c *model.Column) { c.Rows = c.Rows[:len(c.Rows)-1] }, ColRowMissing},
-		{"lambda-coef", func(c *model.Column) { c.Rows[0].Val[lam] *= 2 }, ColRowCoef},
-		{"alloc-coef", func(c *model.Column) { c.Rows[0].Val[a] = 2 }, ColRowCoef},
-		{"chi-coef", func(c *model.Column) { c.Rows[0].Val[chi] += 1 }, ColRowCoef},
-		{"bound-moved", func(c *model.Column) { c.Rows[0].LB-- }, ColRowCoef},
-		{"off-path", func(c *model.Column) { c.Rows[0].Idx[a] = offPath }, ColRowStray},
-		{"no-state", func(c *model.Column) { c.Rows[0].Idx[a] = c.Rows[0].Idx[chi] }, ColRowStray},
-		{"created-twice", func(c *model.Column) { c.Rows = append(c.Rows, c.Rows[0]) }, ColRowDup},
+		{"row-missing", func(cols []model.Column) { cols[k].Rows = cols[k].Rows[:len(cols[k].Rows)-1] }, ColRowMissing},
+		{"lambda-coef", func(cols []model.Column) { cols[k].Rows[0].Val[lam] *= 2 }, ColRowCoef},
+		{"alloc-coef", func(cols []model.Column) { cols[k].Rows[0].Val[a] = 2 }, ColRowCoef},
+		{"chi-coef", func(cols []model.Column) { cols[k].Rows[0].Val[chi] += 1 }, ColRowCoef},
+		{"bound-moved", func(cols []model.Column) { cols[k].Rows[0].LB-- }, ColRowCoef},
+		{"off-path", func(cols []model.Column) { cols[p].Idx[0] = offPath }, ColRowStray},
+		{"no-state", func(cols []model.Column) { cols[k].Rows[0].Idx[a] = cols[k].Rows[0].Idx[chi] }, ColRowStray},
+		{"created-twice", func(cols []model.Column) { cols[k].Rows = append(cols[k].Rows, cols[k].Rows[0]) }, ColRowDup},
+		{"alloc-cap-missing", func(cols []model.Column) { cols[p].Idx, cols[p].Val = nil, nil }, ColAllocShape},
+		{"alloc-cap-coef", func(cols []model.Column) { cols[p].Val[0] = 2 }, ColAllocShape},
+		{"alloc-bound", func(cols []model.Column) { cols[p].UB = 1 }, ColAllocShape},
+		{"alloc-lower-bound", func(cols []model.Column) { cols[p].LB = -1 }, ColAllocShape},
+		{"alloc-objective", func(cols []model.Column) { cols[p].Obj = 1 }, ColAllocShape},
+		{"alloc-no-deferred-state", func(cols []model.Column) { cols[p].Idx[0] = notDeferred }, ColAllocStray},
+		{"alloc-not-capacity", func(cols []model.Column) { cols[p].Idx[0] = cols[k].Idx[0] }, ColAllocStray},
+		{"alloc-wrong-companion", func(cols []model.Column) { cols[k].Rows[0].Idx[a] = other }, ColAllocStray},
+		{"alloc-path-column", func(cols []model.Column) { cols[k].Rows[0].Idx[a] = j }, ColRowStray},
+		{"alloc-count-short", func(cols []model.Column) { cols[k].Cols-- }, ColRowStray},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -225,7 +269,7 @@ func TestColumnsCertificateCompanionRows(t *testing.T) {
 					c.Rows[i].Idx = append([]int32(nil), c.Rows[i].Idx...)
 					c.Rows[i].Val = append([]float64(nil), c.Rows[i].Val...)
 				}
-				tc.mutate(c)
+				tc.mutate(cols)
 			})
 			if !rep.Has(tc.want) {
 				t.Fatalf("want a %q violation, got %v", tc.want, rep.Err())

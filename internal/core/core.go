@@ -314,8 +314,9 @@ type Built struct {
 	convRow [][]int
 	// deferred[r] lists the state rows (7) of request r on substrate links
 	// that no seed column of r routes over, which the FlowPath build leaves
-	// out; the path pricer opens those of a link with the first priced
-	// column of r over it (see pathPricer.Commit).
+	// out together with their allocation variables; the path pricer opens
+	// those of a link with the first priced column of r over it (see
+	// pathPricer.Commit).
 	deferred [][]deferredRow
 	// opened[r·|E_S|+ls] counts the rows of deferred[r] on link ls the
 	// current search has opened; their link-use entries sit at the tail of
@@ -342,11 +343,12 @@ func (rc rowCoef) at(d float64) (float64, bool) {
 	return float64(rc.sign) * d, d > 0
 }
 
-// deferredRow is a state row (7) the FlowPath build left out: request r's
-// Maybe state n on substrate link ls, with its allocation variable a.
+// deferredRow is a state the FlowPath build left out, its row (7) and its
+// allocation variable a alike: request r's Maybe state n on substrate link
+// ls, whose capacity row (9) is LP row capRow.
 type deferredRow struct {
-	n, ls int
-	a     model.Var
+	n, ls  int
+	capRow int32
 }
 
 // numReq is a convenience accessor.

@@ -140,17 +140,19 @@ func RebuildCSigma(b *Built, inst *Instance, opts BuildOptions) *Built {
 	}
 	nRes := b.resourceCount()
 	numNodes := inst.Sub.NumNodes()
+	// FlowPath: priced path columns join link rows after the build, so
+	// every request whose paths can carry demand keeps its state on every
+	// link even when the compiled (seed-only) allocation is empty;
+	// pendAlways defers the cap-row registration of its Always states, and
+	// pendDeferred the cap-row index of its deferred Maybe states, until
+	// the row index exists.
+	var pendAlways, pendDeferred []int
 	for n := 1; n <= k; n++ {
 		for rsc := 0; rsc < nRes; rsc++ {
 			capRsc := b.resourceCap(rsc)
 			capacity := b.sum.Reset()
 			any := false
-			// FlowPath: priced path columns join link rows after the build,
-			// so every request whose paths can carry demand gets its state
-			// allocation on every link even when the compiled (seed-only)
-			// allocation is empty; pendAlways defers the cap-row
-			// registration of its Always states until the row index exists.
-			var pendAlways []int
+			pendAlways, pendDeferred = pendAlways[:0], pendDeferred[:0]
 			for r := 0; r < k; r++ {
 				force := b.linkUse != nil && rsc >= numNodes && b.pathLinkDemand(r)
 				switch activity(r, n) {
@@ -171,7 +173,20 @@ func RebuildCSigma(b *Built, inst *Instance, opts BuildOptions) *Built {
 				case depgraph.Maybe:
 					alloc := b.part.Reset()
 					b.addAlloc(alloc, 1, r, rsc)
-					if alloc.Len() == 0 && !force {
+					if alloc.Len() == 0 {
+						if !force {
+							continue
+						}
+						// FlowPath, no seed column of r over this link:
+						// while no column of r routes over it either, (7)
+						// reads a ≥ −c·(1 − Σc) with Σc ≤ 1 (start1), which
+						// a ≥ 0 implies, and a only loosens (9). Neither a
+						// nor its row is built; the first priced column of
+						// r over the link opens both (see
+						// pathPricer.Commit).
+						any = true
+						b.deferred[r] = append(b.deferred[r], deferredRow{n: n, ls: rsc - numNodes})
+						pendDeferred = append(pendDeferred, r)
 						continue
 					}
 					a := m.Continuous(0, model.Inf())
@@ -180,16 +195,6 @@ func RebuildCSigma(b *Built, inst *Instance, opts BuildOptions) *Built {
 					}
 					capacity.Add(1, a)
 					any = true
-					if alloc.Len() == 0 {
-						// FlowPath, no seed column of r over this link:
-						// while no column of r routes over it either, (7)
-						// reads a ≥ −c·(1 − Σc) with Σc ≤ 1 (start1), which
-						// a ≥ 0 implies. The row is left out until the first
-						// priced column of r over the link opens it (see
-						// pathPricer.Commit).
-						b.deferred[r] = append(b.deferred[r], deferredRow{n: n, ls: rsc - numNodes, a: a})
-						continue
-					}
 					// (7): a ≥ alloc − c·(1 − Σc(r, e_n)) with
 					// Σc = Σ_{j≤n} χ⁺ − Σ_{j≤n} χ⁻, i.e.
 					// a − alloc − c·Σχ⁺ + c·Σχ⁻ ≥ −c.
@@ -207,6 +212,9 @@ func RebuildCSigma(b *Built, inst *Instance, opts BuildOptions) *Built {
 				row := m.AddLE(capacity, capRsc, model.Key2(FamCap, n, rsc))
 				for _, r := range pendAlways {
 					b.recordLinkUse(r, rsc-numNodes, row, 1)
+				}
+				for _, r := range pendDeferred {
+					b.deferred[r][len(b.deferred[r])-1].capRow = int32(row)
 				}
 			}
 		}

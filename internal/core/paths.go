@@ -23,18 +23,21 @@ package core
 // accepted virtual link over substrate paths, and a forced request with no
 // route makes the model infeasible.
 //
-// State rows arrive with the paths that need them. The build emits the
-// state row (7) of a request's Maybe state on a substrate link only where
-// a seed column of the request routes over the link; the others read
-// a ≥ −c·(1 − Σc) with Σc ≤ 1 while no column of the request uses the link,
-// which a ≥ 0 implies, so leaving them out changes neither the restricted
-// master's optimum nor, extended by zeros, its duals or Farkas rays. The
-// first priced column of the request over such a link opens its rows for
-// every Maybe state as companion rows (pathPricer.Commit, appended right
-// after the column by internal/mip); the capacity rows (9), the
-// Always-state registrations and the node state rows are built as before.
-// On the WAN scenarios most link state rows never receive a path column,
-// so the root LP no longer carries them.
+// States arrive with the paths that need them. The build emits the state
+// row (7) of a request's Maybe state on a substrate link, and its
+// allocation variable a, only where a seed column of the request routes
+// over the link. The others read a ≥ −c·(1 − Σc) with Σc ≤ 1 while no
+// column of the request uses the link, which a ≥ 0 implies, and a only
+// loosens its capacity row (9), so a sits at 0: leaving row and variable
+// out changes neither the restricted master's optimum nor, extended by
+// zeros, its duals or Farkas rays. The first priced column of the request
+// over such a link opens every Maybe state there, its a as a companion
+// column and its row as a companion row (pathPricer.Commit, appended right
+// after the column by internal/mip). The capacity rows (9), empty ones
+// included, the Always-state registrations and the node state rows are
+// built as before. On the WAN scenarios most link states never receive a
+// path column, so the root LP carries neither their rows nor their
+// variables.
 
 import (
 	"fmt"
@@ -256,14 +259,15 @@ func (b *Built) pathCoefs(r, lv int, path []int) ([]int32, []float64) {
 	return idx, val
 }
 
-// ForEachDeferredState calls f with every state row (7) the FlowPath build
-// left out — request r's Maybe state n on substrate link ls, with its
-// allocation variable a — in build order. The first priced column of r over
-// ls opens these rows; internal/certify re-derives them from this list.
-func (b *Built) ForEachDeferredState(f func(r, n, ls int, a model.Var)) {
+// ForEachDeferredState calls f with every state the FlowPath build left
+// out — request r's Maybe state n on substrate link ls, whose state row (7)
+// and allocation variable a it does not build — in build order. The first
+// priced column of r over ls opens them; internal/certify re-derives them
+// from this list.
+func (b *Built) ForEachDeferredState(f func(r, n, ls int)) {
 	for r, rows := range b.deferred {
 		for _, d := range rows {
-			f(r, d.n, d.ls, d.a)
+			f(r, d.n, d.ls)
 		}
 	}
 }
@@ -349,22 +353,26 @@ func (pp *pathPricer) Reset() {
 
 // Commit implements mip.RowPricer. It re-derives c over the rows opened
 // so far, and on every link of c's path that no earlier column of its
-// request routes over it opens the deferred rows (7) of every Maybe state
-// (in build order), each carrying the −d coefficient of c itself (LP column
-// j). The opened rows take LP indices m, m+1, … and join the link-use
-// registry, so every later column of the request over the link carries its
-// coefficient on them and the pricer prices their duals.
-func (pp *pathPricer) Commit(c model.Column, j, m int) (model.Column, []model.Cut) {
+// request routes over it opens the request's deferred Maybe states on that
+// link (in build order). Each state brings its allocation variable a as a
+// companion column — LP column j+1, j+2, …, bounds [0, ∞), objective 0, +1
+// on the state's capacity row (9) — and its state row (7) as a companion
+// row — LP row m, m+1, …, carrying +1 on that a and the −d coefficient of c
+// itself (LP column j). The opened rows join the link-use registry, so
+// every later column of the request over the link carries its coefficient
+// on them and the pricer prices their duals.
+func (pp *pathPricer) Commit(c model.Column, j, m int) (model.Column, []model.Column, []model.Cut) {
 	b := pp.b
 	tag := c.Tag.(pathTag)
 	r := tag.r
 	c.Idx, c.Val = b.pathCoefs(r, tag.lv, tag.links)
 	d := b.Inst.Reqs[r].LinkDemand[tag.lv]
 	if d <= 0 {
-		return c, nil
+		return c, nil, nil
 	}
 	nL := b.Inst.Sub.NumLinks()
 	numNodes := b.Inst.Sub.NumNodes()
+	var cols []model.Column
 	var rows []model.Cut
 	for _, ls := range tag.links {
 		if b.opened[r*nL+ls] > 0 {
@@ -374,15 +382,20 @@ func (pp *pathPricer) Commit(c model.Column, j, m int) (model.Column, []model.Cu
 			if dr.ls != ls {
 				continue
 			}
+			a := j + 1 + len(cols)
+			cols = append(cols, model.Column{
+				Idx: []int32{dr.capRow}, Val: []float64{1}, LB: 0, UB: model.Inf(),
+			})
 			capL := b.resourceCap(numNodes + ls)
-			con := b.row.Reset().Add(1, dr.a)
+			con := b.row.Reset()
 			b.addStateChi(con, r, dr.n, capL)
 			row := model.CutGE(con, -capL)
-			row.Idx, row.Val = append(row.Idx, int32(j)), append(row.Val, -d)
+			row.Idx = append(row.Idx, int32(j), int32(a))
+			row.Val = append(row.Val, -d, 1)
 			b.recordLinkUse(r, ls, m+len(rows), -1)
 			b.opened[r*nL+ls]++
 			rows = append(rows, row)
 		}
 	}
-	return c, rows
+	return c, cols, rows
 }

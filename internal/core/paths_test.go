@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -116,8 +117,10 @@ func TestPathPricingGeneratesAlternateRoute(t *testing.T) {
 	if err := solution.Check(inst.Sub, inst.Reqs, sol); err != nil {
 		t.Fatalf("checker rejected path-mode solution: %v", err)
 	}
-	// Every priced column must be tagged with a contiguous substrate path.
-	for k, c := range ms.AppliedColumns {
+	// Every priced column must be tagged with a contiguous substrate path;
+	// the companion columns it opened follow it untagged.
+	for k := 0; k < len(ms.AppliedColumns); k++ {
+		c := ms.AppliedColumns[k]
 		r, lv, links, ok := PathTagInfo(c)
 		if !ok {
 			t.Fatalf("priced column %d carries no path tag", k)
@@ -126,6 +129,12 @@ func TestPathPricingGeneratesAlternateRoute(t *testing.T) {
 			t.Fatalf("priced column %d tagged (%d, %d)", k, r, lv)
 		}
 		assertContiguousPath(t, inst.Sub.G, links, 0, 3)
+		for _, a := range ms.AppliedColumns[k+1 : k+1+c.Cols] {
+			if a.Tag != nil {
+				t.Fatalf("companion column of priced column %d carries tag %v", k, a.Tag)
+			}
+		}
+		k += c.Cols
 	}
 	// Arc mode agrees on the optimum.
 	arc := opts
@@ -493,5 +502,128 @@ func TestPathResolveReopensRows(t *testing.T) {
 		if c.Row != d.Row || !reflect.DeepEqual(c.Idx, d.Idx) || !reflect.DeepEqual(c.Rows, d.Rows) {
 			t.Fatalf("priced column %d differs on the re-solve", k)
 		}
+	}
+}
+
+// TestPathBuildShape pins what a FlowPath build leaves out on WAN
+// scenarios whose requests span several Maybe states. Every continuous
+// allocation column of the build — one that sits on a capacity row (9) and
+// is no path column — sits in a built state row (7): a deferred state has
+// neither. The build has exactly its deferred states' columns fewer than a
+// build that creates every state's allocation variable (parentVars, counted
+// on such a build). After a search, every state row a priced column opened
+// holds exactly one of the column's companion columns, and each companion
+// column sits in exactly one of them.
+func TestPathBuildShape(t *testing.T) {
+	wl := workload.Default()
+	wl.Topology, wl.WANNodes, wl.WANAvgDeg = "wan", 12, 4
+	wl.NumRequests, wl.StarLeaves = 5, 1
+	opened := 0
+	for _, tc := range []struct {
+		seed                 int64
+		flex                 float64
+		nopresolve           bool
+		parentVars, deferred int
+	}{
+		{1, 1, false, 496, 417},
+		{1, 1, true, 896, 789},
+		{2, 1, false, 342, 278},
+		{3, 1, true, 999, 878},
+		{1, 3, false, 1214, 1067},
+		{2, 3, true, 1260, 1114},
+		{3, 3, false, 1163, 1019},
+	} {
+		wl.FlexibilityHr = tc.flex
+		sc := workload.Generate(wl, tc.seed)
+		inst := &Instance{Sub: sc.Substrate, Reqs: sc.Requests, Horizon: sc.Horizon}
+		b := BuildCSigma(inst, BuildOptions{
+			Objective: AccessControl, FixedMapping: sc.Mapping, FlowMode: FlowPath, DisablePresolve: tc.nopresolve,
+		})
+		name := fmt.Sprintf("seed %d flex %v nopresolve %v", tc.seed, tc.flex, tc.nopresolve)
+		deferred := 0
+		b.ForEachDeferredState(func(int, int, int) { deferred++ })
+		if deferred != tc.deferred || b.Model.NumVars() != tc.parentVars-deferred {
+			t.Fatalf("%s: %d columns and %d deferred states, want %d − %d",
+				name, b.Model.NumVars(), deferred, tc.parentVars, tc.deferred)
+		}
+
+		p := b.Model.LP()
+		isPath := make(map[int32]bool)
+		for _, lams := range b.Lambda {
+			for _, lam := range lams {
+				for _, v := range lam {
+					isPath[int32(v.Index())] = true
+				}
+			}
+		}
+		inState := make(map[int32]bool)
+		for i := 0; i < b.Model.NumConstrs(); i++ {
+			if b.Model.RowKey(i).Fam == FamState {
+				idx, _ := p.Row(i)
+				for _, j := range idx {
+					inState[j] = true
+				}
+			}
+		}
+		integer := b.Model.IntegerMask()
+		allocs := 0
+		for i := 0; i < b.Model.NumConstrs(); i++ {
+			if b.Model.RowKey(i).Fam != FamCap {
+				continue
+			}
+			idx, _ := p.Row(i)
+			for _, j := range idx {
+				if integer[j] || isPath[j] {
+					continue
+				}
+				allocs++
+				if !inState[j] {
+					t.Fatalf("%s: allocation column %d on capacity row %v sits in no state row",
+						name, j, b.Model.RowKey(i))
+				}
+			}
+		}
+		if allocs == 0 {
+			t.Fatalf("%s: no allocation column on any capacity row", name)
+		}
+
+		_, ms := b.Solve(context.Background(), &model.SolveOptions{TimeLimit: 60 * time.Second})
+		if ms.Status != model.StatusOptimal {
+			t.Fatalf("%s: status %v", name, ms.Status)
+		}
+		if ms.Columns.CompanionCols != ms.Columns.CompanionRows ||
+			ms.Columns.PricedCols+ms.Columns.CompanionCols != len(ms.AppliedColumns) {
+			t.Fatalf("%s: %+v over %d applied columns", name, ms.Columns, len(ms.AppliedColumns))
+		}
+		opened += ms.Columns.CompanionCols
+		for k := 0; k < len(ms.AppliedColumns); k++ {
+			c := ms.AppliedColumns[k]
+			j := int32(ms.Columns.ColsAtRoot + k)
+			if c.Cols != len(c.Rows) {
+				t.Fatalf("%s: priced column %d opened %d companion columns for %d rows", name, k, c.Cols, len(c.Rows))
+			}
+			held := make([]int, c.Cols)
+			for i, row := range c.Rows {
+				n := 0
+				for _, jj := range row.Idx {
+					if jj > j && jj <= j+int32(c.Cols) {
+						held[jj-j-1]++
+						n++
+					}
+				}
+				if n != 1 {
+					t.Fatalf("%s: companion row %d of priced column %d holds %d companion columns", name, i, k, n)
+				}
+			}
+			for q, n := range held {
+				if n != 1 {
+					t.Fatalf("%s: companion column %d of priced column %d sits in %d companion rows", name, q, k, n)
+				}
+			}
+			k += c.Cols
+		}
+	}
+	if opened == 0 {
+		t.Fatal("no priced column opened a state; the scenarios no longer exercise companion columns")
 	}
 }

@@ -162,11 +162,12 @@ type Result struct {
 	// deterministic.
 	Columns ColumnStats
 	// AppliedColumns lists, in append order, every column pricing added to
-	// the LP relaxation, with its companion rows: the k-th entry is LP
-	// column ColsAtRoot+k, so callers can map incumbent values back to
-	// pricer payloads (Column.Tag) and re-validate each column and its rows
-	// independently. Note that X may be shorter
-	// than ColsAtRoot+len(AppliedColumns): an incumbent found before later
+	// the LP relaxation, with its companion rows, and each companion column
+	// as its own entry right after the column that opened it: the k-th
+	// entry is LP column ColsAtRoot+k, so callers can map incumbent values
+	// back to pricer payloads (Column.Tag) and re-validate each column and
+	// its companions independently. Note that X may be shorter than
+	// ColsAtRoot+len(AppliedColumns): an incumbent found before later
 	// pricing rounds simply does not use the columns appended after it.
 	AppliedColumns []Column
 	// Root is the root node's first relaxation, over the problem's own rows
@@ -442,11 +443,12 @@ func (s *searcher) result() Result {
 		Runtime: time.Since(s.start), //lint:allow nondet -- wall-clock Runtime stat only
 		Root:    s.root,
 	}
-	companion := 0
+	companionCols, companionRows := 0, 0
 	for k := range s.log {
 		if o := &s.log[k]; o.col {
 			res.AppliedColumns = append(res.AppliedColumns, o.column())
-			companion += len(o.rows)
+			companionCols += len(o.cols)
+			companionRows += len(o.rows)
 		} else {
 			res.AppliedCuts = append(res.AppliedCuts, o.cut())
 		}
@@ -458,7 +460,12 @@ func (s *searcher) result() Result {
 		res.Cuts.PoolHits = s.cuts.hits
 		res.Cuts.Evicted = s.cuts.evicted
 	}
-	res.Columns = ColumnStats{ColsAtRoot: len(s.rootLB), PricedCols: len(res.AppliedColumns), CompanionRows: companion}
+	res.Columns = ColumnStats{
+		ColsAtRoot:    len(s.rootLB),
+		PricedCols:    len(res.AppliedColumns) - companionCols,
+		CompanionCols: companionCols,
+		CompanionRows: companionRows,
+	}
 	if s.cols != nil {
 		res.Columns.Rounds = s.cols.rounds
 		res.Columns.Offered = s.cols.offered

@@ -36,7 +36,7 @@ const (
 // op is one incremental change to the LP relaxation in canonical form: a cut
 // row LB ≤ Σ val·x[idx] ≤ UB over columns, or (col set) a priced column
 // with coefficients val over rows idx, bounds [LB, UB] and objective obj,
-// followed by the companion rows its RowPricer opened with it.
+// followed by the companion columns and rows its RowPricer opened with it.
 type op struct {
 	idx    []int32
 	val    []float64
@@ -45,6 +45,7 @@ type op struct {
 	col    bool
 	tag    interface{} // columns only
 	rp     RowPricer   // columns of a RowPricer only
+	cols   []op        // companion columns, set when the column is committed
 	rows   []Cut       // companion rows, set when the column is committed
 	row    int         // LP index of rows[0]
 }
@@ -58,17 +59,20 @@ func colOp(c Column) op {
 func (o *op) cut() Cut { return Cut{Idx: o.idx, Val: o.val, LB: o.lb, UB: o.ub} }
 
 func (o *op) column() Column {
-	return Column{Idx: o.idx, Val: o.val, LB: o.lb, UB: o.ub, Obj: o.obj, Tag: o.tag, Rows: o.rows, Row: o.row}
+	return Column{Idx: o.idx, Val: o.val, LB: o.lb, UB: o.ub, Obj: o.obj, Tag: o.tag, Rows: o.rows, Row: o.row, Cols: len(o.cols)}
 }
 
-// apply appends the op to an instance: a column with its companion rows
-// right after it.
+// apply appends the op to an instance: a column with its companion columns
+// and then its companion rows right after it.
 func (o *op) apply(inst *lp.Instance) {
 	if !o.col {
 		inst.AppendRow(o.idx, o.val, o.lb, o.ub)
 		return
 	}
 	inst.AppendColumn(o.idx, o.val, o.lb, o.ub, o.obj)
+	for _, c := range o.cols {
+		inst.AppendColumn(c.idx, c.val, c.lb, c.ub, c.obj)
+	}
 	for _, c := range o.rows {
 		inst.AppendRow(c.Idx, c.Val, c.LB, c.UB)
 	}
@@ -236,6 +240,7 @@ func (s *searcher) commit(p *pool, batch []*pooled) int {
 		}
 		pe.op.apply(s.inst)
 		s.log = append(s.log, pe.op)
+		s.log = append(s.log, pe.op.cols...)
 	}
 	if len(batch) > 0 {
 		p.rounds++
@@ -248,17 +253,22 @@ func (s *searcher) commit(p *pool, batch []*pooled) int {
 }
 
 // complete has a RowPricer column's pricer re-derive it over inst's current
-// rows and supply the companion rows it opens, and re-keys the entry by the
-// column's final form — its coefficients on its own companion rows
-// included, as Price offers it from now on — so a re-offer is a pool hit,
-// not a second copy of the column. It reports whether the column opened
-// rows.
+// rows and supply the companion columns and rows it opens, and re-keys the
+// entry by the column's final form — its coefficients on its own companion
+// rows included, as Price offers it from now on — so a re-offer is a pool
+// hit, not a second copy of the column. It reports whether the column
+// opened rows.
 func (p *pool) complete(pe *pooled, inst *lp.Instance) bool {
 	o := &pe.op
 	j, m := int32(inst.NumCols()), inst.NumRows()
-	c, rows := o.rp.Commit(o.column(), int(j), m)
+	c, cols, rows := o.rp.Commit(o.column(), int(j), m)
 	o.idx, o.val = lp.Canonical(c.Idx, c.Val)
 	o.lb, o.ub, o.obj = c.LB, c.UB, c.Obj
+	o.cols = make([]op, len(cols))
+	for i, cc := range cols {
+		cc.Idx, cc.Val = lp.Canonical(cc.Idx, cc.Val)
+		o.cols[i] = colOp(cc)
+	}
 	o.rows, o.row = rows, m
 	final := *o
 	final.idx, final.val = append([]int32(nil), o.idx...), append([]float64(nil), o.val...)

@@ -33,10 +33,15 @@ type Column struct {
 	Obj float64
 	Tag interface{}
 	// Rows are the companion rows a RowPricer opened with the column: the
-	// search appends them right after it, as LP rows Row, Row+1, …, and
-	// records both fields in Result.AppliedColumns. Pricers leave them zero.
+	// search appends them right after it and its companion columns, as LP
+	// rows Row, Row+1, …, and records both fields in Result.AppliedColumns.
+	// Cols counts the companion columns it opened: LP columns j+1, …, j+Cols
+	// for the column's own index j, each logged as its own entry of
+	// Result.AppliedColumns right after this one. Pricers leave all three
+	// zero.
 	Rows []Cut
 	Row  int
+	Cols int
 }
 
 // Pricer generates columns with improving reduced cost at a relaxation
@@ -71,23 +76,27 @@ type Pricer interface {
 	Price(duals []float64, x []float64) []Column
 }
 
-// A RowPricer is a Pricer whose columns can need rows that the restricted
-// master leaves out while no column uses them: rows of the full formulation
-// that every column present satisfies trivially, so the master without them
-// has the same optimum and, extended by zero duals, the same duals. The
-// search calls Reset once before its first pricing round and Commit as it
-// appends each column the pricer offered, with the column's LP index j and
-// the LP's row count m. Commit returns the column re-derived over those m
-// rows (a pooled column may predate rows opened since it was priced) and
-// the companion rows it opens, which the search appends right after the
-// column as rows m, m+1, …; they may carry coefficients on column j. Price
-// prices over every row opened so far — it is a pure function of the point
-// and the commits since Reset — and companion rows are rows of the full
+// A RowPricer is a Pricer whose columns can need rows and columns that the
+// restricted master leaves out while no column uses them: rows of the full
+// formulation that every column present satisfies trivially, and variables
+// that, outside such rows, sit only where raising them from 0 cannot
+// improve the objective, so the master without them has the same optimum
+// and, extended by zeros, the same duals. The search calls
+// Reset once before its first pricing round and Commit as it appends each
+// column the pricer offered, with the column's LP index j and the LP's row
+// count m. Commit returns the column re-derived over those m rows (a pooled
+// column may predate rows opened since it was priced), the companion
+// columns it opens and the companion rows it opens. The search appends the
+// companion columns right after the column, as LP columns j+1, j+2, …, over
+// the m rows, then the companion rows as rows m, m+1, …, which may carry
+// coefficients on column j and on the companion columns. Price prices over
+// every row opened so far — it is a pure function of the point and the
+// commits since Reset — and companions are rows and columns of the full
 // formulation, so the Pricer contract keeps holding.
 type RowPricer interface {
 	Pricer
 	Reset()
-	Commit(c Column, j, m int) (Column, []Cut)
+	Commit(c Column, j, m int) (Column, []Column, []Cut)
 }
 
 // ColumnStats summarizes the pricing work of one solve.
@@ -96,7 +105,7 @@ type ColumnStats struct {
 	// started with (the statically emitted variables).
 	ColsAtRoot int
 	// PricedCols is the number of columns appended by pricing over the whole
-	// search.
+	// search, not counting companion columns.
 	PricedCols int
 	// Rounds is the number of pricing rounds that appended at least one
 	// column.
@@ -107,8 +116,9 @@ type ColumnStats struct {
 	// PoolHits counts offered columns that were already pooled — the dedup
 	// rate is PoolHits/Offered.
 	PoolHits int
-	// CompanionRows is the number of rows RowPricers opened with the
-	// appended columns.
+	// CompanionCols and CompanionRows are the numbers of columns and rows
+	// RowPricers opened with the appended columns.
+	CompanionCols int
 	CompanionRows int
 	// Evicted counts pooled-but-never-appended columns dropped by age-based
 	// eviction.

@@ -262,6 +262,11 @@ type rowPatternPricer struct {
 	pats []Column
 	caps []float64
 	row  []int
+	// overflow, when positive, gives every facility an overflow variable
+	// o ≥ 0 of objective −overflow that buys capacity in its linking row.
+	// Like the row, it is left out while the row is closed, where it could
+	// only sit at 0, and opens as a companion column with the row.
+	overflow float64
 }
 
 // deferredRowsProblem is colGenProblem's restricted master with only the
@@ -311,19 +316,25 @@ func (rp *rowPatternPricer) Reset() {
 	rp.row[0] = 0
 }
 
-func (rp *rowPatternPricer) Commit(c Column, j, m int) (Column, []Cut) {
+func (rp *rowPatternPricer) Commit(c Column, j, m int) (Column, []Column, []Cut) {
 	q := c.Tag.(int)
 	out := rp.column(q)
+	var cols []Column
 	var rows []Cut
 	pat := rp.pats[q]
 	for k, f := range pat.Idx {
 		if rp.row[f] < 0 {
 			rp.row[f] = m + len(rows)
-			rows = append(rows, Cut{Idx: []int32{f, int32(j)}, Val: []float64{-rp.caps[f], pat.Val[k]},
-				LB: math.Inf(-1), UB: 0})
+			row := Cut{Idx: []int32{f, int32(j)}, Val: []float64{-rp.caps[f], pat.Val[k]}, LB: math.Inf(-1), UB: 0}
+			if rp.overflow > 0 {
+				row.Idx = append(row.Idx, int32(j+1+len(cols)))
+				row.Val = append(row.Val, -1)
+				cols = append(cols, Column{LB: 0, UB: math.Inf(1), Obj: -rp.overflow})
+			}
+			rows = append(rows, row)
 		}
 	}
-	return out, rows
+	return out, cols, rows
 }
 
 // TestRowPricerMatchesStaticSolve: a RowPricer whose columns open the rows
@@ -380,6 +391,94 @@ func TestRowPricerMatchesStaticSolve(t *testing.T) {
 			t.Errorf("seed %d: %d rows recorded, %d counted, %d facilities", sh.seed, opened, got.Columns.CompanionRows, sh.nFac)
 		}
 		assertBitIdentical(t, "re-solve", got, Solve(context.Background(), prob, opts))
+	}
+}
+
+// withOverflow copies colGenProblem's problem p, whose rows are the nFac
+// linking rows, and gives the facilities in open an overflow column of
+// objective −pen on their linking rows.
+func withOverflow(p *Problem, nFac int, open []int, pen float64) *Problem {
+	q := lp.NewProblem()
+	q.Sense = p.LP.Sense
+	for j := range p.LP.Obj {
+		q.AddCol(p.LP.Obj[j], p.LP.ColLB[j], p.LP.ColUB[j])
+	}
+	over := make(map[int]int32)
+	for _, f := range open {
+		over[f] = int32(q.AddCol(-pen, 0, math.Inf(1)))
+	}
+	for i := 0; i < p.LP.NumRows(); i++ {
+		idx, val := p.LP.Row(i)
+		idx, val = append([]int32(nil), idx...), append([]float64(nil), val...)
+		f := int(idx[0]) // the facility column leads its linking row
+		if o, ok := over[f]; ok {
+			idx, val = append(idx, o), append(val, -1)
+		}
+		q.AddLE(idx, val, 0)
+	}
+	return &Problem{LP: q, Integer: allInteger(nFac)}
+}
+
+// TestRowPricerCompanionColumns: a RowPricer that opens a facility's
+// overflow variable as a companion column with the facility's row reaches
+// the optimum of the full static formulation. The companion columns are
+// LP columns j+1, … right after their column j, each logged as its own
+// AppliedColumns entry, and the rows opened with them carry −1 on them.
+func TestRowPricerCompanionColumns(t *testing.T) {
+	const pen = 1.5
+	used := 0
+	for _, sh := range []struct {
+		seed       int64
+		nFac, nPat int
+	}{{3, 4, 12}, {7, 5, 20}, {11, 6, 30}, {23, 8, 40}} {
+		full, _ := colGenProblem(sh.seed, sh.nFac, sh.nPat, true)
+		all := make([]int, sh.nFac)
+		for f := range all {
+			all[f] = f
+		}
+		want := Solve(context.Background(), withOverflow(full, sh.nFac, all, pen), nil)
+		prob, rp := deferredRowsProblem(sh.seed, sh.nFac, sh.nPat)
+		prob = withOverflow(prob, sh.nFac, []int{0}, pen)
+		rp.overflow = pen
+		opts := &Options{Pricers: []Pricer{rp}}
+		got := Solve(context.Background(), prob, opts)
+		if got.Status != StatusOptimal || want.Status != StatusOptimal {
+			t.Fatalf("seed %d: status %v, static %v", sh.seed, got.Status, want.Status)
+		}
+		if d := math.Abs(got.Obj - want.Obj); d > 1e-6*(1+math.Abs(want.Obj)) {
+			t.Errorf("seed %d: obj %v differs from static %v", sh.seed, got.Obj, want.Obj)
+		}
+		cs := got.Columns
+		if cs.CompanionCols == 0 || cs.CompanionCols != cs.CompanionRows ||
+			cs.PricedCols+cs.CompanionCols != len(got.AppliedColumns) {
+			t.Fatalf("seed %d: %+v over %d applied columns", sh.seed, cs, len(got.AppliedColumns))
+		}
+		for k := 0; k < len(got.AppliedColumns); k++ {
+			c := got.AppliedColumns[k]
+			if _, ok := c.Tag.(int); !ok || c.Cols != len(c.Rows) {
+				t.Fatalf("seed %d: entry %d is %v with %d companion columns for %d rows", sh.seed, k, c.Tag, c.Cols, len(c.Rows))
+			}
+			j := int32(cs.ColsAtRoot + k)
+			for i, row := range c.Rows {
+				if row.Idx[2] != j+1+int32(i) || row.Val[2] != -1 {
+					t.Fatalf("seed %d: companion row %d of column %d has %v@%v, want −1 on column %d",
+						sh.seed, i, k, row.Idx, row.Val, j+1+int32(i))
+				}
+			}
+			for i, o := range got.AppliedColumns[k+1 : k+1+c.Cols] {
+				if o.Tag != nil || len(o.Idx) != 0 || o.Obj != -pen || o.LB != 0 || !math.IsInf(o.UB, 1) {
+					t.Fatalf("seed %d: companion column %d of column %d is %+v", sh.seed, i, k, o)
+				}
+				if jj := int(j) + 1 + i; jj < len(got.X) && got.X[jj] > 0 {
+					used++
+				}
+			}
+			k += c.Cols
+		}
+		assertBitIdentical(t, "re-solve", got, Solve(context.Background(), prob, opts))
+	}
+	if used == 0 {
+		t.Error("no optimum buys overflow through a companion column; the shapes no longer exercise them")
 	}
 }
 

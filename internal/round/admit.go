@@ -46,6 +46,7 @@ func AdmitSample(b *core.Built, rel *model.Solution, newIdx int, seed int64, sam
 	if samples <= 0 {
 		samples = DefaultSamples
 	}
+	var vs violationScan
 	for s := 0; s <= samples; s++ {
 		flows := make([][]float64, req.G.NumEdges())
 		for lv := range flows {
@@ -65,7 +66,7 @@ func AdmitSample(b *core.Built, rel *model.Solution, newIdx int, seed int64, sam
 		for iter := 0; iter <= 2*len(b.Inst.Reqs)+8; iter++ {
 			base.Start[newIdx] = start
 			base.End[newIdx] = start + req.Duration
-			t2, _, found := firstViolation(b.Inst, base)
+			t2, _, found := vs.first(b.Inst, base)
 			if !found {
 				return base
 			}

@@ -122,8 +122,23 @@ func samplePath(lc *linkCand, numLinks int, rng *rand.Rand) []float64 {
 // links, both in index order — a fixed scan order keeps repair
 // deterministic).
 func firstViolation(inst *core.Instance, sol *solution.Solution) (intervalEnd float64, contributors []int, found bool) {
+	var vs violationScan
+	return vs.first(inst, sol)
+}
+
+// violationScan is firstViolation with scratch kept across calls, for a
+// loop that scans one schedule after another: its sweep buffers and its
+// contributor list, which first returns and its next call overwrites.
+type violationScan struct {
+	sw       solution.Sweeper
+	contribs []int
+}
+
+// first is firstViolation over the scan's scratch.
+func (vs *violationScan) first(inst *core.Instance, sol *solution.Solution) (intervalEnd float64, contributors []int, found bool) {
 	sub := inst.Sub
-	solution.Sweep(sub, inst.Reqs, sol, func(iv *solution.Interval) bool {
+	contributors = vs.contribs[:0]
+	vs.sw.Sweep(sub, inst.Reqs, sol, func(iv *solution.Interval) bool {
 		for ns, load := range iv.NodeLoad {
 			if load > sub.NodeCap[ns]+numtol.CapTol {
 				for _, r := range iv.Active {
@@ -154,6 +169,7 @@ func firstViolation(inst *core.Instance, sol *solution.Solution) (intervalEnd fl
 		}
 		return true
 	})
+	vs.contribs = contributors
 	return intervalEnd, contributors, found
 }
 
@@ -168,9 +184,15 @@ func firstViolation(inst *core.Instance, sol *solution.Solution) (intervalEnd fl
 // iteration guard bounds pathological defer chains — on overflow the
 // sample is abandoned and the caller moves on (or falls back to B&B).
 func repairSample(inst *core.Instance, sol *solution.Solution, obj core.Objective) (repairs, rejections int, ok bool) {
+	var vs violationScan
+	return vs.repair(inst, sol, obj)
+}
+
+// repair is repairSample over the scan's scratch.
+func (vs *violationScan) repair(inst *core.Instance, sol *solution.Solution, obj core.Objective) (repairs, rejections int, ok bool) {
 	maxIter := 16 + 8*len(inst.Reqs)
 	for iter := 0; ; iter++ {
-		t2, contribs, found := firstViolation(inst, sol)
+		t2, contribs, found := vs.first(inst, sol)
 		if !found {
 			return repairs, rejections, true
 		}

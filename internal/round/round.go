@@ -179,6 +179,7 @@ func Solve(ctx context.Context, inst *core.Instance, mapping vnet.NodeMapping, o
 	bestScore := math.Inf(-1)
 	if embeddableAll || !opts.Objective.FixedSet() {
 		rng := rand.New(rand.NewSource(opts.Seed))
+		var vs violationScan
 		for s := 0; s < samples; s++ {
 			if err := ctx.Err(); err != nil {
 				return nil, stats, err
@@ -188,7 +189,7 @@ func Solve(ctx context.Context, inst *core.Instance, mapping vnet.NodeMapping, o
 				continue
 			}
 			stats.Samples++
-			rep, rej, ok := repairSample(inst, cand, opts.Objective)
+			rep, rej, ok := vs.repair(inst, cand, opts.Objective)
 			stats.Repairs += rep
 			stats.Rejections += rej
 			if !ok {

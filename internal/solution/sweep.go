@@ -2,6 +2,7 @@ package solution
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"tvnep/internal/numtol"
@@ -39,9 +40,29 @@ type Interval struct {
 // touches only the requests running over it, not every request. Loads are
 // summed in ascending request index into buffers reused across intervals,
 // so every value is bit-identical to a rescan of all requests.
+//
+// Sweep allocates its scratch per call; a caller that sweeps one schedule
+// after another keeps a Sweeper instead.
 func Sweep(sub *substrate.Network, reqs []*vnet.Request, sol *Solution, visit func(*Interval) bool) {
-	var events []float64
-	var loaded []int // accepted requests with a well-shaped embedding
+	var sw Sweeper
+	sw.Sweep(sub, reqs, sol, visit)
+}
+
+// Sweeper runs Sweep with scratch that lives across calls: its event,
+// request-order and running-set buffers and its Interval, whose load
+// buffers are reused whenever the substrate size allows. The zero value is
+// ready to use. A Sweeper is not safe for concurrent use, and the Interval
+// a visit sees is only valid until the Sweeper's next Sweep.
+type Sweeper struct {
+	events                   []float64
+	loaded, byStart, running []int
+	iv                       Interval
+}
+
+// Sweep is the package-level Sweep over the Sweeper's scratch.
+func (sw *Sweeper) Sweep(sub *substrate.Network, reqs []*vnet.Request, sol *Solution, visit func(*Interval) bool) {
+	events := sw.events[:0]
+	loaded := sw.loaded[:0] // accepted requests with a well-shaped embedding
 	for r, req := range reqs {
 		if !sol.Accepted[r] {
 			continue
@@ -51,19 +72,30 @@ func Sweep(sub *substrate.Network, reqs []*vnet.Request, sol *Solution, visit fu
 			loaded = append(loaded, r)
 		}
 	}
+	sw.events, sw.loaded = events, loaded
 	sort.Float64s(events)
 	// byStart orders loaded by start time, NaN first as in sort.Float64s:
-	// a NaN start never fails the midpoint test.
-	byStart := append([]int(nil), loaded...)
-	sort.Slice(byStart, func(i, j int) bool {
-		a, b := sol.Start[byStart[i]], sol.Start[byStart[j]]
-		return a < b || (math.IsNaN(a) && !math.IsNaN(b))
+	// a NaN start never fails the midpoint test. Requests tied on start
+	// join the running set together, so their order among themselves does
+	// not matter.
+	byStart := append(sw.byStart[:0], loaded...)
+	sw.byStart = byStart
+	slices.SortFunc(byStart, func(i, j int) int {
+		a, b := sol.Start[i], sol.Start[j]
+		switch {
+		case a < b || (math.IsNaN(a) && !math.IsNaN(b)):
+			return -1
+		case b < a || (math.IsNaN(b) && !math.IsNaN(a)):
+			return 1
+		}
+		return 0
 	})
-	iv := &Interval{
-		NodeLoad: make([]float64, sub.NumNodes()),
-		LinkLoad: make([]float64, sub.NumLinks()),
+	iv := &sw.iv
+	*iv = Interval{
+		NodeLoad: resize(iv.NodeLoad, sub.NumNodes()),
+		LinkLoad: resize(iv.LinkLoad, sub.NumLinks()),
 	}
-	var running []int // ascending
+	running := sw.running[:0] // ascending
 	next := 0
 	for i := 0; i+1 < len(events); i++ {
 		if events[i+1]-events[i] < numtol.EventCoincide {
@@ -84,6 +116,7 @@ func Sweep(sub *substrate.Network, reqs []*vnet.Request, sol *Solution, visit fu
 				copy(running[at+1:], running[at:])
 				running[at] = r
 			}
+			sw.running = running
 			kept := running[:0]
 			for _, r := range running {
 				if !(iv.Mid >= sol.End[r]) {
@@ -98,6 +131,15 @@ func Sweep(sub *substrate.Network, reqs []*vnet.Request, sol *Solution, visit fu
 			return
 		}
 	}
+}
+
+// resize returns buf with length n, reusing its storage when it is large
+// enough.
+func resize(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
 }
 
 // accumulate fills the interval's load buffers from its active requests.

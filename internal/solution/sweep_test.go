@@ -203,6 +203,35 @@ func TestSweepMatchesRescan(t *testing.T) {
 	}
 }
 
+// TestSweeperReuseMatchesRescan runs one Sweeper over a series of random
+// schedules of changing substrate and request counts, some stopped early:
+// scratch left by an earlier sweep must not leak into a later one.
+func TestSweeperReuseMatchesRescan(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	var sw Sweeper
+	for trial := 0; trial < 2000; trial++ {
+		data := make([]byte, rng.Intn(300))
+		rng.Read(data)
+		sub, reqs, sol := decodeSchedule(data)
+		want := rescan(sub, reqs, sol)
+		stop := len(want)
+		if trial%3 == 0 {
+			stop = 1 + rng.Intn(len(want)+1)
+		}
+		var got []Interval
+		sw.Sweep(sub, reqs, sol, func(iv *Interval) bool {
+			got = append(got, Interval{
+				Start: iv.Start, End: iv.End, Mid: iv.Mid,
+				Active:   append([]int(nil), iv.Active...),
+				NodeLoad: append([]float64(nil), iv.NodeLoad...),
+				LinkLoad: append([]float64(nil), iv.LinkLoad...),
+			})
+			return len(got) < stop
+		})
+		sameIntervals(t, got, want[:min(stop, len(want))])
+	}
+}
+
 // TestSweepStopsEarly checks that visit returning false ends the sweep.
 func TestSweepStopsEarly(t *testing.T) {
 	sub, reqs, sol := timelineFixture()
