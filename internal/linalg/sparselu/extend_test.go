@@ -1,6 +1,7 @@
 package sparselu
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -200,5 +201,76 @@ func TestExtendEmptyBase(t *testing.T) {
 	ftranAll(g, v)
 	if v[0] != -3 || v[1] != 4 {
 		t.Fatalf("ftran on diag(-1) = %v, want [-3 4]", v)
+	}
+}
+
+// borderMismatch holds ext, the extension of f by the k border rows, to the
+// dense border loop: the same L column pointers and rows and, bit for bit,
+// the same values (+0 and -0 counted equal). It returns "" on a match, and
+// also when the dense loop overflows, which the bitwise contract does not
+// cover.
+func borderMismatch(f, ext *Factors, k int, bIdx [][]int32, bVal [][]float64) string {
+	lptr, lrow, lval := denseBorderL(f, k, bIdx, bVal)
+	for _, v := range lval {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return ""
+		}
+	}
+	if fmt.Sprint(ext.lptr[:len(lptr)]) != fmt.Sprint(lptr) {
+		return fmt.Sprintf("L column pointers %v, dense loop %v", ext.lptr[:len(lptr)], lptr)
+	}
+	for e := range lrow {
+		g, w := ext.lval[e], lval[e]
+		if ext.lrow[e] != lrow[e] || (math.Float64bits(g) != math.Float64bits(w) && !(g == 0 && w == 0)) {
+			return fmt.Sprintf("L entry %d = (%d, %v), dense loop (%d, %v)", e, ext.lrow[e], g, lrow[e], w)
+		}
+	}
+	return ""
+}
+
+// TestExtendMatchesDenseBorder holds ExtendInto's hyper-sparse border
+// solves to the dense loop they replaced (denseBorderL): on slack-heavy
+// bases across the bitset word boundaries, with 0 to 150 etas, sparse and
+// dense border rows and one to ten of them, every multiplier must land in
+// the same L entry with the same bits.
+func TestExtendMatchesDenseBorder(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	ws := NewWorkspace()
+	fac, ext := &Factors{}, &Factors{}
+	for _, tc := range []struct {
+		m, etas, k int
+		density    float64
+	}{
+		{1, 0, 1, 1}, {63, 7, 3, 0.05}, {64, 0, 2, 0.3}, {65, 150, 1, 0.02},
+		{130, 40, 10, 0.03}, {400, 150, 4, 0.01}, {400, 7, 2, 1}, {64, 20, 3, 0},
+	} {
+		colIdx, colVal := slackHeavyBasis(rng, tc.m)
+		if err := FactorizeInto(fac, ws, tc.m, colIdx, colVal); err != nil {
+			t.Fatalf("m=%d: factorize: %v", tc.m, err)
+		}
+		addEtas(t, rng, fac, tc.etas)
+		bIdx := make([][]int32, tc.k)
+		bVal := make([][]float64, tc.k)
+		diag := make([]float64, tc.k)
+		for i := range bIdx {
+			for p := 0; p < tc.m; p++ {
+				if rng.Float64() < tc.density {
+					bIdx[i] = append(bIdx[i], int32(p))
+					bVal[i] = append(bVal[i], rng.NormFloat64())
+				}
+			}
+			if len(bIdx[i]) > 0 {
+				// A repeated position accumulates.
+				bIdx[i] = append(bIdx[i], bIdx[i][0])
+				bVal[i] = append(bVal[i], rng.NormFloat64())
+			}
+			diag[i] = -1
+		}
+		if err := fac.ExtendInto(ext, ws, tc.k, bIdx, bVal, diag); err != nil {
+			t.Fatalf("m=%d: extend: %v", tc.m, err)
+		}
+		if msg := borderMismatch(fac, ext, tc.k, bIdx, bVal); msg != "" {
+			t.Fatalf("m=%d, %d etas, k=%d, density %v: %s", tc.m, fac.NumEtas(), tc.k, tc.density, msg)
+		}
 	}
 }

@@ -37,8 +37,10 @@ func (s *fuzzBytes) column(m int) ([]int32, []float64) {
 
 // FuzzTranMatchesDense decodes a basis (slacks and sparse structural
 // columns on a rotated diagonal), an eta sequence, an optional bordered
-// extension and a right-hand side, then holds Ftran and Btran to the dense
-// reference loops bit for bit, as TestTranMatchesDenseReference does.
+// extension and a right-hand side, then holds the extension's L factor to
+// the dense border loop and Ftran and Btran to the dense reference loops,
+// bit for bit, as TestExtendMatchesDenseBorder and
+// TestTranMatchesDenseReference do.
 func FuzzTranMatchesDense(f *testing.F) {
 	f.Add([]byte{5, 1, 0, 3, 2, 1, 7, 9, 4, 40, 3, 1, 2, 3, 200, 17})
 	f.Add([]byte{64, 9, 1, 1, 1, 2, 5, 3, 80, 250, 6, 6, 30, 1, 2, 2, 99, 0, 7})
@@ -88,6 +90,9 @@ func FuzzTranMatchesDense(f *testing.F) {
 			ext := &Factors{}
 			if err := fac.ExtendInto(ext, ws, k, bIdx, bVal, diag); err != nil {
 				t.Fatalf("extend: %v", err)
+			}
+			if msg := borderMismatch(fac, ext, k, bIdx, bVal); msg != "" {
+				t.Fatalf("m=%d, %d etas, k=%d: %s", m, fac.NumEtas(), k, msg)
 			}
 			fac, m = ext, m+k
 		}

@@ -26,16 +26,23 @@
 // O(m/64 + reached steps + touched nonzeros), plus one check per eta in
 // Ftran; dense right-hand sides take the same path.
 //
+// A Factors is a view: an immutable LU base, held by reference, and an eta
+// file of its own. Views and captures share bases (ShareInto, CaptureInto),
+// so a warm start, a branch-and-bound child or a pricing restart adopts a
+// factorization without copying L and U: it copies only the eta file, and
+// appends its own pivots to its own storage, so views sharing a base never
+// see each other's updates. A base is never written while anything holds
+// it: FactorizeInto and ExtendInto build into a base drawn from the
+// Workspace's pool, and a base whose last holder lets go returns to that
+// pool.
+//
 // Allocation discipline: the hot simplex loop must not allocate. Eta vectors
-// live in per-Factors append-only arenas (amortized zero-allocation growth),
-// refactorizations reuse the symbolic scratch of a caller-owned Workspace and
-// the storage of the destination Factors (FactorizeInto), and bordered
-// extensions can likewise reuse a destination (ExtendInto), and CopyInto
-// copies a factorization into a destination's storage — the only way the LP
-// solver hands factors from one solve to another. Grown storage keeps
-// headroom, so a destination reused for slightly larger bases settles
-// instead of reallocating each time. The convenience wrapper Factorize
-// allocates fresh storage.
+// live in per-view append-only arenas (amortized zero-allocation growth),
+// refactorizations and bordered extensions reuse the symbolic scratch of a
+// caller-owned Workspace and the bases in its pool, and a released capture
+// idles in the Workspace for the next one. Grown storage keeps headroom, so
+// storage reused for slightly larger bases settles instead of reallocating
+// each time. The convenience wrapper Factorize allocates fresh storage.
 package sparselu
 
 import (
@@ -61,7 +68,7 @@ const (
 
 // eta is one product-form update: the basis column at position r was
 // replaced, with FTRAN'd entering column alpha. The off-pivot entries live in
-// the owning Factors' arena at [off, off+n) so that updates never allocate in
+// the owning view's arena at [off, off+n) so that updates never allocate in
 // steady state and copies relocate cleanly.
 type eta struct {
 	r   int32
@@ -70,11 +77,12 @@ type eta struct {
 	piv float64 // alpha[r]
 }
 
-// Factors is a factorized basis B = L·U (modulo permutations) together with
-// an eta file of post-factorization pivots. The base factors are immutable
-// after Factorize; Update appends etas. Not safe for concurrent use (the
-// solves share scratch space).
-type Factors struct {
+// lu is the immutable base of a factorization, B₀ = L·U modulo
+// permutations, shared by reference between the views and captures that
+// hold it (refs counts them). It is written only while nothing holds it:
+// by FactorizeInto and ExtendInto, into a base drawn from a Workspace's
+// pool.
+type lu struct {
 	m int
 
 	order  []int32 // elimination step k processed basis position order[k]
@@ -109,10 +117,24 @@ type Factors struct {
 	rowStep []int32
 	posStep []int32
 
+	refs int
+}
+
+// Factors is a factorized basis B = B₀·E₁⋯E_k: a view of a shared LU base
+// B₀ together with its own eta file of post-factorization pivots, which
+// Update appends to. Not safe for concurrent use (the solves share scratch
+// space). A capture (CaptureInto) carries the base and a copy of the eta
+// file only: it can be shared from or extended, not solved.
+type Factors struct {
+	*lu
+
 	etas   []eta
 	etaIdx []int32   // arena backing eta off-pivot indices
 	etaVal []float64 // arena backing eta off-pivot values
 	etaNNZ int
+	// capture marks a capture (CaptureInto), which Release accepts and no
+	// solve reads.
+	capture bool
 	// Eta occurrence chains: etaHead[p] is the newest node naming an eta
 	// that reads or writes position p (-1 if none), and each node links to
 	// the next-older one. Update appends; Btran walks them to find the etas
@@ -138,9 +160,10 @@ type etaOcc struct {
 func markWords(m int) int { return (m + 63) >> 6 }
 
 // Workspace holds the reusable symbolic and numeric scratch of the
-// factorization and extension kernels. A Workspace may be reused across any
-// number of FactorizeInto/ExtendInto calls (growing on demand, never
-// shrinking) but must not be shared between concurrent calls.
+// factorization and extension kernels, the pool of LU bases nothing holds
+// any more, and the captures released to it. A Workspace may be reused
+// across any number of calls (growing on demand, never shrinking) but must
+// not be shared between concurrent calls.
 type Workspace struct {
 	w       []float64 // dense accumulator for the current column
 	rowPos  []int32   // original row → elimination step, or -1
@@ -150,7 +173,17 @@ type Workspace struct {
 	estate  []int32 // per-row DFS edge cursor
 	rcount  []int32 // static per-row entry counts
 	cnt     []int32 // transpose-mirror counting scratch
-	xbuf    []float64
+	// L and U entry counts of the last factorization
+	lnnz, unnz int
+
+	// ExtendInto's nonzero border multipliers, in row-major order: border
+	// row xrow[i], elimination step xstep[i], value xval[i].
+	xrow  []int32
+	xstep []int32
+	xval  []float64
+
+	bases []*lu      // bases nothing holds, for the next factorization
+	idle  []*Factors // released captures, for the next Capture
 }
 
 // NewWorkspace returns an empty workspace; storage grows on first use.
@@ -237,6 +270,31 @@ func (f *Factors) resetSolveState() {
 	f.marks = zeroed(f.marks, 2*f.nmark+markWords(len(f.etas)))
 }
 
+// base returns a base from the pool, or a new one when the pool is empty.
+// No view holds it.
+func (ws *Workspace) base() *lu {
+	n := len(ws.bases)
+	if n == 0 {
+		return &lu{} //lint:allow hotalloc -- until the pool holds a base
+	}
+	b := ws.bases[n-1]
+	ws.bases[n-1] = nil
+	ws.bases = ws.bases[:n-1]
+	return b
+}
+
+// hold makes b f's base, dropping f's hold on its previous one, which
+// returns to ws's pool once nothing holds it. b may be f's base already.
+func (f *Factors) hold(b *lu, ws *Workspace) {
+	b.refs++
+	if old := f.lu; old != nil {
+		if old.refs--; old.refs == 0 {
+			ws.bases = append(ws.bases, old) //lint:allow hotalloc -- grows once, to the peak of bases nothing holds
+		}
+	}
+	f.lu = b
+}
+
 // Factorize computes the sparse LU factorization of the m×m basis whose
 // column at position p has row indices colIdx[p] and values colVal[p].
 // The input slices are not retained. Hot callers should hold a Workspace and
@@ -250,32 +308,42 @@ func Factorize(m int, colIdx [][]int32, colVal [][]float64) (*Factors, error) {
 }
 
 // FactorizeInto computes the sparse LU factorization of the m×m basis into
-// dst, reusing dst's storage when its capacity allows. dst must not be
-// shared with (cloned into, copied from, handed off to) any other live
-// Factors: its backing arrays are overwritten. On error dst is left in an
-// unspecified state and must not be used for solves.
+// dst, with an empty eta file. The base is built in one drawn from ws's
+// pool, so nothing else holding dst's previous base sees a change, and
+// dst's eta and scratch storage is reused when its capacity allows. On
+// error dst is left as it was.
 func FactorizeInto(dst *Factors, ws *Workspace, m int, colIdx [][]int32, colVal [][]float64) error {
-	f := dst
+	b := ws.base()
+	if err := b.factorize(ws, m, colIdx, colVal); err != nil {
+		ws.bases = append(ws.bases, b)
+		return err
+	}
+	dst.hold(b, ws)
+	dst.etas = dst.etas[:0]
+	dst.etaIdx = dst.etaIdx[:0]
+	dst.etaVal = dst.etaVal[:0]
+	dst.etaNNZ = 0
+	dst.occ = dst.occ[:0]
+	dst.etaHead = growI32(dst.etaHead, m)
+	for p := range dst.etaHead {
+		dst.etaHead[p] = -1
+	}
+	dst.resetSolveState()
+	return nil
+}
+
+// factorize fills f with the LU factorization of the m×m basis.
+func (f *lu) factorize(ws *Workspace, m int, colIdx [][]int32, colVal [][]float64) error {
 	f.m = m
 	f.order = growI32(f.order, m)
 	f.rowPiv = growI32(f.rowPiv, m)
 	f.lptr = growI32(f.lptr, m+1)
 	f.uptr = growI32(f.uptr, m+1)
 	f.udiag = growF64(f.udiag, m)
-	f.lrow = f.lrow[:0]
-	f.lval = f.lval[:0]
-	f.urow = f.urow[:0]
-	f.uval = f.uval[:0]
-	f.etas = f.etas[:0]
-	f.etaIdx = f.etaIdx[:0]
-	f.etaVal = f.etaVal[:0]
-	f.etaNNZ = 0
-	f.occ = f.occ[:0]
-	f.etaHead = growI32(f.etaHead, m)
-	for p := range f.etaHead {
-		f.etaHead[p] = -1
-	}
-	f.resetSolveState()
+	// A base drawn fresh starts with room for the fill the workspace's
+	// last factorization had, so appending L and U rarely regrows.
+	f.lrow, f.lval = growI32(f.lrow, ws.lnnz)[:0], growF64(f.lval, ws.lnnz)[:0]
+	f.urow, f.uval = growI32(f.urow, ws.unnz)[:0], growF64(f.uval, ws.unnz)[:0]
 	if m == 0 {
 		f.lptr[0], f.uptr[0] = 0, 0
 		f.buildMirrors(ws)
@@ -431,6 +499,7 @@ func FactorizeInto(dst *Factors, ws *Workspace, m int, colIdx [][]int32, colVal 
 		f.uptr[k+1] = int32(len(f.urow))
 	}
 	ws.post, ws.stack = post[:0], stack[:0]
+	ws.lnnz, ws.unnz = len(f.lrow), len(f.urow)
 	f.buildMirrors(ws)
 	return nil
 }
@@ -470,7 +539,7 @@ func orderByCount(order, cnt []int32, colIdx [][]int32) []int32 {
 // posStep. U is mirrored by row step (urow entries are step numbers); L is
 // mirrored by the step at which each entry's row becomes pivotal, which is
 // exactly the order the backward Lᵀ scatter finalizes them.
-func (f *Factors) buildMirrors(ws *Workspace) {
+func (f *lu) buildMirrors(ws *Workspace) {
 	m := f.m
 	f.urptr = growI32(f.urptr, m+1)
 	f.lrptr = growI32(f.lrptr, m+1)
@@ -536,14 +605,14 @@ func (f *Factors) buildMirrors(ws *Workspace) {
 	}
 }
 
-// M returns the dimension of the factorized basis.
-func (f *Factors) M() int { return f.m }
-
-// Cap reports the largest basis dimension the buffer's storage holds
-// without growing: the size a caller keeping idle buffers judges it by.
-//
-//hot:path
-func (f *Factors) Cap() int { return cap(f.order) }
+// M returns the dimension of the factorized basis, 0 for a Factors that
+// holds none.
+func (f *Factors) M() int {
+	if f.lu == nil {
+		return 0
+	}
+	return f.m
+}
 
 // NumEtas reports the number of eta updates applied since factorization.
 func (f *Factors) NumEtas() int { return len(f.etas) }
@@ -581,18 +650,25 @@ func (f *Factors) Update(alpha []float64, nz []int32, r int) {
 	f.etas = append(f.etas, eta{r: int32(r), n: n, off: off, piv: alpha[r]}) //lint:allow hotalloc -- amortized eta-file growth; compacted at refactorization
 	f.etaNNZ += int(n) + 1
 	if len(f.marks) < 2*f.nmark+markWords(len(f.etas)) {
-		f.marks = append(arenaRoom(f.marks, 1, f.nmark), 0) //lint:allow hotalloc -- within the capacity arenaRoom reserved
+		f.marks = append(f.marks, 0) //lint:allow hotalloc -- amortized growth, one word per 64 etas
 	}
 }
 
-// arenaRoom returns s with room for n more entries. Storage that has to
-// grow doubles, starting at m entries, so the eta arenas of a fresh
-// factorization settle after a few growths instead of the dozen that
-// growing from empty entry by entry takes. Capacity is kept across
-// refactorizations.
+// EtaBudget is the number of eta entries (EtaNNZ) past which a view of an
+// m×m basis is due for refactorization: dense pivot columns (up to m
+// entries each) would otherwise make the product-form solves quadratic.
+func EtaBudget(m int) int { return max(8*m, 512) }
+
+// arenaRoom returns s, an eta arena of an m×m basis, with room for n more
+// entries. Storage that has to grow doubles from a third of the most an
+// eta file holds before its view is refactorized (the budget plus one
+// update) up to that size, so an arena settles after at most three
+// growths; it grows past it only for an eta file kept past its budget.
+// Capacity is kept across refactorizations.
 func arenaRoom[T any](s []T, n, m int) []T {
 	if need := len(s) + n; need > cap(s) {
-		t := make([]T, len(s), max(2*cap(s), m, need))
+		full := EtaBudget(m) + m
+		t := make([]T, len(s), max(need, min(max(2*cap(s), full/3), full)))
 		copy(t, s)
 		s = t
 	}
@@ -727,54 +803,8 @@ func (f *Factors) Ftran(v []float64, nz []int32) []int32 {
 //
 //hot:path
 func (f *Factors) Btran(v []float64, nz []int32) []int32 {
-	steps, pos, etaMarks := f.marks[:f.nmark], f.marks[f.nmark:2*f.nmark], f.marks[2*f.nmark:]
-	ne := int32(len(f.etas))
-	for _, p := range nz {
-		if v[p] != 0 && !hasMark(pos, p) {
-			setMark(pos, p)
-			f.markEtas(etaMarks, p, ne)
-		}
-	}
-	// Eta transposes in reverse pivot order. An eta none of whose positions
-	// has held a nonzero would only compute a zero, so it stays unmarked;
-	// a position turning nonzero marks the older etas on its chain, so the
-	// highest mark left is always the next eta.
-	for w := len(etaMarks) - 1; w >= 0; w-- {
-		for etaMarks[w] != 0 {
-			b := 63 - bits.LeadingZeros64(etaMarks[w])
-			etaMarks[w] &^= 1 << b
-			i := int32(w<<6 | b)
-			e := &f.etas[i]
-			s := v[e.r]
-			idx := f.etaIdx[e.off : e.off+e.n]
-			val := f.etaVal[e.off : e.off+e.n]
-			for t, ix := range idx {
-				s -= val[t] * v[ix]
-			}
-			s /= e.piv
-			v[e.r] = s
-			if s != 0 && !hasMark(pos, e.r) {
-				setMark(pos, e.r)
-				f.markEtas(etaMarks, e.r, i)
-			}
-		}
-	}
-	// Column permutation: the marked positions move to their steps, leaving
-	// v all zero.
-	z := f.scratch
-	for w, word := range pos {
-		for word != 0 {
-			p := w<<6 | bits.TrailingZeros64(word)
-			word &= word - 1
-			k := f.posStep[p]
-			z[k] = v[p]
-			v[p] = 0
-			if z[k] != 0 {
-				setMark(steps, k)
-			}
-		}
-		pos[w] = 0
-	}
+	f.btranEtas(v, nz)
+	steps, pos, z := f.marks[:f.nmark], f.marks[f.nmark:2*f.nmark], f.scratch
 	// Uᵀ solve (forward in elimination steps, scatter form over the row
 	// mirror). Writes reach only later steps; the marks stay set for Lᵀ.
 	for w := range steps {
@@ -831,6 +861,62 @@ func (f *Factors) Btran(v []float64, nz []int32) []int32 {
 	return nz
 }
 
+// btranEtas runs the first half of Btran on v, indexed by basis position
+// and zero outside the positions nz lists: the eta transposes in reverse
+// pivot order over only the etas that read or write a nonzero position,
+// then the column permutation, which moves the result into the per-step
+// scratch, marks its nonzero steps and leaves v zero.
+func (f *Factors) btranEtas(v []float64, nz []int32) {
+	steps, pos, etaMarks := f.marks[:f.nmark], f.marks[f.nmark:2*f.nmark], f.marks[2*f.nmark:]
+	ne := int32(len(f.etas))
+	for _, p := range nz {
+		if v[p] != 0 && !hasMark(pos, p) {
+			setMark(pos, p)
+			f.markEtas(etaMarks, p, ne)
+		}
+	}
+	// Eta transposes in reverse pivot order. An eta none of whose positions
+	// has held a nonzero would only compute a zero, so it stays unmarked;
+	// a position turning nonzero marks the older etas on its chain, so the
+	// highest mark left is always the next eta.
+	for w := len(etaMarks) - 1; w >= 0; w-- {
+		for etaMarks[w] != 0 {
+			b := 63 - bits.LeadingZeros64(etaMarks[w])
+			etaMarks[w] &^= 1 << b
+			i := int32(w<<6 | b)
+			e := &f.etas[i]
+			s := v[e.r]
+			idx := f.etaIdx[e.off : e.off+e.n]
+			val := f.etaVal[e.off : e.off+e.n]
+			for t, ix := range idx {
+				s -= val[t] * v[ix]
+			}
+			s /= e.piv
+			v[e.r] = s
+			if s != 0 && !hasMark(pos, e.r) {
+				setMark(pos, e.r)
+				f.markEtas(etaMarks, e.r, i)
+			}
+		}
+	}
+	// Column permutation: the marked positions move to their steps, leaving
+	// v all zero.
+	z := f.scratch
+	for w, word := range pos {
+		for word != 0 {
+			p := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			k := f.posStep[p]
+			z[k] = v[p]
+			v[p] = 0
+			if z[k] != 0 {
+				setMark(steps, k)
+			}
+		}
+		pos[w] = 0
+	}
+}
+
 // markEtas marks, in etaMarks, the etas numbered below `below` that read or
 // write position p.
 func (f *Factors) markEtas(etaMarks []uint64, p, below int32) {
@@ -860,37 +946,4 @@ func drainMarks(b []uint64, out []int32) []int32 {
 		b[w] = 0
 	}
 	return out[:n]
-}
-
-// CopyInto deep-copies f into dst, reusing dst's storage when capacity
-// allows. dst afterwards shares nothing with f: either side may be updated,
-// refactorized into, or discarded without affecting the other. Warm starts
-// adopt handed-off factors through it, and the LP solver captures its final
-// factors with it, both without allocating once dst has warmed up.
-func (f *Factors) CopyInto(dst *Factors) {
-	dst.m = f.m
-	dst.order = copyOf(dst.order, f.order)
-	dst.rowPiv = copyOf(dst.rowPiv, f.rowPiv)
-	dst.lptr = copyOf(dst.lptr, f.lptr)
-	dst.lrow = copyOf(dst.lrow, f.lrow)
-	dst.lval = copyOf(dst.lval, f.lval)
-	dst.uptr = copyOf(dst.uptr, f.uptr)
-	dst.urow = copyOf(dst.urow, f.urow)
-	dst.uval = copyOf(dst.uval, f.uval)
-	dst.udiag = copyOf(dst.udiag, f.udiag)
-	dst.urptr = copyOf(dst.urptr, f.urptr)
-	dst.urcol = copyOf(dst.urcol, f.urcol)
-	dst.urval = copyOf(dst.urval, f.urval)
-	dst.lrptr = copyOf(dst.lrptr, f.lrptr)
-	dst.lrcol = copyOf(dst.lrcol, f.lrcol)
-	dst.lrval = copyOf(dst.lrval, f.lrval)
-	dst.rowStep = copyOf(dst.rowStep, f.rowStep)
-	dst.posStep = copyOf(dst.posStep, f.posStep)
-	dst.etas = copyOf(dst.etas, f.etas)
-	dst.etaIdx = copyOf(dst.etaIdx, f.etaIdx)
-	dst.etaVal = copyOf(dst.etaVal, f.etaVal)
-	dst.etaNNZ = f.etaNNZ
-	dst.etaHead = copyOf(dst.etaHead, f.etaHead)
-	dst.occ = copyOf(dst.occ, f.occ)
-	dst.resetSolveState()
 }

@@ -298,41 +298,138 @@ func TestEtaUpdateMatchesRefactorization(t *testing.T) {
 	}
 }
 
+// TestCloneIsolation pins the sharing contract of views and captures:
+// sibling views adopt one factorization (ShareInto) and take different
+// pivots, while the parent they adopted it from pivots on, refactorizes,
+// or re-adopts an older capture of itself while a longer one is held.
+// Every view and capture must then solve, bit for bit, like a deep copy
+// (CopyInto) taken when it was made that took the same pivots: no view may
+// see another's etas, or a base another rewrote.
 func TestCloneIsolation(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	m := 12
-	colIdx, colVal := randBasis(rng, m, 0.3)
-	f, err := Factorize(m, colIdx, colVal)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name                  string
+		m, parentEtas, pivots int
+		capture               bool // the siblings adopt a capture of the parent
+		refactor              bool // the parent then factorizes another basis
+		release               bool // the capture is released once adopted
+		readopt               bool // the parent pivots, is captured again, and re-adopts the first capture
+	}{
+		{"capture-without-etas", 40, 0, 5, true, false, false, false},
+		{"capture-with-etas", 40, 6, 5, true, false, false, false},
+		{"share-the-parent", 65, 6, 8, false, false, false, false},
+		{"parent-refactorizes", 64, 3, 4, true, true, false, false},
+		{"capture-released-early", 130, 12, 6, true, true, true, false},
+		{"parent-readopts", 70, 5, 6, true, false, false, true},
+		{"parent-readopts-then-refactorizes", 130, 9, 7, true, true, false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(3))
+			colIdx, colVal := slackHeavyBasis(rng, tc.m)
+			ws := NewWorkspace()
+			parent := &Factors{}
+			if err := FactorizeInto(parent, ws, tc.m, colIdx, colVal); err != nil {
+				t.Fatal(err)
+			}
+			addEtas(t, rng, parent, tc.parentEtas)
+			src := parent
+			if tc.capture {
+				src = ws.Capture(parent, nil)
+			}
+			views := []*Factors{parent, {}, {}}
+			refs := []*Factors{{}, {}, {}}
+			for i := range views {
+				if i > 0 {
+					src.ShareInto(views[i], ws)
+				}
+				parent.CopyInto(refs[i])
+			}
+			if tc.release {
+				ws.Release(src)
+			}
+			var later, laterRef *Factors
+			if tc.readopt {
+				// A longer capture of the parent's arena, then the parent
+				// back at the first one: the second must keep what it read.
+				addEtas(t, rand.New(rand.NewSource(99)), parent, tc.pivots)
+				later, laterRef = ws.Capture(parent, nil), &Factors{}
+				parent.CopyInto(laterRef)
+				src.ShareInto(parent, ws)
+			}
+			// Each view and its deep copy take the same pivots, which
+			// differ from view to view.
+			for i, v := range views {
+				if i == 0 && tc.refactor {
+					// The parent moves on to another basis.
+					colIdx, colVal := slackHeavyBasis(rng, tc.m)
+					if err := FactorizeInto(v, ws, tc.m, colIdx, colVal); err != nil {
+						t.Fatal(err)
+					}
+					if err := FactorizeInto(refs[i], NewWorkspace(), tc.m, colIdx, colVal); err != nil {
+						t.Fatal(err)
+					}
+				}
+				addEtas(t, rand.New(rand.NewSource(int64(100+i))), v, tc.pivots)
+				addEtas(t, rand.New(rand.NewSource(int64(100+i))), refs[i], tc.pivots)
+			}
+			if later != nil {
+				v := &Factors{}
+				later.ShareInto(v, ws)
+				views, refs = append(views, v), append(refs, laterRef)
+			}
+			for i, v := range views {
+				if msg := solveMismatch(rand.New(rand.NewSource(int64(200+i))), v, refs[i]); msg != "" {
+					t.Fatalf("view %d (%d etas): %s", i, v.NumEtas(), msg)
+				}
+			}
+		})
 	}
-	alpha := make([]float64, m)
-	for i := range alpha {
-		alpha[i] = rng.NormFloat64()
-	}
-	alpha[4] = 2
-	f.Update(alpha, allIdx(m), 4)
+}
 
-	clone := &Factors{}
-	f.CopyInto(clone)
-	if clone.NumEtas() != 1 || clone.EtaNNZ() != f.EtaNNZ() {
-		t.Fatalf("clone eta state: %d etas, nnz %d", clone.NumEtas(), clone.EtaNNZ())
+// solveMismatch runs the same unit, sparse and dense right-hand sides
+// through f's and ref's Ftran and Btran and returns "" when every result
+// and pattern is equal bit for bit (+0 and -0 counted equal), and the
+// first difference otherwise.
+func solveMismatch(rng *rand.Rand, f, ref *Factors) string {
+	m := f.M()
+	v, w := make([]float64, m), make([]float64, m)
+	nz, nzRef := make([]int32, 0, m), make([]int32, 0, m)
+	for _, rhs := range []string{"unit", "sparse", "dense"} {
+		for _, solve := range []string{"ftran", "btran"} {
+			clear(v)
+			nz = nz[:0]
+			switch rhs {
+			case "unit":
+				i := rng.Intn(m)
+				v[i] = 1
+				nz = append(nz, int32(i))
+			case "sparse":
+				idx, val := sparseColumn(rng, m)
+				for k, i := range idx {
+					v[i] += val[k]
+				}
+				nz = append(nz, idx...)
+			default:
+				for i := range v {
+					v[i] = rng.NormFloat64()
+					nz = append(nz, int32(i))
+				}
+			}
+			copy(w, v)
+			nzRef = append(nzRef[:0], nz...)
+			if solve == "ftran" {
+				nz, nzRef = f.Ftran(v, nz), ref.Ftran(w, nzRef)
+			} else {
+				nz, nzRef = f.Btran(v, nz), ref.Btran(w, nzRef)
+			}
+			if fmt.Sprint(nz) != fmt.Sprint(nzRef) {
+				return fmt.Sprintf("%s %s: pattern %v, deep copy %v", rhs, solve, nz, nzRef)
+			}
+			if msg := tranMismatch(v, w, nz); msg != "" {
+				return fmt.Sprintf("%s %s: %s", rhs, solve, msg)
+			}
+		}
 	}
-	// Updating the clone must not leak into the original, and vice versa.
-	clone.Update(alpha, allIdx(m), 5)
-	f.Update(alpha, allIdx(m), 6)
-	if f.NumEtas() != 2 || clone.NumEtas() != 2 {
-		t.Fatalf("eta counts after divergent updates: f=%d clone=%d", f.NumEtas(), clone.NumEtas())
-	}
-	b := make([]float64, m)
-	b[0] = 1
-	x1 := append([]float64(nil), b...)
-	ftranAll(clone, x1) // must not disturb f's scratch mid-use (separate buffers)
-	x2 := append([]float64(nil), b...)
-	ftranAll(f, x2)
-	if f.etas[1].r == clone.etas[1].r {
-		t.Fatal("divergent etas alias")
-	}
+	return ""
 }
 
 func TestDeterministicFactorization(t *testing.T) {
@@ -685,5 +782,24 @@ func TestOrderByCountMatchesSliceStable(t *testing.T) {
 			cnt = nil
 		}
 		cnt = check("random", cols(counts...), cnt)
+	}
+}
+
+// TestPruneKeepsOnlyWhatFits pins Workspace.Prune: it drops the pooled
+// bases above the dimension bound and the idle captures above the eta
+// bound, and keeps at most the given number of each.
+func TestPruneKeepsOnlyWhatFits(t *testing.T) {
+	ws := NewWorkspace()
+	for _, m := range []int{8, 40, 8, 8, 8} {
+		ws.bases = append(ws.bases, &lu{order: make([]int32, m)})
+		ws.idle = append(ws.idle, &Factors{etaIdx: make([]int32, 0, 10*m)})
+	}
+	ws.Prune(20, 1000, 3)
+	if bases, caps, maxM, _ := ws.Idle(); bases != 3 || caps != 3 || maxM > 20 {
+		t.Fatalf("after Prune(20, …, 3) the pool holds %d bases (up to dimension %d) and %d captures, want 3 of each within 20", bases, maxM, caps)
+	}
+	ws.Prune(20, 79, 3)
+	if _, caps, _, maxEta := ws.Idle(); caps != 0 {
+		t.Fatalf("Prune kept %d captures of up to %d eta entries over the bound 79", caps, maxEta)
 	}
 }

@@ -97,11 +97,11 @@ func (inst *Instance) RowBounds(i int) (lb, ub float64) {
 // preserved because the new duals start at zero). The new slacks append
 // to the slack block, so every old index keeps its meaning. When wf holds
 // the LU factors matching b, they are extended with a bordered block
-// (sparselu.ExtendInto, into a solver-owned buffer installed as s.preFac)
+// (sparselu.ExtendInto, into the solver's view, flagged by s.extended)
 // so the hot restart skips refactorization entirely.
 //
 // Returns nil if b does not look like a basis of this instance with fewer
-// rows; returns the extended basis with s.preFac unset if only the basis
+// rows; returns the extended basis with s.extended unset if only the basis
 // could be extended (the adopting solver then refactorizes).
 func (s *solver) extendWarmStart(b *Basis, wf *sparselu.Factors) *Basis {
 	inst := s.inst
@@ -157,11 +157,10 @@ func (s *solver) extendWarmStart(b *Basis, wf *sparselu.Factors) *Basis {
 	for _, j := range b.Basic {
 		s.posOf[j] = -1
 	}
-	dst := s.grabFacBuf()
-	if err := wf.ExtendInto(dst, s.facWS, shift, s.extIdx, s.extVal, s.extDiag); err != nil {
+	if err := wf.ExtendInto(&s.view, inst.facWS, shift, s.extIdx, s.extVal, s.extDiag); err != nil {
 		return eb
 	}
-	s.preFac = dst
+	s.extended = true
 	DebugBasisExtensions.Add(1)
 	return eb
 }

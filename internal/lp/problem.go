@@ -236,11 +236,11 @@ type Result struct {
 	BoundFlips  int
 	RatioPasses int
 	// Factors is the LU factorization matching Basis. Solve leaves it nil;
-	// Instance.CaptureFactors fills it, into a buffer the caller owns, for
-	// the callers that will read it. Handing it back as
+	// Instance.CaptureFactors fills it with a capture: a hold on the
+	// solver's LU base, which it does not copy, and a copy of its eta file.
+	// Handing it to
 	// Options.WarmFactors of a later solve warm-starts that solve without a
-	// refactorization, which is what makes a branch-and-bound node's solve
-	// a pure function of the node.
+	// refactorization; hand it back with Instance.Reuse once no solve will.
 	Factors *sparselu.Factors
 	// WarmUsed reports that this result came from a successful warm-started
 	// dual-simplex run (rather than the cold fallback). Unlike the
@@ -264,10 +264,10 @@ type Result struct {
 type Options struct {
 	WarmBasis *Basis // if non-nil, attempt a dual-simplex warm start
 	// WarmFactors, when non-nil, is the LU factorization of WarmBasis
-	// (typically a prior Result.Factors). The warm start copies it into
-	// solver-owned storage instead of refactorizing, making the solve a
-	// pure function of its inputs; the solve only reads it. The caller must
-	// guarantee the factors actually belong to WarmBasis.
+	// (typically a prior Result.Factors). The warm start shares its LU base
+	// and copies its eta file instead of refactorizing; the pivots it takes
+	// never reach the capture, which any number of solves may adopt. The
+	// caller must guarantee the factors actually belong to WarmBasis.
 	WarmFactors *sparselu.Factors
 	// Deadline aborts the solve (StatusIterLimit) once passed. Zero means
 	// no deadline. Checked every few dozen iterations.

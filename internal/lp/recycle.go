@@ -1,26 +1,24 @@
 package lp
 
-import "tvnep/internal/linalg/sparselu"
-
-// spares is what a recompiled instance keeps for the solves of the problems
-// it is compiled for next (see Recompile): idle LU factor buffers, basis
-// snapshots and solution and dual vectors of results its callers have
-// finished reading (see Factors and Reuse), and the size rule that bounds
-// them, the compiled storage and the workspace. Recycled storage is zeroed
-// or overwritten exactly as fresh storage is, so which piece a solve
-// receives never changes a result.
+// spares is what an instance keeps of the results its callers have
+// finished reading (see Reuse): basis snapshots and solution and dual
+// vectors, for its later solves, and the size rule that bounds them, the
+// compiled storage, the workspace and the factorization workspace's pool
+// across the problems Recompile compiles into it. Recycled storage is
+// zeroed or overwritten exactly as fresh storage is, so which piece a
+// solve receives never changes a result.
 type spares struct {
 	// on is set by the first Recompile. An instance that is never
-	// recompiled keeps nothing and sizes its storage exactly.
+	// recompiled sizes its storage exactly and keeps what Reuse hands back
+	// for as long as it lives, which is one solve or search.
 	on bool
 	// peak is a decaying maximum of the sizes (structural plus slack
 	// columns) the instance's problems grew to: each Recompile raises it to
-	// the last problem's size or lowers it by 1/peakDecay. The instance
-	// keeps storage only while its capacity is within twice peak.
+	// the last problem's size or lowers it by 1/peakDecay. A recompiled
+	// instance keeps storage only while its capacity is within twice peak.
 	peak int
-	// Idle factor buffers (at most factorSlots), bases, and solution and
-	// dual vectors (at most bufferSlots each).
-	facs  []*sparselu.Factors
+	// Idle bases, and solution and dual vectors (at most bufferSlots
+	// each).
 	bases []*Basis
 	vecs  [2][][]float64 // indexed by solutionVec and dualVec
 }
@@ -39,20 +37,21 @@ const (
 // sizes that recur every few problems stays.
 const peakDecay = 16
 
-// factorSlots caps the idle factor buffers. A serial branch-and-bound
-// search holds one per branch whose children are not both retired, plus
-// its dive buffer; over the 4000-request admission traces of seeds 1 and 3,
-// 95% of the searches hold at most 4 at once (EXPERIMENTS.md, "Garbage-free
-// branch and bound"). A buffer is sized by its basis dimension, 50–100 kB at
-// admission sizes, and every slot is retained heap for the rest of the
-// stream: a fifth slot saved about 4% of a decision's bytes and kept up to
-// 0.09 MiB more at rest.
+// factorSlots caps the LU bases and the idle captures the factorization
+// workspace keeps across a Recompile (see sparselu.Workspace.Prune). A
+// serial branch-and-bound search holds one capture per branch whose
+// children are not both retired, plus its dive capture; over the
+// 4000-request admission traces of seeds 1 and 3, 95% of the searches hold
+// at most 4 at once (EXPERIMENTS.md, "Garbage-free branch and bound"). A
+// base is sized by its basis dimension, a capture by its eta file, and
+// every slot is retained heap for the rest of the stream. Within one
+// problem's solves the workspace keeps all of them.
 const factorSlots = 4
 
 // bufferSlots caps each idle list of bases, solution vectors and dual
-// vectors: a basis follows its factor buffer, so a search holds about as
-// many, but each is a few kilobytes, so the list is long enough for more
-// than 99% of the searches of the same traces.
+// vectors: a basis follows its capture, so a search holds about as many,
+// but each is a few kilobytes, so the list is long enough for more than
+// 99% of the searches of the same traces.
 const bufferSlots = 8
 
 // Recompile compiles p into inst in place of the problem it held, for a
@@ -66,43 +65,39 @@ const bufferSlots = 8
 // Recompile is also where the instance decides what it keeps. It raises
 // its peak to the size the last problem grew to (rows and columns appended
 // included) or lowers it by 1/peakDecay, and drops the workspace, the
-// compiled storage and every idle buffer whose capacity is more than twice
-// the peak: storage grown for an unusually large problem would otherwise
-// pin that footprint for the rest of the stream, while storage for sizes
-// that keep recurring is kept however small the problem compiled into it.
+// compiled storage, every idle buffer, pooled LU base and idle capture
+// whose capacity (for a base its dimension, for a capture its eta
+// entries) is more than twice the peak, and all but factorSlots bases and
+// captures: storage grown for an unusually large problem would otherwise pin that
+// footprint for the rest of the stream, while storage for sizes that keep
+// recurring is kept however small the problem compiled into it.
 func (inst *Instance) Recompile(p *Problem) {
 	sp := &inst.spares
 	sp.on = true
 	if s := inst.sv; s != nil {
 		sp.peak = max(s.N, sp.peak-sp.peak/peakDecay)
 		sp.prune()
+		inst.facWS.Prune(2*sp.peak, 2*sp.peak, factorSlots)
 		// Drop every reference to the last problem and the caller's warm
 		// start, so the next solve refits the workspace for p.
-		s.inst, s.fac, s.preFac, s.opts = nil, nil, nil, Options{}
+		s.inst, s.fac, s.extended, s.opts = nil, nil, false, Options{}
 		clear(s.refIdx)
 		clear(s.refVal)
 		if !sp.fits(cap(s.lb)) {
-			// The factor buffers' size tracks the basis dimension, not
-			// the workspace's: they may still be kept.
-			for _, f := range s.facBuf {
-				if f != nil {
-					sp.facs = keep(sp, sp.facs, factorSlots, f, f.Cap())
-				}
-			}
 			inst.sv = nil
 		}
 	}
 	// lb (n+m, with the room of compile and the rows appended since) has the
 	// compiled storage's dimensions.
 	if !sp.fits(cap(inst.lb)) {
-		*inst = Instance{sv: inst.sv, spares: inst.spares}
+		*inst = Instance{sv: inst.sv, spares: inst.spares, facWS: inst.facWS}
 	}
 	inst.compile(p)
 }
 
 // fits reports whether storage of capacity c is within what the instance
-// keeps: twice the peak.
-func (sp *spares) fits(c int) bool { return c <= 2*sp.peak }
+// keeps: twice the peak once it is recompiled, anything before.
+func (sp *spares) fits(c int) bool { return !sp.on || c <= 2*sp.peak }
 
 // room returns the capacity the instance's storage of k entries grows to
 // when it has to grow: on a recompiled instance a sixteenth of headroom, so
@@ -122,7 +117,6 @@ func (inst *Instance) room(k int) int {
 // for a size the stream stopped producing goes whether or not a caller
 // hands it back again.
 func (sp *spares) prune() {
-	sp.facs = dropUnfit(sp, sp.facs, (*sparselu.Factors).Cap)
 	sp.bases = dropUnfit(sp, sp.bases, func(b *Basis) int { return cap(b.Status) })
 	for k := range sp.vecs {
 		sp.vecs[k] = dropUnfit(sp, sp.vecs[k], func(v []float64) int { return cap(v) })
@@ -143,57 +137,19 @@ func dropUnfit[T any](sp *spares, list []T, size func(T) int) []T {
 	return list[:k]
 }
 
-// Factors returns the idle factor buffer best fitting a basis of dimension
-// m — the smallest that holds it without growing, else the largest — or a
-// new one when the instance keeps none. The caller owns it until it hands
-// it back with Reuse.
-func (inst *Instance) Factors(m int) *sparselu.Factors {
-	l := inst.spares.facs
-	best := -1
-	for i, f := range l {
-		if best < 0 || servesBetter(f.Cap(), l[best].Cap(), m) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return &sparselu.Factors{}
-	}
-	f := l[best]
-	l[best] = l[len(l)-1]
-	clear(l[len(l)-1:])
-	inst.spares.facs = l[:len(l)-1]
-	return f
-}
-
-// servesBetter reports whether storage of capacity a serves size N better
-// than storage of capacity b: storage that holds N beats storage that has
-// to grow; of two that hold it the smaller wins, of two that grow the
-// larger.
-func servesBetter(a, b, N int) bool {
-	if (a >= N) != (b >= N) {
-		return a >= N
-	}
-	if a >= N {
-		return a < b
-	}
-	return a > b
-}
-
 // Reuse hands the storage of a result back to the instance: every non-nil
 // one of res's X, Duals, Basis and Factors. The caller must be done reading
 // each of them, and so must everyone it shared them with: a later solve on
-// the instance overwrites them. Each is kept under the instance's rules (at
-// most factorSlots or bufferSlots of a kind, capacity within twice the
-// recently seen sizes) and dropped otherwise; an instance that was never
-// recompiled keeps none. A factor buffer is judged by its basis dimension,
-// which is below the problem size the peak counts.
+// the instance overwrites them. X, Duals and Basis are kept under the
+// instance's rules (at most bufferSlots of a kind and, once recompiled,
+// capacity within twice the recently seen sizes) and dropped otherwise.
+// Factors must be a capture no solve will adopt again: its hold on its LU
+// base ends (the base returns to the instance's pool once no view holds
+// it) and its eta storage waits for the next CaptureFactors.
 //
 //hot:path
 func (inst *Instance) Reuse(res Result) {
 	sp := &inst.spares
-	if !sp.on {
-		return
-	}
 	if res.X != nil {
 		sp.vecs[solutionVec] = keep(sp, sp.vecs[solutionVec], bufferSlots, res.X, cap(res.X))
 	}
@@ -204,7 +160,7 @@ func (inst *Instance) Reuse(res Result) {
 		sp.bases = keep(sp, sp.bases, bufferSlots, b, cap(b.Status))
 	}
 	if f := res.Factors; f != nil {
-		sp.facs = keep(sp, sp.facs, factorSlots, f, f.Cap())
+		inst.facWS.Release(f)
 	}
 }
 

@@ -54,16 +54,6 @@ func refactorEvery(m int) int {
 	return 120
 }
 
-// etaNNZBudget bounds the total eta-file size before a refactorization is
-// forced regardless of the update count: dense pivot columns (up to m
-// entries each) would otherwise make the product-form solves quadratic.
-func etaNNZBudget(m int) int {
-	if n := 8 * m; n > 512 {
-		return n
-	}
-	return 512
-}
-
 // Instance is a solvable snapshot of a Problem with mutable column bounds.
 // It caches the sparse column-wise matrix in equilibrated (scaled) form; the
 // branch-and-bound solver mutates bounds between solves instead of
@@ -128,6 +118,12 @@ type Instance struct {
 	// spares is the storage the instance recycles across the problems
 	// Recompile compiles into it (see recycle.go).
 	spares spares
+	// facWS is the factorization workspace of the instance's solves: the
+	// kernels' scratch, the pool of LU bases no view holds, and the
+	// captures handed back with Reuse. It lives as long as the instance, so
+	// a search's captures and refactorizations recycle one another's
+	// storage, and Recompile keeps it.
+	facWS *sparselu.Workspace
 }
 
 // NewInstance compiles p into column-major form and equilibrates it.
@@ -191,24 +187,23 @@ func (inst *Instance) compile(p *Problem) {
 	inst.equilibrate()
 }
 
-// CaptureFactors sets res.Factors to a copy of the LU factorization matching
-// res.Basis, where res is the result of the instance's latest Solve (no
-// other Solve or Recompile may come in between). The copy goes into dst,
-// reusing its storage, or into fresh storage when dst is nil; either way the
-// caller owns it and may hand it to any instance's solve as
-// Options.WarmFactors. res.Factors is set to nil, and dst left untouched,
-// when res carries no basis.
+// CaptureFactors sets res.Factors to a capture of the LU factorization
+// matching res.Basis, where res is the result of the instance's latest
+// Solve (no other Solve or Recompile may come in between): a hold on the
+// solver's LU base, which no solve rewrites while the capture holds it,
+// and a copy of its eta file (sparselu.Factors.CaptureInto). The capture
+// goes into dst, reusing its storage, or, when dst is nil, into one handed
+// back with Reuse or fresh storage. The caller may hand it to any
+// instance's solve as Options.WarmFactors, any number of times, and hands
+// it back with Reuse once no solve will adopt it again. res.Factors is set
+// to nil, and dst left untouched, when res carries no basis.
 func (inst *Instance) CaptureFactors(res *Result, dst *sparselu.Factors) {
 	res.Factors = nil
 	s := inst.sv
 	if res.Basis == nil || s == nil || s.fac == nil || s.fac.M() != len(res.Basis.Basic) {
 		return
 	}
-	if dst == nil {
-		dst = &sparselu.Factors{}
-	}
-	s.fac.CopyInto(dst)
-	res.Factors = dst
+	res.Factors = inst.facWS.Capture(s.fac, dst)
 }
 
 // FarkasRay returns the Farkas ray of res, the result of the instance's
@@ -274,26 +269,22 @@ type solver struct {
 	basis   []int32   // length m
 	inBasis []int32   // length N, row position or -1
 
-	fac *sparselu.Factors // sparse LU of the basis + eta updates
+	fac *sparselu.Factors // sparse LU of the basis + eta updates: nil or &view
 	xB  []float64         // basic variable values
 
-	// Factorization buffers: the active factorization always lives in one
-	// of these two solver-owned buffers (never handed out —
-	// Instance.CaptureFactors copies into a caller-owned buffer), so
-	// refactorizations and warm-factor adoptions reuse their storage. Two
-	// buffers because a mid-solve refactorization must not destroy the
-	// current factors before it succeeds.
-	facBuf [2]*sparselu.Factors
-	facCur int
-	facWS  *sparselu.Workspace
+	// view is the solver's factorization: a hold on an LU base of the
+	// instance's pool, or on the one of the warm factors it adopted, and an
+	// eta file of its own. Refactorizations build a new base and keep the
+	// old one until they succeed; the base a capture holds is never
+	// rewritten.
+	view   sparselu.Factors
 	refIdx [][]int32 // refactorization column headers, length m
 	refVal [][]float64
 	// unitIdx[i] = i, length m: the index storage of the slack columns.
 	unitIdx []int32
-	// preFac, when set by extendWarmStart, is a solver-owned buffer already
-	// holding the bordered extension of the caller's WarmFactors; adoptBasis
-	// installs it directly instead of copying WarmFactors.
-	preFac *sparselu.Factors
+	// extended is set by extendWarmStart once view holds the bordered
+	// extension of the caller's WarmFactors; adoptBasis installs it.
+	extended bool
 	// extendWarmStart scratch: the extended basis, border rows in basis
 	// positions, their diagonal, and the basic-column → position lookup
 	// (-1-initialized).
@@ -393,8 +384,11 @@ func (s *solver) fixedCol(j int) bool {
 func newSolver(inst *Instance, opts Options) *solver {
 	s := inst.sv
 	if s == nil {
-		s = &solver{facWS: sparselu.NewWorkspace()}
+		s = &solver{}
 		inst.sv = s
+	}
+	if inst.facWS == nil {
+		inst.facWS = sparselu.NewWorkspace()
 	}
 	if s.inst != inst || s.m != inst.m || s.N != inst.n+inst.m {
 		s.fit(inst)
@@ -440,7 +434,6 @@ func (s *solver) fit(inst *Instance) {
 	for i := range s.unitIdx {
 		s.unitIdx[i] = int32(i)
 	}
-	s.facCur = 0
 }
 
 // room returns the capacities the workspace's N- and m-sized slices grow
@@ -502,7 +495,7 @@ func (s *solver) reset(opts Options) {
 	s.ratioPass = 0
 	s.dValid, s.dFresh, s.xbFresh, s.yFresh, s.infeasOK = false, false, false, false, false
 	s.fac = nil
-	s.preFac = nil
+	s.extended = false
 	for j := range s.devexW {
 		s.devexW[j] = 1
 	}
@@ -540,27 +533,6 @@ func (s *solver) reset(opts Options) {
 		s.real[j] = 0
 		s.cost[j] = 0
 	}
-}
-
-// grabFacBuf returns the inactive solver-owned factorization buffer (see
-// spareFacBuf) and makes it the active one. The caller installs the result
-// as s.fac after filling it; the previously active buffer then becomes the
-// spare.
-func (s *solver) grabFacBuf() *sparselu.Factors {
-	f := s.spareFacBuf()
-	s.facCur = 1 - s.facCur
-	return f
-}
-
-// spareFacBuf returns the inactive solver-owned factorization buffer,
-// drawing it from the instance's idle buffers (or allocating it) on first
-// use.
-func (s *solver) spareFacBuf() *sparselu.Factors {
-	next := 1 - s.facCur
-	if s.facBuf[next] == nil {
-		s.facBuf[next] = s.inst.Factors(s.m)
-	}
-	return s.facBuf[next]
 }
 
 // negUnitVal is the shared single-entry value slice of the slack unit
@@ -699,13 +671,11 @@ func (s *solver) refactor() error {
 	for pos := 0; pos < m; pos++ {
 		s.refIdx[pos], s.refVal[pos] = s.col(int(s.basis[pos]))
 	}
-	// Factorize into the spare buffer so a failure leaves s.fac usable.
-	spare := s.spareFacBuf()
-	if err := sparselu.FactorizeInto(spare, s.facWS, m, s.refIdx, s.refVal); err != nil {
+	// A failure leaves the view, and so s.fac, as it was.
+	if err := sparselu.FactorizeInto(&s.view, s.inst.facWS, m, s.refIdx, s.refVal); err != nil {
 		return err
 	}
-	s.facCur = 1 - s.facCur
-	s.fac = spare
+	s.fac = &s.view
 	s.sincefac = 0
 	s.yFresh = false
 	return nil
@@ -739,7 +709,7 @@ func (s *solver) pivot(q int, r int, enterVal float64, leaveStat int8) {
 	s.lastPivotQ = q
 	s.xbFresh = false
 	s.yFresh = false
-	if s.sincefac >= refactorEvery(s.m) || s.fac.EtaNNZ() >= etaNNZBudget(s.m) {
+	if s.sincefac >= refactorEvery(s.m) || s.fac.EtaNNZ() >= sparselu.EtaBudget(s.m) {
 		if err := s.refactor(); err == nil { //lint:allow hotalloc -- periodic refactorization is the amortized cold path
 			s.computeXB()
 			s.dValid = false // refresh reduced costs against numerical drift
@@ -789,20 +759,20 @@ func (s *solver) adoptBasis(b *Basis) bool {
 		s.vstat[j] = vsBasic
 	}
 	adopted := false
-	if s.preFac != nil {
-		// extendWarmStart already built the bordered extension in a
-		// solver-owned buffer; install it directly.
-		s.fac = s.preFac
-		s.preFac = nil
+	if s.extended {
+		// extendWarmStart already built the bordered extension in the
+		// view; install it directly.
+		s.fac = &s.view
+		s.extended = false
 		adopted = true
 	} else if wf := s.opts.WarmFactors; wf != nil && wf.M() == s.m {
 		// Explicit factor handoff (Result.Factors of the solve that produced
-		// b). Deep-copied into a solver-owned buffer so this solver's eta
-		// updates stay out of the caller's copy, which siblings share; the
-		// copy reuses the buffer's storage, so steady-state handoffs do not
+		// b). The view shares its LU base and copies its eta file, so this
+		// solver's pivots stay out of the capture, which siblings share; the
+		// copy reuses the view's storage, so steady-state handoffs do not
 		// allocate.
-		wf.CopyInto(s.grabFacBuf())
-		s.fac = s.facBuf[s.facCur]
+		wf.ShareInto(&s.view, s.inst.facWS)
+		s.fac = &s.view
 		adopted = true
 		DebugFactorHandoffs.Add(1)
 	}

@@ -89,7 +89,7 @@ func (inst *Instance) solveWarm(o Options, maxIters int) (res Result, iters int,
 	if len(wb.Basic) < s.m {
 		// The basis predates rows appended by AppendRow: extend it (new
 		// slacks basic) and, when the factor handoff matches, extend the LU
-		// factors too (into a solver-owned buffer, installed via s.preFac).
+		// factors too (into the solver's view, flagged by s.extended).
 		// The extended point stays dual feasible, so the usual dual →
 		// primal-polish restart below applies unchanged.
 		eb := s.extendWarmStart(wb, o.WarmFactors)
@@ -97,8 +97,8 @@ func (inst *Instance) solveWarm(o Options, maxIters int) (res Result, iters int,
 			return Result{}, 0, false
 		}
 		wb = eb
-		extended = s.preFac != nil
-		s.opts.WarmFactors = nil // preFac or refactorization, never a raw copy
+		extended = s.extended
+		s.opts.WarmFactors = nil // the extension or a refactorization, never the unextended factors
 	}
 	if !s.adoptBasis(wb) {
 		return Result{}, 0, false

@@ -3,7 +3,6 @@ package lp
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
@@ -186,7 +185,7 @@ func TestCompileMatchesFresh(t *testing.T) {
 		if inst.sv != sv {
 			t.Fatalf("%d×%d: Recompile dropped the workspace of the problem it saw last", tc.m, tc.n)
 		}
-		if sv.inst != nil || sv.fac != nil || sv.preFac != nil || sv.opts.WarmBasis != nil || sv.opts.WarmFactors != nil {
+		if sv.inst != nil || sv.fac != nil || sv.extended || sv.opts.WarmBasis != nil || sv.opts.WarmFactors != nil {
 			t.Fatalf("%d×%d: the kept workspace still holds the previous problem or its warm start", tc.m, tc.n)
 		}
 		fresh := NewInstance(p)
@@ -205,13 +204,15 @@ func TestCompileMatchesFresh(t *testing.T) {
 // across its problems: storage grown for a large problem survives a small
 // one recompiled right after it, because the instance has just seen the
 // large size; it goes once the instance has seen only small problems for a
-// while, instead of pinning its peak footprint, and so do the idle buffers
-// the lowered peak no longer fits; and an instance that is never recompiled
-// keeps nothing.
+// while, instead of pinning its peak footprint, and so do the idle buffers,
+// LU bases and captures the lowered peak no longer fits; and an instance
+// that is never recompiled keeps what its own solves hand back, for its
+// later solves.
 func TestRecompileKeepsOnlyWhatFits(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
+	const bigRows = 60
 	small, _ := buildRandomLP(rng, 10, 6)
-	big, _ := buildRandomLP(rng, 100, 60)
+	big, _ := buildRandomLP(rng, 100, bigRows)
 	// grown returns an instance that solved big twice, the result of the
 	// second solve handed back to it.
 	grown := func(t *testing.T) *Instance {
@@ -226,7 +227,7 @@ func TestRecompileKeepsOnlyWhatFits(t *testing.T) {
 			inst.Reuse(res)
 		}
 		sp := inst.spares
-		if len(sp.facs) != 1 || len(sp.bases) != 1 || len(sp.vecs[solutionVec]) != 1 || len(sp.vecs[dualVec]) != 1 {
+		if _, caps, _, _ := inst.facWS.Idle(); caps != 1 || len(sp.bases) != 1 || len(sp.vecs[solutionVec]) != 1 || len(sp.vecs[dualVec]) != 1 {
 			t.Fatal("the instance did not keep a result of the problem it sized itself for")
 		}
 		return inst
@@ -257,10 +258,12 @@ func TestRecompileKeepsOnlyWhatFits(t *testing.T) {
 				}
 				inst.Recompile(small)
 				sp := &inst.spares
-				for _, f := range sp.facs {
-					if !sp.fits(f.Cap()) {
-						t.Fatalf("recompile %d: kept a factor buffer of capacity %d over peak %d", recompiles, f.Cap(), sp.peak)
-					}
+				bases, caps, maxM, maxEta := inst.facWS.Idle()
+				if bases > factorSlots || caps > factorSlots {
+					t.Fatalf("recompile %d: kept %d LU bases and %d captures, over %d slots", recompiles, bases, caps, factorSlots)
+				}
+				if !sp.fits(maxM) || !sp.fits(maxEta) {
+					t.Fatalf("recompile %d: kept an LU base of dimension %d or a capture of %d eta entries over peak %d", recompiles, maxM, maxEta, sp.peak)
 				}
 				for _, b := range sp.bases {
 					if !sp.fits(cap(b.Status)) {
@@ -285,9 +288,15 @@ func TestRecompileKeepsOnlyWhatFits(t *testing.T) {
 					break
 				}
 			}
-			// The large result's pieces are smaller than the workspace
-			// but still large beside the small problem's.
-			for recompiles := 1; len(inst.spares.facs)+len(inst.spares.bases)+len(inst.spares.vecs[solutionVec])+len(inst.spares.vecs[dualVec]) > 0; recompiles++ {
+			// The large result's pieces, its LU bases among them, are
+			// smaller than the workspace but still large beside the small
+			// problem's.
+			largeKept := func() bool {
+				_, _, maxM, _ := inst.facWS.Idle()
+				sp := &inst.spares
+				return maxM >= bigRows || len(sp.bases)+len(sp.vecs[solutionVec])+len(sp.vecs[dualVec]) > 0
+			}
+			for recompiles := 1; largeKept(); recompiles++ {
 				if recompiles > 4*peakDecay {
 					t.Fatalf("idle buffers of a much larger problem are still kept after %d more small ones", recompiles)
 				}
@@ -299,13 +308,18 @@ func TestRecompileKeepsOnlyWhatFits(t *testing.T) {
 			inst := NewInstance(big)
 			res := inst.Solve(nil)
 			inst.CaptureFactors(&res, nil)
+			f := res.Factors
 			inst.Reuse(res)
 			sp := inst.spares
-			if len(sp.facs)+len(sp.bases)+len(sp.vecs[solutionVec])+len(sp.vecs[dualVec]) != 0 {
-				t.Fatal("an instance that was never recompiled kept storage handed back to it")
+			if _, caps, _, _ := inst.facWS.Idle(); caps != 1 || len(sp.bases) != 1 || len(sp.vecs[solutionVec]) != 1 || len(sp.vecs[dualVec]) != 1 {
+				t.Fatal("an instance that was never recompiled dropped storage handed back to it")
 			}
-			if again := inst.Solve(nil); &again.X[0] == &res.X[0] || again.Basis == res.Basis {
-				t.Fatal("a solve on an instance that was never recompiled reused handed-back storage")
+			again := inst.Solve(nil)
+			if &again.X[0] != &res.X[0] || again.Basis != res.Basis {
+				t.Fatal("a solve on an instance that was never recompiled did not reuse handed-back storage")
+			}
+			if inst.CaptureFactors(&again, nil); again.Factors != f {
+				t.Fatal("a capture on an instance that was never recompiled did not reuse a handed-back one")
 			}
 		}},
 	} {
@@ -357,9 +371,9 @@ func TestRecycledWorkspaceMatchesFresh(t *testing.T) {
 // TestReleaseKeepsOnlyWhatFits pins what becomes of a workspace: an
 // instance that is never recompiled keeps its workspace across its solves;
 // a recompiled instance releases a workspace grown for a wide problem once
-// a run of narrow problems has lowered its peak, but keeps the factor
-// buffers that workspace held, which are sized by the basis dimension, and
-// the next solve's workspace draws them.
+// a run of narrow problems has lowered its peak, but keeps the LU bases
+// its factorization pool holds, which are sized by the basis dimension,
+// for the next solve's refactorizations.
 func TestReleaseKeepsOnlyWhatFits(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	wide, _ := buildRandomLP(rng, 200, 6)
@@ -381,7 +395,6 @@ func TestReleaseKeepsOnlyWhatFits(t *testing.T) {
 		if recompiles > 4*peakDecay {
 			t.Fatalf("a workspace grown for a wide problem is still kept after %d narrow ones", recompiles)
 		}
-		held := sv.facBuf
 		inst.Recompile(narrow)
 		if inst.sv == sv {
 			inst.Solve(nil)
@@ -390,22 +403,13 @@ func TestReleaseKeepsOnlyWhatFits(t *testing.T) {
 		if recompiles < 4 {
 			t.Fatalf("the wide problem's workspace was released after only %d narrow problems", recompiles)
 		}
-		released := 0
-		for _, f := range held {
-			if f == nil {
-				continue
-			}
-			released++
-			if !slices.Contains(inst.spares.facs, f) {
-				t.Fatal("Recompile dropped a factor buffer of the workspace it released, though the buffer fits")
-			}
-		}
-		if released == 0 {
-			t.Fatal("the released workspace held no factor buffer")
+		held, _, _, _ := inst.facWS.Idle()
+		if held == 0 {
+			t.Fatal("Recompile dropped the LU bases of the pool, though they fit")
 		}
 		inst.Solve(nil)
-		if inst.sv.facBuf[0] != held[0] && inst.sv.facBuf[0] != held[1] {
-			t.Fatal("the next workspace did not draw a factor buffer of the released one")
+		if after, _, _, _ := inst.facWS.Idle(); after > held {
+			t.Fatalf("the next solve grew the pool from %d LU bases to %d instead of drawing them", held, after)
 		}
 		return
 	}

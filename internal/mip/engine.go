@@ -46,7 +46,7 @@ func (s *searcher) relax(nd *node) (res lp.Result, col int) {
 	// Capture the factors only for their readers: the children of a
 	// fractional optimum, and the pricing restart of any optimum.
 	if s.cols != nil || (col >= 0 && !s.rootOnly) {
-		s.inst.CaptureFactors(&res, s.factors(s.inst.NumRows()))
+		s.inst.CaptureFactors(&res, nil)
 	}
 	return res, col
 }
@@ -54,7 +54,7 @@ func (s *searcher) relax(nd *node) (res lp.Result, col int) {
 // makeBranch builds the deterministic child pair of a fractional node. Both
 // children warm-start from the parent's final basis and captured factors,
 // which the branch owns; the factors are shared read-only (every warm start
-// copies them into its own solver).
+// shares their LU base and copies their eta file into its own solver).
 func makeBranch(nd *node, col int, objMin float64, res lp.Result) *branch {
 	v := res.X[col]
 	br := &branch{basis: res.Basis, fac: res.Factors, open: 2}

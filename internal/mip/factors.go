@@ -5,15 +5,19 @@ import (
 	"tvnep/internal/lp"
 )
 
-// LU factor buffers, bases and solution vectors of one search.
+// LU factor captures, bases and solution vectors of one search.
 //
 // A node relaxation's final factorization is captured (lp.Instance.
 // CaptureFactors) only when something will read it: the children of a
 // fractional optimum warm-start from it, and so does the pricing restart
-// of any optimum when pricers are registered. The capture goes into a
-// buffer from the search's free list, and the buffer returns to the list
-// once its last reader is done. The basis snapshot a warm start reads with
-// the factors follows the same rules:
+// of any optimum when pricers are registered. A capture holds the solver's
+// LU base by reference and copies only its eta file; every warm start
+// from it shares that base and appends its own pivots to storage of its
+// own. The search hands a capture back to the instance (lp.Instance.Reuse)
+// once its last reader is done, which ends its hold on the base: the base
+// returns to the instance's pool once nothing else holds it, for later
+// refactorizations, and the capture's storage serves the next capture. The basis snapshot a warm start reads with the factors follows
+// the same rules:
 //
 //   - a branch's pair (its parent's, shared by both children) once both
 //     children are retired, i.e. committed or pruned;
@@ -26,39 +30,17 @@ import (
 // branched on, separated, priced, rounded or copied into the incumbent.
 // The root's first relaxation is the exception: Result.Root keeps it.
 //
-// The free list is filled from the search's instance (lp.Instance.Factors)
-// when it runs dry, and handed back to it (lp.Instance.Reuse), with every
-// buffer the open nodes still hold, when the search ends; bases and vectors
-// go back to the instance as soon as they are done, and the instance hands
-// them to its next solve that produces a result. An instance that
-// Recompile compiles one problem after another into (SolveFrom) keeps them
-// for the next search; one that is never recompiled keeps none, and leaves
-// them to the collector.
+// All of it is the instance's storage for as long as it lives: the search
+// hands back, when it ends, the captures the open nodes still hold, and the
+// instance hands every piece to its next solve or capture that needs one. An instance that Recompile compiles one problem after
+// another into (SolveFrom) keeps what its size rule allows for the next
+// search.
 
-// factors returns a buffer from the free list, or, when the list is empty,
-// the instance's best fit for a basis of dimension m. Every capture of one
-// search has about the same dimension, so the list itself needs no
-// fitting.
-func (s *searcher) factors(m int) *sparselu.Factors {
-	n := len(s.facs)
-	if n == 0 {
-		return s.inst.Factors(m)
-	}
-	f := s.facs[n-1]
-	s.facs[n-1] = nil
-	s.facs = s.facs[:n-1]
-	return f
-}
-
-// recycle returns a warm-start pair whose last reader is done: the factor
-// buffer to the free list and the basis to the instance (see the rules
-// above). nil halves are ignored.
+// recycle hands back a warm-start pair whose last reader is done (see the
+// rules above). nil halves are ignored.
 func (s *searcher) recycle(b *lp.Basis, f *sparselu.Factors) {
-	if f != nil {
-		s.facs = append(s.facs, f) //lint:allow hotalloc -- grows once, to the search's peak of live buffers
-	}
-	if b != nil {
-		s.inst.Reuse(lp.Result{Basis: b})
+	if b != nil || f != nil {
+		s.inst.Reuse(lp.Result{Basis: b, Factors: f})
 	}
 }
 
@@ -72,8 +54,8 @@ func (s *searcher) dropVecs(res lp.Result) {
 }
 
 // drop hands back a heuristic solve's basis and vectors once the search
-// has finished reading them; its factors, if captured, are the dive
-// buffer's.
+// has finished reading them; its factors, if captured, are the dive's,
+// which the dive hands back itself.
 func (s *searcher) drop(res lp.Result) {
 	s.recycle(res.Basis, nil)
 	s.dropVecs(res)
@@ -112,19 +94,12 @@ func ownWarm(nd *node) (*lp.Basis, *sparselu.Factors) {
 	return nd.basis, nd.fac
 }
 
-// release ends the search's hold on its recycled storage: the open nodes
-// are retired, so their branches' buffers are done, and the free list and
-// the dive buffer go back to the instance. The search must not solve again.
+// release ends the search's hold on the instance's storage: the open nodes
+// are retired, so their branches' captures are done. The search must not
+// solve again.
 func (s *searcher) release() {
 	for _, nd := range s.open {
 		s.retire(nd, nil, nil)
 	}
 	s.open = nil
-	s.recycle(nil, s.diveFac)
-	s.diveFac = nil
-	for i, f := range s.facs {
-		s.inst.Reuse(lp.Result{Factors: f})
-		s.facs[i] = nil
-	}
-	s.facs = s.facs[:0]
 }

@@ -244,10 +244,10 @@ type node struct {
 	basis  *lp.Basis
 	// fac is the captured LU factorization matching basis: the parent's
 	// (shared read-only with the sibling through br) or, after a pricing or
-	// cut round, the node's own. Every warm start copies it into its
-	// solver. Carrying it explicitly (instead of relying on the instance's
-	// factorization cache, which the heuristics' solves overwrite) keeps
-	// each node's solve a pure function of the node.
+	// cut round, the node's own. Every warm start shares its LU base and
+	// copies its eta file. Carrying it explicitly (instead of relying on
+	// the instance's factorization cache, which the heuristics' solves
+	// overwrite) keeps each node's solve a pure function of the node.
 	fac *sparselu.Factors
 	// br is the branch the node was created in (nil at the root); it owns
 	// the parent's factors (see factors.go).
@@ -313,11 +313,6 @@ type searcher struct {
 	// rootOnly marks a Relax search, which never branches, so no
 	// relaxation's factors are captured for children.
 	rootOnly bool
-
-	// Recycled storage (see factors.go): the factor buffers' free list and
-	// the dive heuristic's buffer.
-	facs    []*sparselu.Factors
-	diveFac *sparselu.Factors
 
 	deadline    time.Time
 	hasDL       bool
@@ -665,10 +660,14 @@ func (s *searcher) diveHeuristic(nd *node, res lp.Result) {
 		return
 	}
 	// prev is the latest pass's result, which the next pass warm-starts
-	// from and reads x of; it is done once that pass is solved (its factors
-	// live in the dive buffer).
+	// from and reads x of; it is done once that pass is solved. Its
+	// factors are the dive's one capture, handed back when the dive ends.
 	var prev lp.Result
-	defer func() { s.drop(prev) }()
+	var dive *sparselu.Factors
+	defer func() {
+		s.drop(prev)
+		s.recycle(nil, dive)
+	}()
 	basis, factors := res.Basis, res.Factors
 	x := res.X
 	for pass := 0; pass < maxDivePasses; pass++ {
@@ -728,13 +727,13 @@ func (s *searcher) diveHeuristic(nd *node, res lp.Result) {
 			s.drop(hres)
 			return
 		}
-		// The next pass warm-starts from this one. One buffer serves every
-		// pass: a solve has copied its warm factors into its own solver
-		// before it returns, so the capture may overwrite them.
-		if s.diveFac == nil {
-			s.diveFac = s.factors(s.inst.NumRows())
+		// The next pass warm-starts from this one. One capture serves
+		// every pass: a solve has adopted its warm factors before it
+		// returns, so the capture may be overwritten.
+		s.inst.CaptureFactors(&hres, dive)
+		if hres.Factors != nil {
+			dive = hres.Factors
 		}
-		s.inst.CaptureFactors(&hres, s.diveFac)
 		s.drop(prev)
 		prev = hres
 		basis, factors, x = hres.Basis, hres.Factors, hres.X

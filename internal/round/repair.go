@@ -115,26 +115,20 @@ func samplePath(lc *linkCand, numLinks int, rng *rand.Rand) []float64 {
 	return flow
 }
 
-// firstViolation takes the first event interval, in time order, whose node
-// or link capacity is exceeded (the sweep certify judges, tolerances
-// included) and returns its end, together with the active requests
-// contributing load to the first overbooked resource (nodes first, then
-// links, both in index order — a fixed scan order keeps repair
-// deterministic).
-func firstViolation(inst *core.Instance, sol *solution.Solution) (intervalEnd float64, contributors []int, found bool) {
-	var vs violationScan
-	return vs.first(inst, sol)
-}
-
-// violationScan is firstViolation with scratch kept across calls, for a
-// loop that scans one schedule after another: its sweep buffers and its
-// contributor list, which first returns and its next call overwrites.
+// violationScan finds capacity violations, keeping its scratch across
+// calls for a loop that scans one schedule after another: its sweep
+// buffers and its contributor list, which first returns and its next call
+// overwrites.
 type violationScan struct {
 	sw       solution.Sweeper
 	contribs []int
 }
 
-// first is firstViolation over the scan's scratch.
+// first takes the first event interval, in time order, whose node or link
+// capacity is exceeded (the sweep certify judges, tolerances included) and
+// returns its end, together with the active requests contributing load to
+// the first overbooked resource (nodes first, then links, both in index
+// order — a fixed scan order keeps repair deterministic).
 func (vs *violationScan) first(inst *core.Instance, sol *solution.Solution) (intervalEnd float64, contributors []int, found bool) {
 	sub := inst.Sub
 	contributors = vs.contribs[:0]
@@ -173,22 +167,16 @@ func (vs *violationScan) first(inst *core.Instance, sol *solution.Solution) (int
 	return intervalEnd, contributors, found
 }
 
-// repairSample resolves capacity violations by deferring contributors
-// within their flexibility windows: the contributor with the most
-// remaining slack that can still start at the violated interval's end is
-// pushed to exactly that end (aligning it with an existing event); among
-// contributors tied on slack, the one that started last, whose start made
-// the overlap, is deferred (the lowest index on a further tie). When no
-// contributor can defer, the access-control objective rejects the
-// cheapest contributor instead; fixed-set objectives fail the sample. The
-// iteration guard bounds pathological defer chains — on overflow the
-// sample is abandoned and the caller moves on (or falls back to B&B).
-func repairSample(inst *core.Instance, sol *solution.Solution, obj core.Objective) (repairs, rejections int, ok bool) {
-	var vs violationScan
-	return vs.repair(inst, sol, obj)
-}
-
-// repair is repairSample over the scan's scratch.
+// repair resolves capacity violations by deferring contributors within
+// their flexibility windows: the contributor with the most remaining slack
+// that can still start at the violated interval's end is pushed to exactly
+// that end (aligning it with an existing event); among contributors tied
+// on slack, the one that started last, whose start made the overlap, is
+// deferred (the lowest index on a further tie). When no contributor can
+// defer, the access-control objective rejects the cheapest contributor
+// instead; fixed-set objectives fail the sample. The iteration guard
+// bounds pathological defer chains — on overflow the sample is abandoned
+// and the caller moves on (or falls back to B&B).
 func (vs *violationScan) repair(inst *core.Instance, sol *solution.Solution, obj core.Objective) (repairs, rejections int, ok bool) {
 	maxIter := 16 + 8*len(inst.Reqs)
 	for iter := 0; ; iter++ {

@@ -2,7 +2,7 @@ package round
 
 import (
 	"math/rand"
-	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -13,7 +13,7 @@ import (
 	"tvnep/internal/vnet"
 )
 
-// rescanFirstViolation is the reference firstViolation must reproduce: for
+// rescanFirstViolation is the reference violationScan.first must reproduce: for
 // each event interval in time order, rescan every request at the midpoint,
 // and on the first overbooked resource (nodes, then links) rescan again for
 // the running requests that put demand on it.
@@ -83,13 +83,14 @@ func rescanFirstViolation(inst *core.Instance, sol *solution.Solution) (float64,
 	return 0, nil, false
 }
 
-// TestFirstViolationMatchesRescan checks firstViolation against the
-// rescan on random candidate schedules over tight capacities: same
-// interval end, same contributors.
+// TestFirstViolationMatchesRescan checks violationScan.first, one scan
+// reused across schedules, against the rescan on random candidate
+// schedules over tight capacities: same interval end, same contributors.
 func TestFirstViolationMatchesRescan(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	fractions := []float64{0, 0, 1, 0.5, 0.25, 1e-6, 2e-5}
 	found := 0
+	var vs violationScan
 	for trial := 0; trial < 2000; trial++ {
 		sub := substrate.Grid(1+rng.Intn(2), 2+rng.Intn(2), 1+rng.Float64()*3, 1+rng.Float64()*3)
 		k := 1 + rng.Intn(8)
@@ -125,10 +126,10 @@ func TestFirstViolationMatchesRescan(t *testing.T) {
 				}
 			}
 		}
-		gotEnd, gotContribs, gotFound := firstViolation(inst, sol)
+		gotEnd, gotContribs, gotFound := vs.first(inst, sol)
 		wantEnd, wantContribs, wantFound := rescanFirstViolation(inst, sol)
-		if gotFound != wantFound || gotEnd != wantEnd || !reflect.DeepEqual(gotContribs, wantContribs) {
-			t.Fatalf("trial %d: firstViolation = (%v, %v, %v), rescan = (%v, %v, %v)",
+		if gotFound != wantFound || gotEnd != wantEnd || !slices.Equal(gotContribs, wantContribs) {
+			t.Fatalf("trial %d: first = (%v, %v, %v), rescan = (%v, %v, %v)",
 				trial, gotEnd, gotContribs, gotFound, wantEnd, wantContribs, wantFound)
 		}
 		if wantFound {
@@ -140,7 +141,7 @@ func TestFirstViolationMatchesRescan(t *testing.T) {
 	}
 }
 
-// TestRepairDefersContributor pins which contributor repairSample defers:
+// TestRepairDefersContributor pins which contributor violationScan.repair defers:
 // two unit-demand requests overlap on one unit-capacity node, and the
 // repair must resolve the overlap with the deferral the rows name.
 func TestRepairDefersContributor(t *testing.T) {
@@ -171,9 +172,10 @@ func TestRepairDefersContributor(t *testing.T) {
 				sol.Hosts = append(sol.Hosts, []int{0})
 				sol.Flows = append(sol.Flows, [][]float64{})
 			}
-			repairs, rejections, ok := repairSample(inst, sol, core.AccessControl)
+			var vs violationScan
+			repairs, rejections, ok := vs.repair(inst, sol, core.AccessControl)
 			if !ok || repairs != 1 || rejections != 0 {
-				t.Fatalf("repairSample = (%d repairs, %d rejections, ok=%v), want one deferral", repairs, rejections, ok)
+				t.Fatalf("repair = (%d repairs, %d rejections, ok=%v), want one deferral", repairs, rejections, ok)
 			}
 			if got := [2]float64{sol.Start[0], sol.Start[1]}; got != tc.wantStart {
 				t.Fatalf("starts %v after repair, want %v", got, tc.wantStart)
