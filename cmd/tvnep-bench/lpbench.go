@@ -57,11 +57,12 @@ type lpCounters struct {
 	CutRowsSeparated float64 `json:"cut_rows_separated,omitempty"`
 	CutRounds        float64 `json:"cut_rounds,omitempty"`
 	CutPoolHits      float64 `json:"cut_pool_hits,omitempty"`
-	// Column-generation statistics (WANCSigmaPath only): rows and
+	// Column-generation statistics (WANCSigmaPath; RandomizedRounding
+	// reports the two root sizes of its path relaxation): rows and
 	// structural columns in the root LP, columns appended by pricing, the
-	// state allocation variables and rows they opened as companion columns
-	// and rows, pricing rounds and pool dedup hits — the pricing mirror of
-	// the lazy-cut fields above.
+	// state allocation variables and the state and capacity rows they
+	// opened as companion columns and rows, pricing rounds and pool dedup
+	// hits — the pricing mirror of the lazy-cut fields above.
 	RowsRoot      float64 `json:"rows_root,omitempty"`
 	ColsRoot      float64 `json:"cols_root,omitempty"`
 	ColsPriced    float64 `json:"cols_priced,omitempty"`
@@ -202,7 +203,8 @@ var lpBenches = []lpBench{
 			if err != nil || sol == nil {
 				return lpCounters{}, fmt.Errorf("sol=%v err=%v", sol, err)
 			}
-			return lpCounters{LPIters: float64(rs.LPIterations), FallbackRate: flag01(rs.FellBack)}, nil
+			return lpCounters{LPIters: float64(rs.LPIterations), FallbackRate: flag01(rs.FellBack),
+				RowsRoot: float64(rs.RootRows), ColsRoot: float64(rs.RootCols)}, nil
 		}, nil
 	}},
 	// A request arrival trace replayed through one long-lived online

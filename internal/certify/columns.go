@@ -6,16 +6,18 @@ package certify
 // path tag naming the virtual link it serves, (b) route that tag over a
 // contiguous simple directed substrate path between the pinned endpoint
 // hosts, (c) carry exactly the LP coefficients that path implies, and (d)
-// open exactly the states its path needs that neither the build nor an
-// earlier column holds: the build leaves out the state rows (7) of a
+// open exactly the rows its path loads that neither the build nor an
+// earlier column holds. The build leaves out the state rows (7) of a
 // request on links no seed column of it routes over, with their allocation
-// variables, and the first priced column of the request over such a link
-// brings each state's variable as a companion column and its row as a
-// companion row. The expected coefficients and companions are re-derived
-// here from the dependency graph, the compiled row keys and the χ
-// variables — independently of the link-use registry the builder and pricer
-// share — so a registry corrupted at build time cannot vouch for the
-// columns it produced.
+// variables, and the capacity rows (9) that no seed column and no built
+// allocation variable loads. The first priced column that loads such a row
+// opens it: a state brings its variable as a companion column and its row
+// as a companion row, a capacity row arrives as a companion row carrying
+// the column's load. The expected coefficients and companions are
+// re-derived here from the dependency graph, the seed paths, the compiled
+// row keys and the χ variables — independently of the link-use registry the
+// builder and pricer share — so a registry corrupted at build time cannot
+// vouch for the columns it produced.
 
 import (
 	"fmt"
@@ -41,26 +43,28 @@ const (
 	// ColCoef: a column's LP coefficients disagree with the coefficients its
 	// tagged path implies under the dependency-graph activity analysis.
 	ColCoef Kind = "col-coef"
-	// ColRowMissing: a Maybe state on a link of a column's path has no
-	// state row after the column — neither in the build nor among the
-	// companion rows of the column or an earlier one.
+	// ColRowMissing: a state row (7) or capacity row (9) a column's path
+	// loads exists neither in the build nor among the companion rows of the
+	// column or an earlier one.
 	ColRowMissing Kind = "col-row-missing"
 	// ColRowCoef: a companion row's coefficients or bounds differ from the
-	// state row (7) it opens.
+	// state row (7) or capacity row (9) it opens.
 	ColRowCoef Kind = "col-row-coef"
-	// ColRowStray: a companion row names no companion column of its path
-	// column as its allocation variable, or opens a state of another request
-	// or on a link the column's path does not use.
+	// ColRowStray: a companion row names no single companion column of its
+	// path column (a capacity row of an Always state names the column
+	// alone), or opens a row for a state or link its path does not load.
 	ColRowStray Kind = "col-row-stray"
-	// ColRowDup: a companion row opens a state row that already exists.
+	// ColRowDup: a companion row opens a row that already exists, in the
+	// build, among an earlier column's companions or among its own.
 	ColRowDup Kind = "col-row-dup"
 	// ColAllocShape: a companion column differs from a state allocation
 	// variable: bounds other than [0, +Inf), a nonzero objective, or entries
-	// other than one +1 on the capacity row (9) of the state it opens.
+	// other than one +1 on the capacity row (9) of the state it opens — none
+	// when that row opens with it.
 	ColAllocShape Kind = "col-alloc-shape"
 	// ColAllocStray: a companion column opens no state the build left out:
-	// no companion row of its path column names it, or its capacity row is
-	// not that of a deferred state.
+	// its path opens fewer states, it sits on a row that is not the capacity
+	// row of its state, or it is named by other than one state row.
 	ColAllocStray Kind = "col-alloc-stray"
 )
 
@@ -80,14 +84,12 @@ func Columns(b *core.Built, ms *model.Solution) *Report {
 	}
 	cc := &colCheck{
 		rep: rep, b: b,
-		rows:     rowIndexByKey(b.Model),
-		oracle:   newActivityOracle(b),
-		deferred: make(map[stateKey]bool),
-		next:     b.Model.NumConstrs(),
+		rows:   rowIndexByKey(b.Model),
+		opened: make(map[int]model.Key),
+		oracle: newActivityOracle(b),
+		next:   b.Model.NumConstrs(),
 	}
-	b.ForEachDeferredState(func(r, n, ls int) {
-		cc.deferred[stateKey{r: r, n: n, ls: ls}] = true
-	})
+	cc.deferral = newDeferral(b, cc.oracle)
 	cols := ms.AppliedColumns
 	for k := 0; k < len(cols); k++ {
 		c := cols[k]
@@ -108,12 +110,13 @@ type colCheck struct {
 	rep    *Report
 	b      *core.Built
 	oracle *activityOracle
+	*deferral
 	// rows maps the key of every row the LP holds so far — the build's and
 	// the companion rows opened by the columns walked — to its index.
 	rows map[model.Key]int
-	// deferred holds every state whose row and allocation variable the
-	// build left out.
-	deferred map[stateKey]bool
+	// opened maps the LP index of every companion row opened so far to the
+	// key of the row it opens.
+	opened map[int]model.Key
 	// next is the lowest LP index the next companion row may take.
 	next int
 }
@@ -125,30 +128,184 @@ func (s stateKey) key(numNodes int) model.Key {
 	return model.Key3(core.FamState, s.r, s.n, numNodes+s.ls)
 }
 
+// capKey is the key of the capacity row (9) of state n on substrate link ls.
+func capKey(n, ls, numNodes int) model.Key {
+	return model.Key2(core.FamCap, n, numNodes+ls)
+}
+
+// deferral is what a FlowPath build leaves out, re-derived from the
+// activity analysis and the seed paths: request r's Maybe state n on link
+// ls (row (7) and allocation variable) when r has link demand and no seed
+// column of r with demand routes over ls, and the capacity row (9) of
+// state n on ls when some request active there has link demand but none
+// routes a seed column with demand over ls.
+type deferral struct {
+	k, nL int
+	state []bool // [(r·(k+1)+n)·nL+ls]
+	cap   []bool // [n·nL+ls]
+}
+
+func newDeferral(b *core.Built, oracle *activityOracle) *deferral {
+	k, nL := len(b.Inst.Reqs), b.Inst.Sub.NumLinks()
+	df := &deferral{k: k, nL: nL, state: make([]bool, k*(k+1)*nL), cap: make([]bool, (k+1)*nL)}
+	carries := make([]bool, k)
+	seeded := make([]bool, k*nL)
+	for r, req := range b.Inst.Reqs {
+		for lv := 0; lv < req.G.NumEdges(); lv++ {
+			u, v := req.G.Edge(lv)
+			if req.LinkDemand[lv] <= 0 || b.Opts.FixedMapping[r][u] == b.Opts.FixedMapping[r][v] {
+				continue
+			}
+			carries[r] = true
+			for _, p := range b.SeedPaths[r][lv] {
+				for _, ls := range p {
+					seeded[r*nL+ls] = true
+				}
+			}
+		}
+	}
+	for n := 1; n <= k; n++ {
+		for ls := 0; ls < nL; ls++ {
+			wanted, loaded := false, false
+			for r := 0; r < k; r++ {
+				act := oracle.at(r, n)
+				if act == depgraph.Never || !carries[r] {
+					continue
+				}
+				wanted = true
+				switch {
+				case seeded[r*nL+ls]:
+					loaded = true
+				case act == depgraph.Maybe:
+					df.state[(r*(k+1)+n)*nL+ls] = true
+				}
+			}
+			df.cap[n*nL+ls] = wanted && !loaded
+		}
+	}
+	return df
+}
+
+// stateDeferred reports whether the build left state st out.
+func (df *deferral) stateDeferred(st stateKey) bool {
+	return st.r >= 0 && st.r < df.k && st.n >= 1 && st.n <= df.k && st.ls >= 0 && st.ls < df.nL &&
+		df.state[(st.r*(df.k+1)+st.n)*df.nL+st.ls]
+}
+
+// capDeferred reports whether the build left the capacity row of state n
+// on link ls out.
+func (df *deferral) capDeferred(n, ls int) bool { return df.cap[n*df.nL+ls] }
+
+// keyAt returns the key of the row at LP index i, built or opened.
+func (cc *colCheck) keyAt(i int) model.Key {
+	if i < cc.b.Model.NumConstrs() {
+		return cc.b.Model.RowKey(i)
+	}
+	return cc.opened[i]
+}
+
 // column certifies applied column k, LP column j, whose companion columns
 // are comp (LP columns j+1, …): its coefficients over the rows held before
 // it, then the companions it opens.
 func (cc *colCheck) column(k, j int, c model.Column, comp []model.Column) {
-	if !checkColumn(cc.rep, cc.b, cc.rows, cc.next, cc.oracle, k, c) {
+	if !cc.checkColumn(k, c) {
 		cc.next = max(cc.next, c.Row+len(c.Rows))
 		return
 	}
 	cc.companions(k, j, c, comp)
 }
 
-// companions re-derives the states applied column k (LP column j) opens
-// and compares its companion columns comp and rows with them. Each
-// companion row must name exactly one companion column as its allocation
-// variable a, and each companion column must be named by exactly one row;
-// the column's +1 on a capacity row (9) names the state, which must be one
-// the build left out, of the column's request on a link of its path, with
-// no row yet; the row must be exactly the state row (7) over that a. Then
-// every Maybe state on every link of the path must have its row.
+// wantCol is a companion column a path column must open: the allocation
+// variable of state st, with capRow the LP row of the state's capacity row
+// (9) when the LP holds it before the column, −1 when it opens with it.
+type wantCol struct {
+	st     stateKey
+	capRow int
+}
+
+// wantRow is a companion row a path column must open: the row under key,
+// with content its cutRowKey; target is the companion position of the one
+// column it names among the column's companions, −1 when it names the path
+// column alone (the capacity row of an Always state), and capacity tells a
+// capacity row (9) from a state row (7).
+type wantRow struct {
+	key      model.Key
+	content  string
+	target   int
+	capacity bool
+	matched  bool
+}
+
+// expectedCompanions re-derives, in the order the pricer opens them, the
+// companion columns and rows of column j of request r with per-unit demand
+// d over links: link by link, each Maybe state of r without a row (in state
+// order) brings its allocation column, its state row (7) and, if the LP
+// does not hold it, its capacity row (9) with +1 on that column; then each
+// Always state of r whose capacity row the LP does not hold opens it with
+// the column's +d.
+func (cc *colCheck) expectedCompanions(name colLabel, r int, links []int, j int, d float64) ([]wantCol, []wantRow) {
+	b := cc.b
+	numNodes := b.Inst.Sub.NumNodes()
+	var cols []wantCol
+	var rows []wantRow
+	capRow := func(n, ls, target, col int, coef float64) {
+		idx, val := []int32{int32(col)}, []float64{coef}
+		rows = append(rows, wantRow{
+			key:     capKey(n, ls, numNodes),
+			content: cutRowKey(idx, val, math.Inf(-1), b.Inst.Sub.LinkCap[ls]),
+			target:  target, capacity: true,
+		})
+	}
+	for _, ls := range links {
+		for n := 1; d > 0 && n <= cc.k; n++ {
+			st := stateKey{r: r, n: n, ls: ls}
+			if cc.oracle.at(r, n) != depgraph.Maybe {
+				continue
+			}
+			if _, ok := cc.rows[st.key(numNodes)]; ok {
+				continue
+			}
+			if !cc.stateDeferred(st) {
+				cc.rep.addf(ColRowMissing, r, "%v: the build holds no state row for state %d on link %d", name, n, ls)
+				continue
+			}
+			p := len(cols)
+			at, open := cc.rows[capKey(n, ls, numNodes)]
+			if !open {
+				at = -1
+			}
+			cols = append(cols, wantCol{st: st, capRow: at})
+			idx, val, lb := expectedStateRow(b, st, int32(j+1+p), j, d)
+			rows = append(rows, wantRow{key: st.key(numNodes), content: cutRowKey(idx, val, lb, math.Inf(1)), target: p})
+			if !open {
+				capRow(n, ls, p, j+1+p, 1)
+			}
+		}
+		for n := 1; d > 0 && n <= cc.k; n++ {
+			if cc.oracle.at(r, n) != depgraph.Always {
+				continue
+			}
+			if _, ok := cc.rows[capKey(n, ls, numNodes)]; !ok && cc.capDeferred(n, ls) {
+				capRow(n, ls, -1, j, d)
+			}
+		}
+	}
+	return cols, rows
+}
+
+// companions compares column k's (LP column j's) companion columns comp and
+// rows with the ones its path must open. A companion column is the
+// allocation variable of the state at its position; a companion row is
+// matched to the first unmatched expected row with the same content, and
+// one that matches none is named by what it claims to open — the companion
+// column or the path column it names, and whether it is a capacity row (a
+// single entry) or a state row. Every expected row left unmatched is
+// missing, and each companion column must be named by exactly one state
+// row.
 func (cc *colCheck) companions(k, j int, c model.Column, comp []model.Column) {
 	b, rep := cc.b, cc.rep
 	name := colLabel{k: k, c: c}
 	r, lv, links, _ := core.PathTagInfo(c)
-	numNodes := b.Inst.Sub.NumNodes()
 	if len(c.Rows) > 0 && c.Row < cc.next {
 		rep.addf(ColShape, r, "%v: companion rows start at LP row %d, below %d", name, c.Row, cc.next)
 	}
@@ -156,54 +313,85 @@ func (cc *colCheck) companions(k, j int, c model.Column, comp []model.Column) {
 	for _, ls := range links {
 		onPath[ls] = true
 	}
+	cols, rows := cc.expectedCompanions(name, r, links, j, b.Inst.Reqs[r].LinkDemand[lv])
+	for p, a := range comp {
+		cc.allocColumn(name, r, p, a, cols, onPath)
+	}
 	named := make([]int, len(comp))
-	d := b.Inst.Reqs[r].LinkDemand[lv]
 	for i, row := range c.Rows {
 		p, ok := companionEntry(row, j, len(comp))
+		capacity := len(row.Idx) == 1
+		if ok && !capacity {
+			named[p]++
+		}
+		target := p
 		if !ok {
-			rep.addf(ColRowStray, r, "%v: companion row %d names no single companion column of it", name, i)
+			if !capacity || int(row.Idx[0]) != j {
+				rep.addf(ColRowStray, r, "%v: companion row %d names no single companion column of it", name, i)
+				continue
+			}
+			target = -1
+		}
+		content := cutRowKey(row.Idx, row.Val, row.LB, row.UB)
+		if w := firstRow(rows, func(w *wantRow) bool { return !w.matched && w.content == content }); w != nil {
+			w.matched = true
+			cc.hold(w.key, c.Row+i)
 			continue
 		}
-		a := j + 1 + p
-		named[p]++
-		st, ok := cc.stateOf(name, r, p, comp[p])
-		if !ok {
+		if w := firstRow(rows, func(w *wantRow) bool { return w.matched && w.content == content }); w != nil {
+			rep.addf(ColRowDup, r, "%v: companion row %d opens %v a second time", name, i, w.key)
 			continue
 		}
-		if !onPath[st.ls] {
-			rep.addf(ColRowStray, r, "%v: companion row %d opens state %d on link %d, off its path %v",
-				name, i, st.n, st.ls, links)
+		if w := firstRow(rows, func(w *wantRow) bool {
+			return !w.matched && w.target == target && w.capacity == capacity
+		}); w != nil {
+			w.matched = true
+			rep.addf(ColRowCoef, r, "%v: companion row %d disagrees with the row %v it opens (got %v@%v in [%v, %v])",
+				name, i, w.key, row.Idx, row.Val, row.LB, row.UB)
+			cc.hold(w.key, c.Row+i)
 			continue
 		}
-		key := st.key(numNodes)
-		if at, dup := cc.rows[key]; dup {
-			rep.addf(ColRowDup, r, "%v: companion row %d opens %v, already LP row %d", name, i, key, at)
-			continue
+		switch {
+		case target >= len(cols):
+			rep.addf(ColRowStray, r, "%v: companion row %d names companion column %d, which opens no state", name, i, target)
+		case target >= 0 && capacity:
+			rep.addf(ColRowDup, r, "%v: companion row %d opens the capacity row of %v, already LP row %d",
+				name, i, cols[target].st.key(b.Inst.Sub.NumNodes()), cols[target].capRow)
+		case target >= 0:
+			rep.addf(ColRowDup, r, "%v: companion row %d is a second state row of companion column %d", name, i, target)
+		default:
+			rep.addf(ColRowStray, r, "%v: companion row %d opens a capacity row (%v@%v ≤ %v) that no state on its path %v needs",
+				name, i, row.Idx, row.Val, row.UB, links)
 		}
-		idx, val, lb := expectedStateRow(b, st, int32(a), j, d)
-		if cutRowKey(idx, val, lb, math.Inf(1)) != cutRowKey(row.Idx, row.Val, row.LB, row.UB) {
-			rep.addf(ColRowCoef, r, "%v: companion row %d disagrees with the state row %v (got %v@%v in [%v, %v], expected %v@%v in [%v, +Inf])",
-				name, i, key, row.Idx, row.Val, row.LB, row.UB, idx, val, lb)
+	}
+	for _, w := range rows {
+		if !w.matched {
+			rep.addf(ColRowMissing, r, "%v: no row %v after it", name, w.key)
 		}
-		cc.rows[key] = c.Row + i
 	}
 	for p, times := range named {
 		if times != 1 {
-			rep.addf(ColAllocStray, r, "%v: companion column %d (LP column %d) is named by %d companion rows, want 1",
+			rep.addf(ColAllocStray, r, "%v: companion column %d (LP column %d) is named by %d companion state rows, want 1",
 				name, p, j+1+p, times)
 		}
 	}
 	cc.next = max(cc.next, c.Row+len(c.Rows))
-	for _, ls := range links {
-		for n := 1; d > 0 && n <= len(b.Inst.Reqs); n++ {
-			if cc.oracle.at(r, n) != depgraph.Maybe {
-				continue
-			}
-			if _, ok := cc.rows[stateKey{r: r, n: n, ls: ls}.key(numNodes)]; !ok {
-				rep.addf(ColRowMissing, r, "%v: no state row for state %d on link %d after it", name, n, ls)
-			}
+}
+
+// firstRow returns the first of rows that ok accepts, or nil.
+func firstRow(rows []wantRow, ok func(*wantRow) bool) *wantRow {
+	for i := range rows {
+		if ok(&rows[i]) {
+			return &rows[i]
 		}
 	}
+	return nil
+}
+
+// hold records that LP row i opens the row under key.
+func (cc *colCheck) hold(key model.Key, i int) {
+	cc.rows[key] = i
+	cc.opened[i] = key
 }
 
 // companionEntry finds the one entry of a companion row of LP column j on
@@ -220,29 +408,52 @@ func companionEntry(row model.Cut, j, nc int) (p int, ok bool) {
 	return p, ok
 }
 
-// stateOf certifies companion column a (the p-th one of request r's column
-// name) as a state allocation variable — bounds [0, +Inf), objective 0,
-// exactly +1 on one capacity row (9) — and names the deferred state of r
-// whose capacity row that is.
-func (cc *colCheck) stateOf(name colLabel, r, p int, a model.Column) (stateKey, bool) {
+// allocColumn certifies companion column a, the p-th one of request r's
+// column name, as the allocation variable of the state cols[p] names:
+// bounds [0, +Inf), objective 0, and exactly +1 on the state's capacity row
+// (9) when the LP holds it before the column, no entry when it opens with
+// it. An entry on another row is named by the row it sits on.
+func (cc *colCheck) allocColumn(name colLabel, r, p int, a model.Column, cols []wantCol, onPath map[int]bool) {
+	rep := cc.rep
 	if a.LB != 0 || !math.IsInf(a.UB, 1) || a.Obj != 0 {
-		cc.rep.addf(ColAllocShape, r, "%v: companion column %d has bounds [%v, %v] obj %v, want [0, +Inf) obj 0",
+		rep.addf(ColAllocShape, r, "%v: companion column %d has bounds [%v, %v] obj %v, want [0, +Inf) obj 0",
 			name, p, a.LB, a.UB, a.Obj)
 	}
+	if p >= len(cols) {
+		rep.addf(ColAllocStray, r, "%v: companion column %d opens no state; its path opens %d", name, p, len(cols))
+		return
+	}
+	want := cols[p]
+	numNodes := cc.b.Inst.Sub.NumNodes()
+	if want.capRow < 0 {
+		if len(a.Idx) != 0 || len(a.Val) != 0 {
+			rep.addf(ColAllocShape, r, "%v: companion column %d has entries %v@%v, want none: the capacity row of %v opens with it",
+				name, p, a.Idx, a.Val, want.st.key(numNodes))
+		}
+		return
+	}
 	//lint:allow floateq -- the capacity-row coefficient is the exact literal 1
-	if len(a.Idx) != 1 || len(a.Val) != 1 || a.Val[0] != 1 || int(a.Idx[0]) < 0 || int(a.Idx[0]) >= cc.b.Model.NumConstrs() {
-		cc.rep.addf(ColAllocShape, r, "%v: companion column %d has entries %v@%v, want +1 on one built capacity row",
-			name, p, a.Idx, a.Val)
-		return stateKey{}, false
+	if len(a.Idx) != 1 || len(a.Val) != 1 || a.Val[0] != 1 || int(a.Idx[0]) < 0 || int(a.Idx[0]) >= cc.next {
+		rep.addf(ColAllocShape, r, "%v: companion column %d has entries %v@%v, want +1 on capacity row %d",
+			name, p, a.Idx, a.Val, want.capRow)
+		return
 	}
-	key := cc.b.Model.RowKey(int(a.Idx[0]))
-	st := stateKey{r: r, n: int(key.I), ls: int(key.J) - cc.b.Inst.Sub.NumNodes()}
-	if key.Fam != core.FamCap || !cc.deferred[st] {
-		cc.rep.addf(ColAllocStray, r, "%v: companion column %d sits on row %v, the capacity row of no state the build left out",
+	if int(a.Idx[0]) == want.capRow {
+		return
+	}
+	key := cc.keyAt(int(a.Idx[0]))
+	st := stateKey{r: r, n: int(key.I), ls: int(key.J) - numNodes}
+	switch {
+	case key.Fam != core.FamCap || !cc.stateDeferred(st):
+		rep.addf(ColAllocStray, r, "%v: companion column %d sits on row %v, the capacity row of no state the build left out",
 			name, p, key)
-		return stateKey{}, false
+	case !onPath[st.ls]:
+		rep.addf(ColRowStray, r, "%v: companion column %d opens state %d on link %d, off its path",
+			name, p, st.n, st.ls)
+	default:
+		rep.addf(ColAllocStray, r, "%v: companion column %d sits on the capacity row of %v, want that of %v",
+			name, p, st.key(numNodes), want.st.key(numNodes))
 	}
-	return st, true
 }
 
 // expectedStateRow re-derives the state row (7) of st once column j with
@@ -278,10 +489,10 @@ func (l colLabel) String() string {
 }
 
 // checkColumn certifies applied column k's own coefficients over the rows
-// the LP held before it (nRows of them, rows indexing their keys) and
-// reports whether its tag and path are sound enough to check its companion
-// rows.
-func checkColumn(rep *Report, b *core.Built, rows map[model.Key]int, nRows int, oracle *activityOracle, k int, c model.Column) bool {
+// the LP held before it and reports whether its tag and path are sound
+// enough to check its companions.
+func (cc *colCheck) checkColumn(k int, c model.Column) bool {
+	rep, b, nRows := cc.rep, cc.b, cc.next
 	name := colLabel{k: k, c: c}
 	if len(c.Idx) != len(c.Val) || len(c.Idx) == 0 {
 		rep.addf(ColShape, -1, "%v: %d indices, %d values", name, len(c.Idx), len(c.Val))
@@ -324,7 +535,7 @@ func checkColumn(rep *Report, b *core.Built, rows map[model.Key]int, nRows int, 
 		return false
 	}
 
-	wantIdx, wantVal, ok := expectedPathColumn(rep, b, rows, oracle, name, r, lv, links)
+	wantIdx, wantVal, ok := cc.expectedPathColumn(name, r, lv, links)
 	if !ok {
 		return true
 	}
@@ -375,10 +586,13 @@ func checkSimplePath(rep *Report, b *core.Built, name colLabel, r int, links []i
 // allocation coefficients of every traversed link (−d on the Maybe-state
 // rows, +d directly on the Always-state capacity rows, per the Section IV-C
 // presolve), and the unit flow-count coefficients on the DisableLinks
-// activity rows. A Maybe state without a row yet is the column's to open:
-// its −d sits in the companion row, which companions checks. Activity comes
-// from a fresh dependency-graph analysis, not from the builder's registry.
-func expectedPathColumn(rep *Report, b *core.Built, rows map[model.Key]int, oracle *activityOracle, name colLabel, r, lv int, links []int) ([]int32, []float64, bool) {
+// activity rows. A Maybe state without a row yet, or an Always state whose
+// capacity row the build left out and the LP does not hold yet, is the
+// column's to open: its coefficient sits in the companion row, which
+// companions checks. Activity comes from a fresh dependency-graph analysis,
+// not from the builder's registry.
+func (cc *colCheck) expectedPathColumn(name colLabel, r, lv int, links []int) ([]int32, []float64, bool) {
+	rep, b, rows, oracle := cc.rep, cc.b, cc.rows, cc.oracle
 	var idx []int32
 	var val []float64
 	ok := true
@@ -404,7 +618,7 @@ func expectedPathColumn(rep *Report, b *core.Built, rows map[model.Key]int, orac
 			case depgraph.Maybe:
 				add(model.Key3(core.FamState, r, n, numNodes+ls), -d, true)
 			case depgraph.Always:
-				add(model.Key2(core.FamCap, n, numNodes+ls), d, false)
+				add(capKey(n, ls, numNodes), d, cc.capDeferred(n, ls))
 			}
 		}
 		if b.Opts.Objective == core.DisableLinks {

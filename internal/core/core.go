@@ -302,12 +302,13 @@ type Built struct {
 	// an inner loop, part a sub-expression folded into row once it is known
 	// to be nonempty.
 	row, sum, part model.LinExpr
-	// linkUse[r·|E_S|+ls] lists the compiled rows in which a unit of
-	// request r's flow over substrate link ls participates (FlowPath builds
-	// only), each entry scaled by the demand of the virtual link it is read
-	// for (see rowCoef.at); the pricer assembles priced path columns from
-	// it, and the seed columns carry exactly the same coefficients through
-	// the expressions.
+	// linkUse[r·|E_S|+ls] lists the rows in which a unit of request r's
+	// flow over substrate link ls participates (FlowPath builds only), each
+	// entry scaled by the demand of the virtual link it is read for (see
+	// rowCoef.at): compiled rows, state rows (7) the current search opened,
+	// and deferred capacity rows (9), named ^i for caps[i] and absent while
+	// closed. The pricer assembles priced path columns from it, and the seed
+	// columns carry exactly the same coefficients through the expressions.
 	linkUse [][]rowCoef
 	// convRow[r][lv] is the FlowPath convexity row index (−1 for trivial
 	// virtual links whose endpoints share a substrate node).
@@ -322,6 +323,10 @@ type Built struct {
 	// current search has opened; their link-use entries sit at the tail of
 	// linkUse[r·|E_S|+ls].
 	opened []int
+	// caps lists the capacity rows (9) the FlowPath build leaves out because
+	// no seed column and no built allocation variable loads them; the first
+	// committed column that loads one opens it (see pathPricer.Commit).
+	caps []deferredCap
 }
 
 // rowCoef is one (compiled row, coefficient-per-unit-flow) entry of the
@@ -345,10 +350,30 @@ func (rc rowCoef) at(d float64) (float64, bool) {
 
 // deferredRow is a state the FlowPath build left out, its row (7) and its
 // allocation variable a alike: request r's Maybe state n on substrate link
-// ls, whose capacity row (9) is LP row capRow.
+// ls, whose capacity row (9) is capRow, a compiled row or a deferred one
+// (^i for caps[i]).
 type deferredRow struct {
 	n, ls  int
 	capRow int32
+}
+
+// deferredCap is a capacity row (9) the FlowPath build left out empty: state
+// n on substrate link ls. row is its LP row once a committed column opens
+// it, −1 while it is closed.
+type deferredCap struct {
+	n, ls int
+	row   int32
+}
+
+// rowOf resolves a link-use or capRow index to its LP row: a compiled or
+// opened row, or false for a deferred capacity row that is still closed,
+// whose dual is 0.
+func (b *Built) rowOf(row int32) (int32, bool) {
+	if row >= 0 {
+		return row, true
+	}
+	at := b.caps[^row].row
+	return at, at >= 0
 }
 
 // numReq is a convenience accessor.

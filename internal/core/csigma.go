@@ -145,7 +145,9 @@ func RebuildCSigma(b *Built, inst *Instance, opts BuildOptions) *Built {
 	// link even when the compiled (seed-only) allocation is empty;
 	// pendAlways defers the cap-row registration of its Always states, and
 	// pendDeferred the cap-row index of its deferred Maybe states, until
-	// the row index exists.
+	// the row index exists. A capacity row that nothing built loads is not
+	// built either: it reads 0 ≤ c until a column loads it, so it joins
+	// caps and opens with the first committed column over it.
 	var pendAlways, pendDeferred []int
 	for n := 1; n <= k; n++ {
 		for rsc := 0; rsc < nRes; rsc++ {
@@ -209,7 +211,13 @@ func RebuildCSigma(b *Built, inst *Instance, opts BuildOptions) *Built {
 			}
 			if any {
 				// (9): total state allocation within capacity.
-				row := m.AddLE(capacity, capRsc, model.Key2(FamCap, n, rsc))
+				var row int
+				if capacity.Len() > 0 {
+					row = m.AddLE(capacity, capRsc, model.Key2(FamCap, n, rsc))
+				} else {
+					row = ^len(b.caps)
+					b.caps = append(b.caps, deferredCap{n: n, ls: rsc - numNodes, row: -1})
+				}
 				for _, r := range pendAlways {
 					b.recordLinkUse(r, rsc-numNodes, row, 1)
 				}

@@ -69,7 +69,11 @@ func decodePathInstance(data []byte) (*Instance, vnet.NodeMapping, CutMode) {
 // AccessControl and, on its accept set, under every fixed-set objective,
 // with checker-clean solutions. The seeds are an instance whose two priced
 // paths of one virtual link are offered with equal coefficients (the column
-// pool must append both) and a flexibility-0 one.
+// pool must append both) and a flexibility-0 one. The corpus under
+// testdata/fuzz adds opened-capacity-binds: two unit-demand requests from
+// node 0 to node 1 of a unit-capacity triangle at the same time, so the
+// priced column over 0→2→1 opens the capacity rows (9) the build left out
+// on those links, and they bind at the optimum.
 func FuzzPathMatchesArc(f *testing.F) {
 	f.Add([]byte{
 		2, 39, 3, // 4 nodes, capacities 10 and 1

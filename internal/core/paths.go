@@ -33,14 +33,20 @@ package core
 // zeros, its duals or Farkas rays. The first priced column of the request
 // over such a link opens every Maybe state there, its a as a companion
 // column and its row as a companion row (pathPricer.Commit, appended right
-// after the column by internal/mip). The capacity rows (9), empty ones
-// included, the Always-state registrations and the node state rows are
-// built as before. On the WAN scenarios most link states never receive a
-// path column, so the root LP carries neither their rows nor their
-// variables.
+// after the column by internal/mip). Capacity rows (9) arrive the same way:
+// the build emits a link's capacity row in state n only where a seed column
+// or a built allocation variable loads it. An empty one reads 0 ≤ c, which
+// every column present satisfies with dual 0, so the first committed
+// column that loads it opens it as a companion row: +d on the column for
+// an Always state, +1 on the companion allocation variable of a Maybe state
+// (which then has no entry of its own). The Always-state registrations and
+// the node rows are built as before. On the WAN scenarios most link states
+// never receive a path column, so the root LP carries neither their rows
+// nor their variables.
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"tvnep/internal/lp"
@@ -250,26 +256,14 @@ func (b *Built) pathCoefs(r, lv int, path []int) ([]int32, []float64) {
 	val := append(make([]float64, 0, n), 1)
 	for _, ls := range path {
 		for _, rc := range use[ls] {
-			if c, ok := rc.at(d); ok {
-				idx = append(idx, rc.row)
+			c, ok := rc.at(d)
+			if row, open := b.rowOf(rc.row); ok && open {
+				idx = append(idx, row)
 				val = append(val, c)
 			}
 		}
 	}
 	return idx, val
-}
-
-// ForEachDeferredState calls f with every state the FlowPath build left
-// out — request r's Maybe state n on substrate link ls, whose state row (7)
-// and allocation variable a it does not build — in build order. The first
-// priced column of r over ls opens them; internal/certify re-derives them
-// from this list.
-func (b *Built) ForEachDeferredState(f func(r, n, ls int)) {
-	for r, rows := range b.deferred {
-		for _, d := range rows {
-			f(r, d.n, d.ls)
-		}
-	}
 }
 
 // pathPricer prices path columns for every nontrivial virtual link: the
@@ -280,11 +274,11 @@ func (b *Built) ForEachDeferredState(f func(r, n, ls int)) {
 // the capacity and activity rows (+d)·(y ≥ 0) — so Dijkstra applies;
 // LP-tolerance dual noise is clamped away and the winner re-checked with the
 // exact reduced cost before it is offered; a virtual link where no path
-// could pass that recheck gets no search. Path columns carry objective 0
-// and a Farkas ray has the duals' signs on these rows, so the same code
-// prices a ray (x nil). A pure function of duals and the state rows opened
-// so far, with index-ordered tie-breaks, as the mip.RowPricer contract
-// requires.
+// could pass that recheck gets no search. A closed capacity row counts with
+// dual 0. Path columns carry objective 0 and a Farkas ray has the duals'
+// signs on these rows, so the same code prices a ray (x nil). A pure
+// function of duals and the rows opened so far, with index-ordered
+// tie-breaks, as the mip.RowPricer contract requires.
 type pathPricer struct {
 	b *Built
 }
@@ -309,8 +303,9 @@ func (pp *pathPricer) Price(duals, x []float64) []model.Column {
 			for ls := range w {
 				c := 0.0
 				for _, rc := range use[ls] {
-					if k, ok := rc.at(d); ok {
-						c += k * duals[rc.row]
+					k, ok := rc.at(d)
+					if row, open := b.rowOf(rc.row); ok && open {
+						c += k * duals[row]
 					}
 				}
 				if c < 0 {
@@ -338,8 +333,9 @@ func (pp *pathPricer) Price(duals, x []float64) []model.Column {
 }
 
 // Reset implements mip.RowPricer: it closes every deferred row the last
-// search opened, truncating their entries off the link-use registry, so a
-// search starts from the build's rows.
+// search opened, truncating the state rows' entries off the link-use
+// registry and marking the capacity rows closed, so a search starts from
+// the build's rows.
 func (pp *pathPricer) Reset() {
 	b := pp.b
 	for k, c := range b.opened {
@@ -349,18 +345,25 @@ func (pp *pathPricer) Reset() {
 		b.linkUse[k] = b.linkUse[k][:len(b.linkUse[k])-c]
 		b.opened[k] = 0
 	}
+	for i := range b.caps {
+		b.caps[i].row = -1
+	}
 }
 
 // Commit implements mip.RowPricer. It re-derives c over the rows opened
-// so far, and on every link of c's path that no earlier column of its
-// request routes over it opens the request's deferred Maybe states on that
-// link (in build order). Each state brings its allocation variable a as a
-// companion column — LP column j+1, j+2, …, bounds [0, ∞), objective 0, +1
-// on the state's capacity row (9) — and its state row (7) as a companion
-// row — LP row m, m+1, …, carrying +1 on that a and the −d coefficient of c
-// itself (LP column j). The opened rows join the link-use registry, so
-// every later column of the request over the link carries its coefficient
-// on them and the pricer prices their duals.
+// so far and opens, link by link along c's path, the rows c loads that the
+// LP does not hold yet. On a link that no earlier column of its request
+// routes over, each of the request's deferred Maybe states (in build order)
+// brings its allocation variable a as a companion column — LP column j+1,
+// j+2, …, bounds [0, ∞), objective 0, +1 on the state's capacity row (9)
+// if that row is open — and its state row (7) as a companion row — LP row
+// m, m+1, …, carrying +1 on that a and the −d coefficient of c itself (LP
+// column j) — followed by its capacity row if that is still closed, which
+// then carries the +1 on a. Then every closed capacity row of an Always
+// state of the request on the link (in build order) opens carrying c's +d.
+// The opened rows join the link-use registry, so every later column over
+// the link carries its coefficient on them and the pricer prices their
+// duals.
 func (pp *pathPricer) Commit(c model.Column, j, m int) (model.Column, []model.Column, []model.Cut) {
 	b := pp.b
 	tag := c.Tag.(pathTag)
@@ -374,27 +377,47 @@ func (pp *pathPricer) Commit(c model.Column, j, m int) (model.Column, []model.Co
 	numNodes := b.Inst.Sub.NumNodes()
 	var cols []model.Column
 	var rows []model.Cut
+	// openCap opens closed capacity row ^ref carrying coef on LP column jj.
+	openCap := func(ref int32, jj int, coef float64) {
+		dc := &b.caps[^ref]
+		dc.row = int32(m + len(rows))
+		rows = append(rows, model.Cut{
+			Idx: []int32{int32(jj)}, Val: []float64{coef},
+			LB: math.Inf(-1), UB: b.resourceCap(numNodes + dc.ls),
+		})
+	}
 	for _, ls := range tag.links {
-		if b.opened[r*nL+ls] > 0 {
-			continue
-		}
-		for _, dr := range b.deferred[r] {
-			if dr.ls != ls {
-				continue
+		use := b.linkUse[r*nL+ls]
+		if b.opened[r*nL+ls] == 0 {
+			for _, dr := range b.deferred[r] {
+				if dr.ls != ls {
+					continue
+				}
+				a := j + 1 + len(cols)
+				col := model.Column{LB: 0, UB: model.Inf()}
+				capRow, open := b.rowOf(dr.capRow)
+				if open {
+					col.Idx, col.Val = []int32{capRow}, []float64{1}
+				}
+				cols = append(cols, col)
+				capL := b.resourceCap(numNodes + ls)
+				con := b.row.Reset()
+				b.addStateChi(con, r, dr.n, capL)
+				row := model.CutGE(con, -capL)
+				row.Idx = append(row.Idx, int32(j), int32(a))
+				row.Val = append(row.Val, -d, 1)
+				b.recordLinkUse(r, ls, m+len(rows), -1)
+				b.opened[r*nL+ls]++
+				rows = append(rows, row)
+				if !open {
+					openCap(dr.capRow, a, 1)
+				}
 			}
-			a := j + 1 + len(cols)
-			cols = append(cols, model.Column{
-				Idx: []int32{dr.capRow}, Val: []float64{1}, LB: 0, UB: model.Inf(),
-			})
-			capL := b.resourceCap(numNodes + ls)
-			con := b.row.Reset()
-			b.addStateChi(con, r, dr.n, capL)
-			row := model.CutGE(con, -capL)
-			row.Idx = append(row.Idx, int32(j), int32(a))
-			row.Val = append(row.Val, -d, 1)
-			b.recordLinkUse(r, ls, m+len(rows), -1)
-			b.opened[r*nL+ls]++
-			rows = append(rows, row)
+		}
+		for _, rc := range use {
+			if _, open := b.rowOf(rc.row); rc.sign > 0 && !open {
+				openCap(rc.row, j, d)
+			}
 		}
 	}
 	return c, cols, rows

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"tvnep/internal/depgraph"
 	"tvnep/internal/graph"
 	"tvnep/internal/model"
 	"tvnep/internal/numtol"
@@ -511,14 +512,13 @@ func TestPathResolveReopensRows(t *testing.T) {
 // is no path column — sits in a built state row (7): a deferred state has
 // neither. The build has exactly its deferred states' columns fewer than a
 // build that creates every state's allocation variable (parentVars, counted
-// on such a build). After a search, every state row a priced column opened
-// holds exactly one of the column's companion columns, and each companion
-// column sits in exactly one of them.
+// on such a build), and leaves out every capacity row that nothing built
+// loads. After a search, checkCompanions holds for every priced column.
 func TestPathBuildShape(t *testing.T) {
 	wl := workload.Default()
 	wl.Topology, wl.WANNodes, wl.WANAvgDeg = "wan", 12, 4
 	wl.NumRequests, wl.StarLeaves = 5, 1
-	opened := 0
+	opened, openedCaps := 0, 0
 	for _, tc := range []struct {
 		seed                 int64
 		flex                 float64
@@ -541,10 +541,15 @@ func TestPathBuildShape(t *testing.T) {
 		})
 		name := fmt.Sprintf("seed %d flex %v nopresolve %v", tc.seed, tc.flex, tc.nopresolve)
 		deferred := 0
-		b.ForEachDeferredState(func(int, int, int) { deferred++ })
+		for _, rows := range b.deferred {
+			deferred += len(rows)
+		}
 		if deferred != tc.deferred || b.Model.NumVars() != tc.parentVars-deferred {
 			t.Fatalf("%s: %d columns and %d deferred states, want %d − %d",
 				name, b.Model.NumVars(), deferred, tc.parentVars, tc.deferred)
+		}
+		if len(b.caps) == 0 {
+			t.Fatalf("%s: the build left no capacity row out", name)
 		}
 
 		p := b.Model.LP()
@@ -591,39 +596,161 @@ func TestPathBuildShape(t *testing.T) {
 		if ms.Status != model.StatusOptimal {
 			t.Fatalf("%s: status %v", name, ms.Status)
 		}
-		if ms.Columns.CompanionCols != ms.Columns.CompanionRows ||
-			ms.Columns.PricedCols+ms.Columns.CompanionCols != len(ms.AppliedColumns) {
+		if ms.Columns.PricedCols+ms.Columns.CompanionCols != len(ms.AppliedColumns) {
 			t.Fatalf("%s: %+v over %d applied columns", name, ms.Columns, len(ms.AppliedColumns))
 		}
+		checkCompanions(t, name, b, ms)
 		opened += ms.Columns.CompanionCols
-		for k := 0; k < len(ms.AppliedColumns); k++ {
-			c := ms.AppliedColumns[k]
-			j := int32(ms.Columns.ColsAtRoot + k)
-			if c.Cols != len(c.Rows) {
-				t.Fatalf("%s: priced column %d opened %d companion columns for %d rows", name, k, c.Cols, len(c.Rows))
-			}
-			held := make([]int, c.Cols)
-			for i, row := range c.Rows {
+		openedCaps += ms.Columns.CompanionRows - ms.Columns.CompanionCols
+	}
+	if opened == 0 || openedCaps == 0 {
+		t.Fatalf("%d states and %d capacity rows opened; the scenarios no longer exercise both kinds of companion", opened, openedCaps)
+	}
+}
+
+// checkCompanions checks the companions of every priced column of ms, LP
+// column j. Each companion column sits in exactly one companion state row,
+// and in one companion capacity row exactly when it has no entry of its
+// own. Each companion capacity row — a row of one entry — is a capacity row
+// the build left out and this column opened: it names a (state, link) that
+// the column's path loads, carrying the column's +d where the request is
+// Always active in that state, or +1 on a companion column where it may be.
+func checkCompanions(t *testing.T, name string, b *Built, ms *model.Solution) {
+	t.Helper()
+	capAt := make(map[int]deferredCap)
+	for _, dc := range b.caps {
+		if dc.row >= 0 {
+			capAt[int(dc.row)] = dc
+		}
+	}
+	dg := depgraph.Build(b.Inst.Reqs)
+	for k := 0; k < len(ms.AppliedColumns); k++ {
+		c := ms.AppliedColumns[k]
+		j := int32(ms.Columns.ColsAtRoot + k)
+		tag := c.Tag.(pathTag)
+		onPath := make(map[int]bool)
+		for _, ls := range tag.links {
+			onPath[ls] = true
+		}
+		inState, inCap := make([]int, c.Cols), make([]int, c.Cols)
+		for i, row := range c.Rows {
+			if len(row.Idx) > 1 {
 				n := 0
 				for _, jj := range row.Idx {
 					if jj > j && jj <= j+int32(c.Cols) {
-						held[jj-j-1]++
+						inState[jj-j-1]++
 						n++
 					}
 				}
 				if n != 1 {
-					t.Fatalf("%s: companion row %d of priced column %d holds %d companion columns", name, i, k, n)
+					t.Fatalf("%s: companion state row %d of priced column %d holds %d companion columns", name, i, k, n)
 				}
+				continue
 			}
-			for q, n := range held {
-				if n != 1 {
-					t.Fatalf("%s: companion column %d of priced column %d sits in %d companion rows", name, q, k, n)
-				}
+			dc, ok := capAt[c.Row+i]
+			if !ok || !onPath[dc.ls] {
+				t.Fatalf("%s: companion capacity row %d of priced column %d (LP row %d) opens no capacity row on its path %v",
+					name, i, k, c.Row+i, tag.links)
 			}
-			k += c.Cols
+			act := dg.ActivityAt(tag.r, dc.n)
+			if b.Opts.DisablePresolve {
+				act = depgraph.Maybe
+			}
+			jj := row.Idx[0]
+			switch {
+			case jj == j && act == depgraph.Always:
+			case jj > j && jj <= j+int32(c.Cols) && act == depgraph.Maybe:
+				inCap[jj-j-1]++
+			default:
+				t.Fatalf("%s: companion capacity row %d of priced column %d carries column %d; request %d is %v in state %d",
+					name, i, k, jj, tag.r, act, dc.n)
+			}
+		}
+		for q := range inState {
+			a := ms.AppliedColumns[k+1+q]
+			if inState[q] != 1 || inCap[q] != 1-len(a.Idx) {
+				t.Fatalf("%s: companion column %d of priced column %d (entries %v) sits in %d state and %d capacity rows",
+					name, q, k, a.Idx, inState[q], inCap[q])
+			}
+		}
+		k += c.Cols
+	}
+}
+
+// emptyRows counts the compiled rows of b with no entry.
+func emptyRows(b *Built) int {
+	n := 0
+	for i := 0; i < b.Model.NumConstrs(); i++ {
+		if idx, _ := b.Model.LP().Row(i); len(idx) == 0 {
+			n++
 		}
 	}
-	if opened == 0 {
-		t.Fatal("no priced column opened a state; the scenarios no longer exercise companion columns")
+	return n
+}
+
+// TestPathBuildEmitsNoEmptyRow: no FlowPath build of the offline benchmark's
+// scenarios — the 12-PoP WAN cells it solves exactly (seeds 1–12, flex 0–3
+// h, lazy cuts) and the paper grid it rounds (flex 0–3 h, static cuts) —
+// emits a row without entries. Each WAN cell is then searched twice on its
+// one build, as a reused solver does: both searches must agree bit for bit
+// and pass checkCompanions, and after the pricer's Reset every capacity row
+// the searches opened is closed and the link-use registry is the build's.
+func TestPathBuildEmitsNoEmptyRow(t *testing.T) {
+	wl := workload.Default()
+	wl.Topology, wl.WANNodes, wl.WANAvgDeg = "wan", 12, 4
+	wl.NumRequests, wl.StarLeaves = 5, 1
+	openedCaps := 0
+	for seed := int64(1); seed <= 12; seed++ {
+		for flex := 0.0; flex <= 3; flex++ {
+			wl.FlexibilityHr = flex
+			sc := workload.Generate(wl, seed)
+			inst := &Instance{Sub: sc.Substrate, Reqs: sc.Requests, Horizon: sc.Horizon}
+			b := BuildCSigma(inst, BuildOptions{
+				Objective: AccessControl, FixedMapping: sc.Mapping, FlowMode: FlowPath, CutMode: CutLazy,
+			})
+			name := fmt.Sprintf("wan seed %d flex %v", seed, flex)
+			if n := emptyRows(b); n > 0 {
+				t.Fatalf("%s: %d empty rows", name, n)
+			}
+			built := make([]int, len(b.linkUse))
+			for i, use := range b.linkUse {
+				built[i] = len(use)
+			}
+			opts := &model.SolveOptions{NodeLimit: 2000}
+			_, first := b.Solve(context.Background(), opts)
+			checkCompanions(t, name, b, first)
+			_, again := b.Solve(context.Background(), opts)
+			if first.Status != again.Status || math.Float64bits(first.Obj) != math.Float64bits(again.Obj) ||
+				first.Work != again.Work || first.Columns != again.Columns ||
+				!reflect.DeepEqual(first.AppliedColumns, again.AppliedColumns) {
+				t.Fatalf("%s: second search differs: %v %v %+v %+v, first %v %v %+v %+v", name,
+					again.Status, again.Obj, again.Work, again.Columns, first.Status, first.Obj, first.Work, first.Columns)
+			}
+			openedCaps += first.Columns.CompanionRows - first.Columns.CompanionCols
+			(&pathPricer{b: b}).Reset()
+			for i, dc := range b.caps {
+				if dc.row >= 0 {
+					t.Fatalf("%s: capacity row %d (state %d, link %d) still open at LP row %d after Reset", name, i, dc.n, dc.ls, dc.row)
+				}
+			}
+			for i, use := range b.linkUse {
+				if len(use) != built[i] {
+					t.Fatalf("%s: link-use list %d holds %d entries after Reset, %d after the build", name, i, len(use), built[i])
+				}
+			}
+		}
+	}
+	if openedCaps == 0 {
+		t.Fatal("no search opened a capacity row; the WAN cells no longer exercise capacity companions")
+	}
+	for flex := 0.0; flex <= 3; flex++ {
+		wl := workload.PaperScale()
+		wl.FlexibilityHr = flex
+		sc := workload.Generate(wl, 1)
+		inst := &Instance{Sub: sc.Substrate, Reqs: sc.Requests, Horizon: sc.Horizon}
+		b := BuildCSigma(inst, BuildOptions{Objective: AccessControl, FixedMapping: sc.Mapping, FlowMode: FlowPath})
+		if n := emptyRows(b); n > 0 {
+			t.Fatalf("paper grid flex %v: %d empty rows", flex, n)
+		}
 	}
 }

@@ -92,6 +92,9 @@ type Stats struct {
 	// LPBound is the LP relaxation optimum — an upper bound on every
 	// integral solution (all objectives maximize).
 	LPBound float64
+	// RootRows and RootCols are the rows and structural columns of the
+	// relaxation's root LP, before pricing and separation appended any.
+	RootRows, RootCols int
 	// Samples is the number of candidate samples drawn, Feasible how many
 	// survived repair and certification, and BestSample the index of the
 	// winning draw (-1 when the solve fell back or found nothing).
@@ -154,6 +157,7 @@ func Solve(ctx context.Context, inst *core.Instance, mapping vnet.NodeMapping, o
 	})
 	rel := b.Model.Relax(ctx)
 	stats.Work = rel.Work
+	stats.RootRows, stats.RootCols = rel.Cuts.RowsAtRoot, rel.Columns.ColsAtRoot
 	if !rel.HasSolution {
 		// Unless the solve was cancelled, the relaxation is infeasible, so
 		// the integral model is too; there is nothing to round and nothing
